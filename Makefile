@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: build vet lint test race race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores
+.PHONY: build vet lint test race race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
 
 build:
 	$(GO) build ./...
@@ -55,9 +55,10 @@ race-soak:
 race-faults:
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
-	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert' ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
+	$(GO) test -race -count=1 -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' ./internal/experiment
 	$(GO) test -race -count=1 -run 'TestMajorityCrashConverges|TestRegressionSeeds' ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks' .
+	$(GO) test -race -count=1 -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -132,28 +133,32 @@ soak:
 
 # faults runs the crash/recovery suite end to end: the sync protocol and
 # malformed-message hardening units, the simulated and live transports, the
-# experiment-harness crash/restart pins, the majority-crash differential, the
-# committed chaos regression seeds (which include leader-crash + lossy
-# programs), and the cluster-level leader-crash / process-restart / lossy
-# tests.
+# harness kernel's crash/restart pins (where the restart sequence lives) and
+# their experiment-facade twin, the majority-crash differential, the committed
+# chaos regression seeds with their golden digests (which include leader-crash
+# + lossy programs), and the cluster-level leader-crash / process-restart /
+# lossy / golden-fingerprint tests.
 faults:
 	$(GO) test -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' -count=1 ./internal/node
 	$(GO) test -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' -count=1 ./internal/p2p
-	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert' -count=1 ./internal/experiment
+	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume' -count=1 ./internal/harness
+	$(GO) test -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' -count=1 ./internal/experiment
 	$(GO) test -run 'TestMajorityCrashConverges|TestRegressionSeeds' -count=1 ./internal/chaos
-	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks' -count=1 .
+	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
 # unit suites (paged table, FileUTXO journal/checkpoint handshake, chain
 # index, blockstore sync-policy + failure-injection durability), the
 # durability/aliasing bugfix pins (Clone mutation isolation, reopened-index
-# tie-break equivalence), the committed chaos regression seeds — each
+# tie-break equivalence), the harness kernel's restart pins over both
+# backends, the committed chaos regression seeds — each
 # replayed under the mem vs file backend differential — and the beyond-RAM
 # bounded-memory soak over file backends.
 stores:
 	$(GO) test -count=1 ./internal/store ./internal/blockstore
 	$(GO) test -count=1 -run 'TestCloneMutationIsolation|TestSetCloneIsolationPagedBackend' ./internal/utxo ./internal/store
-	$(GO) test -count=1 -run 'TestClusterRestartPreservesTieBreakInputs|TestClusterStateDirProcessRestart' .
+	$(GO) test -count=1 -run 'TestRestartRecoversDurablePrefix|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
+	$(GO) test -count=1 -run 'TestClusterRestartPreservesTieBreakInputs|TestClusterStateDirProcessRestart|TestClusterGoldenFingerprint' .
 	$(GO) test -count=1 -run 'TestRegressionSeeds' ./internal/chaos
 	$(GO) test -count=1 -run 'TestBeyondRAMRunBounded' -timeout 20m ./internal/experiment
 
@@ -184,3 +189,8 @@ cover:
 			{ echo "cover: FLOOR BREACH $$pkg at $$pct% < $$floor%"; exit 1; }; \
 		echo "cover: floor ok $$pkg $$pct% >= $$floor%"; \
 	done
+
+# loc prints the non-test Go line count outside benchmark/ — the number the
+# simplicity PRs (ROADMAP "quality of design") are judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l

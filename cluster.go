@@ -6,19 +6,15 @@ import (
 
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/harness"
 	"bitcoinng/internal/invariant"
 	"bitcoinng/internal/load"
 	"bitcoinng/internal/mempool"
-	"bitcoinng/internal/metrics"
 	"bitcoinng/internal/mining"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/protocol"
-	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
-	"bitcoinng/internal/store"
-	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
-	"bitcoinng/internal/validate"
 	"bitcoinng/internal/wallet"
 )
 
@@ -105,55 +101,31 @@ type StreamLoadConfig struct {
 	MaxTxs int64
 }
 
-// Cluster is an interactive emulated network. All methods must be called
-// from one goroutine; time only advances inside Run and Play. Cluster
-// implements the Scenario Runtime, so scripted steps act on it directly.
+// Cluster is an interactive emulated network: a facade over the harness
+// kernel, whose Fleet it embeds — Run, Now, Size, Report, NetStats, Events,
+// Close, ScenarioErrors, InvariantViolations, and the whole Scenario Runtime
+// (Partition, Heal, SetMiningRate, ScaleLatency, AdoptStrategy, Equivocate,
+// Crash, Restart, SetLoss, Leader) are the kernel's, so scripted steps act on
+// a cluster and on a measured experiment through the same code. All methods
+// must be called from one goroutine; time only advances inside Run, Play, and
+// Blast. Clusters on in-memory stores (the default) need not call Close.
 type Cluster struct {
-	cfg       ClusterConfig
-	loop      *sim.Loop
-	net       *simnet.Network
-	collector *metrics.Collector
-	nodes     []*ClusterNode
-	genesis   *types.PowBlock
-	stream    *load.Stream
-	scenErrs  []error
-
-	// Rebuild material for Restart: the same key, censor flag, and connect
-	// cache a node was first built with.
-	keys    []*crypto.PrivateKey
-	censors map[int]bool
-	cache   *validate.Cache
-
-	// Storage: the factory that built every node's backends, and the
-	// per-node UTXO stores (the chain indexes live on the node handles).
-	factory *store.Factory
-	utxos   []store.UTXO
-
-	// Online invariant checking (nil unless configured).
-	invEng         *invariant.Engine
-	partition      []int // current group per node; nil while whole
-	lastDisruption int64
+	*harness.Fleet
+	cfg    ClusterConfig
+	nodes  []*ClusterNode
+	stream *load.Stream
 }
 
-// ClusterNode is one node handle. Its store is the crash-surviving chain
-// index: the write hook (node.BlockArchive), the invariant read surface
-// (invariant.DurableStore), body reloads for compacted chains, and
-// arrival-time-faithful replay for restart — store.MemIndex or the
-// file-backed store.FileIndex, per the cluster's locator.
+// ClusterNode is one node handle; it stays valid across Crash/Restart.
 type ClusterNode struct {
-	id          int
-	client      protocol.Client
-	base        *node.Base
-	miner       *mining.Miner
-	wallet      *wallet.Wallet
-	env         *simnet.NodeEnv
-	store       store.ChainIndex
-	down        bool
-	lastRestart int64
+	n      *harness.Node
+	wallet *wallet.Wallet
 }
 
 // NewCluster builds the network, funds wallets, and (with AutoMine) arms
-// miners. Nothing runs until Run is called.
+// miners. Nothing runs until Run is called. Built over a StateDir/StoreURL
+// that already holds chains (same seed and size), every node resumes from its
+// persisted prefix like a process restart.
 //
 // Deprecated: use New with functional options.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -167,78 +139,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.Params = DefaultParams()
 		cfg.Params.RetargetWindow = 0
 	}
-	censors, err := protocol.CensorSet(cfg.Nodes, cfg.Censors)
-	if err != nil {
-		return nil, fmt.Errorf("bitcoinng: %w", err)
-	}
-	strategies, err := strategy.ForNodes(cfg.Nodes, cfg.Strategies)
-	if err != nil {
-		return nil, fmt.Errorf("bitcoinng: %w", err)
-	}
 	locator := cfg.StoreURL
 	if locator == "" && cfg.StateDir != "" {
 		locator = "file:" + cfg.StateDir
 	}
-	factory, err := store.NewFactory(locator)
-	if err != nil {
-		return nil, fmt.Errorf("bitcoinng: %w", err)
-	}
-	// Chain indexes open before the event loop exists: a process-level
-	// restart must start the virtual clock at the latest persisted timestamp
-	// — block time or local arrival time, whichever is later (a real node's
-	// wall clock keeps running across restarts) — or every freshly mined
-	// block would violate median-time-past against the recovered prefix
-	// until the clock caught up.
-	indexes := make([]store.ChainIndex, 0, cfg.Nodes)
-	utxos := make([]store.UTXO, 0, cfg.Nodes)
-	abandon := func() { // failed build: release whatever opened, best-effort
-		for _, ix := range indexes {
-			_ = ix.Close()
-		}
-		for _, u := range utxos {
-			_ = u.Close()
-		}
-		_ = factory.Close()
-	}
-	var clockStart int64
-	for i := 0; i < cfg.Nodes; i++ {
-		index, err := factory.NewChainIndex(clusterStoreName(i))
-		if err != nil {
-			abandon()
-			return nil, fmt.Errorf("bitcoinng: node %d durable store: %w", i, err)
-		}
-		indexes = append(indexes, index)
-		if err := index.Replay(func(b types.Block, receivedAt int64) error {
-			if t := b.Time(); t > clockStart {
-				clockStart = t
-			}
-			if receivedAt > clockStart {
-				clockStart = receivedAt
-			}
-			return nil
-		}); err != nil {
-			abandon()
-			return nil, fmt.Errorf("bitcoinng: node %d durable store scan: %w", i, err)
-		}
-	}
-	loop := sim.NewLoop(clockStart)
 	netCfg := simnet.DefaultConfig(cfg.Nodes, cfg.Seed)
 	if cfg.BandwidthBPS > 0 {
 		netCfg.BandwidthBPS = cfg.BandwidthBPS
 	}
-	network := simnet.New(loop, netCfg)
 
 	// Node keys and pre-funded genesis.
-	keys := make([]*crypto.PrivateKey, cfg.Nodes)
+	keys, err := harness.Keys(cfg.Seed, 0x30000, cfg.Nodes)
+	if err != nil {
+		return nil, err
+	}
 	var payouts []types.TxOutput
-	for i := range keys {
-		k, err := crypto.GenerateKey(sim.NewRand(cfg.Seed, uint64(0x30000+i)))
-		if err != nil {
-			abandon()
-			return nil, err
-		}
-		keys[i] = k
-		if cfg.FundPerNode > 0 {
+	if cfg.FundPerNode > 0 {
+		for _, k := range keys {
 			payouts = append(payouts, types.TxOutput{Value: cfg.FundPerNode, To: k.Public().Addr()})
 		}
 	}
@@ -252,7 +169,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			MaxTxs: cfg.StreamLoad.MaxTxs,
 		})
 		if err != nil {
-			abandon()
 			return nil, fmt.Errorf("bitcoinng: %w", err)
 		}
 		payouts = append(payouts, stream.GenesisPayouts()...)
@@ -264,216 +180,68 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if stream != nil {
 		stream.Bind(genesis.Txs[0].ID(), streamFirst)
 	}
-	collector := metrics.NewCollector(genesis, 0)
 
-	c := &Cluster{
-		cfg:       cfg,
-		loop:      loop,
-		net:       network,
-		collector: collector,
-		genesis:   genesis,
-		stream:    stream,
-		keys:      keys,
-		censors:   censors,
-		factory:   factory,
-	}
-	shares := mining.ExponentialShares(cfg.Nodes, mining.DefaultExponent)
-	totalRate := 1.0 / cfg.Params.TargetBlockInterval.Seconds()
-
-	cache := validate.Shared()
-	if cfg.DisableConnectCache {
-		cache = nil
-	}
-	c.cache = cache
-	for i := 0; i < cfg.Nodes; i++ {
-		env := simnet.NewNodeEnv(loop, network, i, cfg.Seed)
-		// The ledger store starts from scratch on every build: the chain
-		// index is the durable truth, and the replay below re-derives UTXO
-		// state from it (a possibly-torn ledger journal left by a hard crash
-		// is never trusted). Reset must precede Build, because chain.New
-		// applies genesis into the store.
-		ustore, err := factory.NewUTXO(clusterStoreName(i))
-		if err != nil {
-			abandon()
-			return nil, fmt.Errorf("bitcoinng: node %d ledger store: %w", i, err)
-		}
-		utxos = append(utxos, ustore)
-		if err := ustore.Reset(); err != nil {
-			abandon()
-			return nil, fmt.Errorf("bitcoinng: node %d ledger store reset: %w", i, err)
-		}
-		client, err := protocol.Build(env, protocol.Spec{
-			Protocol:           protocol.Protocol(cfg.Protocol),
-			Params:             cfg.Params,
-			Key:                keys[i],
-			Genesis:            genesis,
-			Recorder:           collector,
-			SimulatedMining:    true,
-			CensorTransactions: censors[i],
-			ConnectCache:       cache,
-			Strategy:           strategies[i],
-			UTXO:               ustore,
-		})
-		if err != nil {
-			abandon()
-			return nil, err
-		}
-		env.Deliver(client.HandleMessage)
-		cn := &ClusterNode{
-			id:     i,
-			client: client,
-			base:   client.Base(),
-			wallet: wallet.New(keys[i]),
-			env:    env,
-			store:  indexes[i],
-		}
-		cn.base.Persist = cn.store
-		// The chain index doubles as the body archive Compact evicts
-		// against: every accepted block lands there via Persist first.
-		cn.base.State.Store().AttachBodySource(cn.store)
-		// A pre-existing file-backed archive (process-level restart) replays
-		// its recovered prefix into the fresh chain state — each block under
-		// its original arrival time, so the first-seen tie-break resolves as
-		// it did in the first life; in-memory archives start empty and this
-		// is a no-op.
-		replayed := 0
-		if err := cn.store.Replay(func(b types.Block, receivedAt int64) error {
-			if _, err := cn.base.State.AddBlock(b, receivedAt); err != nil {
-				return err
-			}
-			replayed++
-			return nil
-		}); err != nil {
-			// Every archived block was validated and persisted by this very
-			// node in parent-before-child order, so a replay failure means
-			// archive corruption or a rules change — not a recoverable skew.
-			abandon()
-			return nil, fmt.Errorf("bitcoinng: node %d archive replay: %w", i, err)
-		}
-		if replayed > 0 && cn.base.OnTipChange != nil {
-			// Replay bypassed processBlock, so re-arm leadership off the
-			// recovered tip (core's hook ignores the AddResult).
-			cn.base.OnTipChange(nil)
-		}
-		cn.base.RelayTxs = cfg.RelayTxs
-		if l := cfg.MempoolLimits; l.MaxTxs > 0 || l.MaxBytes > 0 {
-			if mp, ok := cn.base.Pool.(*mempool.Pool); ok {
-				mp.SetLimits(l)
-			}
-		}
-		cn.miner = mining.NewMiner(loop, sim.NewRand(cfg.Seed, uint64(0x40000+i)),
-			func() {
-				if !cn.down {
-					cn.client.MineBlock()
+	fleet, err := harness.New(harness.Spec{
+		Protocol: protocol.Protocol(cfg.Protocol),
+		Params:   cfg.Params,
+		Genesis:  genesis,
+		Seed:     cfg.Seed,
+		Keys:     keys,
+		Net:      netCfg,
+		StoreURL: locator,
+		// <root>/node-<i>.blocks preserves the pre-factory StateDir layout.
+		StoreName:           func(i int) string { return fmt.Sprintf("node-%d", i) },
+		Resume:              true,
+		MinerStream:         0x40000,
+		Censors:             cfg.Censors,
+		Strategies:          cfg.Strategies,
+		DisableConnectCache: cfg.DisableConnectCache,
+		Invariants:          cfg.Invariants,
+		Wire: func(_ int, base *node.Base) {
+			base.RelayTxs = cfg.RelayTxs
+			if l := cfg.MempoolLimits; l.MaxTxs > 0 || l.MaxBytes > 0 {
+				if mp, ok := base.Pool.(*mempool.Pool); ok {
+					mp.SetLimits(l)
 				}
-			})
-		if cfg.AutoMine {
-			cn.miner.SetRate(shares[i] * totalRate)
-			cn.miner.Start()
-		}
-		c.nodes = append(c.nodes, cn)
+			}
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bitcoinng: %w", err)
 	}
-	c.utxos = utxos
+	c := &Cluster{Fleet: fleet, cfg: cfg, stream: stream}
+	for _, n := range fleet.Nodes() {
+		c.nodes = append(c.nodes, &ClusterNode{n: n, wallet: wallet.New(n.Key)})
+	}
+	if cfg.AutoMine {
+		shares := mining.ExponentialShares(cfg.Nodes, mining.DefaultExponent)
+		totalRate := 1.0 / cfg.Params.TargetBlockInterval.Seconds()
+		for i, n := range c.nodes {
+			n.SetMiningRate(shares[i] * totalRate)
+		}
+	}
 	if cfg.Scenario != nil {
-		c.schedule(cfg.Scenario, nil)
+		c.Schedule(cfg.Scenario, nil)
 	}
 	if len(cfg.Invariants) > 0 {
-		c.invEng = invariant.NewEngine(cfg.Invariants...)
-		interval := cfg.InvariantInterval
-		if interval <= 0 {
-			interval = cfg.Params.TargetBlockInterval
-		}
-		if interval <= 0 {
-			interval = time.Second // degenerate params: never re-arm at +0
-		}
+		interval := c.CheckInterval(cfg.InvariantInterval)
 		var tick func()
 		tick = func() {
-			c.invEng.Check(c.snapshot(false))
-			c.loop.After(interval, tick)
+			c.Check(false)
+			c.After(interval, tick)
 		}
-		c.loop.After(interval, tick)
+		c.After(interval, tick)
 	}
 	return c, nil
-}
-
-// clusterStoreName labels a node's stores inside the factory root; the chain
-// index's block file lands at <root>/node-<i>.blocks, preserving the
-// pre-factory StateDir layout on disk.
-func clusterStoreName(i int) string { return fmt.Sprintf("node-%d", i) }
-
-// Close releases every node's storage backends, syncing file-backed state so
-// a later cluster over the same directory resumes from it, and removes an
-// ephemeral "file:" root. The cluster is unusable afterwards. Clusters on
-// in-memory stores (the default) need not call it.
-func (c *Cluster) Close() error {
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, n := range c.nodes {
-		keep(n.store.Close())
-	}
-	for _, u := range c.utxos {
-		keep(u.Sync())
-		keep(u.Close())
-	}
-	keep(c.factory.Close())
-	return first
-}
-
-// snapshot assembles the invariant engine's view of every node.
-func (c *Cluster) snapshot(final bool) *invariant.Snapshot {
-	s := &invariant.Snapshot{
-		Now:            c.loop.Now(),
-		Final:          final,
-		Params:         c.cfg.Params,
-		Partitioned:    c.partition != nil,
-		LastDisruption: c.lastDisruption,
-		Nodes:          make([]invariant.NodeState, len(c.nodes)),
-	}
-	for i, n := range c.nodes {
-		group := 0
-		if c.partition != nil {
-			group = c.partition[i]
-		}
-		s.Nodes[i] = invariant.NodeState{
-			ID:          i,
-			Chain:       n.base.State,
-			Strategy:    n.StrategyName(),
-			Group:       group,
-			Down:        n.down,
-			LastRestart: n.lastRestart,
-			Durable:     n.store,
-		}
-	}
-	return s
 }
 
 // CheckInvariants runs the configured invariant catalogue once, as a final
 // (full-history) check, and returns every violation recorded so far. It
 // returns nil when no invariants were configured.
 func (c *Cluster) CheckInvariants() []invariant.Violation {
-	if c.invEng == nil {
-		return nil
-	}
-	c.invEng.Check(c.snapshot(true))
-	return c.invEng.Violations()
+	c.Check(true)
+	return c.InvariantViolations()
 }
-
-// InvariantViolations returns every invariant violation recorded so far
-// (periodic ticks plus explicit CheckInvariants calls), deduplicated by
-// (invariant, node) in first-observation order.
-func (c *Cluster) InvariantViolations() []invariant.Violation {
-	if c.invEng == nil {
-		return nil
-	}
-	return c.invEng.Violations()
-}
-
-// Run advances virtual time by d, processing everything scheduled within it.
-func (c *Cluster) Run(d time.Duration) { c.loop.RunFor(d) }
 
 // Play arms the scenario's steps relative to the current virtual time and
 // runs through its last step. It returns the first error from this
@@ -482,245 +250,17 @@ func (c *Cluster) Run(d time.Duration) { c.loop.RunFor(d) }
 // Play returns, so later Run calls execute nothing further from it.
 func (c *Cluster) Play(s *Scenario) error {
 	var first error
-	c.schedule(s, func(err error) {
+	c.Schedule(s, func(err error) {
 		if first == nil {
 			first = err
 		}
 	})
-	c.loop.RunFor(s.Duration())
+	c.Run(s.Duration())
 	return first
 }
 
-// ScenarioErrors returns every scenario step failure observed so far, in
-// firing order.
-func (c *Cluster) ScenarioErrors() []error { return c.scenErrs }
-
-// schedule arms s on the loop; each step failure is recorded in scenErrs
-// and, when own is non-nil, reported to it as well.
-func (c *Cluster) schedule(s *Scenario, own func(error)) {
-	s.Schedule(func(d time.Duration, fn func()) { c.loop.After(d, fn) }, c,
-		func(ts TimedStep, err error) {
-			wrapped := fmt.Errorf("bitcoinng: scenario step %q at %v: %w", ts.Step.Name, ts.Offset, err)
-			c.scenErrs = append(c.scenErrs, wrapped)
-			if own != nil {
-				own(wrapped)
-			}
-		})
-}
-
-// Partition cuts the network into the given groups of node indices; nodes
-// not listed join group 0. Messages across groups are lost until Heal. An
-// out-of-range node is an error.
-func (c *Cluster) Partition(groups ...[]int) error {
-	assignment, err := simnet.PartitionAssignment(len(c.nodes), groups)
-	if err != nil {
-		return fmt.Errorf("bitcoinng: %w", err)
-	}
-	c.net.SetPartition(assignment)
-	c.partition = assignment
-	c.lastDisruption = c.loop.Now()
-	return nil
-}
-
-// Heal removes the partition; chains reconcile as the next blocks announce.
-func (c *Cluster) Heal() {
-	c.net.SetPartition(nil)
-	c.partition = nil
-	c.lastDisruption = c.loop.Now()
-}
-
-// SetMiningRate adjusts one node's simulated mining power (blocks/sec) and
-// starts its miner; zero pauses it. Part of the Scenario Runtime. An
-// out-of-range node is an error.
-func (c *Cluster) SetMiningRate(node int, blocksPerSec float64) error {
-	if node < 0 || node >= len(c.nodes) {
-		return fmt.Errorf("bitcoinng: node %d out of range (cluster size %d)", node, len(c.nodes))
-	}
-	c.nodes[node].SetMiningRate(blocksPerSec)
-	return nil
-}
-
-// ScaleLatency sets the absolute factor every link's propagation delay is
-// scaled by (the LatencySpike scenario step): calls replace one another
-// rather than composing, and 1 restores the configured model. A factor ≤ 0
-// is an error.
-func (c *Cluster) ScaleLatency(factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("bitcoinng: latency factor %v must be > 0", factor)
-	}
-	c.net.ScaleLatency(factor)
-	c.lastDisruption = c.loop.Now()
-	return nil
-}
-
-// AdoptStrategy switches one node's mining strategy to the registered name
-// (the scenario layer's AdoptStrategy step); "honest" restores protocol
-// behaviour and abandons anything the previous strategy was withholding.
-func (c *Cluster) AdoptStrategy(node int, name string) error {
-	if node < 0 || node >= len(c.nodes) {
-		return fmt.Errorf("bitcoinng: node %d out of range (cluster size %d)", node, len(c.nodes))
-	}
-	if err := protocol.AdoptStrategy(c.nodes[node].client, name); err != nil {
-		return fmt.Errorf("bitcoinng: node %d (%s): %w", node, c.cfg.Protocol, err)
-	}
-	c.lastDisruption = c.loop.Now()
-	return nil
-}
-
-// Equivocate is the Scenario Runtime form of EquivocateLeader, discarding
-// the microblock hashes.
-func (c *Cluster) Equivocate(leader int, txA, txB *Transaction) error {
-	_, _, err := c.EquivocateLeader(leader, txA, txB)
-	return err
-}
-
-// Crash tears down one node: its miner stops, every armed timer dies with
-// the env generation bump, in-flight and future messages to or from it are
-// lost, and the client object is abandoned. Only the durable block archive
-// survives for Restart. Crashing an out-of-range or already-down node is an
-// error.
-func (c *Cluster) Crash(node int) error {
-	if node < 0 || node >= len(c.nodes) {
-		return fmt.Errorf("bitcoinng: node %d out of range (cluster size %d)", node, len(c.nodes))
-	}
-	cn := c.nodes[node]
-	if cn.down {
-		return fmt.Errorf("bitcoinng: node %d is already down", node)
-	}
-	cn.down = true
-	cn.miner.Stop()
-	cn.env.Bump()
-	c.net.SetNodeDown(node, true)
-	c.lastDisruption = c.loop.Now()
-	return nil
-}
-
-// Restart rebuilds a crashed node: a fresh client on the same env and key,
-// the durable archive replayed into its chain state, the network reattached,
-// and catch-up sync kicked for whatever it missed while down. The node
-// resumes its configured strategy (a mid-run AdoptStrategy does not survive
-// a crash). Restarting an out-of-range or running node is an error.
-func (c *Cluster) Restart(node int) error {
-	if node < 0 || node >= len(c.nodes) {
-		return fmt.Errorf("bitcoinng: node %d out of range (cluster size %d)", node, len(c.nodes))
-	}
-	cn := c.nodes[node]
-	if !cn.down {
-		return fmt.Errorf("bitcoinng: node %d is not down", node)
-	}
-	strat, err := strategy.New(c.cfg.Strategies[node])
-	if err != nil {
-		return fmt.Errorf("bitcoinng: node %d restart: %w", node, err)
-	}
-	// The ledger store is rebuilt from the chain index: the replay below
-	// re-applies every persisted block, so the store must start empty (a
-	// possibly-torn ledger journal across the crash is never trusted; the
-	// chain index IS the durable truth).
-	if err := c.utxos[node].Reset(); err != nil {
-		return fmt.Errorf("bitcoinng: node %d restart: reset ledger store: %w", node, err)
-	}
-	client, err := protocol.Build(cn.env, protocol.Spec{
-		Protocol:           protocol.Protocol(c.cfg.Protocol),
-		Params:             c.cfg.Params,
-		Key:                c.keys[node],
-		Genesis:            c.genesis,
-		Recorder:           c.collector,
-		SimulatedMining:    true,
-		CensorTransactions: c.censors[node],
-		ConnectCache:       c.cache,
-		Strategy:           strat,
-		UTXO:               c.utxos[node],
-	})
-	if err != nil {
-		return fmt.Errorf("bitcoinng: node %d restart: %w", node, err)
-	}
-	base := client.Base()
-	base.Persist = cn.store
-	base.State.Store().AttachBodySource(cn.store)
-	base.RelayTxs = c.cfg.RelayTxs
-	if l := c.cfg.MempoolLimits; l.MaxTxs > 0 || l.MaxBytes > 0 {
-		if mp, ok := base.Pool.(*mempool.Pool); ok {
-			mp.SetLimits(l)
-		}
-	}
-	// Recover the durable prefix directly into the tree — no gossip, no
-	// re-persist (the archive already holds these), no metrics double-count.
-	// Each block replays under its original arrival time, so the first-seen
-	// tie-break resolves exactly as it did before the crash.
-	now := c.loop.Now()
-	if err := cn.store.Replay(func(b types.Block, receivedAt int64) error {
-		_, err := base.State.AddBlock(b, receivedAt)
-		return err
-	}); err != nil {
-		// The archive holds only blocks this node validated and persisted,
-		// parent before child, so failure here is corruption, not skew.
-		return fmt.Errorf("bitcoinng: node %d restart replay: %w", node, err)
-	}
-	// Replay bypassed processBlock, so re-arm leadership off the recovered
-	// tip (core's hook ignores the AddResult).
-	if base.OnTipChange != nil {
-		base.OnTipChange(nil)
-	}
-	cn.client = client
-	cn.base = base
-	cn.down = false
-	cn.lastRestart = now
-	cn.env.Deliver(client.HandleMessage)
-	c.net.SetNodeDown(node, false)
-	cn.miner.Start()
-	base.Sync.Start(-1)
-	c.lastDisruption = now
-	return nil
-}
-
-// SetLoss installs network-wide lossy-link fault probabilities (the Lossy
-// scenario step): each message is independently dropped, duplicated, or
-// delayed with the given probabilities, scaled per directed link by a
-// seed-deterministic susceptibility factor. All-zero restores clean links.
-func (c *Cluster) SetLoss(drop, duplicate, reorder float64) error {
-	for _, p := range []float64{drop, duplicate, reorder} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("bitcoinng: loss probability %v outside [0,1]", p)
-		}
-	}
-	c.net.SetLoss(simnet.Loss{Drop: drop, Duplicate: duplicate, Reorder: reorder})
-	c.lastDisruption = c.loop.Now()
-	return nil
-}
-
-// Leader returns the index of the first running node that considers itself
-// the current epoch leader, or -1 when none does (including protocols
-// without a leader role).
-func (c *Cluster) Leader() int {
-	for _, cn := range c.nodes {
-		if cn.down {
-			continue
-		}
-		if cn.IsLeader() {
-			return cn.id
-		}
-	}
-	return -1
-}
-
-// Now returns the current virtual time.
-func (c *Cluster) Now() time.Duration { return time.Duration(c.loop.Now()) }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
 // Node returns the i'th node handle.
 func (c *Cluster) Node(i int) *ClusterNode { return c.nodes[i] }
-
-// Report computes the §6 metrics for everything observed so far.
-func (c *Cluster) Report() *Report {
-	return c.collector.Analyze(metrics.DefaultAnalyzeOptions(c.loop.Now()))
-}
-
-// NetStats merges the emulated network's counters — volume, partition and
-// crash losses, and the lossy-link fault totals — into one network-wide
-// view. Call it between Run slices, while the loops are quiescent.
-func (c *Cluster) NetStats() simnet.Stats { return c.net.Stats() }
 
 // Stream exposes the sustained-load stream (nil unless StreamLoad was
 // configured).
@@ -792,27 +332,27 @@ func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 	submit := func(tx *types.Transaction) bool {
 		admitted := false
 		for _, t := range targets {
-			if c.nodes[t].base.SubmitTx(tx) == nil {
+			if c.nodes[t].SubmitTx(tx) == nil {
 				admitted = true
 			}
 		}
 		return admitted
 	}
-	start := c.loop.Now()
-	deadline := start + int64(cfg.Duration)
+	start := c.Now()
+	deadline := start + cfg.Duration
 	var confirmed int64
-	for tick := 0; c.loop.Now() < deadline; tick++ {
+	for tick := 0; c.Now() < deadline; tick++ {
 		if tick%16 == 0 {
-			confs := load.Confirmations(c.nodes[0].base.State.Tip())
+			confs := load.Confirmations(c.nodes[0].Chain().Tip())
 			confirmed = int64(len(confs))
 			blaster.ReleaseBehind(confirmedPrefix(confs), slack)
 		}
-		blaster.Tick(c.loop.Now(), confirmed, submit)
-		c.loop.RunFor(slice)
+		blaster.Tick(int64(c.Now()), confirmed, submit)
+		c.Run(slice)
 	}
-	c.loop.RunFor(grace)
-	confs := load.Confirmations(c.nodes[0].base.State.Tip())
-	return blaster.Report(time.Duration(c.loop.Now()-start), confs), nil
+	c.Run(grace)
+	confs := load.Confirmations(c.nodes[0].Chain().Tip())
+	return blaster.Report(c.Now()-start, confs), nil
 }
 
 // confirmedPrefix returns the first stream index not yet confirmed, given
@@ -835,37 +375,30 @@ func confirmedPrefix(confs []load.Confirmation) int64 {
 func (c *Cluster) Converged() bool {
 	// Find the highest tip and verify the others sit on its chain; down
 	// nodes' frozen states don't count against agreement.
-	var best *ClusterNode
+	var best *chain.State
 	for _, n := range c.nodes {
-		if n.down {
-			continue
-		}
-		if best == nil || n.base.State.Tip().Height > best.base.State.Tip().Height {
-			best = n
+		if !n.n.Down && (best == nil || n.Height() > best.Height()) {
+			best = n.Chain()
 		}
 	}
-	if best == nil {
-		return true // everything down: vacuously agreed
-	}
-	bestState := best.base.State
 	for _, n := range c.nodes {
-		if n.down {
+		if n.n.Down {
 			continue
 		}
-		tipNode, ok := bestState.Store().Get(n.base.State.Tip().Hash())
-		if !ok || !bestState.MainChainContains(tipNode) {
+		tipNode, ok := best.Store().Get(n.TipID())
+		if !ok || !best.MainChainContains(tipNode) {
 			return false
 		}
 	}
-	return true
+	return true // including everything down: vacuously agreed
 }
 
 // ID returns the node's index.
-func (n *ClusterNode) ID() int { return n.id }
+func (n *ClusterNode) ID() int { return n.n.ID }
 
 // Client returns the node's protocol client; assert the protocol package's
 // capability interfaces on it for protocol-specific control.
-func (n *ClusterNode) Client() ProtocolClient { return n.client }
+func (n *ClusterNode) Client() ProtocolClient { return n.n.Client }
 
 // Wallet returns the node's wallet.
 func (n *ClusterNode) Wallet() *wallet.Wallet { return n.wallet }
@@ -874,61 +407,58 @@ func (n *ClusterNode) Wallet() *wallet.Wallet { return n.wallet }
 func (n *ClusterNode) Address() Address { return n.wallet.Address() }
 
 // Chain returns the node's chain state (read-only use).
-func (n *ClusterNode) Chain() *chain.State { return n.base.State }
+func (n *ClusterNode) Chain() *chain.State { return n.n.Base().State }
 
 // Height returns the node's main-chain height (all blocks).
-func (n *ClusterNode) Height() uint64 { return n.base.State.Height() }
+func (n *ClusterNode) Height() uint64 { return n.Chain().Height() }
 
 // KeyHeight returns the node's PoW/key-block height.
-func (n *ClusterNode) KeyHeight() uint64 { return n.base.State.KeyHeight() }
+func (n *ClusterNode) KeyHeight() uint64 { return n.Chain().KeyHeight() }
 
 // TipID returns the node's main-chain tip hash.
-func (n *ClusterNode) TipID() Hash { return n.base.State.Tip().Hash() }
+func (n *ClusterNode) TipID() Hash { return n.Chain().Tip().Hash() }
 
 // Balance returns addr's spendable balance in this node's view.
 func (n *ClusterNode) Balance(addr Address) Amount {
-	return n.base.State.UTXO().BalanceOf(addr)
+	return n.Chain().UTXO().BalanceOf(addr)
 }
 
 // Pay builds, signs, and submits a payment from this node's wallet to the
 // node's local pool (experiment clusters do not relay transactions; every
 // node that should serialize it must receive it via SubmitTx).
 func (n *ClusterNode) Pay(to Address, amount, fee Amount) (*Transaction, error) {
-	tx, err := n.wallet.Pay(n.base.State, to, amount, fee)
+	tx, err := n.wallet.Pay(n.Chain(), to, amount, fee)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.base.SubmitTx(tx); err != nil {
+	if err := n.SubmitTx(tx); err != nil {
 		return nil, err
 	}
 	return tx, nil
 }
 
 // SubmitTx adds an externally built transaction to this node's pool.
-func (n *ClusterNode) SubmitTx(tx *Transaction) error { return n.base.SubmitTx(tx) }
+func (n *ClusterNode) SubmitTx(tx *Transaction) error { return n.n.Base().SubmitTx(tx) }
 
 // IsLeader reports whether this node currently leads (protocols without
 // leadership always report false).
-func (n *ClusterNode) IsLeader() bool {
-	l, ok := n.client.(protocol.Leader)
-	return ok && l.IsLeader()
-}
+func (n *ClusterNode) IsLeader() bool { return n.n.IsLeader() }
 
 // MineBlock forces one block find now — a key block under Bitcoin-NG, a
 // regular block otherwise — and returns it.
-func (n *ClusterNode) MineBlock() types.Block { return n.client.MineBlock() }
+func (n *ClusterNode) MineBlock() types.Block { return n.n.Client.MineBlock() }
 
 // SetMiningRate adjusts the node's simulated mining power (blocks/sec) and
 // starts the miner; zero pauses it — the churn experiments use this (§5.2).
 func (n *ClusterNode) SetMiningRate(blocksPerSec float64) {
-	n.miner.SetRate(blocksPerSec)
-	n.miner.Start()
+	n.n.Miner.SetRate(blocksPerSec)
+	n.n.Miner.Start()
 }
 
 // MicroblocksMined returns the node's microblock production count (zero for
 // protocols without microblocks).
 func (n *ClusterNode) MicroblocksMined() uint64 {
-	if p, ok := n.client.(protocol.MicroblockProducer); ok {
+	if p, ok := n.n.Client.(protocol.MicroblockProducer); ok {
 		return p.MicroblocksMined()
 	}
 	return 0
@@ -936,40 +466,24 @@ func (n *ClusterNode) MicroblocksMined() uint64 {
 
 // StrategyName returns the node's active mining strategy name; "honest" for
 // protocols without strategic freedom.
-func (n *ClusterNode) StrategyName() string {
-	if s, ok := n.client.(protocol.Strategic); ok {
-		return s.StrategyName()
-	}
-	return "honest"
-}
+func (n *ClusterNode) StrategyName() string { return n.n.StrategyName() }
 
 // FraudsDetected returns how many leader equivocations this node has
 // witnessed and holds poison evidence for (§4.5); zero for protocols
 // without fraud proofs.
 func (n *ClusterNode) FraudsDetected() int {
-	if w, ok := n.client.(protocol.FraudWitness); ok {
+	if w, ok := n.n.Client.(protocol.FraudWitness); ok {
 		return w.FraudsDetected()
 	}
 	return 0
 }
 
-// EquivocateLeader makes the given node — which must currently lead — sign
-// two conflicting microblocks on its tip, each carrying one of the
-// transactions, and publish them to different peers: the split-brain
-// double-spend of §4.5. It returns the two microblock hashes. Honest nodes
-// that see both detect the fraud and poison the leader once they lead.
+// EquivocateLeader is Equivocate returning the two conflicting microblocks'
+// hashes.
 func (c *Cluster) EquivocateLeader(leaderID int, txA, txB *Transaction) (Hash, Hash, error) {
-	if leaderID < 0 || leaderID >= len(c.nodes) {
-		return Hash{}, Hash{}, fmt.Errorf("bitcoinng: node %d out of range (cluster size %d)", leaderID, len(c.nodes))
-	}
-	if c.nodes[leaderID].down {
-		return Hash{}, Hash{}, fmt.Errorf("bitcoinng: node %d is down", leaderID)
-	}
-	leader := c.nodes[leaderID]
-	victim := c.nodes[protocol.EquivocationVictim(leaderID, len(c.nodes))]
-	mbA, mbB, err := protocol.PublishEquivocation(leaderID, leader.client, victim.client, txA, txB)
+	mbA, mbB, err := c.PublishEquivocation(leaderID, txA, txB)
 	if err != nil {
-		return Hash{}, Hash{}, fmt.Errorf("bitcoinng: node %d (%s): %w", leaderID, c.cfg.Protocol, err)
+		return Hash{}, Hash{}, err
 	}
 	return mbA.Hash(), mbB.Hash(), nil
 }

@@ -170,15 +170,30 @@ func TestGossipRefetchUnderChurnAndLoss(t *testing.T) {
 	if errs := c.ScenarioErrors(); len(errs) > 0 {
 		t.Fatalf("scenario errors: %v", errs)
 	}
-	if got := c.net.Stats().MessagesLost; got == 0 {
+	if got := c.NetStats().MessagesLost; got == 0 {
 		t.Fatal("partition lost no messages; the loss path was not exercised")
 	}
 	for i := 0; i < c.Size(); i++ {
-		if got := c.nodes[i].base.Gossip.PendingFetches(); got != 0 {
+		if got := c.Node(i).Client().Base().Gossip.PendingFetches(); got != 0 {
 			t.Errorf("node %d still has %d pending fetches after quiescence", i, got)
 		}
 	}
 	if !c.Converged() {
 		t.Error("network did not converge after churn and loss")
+	}
+}
+
+// TestClusterEventsCounted: Events surfaces the kernel engine's executed-event
+// counter, so a cluster run reports its simulation cost like an experiment's
+// Result.Events does (the benchmark's sim.events read 0 on cluster workloads
+// while there was nothing to read).
+func TestClusterEventsCounted(t *testing.T) {
+	c, err := New(4, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10 * time.Minute)
+	if c.Events() == 0 {
+		t.Error("ten minutes of mining and gossip executed no simulation events")
 	}
 }

@@ -24,8 +24,8 @@ import (
 	"syscall"
 	"time"
 
-	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/harness"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/p2p"
 	"bitcoinng/internal/protocol"
@@ -92,7 +92,32 @@ func main() {
 	}
 	defer factory.Close()
 
-	var spec = protocol.Spec{
+	ledger, err := factory.NewUTXO("node")
+	if err != nil {
+		log.Fatalf("store: %v", err)
+	}
+	defer func() {
+		if err := ledger.Close(); err != nil {
+			log.Printf("utxo store close: %v", err)
+		}
+	}()
+	index, err := factory.NewChainIndex("node")
+	if err != nil {
+		log.Fatalf("chain index: %v", err)
+	}
+	defer func() {
+		// A failed final flush loses the tail of the archive; say so
+		// instead of exiting clean.
+		if err := index.Close(); err != nil {
+			log.Printf("chain index close: %v", err)
+		}
+	}()
+
+	// The same boot sequence the simulator harnesses restart nodes through:
+	// ledger reset, build via the registry, stored blocks replayed under their
+	// recorded arrival times, and everything the chain accepts from here on
+	// appended to the index (gossip and self-mined paths alike).
+	client, err := harness.Boot(rt, protocol.Spec{
 		Protocol: protocol.BitcoinNG,
 		Params:   params,
 		Key:      key,
@@ -101,69 +126,13 @@ func main() {
 		// replay cached deltas instead of re-applying blocks.
 		ConnectCache: validate.Shared(),
 		Strategy:     strat,
-	}
-	var index store.ChainIndex
-	if !factory.InMemory() {
-		// The ledger store rebuilds from the chain index on every boot (the
-		// replay below re-applies each block), so it must start empty —
-		// chain.New applies genesis into it.
-		ustore, err := factory.NewUTXO("node")
-		if err != nil {
-			log.Fatalf("store: %v", err)
-		}
-		if err := ustore.Reset(); err != nil {
-			log.Fatalf("store reset: %v", err)
-		}
-		defer func() {
-			if err := ustore.Close(); err != nil {
-				log.Printf("utxo store close: %v", err)
-			}
-		}()
-		spec.UTXO = ustore
-		index, err = factory.NewChainIndex("node")
-		if err != nil {
-			log.Fatalf("chain index: %v", err)
-		}
-		defer func() {
-			// A failed final flush loses the tail of the archive; say so
-			// instead of exiting clean.
-			if err := index.Close(); err != nil {
-				log.Printf("chain index close: %v", err)
-			}
-		}()
-	}
-
-	client, err := protocol.Build(rt, spec)
+	}, ledger, index, nil)
 	if err != nil {
 		log.Fatalf("node: %v", err)
 	}
 	base := client.Base()
 	rt.SetHandler(client.HandleMessage)
-
-	// Persistence: replay stored blocks into the chain — each under its
-	// recorded arrival time, so the first-seen tie-break resolves as it did
-	// before the restart — then keep appending everything the chain accepts
-	// (base.Persist covers gossip and self-mined paths alike).
-	if index != nil {
-		replayed := 0
-		err := index.Replay(func(b types.Block, receivedAt int64) error {
-			res, err := base.State.AddBlock(b, receivedAt)
-			if err != nil {
-				return err
-			}
-			if res.Status == chain.StatusOrphan || res.Status == chain.StatusInvalid {
-				return fmt.Errorf("not connectable")
-			}
-			replayed++
-			return nil
-		})
-		if err != nil {
-			log.Fatalf("replay: %v", err)
-		}
-		log.Printf("replayed %d blocks (height %d)", replayed, base.State.Height())
-		base.Persist = index
-		base.State.Store().AttachBodySource(index)
-	}
+	log.Printf("replayed %d blocks (height %d)", index.Len(), base.State.Height())
 
 	addr, err := rt.Listen(*listen)
 	if err != nil {

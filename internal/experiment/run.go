@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/harness"
 	"bitcoinng/internal/invariant"
 	"bitcoinng/internal/load"
 	"bitcoinng/internal/metrics"
@@ -13,13 +14,10 @@ import (
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/scenario"
-	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
-	"bitcoinng/internal/store"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
-	"bitcoinng/internal/validate"
 )
 
 // Protocol selects which client the experiment runs; any name registered in
@@ -212,103 +210,19 @@ func (r *Result) RevenueShare(node int) float64 {
 	return float64(r.Revenue[node]) / float64(total)
 }
 
-// engine abstracts the event substrate a run executes on: the classic
-// single-threaded loop, or the sharded windowed engine. Either way the
-// driver only observes the simulation at quiescent points (between runFor
-// slices), where recorder buffers and outboxes have been flushed.
-type engine interface {
-	// loopFor returns the loop that owns node i; envs, miners, and timers
-	// of that node schedule against it.
-	loopFor(i int) *sim.Loop
-	now() int64
-	executed() uint64
-	runFor(d time.Duration)
-	// scheduleAt registers a driver-level callback at an absolute virtual
-	// time: scenario steps, which may touch any node or global network
-	// state. It fires with all shards aligned at exactly that instant.
-	scheduleAt(at int64, fn func())
-	close()
-}
-
-// seqEngine is the classic engine: one loop, driver callbacks are ordinary
-// timers.
-type seqEngine struct{ loop *sim.Loop }
-
-func (e seqEngine) loopFor(int) *sim.Loop          { return e.loop }
-func (e seqEngine) now() int64                     { return e.loop.Now() }
-func (e seqEngine) executed() uint64               { return e.loop.Executed() }
-func (e seqEngine) runFor(d time.Duration)         { e.loop.RunFor(d) }
-func (e seqEngine) scheduleAt(at int64, fn func()) { e.loop.At(at, fn) }
-func (e seqEngine) close()                         {}
-
-// shardEngine wraps sim.ShardedLoop: cross-shard deliveries and recorder
-// buffers flush at every window barrier, and scenario steps run as global
-// events (re-deriving the lookahead afterwards, in case they rescaled
-// latencies).
-type shardEngine struct {
-	sl      *sim.ShardedLoop
-	shardOf []int
-	net     *simnet.Network
-}
-
-func (e *shardEngine) loopFor(i int) *sim.Loop { return e.sl.Shard(e.shardOf[i]) }
-func (e *shardEngine) now() int64              { return e.sl.Now() }
-func (e *shardEngine) executed() uint64        { return e.sl.Executed() }
-func (e *shardEngine) runFor(d time.Duration)  { e.sl.RunFor(d) }
-func (e *shardEngine) scheduleAt(at int64, fn func()) {
-	e.sl.ScheduleGlobal(at, func() {
-		fn()
-		e.refreshLookahead()
-	})
-}
-func (e *shardEngine) close() { e.sl.Close() }
-
-func (e *shardEngine) refreshLookahead() {
-	if la := e.net.MinCrossShardLatency(); la > 0 {
-		e.sl.SetLookahead(la)
-	}
-}
-
-// runner holds one assembled experiment. It implements scenario.Runtime, so
-// a Config's Scenario scripts partitions, churn, and attacks against it.
+// runner holds one assembled experiment: a facade over the harness kernel,
+// whose Fleet (nodes, stores, engine, the scenario.Runtime a Config's
+// Scenario scripts against) it embeds, plus what is the measured run's own —
+// the workload and its paced views, the backpressure samplers, and the stop
+// rule's payload kind.
 type runner struct {
-	cfg       Config
-	eng       engine
-	net       *simnet.Network
-	collector *metrics.Collector
-	workload  *Workload
-	views     []*WorkloadView
-	bp        *metrics.Backpressure
-	clients   []protocol.Client
-	miners    []*mining.Miner
-	addrs     []crypto.Address // per-node reward address (revenue accounting)
-	payload   types.BlockKind  // which kind counts toward TargetBlocks
-	scenErrs  []error
-
-	// Crash/recovery state. envs, keys, recFor, censors, and cache are the
-	// per-node assembly inputs Restart needs to rebuild a client in place;
-	// indexes are the durable chain archives that survive a Crash, and
-	// utxos the matching ledger stores (Reset and replayed on Restart).
-	envs      []*simnet.NodeEnv
-	keys      []*crypto.PrivateKey
-	factory   *store.Factory
-	utxos     []store.UTXO
-	indexes   []store.ChainIndex
-	storeBP   *metrics.Backpressure
-	recFor    func(i int) node.Recorder
-	censors   map[int]bool
-	cache     *validate.Cache
-	down      []bool
-	restartAt []int64 // per node, virtual time of the latest Restart (0 = never)
-
-	// Online invariant checking (nil when Config.Invariants is empty).
-	invEng *invariant.Engine
-	// partition is the current group assignment (nil while the network is
-	// whole); lastDisruption timestamps the most recent partition, heal,
-	// latency rescale, or strategy switch, which gates the consistency
-	// invariants' settle grace.
-	partition      []int
-	lastDisruption int64
+	*harness.Fleet
+	cfg      Config
+	workload *Workload
+	views    []*WorkloadView
+	bp       *metrics.Backpressure
+	storeBP  *metrics.Backpressure
+	payload  types.BlockKind // which kind counts toward TargetBlocks
 }
 
 // Run executes one experiment.
@@ -337,20 +251,12 @@ func build(cfg Config) (*runner, error) {
 		return nil, fmt.Errorf("experiment: scenario's last step at %v exceeds MaxSimTime %v",
 			cfg.Scenario.Duration(), cfg.MaxSimTime)
 	}
-	censors, err := protocol.CensorSet(cfg.Nodes, cfg.Censors)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	strategies, err := strategy.ForNodes(cfg.Nodes, cfg.Strategies)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
 	if cfg.MiningExponent == 0 {
 		cfg.MiningExponent = mining.DefaultExponent
 	}
-	if cfg.MiningShares != nil && len(cfg.MiningShares) != cfg.Nodes {
-		return nil, fmt.Errorf("experiment: %d mining shares for %d nodes",
-			len(cfg.MiningShares), cfg.Nodes)
+	shares, err := miningShares(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// Engine selection: how many event-loop shards the run executes on.
@@ -358,12 +264,7 @@ func build(cfg Config) (*runner, error) {
 	if shards == 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
-	}
+	shards = max(1, min(shards, cfg.Nodes))
 
 	netCfg := simnet.DefaultConfig(cfg.Nodes, cfg.Seed)
 	if cfg.BandwidthBPS > 0 {
@@ -373,458 +274,111 @@ func build(cfg Config) (*runner, error) {
 		netCfg.Latency = cfg.Latency
 	}
 
-	var eng engine
-	var network *simnet.Network
-	var shardOf []int
-	if shards > 1 {
-		sl := sim.NewShardedLoop(0, shards)
-		shardOf = make([]int, cfg.Nodes)
-		for i := range shardOf {
-			shardOf[i] = i * shards / cfg.Nodes
-		}
-		network = simnet.New(sl.Shard(0), netCfg)
-		network.Shard(shardLoops(sl), shardOf)
-		if la := network.MinCrossShardLatency(); la > 0 {
-			sl.SetLookahead(la)
-			sl.OnBarrier(network.FlushOutboxes)
-			eng = &shardEngine{sl: sl, shardOf: shardOf, net: network}
-		} else {
-			// Degenerate topology (zero-latency cross-shard links): the
-			// windowed engine has no lookahead to exploit — run sequential.
-			sl.Close()
-			shards = 1
-		}
-	}
-	if eng == nil {
-		loop := sim.NewLoop(0)
-		network = simnet.New(loop, netCfg)
-		eng = seqEngine{loop: loop}
-	}
-
 	paced := cfg.Offered > 0 || cfg.ClosedLoopWindow > 0
 	maxTxs := int64(cfg.WorkloadCount)
 	if maxTxs == 0 && !paced {
 		// Classic methodology: a finite pre-sized workload, enough to keep
 		// blocks full for the whole run plus slack.
 		count := cfg.TargetBlocks * (cfg.Params.MaxBlockSize/cfg.TxSize + 1) * 3 / 2
-		if count < 64 {
-			count = 64
-		}
-		maxTxs = int64(count)
+		maxTxs = int64(max(count, 64))
 	}
 	workload, err := NewStreamWorkload(cfg.Seed, cfg.TxSize, cfg.StreamLanes, maxTxs)
 	if err != nil {
-		eng.close()
 		return nil, err
 	}
-	collector := metrics.NewCollector(workload.Genesis, 0)
-	recFor := func(i int) node.Recorder { return collector }
-	if se, ok := eng.(*shardEngine); ok {
-		sharded := metrics.NewSharded(collector, shards)
-		se.sl.OnBarrier(sharded.Flush)
-		recFor = func(i int) node.Recorder { return sharded.Shard(shardOf[i]) }
-	}
-	cache := validate.Shared()
-	if cfg.DisableConnectCache {
-		cache = nil
-	}
-
-	factory, err := store.NewFactory(cfg.StoreURL)
+	keys, err := harness.Keys(cfg.Seed, 0x10000, cfg.Nodes)
 	if err != nil {
-		eng.close()
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, err
 	}
 
 	r := &runner{
-		cfg:       cfg,
-		eng:       eng,
-		net:       network,
-		collector: collector,
-		workload:  workload,
-		bp:        metrics.NewBackpressure(),
-		storeBP:   metrics.NewBackpressure(),
-		payload:   protocol.Payload(cfg.Protocol),
-		factory:   factory,
-		recFor:    recFor,
-		censors:   censors,
-		cache:     cache,
-		down:      make([]bool, cfg.Nodes),
-		restartAt: make([]int64, cfg.Nodes),
+		cfg:      cfg,
+		workload: workload,
+		bp:       metrics.NewBackpressure(),
+		storeBP:  metrics.NewBackpressure(),
+		payload:  protocol.Payload(cfg.Protocol),
 	}
-
-	shares := cfg.MiningShares
-	if shares == nil {
-		shares = mining.ExponentialShares(cfg.Nodes, cfg.MiningExponent)
-	} else {
-		var sum float64
-		for _, s := range shares {
-			if s < 0 {
-				r.closeStores()
-				eng.close()
-				return nil, fmt.Errorf("experiment: negative mining share %v", s)
+	r.Fleet, err = harness.New(harness.Spec{
+		Protocol:            cfg.Protocol,
+		Params:              cfg.Params,
+		Genesis:             workload.Genesis,
+		Seed:                cfg.Seed,
+		Keys:                keys,
+		Net:                 netCfg,
+		Shards:              shards,
+		StoreURL:            cfg.StoreURL,
+		StoreName:           func(i int) string { return fmt.Sprintf("n%04d", i) },
+		MinerStream:         0x20000,
+		Censors:             cfg.Censors,
+		Strategies:          cfg.Strategies,
+		DisableConnectCache: cfg.DisableConnectCache,
+		Invariants:          cfg.Invariants,
+		// Every incarnation of node i draws from the same paced workload
+		// view, created (nodes boot in index order) on its first boot.
+		Wire: func(i int, base *node.Base) {
+			if i == len(r.views) {
+				view := workload.NewView()
+				if cfg.Offered > 0 {
+					view.SetOpenLoop(cfg.Offered, base.Env.Now)
+				} else if cfg.ClosedLoopWindow > 0 {
+					view.SetClosedLoop(int64(cfg.ClosedLoopWindow))
+				}
+				r.views = append(r.views, view)
 			}
-			sum += s
-		}
-		if sum <= 0 {
-			r.closeStores()
-			eng.close()
-			return nil, fmt.Errorf("experiment: mining shares sum to zero")
-		}
-		normalized := make([]float64, len(shares))
-		for i, s := range shares {
-			normalized[i] = s / sum
-		}
-		shares = normalized
+			base.Pool = r.views[i]
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	totalRate := 1.0 / cfg.Params.TargetBlockInterval.Seconds()
-
-	for i := 0; i < cfg.Nodes; i++ {
-		loop := eng.loopFor(i)
-		env := simnet.NewNodeEnv(loop, network, i, cfg.Seed)
-		key, err := crypto.GenerateKey(sim.NewRand(cfg.Seed, uint64(0x10000+i)))
-		if err != nil {
-			r.closeStores()
-			eng.close()
-			return nil, err
-		}
-		ustore, err := factory.NewUTXO(storeName(i))
-		if err != nil {
-			r.closeStores()
-			eng.close()
-			return nil, fmt.Errorf("experiment: node %d: %w", i, err)
-		}
-		index, err := factory.NewChainIndex(storeName(i))
-		if err != nil {
-			ustore.Close()
-			r.closeStores()
-			eng.close()
-			return nil, fmt.Errorf("experiment: node %d: %w", i, err)
-		}
-		r.utxos = append(r.utxos, ustore)
-		r.indexes = append(r.indexes, index)
-		client, err := protocol.Build(env, protocol.Spec{
-			Protocol:           cfg.Protocol,
-			Params:             cfg.Params,
-			Key:                key,
-			Genesis:            workload.Genesis,
-			Recorder:           recFor(i),
-			SimulatedMining:    true,
-			CensorTransactions: censors[i],
-			ConnectCache:       cache,
-			Strategy:           strategies[i],
-			UTXO:               ustore,
-		})
-		if err != nil {
-			r.closeStores()
-			eng.close()
-			return nil, err
-		}
-		env.Deliver(client.HandleMessage)
-		view := workload.NewView()
-		if cfg.Offered > 0 {
-			view.SetOpenLoop(cfg.Offered, loop.Now)
-		} else if cfg.ClosedLoopWindow > 0 {
-			view.SetClosedLoop(int64(cfg.ClosedLoopWindow))
-		}
-		client.Base().Pool = view
-		client.Base().Persist = index
-		// The chain index doubles as the body archive Compact evicts
-		// against: every accepted block lands there via Persist first.
-		client.Base().State.Store().AttachBodySource(index)
-		r.views = append(r.views, view)
-
-		// The onFind closure indexes r.clients so a Restart's replacement
-		// client takes over mining without touching the miner (whose rng
-		// stream must keep drawing from where it was). Finds while the node
-		// is down are discarded — a crashed box mines nothing.
-		i := i
-		m := mining.NewMiner(loop, sim.NewRand(cfg.Seed, uint64(0x20000+i)),
-			func() {
-				if !r.down[i] {
-					r.clients[i].MineBlock()
-				}
-			})
-		m.SetRate(shares[i] * totalRate)
-		r.clients = append(r.clients, client)
-		r.miners = append(r.miners, m)
-		r.addrs = append(r.addrs, key.Public().Addr())
-		r.envs = append(r.envs, env)
-		r.keys = append(r.keys, key)
+	for i, n := range r.Nodes() {
+		n.Miner.SetRate(shares[i] * totalRate)
 	}
 	return r, nil
 }
 
-// storeName labels a node's stores inside the factory root.
-func storeName(i int) string { return fmt.Sprintf("n%04d", i) }
-
-// closeStores releases every per-node store and the factory (removing an
-// ephemeral file root). Errors are swallowed: it runs at teardown, after
-// every measurement has been taken.
-func (r *runner) closeStores() {
-	for _, u := range r.utxos {
-		_ = u.Close() // teardown: results are already extracted
+// miningShares resolves each node's fraction of the network's mining power:
+// Config.MiningShares normalized over their sum, or the paper's exponential
+// rank distribution.
+func miningShares(cfg Config) ([]float64, error) {
+	if cfg.MiningShares == nil {
+		return mining.ExponentialShares(cfg.Nodes, cfg.MiningExponent), nil
 	}
-	for _, ix := range r.indexes {
-		_ = ix.Close() // teardown: results are already extracted
+	if len(cfg.MiningShares) != cfg.Nodes {
+		return nil, fmt.Errorf("experiment: %d mining shares for %d nodes",
+			len(cfg.MiningShares), cfg.Nodes)
 	}
-	_ = r.factory.Close() // teardown: removes the ephemeral root, best-effort
-}
-
-// shardLoops collects a ShardedLoop's per-shard loops.
-func shardLoops(sl *sim.ShardedLoop) []*sim.Loop {
-	loops := make([]*sim.Loop, sl.Shards())
-	for i := range loops {
-		loops[i] = sl.Shard(i)
-	}
-	return loops
-}
-
-// Size implements scenario.Runtime.
-func (r *runner) Size() int { return len(r.clients) }
-
-// Partition implements scenario.Runtime.
-func (r *runner) Partition(groups ...[]int) error {
-	assignment, err := simnet.PartitionAssignment(len(r.clients), groups)
-	if err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
-	r.net.SetPartition(assignment)
-	r.partition = assignment
-	r.lastDisruption = r.eng.now()
-	return nil
-}
-
-// Heal implements scenario.Runtime.
-func (r *runner) Heal() {
-	r.net.SetPartition(nil)
-	r.partition = nil
-	r.lastDisruption = r.eng.now()
-}
-
-// SetMiningRate implements scenario.Runtime.
-func (r *runner) SetMiningRate(node int, blocksPerSec float64) error {
-	if node < 0 || node >= len(r.miners) {
-		return fmt.Errorf("experiment: node %d out of range (network size %d)", node, len(r.miners))
-	}
-	r.miners[node].SetRate(blocksPerSec)
-	r.miners[node].Start()
-	return nil
-}
-
-// ScaleLatency implements scenario.Runtime.
-func (r *runner) ScaleLatency(factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("experiment: latency factor %v must be > 0", factor)
-	}
-	r.net.ScaleLatency(factor)
-	r.lastDisruption = r.eng.now()
-	return nil
-}
-
-// AdoptStrategy implements scenario.Runtime: switch one node's mining
-// strategy mid-run.
-func (r *runner) AdoptStrategy(node int, name string) error {
-	if node < 0 || node >= len(r.clients) {
-		return fmt.Errorf("experiment: node %d out of range (network size %d)", node, len(r.clients))
-	}
-	if err := protocol.AdoptStrategy(r.clients[node], name); err != nil {
-		return fmt.Errorf("experiment: node %d (%s): %w", node, r.cfg.Protocol, err)
-	}
-	r.lastDisruption = r.eng.now()
-	return nil
-}
-
-// Crash implements scenario.Runtime: tear down node i's in-memory state and
-// detach it from the network. The client object, its chain tree, mempool
-// view, pending fetches, and relay queues are abandoned wholesale; bumping
-// the env generation neuters every timer the old incarnation armed (the
-// microblock schedule, fetch backoffs, tx flushes), and the network marks
-// the node down so sends to and from it vanish. Only the durable block
-// archive survives for Restart. Runs at quiescent points only (scenario
-// steps fire via scheduleAt).
-func (r *runner) Crash(i int) error {
-	if i < 0 || i >= len(r.clients) {
-		return fmt.Errorf("experiment: node %d out of range (network size %d)", i, len(r.clients))
-	}
-	if r.down[i] {
-		return fmt.Errorf("experiment: node %d is already down", i)
-	}
-	r.down[i] = true
-	r.miners[i].Stop()
-	r.envs[i].Bump()
-	r.net.SetNodeDown(i, true)
-	r.lastDisruption = r.eng.now()
-	return nil
-}
-
-// Restart implements scenario.Runtime: rebuild node i from its durable
-// prefix and rejoin it. The replacement client is assembled exactly like the
-// original (same key, same env — so its random stream continues where it
-// left off — same recorder and censor flag, its CONFIGURED strategy rather
-// than anything adopted mid-run), the archive replays straight into its
-// chain (no gossip, no metric events: those fired in the first life), and
-// catch-up sync chases whatever the network minted while the node was down.
-func (r *runner) Restart(i int) error {
-	if i < 0 || i >= len(r.clients) {
-		return fmt.Errorf("experiment: node %d out of range (network size %d)", i, len(r.clients))
-	}
-	if !r.down[i] {
-		return fmt.Errorf("experiment: node %d is not down", i)
-	}
-	strat, err := strategy.New(r.cfg.Strategies[i])
-	if err != nil {
-		return fmt.Errorf("experiment: restart node %d: %w", i, err)
-	}
-	// The ledger store is rebuilt from the chain index: the replay below
-	// re-applies every persisted block, so the store must start empty. (The
-	// harness does not trust a possibly-torn UTXO state across a crash; the
-	// chain index IS the durable truth.)
-	if err := r.utxos[i].Reset(); err != nil {
-		return fmt.Errorf("experiment: restart node %d: reset store: %w", i, err)
-	}
-	client, err := protocol.Build(r.envs[i], protocol.Spec{
-		Protocol:           r.cfg.Protocol,
-		Params:             r.cfg.Params,
-		Key:                r.keys[i],
-		Genesis:            r.workload.Genesis,
-		Recorder:           r.recFor(i),
-		SimulatedMining:    true,
-		CensorTransactions: r.censors[i],
-		ConnectCache:       r.cache,
-		Strategy:           strat,
-		UTXO:               r.utxos[i],
-	})
-	if err != nil {
-		return fmt.Errorf("experiment: restart node %d: %w", i, err)
-	}
-	base := client.Base()
-	now := r.eng.now()
-	// Replay the durable prefix directly into the chain: append order is
-	// parent-before-child for everything this node ever accepted, so the
-	// tree reassembles without orphan churn. Blocks whose lineage was never
-	// persisted (none, by construction) would simply stash as orphans. Each
-	// block carries its original arrival time, so the first-seen tie-break
-	// resolves exactly as it did in the first life.
-	if err := r.indexes[i].Replay(func(b types.Block, receivedAt int64) error {
-		_, err := base.State.AddBlock(b, receivedAt)
-		return err
-	}); err != nil {
-		return fmt.Errorf("experiment: restart node %d: replay: %w", i, err)
-	}
-	base.Pool = r.views[i]
-	base.Persist = r.indexes[i]
-	base.State.Store().AttachBodySource(r.indexes[i])
-	// Re-evaluate leadership against the recovered tip (the tip-change hook
-	// never fired during the direct replay): a restarted mid-epoch leader
-	// resumes microblock production, everyone else stays a follower.
-	if base.OnTipChange != nil {
-		base.OnTipChange(nil)
-	}
-	r.clients[i] = client
-	r.down[i] = false
-	r.restartAt[i] = now
-	r.envs[i].Deliver(client.HandleMessage)
-	r.net.SetNodeDown(i, false)
-	r.miners[i].Start()
-	base.Sync.Start(-1)
-	r.lastDisruption = now
-	return nil
-}
-
-// SetLoss implements scenario.Runtime: install (or with zeros clear) the
-// network-wide lossy-link fault model.
-func (r *runner) SetLoss(drop, duplicate, reorder float64) error {
-	for _, p := range []float64{drop, duplicate, reorder} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("experiment: loss probability %v outside [0,1]", p)
+	var sum float64
+	for _, s := range cfg.MiningShares {
+		if s < 0 {
+			return nil, fmt.Errorf("experiment: negative mining share %v", s)
 		}
+		sum += s
 	}
-	r.net.SetLoss(simnet.Loss{Drop: drop, Duplicate: duplicate, Reorder: reorder})
-	r.lastDisruption = r.eng.now()
-	return nil
-}
-
-// Leader implements scenario.Runtime: the first running node that considers
-// itself the current epoch leader, or -1.
-func (r *runner) Leader() int {
-	for i, c := range r.clients {
-		if r.down[i] {
-			continue
-		}
-		if l, ok := c.(protocol.Leader); ok && l.IsLeader() {
-			return i
-		}
+	if sum <= 0 {
+		return nil, fmt.Errorf("experiment: mining shares sum to zero")
 	}
-	return -1
-}
-
-// snapshot assembles the invariant engine's view of every node. It is only
-// called at quiescent points (slice boundaries and run end), where no event
-// is mutating chain state on any shard.
-func (r *runner) snapshot(final bool) *invariant.Snapshot {
-	s := &invariant.Snapshot{
-		Now:            r.eng.now(),
-		Final:          final,
-		Params:         r.cfg.Params,
-		Partitioned:    r.partition != nil,
-		LastDisruption: r.lastDisruption,
-		Nodes:          make([]invariant.NodeState, len(r.clients)),
+	normalized := make([]float64, cfg.Nodes)
+	for i, s := range cfg.MiningShares {
+		normalized[i] = s / sum
 	}
-	for i, c := range r.clients {
-		group := 0
-		if r.partition != nil {
-			group = r.partition[i]
-		}
-		name := strategy.HonestName
-		if sc, ok := c.(protocol.Strategic); ok {
-			name = sc.StrategyName()
-		}
-		s.Nodes[i] = invariant.NodeState{
-			ID:          i,
-			Chain:       c.Base().State,
-			Strategy:    name,
-			Group:       group,
-			Down:        r.down[i],
-			LastRestart: r.restartAt[i],
-			Durable:     r.indexes[i],
-		}
-	}
-	return s
-}
-
-// Equivocate implements scenario.Runtime: the leader signs two conflicting
-// microblocks, one published normally, the other slipped to a neighbor.
-func (r *runner) Equivocate(leader int, txA, txB *types.Transaction) error {
-	if leader < 0 || leader >= len(r.clients) {
-		return fmt.Errorf("experiment: node %d out of range (network size %d)", leader, len(r.clients))
-	}
-	if r.down[leader] {
-		return fmt.Errorf("experiment: node %d is down and cannot equivocate", leader)
-	}
-	victim := r.clients[protocol.EquivocationVictim(leader, len(r.clients))]
-	_, _, err := protocol.PublishEquivocation(leader, r.clients[leader], victim, txA, txB)
-	if err != nil {
-		return fmt.Errorf("experiment: node %d (%s): %w", leader, r.cfg.Protocol, err)
-	}
-	return nil
+	return normalized, nil
 }
 
 func (r *runner) run() (*Result, error) {
-	defer r.eng.close()
+	// Teardown runs only after every measurement (revenue ranges over the
+	// UTXO stores) has been extracted into the Result.
+	defer func() { _ = r.Close() }() // teardown: results are already extracted
 	//nglint:allow detflow WallTime reaches only the operator-facing stats block of FprintRunStats, never digests or reports that are diffed across runs
 	startWall := time.Now() //nglint:allow walltime measures real runtime for Result.WallTime (operator info); never feeds the simulation
-	var scenarioUntil int64
+	var scenarioUntil time.Duration
 	if r.cfg.Scenario != nil {
-		scenarioUntil = int64(r.cfg.Scenario.Duration())
-		r.cfg.Scenario.Schedule(
-			func(d time.Duration, fn func()) { r.eng.scheduleAt(int64(d), fn) }, r,
-			func(ts scenario.TimedStep, err error) {
-				r.scenErrs = append(r.scenErrs,
-					fmt.Errorf("experiment: scenario step %q at %v: %w", ts.Step.Name, ts.Offset, err))
-			})
+		scenarioUntil = r.cfg.Scenario.Duration()
+		r.Schedule(r.cfg.Scenario, nil)
 	}
-	for _, m := range r.miners {
-		m.Start()
+	for _, n := range r.Nodes() {
+		n.Miner.Start()
 	}
 	// Advance in slices, checking the stop rule between them. The slicing is
 	// part of a run's observable schedule (the run ends at a slice
@@ -840,75 +394,53 @@ func (r *runner) run() (*Result, error) {
 	// Online invariant checks happen at slice boundaries, which both engines
 	// hit at identical virtual times, so violation timestamps (and therefore
 	// reports) stay byte-identical across engine choices.
-	if len(r.cfg.Invariants) > 0 {
-		r.invEng = invariant.NewEngine(r.cfg.Invariants...)
-	}
-	checkEvery := r.cfg.InvariantInterval
-	if checkEvery <= 0 {
-		checkEvery = r.cfg.Params.TargetBlockInterval
-	}
-	if checkEvery <= 0 {
-		checkEvery = time.Second // degenerate params; same guard as step
-	}
-	nextCheck := int64(checkEvery)
-	deadline := int64(r.cfg.MaxSimTime)
-	for r.eng.now() < deadline {
-		if r.eng.now() >= scenarioUntil &&
-			r.collector.CountKind(r.payload) >= r.cfg.TargetBlocks {
+	checkEvery := r.CheckInterval(r.cfg.InvariantInterval)
+	nextCheck := checkEvery
+	for r.Now() < r.cfg.MaxSimTime {
+		if r.Now() >= scenarioUntil &&
+			r.Collector().CountKind(r.payload) >= r.cfg.TargetBlocks {
 			break
 		}
-		r.eng.runFor(step)
-		if r.eng.now() >= nextCheck {
+		r.Run(step)
+		if r.Now() >= nextCheck {
 			// Slice boundaries are quiescent on both engines, so invariant
 			// checks and workload maintenance (release floor, backpressure
 			// sampling) observe identical state at identical virtual times.
-			if r.invEng != nil {
-				r.invEng.Check(r.snapshot(false))
-			}
+			r.Check(false)
 			r.maintain()
-			for nextCheck <= r.eng.now() {
-				nextCheck += int64(checkEvery)
+			for nextCheck <= r.Now() {
+				nextCheck += checkEvery
 			}
 		}
 	}
 	// Stop mining and let in-flight blocks propagate.
-	for _, m := range r.miners {
-		m.Stop()
+	for _, n := range r.Nodes() {
+		n.Miner.Stop()
 	}
 	grace := r.cfg.Grace
 	if grace <= 0 {
 		grace = 30 * time.Second
 	}
-	r.eng.runFor(grace)
+	r.Run(grace)
 
-	end := r.eng.now()
-	var violations []invariant.Violation
-	if r.invEng != nil {
-		r.invEng.Check(r.snapshot(true))
-		violations = r.invEng.Violations()
-	}
+	end := r.Now()
+	r.Check(true)
 	r.maintain()
-	opts := metrics.DefaultAnalyzeOptions(end)
-	report := r.collector.Analyze(opts)
-	res := &Result{
+	return &Result{
 		Config:   r.cfg,
-		Report:   report,
-		NetStats: r.net.Stats(),
-		Events:   r.eng.executed(),
+		Report:   r.Report(),
+		NetStats: r.NetStats(),
+		Events:   r.Events(),
 		//nglint:allow detflow WallTime reaches only the operator-facing stats block of FprintRunStats, never digests or reports that are diffed across runs
 		WallTime:            time.Since(startWall), //nglint:allow walltime measures real runtime for Result.WallTime (operator info); never feeds the simulation
-		SimTime:             time.Duration(end),
-		ScenarioErrors:      r.scenErrs,
-		InvariantViolations: violations,
+		SimTime:             end,
+		ScenarioErrors:      r.ScenarioErrors(),
+		InvariantViolations: r.InvariantViolations(),
 		Load:                r.loadReport(end),
 		Backpressure:        r.bp.Stats(),
 		StoreStats:          r.storeBP.Stats(),
 		Revenue:             r.revenue(),
-	}
-	// Teardown only after every measurement (revenue ranges over the UTXO
-	// stores) has been extracted.
-	r.closeStores()
-	return res, nil
+	}, nil
 }
 
 // maintain runs at quiescent slice boundaries: it samples the backpressure
@@ -928,12 +460,12 @@ func (r *runner) maintain() {
 		}
 	}
 	fetches, relayQueue := 0, 0
-	for i, c := range r.clients {
-		if r.down[i] {
+	for _, n := range r.Nodes() {
+		if n.Down {
 			continue // a crashed node's abandoned client has no live queues
 		}
-		fetches += c.Base().Gossip.PendingFetches()
-		relayQueue += c.Base().Gossip.QueuedTxs()
+		fetches += n.Base().Gossip.PendingFetches()
+		relayQueue += n.Base().Gossip.QueuedTxs()
 	}
 	r.bp.Record("mempool-depth-max", float64(maxDepth))
 	r.bp.Record("pending-fetches", float64(fetches))
@@ -941,9 +473,6 @@ func (r *runner) maintain() {
 	r.bp.Record("lookahead-occupancy", float64(stream.Occupancy()))
 	r.maintainStores()
 
-	if len(r.views) == 0 {
-		return
-	}
 	// Slack: enough confirmed history to survive any reorg a scenario can
 	// plausibly cause before the next maintenance boundary.
 	slack := int64(4 * (r.cfg.Params.MaxBlockSize/r.cfg.TxSize + 1))
@@ -958,13 +487,13 @@ func (r *runner) maintain() {
 
 // maintainStores runs inside maintain, at the same quiescent boundaries: it
 // samples the fleet-aggregated storage counters into the store backpressure
-// series, flushes file-backed stores (which is also what paces their
-// checkpoint cycle), and — when CompactDepth is set — evicts each live node's
-// deep chain history so resident state stays bounded on long runs.
+// series, flushes the stores (a no-op in memory; what paces the file
+// backends' checkpoint cycle), and — when CompactDepth is set — evicts each
+// live node's deep chain history so resident state stays bounded on long runs.
 func (r *runner) maintainStores() {
 	var agg utxo.Stats
-	for _, u := range r.utxos {
-		agg.Add(u.Stats())
+	for _, n := range r.Nodes() {
+		agg.Add(n.UTXO.Stats())
 	}
 	r.storeBP.Record("store-gets", float64(agg.Gets))
 	r.storeBP.Record("store-puts", float64(agg.Puts))
@@ -977,64 +506,54 @@ func (r *runner) maintainStores() {
 	r.storeBP.Record("store-journal-bytes", float64(agg.JournalBytes))
 	r.storeBP.Record("store-checkpoints", float64(agg.Checkpoints))
 
-	if !r.factory.InMemory() {
+	for _, n := range r.Nodes() {
 		// A down node's stores are left alone: its UTXO journal tail is the
 		// torn state the next Restart deliberately resets.
-		for i := range r.utxos {
-			if r.down[i] {
-				continue
-			}
-			if err := r.utxos[i].Sync(); err != nil {
-				panic(fmt.Sprintf("experiment: node %d: store sync: %v", i, err))
-			}
-			if err := r.indexes[i].Sync(); err != nil {
-				panic(fmt.Sprintf("experiment: node %d: index sync: %v", i, err))
-			}
+		if n.Down {
+			continue
 		}
-	}
-	if r.cfg.CompactDepth > 0 {
-		for i, c := range r.clients {
-			if r.down[i] {
-				continue
-			}
-			c.Base().State.Compact(r.cfg.CompactDepth)
+		if err := n.UTXO.Sync(); err != nil {
+			panic(fmt.Sprintf("experiment: node %d: store sync: %v", n.ID, err))
+		}
+		if err := n.Index.Sync(); err != nil {
+			panic(fmt.Sprintf("experiment: node %d: index sync: %v", n.ID, err))
+		}
+		if r.cfg.CompactDepth > 0 {
+			n.Base().State.Compact(r.cfg.CompactDepth)
 		}
 	}
 }
 
 // loadReport summarizes offered vs confirmed throughput when a pacing
 // discipline was active, from the reference node's final main chain.
-func (r *runner) loadReport(end int64) *load.Report {
+func (r *runner) loadReport(end time.Duration) *load.Report {
 	if r.cfg.Offered <= 0 && r.cfg.ClosedLoopWindow <= 0 {
 		return nil
 	}
 	stream := r.workload.Stream()
-	confs := load.Confirmations(r.clients[r.referenceNode()].Base().State.Tip())
+	confs := load.Confirmations(r.referenceNode().Base().State.Tip())
 	mode, offered := load.Closed, stream.Generated()
 	if r.cfg.Offered > 0 {
 		mode = load.Open
-		if due := load.OfferedAt(r.cfg.Offered, end); due > offered {
+		if due := load.OfferedAt(r.cfg.Offered, int64(end)); due > offered {
 			offered = due
 		}
 	}
 	return load.BuildReport(mode, r.cfg.Offered, int64(r.cfg.ClosedLoopWindow),
-		time.Duration(end), offered, stream.Generated(), confs)
+		end, offered, stream.Generated(), confs)
 }
 
 // revenue reads every node's reward-address balance in the view of the
-// reference node: the lowest-index node whose LIVE strategy is honest (a
-// scenario may have adopted an attack strategy mid-run), so an attacker's
-// withheld private ledger never inflates its own score. All-adversarial runs
-// fall back to node 0. One pass over the reference UTXO set covers every
-// address — paper-scale runs have a thousand of them.
+// reference node, so an attacker's withheld private ledger never inflates
+// its own score. One pass over the reference UTXO set covers every address —
+// paper-scale runs have a thousand of them.
 func (r *runner) revenue() []types.Amount {
-	ref := r.referenceNode()
-	nodeOf := make(map[crypto.Address]int, len(r.addrs))
-	for i, addr := range r.addrs {
-		nodeOf[addr] = i
+	nodeOf := make(map[crypto.Address]int, r.Size())
+	for i, n := range r.Nodes() {
+		nodeOf[n.Key.Public().Addr()] = i
 	}
-	out := make([]types.Amount, len(r.addrs))
-	r.clients[ref].Base().State.UTXO().Range(func(_ types.OutPoint, e utxo.Entry) bool {
+	out := make([]types.Amount, r.Size())
+	r.referenceNode().Base().State.UTXO().Range(func(_ types.OutPoint, e utxo.Entry) bool {
 		if i, ok := nodeOf[e.To]; ok && !e.Revoked {
 			out[i] += e.Value
 		}
@@ -1043,21 +562,16 @@ func (r *runner) revenue() []types.Amount {
 	return out
 }
 
-// referenceNode picks the lowest-index node whose LIVE strategy is honest
-// (all-adversarial runs fall back to node 0): the observer whose chain the
-// revenue and load measurements read.
-func (r *runner) referenceNode() int {
-	for i, c := range r.clients {
-		if r.down[i] {
-			continue // a crashed node's frozen chain is no observer
-		}
-		name := strategy.HonestName
-		if sc, ok := c.(protocol.Strategic); ok {
-			name = sc.StrategyName()
-		}
-		if name == strategy.HonestName {
-			return i
+// referenceNode picks the lowest-index running node whose LIVE strategy is
+// honest (a scenario may have adopted an attack strategy mid-run; a crashed
+// node's frozen chain is no observer), falling back to node 0 on
+// all-adversarial runs: the observer whose chain the revenue and load
+// measurements read.
+func (r *runner) referenceNode() *harness.Node {
+	for _, n := range r.Nodes() {
+		if !n.Down && n.StrategyName() == strategy.HonestName {
+			return n
 		}
 	}
-	return 0
+	return r.Nodes()[0]
 }

@@ -1,7 +1,7 @@
 // Package parity statically diffs surfaces that the codebase promises to
 // keep in lockstep but that the compiler cannot couple:
 //
-//   - interface parity: every type that sets out to implement a harness
+//   - interface parity: every type that sets out to implement a paired
 //     interface (it declares at least half of the methods) must implement
 //     all of it. Inside the module the compiler enforces this at the
 //     assignment site — but a harness loaded with soft type errors, or an
@@ -108,7 +108,11 @@ type Contracts struct {
 func Default() Contracts {
 	return Contracts{
 		Impl: []ImplContract{
-			{IfacePkg: "bitcoinng/internal/scenario", IfaceName: "Runtime"},
+			// scenario.Runtime is deliberately absent: it has exactly one
+			// implementation (harness.Fleet, pinned by a compile-time
+			// assertion there), and one implementation cannot drift from
+			// itself.
+			//
 			// The storage backends pair up behind each interface (mem/file);
 			// the chaos differential byte-compares runs across them, which
 			// only means anything if both sides expose the whole surface.

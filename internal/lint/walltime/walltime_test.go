@@ -21,6 +21,7 @@ func TestDeterministicPrefixes(t *testing.T) {
 		"bitcoinng/internal/simnet",
 		"bitcoinng/internal/chain",
 		"bitcoinng/internal/experiment",
+		"bitcoinng/internal/harness",
 		"bitcoinng/internal/load",
 		"bitcoinng/internal/wire",
 		"bitcoinng/internal/chaos",

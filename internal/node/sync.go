@@ -40,7 +40,7 @@ func newSyncer(env Env, base *Base) *Syncer {
 // Active reports whether a catch-up exchange is in flight.
 func (s *Syncer) Active() bool { return s.active }
 
-// Start begins (or re-kicks) catch-up sync. preferred, when a valid peer id,
+// Start begins (or re-kicks) catch-up sync. preferred, when a current peer,
 // receives the first request — restarted nodes pass -1 and take the rotation
 // order; orphan-path kicks pass the peer that revealed the gap. A Start while
 // a sync is already in flight is a no-op: the running exchange covers it.
@@ -48,35 +48,37 @@ func (s *Syncer) Start(preferred int) {
 	if s.active {
 		return
 	}
-	peers := s.env.Peers()
-	if len(peers) == 0 {
-		return
-	}
 	s.active = true
 	s.attempt = 0
-	if preferred >= 0 {
-		for _, p := range peers {
-			if p == preferred {
-				s.requestFrom(preferred)
-				return
-			}
+	for _, p := range s.env.Peers() {
+		if p == preferred {
+			s.requestFrom(preferred)
+			return
 		}
 	}
 	s.requestFrom(s.nextPeer())
 }
 
-// nextPeer advances the rotation cursor.
+// nextPeer advances the rotation cursor; -1 (cursor untouched) while the node
+// has no peers at all — a live node whose last connection dropped.
 func (s *Syncer) nextPeer() int {
 	peers := s.env.Peers()
+	if len(peers) == 0 {
+		return -1
+	}
 	p := peers[s.rotation%len(peers)]
 	s.rotation++
 	return p
 }
 
-// requestFrom sends one GetBlocksMsg and arms the response timeout.
+// requestFrom sends one GetBlocksMsg and arms the response timeout. With no
+// peer to ask (-1) only the timer is armed, so a peerless syncer keeps
+// probing at the capped backoff rate and resumes when peers return.
 func (s *Syncer) requestFrom(peer int) {
 	s.peer = peer
-	s.env.Send(peer, &GetBlocksMsg{Locator: s.locator()})
+	if peer >= 0 {
+		s.env.Send(peer, &GetBlocksMsg{Locator: s.locator()})
+	}
 	s.timer = s.env.After(s.base.Gossip.fetchBackoff(s.attempt), s.onTimeout)
 }
 

@@ -163,3 +163,59 @@ func TestSyncServerBounds(t *testing.T) {
 		t.Error("40-deep suffix served without More")
 	}
 }
+
+// TestSyncSurvivesPeerlessNode: a node whose peer set empties mid-sync (a live
+// node whose last connection dropped) must not divide by zero rotating
+// through nobody; it keeps its capped-backoff timer armed, and the retry that
+// fires after peers return completes the exchange. Starting peerless behaves
+// the same way.
+func TestSyncSurvivesPeerlessNode(t *testing.T) {
+	h, _, key := newHarness(t, 2)
+	extendChain(t, h, 0, key, 5)
+	peers := h.envs[1].peers
+
+	h.mute[0] = true
+	h.bases[1].Sync.Start(0)
+	h.drain() // request swallowed by the mute peer; the timeout is armed
+	h.envs[1].peers = nil
+	for i := 0; i < 6; i++ { // through the backoff cap, peerless the whole way
+		h.advance(4 * time.Minute)
+		h.drain()
+	}
+	if !h.bases[1].Sync.Active() {
+		t.Fatal("peerless syncer gave up; nothing will resume it when peers return")
+	}
+	if got := armed(h.envs[1]); got != 1 {
+		t.Fatalf("peerless syncer holds %d armed timers, want exactly its retry", got)
+	}
+
+	h.mute[0] = false
+	h.envs[1].peers = peers
+	h.advance(4 * time.Minute)
+	h.drain()
+	if got, want := h.bases[1].State.Height(), h.bases[0].State.Height(); got != want {
+		t.Errorf("height after peers returned = %d, want %d", got, want)
+	}
+	if h.bases[1].Sync.Active() {
+		t.Error("sync still active after the terminal batch")
+	}
+
+	// Kicked while peerless, the syncer arms its timer instead of dropping
+	// the request on the floor.
+	h.envs[1].peers = nil
+	h.bases[1].Sync.Start(-1)
+	if !h.bases[1].Sync.Active() || armed(h.envs[1]) != 1 {
+		t.Error("a sync kicked while peerless did not arm its retry")
+	}
+}
+
+// armed counts the env's timers that can still fire.
+func armed(e *fakeEnv) int {
+	n := 0
+	for _, ft := range e.timers {
+		if !ft.stopped && ft.fn != nil {
+			n++
+		}
+	}
+	return n
+}

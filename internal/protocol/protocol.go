@@ -13,8 +13,6 @@
 package protocol
 
 import (
-	"fmt"
-
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
@@ -91,47 +89,6 @@ type Client interface {
 	MineBlock() types.Block
 }
 
-// CensorSet validates censor node indices against the network size and
-// returns a membership set; both harnesses build their per-node
-// Spec.CensorTransactions from it. Errors are left unprefixed for callers
-// to wrap with their package name.
-func CensorSet(nodes int, censors []int) (map[int]bool, error) {
-	set := make(map[int]bool, len(censors))
-	for _, id := range censors {
-		if id < 0 || id >= nodes {
-			return nil, fmt.Errorf("censor node %d out of range (network size %d)", id, nodes)
-		}
-		set[id] = true
-	}
-	return set, nil
-}
-
-// EquivocationVictim picks which node privately receives the second
-// conflicting microblock: the leader's successor in index order. Both
-// harnesses route through this, so the §4.5 delivery policy has one home.
-func EquivocationVictim(leaderID, nodes int) int { return (leaderID + 1) % nodes }
-
-// PublishEquivocation drives the §4.5 split-brain attack on a built
-// network: leader — which must implement Equivocator and currently lead —
-// signs two conflicting microblocks, each carrying one of the transactions
-// (nil for empty); the first is published normally, the second slipped
-// directly to victim (chosen via EquivocationVictim), as a targeted
-// attacker would. Both harnesses (cluster and experiment runner) share this
-// delivery policy.
-func PublishEquivocation(leaderID int, leader, victim Client, txA, txB *types.Transaction) (*types.MicroBlock, *types.MicroBlock, error) {
-	eq, ok := leader.(Equivocator)
-	if !ok {
-		return nil, nil, fmt.Errorf("protocol: client cannot equivocate")
-	}
-	mbA, mbB, err := eq.Equivocate(txA, txB)
-	if err != nil {
-		return nil, nil, err
-	}
-	leader.Base().ProcessBlock(mbA, -1)
-	victim.Base().ProcessFn(mbB, leaderID)
-	return mbA, mbB, nil
-}
-
 // Optional capabilities, discovered via interface assertion on a Client.
 // Bitcoin-NG implements all of them; a custom protocol implements whichever
 // subset it supports and the harnesses adapt.
@@ -175,20 +132,3 @@ type (
 		SetStrategy(s strategy.Strategy)
 	}
 )
-
-// AdoptStrategy switches a client's mining strategy to the registered name;
-// both harnesses route their AdoptStrategy runtime step through this so the
-// capability check and instantiation have one home. Errors are left
-// unprefixed for callers to wrap with their package name.
-func AdoptStrategy(c Client, name string) error {
-	sc, ok := c.(Strategic)
-	if !ok {
-		return fmt.Errorf("client cannot switch mining strategy")
-	}
-	s, err := strategy.New(name)
-	if err != nil {
-		return err
-	}
-	sc.SetStrategy(s)
-	return nil
-}

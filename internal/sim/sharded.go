@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -36,9 +37,10 @@ type ShardedLoop struct {
 	globals      []globalEvent
 	globalsFired uint64
 
-	start  []chan int64
-	done   chan workerResult
-	closed bool
+	start   []chan int64
+	done    chan workerResult
+	workers sync.WaitGroup
+	closed  bool
 }
 
 // globalEvent is a driver-level callback at an exact virtual time: scenario
@@ -73,12 +75,14 @@ func NewShardedLoop(start int64, shards int) *ShardedLoop {
 	for i := range sl.loops {
 		sl.loops[i] = NewLoop(start)
 		sl.start[i] = make(chan int64)
+		sl.workers.Add(1)
 		go sl.worker(i)
 	}
 	return sl
 }
 
 func (sl *ShardedLoop) worker(i int) {
+	defer sl.workers.Done()
 	loop := sl.loops[i]
 	for deadline := range sl.start[i] {
 		res := workerResult{shard: i}
@@ -95,8 +99,10 @@ func (sl *ShardedLoop) worker(i int) {
 	}
 }
 
-// Close shuts the worker goroutines down. The loops stay readable; no
-// further Run* calls are allowed.
+// Close shuts the worker goroutines down and waits for them to exit, so
+// nothing keeps the engine (and every node hanging off its loops) reachable
+// once the caller drops it. The loops stay readable; no further Run* calls
+// are allowed.
 func (sl *ShardedLoop) Close() {
 	if sl.closed {
 		return
@@ -105,6 +111,7 @@ func (sl *ShardedLoop) Close() {
 	for _, ch := range sl.start {
 		close(ch)
 	}
+	sl.workers.Wait()
 }
 
 // Shards returns the shard count.
