@@ -173,6 +173,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzVarInt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzNextTarget -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chain
 	$(GO) test -fuzz=FuzzBlockstoreReopen -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore
+	$(GO) test -fuzz=FuzzLedgerTable -fuzztime=$(FUZZTIME) -run '^$$' ./internal/utxo
 
 # cover prints per-package statement coverage and enforces floors on the
 # consensus-critical packages: coverage there may only go up. CI publishes

@@ -235,28 +235,6 @@ func BenchmarkMicroblockVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkUTXOApplyBlock applies-and-undoes a 40-transaction block.
-func BenchmarkUTXOApplyBlock(b *testing.B) {
-	w, err := experiment.NewWorkload(1, 40, 476)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := utxo.New()
-	ctx := utxo.BlockContext{Height: 0, Params: types.DefaultParams()}
-	if _, _, err := set.ApplyBlock(w.Genesis.Txs, ctx); err != nil {
-		b.Fatal(err)
-	}
-	ctx.Height = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		undo, _, err := set.ApplyBlock(w.Txs, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		set.UndoBlock(undo, utxo.BlockRef{})
-	}
-}
-
 // BenchmarkSimnetBlockFlood measures the discrete-event network flooding one
 // 20 kB block announcement through 200 nodes (inv/getdata/block).
 func BenchmarkSimnetBlockFlood(b *testing.B) {

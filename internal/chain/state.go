@@ -204,23 +204,9 @@ func New(genesis types.Block, params types.Params, protocol Protocol, choice For
 	// Genesis application goes through the cache too: experiment genesis
 	// blocks carry hundreds of pre-funded outputs, and every node of a run
 	// applies the same ones.
-	key := validate.Key{Block: genesis.Hash(), Rules: st.fp}
-	gref := utxo.BlockRef{Block: genesis.Hash()}
-	if res, ok := st.lookupConnect(key); ok {
-		if res.Err != nil {
-			return nil, fmt.Errorf("chain: applying genesis: %w", res.Err)
-		}
-		st.utxoSet.RedoBlock(res.Delta, gref)
-		st.tip.undo = res.Delta
-		return st, nil
-	}
-	u, _, err := st.utxoSet.ApplyBlock(genesis.Transactions(), utxo.BlockContext{Height: 0, Params: params, Ref: gref})
-	if err != nil {
-		st.storeConnect(key, &validate.ConnectResult{Err: err})
+	if err := st.connectBlock(st.tip); err != nil {
 		return nil, fmt.Errorf("chain: applying genesis: %w", err)
 	}
-	st.storeConnect(key, &validate.ConnectResult{Delta: u})
-	st.tip.undo = u
 	return st, nil
 }
 
@@ -232,11 +218,14 @@ func (st *State) lookupConnect(key validate.Key) (*validate.ConnectResult, bool)
 	return st.cache.Lookup(key)
 }
 
-// storeConnect memoizes a connect outcome, if a cache is attached.
-func (st *State) storeConnect(key validate.Key, res *validate.ConnectResult) {
-	if st.cache != nil {
-		st.cache.Store(key, res)
+// storeConnect memoizes a connect outcome, if a cache is attached, and
+// returns the outcome to continue with: res itself unless another state
+// stored one for the same key first.
+func (st *State) storeConnect(key validate.Key, res *validate.ConnectResult) *validate.ConnectResult {
+	if st.cache == nil {
+		return res
 	}
+	return st.cache.Store(key, res)
 }
 
 // ConnectCacheStats reports the attached cache's counters; zero Stats when
@@ -466,20 +455,37 @@ func (st *State) reorgTo(target *Node, res *AddResult) error {
 // of (block hash, parent hash, rules fingerprint) — the block hash commits
 // to the whole history below it — so it is memoized in the connect cache:
 // the first node to connect a block computes, every later node (and every
-// reorg that re-connects it) replays the recorded delta.
+// reorg that re-connects it) takes the recorded delta, which a memory-backed
+// ledger on the recorded version adopts whole. The genesis node connects the
+// same way (no parent, no economics).
 func (st *State) connectBlock(n *Node) error {
-	h := n.Hash()
-	key := validate.Key{Block: h, Parent: n.Parent.Hash(), Rules: st.fp}
+	ref := utxo.BlockRef{Block: n.Hash()}
+	if n.Parent != nil {
+		ref.Parent = n.Parent.Hash()
+	}
+	key := validate.Key{Block: ref.Block, Parent: ref.Parent, Rules: st.fp}
 	res, hit := st.lookupConnect(key)
 	if !hit {
-		res = st.computeConnect(n)
-		st.storeConnect(key, res)
+		res = st.computeConnect(n, ref)
+		if kept := st.storeConnect(key, res); kept != res {
+			// Lost a race: another state missed on this block in the same
+			// window and stored its result first. The two are equal by
+			// purity but are different deltas with different ledger
+			// versions; continuing on ours would leave this node replaying
+			// every later block instead of adopting it. Step back and cross
+			// the kept delta like any hit.
+			if res.Err == nil {
+				st.utxoSet.UndoBlock(res.Delta, ref)
+				hit = true
+			}
+			res = kept
+		}
 	}
 	if res.Err != nil {
 		return res.Err
 	}
 	if hit {
-		st.utxoSet.RedoBlock(res.Delta, utxo.BlockRef{Block: h, Parent: key.Parent})
+		st.utxoSet.RedoBlock(res.Delta, ref)
 	}
 	n.undo = res.Delta
 	n.feeTotal = res.FeeTotal
@@ -490,30 +496,30 @@ func (st *State) connectBlock(n *Node) error {
 // computeConnect runs the full connect stage: poison evidence, transaction
 // application, economic checks. On success the UTXO set is left advanced
 // over the block (the recorded delta describes exactly that advance); on
-// failure it is left untouched.
-func (st *State) computeConnect(n *Node) *validate.ConnectResult {
+// failure it is left untouched. The genesis block has no evidence to resolve
+// and no economics to check: its coinbase is the experiment's funding.
+func (st *State) computeConnect(n *Node, ref utxo.BlockRef) *validate.ConnectResult {
 	fail := func(err error) *validate.ConnectResult {
 		return &validate.ConnectResult{Err: fmt.Errorf("block %s: %w", n.Hash().Short(), err)}
 	}
-	targets, err := st.protocol.PoisonTargets(st, n.Parent, n.Block())
+	genesis := n.Parent == nil
+	ctx := utxo.BlockContext{Height: n.KeyHeight, Params: st.params, Ref: ref}
+	if !genesis {
+		targets, err := st.protocol.PoisonTargets(st, n.Parent, n.Block())
+		if err != nil {
+			return fail(err)
+		}
+		ctx.PoisonTargets = targets
+	}
+	u, fees, err := st.utxoSet.ApplyBlock(n.Block().Transactions(), ctx)
 	if err != nil {
 		return fail(err)
 	}
-	ref := utxo.BlockRef{Block: n.Hash(), Parent: n.Parent.Hash()}
-	ctx := utxo.BlockContext{
-		Height:        n.KeyHeight,
-		Params:        st.params,
-		PoisonTargets: targets,
-		Ref:           ref,
-	}
-	txs := n.Block().Transactions()
-	u, fees, err := st.utxoSet.ApplyBlock(txs, ctx)
-	if err != nil {
-		return fail(err)
-	}
-	if err := st.protocol.ConnectCheck(st, n, fees); err != nil {
-		st.utxoSet.UndoBlock(u, ref)
-		return fail(err)
+	if !genesis {
+		if err := st.protocol.ConnectCheck(st, n, fees); err != nil {
+			st.utxoSet.UndoBlock(u, ref)
+			return fail(err)
+		}
 	}
 	var total types.Amount
 	for _, f := range fees {

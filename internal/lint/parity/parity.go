@@ -120,7 +120,7 @@ func Default() Contracts {
 				IfacePkg: "bitcoinng/internal/store", IfaceName: "UTXO",
 				Exempt: map[string]string{
 					"bitcoinng/internal/store.pagedTable": "on-disk hash table under FileUTXO; shares the ledger vocabulary (Len/Range/Poisoned/...) one layer below the contract",
-					"bitcoinng/internal/utxo.memBackend":  "map-based table under *utxo.Set; same one-layer-below vocabulary overlap as store.pagedTable",
+					"bitcoinng/internal/utxo.memBackend":  "persistent trie table under *utxo.Set; same one-layer-below vocabulary overlap as store.pagedTable",
 				},
 			},
 			{

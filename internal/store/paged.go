@@ -331,7 +331,10 @@ func (t *pagedTable) SetPoisoned(id crypto.Hash, on bool) {
 // Snapshot materializes an isolated in-memory copy. Snapshots exist to
 // stage branch validation, which no production path does against a file
 // backend today; the O(n) copy keeps the two-sided isolation contract exact
-// rather than complicating the table with copy-on-write overlays.
+// rather than complicating the table with copy-on-write overlays. The copy
+// loads as one batch: the memory table keeps raw writes in one open edit
+// until something freezes it, so each trie node is allocated once however
+// many of the entries below land in it.
 func (t *pagedTable) Snapshot() utxo.Backend {
 	c := utxo.NewMemBackend()
 	t.Range(func(op types.OutPoint, e utxo.Entry) bool {

@@ -160,6 +160,32 @@ func TestPagedTableSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestPagedTableSnapshotLoadsInOneBatch pins the cost of materializing a
+// snapshot in the persistent memory table: the entries load as one edit
+// batch, so the copy allocates a couple of objects per entry (its leaf and
+// its share of the trie nodes). One path copy per entry — the root and every
+// node under it, again for each Put — would be three times that at this
+// size and grow with depth.
+func TestPagedTableSnapshotLoadsInOneBatch(t *testing.T) {
+	tab, err := newPagedTable(filepath.Join(t.TempDir(), "u.tab"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	const n = 4096
+	for i := 0; i < n; i++ {
+		tab.Put(outpoint(int64(i), uint32(i%3)), utxo.Entry{Value: types.Amount(i)})
+	}
+	var snap utxo.Backend
+	perEntry := testing.AllocsPerRun(3, func() { snap = tab.Snapshot() }) / n
+	if snap.Len() != n {
+		t.Fatalf("snapshot holds %d entries, want %d", snap.Len(), n)
+	}
+	if perEntry > 3 {
+		t.Errorf("snapshot allocates %.1f objects per entry; a one-batch load needs under 3", perEntry)
+	}
+}
+
 // fundedFileUTXO opens a FileUTXO and applies a height-0 coinbase paying
 // amounts to key, returning the outpoints.
 func applyFunding(t *testing.T, u UTXO, key *crypto.PrivateKey, amounts ...types.Amount) []types.OutPoint {

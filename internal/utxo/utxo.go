@@ -8,12 +8,21 @@
 // and delegates raw entry storage to a Backend (in-memory here, file-backed
 // paged table in internal/store), so chain state can exceed process RAM
 // without the consensus logic knowing.
+//
+// The in-memory backend is a persistent table: every state a block operation
+// leaves behind is an immutable, versioned value. A Delta records the two
+// versions it maps between, so replaying it onto a memory-backed set that is
+// at the recorded version is not a replay at all — the set adopts the
+// recorded state in O(1), and every simulated node on one chain tip holds the
+// same ledger by pointer instead of a private copy of it.
 package utxo
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"weak"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -76,13 +85,28 @@ type BlockContext struct {
 // owns one (or a small number, for staging branch validation).
 type Set struct {
 	be Backend
+	// mem is be when the set is memory-backed: the one backend whose states
+	// are versioned values a delta can hand over whole. Nil otherwise.
+	mem *memBackend
 }
 
 // New returns an empty set over the in-memory backend.
 func New() *Set { return NewWith(NewMemBackend()) }
 
 // NewWith returns a set over the given storage backend.
-func NewWith(be Backend) *Set { return &Set{be: be} }
+func NewWith(be Backend) *Set {
+	mem, _ := be.(*memBackend)
+	return &Set{be: be, mem: mem}
+}
+
+// Version returns the logical version of a memory-backed set's contents, and
+// the zero (unknown) Version for any other backend.
+func (s *Set) Version() Version {
+	if s.mem == nil {
+		return Version{}
+	}
+	return s.mem.version
+}
 
 // Len returns the number of unspent entries.
 func (s *Set) Len() int { return s.be.Len() }
@@ -90,10 +114,10 @@ func (s *Set) Len() int { return s.be.Len() }
 // Lookup returns the entry for op, if present.
 func (s *Set) Lookup(op types.OutPoint) (Entry, bool) { return s.be.Get(op) }
 
-// Range iterates the unspent entries in unspecified order until fn returns
-// false. Callers must not mutate the set during iteration. Consumers that
-// need an order (wallets, reports) must sort — the order differs between
-// backends even within one run.
+// Range iterates the unspent entries until fn returns false, in an order
+// that repeats from run to run but differs between backends. Callers must
+// not mutate the set during iteration. Consumers that need an order
+// (wallets, reports) must sort.
 func (s *Set) Range(fn func(op types.OutPoint, e Entry) bool) { s.be.Range(fn) }
 
 // BalanceOf sums the spendable (non-revoked) value paid to addr. It is a
@@ -112,8 +136,8 @@ func (s *Set) BalanceOf(addr crypto.Address) types.Amount {
 // Clone returns an isolated snapshot, used to stage validation of a
 // candidate branch without touching the active state. Mutations on the
 // clone never reach the original and vice versa; how that isolation is
-// achieved (deep copy, copy-on-write overlay) is the backend's business.
-func (s *Set) Clone() *Set { return &Set{be: s.be.Snapshot()} }
+// achieved (shared persistent state, deep copy) is the backend's business.
+func (s *Set) Clone() *Set { return NewWith(s.be.Snapshot()) }
 
 // Reset drops all entries and poison marks, returning the set to its empty
 // state. The restart path resets before replaying the durable chain prefix
@@ -151,14 +175,64 @@ type deltaOp struct {
 // reorganization, and — because create ops carry the full entries — a redo
 // record that replays the block onto another set in the same pre-state
 // without re-validating anything (the connect cache in internal/validate
-// shares one Delta across every node that connects the block). A Delta is
-// immutable once returned by ApplyBlock; Redo/Undo only read it.
+// shares one Delta across every node that connects the block). The log and
+// the versions are immutable once ApplyBlock returns; Redo/Undo only read
+// them.
+//
+// A delta computed on a memory-backed set also names the versions it maps
+// between and references the frozen ledgers on both sides, which is what lets
+// Redo/Undo hand a set the recorded state instead of replaying the log. The
+// references are weak: a delta is retained as an undo record for as long as
+// its block stays connected, and must not pin every superseded ledger of a
+// node that shares with nobody. A state some set still stands on is alive
+// and adoptable; one nobody holds is gone, the next set to cross the delta
+// replays the log, and re-publishes what it rebuilt.
 type Delta struct {
 	ops []deltaOp
+
+	// pre and post are the versions before and after the block; unknown for
+	// a delta that was decoded or computed on a file-backed set.
+	pre, post Version
+	// Op counts by kind, from which an adoption accounts the logical
+	// Gets/Puts/Deletes a replay would have made.
+	creates, spends, revokes uint32
+
+	mu            sync.Mutex // guards before and after (re-publication races across shards)
+	before, after weak.Pointer[ledger]
 }
 
 // Ops returns the number of recorded mutations.
 func (d *Delta) Ops() int { return len(d.ops) }
+
+// record appends one mutation to the log.
+func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) {
+	d.ops = append(d.ops, deltaOp{kind: kind, op: op, entry: e})
+	switch kind {
+	case opCreate:
+		d.creates++
+	case opSpend:
+		d.spends++
+	case opRevoke:
+		d.revokes++
+	}
+}
+
+// recorded returns the frozen ledger *ref still references, if any set keeps
+// it alive.
+func (d *Delta) recorded(ref *weak.Pointer[ledger]) *ledger {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return ref.Value()
+}
+
+// publish points *ref at led unless it still references a live ledger.
+func (d *Delta) publish(ref *weak.Pointer[ledger], led *ledger) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if ref.Value() == nil {
+		*ref = weak.Make(led)
+	}
+}
 
 // checkSpend validates that input i of tx may spend from the set at the
 // given context and returns the entry.
@@ -202,7 +276,7 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 				return 0, fmt.Errorf("tx %s input %d: %w", txid.Short(), i, err)
 			}
 			inSum += e.Value
-			d.ops = append(d.ops, deltaOp{kind: opSpend, op: tx.Inputs[i].Prev, entry: e})
+			d.record(opSpend, tx.Inputs[i].Prev, e)
 			s.be.Delete(tx.Inputs[i].Prev)
 		}
 		outSum := tx.OutputSum()
@@ -227,7 +301,7 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 			Height:   ctx.Height,
 		}
 		s.be.Put(op, e)
-		d.ops = append(d.ops, deltaOp{kind: opCreate, op: op, entry: e})
+		d.record(opCreate, op, e)
 	}
 	return fee, nil
 }
@@ -246,9 +320,11 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 		return fmt.Errorf("%w: coinbase %s", ErrAlreadyPoisoned, culpritCB.Short())
 	}
 	// Collect the revocable outputs first and sort them: the delta op log
-	// is ordered (undo replays it back to front), so appending in backend
-	// iteration order would make the log — and anything derived from it —
-	// differ run to run for the same (config, seed). A coinbase has a
+	// is ordered (undo replays it back to front), and a backend's iteration
+	// order is its own — the memory table's follows the contents, the paged
+	// table's the operation history — so appending in that order would make
+	// the log, and anything derived from it, differ between backends for
+	// the same (config, seed). A coinbase has a
 	// handful of outputs, so the full-set scan is acceptable even on the
 	// paged file backend (poison transactions are rare by construction).
 	var revoke []types.OutPoint
@@ -264,7 +340,7 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 		e, _ := s.be.Get(op)
 		e.Revoked = true
 		s.be.Put(op, e)
-		d.ops = append(d.ops, deltaOp{kind: opRevoke, op: op})
+		d.record(opRevoke, op, Entry{})
 		revokedValue += e.Value
 	}
 	reward := types.Amount(float64(revokedValue) * ctx.Params.PoisonRewardFrac)
@@ -272,7 +348,7 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 		return fmt.Errorf("%w: %d > %d", ErrExcessReward, tx.OutputSum(), reward)
 	}
 	s.be.SetPoisoned(culpritCB, true)
-	d.ops = append(d.ops, deltaOp{kind: opPoison, op: types.OutPoint{TxID: culpritCB}})
+	d.record(opPoison, types.OutPoint{TxID: culpritCB}, Entry{})
 	return nil
 }
 
@@ -283,27 +359,95 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 // Later transactions may spend outputs created by earlier transactions in
 // the same block, matching Bitcoin semantics.
 func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []types.Amount, error) {
-	d := &Delta{}
+	// One op per input and output (poison transactions add a few): sized up
+	// front, a retained undo log carries no append slack.
+	nOps := 0
+	for _, tx := range txs {
+		nOps += len(tx.Inputs) + len(tx.Outputs)
+	}
+	d := &Delta{ops: make([]deltaOp, 0, nOps)}
+	var before *ledger
+	if s.mem != nil {
+		d.pre, before = s.mem.version, s.mem.freeze()
+	}
 	fees := make([]types.Amount, len(txs))
 	for i, tx := range txs {
 		fee, err := s.applyTx(tx, &ctx, d)
 		if err != nil {
-			s.UndoBlock(d, ctx.Ref)
+			// Reverse what was applied (the operations count, as they
+			// always have), then stand on the untouched pre-state itself.
+			s.undoOps(d)
+			if s.mem != nil {
+				s.mem.adopt(before, d.pre, 0, 0, 0)
+			}
 			return nil, nil, fmt.Errorf("block tx %d: %w", i, err)
 		}
 		fees[i] = fee
 	}
+	if s.mem != nil {
+		d.post = mintVersion()
+		d.before, d.after = weak.Make(before), weak.Make(s.mem.label(d.post))
+	}
 	return d, fees, nil
 }
 
-// RedoBlock replays a recorded delta forward onto the set without any
+// RedoBlock moves the set forward over a recorded delta without any
 // validation. It is only sound when the set is in the exact pre-state the
 // delta was recorded against — the connect cache guarantees this by content
-// addressing (equal block hash implies equal history below it). A missing
-// spend target means that guarantee was broken and panics: serving a
-// corrupted ledger is worse than crashing. `at` names the block the delta
-// came from, for journaling backends.
+// addressing (equal block hash implies equal history below it). `at` names
+// the block the delta came from, for journaling backends.
+//
+// There are two ways across. A memory-backed set whose version is the one
+// the delta was recorded against adopts the recorded post-state: identity of
+// an immutable version is a stronger pre-state check than any probe. Every
+// other set — file-backed, of unknown version, on a content-equal state that
+// another computation of the same block labelled differently, or arriving
+// after the recorded state was collected — replays the op log, where a
+// missing spend target means the guarantee was broken and panics: serving a
+// corrupted ledger is worse than crashing. A replay from a known version
+// labels its result with the delta's, so the set is back on shared state at
+// the next block.
 func (s *Set) RedoBlock(d *Delta, at BlockRef) {
+	s.cross(d, true)
+}
+
+// UndoBlock reverses a block application, by the same two ways as RedoBlock.
+// Deltas must be undone in reverse order of the blocks they came from. `at`
+// names the block being undone, for journaling backends.
+func (s *Set) UndoBlock(d *Delta, at BlockRef) {
+	s.cross(d, false)
+}
+
+// cross moves the set over d, forward (redo) or backward (undo): by adopting
+// the recorded state when the set is memory-backed and stands on the version
+// the delta starts from in that direction, by replaying the log otherwise.
+func (s *Set) cross(d *Delta, forward bool) {
+	from, to, ref := d.pre, d.post, &d.after
+	// The logical operations of a replay: see redoOps and undoOps.
+	gets, puts, deletes := d.spends+d.revokes, d.creates+d.revokes, d.spends
+	if !forward {
+		from, to, ref = d.post, d.pre, &d.before
+		gets, puts, deletes = d.revokes, d.spends+d.revokes, d.creates
+	}
+	at := s.Version() // known only on a memory-backed set
+	if at.known() && at == from {
+		if led := d.recorded(ref); led != nil {
+			s.mem.adopt(led, to, gets, puts, deletes)
+			return
+		}
+	}
+	if forward {
+		s.redoOps(d)
+	} else {
+		s.undoOps(d)
+	}
+	if at.known() && to.known() {
+		d.publish(ref, s.mem.label(to))
+	}
+}
+
+// redoOps replays the op log onto the backend in order.
+func (s *Set) redoOps(d *Delta) {
 	for i := range d.ops {
 		op := &d.ops[i]
 		switch op.kind {
@@ -327,10 +471,8 @@ func (s *Set) RedoBlock(d *Delta, at BlockRef) {
 	}
 }
 
-// UndoBlock reverses a block application. Deltas must be undone in reverse
-// order of the blocks they came from. `at` names the block being undone,
-// for journaling backends.
-func (s *Set) UndoBlock(d *Delta, at BlockRef) {
+// undoOps replays the op log onto the backend back to front, inverted.
+func (s *Set) undoOps(d *Delta) {
 	for i := len(d.ops) - 1; i >= 0; i-- {
 		op := &d.ops[i]
 		switch op.kind {

@@ -85,9 +85,12 @@ type ConnectResult struct {
 	Err error
 }
 
-// DefaultCacheSize bounds the shared cache; at ~a few kilobytes per cached
-// block delta this caps worst-case memory in the tens of megabytes while
-// comfortably holding every block of a paper-scale run.
+// DefaultCacheSize bounds the shared cache. An entry costs its delta's op log
+// — about a hundred bytes per transaction input and output, a few kilobytes
+// for a typical block — and nothing more: a delta references the ledger
+// states on either side of its block weakly, so the cache never keeps a
+// superseded ledger alive. That caps worst-case memory in the tens of
+// megabytes while comfortably holding every block of a paper-scale run.
 const DefaultCacheSize = 16384
 
 // cacheSegments splits the cache by key so concurrent users — the shards of
@@ -161,15 +164,19 @@ func (c *Cache) Lookup(key Key) (*ConnectResult, bool) {
 	return res, ok
 }
 
-// Store memoizes a connect result. The caller must not mutate res (or its
-// delta) afterwards. Re-storing an existing key is a no-op: the first result
-// is as good as any later one (they are equal by purity).
-func (c *Cache) Store(key Key, res *ConnectResult) {
+// Store memoizes a connect result and returns the result the cache now holds
+// for key. The caller must not mutate res (or its delta) afterwards. The
+// first result stored for a key is kept — a later one is equal to it by
+// purity, but it is a different object: its delta names ledger versions of
+// its own — so a caller that gets another result back than it passed lost a
+// race and must continue with the one returned, or it would stand alone on a
+// private ledger version while every other node adopts the kept one.
+func (c *Cache) Store(key Key, res *ConnectResult) *ConnectResult {
 	s := c.segment(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.entries[key]; dup {
-		return
+	if kept, dup := s.entries[key]; dup {
+		return kept
 	}
 	for len(s.entries) >= s.max && s.head < len(s.order) {
 		delete(s.entries, s.order[s.head])
@@ -182,6 +189,7 @@ func (c *Cache) Store(key Key, res *ConnectResult) {
 	}
 	s.entries[key] = res
 	s.order = append(s.order, key)
+	return res
 }
 
 // Stats reports cache effectiveness counters.

@@ -41,8 +41,12 @@ func TestCacheStoreLookup(t *testing.T) {
 func TestCacheDuplicateStoreKeepsFirst(t *testing.T) {
 	c := NewCache(8)
 	first := &ConnectResult{FeeTotal: 1}
-	c.Store(key(1), first)
-	c.Store(key(1), &ConnectResult{FeeTotal: 2})
+	if kept := c.Store(key(1), first); kept != first {
+		t.Fatal("first store did not report its own result as kept")
+	}
+	if kept := c.Store(key(1), &ConnectResult{FeeTotal: 2}); kept != first {
+		t.Fatal("duplicate store did not report the result the cache kept")
+	}
 	got, _ := c.Lookup(key(1))
 	if got != first {
 		t.Fatal("duplicate store replaced the first result")
