@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: build vet lint test race race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
+.PHONY: build vet lint test race allocs race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,14 @@ test: build
 
 race:
 	$(GO) test -race -short ./...
+
+# allocs runs the allocation pins of the loose-transaction path without the
+# race detector (whose instrumentation may change what escapes): refused
+# mempool admissions, counted wire sizes, exactly-sized encodings and the
+# relay flush. CI calls it from the `test` job beside the -race run.
+allocs:
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
+		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 
 # race-soak replays a reduced chaos soak under the race detector. The
 # differential replay (parallelism 1 vs 4, connect cache on vs off) is

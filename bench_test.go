@@ -16,7 +16,6 @@ import (
 	"bitcoinng/internal/experiment"
 	"bitcoinng/internal/incentive"
 	"bitcoinng/internal/load"
-	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/mining"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
@@ -295,30 +294,6 @@ func BenchmarkStreamSign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s.Tx(int64(i)*64) == nil {
 			b.Fatal("generation stalled")
-		}
-	}
-}
-
-// BenchmarkMempoolChurn measures the fee-indexed bounded mempool under
-// sustained churn: admissions into a full pool (evicting by fee rate) with
-// periodic block-sized confirmations, the live blaster's hot path.
-func BenchmarkMempoolChurn(b *testing.B) {
-	s, err := load.NewStream(load.StreamConfig{Seed: 2, Lanes: 64, MaxTxs: int64(b.N) + 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Bind(crypto.HashBytes([]byte("bench-funding")), 0)
-	p := mempool.New()
-	p.SetLimits(mempool.Limits{MaxTxs: 2048})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := s.Tx(int64(i))
-		if err := p.Add(tx); err != nil && err != mempool.ErrPoolFull {
-			b.Fatal(err)
-		}
-		if i%1024 == 1023 {
-			p.RemoveConfirmed(p.Select(1 << 20))
-			s.Release(int64(i) - 2048)
 		}
 	}
 }

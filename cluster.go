@@ -292,9 +292,9 @@ type BlastConfig struct {
 // report measured on node 0's final main chain. Requires StreamLoad.
 //
 // Confirmation feedback (closed-loop pacing, release floor) refreshes every
-// few slices by walking node 0's chain, so the closed-loop window is
-// enforced at that granularity — between refreshes the driver errs on the
-// conservative side.
+// few slices from a load.Tracker following node 0's chain, so the
+// closed-loop window is enforced at that granularity — between refreshes the
+// driver errs on the conservative side.
 func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 	if c.stream == nil {
 		return nil, fmt.Errorf("bitcoinng: Blast needs ClusterConfig.StreamLoad")
@@ -340,32 +340,18 @@ func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 	}
 	start := c.Now()
 	deadline := start + cfg.Duration
-	var confirmed int64
+	var tracker load.Tracker
 	for tick := 0; c.Now() < deadline; tick++ {
 		if tick%16 == 0 {
-			confs := load.Confirmations(c.nodes[0].Chain().Tip())
-			confirmed = int64(len(confs))
-			blaster.ReleaseBehind(confirmedPrefix(confs), slack)
+			tracker.Advance(c.nodes[0].Chain().Tip())
+			blaster.ReleaseBehind(tracker.Prefix(), slack)
 		}
-		blaster.Tick(int64(c.Now()), confirmed, submit)
+		blaster.Tick(int64(c.Now()), tracker.Count(), submit)
 		c.Run(slice)
 	}
 	c.Run(grace)
 	confs := load.Confirmations(c.nodes[0].Chain().Tip())
 	return blaster.Report(c.Now()-start, confs), nil
-}
-
-// confirmedPrefix returns the first stream index not yet confirmed, given
-// the sorted confirmation list.
-func confirmedPrefix(confs []load.Confirmation) int64 {
-	var p int64
-	for _, cf := range confs {
-		if cf.Index != p {
-			break
-		}
-		p++
-	}
-	return p
 }
 
 // Converged reports whether every node's tip lies on one chain: under

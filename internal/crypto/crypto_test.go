@@ -20,7 +20,7 @@ func TestHashStringParseRoundTrip(t *testing.T) {
 	f := func(raw [32]byte) bool {
 		h := Hash(raw)
 		parsed, err := ParseHash(h.String())
-		return err == nil && parsed == h
+		return err == nil && parsed == h && h.Short() == h.String()[:8]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

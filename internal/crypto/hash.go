@@ -42,7 +42,10 @@ func (h Hash) String() string {
 }
 
 // Short returns the first 8 hex characters of the display form, for logs.
-func (h Hash) Short() string { return h.String()[:8] }
+func (h Hash) Short() string {
+	rev := [4]byte{h[31], h[30], h[29], h[28]}
+	return hex.EncodeToString(rev[:])
+}
 
 // IsZero reports whether h is the all-zero hash.
 func (h Hash) IsZero() bool { return h == ZeroHash }

@@ -1,10 +1,11 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"bitcoinng/internal/chain"
@@ -167,7 +168,7 @@ func Confirmations(tip *chain.Node) []Confirmation {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	slices.SortFunc(out, func(a, b Confirmation) int { return cmp.Compare(a.Index, b.Index) })
 	return out
 }
 
@@ -261,7 +262,7 @@ func buildReport(mode Mode, rate float64, window int64, duration time.Duration,
 		lats = append(lats, lat)
 	}
 	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		slices.Sort(lats)
 		r.P50 = percentile(lats, 0.50)
 		r.P90 = percentile(lats, 0.90)
 		r.P99 = percentile(lats, 0.99)

@@ -8,18 +8,23 @@
 // detection, confirmation removal, reorg reinsertion, fee-indexed
 // selection, and bounded admission with deterministic eviction — because
 // the live TCP node and the sustained-load engine use it too.
+//
+// Refusals are the bare sentinel errors below, never wrapped or formatted:
+// on a relaying mesh almost every delivery is a duplicate whose error the
+// caller drops, so a refusal must cost a map probe and nothing else. A
+// caller that reports the error to a person adds the transaction id there
+// (node.Base.SubmitTx does).
 package mempool
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 )
 
-// Pool errors.
+// Pool errors. Add returns them as they are; test with errors.Is.
 var (
 	ErrDuplicate = errors.New("mempool: transaction already present")
 	ErrConflict  = errors.New("mempool: input already spent by pooled transaction")
@@ -186,18 +191,19 @@ func (p *Pool) dropBucket(b *bucket) {
 // Validation against the UTXO set is the block assembler's job (a pooled
 // transaction can become invalid later through a conflicting confirmation).
 // When limits are set, admission may evict lower-priority entries or return
-// ErrPoolFull.
+// ErrPoolFull. Every refusal is a bare sentinel (ErrKind, ErrDuplicate,
+// ErrConflict, ErrPoolFull) and allocates nothing.
 func (p *Pool) Add(tx *types.Transaction) error {
 	if tx.Kind != types.TxRegular {
-		return fmt.Errorf("%w: got %v", ErrKind, tx.Kind)
+		return ErrKind
 	}
 	txid := tx.ID()
 	if _, ok := p.txs[txid]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, txid.Short())
+		return ErrDuplicate
 	}
 	for i := range tx.Inputs {
-		if owner, ok := p.spends[tx.Inputs[i].Prev]; ok {
-			return fmt.Errorf("%w: %v held by %s", ErrConflict, tx.Inputs[i].Prev, owner.Short())
+		if _, ok := p.spends[tx.Inputs[i].Prev]; ok {
+			return ErrConflict
 		}
 	}
 	size := tx.WireSize()
@@ -239,7 +245,7 @@ func (p *Pool) makeRoom(size int, rate int64) error {
 	for over() {
 		victim := p.newestLowest()
 		if victim == nil || victim.rate >= rate {
-			return fmt.Errorf("%w: rate %d", ErrPoolFull, rate)
+			return ErrPoolFull
 		}
 		p.removeEntry(victim)
 		p.evictions++

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/types"
@@ -171,13 +173,15 @@ func (b *Base) handleTx(from int, tx *types.Transaction) {
 }
 
 // SubmitTx inserts a locally created transaction (wallet path) and relays it
-// when RelayTxs is on.
+// when RelayTxs is on. This is the boundary where a pool refusal meets a
+// person, so the transaction id is added here, once, rather than by the pool
+// on every relayed duplicate.
 func (b *Base) SubmitTx(tx *types.Transaction) error {
 	if err := tx.CheckWellFormed(); err != nil {
 		return err
 	}
 	if err := b.Pool.Add(tx); err != nil {
-		return err
+		return fmt.Errorf("tx %s: %w", tx.ID().Short(), err)
 	}
 	if b.RelayTxs {
 		b.Gossip.RelayTx(tx, -1)

@@ -74,11 +74,20 @@ type Gossip struct {
 	knownHash BlockID
 	knownBy   []int
 
-	// txQueue coalesces outgoing loose transactions per peer while the
-	// flush timer runs (Params.TxBatchInterval > 0). Flushes iterate
-	// env.Peers() order, never the map, so send order is deterministic.
-	txQueue map[int][]*types.Transaction
-	txFlush Timer
+	// txQueue coalesces outgoing loose transactions while the flush timer
+	// runs (Params.TxBatchInterval > 0): one ordered queue for all peers,
+	// each entry naming the one peer it must not go to. Its capacity is
+	// kept across flush windows. txQueued is the number of per-peer copies
+	// the window owes so far — what QueuedTxs reports.
+	txQueue  []queuedTx
+	txQueued int
+	txFlush  Timer
+}
+
+// queuedTx is one relay awaiting the flush: tx goes to every peer but except.
+type queuedTx struct {
+	tx     *types.Transaction
+	except int
 }
 
 // NewGossip wires a relay for base.
@@ -146,8 +155,8 @@ func (g *Gossip) HandleMessage(from int, msg Message) {
 
 // RelayTx forwards a loose transaction to every peer except `except` (-1
 // reaches everyone). With Params.TxBatchInterval unset each transaction goes
-// out immediately in its own TxMsg; otherwise transactions coalesce per
-// peer until one shared flush timer fires.
+// out immediately in its own TxMsg; otherwise transactions coalesce until
+// one shared flush timer fires.
 func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 	interval := g.base.State.Params().TxBatchInterval
 	if interval <= 0 {
@@ -160,46 +169,54 @@ func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 		}
 		return
 	}
-	if g.txQueue == nil {
-		g.txQueue = make(map[int][]*types.Transaction)
-	}
-	for _, p := range g.env.Peers() {
-		if p == except {
-			continue
-		}
-		g.txQueue[p] = append(g.txQueue[p], tx)
+	g.txQueue = append(g.txQueue, queuedTx{tx, except})
+	peers := g.env.Peers()
+	g.txQueued += len(peers)
+	if slices.Contains(peers, except) {
+		g.txQueued--
 	}
 	if g.txFlush == nil {
 		g.txFlush = g.env.After(interval, g.flushTxs)
 	}
 }
 
-// flushTxs drains the per-peer transaction queues, one txbatch per peer
-// with queued traffic, in env.Peers() order.
+// flushTxs drains the relay queue: one txbatch per peer with queued traffic,
+// in env.Peers() order, each carrying the window's transactions in relay
+// order minus those that peer sent us. Each batch is counted first and then
+// filled into one exactly-sized slice.
+//
+// The peer set is read at flush time, not at each RelayTx: a peer that
+// vanished mid-window gets nothing (as before), and a peer that connected
+// mid-window on the live path now gets the whole window's transactions
+// rather than only those relayed after it joined.
 func (g *Gossip) flushTxs() {
 	g.txFlush = nil
 	for _, p := range g.env.Peers() {
-		q := g.txQueue[p]
-		if len(q) == 0 {
+		n := 0
+		for _, q := range g.txQueue {
+			if q.except != p {
+				n++
+			}
+		}
+		if n == 0 {
 			continue
 		}
-		delete(g.txQueue, p)
-		g.env.Send(p, &TxBatchMsg{Txs: q})
+		txs := make([]*types.Transaction, 0, n)
+		for _, q := range g.txQueue {
+			if q.except != p {
+				txs = append(txs, q.tx)
+			}
+		}
+		g.env.Send(p, &TxBatchMsg{Txs: txs})
 	}
-	// A peer that vanished from Peers() between queue and flush would leak
-	// its queue; drop any leftovers.
-	clear(g.txQueue)
+	clear(g.txQueue) // do not pin sent transactions until the slots are reused
+	g.txQueue = g.txQueue[:0]
+	g.txQueued = 0
 }
 
-// QueuedTxs returns how many transactions await a relay flush (diagnostics
-// and backpressure sampling).
-func (g *Gossip) QueuedTxs() int {
-	n := 0
-	for _, q := range g.txQueue {
-		n += len(q)
-	}
-	return n
-}
+// QueuedTxs returns how many transactions await a relay flush, summed over
+// the peers they are owed to (diagnostics and backpressure sampling).
+func (g *Gossip) QueuedTxs() int { return g.txQueued }
 
 func (g *Gossip) handleInv(from int, m *InvMsg) {
 	for _, inv := range m.Items {

@@ -17,7 +17,7 @@ import (
 // only when the test calls pump, and timers fire only when the test advances
 // the clock. It gives the gossip tests full control over ordering and loss.
 type harness struct {
-	t     *testing.T
+	t     testing.TB
 	now   int64
 	envs  map[int]*fakeEnv
 	bases map[int]*node.Base
@@ -70,7 +70,7 @@ func newHarness(t *testing.T, n int) (*harness, *types.PowBlock, *crypto.Private
 	return newHarnessParams(t, n, params)
 }
 
-func newHarnessParams(t *testing.T, n int, params types.Params) (*harness, *types.PowBlock, *crypto.PrivateKey) {
+func newHarnessParams(t testing.TB, n int, params types.Params) (*harness, *types.PowBlock, *crypto.PrivateKey) {
 	t.Helper()
 	key, err := crypto.GenerateKey(rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -473,7 +473,7 @@ func TestFetchGiveUpHandsOffToSync(t *testing.T) {
 // relayTx builds a well-formed loose transaction for relay tests (inputs
 // reference nonexistent outputs; the pool's fee resolver degrades them to
 // rate zero, which is fine for unbounded pools).
-func relayTx(t *testing.T, key *crypto.PrivateKey, idx uint32) *types.Transaction {
+func relayTx(t testing.TB, key *crypto.PrivateKey, idx uint32) *types.Transaction {
 	t.Helper()
 	tx := &types.Transaction{
 		Kind:    types.TxRegular,

@@ -1,6 +1,9 @@
 package node
 
-import "bitcoinng/internal/types"
+import (
+	"bitcoinng/internal/types"
+	"bitcoinng/internal/wire"
+)
 
 // Syncer is the locator-based catch-up protocol: a node that suspects it is
 // behind (after a restart, or when orphan-driven fetching runs dry) sends a
@@ -23,7 +26,8 @@ type Syncer struct {
 }
 
 const (
-	// syncBatchSize bounds how many blocks one BlockBatchMsg carries.
+	// syncBatchSize bounds how many blocks one BlockBatchMsg carries; the
+	// frame limit (wire.MaxMessageSize) bounds it further by bytes.
 	syncBatchSize = 32
 	// maxLocatorLen bounds accepted locators (a well-formed locator for a
 	// chain of 2^50 blocks is still under this).
@@ -124,7 +128,10 @@ func (s *Syncer) locator() []BlockID {
 	return loc
 }
 
-// handleGetBlocks serves one bounded batch after the requester's fork point.
+// handleGetBlocks serves one bounded batch after the requester's fork point:
+// at most syncBatchSize blocks and at most one frame's worth of bytes — a
+// batch the live transport cannot frame gets the responder dropped as a
+// misbehaving peer — but always at least one block, so sync makes progress.
 // Malformed locators (empty or oversized) are ignored without reply.
 func (s *Syncer) handleGetBlocks(from int, m *GetBlocksMsg) {
 	if len(m.Locator) == 0 || len(m.Locator) > maxLocatorLen {
@@ -146,15 +153,20 @@ func (s *Syncer) handleGetBlocks(from int, m *GetBlocksMsg) {
 		s.env.Send(from, &BlockBatchMsg{})
 		return
 	}
-	end := start + syncBatchSize
-	more := end < len(mc)
-	if !more {
-		end = len(mc)
-	}
-	batch := &BlockBatchMsg{Blocks: make([]types.Block, 0, end-start), More: more}
+	end := min(start+syncBatchSize, len(mc))
+	batch := &BlockBatchMsg{Blocks: make([]types.Block, 0, end-start)}
+	// size is what the live codec will frame: the empty batch's Size(), then
+	// per block its length-prefixed body plus the type tag Size() omits.
+	size := batch.Size()
 	for _, n := range mc[start:end] {
+		ws := n.Block().WireSize()
+		size += 1 + compactSizeLen(ws) + ws
+		if size > wire.MaxMessageSize && len(batch.Blocks) > 0 {
+			break
+		}
 		batch.Blocks = append(batch.Blocks, n.Block())
 	}
+	batch.More = start+len(batch.Blocks) < len(mc)
 	s.env.Send(from, batch)
 }
 

@@ -7,6 +7,7 @@ import (
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/wire"
 )
 
 // extendChain mines n blocks on top of base's current tip, adding each
@@ -218,4 +219,68 @@ func armed(e *fakeEnv) int {
 		}
 	}
 	return n
+}
+
+// mineFatOn is mineOn with the coinbase inflated to ~230 KB (the shape
+// limits' worth of zero-value outputs and padding): eighteen such blocks
+// fill a 4 MiB frame.
+func mineFatOn(t *testing.T, key *crypto.PrivateKey, prev crypto.Hash, height uint64) *types.PowBlock {
+	t.Helper()
+	b := mineOn(t, key, prev, height)
+	cb := b.Txs[0]
+	for len(cb.Outputs) < types.MaxTxOutputs {
+		cb.Outputs = append(cb.Outputs, types.TxOutput{To: key.Public().Addr()})
+	}
+	cb.Padding = make([]byte, types.MaxTxPadding)
+	b.Header.MerkleRoot = crypto.MerkleRoot(types.TxIDs(b.Txs))
+	return b
+}
+
+// TestSyncBatchesFitOneFrame: batches are bounded by bytes, not only by
+// block count. Forty fat blocks are 9 MB — thirty-two of them, the count
+// limit, would be a 7 MB BlockBatchMsg that the live transport refuses to
+// frame (wire.MaxMessageSize), dropping the serving peer mid-sync. The
+// responder must cut each batch at the frame limit, flag More, and the
+// requester must still reach the tip over several rounds.
+func TestSyncBatchesFitOneFrame(t *testing.T) {
+	h, _, key := newHarness(t, 2)
+	for i := 0; i < 40; i++ {
+		tip := h.bases[0].State.Tip()
+		if _, err := h.bases[0].State.AddBlock(mineFatOn(t, key, tip.Hash(), tip.Height+1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h.bases[1].Sync.Start(0)
+	rounds := 0
+	for {
+		for _, qm := range h.envs[0].queue {
+			batch, ok := qm.msg.(*node.BlockBatchMsg)
+			if !ok {
+				continue
+			}
+			if len(batch.Blocks) > 0 {
+				rounds++
+			}
+			// The frame carries one type byte per block that Size() omits.
+			if frame := batch.Size() + len(batch.Blocks); frame > wire.MaxMessageSize {
+				t.Fatalf("batch of %d blocks frames to %d bytes, over the %d limit", len(batch.Blocks), frame, wire.MaxMessageSize)
+			}
+			if len(batch.Blocks) == 0 && batch.More {
+				t.Fatal("empty batch flagged More: sync cannot progress")
+			}
+		}
+		if h.pump() == 0 {
+			break
+		}
+	}
+	if got, want := h.bases[1].State.Tip().Hash(), h.bases[0].State.Tip().Hash(); got != want {
+		t.Fatalf("requester stopped at height %d of %d", h.bases[1].State.Height(), h.bases[0].State.Height())
+	}
+	if rounds < 3 {
+		t.Errorf("9 MB of blocks synced in %d batches; a frame holds 4 MiB", rounds)
+	}
+	if h.bases[1].Sync.Active() {
+		t.Error("sync still active after the terminal batch")
+	}
 }

@@ -64,12 +64,15 @@ func decodeInvItems(payload []byte) ([]node.Inv, error) {
 
 // encodeTxBatch serializes a txbatch: a CompactSize count followed by each
 // transaction as VarBytes, so a corrupt member fails cleanly at its length
-// prefix instead of desynchronizing the rest of the batch.
-func encodeTxBatch(txs []*types.Transaction) []byte {
-	w := wire.NewWriter(1 + 512*len(txs))
-	w.VarInt(uint64(len(txs)))
-	for _, tx := range txs {
-		w.VarBytes(wire.Encode(tx))
+// prefix instead of desynchronizing the rest of the batch. Members are
+// written in place behind their counted size; m.Size() (the framed size)
+// covers the payload, so the buffer never regrows.
+func encodeTxBatch(m *node.TxBatchMsg) []byte {
+	w := wire.NewWriter(m.Size())
+	w.VarInt(uint64(len(m.Txs)))
+	for _, tx := range m.Txs {
+		w.VarInt(uint64(tx.WireSize()))
+		tx.EncodeWire(w)
 	}
 	return w.Bytes()
 }
@@ -122,14 +125,17 @@ func decodeLocator(payload []byte) ([]node.BlockID, error) {
 // encodeBlockBatch serializes a blockbatch: the More flag, a CompactSize
 // count, then each block as its message type plus VarBytes payload — the
 // per-member length prefix keeps one corrupt block from desynchronizing the
-// rest of the frame.
+// rest of the frame. Like encodeTxBatch it writes members in place into a
+// buffer sized once: m.Size() leaves out the per-block type byte but counts
+// the 13-byte frame header, hence the + len(m.Blocks).
 func encodeBlockBatch(m *node.BlockBatchMsg) []byte {
-	w := wire.NewWriter(2 + 1024*len(m.Blocks))
+	w := wire.NewWriter(m.Size() + len(m.Blocks))
 	w.Bool(m.More)
 	w.VarInt(uint64(len(m.Blocks)))
 	for _, b := range m.Blocks {
 		w.Uint8(uint8(types.BlockMsgType(b)))
-		w.VarBytes(wire.Encode(b))
+		w.VarInt(uint64(b.WireSize()))
+		b.EncodeWire(w)
 	}
 	return w.Bytes()
 }
@@ -169,7 +175,7 @@ func encodeMessage(msg node.Message) (*wire.Envelope, error) {
 	case *node.TxMsg:
 		return &wire.Envelope{Type: wire.MsgTx, Payload: wire.Encode(m.Tx)}, nil
 	case *node.TxBatchMsg:
-		return &wire.Envelope{Type: wire.MsgTxBatch, Payload: encodeTxBatch(m.Txs)}, nil
+		return &wire.Envelope{Type: wire.MsgTxBatch, Payload: encodeTxBatch(m)}, nil
 	case *node.GetBlocksMsg:
 		return &wire.Envelope{Type: wire.MsgGetBlocks, Payload: encodeLocator(m.Locator)}, nil
 	case *node.BlockBatchMsg:

@@ -222,7 +222,7 @@ func (b *PowBlock) WireSize() int {
 	if s := b.cachedSize.Load(); s != 0 {
 		return int(s)
 	}
-	s := len(wire.Encode(b))
+	s := wire.Size(b)
 	b.cachedSize.Store(int32(s))
 	return s
 }
@@ -338,7 +338,7 @@ func (b *KeyBlock) WireSize() int {
 	if s := b.cachedSize.Load(); s != 0 {
 		return int(s)
 	}
-	s := len(wire.Encode(b))
+	s := wire.Size(b)
 	b.cachedSize.Store(int32(s))
 	return s
 }
@@ -466,7 +466,7 @@ func (b *MicroBlock) WireSize() int {
 	if s := b.cachedSize.Load(); s != 0 {
 		return int(s)
 	}
-	s := len(wire.Encode(b))
+	s := wire.Size(b)
 	b.cachedSize.Store(int32(s))
 	return s
 }

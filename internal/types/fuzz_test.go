@@ -10,7 +10,8 @@ import (
 
 // Decode/encode must be an identity on whatever random bytes happen to
 // decode — the property that guarantees a block's hash is stable across a
-// relay hop regardless of who serialized it.
+// relay hop regardless of who serialized it. The counted size rides along:
+// wire.Size of whatever decoded must be the length it re-encodes to.
 
 func decodeEncodeIdentity(b []byte, d interface {
 	wire.Decoder
@@ -20,7 +21,7 @@ func decodeEncodeIdentity(b []byte, d interface {
 		return true // rejection is fine; silent mutation is not
 	}
 	out := wire.Encode(d)
-	if len(out) != len(b) {
+	if len(out) != len(b) || wire.Size(d) != len(out) {
 		return false
 	}
 	for i := range out {
@@ -54,7 +55,8 @@ func TestMicroBlockDecodeJunkProperty(t *testing.T) {
 
 // FuzzBlockWire is the native-fuzzer form of the identity property, across
 // all three block kinds plus loose transactions from one input: whatever
-// bytes decode must re-encode to the same bytes. Backed by a committed
+// bytes decode must re-encode to the same bytes, and be counted
+// (wire.Size) at that length. Backed by a committed
 // corpus; `make fuzz` runs a short campaign.
 //
 //	go test -fuzz=FuzzBlockWire -fuzztime=30s ./internal/types

@@ -226,7 +226,7 @@ func (t *Transaction) WireSize() int {
 	if s := t.cachedSize.Load(); s != 0 {
 		return int(s)
 	}
-	s := len(wire.Encode(t))
+	s := wire.Size(t)
 	t.cachedSize.Store(int32(s))
 	return s
 }

@@ -46,8 +46,15 @@ var (
 // Writer serializes values into an in-memory buffer. The zero value is ready
 // to use. Writer never fails: it grows its buffer as needed, and callers read
 // the result with Bytes.
+//
+// A Writer in counting mode (see Size) runs the same methods but only adds
+// up the bytes they would append. Sizes are therefore measured by the very
+// EncodeWire code that produces the bytes — the two cannot drift — without
+// building, or allocating, the encoding.
 type Writer struct {
-	buf []byte
+	buf      []byte
+	counting bool
+	n        int // bytes counted so far (counting mode only)
 }
 
 // NewWriter returns a Writer with capacity preallocated for n bytes.
@@ -59,14 +66,20 @@ func NewWriter(n int) *Writer {
 // internal buffer and is invalidated by further writes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the number of bytes written (or counted) so far.
+func (w *Writer) Len() int { return len(w.buf) + w.n }
 
 // Reset truncates the writer so the buffer can be reused.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+func (w *Writer) Reset() { w.buf, w.n = w.buf[:0], 0 }
 
 // Uint8 appends a single byte.
-func (w *Writer) Uint8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) Uint8(v uint8) {
+	if w.counting {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
 
 // Bool appends a boolean as one byte (0 or 1).
 func (w *Writer) Bool(v bool) {
@@ -79,16 +92,28 @@ func (w *Writer) Bool(v bool) {
 
 // Uint16 appends a little-endian 16-bit integer.
 func (w *Writer) Uint16(v uint16) {
+	if w.counting {
+		w.n += 2
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
 }
 
 // Uint32 appends a little-endian 32-bit integer.
 func (w *Writer) Uint32(v uint32) {
+	if w.counting {
+		w.n += 4
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 // Uint64 appends a little-endian 64-bit integer.
 func (w *Writer) Uint64(v uint64) {
+	if w.counting {
+		w.n += 8
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -116,17 +141,29 @@ func (w *Writer) VarInt(v uint64) {
 }
 
 // Bytes32 appends a fixed 32-byte array (hashes).
-func (w *Writer) Bytes32(v [32]byte) { w.buf = append(w.buf, v[:]...) }
+func (w *Writer) Bytes32(v [32]byte) {
+	if w.counting {
+		w.n += 32
+		return
+	}
+	w.buf = append(w.buf, v[:]...)
+}
 
 // VarBytes appends a CompactSize length prefix followed by the bytes.
 func (w *Writer) VarBytes(b []byte) {
 	w.VarInt(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	w.Raw(b)
 }
 
 // Raw appends bytes with no length prefix. The caller is responsible for
 // framing.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+func (w *Writer) Raw(b []byte) {
+	if w.counting {
+		w.n += len(b)
+		return
+	}
+	w.buf = append(w.buf, b...)
+}
 
 // Reader decodes values from a byte slice. Reader records the first error it
 // encounters; once an error occurs every subsequent read returns zero values,
@@ -314,11 +351,25 @@ type Decoder interface {
 	DecodeWire(r *Reader)
 }
 
-// Encode serializes e into a fresh byte slice.
+// Size returns the number of bytes Encode(e) would produce, without
+// producing them: e.EncodeWire runs against a counting Writer.
+func Size(e Encoder) int {
+	w := Writer{counting: true}
+	e.EncodeWire(&w)
+	return w.n
+}
+
+// Encode serializes e into a fresh byte slice allocated once at its exact
+// size (len == cap), so nothing is regrown and no slack is retained by
+// callers that keep the result.
 func Encode(e Encoder) []byte {
-	w := NewWriter(256)
-	e.EncodeWire(w)
-	return w.Bytes()
+	// One Writer serves both passes: it escapes through the interface call,
+	// so a second one would be a second allocation.
+	w := Writer{counting: true}
+	e.EncodeWire(&w)
+	w = Writer{buf: make([]byte, 0, w.n)}
+	e.EncodeWire(&w)
+	return w.buf
 }
 
 // Decode deserializes b into d, requiring that all bytes are consumed.

@@ -259,3 +259,54 @@ func TestMsgTypeString(t *testing.T) {
 		t.Error("MsgType(200) reported valid")
 	}
 }
+
+// everyMethod writes through each Writer method once per element, with
+// values on both sides of every CompactSize boundary.
+type everyMethod []uint64
+
+func (m everyMethod) EncodeWire(w *Writer) {
+	for _, v := range m {
+		w.Uint8(uint8(v))
+		w.Bool(v&1 == 1)
+		w.Uint16(uint16(v))
+		w.Uint32(uint32(v))
+		w.Uint64(v)
+		w.Int64(int64(v))
+		w.VarInt(v)
+		w.Bytes32([32]byte{byte(v)})
+		b := make([]byte, v%70000)
+		w.VarBytes(b)
+		w.Raw(b[:len(b)/2])
+	}
+}
+
+// TestSizeCountsWhatEncodeWrites: a counting Writer reports, method by
+// method, exactly the bytes an encoding Writer appends, and Encode allocates
+// its result at that size.
+func TestSizeCountsWhatEncodeWrites(t *testing.T) {
+	cases := []everyMethod{
+		nil,
+		{0},
+		{0xfc, 0xfd, 0xffff, 0x10000, math.MaxUint32, math.MaxUint32 + 1, math.MaxUint64},
+	}
+	for _, m := range cases {
+		b := Encode(m)
+		if got := Size(m); got != len(b) {
+			t.Errorf("Size = %d, Encode wrote %d bytes", got, len(b))
+		}
+		if cap(b) != len(b) {
+			t.Errorf("Encode returned cap %d for %d bytes", cap(b), len(b))
+		}
+		w := NewWriter(0)
+		m.EncodeWire(w)
+		if !bytes.Equal(w.Bytes(), b) || w.Len() != len(b) {
+			t.Errorf("Encode and a plain Writer disagree (%d vs %d bytes)", len(b), w.Len())
+		}
+	}
+	if err := quick.Check(func(vs []uint64) bool {
+		m := everyMethod(vs)
+		return Size(m) == len(Encode(m))
+	}, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
