@@ -39,13 +39,17 @@ test: build
 race:
 	$(GO) test -race -short ./...
 
-# allocs runs the allocation pins of the loose-transaction path without the
-# race detector (whose instrumentation may change what escapes): refused
-# mempool admissions, counted wire sizes, exactly-sized encodings and the
-# relay flush. CI calls it from the `test` job beside the -race run.
+# allocs runs the allocation pins without the race detector (whose
+# instrumentation may change what escapes): on the loose-transaction path,
+# refused mempool admissions, counted wire sizes, exactly-sized encodings and
+# the relay flush; on the file-backed store path, a page fault served from the
+# evicted page and archive/journal records written from retained buffers. CI
+# calls it from the `test` job beside the -race run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
+	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestJournalAppendDoesNotAllocate|TestAppendRecordBytesAndAllocations' \
+		./internal/store ./internal/blockstore
 
 # race-soak replays a reduced chaos soak under the race detector. The
 # differential replay (parallelism 1 vs 4, connect cache on vs off) is

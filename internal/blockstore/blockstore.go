@@ -63,6 +63,7 @@ type Store struct {
 	size   int64
 	index  map[crypto.Hash]recordRef
 	order  []crypto.Hash // append order, for replay
+	rec    wire.Writer   // Append's record buffer, reused across appends
 	closed bool
 
 	policy SyncPolicy
@@ -234,17 +235,20 @@ func (s *Store) Append(b types.Block) error {
 	if _, dup := s.index[h]; dup {
 		return nil
 	}
-	payload := wire.Encode(b)
-	hdr := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(hdr[0:4], recordMagic)
-	hdr[4] = byte(b.Kind())
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-	if _, err := s.f.WriteAt(hdr, s.size); err != nil {
-		return fmt.Errorf("blockstore: append header: %w", err)
-	}
-	if _, err := s.f.WriteAt(payload, s.size+headerSize); err != nil {
-		return fmt.Errorf("blockstore: append payload: %w", err)
+	// Header and payload are built contiguously in the retained writer and
+	// go out in one write.
+	var hdr [headerSize]byte
+	s.rec.Reset()
+	s.rec.Raw(hdr[:])
+	b.EncodeWire(&s.rec)
+	rec := s.rec.Bytes()
+	payload := rec[headerSize:]
+	binary.LittleEndian.PutUint32(rec[0:4], recordMagic)
+	rec[4] = byte(b.Kind())
+	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(payload))
+	if _, err := s.f.WriteAt(rec, s.size); err != nil {
+		return fmt.Errorf("blockstore: append record: %w", err)
 	}
 	newSize := s.size + headerSize + int64(len(payload))
 	if s.policy == SyncAlways {

@@ -320,6 +320,46 @@ func TestOrphanAdoption(t *testing.T) {
 	}
 }
 
+// TestOrphanEvictionIsArrivalOrdered: at the stash bound the bucket that has
+// waited longest goes — never whichever one a map range happens to yield. 600
+// orphans on distinct unknown parents overflow the 512-block bound 88 times;
+// the 88 oldest are the ones gone, on every run, and a bucket that was
+// adopted in between leaves no stale place in the queue behind.
+func TestOrphanEvictionIsArrivalOrdered(t *testing.T) {
+	const total = 600
+	for run := 0; run < 20; run++ {
+		f := newFixture(t, false)
+		// One real orphan chain, adopted mid-way, to exercise the removal
+		// of an adopted parent from the arrival queue.
+		b1 := f.powBlock(f.genesis.Hash())
+		b2 := f.powBlock(b1.Hash())
+		parents := make([]crypto.Hash, total)
+		for i := range parents {
+			parents[i] = crypto.Hash{0xA0, byte(i >> 8), byte(i)}
+			if res := f.add(f.powBlock(parents[i])); res.Status != StatusOrphan {
+				t.Fatalf("orphan %d: status %v", i, res.Status)
+			}
+			switch i {
+			case 10:
+				f.add(b2) // waits on b1
+			case 20:
+				if res := f.add(b1); len(res.Connected) != 2 {
+					t.Fatalf("adopting b2: connected %d blocks, want 2", len(res.Connected))
+				}
+			}
+		}
+		const gone = total - maxOrphanBlocks
+		for i, p := range parents {
+			if _, waiting := f.st.orphans[p]; waiting == (i < gone) {
+				t.Fatalf("run %d: orphan %d waiting=%v; the %d oldest, and only they, should be gone", run, i, waiting, gone)
+			}
+		}
+		if f.st.orphanCount != maxOrphanBlocks || len(f.st.orphanOrder) != len(f.st.orphans) {
+			t.Fatalf("run %d: count %d, %d queued parents, %d buckets", run, f.st.orphanCount, len(f.st.orphanOrder), len(f.st.orphans))
+		}
+	}
+}
+
 func TestInvalidConnectRestoresChain(t *testing.T) {
 	f := newFixture(t, false)
 	spend := f.spend(f.funded[0], 400, crypto.Address{1})

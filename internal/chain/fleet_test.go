@@ -58,6 +58,13 @@ type fleetChain struct {
 	params  types.Params
 	blocks  []types.Block // in delivery order
 	prune   int           // index of the pruning key block
+
+	// What a test needs to extend the chain past its tip: the builder (whose
+	// key owns every funded output), the leader of the open epoch, and the
+	// next genesis output nothing has spent.
+	fix    *fixture
+	leader *crypto.PrivateKey
+	funded uint32
 }
 
 func buildFleetChain(t *testing.T) *fleetChain {
@@ -99,6 +106,7 @@ func buildFleetChain(t *testing.T) *fleetChain {
 	for _, n := range []int{4, 3} {
 		tip = add(f.microBlock(tip, leaderB, spends(n)...))
 	}
+	c.fix, c.leader, c.funded = f, leaderB, uint32(funded)
 	return c
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -98,8 +99,8 @@ type AddResult struct {
 // TipChanged reports whether the main chain moved.
 func (r *AddResult) TipChanged() bool { return len(r.Connected) > 0 }
 
-// maxOrphanBlocks bounds the orphan stash; beyond it the oldest parent
-// bucket is dropped (the gossip layer will re-fetch if still needed).
+// maxOrphanBlocks bounds the orphan stash; beyond it the longest-waiting
+// parent's bucket is dropped (the gossip layer will re-fetch if still needed).
 const maxOrphanBlocks = 512
 
 // Chain errors.
@@ -150,6 +151,7 @@ type State struct {
 	fp    validate.Fingerprint
 
 	orphans      map[crypto.Hash][]types.Block // parent hash -> waiting blocks
+	orphanOrder  []crypto.Hash                 // the keys of orphans, longest-waiting first
 	orphanCount  int
 	invalidCount int
 }
@@ -339,6 +341,7 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 		res.Status = StatusInvalid
 		return ErrKnownInvalid
 	}
+	st.AdoptStage1(b)
 	if err := st.protocol.CheckBlock(st, parent, b, now); err != nil {
 		res.Status = StatusInvalid
 		return err
@@ -362,17 +365,54 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 	return nil
 }
 
+// AdoptStage1 spares a block object this process already verified from being
+// verified again. When b is cold (types.Stage1Cold: a fresh decode — an index
+// replay, a sync of a block connected in an earlier life) and the connect
+// cache holds a positive result under exactly (b's hash, b's parent, these
+// rules), b's transactions are marked signature-checked, provided they fold to
+// the header's Merkle root (types.AdoptSignatures gives the argument). Entries
+// are stored by connectBlock alone, which only sees blocks that passed
+// CheckBlock on their way into the tree — except genesis, connected by New
+// unchecked, whose entry therefore vouches for nothing. CheckBlock runs
+// afterwards as always and repeats everything but the signature checks.
+//
+// It reports whether b needs no signature verification any more — it was warm
+// already, or was vouched for — so Boot can hand the rest to the worker pool.
+// The gate on a cold memo is what keeps this free for simulated fleets: their
+// nodes share warm block objects, and folding a Merkle root on each of their
+// connects costs more than the cache saves.
+func (st *State) AdoptStage1(b types.Block) bool {
+	if !types.Stage1Cold(b) {
+		return true
+	}
+	parent := b.PrevHash()
+	if st.cache == nil || parent.IsZero() ||
+		!st.cache.Vouches(validate.Key{Block: b.Hash(), Parent: parent, Rules: st.fp}) {
+		return false
+	}
+	n, ok := types.AdoptSignatures(b)
+	if ok {
+		st.cache.CountVouched(n)
+	}
+	return ok
+}
+
+// stashOrphan parks b until its parent arrives. At the bound the bucket of
+// the parent that has waited longest goes, whole: arrival order, not map
+// order, so every run of a seed evicts the same blocks.
 func (st *State) stashOrphan(b types.Block) {
 	if st.orphanCount >= maxOrphanBlocks {
-		// Drop an arbitrary bucket; gossip re-delivery recovers it.
-		for parent, bucket := range st.orphans {
-			st.orphanCount -= len(bucket)
-			delete(st.orphans, parent)
-			break
-		}
+		oldest := st.orphanOrder[0]
+		st.orphanOrder = st.orphanOrder[1:]
+		st.orphanCount -= len(st.orphans[oldest])
+		delete(st.orphans, oldest)
 	}
 	// Duplicate stashes are harmless (addOne dedups on adoption).
-	st.orphans[b.PrevHash()] = append(st.orphans[b.PrevHash()], b)
+	parent := b.PrevHash()
+	if _, waiting := st.orphans[parent]; !waiting {
+		st.orphanOrder = append(st.orphanOrder, parent)
+	}
+	st.orphans[parent] = append(st.orphans[parent], b)
 	st.orphanCount++
 }
 
@@ -386,6 +426,7 @@ func (st *State) adoptOrphans(parent crypto.Hash, now int64, res *AddResult) {
 			continue
 		}
 		delete(st.orphans, h)
+		st.orphanOrder = slices.DeleteFunc(st.orphanOrder, func(p crypto.Hash) bool { return p == h })
 		st.orphanCount -= len(bucket)
 		for _, b := range bucket {
 			sub := &AddResult{}

@@ -16,6 +16,7 @@ import (
 	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/store"
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/validate"
 )
 
 // Boot is the restart sequence, and its only home: first build, process-level
@@ -34,7 +35,14 @@ import (
 //     recorded arrival time, so the first-seen tie-break resolves as it did
 //     before. The index holds only blocks this node validated and persisted,
 //     parent before child: one that does not connect is corruption or a
-//     rules change, not recoverable skew.
+//     rules change, not recoverable skew. Replay trusts no record: every
+//     block passes CheckBlock and the connect stage again. What it does not
+//     repeat is an ed25519 check this process already made on the same bytes:
+//     a block the connect cache vouches for (chain.State.AdoptStage1 — the
+//     node's first life, or a neighbour's, connected it) keeps its signature
+//     verdicts; the rest — a cold process, a foreign or disabled cache — are
+//     verified here on the worker pool, off the serial AddBlock, the way the
+//     live transport warms a decoded block before posting it.
 //  5. Re-arm leadership off the recovered tip, since replay bypassed
 //     processBlock (core's tip-change hook ignores the AddResult).
 //
@@ -56,6 +64,9 @@ func Boot(env node.Env, spec protocol.Spec, ledger store.UTXO, index store.Chain
 		wire(base)
 	}
 	if err := index.Replay(func(b types.Block, receivedAt int64) error {
+		if !base.State.AdoptStage1(b) {
+			validate.SharedPool().WarmBlock(b)
+		}
 		res, err := base.State.AddBlock(b, receivedAt)
 		if err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -495,5 +497,58 @@ func TestLiveMalformedFrameDropsPeer(t *testing.T) {
 	}
 	if env.Type != wire.MsgInv {
 		t.Errorf("first gossip frame is %v, want inv", env.Type)
+	}
+}
+
+// TestCloseRacingInboundHandshakes: a handshake that completes after Close
+// took its peer snapshot used to register a peer nobody closed; its reader
+// then sat on a connection the remote side kept open, and Close waited on it
+// for good. Fifty dialers keep their ends open until the listener's Close has
+// returned, so any leaked peer is a hang. Close must return — the bound is
+// generous because the in-flight handshakes it waits out run under -race on a
+// loaded machine; the failure it guards against is unbounded — and once the
+// dialers are closed too, every goroutine the runtimes started is gone.
+func TestCloseRacingInboundHandshakes(t *testing.T) {
+	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
+	baseline := runtime.NumGoroutine()
+	for round := 0; round < 4; round++ {
+		srv := New(Config{NodeID: 1000, GenesisHash: genesis.Hash()})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const dialers = 50
+		rts := make([]*Runtime, dialers)
+		var wg sync.WaitGroup
+		for i := range rts {
+			rts[i] = New(Config{NodeID: i + 1, GenesisHash: genesis.Hash()})
+			wg.Add(1)
+			go func(rt *Runtime) {
+				defer wg.Done()
+				_ = rt.Connect(addr.String()) // refused or cut off by Close is fine
+			}(rts[i])
+		}
+		// Close once the first handshakes have landed, with the rest in
+		// flight; each round lands the snapshot at a different point.
+		for deadline := time.Now().Add(5 * time.Second); len(srv.Peers()) <= round*8 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close still waiting after 5s with %d peers registered", round, len(srv.Peers()))
+		}
+		wg.Wait()
+		for _, rt := range rts {
+			rt.Close()
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the test", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

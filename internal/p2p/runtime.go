@@ -42,6 +42,7 @@ type Runtime struct {
 	mu       sync.Mutex
 	listener net.Listener
 	peers    map[int]*peer
+	closed   bool // set by Close; no peer registers afterwards
 
 	handler func(from int, msg node.Message)
 }
@@ -213,6 +214,7 @@ var (
 	errBadVersion = errors.New("p2p: version mismatch")
 	errBadGenesis = errors.New("p2p: different genesis")
 	errSelfID     = errors.New("p2p: peer has our node id")
+	errClosed     = errors.New("p2p: runtime closed")
 )
 
 // setupPeer performs the version/verack handshake and registers the peer.
@@ -305,14 +307,24 @@ func (rt *Runtime) setupPeer(conn net.Conn, dialer bool) error {
 	}
 	conn.SetDeadline(time.Time{})
 
+	// Registration and Close's snapshot exclude each other: a handshake
+	// that completes after the snapshot would otherwise register a peer
+	// nobody closes, whose reader Close then waits on forever. The peer's
+	// goroutines start under the lock too, so they are in rt.wg before
+	// Close can reach Wait.
 	p := newPeer(rt, int(theirs.NodeID), conn)
 	rt.mu.Lock()
-	if old := rt.peers[p.id]; old != nil {
+	if rt.closed {
+		rt.mu.Unlock()
+		return fail(errClosed)
+	}
+	old := rt.peers[p.id]
+	rt.peers[p.id] = p
+	p.start()
+	rt.mu.Unlock()
+	if old != nil {
 		old.close()
 	}
-	rt.peers[p.id] = p
-	rt.mu.Unlock()
-	p.start()
 	return nil
 }
 
@@ -357,6 +369,7 @@ func (rt *Runtime) deliver(from int, env *wire.Envelope) error {
 // Close shuts the runtime down: listener, peers, event loop.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
+	rt.closed = true
 	if rt.listener != nil {
 		rt.listener.Close()
 	}

@@ -62,6 +62,7 @@ type FileUTXO struct {
 	jPath   string
 	jOff    int64
 	epoch   uint64
+	rec     []byte // journalOp's record buffer, reused across appends
 
 	ckptPath string
 	// ckptEvery is the journal-record count that triggers a checkpoint at
@@ -248,14 +249,12 @@ func (u *FileUTXO) writeEpochRec() error {
 	return nil
 }
 
-// encodeJournalOp frames a delta with the block it belongs to.
-func encodeJournalOp(ref utxo.BlockRef, d *utxo.Delta) []byte {
-	enc := utxo.EncodeDelta(d)
-	out := make([]byte, 2*crypto.HashSize+len(enc))
-	copy(out[0:], ref.Block[:])
-	copy(out[crypto.HashSize:], ref.Parent[:])
-	copy(out[2*crypto.HashSize:], enc)
-	return out
+// appendJournalOp appends an apply/undo payload to dst: the delta framed with
+// the block it belongs to.
+func appendJournalOp(dst []byte, ref utxo.BlockRef, d *utxo.Delta) []byte {
+	dst = append(dst, ref.Block[:]...)
+	dst = append(dst, ref.Parent[:]...)
+	return utxo.AppendDelta(dst, d)
 }
 
 func decodeJournalOp(payload []byte) (utxo.BlockRef, *utxo.Delta, error) {
@@ -274,8 +273,8 @@ func (u *FileUTXO) journalOp(kind byte, ref utxo.BlockRef, d *utxo.Delta) error 
 	if u.err != nil {
 		return u.err
 	}
-	payload := encodeJournalOp(ref, d)
-	n, err := appendRec(u.journal, u.jOff, kind, payload)
+	u.rec = appendJournalOp(beginRec(u.rec, kind), ref, d)
+	n, err := writeRec(u.journal, u.jOff, u.rec)
 	if err != nil {
 		u.err = fmt.Errorf("store: utxo journal: %w", err)
 		return u.err
@@ -402,19 +401,21 @@ func (u *FileUTXO) checkpoint() error {
 	off += n
 
 	const pair = utxo.OutPointWireSize + utxo.EntryWireSize
-	batch := make([]byte, 4, 4+ckptEntryBatch*pair)
+	// One record buffer serves every batch: header, u32 count, pairs.
+	const countAt = recHeaderSize
+	batch := append(beginRec(make([]byte, 0, countAt+4+ckptEntryBatch*pair), recCkptEnts), 0, 0, 0, 0)
 	count := 0
 	flushBatch := func() error {
 		if count == 0 {
 			return nil
 		}
-		binary.LittleEndian.PutUint32(batch[0:4], uint32(count))
-		n, err := appendRec(f, off, recCkptEnts, batch)
+		binary.LittleEndian.PutUint32(batch[countAt:], uint32(count))
+		n, err := writeRec(f, off, batch)
 		if err != nil {
 			return err
 		}
 		off += n
-		batch = batch[:4]
+		batch = batch[:countAt+4]
 		count = 0
 		return nil
 	}

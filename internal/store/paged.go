@@ -91,9 +91,12 @@ func hashOf(op types.OutPoint) uint64 {
 	return binary.LittleEndian.Uint64(op.TxID[:8]) ^ (uint64(op.Index)+1)*0x9E3779B97F4A7C15
 }
 
-// page returns the cached page, faulting it in (and evicting the coldest
-// dirty page) on a miss. Pages beyond the file's current size read as
-// zeroes, which is exactly an empty slot run.
+// page returns the cached page, faulting it in on a miss. Under a full cache
+// the fault takes over the coldest page whole — its buffer, its record and
+// its place in the LRU list — after writing it back if dirty, so a table at
+// its budget faults without allocating. Pages beyond the file's current size
+// read as zeroes, which is exactly an empty slot run: a short read leaves the
+// rest of a recycled buffer to be cleared by hand.
 func (t *pagedTable) page(no int64) (*tablePage, error) {
 	if p, ok := t.cache[no]; ok {
 		t.stats.CacheHits++
@@ -101,36 +104,31 @@ func (t *pagedTable) page(no int64) (*tablePage, error) {
 		return p, nil
 	}
 	t.stats.CacheMisses++
+	var p *tablePage
 	if len(t.cache) >= t.maxPages {
-		if err := t.evictOne(); err != nil {
-			return nil, err
+		p = t.lru.Back().Value.(*tablePage)
+		if p.dirty {
+			if err := t.writePage(p); err != nil {
+				return nil, err
+			}
 		}
+		delete(t.cache, p.no)
+		t.lru.MoveToFront(p.el)
+	} else {
+		p = &tablePage{buf: make([]byte, pageSize)}
+		p.el = t.lru.PushFront(p)
 	}
-	buf := make([]byte, pageSize)
-	if _, err := t.f.ReadAt(buf, no*pageSize); err != nil && err != io.EOF {
+	n, err := t.f.ReadAt(p.buf, no*pageSize)
+	if err != nil && err != io.EOF {
+		// The buffer holds neither page now; drop the record with it.
+		t.lru.Remove(p.el)
 		return nil, fmt.Errorf("store: table read page %d: %w", no, err)
 	}
+	clear(p.buf[n:])
 	t.stats.PageReads++
-	p := &tablePage{no: no, buf: buf}
-	p.el = t.lru.PushFront(p)
+	p.no = no
 	t.cache[no] = p
 	return p, nil
-}
-
-func (t *pagedTable) evictOne() error {
-	el := t.lru.Back()
-	if el == nil {
-		return nil
-	}
-	p := el.Value.(*tablePage)
-	if p.dirty {
-		if err := t.writePage(p); err != nil {
-			return err
-		}
-	}
-	t.lru.Remove(el)
-	delete(t.cache, p.no)
-	return nil
 }
 
 func (t *pagedTable) writePage(p *tablePage) error {

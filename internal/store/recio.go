@@ -20,21 +20,35 @@ const (
 	maxRecSize = 16 << 20
 )
 
-// appendRec writes one record at off and returns the bytes consumed. The
-// caller owns offset bookkeeping and syncing.
-func appendRec(f *os.File, off int64, kind byte, payload []byte) (int64, error) {
-	hdr := make([]byte, recHeaderSize)
+// beginRec starts a record of the given kind in buf's storage and returns it
+// with the header's room taken; the caller appends the payload behind it and
+// hands the whole to writeRec. Building header and payload in one retained
+// buffer is what lets the hot appenders (the UTXO journal) write a record
+// without allocating and with one system call.
+func beginRec(buf []byte, kind byte) []byte {
+	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], recMagic)
 	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-	if _, err := f.WriteAt(hdr, off); err != nil {
-		return 0, fmt.Errorf("store: record header: %w", err)
+	return append(buf[:0], hdr[:]...)
+}
+
+// writeRec seals the header of a record begun with beginRec — payload length
+// and CRC — and writes it at off, returning the bytes consumed. The caller
+// owns offset bookkeeping and syncing.
+func writeRec(f *os.File, off int64, rec []byte) (int64, error) {
+	payload := rec[recHeaderSize:]
+	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(payload))
+	if _, err := f.WriteAt(rec, off); err != nil {
+		return 0, fmt.Errorf("store: record write: %w", err)
 	}
-	if _, err := f.WriteAt(payload, off+recHeaderSize); err != nil {
-		return 0, fmt.Errorf("store: record payload: %w", err)
-	}
-	return recHeaderSize + int64(len(payload)), nil
+	return int64(len(rec)), nil
+}
+
+// appendRec writes one record holding payload at off; the convenience form
+// for small, rare records.
+func appendRec(f *os.File, off int64, kind byte, payload []byte) (int64, error) {
+	return writeRec(f, off, append(beginRec(nil, kind), payload...))
 }
 
 // scanRecs streams every valid record from the start of f and returns the

@@ -423,7 +423,7 @@ func TestFileUTXOStaleJournalDiscarded(t *testing.T) {
 		t.Fatal(ferr)
 	}
 	if _, err := appendRec(jf, off, recJApply,
-		encodeJournalOp(utxo.BlockRef{Block: crypto.Hash{1}}, d)); err != nil {
+		appendJournalOp(nil, utxo.BlockRef{Block: crypto.Hash{1}}, d)); err != nil {
 		t.Fatal(err)
 	}
 	jf.Close()
@@ -707,4 +707,151 @@ func TestSetCloneIsolationPagedBackend(t *testing.T) {
 	if got := collectEntries(clone); !equalStrings(got, cloneBefore) {
 		t.Errorf("live spend reached the clone:\n got %v\nwant %v", got, cloneBefore)
 	}
+}
+
+// faultingTable fills a table of `entries` keys behind a cache of `pages`
+// pages without crossing a growth threshold, and returns the keys.
+func faultingTable(tb testing.TB, pages, entries int) (*pagedTable, []types.OutPoint) {
+	tb.Helper()
+	tab, err := newPagedTable(filepath.Join(tb.TempDir(), "u.tab"), pages)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tab.Close() })
+	ops := make([]types.OutPoint, entries)
+	for i := range ops {
+		ops[i] = outpoint(int64(i), uint32(i%5))
+		tab.Put(ops[i], utxo.Entry{Value: types.Amount(i)})
+	}
+	return tab, ops
+}
+
+// TestPageFaultDoesNotAllocate: a table at its cache budget serves a fault
+// from the page it evicts — buffer, record and list element — so a Get that
+// misses the cache allocates nothing. (It used to cost a fresh 4 KiB buffer
+// per fault: two thirds of a file-backed benchmark child's allocation.)
+func TestPageFaultDoesNotAllocate(t *testing.T) {
+	tab, ops := faultingTable(t, 4, 600) // 22 pages of slots behind 4 cached
+	before := tab.Stats()
+	i := 0
+	avg := testing.AllocsPerRun(500, func() {
+		if e, ok := tab.Get(ops[i%len(ops)]); !ok || e.Value != types.Amount(i%len(ops)) {
+			t.Fatalf("entry %d: ok=%v value=%d", i%len(ops), ok, e.Value)
+		}
+		i++
+	})
+	after := tab.Stats()
+	if faults := after.CacheMisses - before.CacheMisses; faults < 300 {
+		t.Fatalf("only %d faults in 501 lookups; the table is not larger than its cache", faults)
+	}
+	if avg != 0 {
+		t.Fatalf("a faulting Get allocates %.0f objects, want 0", avg)
+	}
+}
+
+// TestRecycledPageReadsEmptyPastEOF: pages beyond the file's size read as
+// empty slot runs. With a fresh buffer per fault that was free; a recycled
+// buffer still holds the evicted page's slots and must be cleared past a
+// short read, or a full low page reappears as phantom entries in every high
+// page nobody has written yet.
+func TestRecycledPageReadsEmptyPastEOF(t *testing.T) {
+	tab, err := newPagedTable(filepath.Join(t.TempDir(), "u.tab"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	// Fill page 0 — and only the low pages — to the brim: keys whose probe
+	// starts in the first page.
+	model := map[types.OutPoint]utxo.Entry{}
+	for seed := int64(0); len(model) < int(slotsPerPage); seed++ {
+		op := outpoint(seed, 0)
+		if (hashOf(op)&(tab.nSlots-1))/slotsPerPage != 0 {
+			continue
+		}
+		model[op] = utxo.Entry{Value: types.Amount(seed), Height: uint64(seed)}
+		tab.Put(op, model[op])
+	}
+	// Range walks every page in order through the one-page cache: each fault
+	// past the spill of page 0 evicts a full page and reads beyond EOF.
+	seen := map[types.OutPoint]utxo.Entry{}
+	tab.Range(func(op types.OutPoint, e utxo.Entry) bool {
+		if _, dup := seen[op]; dup {
+			t.Fatalf("Range yields %v twice: a recycled buffer leaked its old slots", op)
+		}
+		seen[op] = e
+		return true
+	})
+	if len(seen) != len(model) || tab.Len() != len(model) {
+		t.Fatalf("Range saw %d entries, Len %d, model %d", len(seen), tab.Len(), len(model))
+	}
+	for op, e := range model {
+		if seen[op] != e {
+			t.Fatalf("entry %v: %+v, want %+v", op, seen[op], e)
+		}
+		if got, ok := tab.Get(op); !ok || got != e {
+			t.Fatalf("Get %v after the walk: %+v present=%v", op, got, ok)
+		}
+	}
+	// A key that probes from a never-written page must find it empty.
+	for seed := int64(1 << 20); ; seed++ {
+		op := outpoint(seed, 1)
+		if (hashOf(op)&(tab.nSlots-1))/slotsPerPage < 10 {
+			continue
+		}
+		if _, ok := tab.Get(op); ok {
+			t.Fatalf("absent key %v found in a page past EOF", op)
+		}
+		break
+	}
+}
+
+// TestJournalAppendDoesNotAllocate: redoing a block through FileUTXO writes
+// its journal record from the store's retained buffer — header, block
+// reference and delta in one piece — instead of building an encoding and then
+// a framed copy of it.
+func TestJournalAppendDoesNotAllocate(t *testing.T) {
+	u, err := OpenFileUTXO(t.TempDir(), "n0", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	key := testKey(t, 3)
+	amounts := make([]types.Amount, 40)
+	for i := range amounts {
+		amounts[i] = 100
+	}
+	applyFunding(t, u, key, amounts...)
+	s := utxo.New()
+	cb := &types.Transaction{Kind: types.TxCoinbase, Outputs: []types.TxOutput{{Value: 1, To: key.Public().Addr()}}, Height: 9}
+	d, _, err := s.ApplyBlock([]*types.Transaction{cb}, utxo.BlockContext{Height: 9, Params: types.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := utxo.BlockRef{Block: crypto.Hash{9}}
+	before := u.Stats().JournalRecords
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := u.journalOp(recJApply, ref, d); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("a journal append allocates %.0f objects, want 0", avg)
+	}
+	if got := u.Stats().JournalRecords - before; got != 101 {
+		t.Fatalf("journaled %d records, want 101", got)
+	}
+}
+
+// BenchmarkPageFault times a Get against a table several times the size of
+// its cache, cycling through the keys so most lookups fault.
+func BenchmarkPageFault(b *testing.B) {
+	tab, ops := faultingTable(b, 4, 600)
+	before := tab.Stats().CacheMisses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tab.Get(ops[i%len(ops)]); !ok {
+			b.Fatal("entry missing")
+		}
+	}
+	b.ReportMetric(float64(tab.Stats().CacheMisses-before)/float64(b.N), "faults/op")
 }

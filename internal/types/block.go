@@ -85,10 +85,25 @@ type microVerdict struct {
 	err error
 }
 
+// rootMatches folds the transactions' IDs into their Merkle root and compares
+// it with the header's, memoizing a match in ok: stage-1 adoption and the
+// well-formedness check both need the fold, and whichever runs first pays for
+// it. A mismatch is not memoized; the block's wf verdict already records it.
+func rootMatches(ok *atomic.Bool, txs []*Transaction, root crypto.Hash) bool {
+	if ok.Load() {
+		return true
+	}
+	if crypto.MerkleRoot(TxIDs(txs)) != root {
+		return false
+	}
+	ok.Store(true)
+	return true
+}
+
 // checkTxSet validates the transaction list shared by PoW and key blocks:
 // first transaction is the coinbase, no other coinbases, all well-formed,
 // and the Merkle root matches.
-func checkTxSet(txs []*Transaction, root crypto.Hash) error {
+func checkTxSet(txs []*Transaction, root crypto.Hash, rootOK *atomic.Bool) error {
 	if len(txs) == 0 || txs[0].Kind != TxCoinbase {
 		return ErrNoCoinbase
 	}
@@ -100,7 +115,7 @@ func checkTxSet(txs []*Transaction, root crypto.Hash) error {
 			return fmt.Errorf("tx %d: %w", i, err)
 		}
 	}
-	if crypto.MerkleRoot(TxIDs(txs)) != root {
+	if !rootMatches(rootOK, txs, root) {
 		return ErrBadMerkleRoot
 	}
 	return nil
@@ -173,6 +188,7 @@ type PowBlock struct {
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
 	wf         atomic.Pointer[wfVerdict]
+	rootOK     atomic.Bool
 }
 
 // EncodeWire implements wire.Encoder.
@@ -190,6 +206,7 @@ func (b *PowBlock) DecodeWire(r *wire.Reader) {
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
 	b.wf.Store(nil)
+	b.rootOK.Store(false)
 }
 
 // Hash implements Block; the result is cached.
@@ -239,7 +256,7 @@ func (b *PowBlock) CheckWellFormed() error {
 	if !b.SimulatedPoW && !crypto.CheckProofOfWork(b.Hash(), b.Header.Target) {
 		err = ErrBadPoW
 	} else {
-		err = checkTxSet(b.Txs, b.Header.MerkleRoot)
+		err = checkTxSet(b.Txs, b.Header.MerkleRoot, &b.rootOK)
 	}
 	b.wf.Store(&wfVerdict{err: err})
 	return err
@@ -289,6 +306,7 @@ type KeyBlock struct {
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
 	wf         atomic.Pointer[wfVerdict]
+	rootOK     atomic.Bool
 }
 
 // EncodeWire implements wire.Encoder.
@@ -306,6 +324,7 @@ func (b *KeyBlock) DecodeWire(r *wire.Reader) {
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
 	b.wf.Store(nil)
+	b.rootOK.Store(false)
 }
 
 // Hash implements Block; the result is cached.
@@ -353,7 +372,7 @@ func (b *KeyBlock) CheckWellFormed() error {
 	if !b.SimulatedPoW && !crypto.CheckProofOfWork(b.Hash(), b.Header.Target) {
 		err = ErrBadPoW
 	} else {
-		err = checkTxSet(b.Txs, b.Header.MerkleRoot)
+		err = checkTxSet(b.Txs, b.Header.MerkleRoot, &b.rootOK)
 	}
 	b.wf.Store(&wfVerdict{err: err})
 	return err
@@ -418,6 +437,7 @@ type MicroBlock struct {
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
 	wf         atomic.Pointer[microVerdict]
+	rootOK     atomic.Bool
 }
 
 // EncodeWire implements wire.Encoder.
@@ -433,6 +453,7 @@ func (b *MicroBlock) DecodeWire(r *wire.Reader) {
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
 	b.wf.Store(nil)
+	b.rootOK.Store(false)
 }
 
 // Hash implements Block; the result is cached.
@@ -496,10 +517,60 @@ func (b *MicroBlock) checkWellFormed(leaderKey crypto.PublicKey) error {
 			return fmt.Errorf("tx %d: %w", i, err)
 		}
 	}
-	if crypto.MerkleRoot(TxIDs(b.Txs)) != b.Header.TxRoot {
+	if !rootMatches(&b.rootOK, b.Txs, b.Header.TxRoot) {
 		return ErrBadMerkleRoot
 	}
 	return nil
+}
+
+// stage1Memo returns the block-level stage-1 memos of a concrete block type:
+// whether a well-formedness verdict is recorded, the root-match memo, and the
+// header's commitment to the transaction list. rootOK is nil for a foreign
+// Block implementation, which carries no memos to adopt into.
+func stage1Memo(b Block) (judged bool, rootOK *atomic.Bool, root crypto.Hash) {
+	switch blk := b.(type) {
+	case *PowBlock:
+		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.MerkleRoot
+	case *KeyBlock:
+		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.MerkleRoot
+	case *MicroBlock:
+		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.TxRoot
+	}
+	return false, nil, crypto.Hash{}
+}
+
+// Stage1Cold reports whether this block object has no stage-1 work recorded
+// on it: no well-formedness verdict and no root match. Freshly decoded blocks
+// are cold; objects shared between simulated nodes are cold only until the
+// first of them judges the block. It is the gate that keeps AdoptSignatures,
+// and the cache probe in front of it, off every path that already holds a
+// memo.
+func Stage1Cold(b Block) bool {
+	judged, rootOK, _ := stage1Memo(b)
+	return rootOK != nil && !judged && !rootOK.Load()
+}
+
+// AdoptSignatures marks every transaction of b signature-checked without
+// verifying, provided the transactions fold to the Merkle root in b's header,
+// and reports how many it marked. The caller vouches that a block with b's
+// hash passed CheckWellFormed in this process before. That is enough, because
+// the bytes then are the bytes now: the block hash commits to the header, the
+// header to the root, a matching fold to every transaction ID, and an ID
+// hashes the transaction's full encoding, signatures included (Transaction.ID)
+// — and a signature verdict is a pure function of that encoding. Nothing else
+// is adopted: CheckWellFormed still runs every shape check, the proof of work
+// or leader signature, and finds the fold memoized. A root mismatch adopts
+// nothing and leaves the rejection to CheckWellFormed.
+func AdoptSignatures(b Block) (adopted int, ok bool) {
+	_, rootOK, root := stage1Memo(b)
+	txs := b.Transactions()
+	if rootOK == nil || !rootMatches(rootOK, txs, root) {
+		return 0, false
+	}
+	for _, tx := range txs {
+		tx.sigOK.Store(true)
+	}
+	return len(txs), true
 }
 
 // DecodeBlockMsg decodes a block received with the given message type.

@@ -268,3 +268,116 @@ func TestSplitFeeConserved(t *testing.T) {
 		t.Errorf("SplitFee(100) = %d,%d, want 40,60", leader, next)
 	}
 }
+
+// adoptFixture is a signed microblock of n spends plus a helper that decodes
+// a fresh (cold) copy of it, optionally after tampering with the encoding.
+func adoptFixture(t *testing.T, n int) (*MicroBlock, *crypto.PrivateKey) {
+	t.Helper()
+	leader := testKey(t, 31)
+	txs := make([]*Transaction, n)
+	for i := range txs {
+		txs[i] = makeSignedTx(t, leader, OutPoint{Index: uint32(i)}, 5, 5)
+	}
+	mb := &MicroBlock{
+		Header: MicroBlockHeader{Prev: crypto.Hash{7}, TxRoot: crypto.MerkleRoot(TxIDs(txs)), TimeNanos: 9e9},
+		Txs:    txs,
+	}
+	mb.Header.Sign(leader)
+	return mb, leader
+}
+
+func decodedCopy(t *testing.T, b Block) Block {
+	t.Helper()
+	out, err := DecodeBlockMsg(BlockMsgType(b), wire.Encode(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestAdoptSignaturesNeedsTheCommittedBytes pins what adoption rests on: a
+// decoded copy whose transactions fold to the header's root takes every
+// signature verdict without verifying and still passes the full check; one
+// flipped signature byte changes a transaction ID, the fold no longer matches,
+// and nothing at all is adopted — the forged object is rejected by real
+// verification. Adoption is offered to cold objects only, once.
+func TestAdoptSignaturesNeedsTheCommittedBytes(t *testing.T) {
+	mb, leader := adoptFixture(t, 5)
+
+	good := decodedCopy(t, mb).(*MicroBlock)
+	if !Stage1Cold(good) {
+		t.Fatal("a freshly decoded block is not cold")
+	}
+	if n, ok := AdoptSignatures(good); !ok || n != len(mb.Txs) {
+		t.Fatalf("matching copy: adopted %d, ok %v; want %d", n, ok, len(mb.Txs))
+	}
+	for i, tx := range good.Txs {
+		if !tx.sigOK.Load() {
+			t.Fatalf("tx %d not marked signature-checked", i)
+		}
+	}
+	if Stage1Cold(good) {
+		t.Fatal("an adopted block is still cold: it would be probed and folded again")
+	}
+	if err := good.CheckWellFormed(leader.Public()); err != nil {
+		t.Fatalf("adopted copy rejected: %v", err)
+	}
+	// Adoption covers transaction signatures only: the leader signature is
+	// still checked, under whatever key the caller resolves.
+	other := decodedCopy(t, mb).(*MicroBlock)
+	AdoptSignatures(other)
+	if err := other.CheckWellFormed(testKey(t, 32).Public()); err != ErrBadSignature {
+		t.Fatalf("adopted copy under a foreign leader key: %v, want %v", err, ErrBadSignature)
+	}
+
+	forged := decodedCopy(t, mb).(*MicroBlock)
+	forged.Txs[3].Inputs[0].Sig[10] ^= 1
+	forged.Txs[3].Invalidate() // what decoding the tampered bytes would leave
+	if n, ok := AdoptSignatures(forged); ok || n != 0 {
+		t.Fatalf("forged copy: adopted %d, ok %v", n, ok)
+	}
+	for i, tx := range forged.Txs {
+		if tx.sigOK.Load() {
+			t.Fatalf("forged copy: tx %d marked signature-checked", i)
+		}
+	}
+	if !Stage1Cold(forged) {
+		t.Fatal("a refused adoption left a memo behind")
+	}
+	if err := forged.CheckWellFormed(leader.Public()); err == nil {
+		t.Fatal("forged copy accepted")
+	}
+	if forged.Txs[3].CheckWellFormed() == nil {
+		t.Fatal("forged transaction passes its own check")
+	}
+
+	// Warm objects are never offered: the verdict is already on them.
+	if mb.CheckWellFormed(leader.Public()) != nil || Stage1Cold(mb) {
+		t.Fatal("a judged block still reads cold")
+	}
+}
+
+// TestAdoptSignaturesPowAndKeyBlocks: the root the fold must match is the
+// header's MerkleRoot for the two proof-of-work kinds, and the memoized fold
+// is what their CheckWellFormed then finds.
+func TestAdoptSignaturesPowAndKeyBlocks(t *testing.T) {
+	key := testKey(t, 33)
+	txs := []*Transaction{makeCoinbase(crypto.Address{1}, 50, 4), makeSignedTx(t, key, OutPoint{Index: 1}, 5, 5)}
+	root := crypto.MerkleRoot(TxIDs(txs))
+	blocks := []Block{
+		&PowBlock{Header: PowHeader{MerkleRoot: root, Target: crypto.EasiestTarget}, Txs: txs, SimulatedPoW: true},
+		&KeyBlock{Header: KeyBlockHeader{MerkleRoot: root, Target: crypto.EasiestTarget, LeaderKey: key.Public()}, Txs: txs, SimulatedPoW: true},
+	}
+	for _, b := range blocks {
+		c := decodedCopy(t, b)
+		if n, ok := AdoptSignatures(c); !ok || n != 2 || !c.Transactions()[1].sigOK.Load() {
+			t.Fatalf("%v: adopted %d, ok %v", b.Kind(), n, ok)
+		}
+		bad := decodedCopy(t, b)
+		bad.Transactions()[1].Outputs[0].Value++
+		bad.Transactions()[1].Invalidate()
+		if n, ok := AdoptSignatures(bad); ok || n != 0 || bad.Transactions()[1].sigOK.Load() {
+			t.Fatalf("%v, tampered output: adopted %d, ok %v", b.Kind(), n, ok)
+		}
+	}
+}

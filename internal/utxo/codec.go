@@ -3,6 +3,7 @@ package utxo
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -66,25 +67,27 @@ func GetEntry(src []byte) Entry {
 	return e
 }
 
-// EncodeDelta serializes a delta's ordered op log: a little-endian uint32
-// count followed by fixed-width ops. The encoding is canonical — equal
+// AppendDelta serializes a delta's ordered op log behind dst: a little-endian
+// uint32 count followed by fixed-width ops. The encoding is canonical — equal
 // deltas encode to equal bytes — so journal contents are comparable across
-// runs in the store differential tests.
-func EncodeDelta(d *Delta) []byte {
-	out := make([]byte, 4+len(d.ops)*deltaOpWireSize)
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(d.ops)))
-	off := 4
+// runs in the store differential tests. Appending lets the journal frame the
+// encoding inside the record buffer it keeps.
+func AppendDelta(dst []byte, d *Delta) []byte {
+	off, n := len(dst), 4+len(d.ops)*deltaOpWireSize
+	dst = slices.Grow(dst, n)[:off+n]
+	binary.LittleEndian.PutUint32(dst[off:], uint32(len(d.ops)))
+	off += 4
 	for i := range d.ops {
 		op := &d.ops[i]
-		out[off] = op.kind
-		PutOutPoint(out[off+1:], op.op)
-		PutEntry(out[off+1+OutPointWireSize:], op.entry)
+		dst[off] = op.kind
+		PutOutPoint(dst[off+1:], op.op)
+		PutEntry(dst[off+1+OutPointWireSize:], op.entry)
 		off += deltaOpWireSize
 	}
-	return out
+	return dst
 }
 
-// DecodeDelta parses an encoding produced by EncodeDelta.
+// DecodeDelta parses an encoding produced by AppendDelta.
 func DecodeDelta(data []byte) (*Delta, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("utxo: delta truncated: %d bytes", len(data))

@@ -274,7 +274,7 @@ func TestDecodedDeltaReplays(t *testing.T) {
 	leader, deltas := testChain(t, 3)
 	follower := New()
 	for i, d := range deltas {
-		dec, err := DecodeDelta(EncodeDelta(d))
+		dec, err := DecodeDelta(AppendDelta(nil, d))
 		if err != nil {
 			t.Fatal(err)
 		}

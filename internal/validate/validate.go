@@ -5,7 +5,10 @@
 //     roots, transaction shapes, signatures. These are pure functions of the
 //     object itself and are verdict-cached on the objects in internal/types;
 //     this package adds a deterministic worker pool (Pool) that pre-warms
-//     those caches in parallel outside the single-threaded event loops.
+//     those caches in parallel outside the single-threaded event loops, and
+//     the probe (Cache.Vouches) by which a freshly decoded copy of a block
+//     this process already connected adopts its signature verdicts instead
+//     of paying for them again.
 //
 //  2. Contextual connect — applying the block's transactions to the UTXO set
 //     at its parent and checking the protocol's economic rules (coinbase
@@ -105,9 +108,10 @@ const cacheSegments = 16
 // within one propagation delay of the first, so recency hardly matters and
 // FIFO keeps eviction O(1) and allocation-free.
 type Cache struct {
-	segs   [cacheSegments]cacheSegment
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	segs    [cacheSegments]cacheSegment
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	vouched atomic.Uint64
 }
 
 type cacheSegment struct {
@@ -150,12 +154,18 @@ var shared = NewCache(0)
 // keys imply equal history and equal rules.
 func Shared() *Cache { return shared }
 
-// Lookup returns the memoized result for key, if present.
-func (c *Cache) Lookup(key Key) (*ConnectResult, bool) {
+// peek reads the entry for key without counting.
+func (c *Cache) peek(key Key) (*ConnectResult, bool) {
 	s := c.segment(key)
 	s.mu.RLock()
 	res, ok := s.entries[key]
 	s.mu.RUnlock()
+	return res, ok
+}
+
+// Lookup returns the memoized result for key, if present.
+func (c *Cache) Lookup(key Key) (*ConnectResult, bool) {
+	res, ok := c.peek(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -163,6 +173,20 @@ func (c *Cache) Lookup(key Key) (*ConnectResult, bool) {
 	}
 	return res, ok
 }
+
+// Vouches reports whether the cache holds a positive result for key: a block
+// with this hash, on this parent, was fully validated and connected under
+// these rules in this process. It is the probe behind stage-1 adoption (see
+// chain.State.AdoptStage1) and moves neither Hits nor Misses, which count
+// connects, not questions. A negative entry vouches for nothing.
+func (c *Cache) Vouches(key Key) bool {
+	res, ok := c.peek(key)
+	return ok && res.Err == nil
+}
+
+// CountVouched records that n transactions were marked signature-checked on
+// the strength of a Vouches answer.
+func (c *Cache) CountVouched(n int) { c.vouched.Add(uint64(n)) }
 
 // Store memoizes a connect result and returns the result the cache now holds
 // for key. The caller must not mutate res (or its delta) afterwards. The
@@ -197,6 +221,9 @@ type Stats struct {
 	Entries int
 	Hits    uint64
 	Misses  uint64
+	// Vouched counts transactions whose signature checks were adopted from
+	// an earlier verification of the same block instead of being run again.
+	Vouched uint64
 }
 
 // HitRate returns the fraction of lookups that hit, zero when no lookups
@@ -217,5 +244,5 @@ func (c *Cache) Stats() Stats {
 		entries += len(s.entries)
 		s.mu.RUnlock()
 	}
-	return Stats{Entries: entries, Hits: c.hits.Load(), Misses: c.misses.Load()}
+	return Stats{Entries: entries, Hits: c.hits.Load(), Misses: c.misses.Load(), Vouched: c.vouched.Load()}
 }
