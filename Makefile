@@ -43,13 +43,17 @@ race:
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, counted wire sizes, exactly-sized encodings and
 # the relay flush; on the file-backed store path, a page fault served from the
-# evicted page and archive/journal records written from retained buffers. CI
-# calls it from the `test` job beside the -race run.
+# evicted page and archive/journal records written from retained buffers; at
+# the sharded engine's window barrier, the metric-buffer merge and the
+# cross-shard outbox flush. CI calls it from the `test` job beside the -race
+# run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestJournalAppendDoesNotAllocate|TestAppendRecordBytesAndAllocations' \
 		./internal/store ./internal/blockstore
+	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations' \
+		./internal/metrics ./internal/simnet
 
 # race-soak replays a reduced chaos soak under the race detector. The
 # differential replay (parallelism 1 vs 4, connect cache on vs off) is
@@ -63,8 +67,12 @@ race-soak:
 # race-faults re-runs the faults ladder's harness pins under -race: crash,
 # restart, resync, and lossy-link paths all spin real goroutines (live
 # transport, cluster runtime) that the plain faults gate only checks for
-# correctness, not for data races.
+# correctness, not for data races. It also runs the load stream's signer
+# tests (a background goroutine signing ahead of racing consumers) and the
+# paged table's model test.
 race-faults:
+	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
+	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
 	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
@@ -136,9 +144,10 @@ throughput-smoke:
 
 # soak is the chaos gate: SOAK_SEEDS randomized adversarial scenarios
 # (internal/chaos) run under the online invariant catalogue, every seed
-# replayed across both sim engines (-parallelism 1 vs 4) and with the
-# connect cache on vs off; any invariant violation or report divergence
-# fails. Failing seeds belong in internal/chaos/testdata/seeds.
+# run twice under the baseline configuration and replayed across both sim
+# engines (-parallelism 1 vs 4), with the connect cache on vs off and on
+# both storage backends; any invariant violation, run-to-run drift or report
+# divergence fails. Failing seeds belong in internal/chaos/testdata/seeds.
 SOAK_SEEDS ?= 50
 soak:
 	$(GO) run ./cmd/ngbench -figure chaos -seeds $(SOAK_SEEDS)
@@ -159,7 +168,8 @@ faults:
 	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
-# unit suites (paged table, FileUTXO journal/checkpoint handshake, chain
+# unit suites (paged table with its map-model and churn tests, FileUTXO
+# journal/checkpoint handshake, chain
 # index, blockstore sync-policy + failure-injection durability), the
 # durability/aliasing bugfix pins (Clone mutation isolation, reopened-index
 # tie-break equivalence), the harness kernel's restart pins over both

@@ -57,8 +57,10 @@ func (r *SoakReport) Failures() []error {
 	return out
 }
 
-// Soak generates Seeds scenarios and runs them (and, with Differential,
-// their engine/cache replays) concurrently on the experiment.Sweep pool.
+// Soak generates Seeds scenarios and runs each twice under the baseline
+// variant (and, with Differential, once per engine/cache/storage replay)
+// concurrently on the experiment.Sweep pool, failing a seed whose two
+// baseline digests differ.
 // The returned report is a pure function of the configuration: same
 // SoakConfig, byte-identical Fprint output — proven by
 // TestSoakDeterministic and relied on by the CI soak gate.
@@ -77,10 +79,12 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	// Flatten (seed x variant) into one sweep so the pool keeps every core
-	// busy; variant 0 is always the baseline.
-	variants := diffVariants[:1]
+	// busy. The baseline always runs twice: the differential only compares
+	// different variants, so without the repeat a seed whose digest drifts
+	// from run to run under one configuration would pass unseen.
+	variants := []engineVariant{diffVariants[0], diffVariants[0]}
 	if cfg.Differential {
-		variants = diffVariants
+		variants = append(variants, diffVariants[1:]...)
 	}
 	cfgs := make([]experiment.Config, 0, len(gens)*len(variants))
 	for _, gen := range gens {
@@ -115,9 +119,11 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 				break
 			}
 			if d := Digest(res); d != out.Digest {
-				out.Err = Failure{Seed: gen.Seed, Err: fmt.Errorf(
-					"differential divergence between %s and %s: %s",
-					variants[0].name, variants[j].name, firstDiff(out.Digest, d))}
+				what := "differential divergence between " + variants[0].name + " and " + variants[j].name
+				if j == 1 {
+					what = "run-to-run drift: " + variants[0].name + " run twice"
+				}
+				out.Err = Failure{Seed: gen.Seed, Err: fmt.Errorf("%s: %s", what, firstDiff(out.Digest, d))}
 				break
 			}
 		}

@@ -49,7 +49,8 @@ func NewWorkload(seed int64, count, txSize int) (*Workload, error) {
 
 // NewStreamWorkload builds a lazily materialized workload: lanes spend
 // chains (0 takes the load.DefaultLanes), maxTxs caps the stream (0 means
-// unbounded). Views sign batches on demand as the simulation runs.
+// unbounded). Views install batches on demand as the simulation runs, while
+// the stream's background signer keeps the next few signed.
 func NewStreamWorkload(seed int64, txSize, lanes int, maxTxs int64) (*Workload, error) {
 	stream, err := load.NewStream(load.StreamConfig{
 		Seed:   seed,

@@ -5,10 +5,11 @@
 //
 // The paper's methodology pre-loads every mempool with one finite workload
 // (§7 "No Transaction Propagation"), which caps offered load by setup time
-// and RAM. Stream removes the cap: transactions are signed in bounded
-// batches on the shared validate.Pool while the run executes, and slots
-// below the confirmation floor are released, so resident memory tracks the
-// in-flight window rather than the run's total offered load.
+// and RAM. Stream removes the cap: a background signer keeps a few bounded
+// batches signed ahead of demand on the shared validate.Pool while the run
+// executes, and slots below the confirmation floor are released, so
+// resident memory tracks the in-flight window rather than the run's total
+// offered load.
 package load
 
 import (
@@ -48,6 +49,13 @@ var indexMagic = [4]byte{'N', 'G', 'L', 'D'}
 
 const indexStampLen = len(indexMagic) + 8
 
+// lookahead is how many batches the background signer keeps signed but not
+// yet installed. Depth 1 already overlaps one batch with the consumer; deeper
+// queues absorb demand bursts (a leader's Select asking for a blockful at
+// once) and cost at most lookahead batches of signing nobody asked for when a
+// stream is abandoned.
+const lookahead = 4
+
 // StreamConfig parameterizes a Stream. Zero values take defaults.
 type StreamConfig struct {
 	// Seed derives the signing key and thereby every transaction ID.
@@ -65,10 +73,17 @@ type StreamConfig struct {
 
 // Stream generates an unbounded, seed-deterministic sequence of chained
 // transactions: transaction i spends the output of transaction i-Lanes
-// (its lane predecessor), paying the stream key back minus StreamFee. Batch
-// content is a pure function of (seed, batch number), so concurrent callers
-// on different shards materialize identical objects in any order — the
-// byte-identical-at-any-parallelism property the determinism gate enforces.
+// (its lane predecessor), paying the stream key back minus StreamFee.
+//
+// One background signer builds batches in index order, each from the lane
+// heads the previous one left, so batch k is a pure function of (seed, k).
+// Built batches wait in an ordered ready queue; Tx installs them only on
+// demand, under the lock. Everything observable — Generated, Occupancy,
+// Released and every transaction's bytes — therefore moves exactly as if
+// each batch were signed at the moment it is installed, whatever the signer
+// and any number of concurrent callers on different shards do in between:
+// the byte-identical-at-any-parallelism property the determinism gate
+// enforces.
 //
 // Stream is safe for concurrent use.
 type Stream struct {
@@ -78,12 +93,20 @@ type Stream struct {
 	pool *validate.Pool
 
 	mu        sync.Mutex
+	queued    *sync.Cond // broadcast when the signer queues a batch or exits
 	bound     bool
 	base      int64 // first retained index (release floor, lane-aligned)
 	window    []*types.Transaction
-	generated int64 // first never-generated index
-	heads     []types.OutPoint // per-lane unspent tip
-	headVal   []types.Amount
+	generated int64 // first never-installed index
+
+	// Signer state: ready holds built, uninstalled batches in index order;
+	// next is the first index no batch covers yet, and heads/headVal are the
+	// lane tips the batch starting at next spends.
+	ready   [][]*types.Transaction
+	signing bool // a signer goroutine is running
+	next    int64
+	heads   []types.OutPoint
+	headVal []types.Amount
 }
 
 // NewStream derives the stream key and prepares an empty (unbound) stream.
@@ -107,12 +130,14 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load: stream key: %w", err)
 	}
-	return &Stream{
+	s := &Stream{
 		cfg:  cfg,
 		key:  key,
 		addr: key.Public().Addr(),
 		pool: validate.SharedPool(),
-	}, nil
+	}
+	s.queued = sync.NewCond(&s.mu)
+	return s, nil
 }
 
 // GenesisPayouts returns the lane endowments to append to a genesis block's
@@ -150,8 +175,9 @@ func (s *Stream) Lanes() int { return s.cfg.Lanes }
 // report the lane-endowment ceiling).
 func (s *Stream) MaxTxs() int64 { return s.cfg.MaxTxs }
 
-// Generated returns the first never-generated index: how far the signing
-// lookahead has materialized.
+// Generated returns the first never-installed index: how far demand has
+// materialized the stream. Batches the signer has built ahead but no Tx call
+// has installed do not count.
 func (s *Stream) Generated() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,55 +192,79 @@ func (s *Stream) Released() int64 {
 	return s.base
 }
 
-// Occupancy returns how many transactions are currently materialized (the
-// signing lookahead's resident set).
+// Occupancy returns how many installed transactions are currently retained
+// (the window between the release floor and Generated).
 func (s *Stream) Occupancy() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.generated - s.base
 }
 
-// Tx returns transaction i, generating (and signing, on the shared
-// validate.Pool) every batch up to i's on demand. It returns nil for
-// indices at or beyond the cap and for indices already released.
-//
-// Generation uses compare-and-install: the batch is built and signed
-// OUTSIDE the stream lock (a pure function of the batch number and the lane
-// heads it starts from), then installed only if no concurrent caller got
-// there first. Duplicate work between racing shards is possible and
-// harmless; the installed content never depends on the race.
+// Tx returns transaction i, installing every batch up to i's from the
+// signer's ready queue and waiting for the signer while the queue is empty.
+// It returns nil for indices at or beyond the cap and for indices already
+// released.
 func (s *Stream) Tx(i int64) *types.Transaction {
 	if i < 0 || i >= s.cfg.MaxTxs {
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.bound {
-		s.mu.Unlock()
 		panic("load: stream not bound")
 	}
 	for s.generated <= i {
-		g := s.generated
-		heads := append([]types.OutPoint(nil), s.heads...)
-		vals := append([]types.Amount(nil), s.headVal...)
+		if len(s.ready) == 0 {
+			s.wake()
+			s.queued.Wait()
+			continue
+		}
+		batch := s.ready[0]
+		s.ready[0] = nil
+		s.ready = s.ready[1:]
+		s.window = append(s.window, batch...)
+		s.generated += int64(len(batch))
+		s.wake()
+	}
+	if i < s.base {
+		return nil
+	}
+	return s.window[i-s.base]
+}
+
+// wake starts the signer if it is idle and has work: room in the ready queue
+// below the cap. Called with s.mu held.
+func (s *Stream) wake() {
+	if s.signing || len(s.ready) >= lookahead || s.next >= s.cfg.MaxTxs {
+		return
+	}
+	s.signing = true
+	go s.sign()
+}
+
+// sign is the signer goroutine: it builds batches in index order, outside
+// the lock, until lookahead of them wait uninstalled or the cap is reached,
+// then exits — so no signer outlives demand by more than lookahead batches.
+func (s *Stream) sign() {
+	s.mu.Lock()
+	for len(s.ready) < lookahead && s.next < s.cfg.MaxTxs {
+		g, heads, vals := s.next, s.heads, s.headVal
 		s.mu.Unlock()
 		batch, nh, nv := s.buildBatch(g, heads, vals)
 		s.mu.Lock()
-		if s.generated == g {
-			s.window = append(s.window, batch...)
-			s.generated += int64(len(batch))
-			s.heads, s.headVal = nh, nv
-		}
+		s.ready = append(s.ready, batch)
+		s.next += int64(len(batch))
+		s.heads, s.headVal = nh, nv
+		s.queued.Broadcast()
 	}
-	var tx *types.Transaction
-	if i >= s.base {
-		tx = s.window[i-s.base]
-	}
+	s.signing = false
+	s.queued.Broadcast()
 	s.mu.Unlock()
-	return tx
 }
 
 // buildBatch constructs and signs the batch starting at index g from the
-// given lane heads. Pure: no Stream state is read or written, so it runs
+// given lane heads, fanning the signatures out on the pool. Pure: no Stream
+// state is read or written and the inputs are not modified, so it runs
 // without the lock and its output depends only on (g, heads, vals).
 func (s *Stream) buildBatch(g int64, heads []types.OutPoint, vals []types.Amount) ([]*types.Transaction, []types.OutPoint, []types.Amount) {
 	n := int64(len(heads))

@@ -1,7 +1,8 @@
 package metrics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bitcoinng/internal/node"
 )
@@ -19,7 +20,7 @@ import (
 type ShardedCollector struct {
 	c     *Collector
 	bufs  [][]recEvent
-	merge []recEvent // reused scratch for Flush
+	merge []recEvent // Flush's retained scratch, cleared after use
 }
 
 type recKind uint8
@@ -75,7 +76,7 @@ func (s *ShardedCollector) Flush() {
 	// Stable sort by time only: concatenation order supplies the
 	// (shard, local-order) tie-break, and per-shard buffers are already
 	// time-sorted because each shard's clock is monotonic.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+	slices.SortStableFunc(all, func(a, b recEvent) int { return cmp.Compare(a.at, b.at) })
 	for i := range all {
 		ev := &all[i]
 		switch ev.kind {
@@ -87,6 +88,7 @@ func (s *ShardedCollector) Flush() {
 			s.c.TipChanged(ev.node, ev.at, ev.id, ev.conn, ev.disc)
 		}
 	}
+	clear(all)
 	s.merge = all[:0]
 }
 

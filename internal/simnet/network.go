@@ -1,9 +1,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"bitcoinng/internal/sim"
@@ -125,6 +126,7 @@ type Network struct {
 	shardLoops []*sim.Loop
 	shardOf    []int      // node -> shard
 	outbox     [][]outMsg // per sender shard, drained by FlushOutboxes
+	merge      []outMsg   // FlushOutboxes' retained scratch, cleared after use
 }
 
 // outMsg is one cross-shard delivery waiting for the next window barrier.
@@ -349,21 +351,24 @@ func (n *Network) FlushOutboxes() {
 	if total == 0 {
 		return
 	}
-	all := make([]outMsg, 0, total)
+	all := n.merge[:0]
 	for s := range n.outbox {
 		all = append(all, n.outbox[s]...)
 		n.outbox[s] = n.outbox[s][:0]
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].arrival != all[j].arrival {
-			return all[i].arrival < all[j].arrival
+	// Stable: concatenation order supplies the sender-shard tie-break.
+	slices.SortStableFunc(all, func(a, b outMsg) int {
+		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+			return c
 		}
-		return all[i].sent < all[j].sent
+		return cmp.Compare(a.sent, b.sent)
 	})
 	for i := range all {
 		m := &all[i]
 		n.loopFor(m.d.to).PostEventPrio(m.arrival, m.sent, m.d)
 	}
+	clear(all)
+	n.merge = all[:0]
 }
 
 // SetPartition splits the network: group[i] is node i's side, and messages

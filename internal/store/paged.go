@@ -15,8 +15,11 @@ import (
 // pagedTable is an on-disk open-addressing hash table of UTXO entries behind
 // a bounded write-back page cache: the utxo.Backend whose resident size does
 // not grow with the ledger. Slots are fixed-width (flag + outpoint + entry)
-// and probe linearly; deletes leave tombstones that a growth rebuild sweeps
-// away. The table file is derived state — FileUTXO rebuilds it from its
+// and probe linearly. A delete shifts the rest of its probe run back over
+// the hole (backward-shift deletion), so the table never holds anything but
+// live and empty slots and its size follows the live count alone: a ledger
+// churned by many spends stays as small as its unspent set. The table file
+// is derived state — FileUTXO rebuilds it from its
 // checkpoint and journal on every open — so it carries no header and is
 // never fsynced for durability, only written back under cache pressure.
 //
@@ -39,7 +42,6 @@ const (
 const (
 	slotEmpty byte = iota
 	slotLive
-	slotTomb
 )
 
 type tablePage struct {
@@ -54,7 +56,6 @@ type pagedTable struct {
 	path     string
 	nSlots   uint64
 	count    uint64 // live entries
-	tombs    uint64 // tombstoned slots (reclaimed on grow)
 	cache    map[int64]*tablePage
 	lru      *list.List // front = most recently used
 	maxPages int
@@ -163,37 +164,26 @@ func (t *pagedTable) slot(i uint64) (*tablePage, int, error) {
 }
 
 // find locates op's slot. It returns (slot index, true) for a live match, or
-// (insertion slot, false) when absent — the first tombstone on the probe
-// path if one was crossed, else the terminating empty slot.
+// (insertion slot, false) when absent — the empty slot that ends the probe
+// run.
 func (t *pagedTable) find(op types.OutPoint) (uint64, bool, error) {
 	mask := t.nSlots - 1
 	i := hashOf(op) & mask
-	insert := uint64(0)
-	haveInsert := false
 	for probed := uint64(0); probed < t.nSlots; probed++ {
 		p, off, err := t.slot(i)
 		if err != nil {
 			return 0, false, err
 		}
-		switch p.buf[off] {
-		case slotEmpty:
-			if haveInsert {
-				return insert, false, nil
-			}
+		if p.buf[off] == slotEmpty {
 			return i, false, nil
-		case slotTomb:
-			if !haveInsert {
-				insert, haveInsert = i, true
-			}
-		case slotLive:
-			if utxo.GetOutPoint(p.buf[off+1:]) == op {
-				return i, true, nil
-			}
+		}
+		if utxo.GetOutPoint(p.buf[off+1:]) == op {
+			return i, true, nil
 		}
 		i = (i + 1) & mask
 	}
-	// Table full of live+tombstone slots; growth keeps load ≤ 0.7 so this
-	// is unreachable unless the file was corrupted under us.
+	// Table full; growth keeps load ≤ 0.7 so this is unreachable unless the
+	// file was corrupted under us.
 	return 0, false, fmt.Errorf("store: table probe exhausted %d slots", t.nSlots)
 }
 
@@ -257,21 +247,12 @@ func (t *pagedTable) put(op types.OutPoint, e utxo.Entry) error {
 		return err
 	}
 	if !ok {
-		// Check whether the insertion slot recycles a tombstone before
-		// overwriting it.
-		p, off, err := t.slot(i)
-		if err != nil {
-			return err
-		}
-		if p.buf[off] == slotTomb {
-			t.tombs--
-		}
 		t.count++
 	}
 	if err := t.writeSlot(i, slotLive, op, e); err != nil {
 		return err
 	}
-	if (t.count+t.tombs)*10 >= t.nSlots*7 {
+	if t.count*10 >= t.nSlots*7 {
 		return t.grow()
 	}
 	return nil
@@ -279,18 +260,50 @@ func (t *pagedTable) put(op types.OutPoint, e utxo.Entry) error {
 
 func (t *pagedTable) Delete(op types.OutPoint) {
 	t.stats.Deletes++
-	i, ok, err := t.find(op)
-	if err != nil {
+	if err := t.delete(op); err != nil {
 		fail(err)
 	}
-	if !ok {
-		return
+}
+
+// delete removes op by backward shift: every later entry of the probe run
+// whose home slot does not lie cyclically in (hole, j] — whose probe path
+// therefore crosses the hole — moves into it, and the slot it left becomes
+// the hole, until an empty slot ends the run. Each moved slot is copied out
+// before the hole's page is fetched, because under a one-page budget that
+// fault recycles the page the copy came from.
+func (t *pagedTable) delete(op types.OutPoint) error {
+	hole, ok, err := t.find(op)
+	if err != nil || !ok {
+		return err
 	}
-	if err := t.writeSlot(i, slotTomb, types.OutPoint{}, utxo.Entry{}); err != nil {
-		fail(err)
+	mask := t.nSlots - 1
+	var moved [slotSize]byte
+	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
+		p, off, err := t.slot(j)
+		if err != nil {
+			return err
+		}
+		if p.buf[off] == slotEmpty {
+			break
+		}
+		home := hashOf(utxo.GetOutPoint(p.buf[off+1:])) & mask
+		if (j-home)&mask < (j-hole)&mask {
+			continue // home in (hole, j]: the hole is not on its path
+		}
+		copy(moved[:], p.buf[off:off+slotSize])
+		hp, hoff, err := t.slot(hole)
+		if err != nil {
+			return err
+		}
+		copy(hp.buf[hoff:], moved[:])
+		hp.dirty = true
+		hole = j
+	}
+	if err := t.writeSlot(hole, slotEmpty, types.OutPoint{}, utxo.Entry{}); err != nil {
+		return err
 	}
 	t.count--
-	t.tombs++
+	return nil
 }
 
 func (t *pagedTable) Len() int { return int(t.count) }
@@ -298,7 +311,8 @@ func (t *pagedTable) Len() int { return int(t.count) }
 // Range iterates live slots in slot order — deterministic for a given
 // operation history, unlike a map range, but still unspecified to callers
 // (it reshuffles on growth), so consumers sort just as they must for the
-// in-memory backend.
+// in-memory backend. Callers must not write during iteration: a delete
+// shifts later entries back across the cursor.
 func (t *pagedTable) Range(fn func(op types.OutPoint, e utxo.Entry) bool) {
 	for i := uint64(0); i < t.nSlots; i++ {
 		p, off, err := t.slot(i)
@@ -355,7 +369,6 @@ func (t *pagedTable) Reset() error {
 	t.lru.Init()
 	t.nSlots = minSlots
 	t.count = 0
-	t.tombs = 0
 	t.poisoned = make(map[crypto.Hash]bool)
 	return nil
 }
@@ -378,10 +391,9 @@ func (t *pagedTable) Close() error {
 
 func (t *pagedTable) Stats() utxo.Stats { return t.stats }
 
-// grow rebuilds the table at double capacity, sweeping tombstones. The old
-// file is scanned sequentially with a scratch page (after flushing the
-// cache), entries re-probe into a fresh table file, and the new file is
-// renamed over the old. Page-transfer counters keep accumulating; logical
+// grow rebuilds the table at double capacity. The old file is scanned
+// sequentially with a scratch page (after flushing the cache), entries
+// re-probe into a fresh table file, and the new file is renamed over the old. Page-transfer counters keep accumulating; logical
 // Get/Put counters do not (growth is not a ledger operation).
 func (t *pagedTable) grow() error {
 	if err := t.flush(); err != nil {
@@ -443,7 +455,6 @@ func (t *pagedTable) grow() error {
 	t.f.Close()
 	t.f = nt.f
 	t.nSlots = nt.nSlots
-	t.tombs = 0
 	t.cache = nt.cache
 	t.lru = nt.lru
 	t.stats.PageReads += nt.stats.PageReads

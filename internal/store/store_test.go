@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -66,7 +67,8 @@ func TestFactoryLocators(t *testing.T) {
 
 // TestPagedTableGrowAndDelete pushes the table through several growth
 // rebuilds with a tiny page cache and verifies every entry survives, then
-// deletes half and verifies tombstone behavior.
+// deletes half and verifies the survivors stay reachable across the shifted
+// probe runs.
 func TestPagedTableGrowAndDelete(t *testing.T) {
 	tab, err := newPagedTable(filepath.Join(t.TempDir(), "u.tab"), 4)
 	if err != nil {
@@ -89,8 +91,7 @@ func TestPagedTableGrowAndDelete(t *testing.T) {
 			t.Fatalf("entry %d: ok=%v value=%d", i, ok, e.Value)
 		}
 	}
-	// Delete odd entries; evens must survive, odds must stay gone even
-	// after tombstones are crossed on probe paths.
+	// Delete odd entries; evens must survive, odds must stay gone.
 	for i := 1; i < n; i += 2 {
 		tab.Delete(ops[i])
 	}
@@ -103,7 +104,7 @@ func TestPagedTableGrowAndDelete(t *testing.T) {
 			t.Fatalf("entry %d present=%v, want %v", i, ok, want)
 		}
 	}
-	// Re-insert a deleted key: must reuse a tombstone, not duplicate.
+	// Re-insert a deleted key: one live copy, not a duplicate.
 	tab.Put(ops[1], utxo.Entry{Value: 777})
 	if e, ok := tab.Get(ops[1]); !ok || e.Value != 777 {
 		t.Fatalf("reinserted entry: ok=%v value=%d", ok, e.Value)
@@ -120,6 +121,134 @@ func TestPagedTableGrowAndDelete(t *testing.T) {
 	st := tab.Stats()
 	if st.PageReads == 0 || st.PageWrites == 0 || st.CacheMisses == 0 {
 		t.Errorf("expected nonzero paging counters, got %+v", st)
+	}
+}
+
+// homedOutPoint returns a fresh outpoint whose probe starts at slot home of
+// a table with the given slot count, so a test can pile keys into one probe
+// run on purpose.
+func homedOutPoint(r *rand.Rand, home, nSlots uint64) types.OutPoint {
+	var op types.OutPoint
+	r.Read(op.TxID[:])
+	op.Index = uint32(r.Intn(4))
+	mask := nSlots - 1
+	// hashOf XORs the first eight bytes with a function of the index.
+	k := hashOf(types.OutPoint{Index: op.Index})
+	v := binary.LittleEndian.Uint64(op.TxID[:8])&^mask | (home^k)&mask
+	binary.LittleEndian.PutUint64(op.TxID[:8], v)
+	return op
+}
+
+// TestPagedTableMatchesMapModel runs random puts, updates and deletes
+// against a map. Half the keys share five homes around the end of the table,
+// so probe runs collide and wrap past slot 0 and every delete shifts entries
+// back across the boundary; under a one-page cache each shift also faults.
+// After every step Get, Len and Range must agree with the model.
+func TestPagedTableMatchesMapModel(t *testing.T) {
+	for _, pages := range []int{1, defaultCachePages} {
+		t.Run(fmt.Sprintf("cache=%d", pages), func(t *testing.T) {
+			tab, err := newPagedTable(filepath.Join(t.TempDir(), "u.tab"), pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tab.Close()
+			r := rand.New(rand.NewSource(int64(pages)))
+			model := map[types.OutPoint]utxo.Entry{}
+			var keys, gone []types.OutPoint
+			homes := []uint64{minSlots - 3, minSlots - 2, minSlots - 1, 0, 1}
+			for step := 0; step < 1500; step++ {
+				switch k := r.Intn(10); {
+				case k < 5 && len(keys) < 300:
+					var op types.OutPoint
+					if r.Intn(2) == 0 {
+						op = homedOutPoint(r, homes[r.Intn(len(homes))], minSlots)
+					} else {
+						op = homedOutPoint(r, uint64(r.Intn(minSlots)), minSlots)
+					}
+					keys = append(keys, op)
+					model[op] = utxo.Entry{Value: types.Amount(step), Height: uint64(step)}
+					tab.Put(op, model[op])
+				case k < 7 && len(keys) > 0:
+					op := keys[r.Intn(len(keys))]
+					model[op] = utxo.Entry{Value: types.Amount(step), Coinbase: true}
+					tab.Put(op, model[op])
+				case len(keys) > 0:
+					j := r.Intn(len(keys))
+					op := keys[j]
+					keys[j] = keys[len(keys)-1]
+					keys = keys[:len(keys)-1]
+					delete(model, op)
+					gone = append(gone, op)
+					tab.Delete(op)
+				}
+				checkTableModel(t, tab, model, gone)
+			}
+			if tab.nSlots != minSlots {
+				t.Fatalf("table grew to %d slots holding at most 300 entries", tab.nSlots)
+			}
+		})
+	}
+}
+
+// checkTableModel compares a table with its map model: Len, a Get of every
+// live key and of every deleted one, and one full Range.
+func checkTableModel(t *testing.T, tab *pagedTable, model map[types.OutPoint]utxo.Entry, gone []types.OutPoint) {
+	t.Helper()
+	if tab.Len() != len(model) {
+		t.Fatalf("Len %d, model %d", tab.Len(), len(model))
+	}
+	for op, want := range model {
+		if got, ok := tab.Get(op); !ok || got != want {
+			t.Fatalf("Get %v = %+v present=%v, want %+v", op, got, ok, want)
+		}
+	}
+	for _, op := range gone {
+		if _, live := model[op]; !live {
+			if _, ok := tab.Get(op); ok {
+				t.Fatalf("deleted key %v still found", op)
+			}
+		}
+	}
+	seen := 0
+	tab.Range(func(op types.OutPoint, e utxo.Entry) bool {
+		if want, ok := model[op]; !ok || e != want {
+			t.Fatalf("Range yields %v = %+v, model has %+v (present=%v)", op, e, want, ok)
+		}
+		seen++
+		return true
+	})
+	if seen != len(model) {
+		t.Fatalf("Range saw %d entries, model %d", seen, len(model))
+	}
+}
+
+// TestPagedTableChurnDoesNotGrow: a small live set churned by 100 000
+// spends — the shape of a ledger under a sustained stream — keeps the table
+// at its initial size. With tombstones, live plus dead slots reached the
+// growth threshold and the table doubled over and over.
+func TestPagedTableChurnDoesNotGrow(t *testing.T) {
+	tab, err := newPagedTable(filepath.Join(t.TempDir(), "u.tab"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	const live, churn = 300, 100_000
+	r := rand.New(rand.NewSource(1))
+	ops := make([]types.OutPoint, churn)
+	for i := range ops {
+		ops[i] = homedOutPoint(r, uint64(r.Intn(minSlots)), minSlots)
+		tab.Put(ops[i], utxo.Entry{Value: types.Amount(i)})
+		if i >= live {
+			tab.Delete(ops[i-live])
+		}
+	}
+	if tab.nSlots != minSlots || tab.Len() != live {
+		t.Fatalf("after %d churned entries: %d slots, %d live; want %d, %d", churn, tab.nSlots, tab.Len(), minSlots, live)
+	}
+	for i := churn - live; i < churn; i++ {
+		if e, ok := tab.Get(ops[i]); !ok || e.Value != types.Amount(i) {
+			t.Fatalf("survivor %d: %+v present=%v", i, e, ok)
+		}
 	}
 }
 
