@@ -43,14 +43,14 @@ race:
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, counted wire sizes, exactly-sized encodings and
 # the relay flush; on the file-backed store path, a page fault served from the
-# evicted page and archive/journal records written from retained buffers; at
+# evicted page and archive records written from a retained buffer; at
 # the sharded engine's window barrier, the metric-buffer merge and the
 # cross-shard outbox flush. CI calls it from the `test` job beside the -race
 # run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
-	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestJournalAppendDoesNotAllocate|TestAppendRecordBytesAndAllocations' \
+	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations' \
 		./internal/store ./internal/blockstore
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations' \
 		./internal/metrics ./internal/simnet
@@ -168,14 +168,13 @@ faults:
 	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
-# unit suites (paged table with its map-model and churn tests, FileUTXO
-# journal/checkpoint handshake, chain
-# index, blockstore sync-policy + failure-injection durability), the
-# durability/aliasing bugfix pins (Clone mutation isolation, reopened-index
-# tie-break equivalence), the harness kernel's restart pins over both
-# backends, the committed chaos regression seeds — each
-# replayed under the mem vs file backend differential — and the beyond-RAM
-# bounded-memory soak over file backends.
+# unit suites (paged table with its map-model and churn tests, the file
+# ledger's clean start, chain index, blockstore failure-injection
+# durability), the durability/aliasing bugfix pins (Clone mutation
+# isolation, reopened-index tie-break equivalence), the harness kernel's
+# restart pins over both backends, the committed chaos regression seeds —
+# each replayed under the mem vs file backend differential — and the
+# beyond-RAM bounded-memory soak over file backends.
 stores:
 	$(GO) test -count=1 ./internal/store ./internal/blockstore
 	$(GO) test -count=1 -run 'TestCloneMutationIsolation|TestSetCloneIsolationPagedBackend' ./internal/utxo ./internal/store

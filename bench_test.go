@@ -320,8 +320,8 @@ func BenchmarkThroughputPoint(b *testing.B) {
 
 // BenchmarkStoreBackendRun replays the same small Bitcoin-NG streaming run
 // over each storage backend — the in-memory fast path vs the file-backed
-// journal/paged-table engine — so the perf trajectory records what the
-// beyond-RAM mode costs end to end (fsyncs, journal appends, page churn).
+// paged table and block archive — so the perf trajectory records what the
+// beyond-RAM mode costs end to end (archive fsyncs, page churn).
 func BenchmarkStoreBackendRun(b *testing.B) {
 	for _, backend := range []struct{ name, url string }{
 		{"mem", ""},
@@ -348,9 +348,9 @@ func BenchmarkStoreBackendRun(b *testing.B) {
 }
 
 // BenchmarkUTXOStoreApply measures the raw ledger-store write path per
-// backend: one coinbase block applied per iteration (journal append + paged
-// writes on the file side, map stores on the mem side), with a Sync every
-// 64 blocks to exercise the checkpoint cycle at a realistic cadence.
+// backend: one coinbase block applied per iteration (paged writes on the file
+// side, trie stores on the mem side), with a Sync every 64 blocks to write
+// the dirty pages back at a realistic cadence.
 func BenchmarkUTXOStoreApply(b *testing.B) {
 	run := func(b *testing.B, locator string) {
 		factory, err := store.NewFactory(locator)
@@ -388,8 +388,6 @@ func BenchmarkUTXOStoreApply(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := u.Stats()
-		b.ReportMetric(float64(st.JournalRecords)/float64(b.N), "journal-recs/op")
 	}
 	b.Run("mem", func(b *testing.B) { run(b, "") })
 	b.Run("file", func(b *testing.B) { run(b, "file:"+b.TempDir()) })

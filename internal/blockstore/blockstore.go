@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"bitcoinng/internal/crypto"
@@ -32,48 +31,29 @@ const (
 	maxBlockSize        = wire.MaxMessageSize
 )
 
-// Store errors. ErrCorrupt is kept for callers that probed damage in older
-// versions; Open now recovers the longest valid prefix instead of returning
-// it.
+// Store errors.
 var (
-	ErrCorrupt  = errors.New("blockstore: corrupt record")
 	ErrNotFound = errors.New("blockstore: block not found")
 	ErrClosed   = errors.New("blockstore: closed")
 )
 
-// SyncPolicy says when Append makes records durable.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs before Append acknowledges — the default. A block
-	// the store accepted is on stable storage; a crash can only lose blocks
-	// the caller was never told were safe.
-	SyncAlways SyncPolicy = iota
-	// SyncManual defers durability to explicit Sync calls. Batch harnesses
-	// that sync at quiescent boundaries (and tolerate losing the tail back
-	// to the last Sync) opt in; Durable reports the acknowledged watermark.
-	SyncManual
-)
-
-// Store is an append-only block file with an in-memory offset index. It is
-// not safe for concurrent use; the owning node serializes access.
+// Store is an append-only block file with an in-memory offset index. Every
+// Append is fsynced before it returns, so a block the store accepted is on
+// stable storage and a crash can only lose blocks the caller was never told
+// were safe. It is not safe for concurrent use; the owning node serializes
+// access.
 type Store struct {
 	f      *os.File
-	path   string
 	size   int64
 	index  map[crypto.Hash]recordRef
 	order  []crypto.Hash // append order, for replay
 	rec    wire.Writer   // Append's record buffer, reused across appends
 	closed bool
 
-	policy SyncPolicy
-	// durable is the byte offset up to which records are known to be on
-	// stable storage (fsync acknowledged).
-	durable int64
 	// syncFn stands in for f.Sync so failure-injection tests can make
 	// durability fail without a real bad disk.
 	syncFn func() error
-	// err is sticky: after a failed sync the durable watermark is unknown
+	// err is sticky: after a failed sync the durable prefix is unknown
 	// territory, so every later mutation and sync reports the original
 	// failure instead of pretending the store recovered.
 	err error
@@ -95,7 +75,6 @@ func Open(path string) (*Store, error) {
 	}
 	s := &Store{
 		f:     f,
-		path:  path,
 		index: make(map[crypto.Hash]recordRef),
 	}
 	s.syncFn = s.f.Sync
@@ -103,14 +82,8 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	// Whatever survived the scan was read back from the file, so it is the
-	// durable prefix by construction.
-	s.durable = s.size
 	return s, nil
 }
-
-// SetSyncPolicy selects when appends become durable; see SyncPolicy.
-func (s *Store) SetSyncPolicy(p SyncPolicy) { s.policy = p }
 
 // SetSyncHook replaces the fsync primitive, letting tests inject durability
 // failures. A nil hook restores the real fsync.
@@ -121,11 +94,6 @@ func (s *Store) SetSyncHook(hook func() error) {
 	}
 	s.syncFn = hook
 }
-
-// Durable returns the byte offset of the acknowledged-durable prefix. Under
-// SyncAlways it tracks the file size; under SyncManual it advances only at
-// Sync, and a crash may lose everything past it.
-func (s *Store) Durable() int64 { return s.durable }
 
 // scan rebuilds the index, recovering the longest valid record prefix: the
 // first sign of corruption — bad magic, absurd length, checksum mismatch,
@@ -219,11 +187,11 @@ func (s *Store) Contains(h crypto.Hash) bool {
 }
 
 // Append persists a block. Appending an already-stored block is a no-op, so
-// callers can feed every accepted block without tracking. Under SyncAlways
-// (the default) the record is fsynced before Append returns: an
-// acknowledged block is durable, full stop. A failed sync unwinds the
-// record — the file is truncated back so the on-disk prefix stays exactly
-// the acknowledged set — and poisons the store (see Store.err).
+// callers can feed every accepted block without tracking. The record is
+// fsynced before Append returns: an acknowledged block is durable, full
+// stop. A failed sync unwinds the record — the file is truncated back so the
+// on-disk prefix stays exactly the acknowledged set — and poisons the store
+// (see Store.err).
 func (s *Store) Append(b types.Block) error {
 	if s.closed {
 		return ErrClosed
@@ -250,21 +218,17 @@ func (s *Store) Append(b types.Block) error {
 	if _, err := s.f.WriteAt(rec, s.size); err != nil {
 		return fmt.Errorf("blockstore: append record: %w", err)
 	}
-	newSize := s.size + headerSize + int64(len(payload))
-	if s.policy == SyncAlways {
-		if err := s.syncFn(); err != nil {
-			// The record may or may not have reached the platter; cut it
-			// off so disk and index agree on the durable prefix, then
-			// refuse further work.
-			_ = s.f.Truncate(s.size)
-			s.err = fmt.Errorf("blockstore: append sync: %w", err)
-			return s.err
-		}
-		s.durable = newSize
+	if err := s.syncFn(); err != nil {
+		// The record may or may not have reached the platter; cut it off so
+		// disk and index agree on the durable prefix, then refuse further
+		// work.
+		_ = s.f.Truncate(s.size)
+		s.err = fmt.Errorf("blockstore: append sync: %w", err)
+		return s.err
 	}
 	s.index[h] = recordRef{offset: s.size, kind: b.Kind(), length: uint32(len(payload))}
 	s.order = append(s.order, h)
-	s.size = newSize
+	s.size += int64(len(rec))
 	return nil
 }
 
@@ -303,9 +267,8 @@ func (s *Store) Replay(fn func(types.Block) error) error {
 	return nil
 }
 
-// Sync flushes appended records to stable storage and advances the durable
-// watermark. A failure is sticky: the watermark's true position is unknown,
-// so the store refuses further mutations until reopened.
+// Sync fsyncs the file. A failure is sticky: the durable prefix's true
+// extent is unknown, so the store refuses further mutations until reopened.
 func (s *Store) Sync() error {
 	if s.closed {
 		return ErrClosed
@@ -317,7 +280,6 @@ func (s *Store) Sync() error {
 		s.err = fmt.Errorf("blockstore: sync: %w", err)
 		return s.err
 	}
-	s.durable = s.size
 	return nil
 }
 
@@ -337,29 +299,4 @@ func (s *Store) Close() error {
 		return fmt.Errorf("blockstore: close sync: %w", err)
 	}
 	return s.f.Close()
-}
-
-// Path returns the backing file path.
-func (s *Store) Path() string { return s.path }
-
-// ReplayInto feeds every stored block into a chain state in append order,
-// ignoring duplicates and stale orphans (a pruned parent may have been
-// truncated). It returns how many blocks connected into the tree. io.EOF
-// from the callback aborts cleanly for partial replays.
-func ReplayInto(s *Store, add func(types.Block) error) (int, error) {
-	n := 0
-	err := s.Replay(func(b types.Block) error {
-		if err := add(b); err != nil {
-			if errors.Is(err, io.EOF) {
-				return err
-			}
-			return nil // invalid/stale records are skipped, not fatal
-		}
-		n++
-		return nil
-	})
-	if errors.Is(err, io.EOF) {
-		err = nil
-	}
-	return n, err
 }

@@ -10,10 +10,10 @@ import (
 // errDiskFull is the injected durability failure.
 var errDiskFull = errors.New("injected: fsync failed")
 
-// TestAppendSyncFailureUnwinds pins the durability bugfix: under the default
-// SyncAlways policy a failed fsync must surface as an Append error, unwind
-// the unacknowledged record from disk, and poison the store so later calls
-// cannot silently widen the gap between the index and the platter.
+// TestAppendSyncFailureUnwinds pins the durability bugfix: a failed fsync
+// must surface as an Append error, unwind the unacknowledged record from
+// disk, and poison the store so later calls cannot silently widen the gap
+// between the index and the platter.
 func TestAppendSyncFailureUnwinds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
 	s, err := Open(path)
@@ -26,10 +26,7 @@ func TestAppendSyncFailureUnwinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Durable() != s.size {
-		t.Fatalf("SyncAlways watermark lags: durable=%d size=%d", s.Durable(), s.size)
-	}
-	durable := s.Durable()
+	durable := s.size
 
 	s.SetSyncHook(func() error { return errDiskFull })
 	if err := s.Append(blocks[2]); !errors.Is(err, errDiskFull) {
@@ -69,56 +66,6 @@ func TestAppendSyncFailureUnwinds(t *testing.T) {
 		if !r.Contains(b.Hash()) {
 			t.Fatalf("acknowledged block %s lost", b.Hash().Short())
 		}
-	}
-}
-
-// TestSyncManualWatermark checks the opt-in batching policy: appends defer
-// durability, Sync advances the watermark, and a crash at the watermark
-// (simulated by truncating there) loses exactly the unacknowledged tail.
-func TestSyncManualWatermark(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetSyncPolicy(SyncManual)
-	blocks := makeChain(t, 4)
-	for _, b := range blocks[:3] {
-		if err := s.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Durable() != 0 {
-		t.Fatalf("watermark advanced without Sync: %d", s.Durable())
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mark := s.Durable()
-	if mark != s.size {
-		t.Fatalf("Sync left watermark at %d, size %d", mark, s.size)
-	}
-	if err := s.Append(blocks[3]); err != nil {
-		t.Fatal(err)
-	}
-	if s.Durable() != mark {
-		t.Fatal("SyncManual append moved the watermark")
-	}
-	// Close without relying on its implicit sync: simulate the crash by
-	// cutting the file at the watermark after closing.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, mark); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != 3 {
-		t.Fatalf("crash at watermark recovered %d blocks, want 3", r.Len())
 	}
 }
 

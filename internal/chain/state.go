@@ -110,10 +110,10 @@ var (
 )
 
 // UTXOStore is the ledger-state surface the chain machinery drives. It is
-// exactly the contract extracted from *utxo.Set; internal/store adds a
-// file-backed implementation (journaling paged table) so the ledger can
-// exceed process RAM. Implementations must behave identically — the chaos
-// differential byte-compares whole-run reports across backends.
+// exactly the contract extracted from *utxo.Set; internal/store puts the set
+// over a file-backed paged table so the ledger can exceed process RAM. Both
+// backends must behave identically — the chaos differential byte-compares
+// whole-run reports across them.
 type UTXOStore interface {
 	// Read surface (wallets, invariants, fee resolvers).
 	Lookup(op types.OutPoint) (utxo.Entry, bool)
@@ -121,9 +121,7 @@ type UTXOStore interface {
 	Range(fn func(op types.OutPoint, e utxo.Entry) bool)
 	BalanceOf(addr crypto.Address) types.Amount
 	Poisoned(coinbaseID crypto.Hash) bool
-	// Mutation surface (connect/disconnect machinery). RedoBlock and
-	// UndoBlock carry the block reference so journaling backends can label
-	// op-log records.
+	// Mutation surface (connect/disconnect machinery).
 	ApplyBlock(txs []*types.Transaction, ctx utxo.BlockContext) (*utxo.Delta, []types.Amount, error)
 	RedoBlock(d *utxo.Delta, at utxo.BlockRef)
 	UndoBlock(d *utxo.Delta, at utxo.BlockRef)

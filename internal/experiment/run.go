@@ -178,12 +178,12 @@ type Result struct {
 	// boundaries; deterministic at any Parallelism.
 	Backpressure []metrics.BackpressureStat
 	// StoreStats samples the fleet-aggregated storage counters (logical
-	// entry ops, page-cache hits/misses, page and journal traffic,
-	// checkpoints) at the same maintenance boundaries. Unlike Backpressure
-	// it rides OUTSIDE the determinism digest: the counters are identical
-	// across Parallelism but legitimately differ with the connect cache on
-	// vs off (a cache hit replays a delta instead of re-validating, a
-	// different backend op sequence), while the Report does not.
+	// entry ops, page-cache hits/misses, page traffic) at the same
+	// maintenance boundaries. Unlike Backpressure it rides OUTSIDE the
+	// determinism digest: the counters are identical across Parallelism
+	// but legitimately differ with the connect cache on vs off (a cache hit
+	// replays a delta instead of re-validating, a different backend op
+	// sequence), while the Report does not.
 	StoreStats []metrics.BackpressureStat
 	// Revenue is each node's mining revenue at run end — the UTXO balance
 	// of its reward address in the view of the reference node (the
@@ -487,8 +487,8 @@ func (r *runner) maintain() {
 
 // maintainStores runs inside maintain, at the same quiescent boundaries: it
 // samples the fleet-aggregated storage counters into the store backpressure
-// series, flushes the stores (a no-op in memory; what paces the file
-// backends' checkpoint cycle), and — when CompactDepth is set — evicts each
+// series, flushes the stores (a no-op in memory; the paged tables write
+// their dirty pages back), and — when CompactDepth is set — evicts each
 // live node's deep chain history so resident state stays bounded on long runs.
 func (r *runner) maintainStores() {
 	var agg utxo.Stats
@@ -502,13 +502,10 @@ func (r *runner) maintainStores() {
 	r.storeBP.Record("store-cache-misses", float64(agg.CacheMisses))
 	r.storeBP.Record("store-page-reads", float64(agg.PageReads))
 	r.storeBP.Record("store-page-writes", float64(agg.PageWrites))
-	r.storeBP.Record("store-journal-records", float64(agg.JournalRecords))
-	r.storeBP.Record("store-journal-bytes", float64(agg.JournalBytes))
-	r.storeBP.Record("store-checkpoints", float64(agg.Checkpoints))
 
 	for _, n := range r.Nodes() {
-		// A down node's stores are left alone: its UTXO journal tail is the
-		// torn state the next Restart deliberately resets.
+		// A down node's stores are left alone, as the crash left them, until
+		// the next Restart resets its ledger and replays its index.
 		if n.Down {
 			continue
 		}

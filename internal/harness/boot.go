@@ -24,9 +24,9 @@ import (
 // through here.
 //
 //  1. Reset the ledger: the chain index is the durable truth and step 4
-//     re-derives UTXO state from it, so whatever the ledger store held (a
-//     journal torn by a hard crash included) is never trusted. Reset precedes
-//     Build because chain.New applies genesis into the store.
+//     re-derives UTXO state from it, so whatever the ledger store held before
+//     is never trusted (a file-backed ledger is only a spill cache). Reset
+//     precedes Build because chain.New applies genesis into the store.
 //  2. Build the client through the protocol registry.
 //  3. Attach the index as persistence hook and as the body archive Compact
 //     evicts against; wire, if non-nil, finishes the node's wiring.

@@ -111,18 +111,13 @@ func Default() Contracts {
 			// scenario.Runtime is deliberately absent: it has exactly one
 			// implementation (harness.Fleet, pinned by a compile-time
 			// assertion there), and one implementation cannot drift from
-			// itself.
+			// itself. store.UTXO is absent for the same reason: *utxo.Set is
+			// its one implementation over either backend (a compile-time
+			// assertion in internal/store).
 			//
-			// The storage backends pair up behind each interface (mem/file);
+			// The chain indexes pair up behind store.ChainIndex (mem/file);
 			// the chaos differential byte-compares runs across them, which
 			// only means anything if both sides expose the whole surface.
-			{
-				IfacePkg: "bitcoinng/internal/store", IfaceName: "UTXO",
-				Exempt: map[string]string{
-					"bitcoinng/internal/store.pagedTable": "on-disk hash table under FileUTXO; shares the ledger vocabulary (Len/Range/Poisoned/...) one layer below the contract",
-					"bitcoinng/internal/utxo.memBackend":  "persistent trie table under *utxo.Set; same one-layer-below vocabulary overlap as store.pagedTable",
-				},
-			},
 			{
 				IfacePkg: "bitcoinng/internal/store", IfaceName: "ChainIndex",
 				Exempt: map[string]string{

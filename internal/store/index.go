@@ -124,10 +124,6 @@ func OpenFileIndex(dir, name string) (*FileIndex, error) {
 	return ix, nil
 }
 
-// Blocks exposes the underlying archive (the durability fuzz harness drives
-// its sync policy directly).
-func (ix *FileIndex) Blocks() *blockstore.Store { return ix.blocks }
-
 // Append persists the block with its arrival time; duplicates keep the
 // original time.
 func (ix *FileIndex) Append(b types.Block, receivedAt int64) error {

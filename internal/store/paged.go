@@ -18,10 +18,10 @@ import (
 // and probe linearly. A delete shifts the rest of its probe run back over
 // the hole (backward-shift deletion), so the table never holds anything but
 // live and empty slots and its size follows the live count alone: a ledger
-// churned by many spends stays as small as its unspent set. The table file
-// is derived state — FileUTXO rebuilds it from its
-// checkpoint and journal on every open — so it carries no header and is
-// never fsynced for durability, only written back under cache pressure.
+// churned by many spends stays as small as its unspent set. The table is a
+// spill cache, not a record: its file is truncated on open and every boot
+// rebuilds the ledger from the chain index, so it carries no header and is
+// never fsynced, only written back under cache pressure and at Sync.
 //
 // The poisoned-coinbase side set stays in memory: it holds one hash per
 // proven cheater, a population bounded by the number of fraud events, not by
@@ -373,8 +373,8 @@ func (t *pagedTable) Reset() error {
 	return nil
 }
 
-// Sync writes dirty pages back. The table is derived state, so no fsync:
-// its durability comes from the journal and checkpoint that rebuild it.
+// Sync writes dirty pages back. The table is a cache, so no fsync: nothing
+// ever reads it back across an open.
 func (t *pagedTable) Sync() error { return t.flush() }
 
 func (t *pagedTable) Close() error {

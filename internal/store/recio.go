@@ -7,11 +7,10 @@ import (
 	"os"
 )
 
-// Checksummed record I/O shared by the UTXO journal, its checkpoints, and
-// the chain index's arrival-time sidecar. The layout matches the blockstore
-// record idiom — magic, kind, length, CRC, payload — so every durable file
-// in the system recovers the same way: scan the longest valid prefix,
-// truncate whatever a crash tore off the tail.
+// Checksummed record I/O for the chain index's arrival-time sidecar. The
+// layout matches the blockstore record idiom — magic, kind, length, CRC,
+// payload — so both durable files in the system recover the same way: scan
+// the longest valid prefix, truncate whatever a crash tore off the tail.
 const (
 	recMagic      uint32 = 0x4e475354 // "TSGN" little-endian ("NG STore")
 	recHeaderSize        = 4 + 1 + 4 + 4
@@ -20,35 +19,20 @@ const (
 	maxRecSize = 16 << 20
 )
 
-// beginRec starts a record of the given kind in buf's storage and returns it
-// with the header's room taken; the caller appends the payload behind it and
-// hands the whole to writeRec. Building header and payload in one retained
-// buffer is what lets the hot appenders (the UTXO journal) write a record
-// without allocating and with one system call.
-func beginRec(buf []byte, kind byte) []byte {
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], recMagic)
-	hdr[4] = kind
-	return append(buf[:0], hdr[:]...)
-}
-
-// writeRec seals the header of a record begun with beginRec — payload length
-// and CRC — and writes it at off, returning the bytes consumed. The caller
-// owns offset bookkeeping and syncing.
-func writeRec(f *os.File, off int64, rec []byte) (int64, error) {
-	payload := rec[recHeaderSize:]
+// appendRec writes one record holding payload at off and returns the bytes
+// consumed; header and payload leave in one write. The caller owns offset
+// bookkeeping and syncing.
+func appendRec(f *os.File, off int64, kind byte, payload []byte) (int64, error) {
+	rec := make([]byte, recHeaderSize, recHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], recMagic)
+	rec[4] = kind
 	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(payload))
+	rec = append(rec, payload...)
 	if _, err := f.WriteAt(rec, off); err != nil {
 		return 0, fmt.Errorf("store: record write: %w", err)
 	}
 	return int64(len(rec)), nil
-}
-
-// appendRec writes one record holding payload at off; the convenience form
-// for small, rare records.
-func appendRec(f *os.File, off int64, kind byte, payload []byte) (int64, error) {
-	return writeRec(f, off, append(beginRec(nil, kind), payload...))
 }
 
 // scanRecs streams every valid record from the start of f and returns the

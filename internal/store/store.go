@@ -1,19 +1,22 @@
 // Package store is the pluggable persistence layer under a node: ledger
-// (UTXO) storage and the chain index (block bodies + arrival times), each
-// with an in-memory and a file-backed implementation selected through one
-// URL-style locator. The file backends keep the working set on disk behind a
-// bounded page cache, so total chain state can exceed process RAM; the
-// in-memory backends are the original RAM-bound fast path.
+// (UTXO) storage and the chain index (block bodies + arrival times), selected
+// through one URL-style locator. A ledger is always a *utxo.Set; under a file
+// root its entries spill to an on-disk paged table behind a bounded page
+// cache, so total chain state can exceed process RAM. The table is a cache,
+// not a record: it is truncated on open, and every boot rebuilds the ledger
+// from the chain index. The chain index has an in-memory implementation and a
+// durable file-backed one.
 //
-// Both implementations of each interface must behave identically at the
-// consensus surface — the chaos differential replays whole experiments
-// across backends and byte-compares the reports — and the parity linter
-// holds their method sets structurally in sync.
+// Both backends must behave identically at the consensus surface — the chaos
+// differential replays whole experiments across them and byte-compares the
+// reports — and the parity linter holds the two chain-index method sets
+// structurally in sync.
 package store
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"bitcoinng/internal/crypto"
@@ -24,7 +27,7 @@ import (
 // UTXO is the full lifecycle surface of a pluggable ledger store: the
 // chain.UTXOStore contract (stated structurally here to keep this package
 // below the chain layer) plus the lifecycle the harnesses drive. *utxo.Set
-// satisfies it in memory; FileUTXO is the beyond-RAM implementation.
+// is its one implementation, over either backend.
 type UTXO interface {
 	Lookup(op types.OutPoint) (utxo.Entry, bool)
 	Len() int
@@ -39,12 +42,14 @@ type UTXO interface {
 	// Reset drops all state; the restart path resets before replaying the
 	// durable chain prefix so a half-synced store never double-applies.
 	Reset() error
-	// Sync flushes buffered state to stable storage (and lets file backends
-	// take periodic checkpoints); call it at quiescent boundaries.
+	// Sync writes buffered state back (the paged table's dirty pages); call
+	// it at quiescent boundaries.
 	Sync() error
 	// Close releases resources; the store is unusable afterwards.
 	Close() error
 }
+
+var _ UTXO = (*utxo.Set)(nil)
 
 // ChainIndex is a node's durable chain archive: every accepted block in
 // append order together with its local arrival time. The arrival time is
@@ -120,12 +125,17 @@ func (f *Factory) InMemory() bool { return f.dir == "" }
 // Dir returns the file root ("" for mem:).
 func (f *Factory) Dir() string { return f.dir }
 
-// NewUTXO builds the named ledger store.
+// NewUTXO builds the named ledger store: a set over the in-memory backend, or
+// over a fresh paged table at <dir>/<name>.tab.
 func (f *Factory) NewUTXO(name string) (UTXO, error) {
 	if f.dir == "" {
 		return utxo.New(), nil
 	}
-	return OpenFileUTXO(f.dir, name, 0)
+	table, err := newPagedTable(filepath.Join(f.dir, name+".tab"), 0)
+	if err != nil {
+		return nil, err
+	}
+	return utxo.NewWith(table), nil
 }
 
 // NewChainIndex builds the named chain index.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"bitcoinng/internal/crypto"
@@ -315,8 +314,8 @@ func TestPagedTableSnapshotLoadsInOneBatch(t *testing.T) {
 	}
 }
 
-// fundedFileUTXO opens a FileUTXO and applies a height-0 coinbase paying
-// amounts to key, returning the outpoints.
+// applyFunding applies a height-0 coinbase paying amounts to key and returns
+// its outpoints.
 func applyFunding(t *testing.T, u UTXO, key *crypto.PrivateKey, amounts ...types.Amount) []types.OutPoint {
 	t.Helper()
 	outs := make([]types.TxOutput, len(amounts))
@@ -347,53 +346,6 @@ func collectEntries(u UTXO) []string {
 	return out
 }
 
-// TestFileUTXOReopenFidelity applies blocks, closes cleanly, reopens, and
-// requires the recovered state to match entry for entry.
-func TestFileUTXOReopenFidelity(t *testing.T) {
-	dir := t.TempDir()
-	u, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(t, 1)
-	ops := applyFunding(t, u, key, 100, 50, 25)
-
-	tx := &types.Transaction{
-		Kind:    types.TxRegular,
-		Inputs:  []types.TxInput{{Prev: ops[0]}},
-		Outputs: []types.TxOutput{{Value: 90, To: crypto.Address{7}}},
-	}
-	tx.SignInput(0, key)
-	ref := utxo.BlockRef{Block: crypto.Hash{2}, Parent: crypto.Hash{1}}
-	ctx := utxo.BlockContext{Height: 1, Params: types.DefaultParams(), Ref: ref}
-	if _, _, err := u.ApplyBlock([]*types.Transaction{tx}, ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := collectEntries(u)
-	wantLen := u.Len()
-	if err := u.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != wantLen {
-		t.Fatalf("reopened Len = %d, want %d", r.Len(), wantLen)
-	}
-	if got := collectEntries(r); !equalStrings(got, want) {
-		t.Fatalf("reopened entries mismatch:\n got %v\nwant %v", got, want)
-	}
-	if got := r.BalanceOf(crypto.Address{7}); got != 90 {
-		t.Fatalf("reopened BalanceOf = %d, want 90", got)
-	}
-}
-
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -406,177 +358,20 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestFileUTXOCheckpointCycle forces a checkpoint, keeps mutating, and
-// verifies reopen recovers checkpoint + post-checkpoint journal exactly.
-func TestFileUTXOCheckpointCycle(t *testing.T) {
-	dir := t.TempDir()
-	u, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.ckptEvery = 1 // checkpoint on every Sync
-	key := testKey(t, 2)
-	applyFunding(t, u, key, 10, 20, 30)
-	if err := u.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := u.Stats().Checkpoints; got != 1 {
-		t.Fatalf("Checkpoints = %d, want 1", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "n0.ckpt")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
-	}
-	// Post-checkpoint mutation lives only in the new journal epoch.
-	key2 := testKey(t, 3)
-	applyFunding(t, u, key2, 40)
-	want := collectEntries(u)
-	if err := u.Sync(); err != nil { // second checkpoint
-		t.Fatal(err)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := collectEntries(r); !equalStrings(got, want) {
-		t.Fatalf("post-checkpoint reopen mismatch:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestFileUTXOTornJournalRecovery truncates the journal mid-record and
-// appends garbage, then requires reopen to recover exactly the longest
-// valid prefix.
-func TestFileUTXOTornJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	u, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(t, 4)
-	applyFunding(t, u, key, 100)
-	want := collectEntries(u)
-	if err := u.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	durable := u.jOff
-	// A second funding block rides the journal tail we are about to tear.
-	applyFunding(t, u, testKey(t, 5), 60)
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	jPath := filepath.Join(dir, "n0.journal")
-	info, err := os.Stat(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() <= durable {
-		t.Fatalf("journal did not grow past durable watermark (%d <= %d)", info.Size(), durable)
-	}
-	// Tear the tail: cut into the middle of the last record, then smear
-	// garbage after it.
-	if err := os.Truncate(jPath, durable+7); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(jPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte(strings.Repeat("garbage", 3))); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := collectEntries(r); !equalStrings(got, want) {
-		t.Fatalf("torn-tail recovery mismatch:\n got %v\nwant %v", got, want)
-	}
-	// The torn tail must be gone from disk so appends restart cleanly.
-	if info, err := os.Stat(jPath); err != nil || info.Size() != durable {
-		t.Fatalf("journal not truncated to valid prefix: size=%d want=%d err=%v",
-			info.Size(), durable, err)
-	}
-}
-
-// TestFileUTXOStaleJournalDiscarded simulates a crash between checkpoint
-// publication and journal reset: the journal's epoch predates the
-// checkpoint, so its records must be discarded, not replayed twice.
-func TestFileUTXOStaleJournalDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	u, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.ckptEvery = 1
-	key := testKey(t, 6)
-	applyFunding(t, u, key, 100)
-	if err := u.Sync(); err != nil { // checkpoint, journal now epoch 1
-		t.Fatal(err)
-	}
-	want := collectEntries(u)
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Forge the crash window: overwrite the journal with an epoch-0 header
-	// and a bogus apply record — a stale journal from before the checkpoint.
-	jPath := filepath.Join(dir, "n0.journal")
-	jf, err := os.OpenFile(jPath, os.O_RDWR|os.O_TRUNC, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var off int64
-	var epoch0 [8]byte
-	n, err := appendRec(jf, off, recJEpoch, epoch0[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	off += n
-	// Re-journal the same funding delta; replaying it onto the checkpoint
-	// would panic (duplicate create → redo of existing outputs) or corrupt.
-	d, _, ferr := func() (*utxo.Delta, []types.Amount, error) {
-		s := utxo.New()
-		outs := []types.TxOutput{{Value: 100, To: key.Public().Addr()}}
-		cb := &types.Transaction{Kind: types.TxCoinbase, Outputs: outs}
-		return s.ApplyBlock([]*types.Transaction{cb},
-			utxo.BlockContext{Height: 0, Params: types.DefaultParams()})
-	}()
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	if _, err := appendRec(jf, off, recJApply,
-		appendJournalOp(nil, utxo.BlockRef{Block: crypto.Hash{1}}, d)); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
-
-	r, err := OpenFileUTXO(dir, "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := collectEntries(r); !equalStrings(got, want) {
-		t.Fatalf("stale journal not discarded:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestFileUTXOResetStartsClean mirrors the restart path: Reset must drop
-// table, journal, and checkpoint so a chain replay starts from genesis.
+// TestFileUTXOResetStartsClean mirrors the restart path over a file root:
+// Reset empties the ledger and it accepts new state, and a second NewUTXO over
+// the same directory starts empty — the paged table is a spill cache, so no
+// state leaks from one open to the next, and the table is the only file.
 func TestFileUTXOResetStartsClean(t *testing.T) {
 	dir := t.TempDir()
-	u, err := OpenFileUTXO(dir, "n0", 8)
+	f, err := NewFactory("file:" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Close()
-	u.ckptEvery = 1
+	u, err := f.NewUTXO("n0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	applyFunding(t, u, testKey(t, 7), 10, 20)
 	if err := u.Sync(); err != nil {
 		t.Fatal(err)
@@ -587,13 +382,29 @@ func TestFileUTXOResetStartsClean(t *testing.T) {
 	if u.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", u.Len())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "n0.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint survived Reset: %v", err)
-	}
-	// The store must accept fresh state after Reset.
 	applyFunding(t, u, testKey(t, 8), 5)
 	if u.Len() != 1 {
 		t.Fatalf("Len after post-Reset apply = %d", u.Len())
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := f.NewUTXO("n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := collectEntries(r); len(got) != 0 {
+		t.Fatalf("a second open sees the first one's entries: %v", got)
+	}
+	// The same block applies again: none of its outputs survived the reopen.
+	applyFunding(t, r, testKey(t, 8), 5)
+	if r.Len() != 1 {
+		t.Fatalf("Len after reopen and apply = %d", r.Len())
+	}
+	if names, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(names) != 1 || filepath.Base(names[0]) != "n0.tab" {
+		t.Fatalf("ledger files %v (err %v), want only n0.tab", names, err)
 	}
 }
 
@@ -931,42 +742,6 @@ func TestRecycledPageReadsEmptyPastEOF(t *testing.T) {
 			t.Fatalf("absent key %v found in a page past EOF", op)
 		}
 		break
-	}
-}
-
-// TestJournalAppendDoesNotAllocate: redoing a block through FileUTXO writes
-// its journal record from the store's retained buffer — header, block
-// reference and delta in one piece — instead of building an encoding and then
-// a framed copy of it.
-func TestJournalAppendDoesNotAllocate(t *testing.T) {
-	u, err := OpenFileUTXO(t.TempDir(), "n0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	key := testKey(t, 3)
-	amounts := make([]types.Amount, 40)
-	for i := range amounts {
-		amounts[i] = 100
-	}
-	applyFunding(t, u, key, amounts...)
-	s := utxo.New()
-	cb := &types.Transaction{Kind: types.TxCoinbase, Outputs: []types.TxOutput{{Value: 1, To: key.Public().Addr()}}, Height: 9}
-	d, _, err := s.ApplyBlock([]*types.Transaction{cb}, utxo.BlockContext{Height: 9, Params: types.DefaultParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := utxo.BlockRef{Block: crypto.Hash{9}}
-	before := u.Stats().JournalRecords
-	if avg := testing.AllocsPerRun(100, func() {
-		if err := u.journalOp(recJApply, ref, d); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Fatalf("a journal append allocates %.0f objects, want 0", avg)
-	}
-	if got := u.Stats().JournalRecords - before; got != 101 {
-		t.Fatalf("journaled %d records, want 101", got)
 	}
 }
 

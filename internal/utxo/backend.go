@@ -65,10 +65,6 @@ type Stats struct {
 	CacheHits, CacheMisses uint64
 	// Pages transferred to/from disk.
 	PageReads, PageWrites uint64
-	// Journal appends (file backends).
-	JournalRecords, JournalBytes uint64
-	// Checkpoints written (file backends).
-	Checkpoints uint64
 }
 
 // Add accumulates other into s, for aggregating per-node stats fleet-wide.
@@ -80,25 +76,19 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.PageReads += o.PageReads
 	s.PageWrites += o.PageWrites
-	s.JournalRecords += o.JournalRecords
-	s.JournalBytes += o.JournalBytes
-	s.Checkpoints += o.Checkpoints
 }
 
 // Sub returns s - o, for turning cumulative counters into per-interval
 // deltas at the harness's quiescent sampling boundaries.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Gets:           s.Gets - o.Gets,
-		Puts:           s.Puts - o.Puts,
-		Deletes:        s.Deletes - o.Deletes,
-		CacheHits:      s.CacheHits - o.CacheHits,
-		CacheMisses:    s.CacheMisses - o.CacheMisses,
-		PageReads:      s.PageReads - o.PageReads,
-		PageWrites:     s.PageWrites - o.PageWrites,
-		JournalRecords: s.JournalRecords - o.JournalRecords,
-		JournalBytes:   s.JournalBytes - o.JournalBytes,
-		Checkpoints:    s.Checkpoints - o.Checkpoints,
+		Gets:        s.Gets - o.Gets,
+		Puts:        s.Puts - o.Puts,
+		Deletes:     s.Deletes - o.Deletes,
+		CacheHits:   s.CacheHits - o.CacheHits,
+		CacheMisses: s.CacheMisses - o.CacheMisses,
+		PageReads:   s.PageReads - o.PageReads,
+		PageWrites:  s.PageWrites - o.PageWrites,
 	}
 }
 

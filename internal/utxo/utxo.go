@@ -56,8 +56,8 @@ var (
 	ErrDuplicateOutput = errors.New("utxo: output already exists")
 )
 
-// BlockRef identifies the block a delta belongs to, so journaling backends
-// can label op-log records. The in-memory path ignores it.
+// BlockRef identifies the block a delta belongs to. The block operations
+// carry it for their callers' bookkeeping; no backend reads it.
 type BlockRef struct {
 	Block  crypto.Hash
 	Parent crypto.Hash
@@ -76,8 +76,7 @@ type BlockContext struct {
 	// after verifying the fraud proof.
 	PoisonTargets map[crypto.Hash]crypto.Hash
 	// Ref identifies the block being applied (zero for contexts built by
-	// tests that never journal). File-backed stores record it in the op
-	// log; the in-memory set ignores it.
+	// tests). The set itself ignores it.
 	Ref BlockRef
 }
 
@@ -191,7 +190,7 @@ type Delta struct {
 	ops []deltaOp
 
 	// pre and post are the versions before and after the block; unknown for
-	// a delta that was decoded or computed on a file-backed set.
+	// a delta computed on a file-backed set.
 	pre, post Version
 	// Op counts by kind, from which an adoption accounts the logical
 	// Gets/Puts/Deletes a replay would have made.
@@ -200,9 +199,6 @@ type Delta struct {
 	mu            sync.Mutex // guards before and after (re-publication races across shards)
 	before, after weak.Pointer[ledger]
 }
-
-// Ops returns the number of recorded mutations.
-func (d *Delta) Ops() int { return len(d.ops) }
 
 // record appends one mutation to the log.
 func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) {
@@ -395,7 +391,7 @@ func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []
 // validation. It is only sound when the set is in the exact pre-state the
 // delta was recorded against — the connect cache guarantees this by content
 // addressing (equal block hash implies equal history below it). `at` names
-// the block the delta came from, for journaling backends.
+// the block the delta came from.
 //
 // There are two ways across. A memory-backed set whose version is the one
 // the delta was recorded against adopts the recorded post-state: identity of
@@ -413,7 +409,7 @@ func (s *Set) RedoBlock(d *Delta, at BlockRef) {
 
 // UndoBlock reverses a block application, by the same two ways as RedoBlock.
 // Deltas must be undone in reverse order of the blocks they came from. `at`
-// names the block being undone, for journaling backends.
+// names the block being undone.
 func (s *Set) UndoBlock(d *Delta, at BlockRef) {
 	s.cross(d, false)
 }

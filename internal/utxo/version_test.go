@@ -267,31 +267,6 @@ func TestFailedApplyKeepsState(t *testing.T) {
 	}
 }
 
-// TestDecodedDeltaReplays: a delta that went through the journal encoding
-// names no versions; it replays, leaves the set's version unknown, and
-// produces the same contents.
-func TestDecodedDeltaReplays(t *testing.T) {
-	leader, deltas := testChain(t, 3)
-	follower := New()
-	for i, d := range deltas {
-		dec, err := DecodeDelta(AppendDelta(nil, d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Ops() != d.Ops() {
-			t.Fatalf("block %d: %d ops decoded from %d", i, dec.Ops(), d.Ops())
-		}
-		follower.RedoBlock(dec, BlockRef{})
-		if follower.Version().known() {
-			t.Fatalf("block %d: a version-less delta left a known version", i)
-		}
-	}
-	sameContents(t, "decoded replay", follower, leader)
-	if _, err := DecodeDelta([]byte{1, 0}); err == nil {
-		t.Error("truncated delta decoded")
-	}
-}
-
 // TestSharedDeltasAcrossGoroutines crosses one chain of deltas from several
 // goroutines at once, forward and back, while collections kill recorded
 // states under them — adoption, fallback and re-publication all race on the
