@@ -42,15 +42,19 @@ race:
 # allocs runs the allocation pins without the race detector (whose
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, counted wire sizes, exactly-sized encodings and
-# the relay flush; on the file-backed store path, a page fault served from the
-# evicted page and archive records written from a retained buffer; at
-# the sharded engine's window barrier, the metric-buffer merge and the
-# cross-shard outbox flush. CI calls it from the `test` job beside the -race
-# run.
+# the relay flush; on the stage-1 hashing path, transaction and microblock
+# sighashes, header hashes and the in-place Merkle fold; on the file-backed
+# store path, a page fault served from the evicted page, archive records
+# written from a retained buffer and read back into one; on the live path, a
+# steady-state frame read; at the sharded engine's window barrier, the
+# metric-buffer merge and the cross-shard outbox flush. CI calls it from the
+# `test` job beside the -race run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
-	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations' \
+	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer' \
+		./internal/types ./internal/crypto ./internal/wire
+	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer' \
 		./internal/store ./internal/blockstore
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations' \
 		./internal/metrics ./internal/simnet
@@ -75,7 +79,7 @@ race-faults:
 	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
-	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
+	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' ./internal/harness
 	$(GO) test -race -count=1 -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' ./internal/experiment
 	$(GO) test -race -count=1 -run 'TestMajorityCrashConverges|TestRegressionSeeds' ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' .
@@ -154,7 +158,8 @@ soak:
 
 # faults runs the crash/recovery suite end to end: the sync protocol and
 # malformed-message hardening units, the simulated and live transports, the
-# harness kernel's crash/restart pins (where the restart sequence lives) and
+# harness kernel's crash/restart pins (where the restart sequence lives), its
+# drop-only run that overflows the orphan stash and must repeat byte for byte,
 # their experiment-facade twin, the majority-crash differential, the committed
 # chaos regression seeds with their golden digests (which include leader-crash
 # + lossy programs), and the cluster-level leader-crash / process-restart /
@@ -162,7 +167,7 @@ soak:
 faults:
 	$(GO) test -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' -count=1 ./internal/node
 	$(GO) test -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' -count=1 ./internal/p2p
-	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume' -count=1 ./internal/harness
+	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' -count=1 ./internal/harness
 	$(GO) test -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' -count=1 ./internal/experiment
 	$(GO) test -run 'TestMajorityCrashConverges|TestRegressionSeeds' -count=1 ./internal/chaos
 	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .

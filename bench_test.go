@@ -189,18 +189,6 @@ func decodeTx(in *types.Transaction, out *types.Transaction) error {
 	return wireDecode(in, out)
 }
 
-// BenchmarkMerkleRoot computes the root of a 2000-transaction block.
-func BenchmarkMerkleRoot(b *testing.B) {
-	leaves := make([]crypto.Hash, 2000)
-	for i := range leaves {
-		leaves[i] = crypto.HashBytes([]byte{byte(i), byte(i >> 8)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		crypto.MerkleRoot(leaves)
-	}
-}
-
 // BenchmarkMicroblockVerify measures uncached microblock validation: the
 // cost the paper estimated at "several milliseconds per microblock" and
 // omitted from its prototype; this repository implements and measures it.

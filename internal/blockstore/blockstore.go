@@ -2,7 +2,10 @@
 // (cmd/ngnode) can restart without losing its chain. The format is a
 // sequence of length-prefixed, checksummed records; the in-memory index is
 // rebuilt by a single scan on open, and a torn final record (crash during
-// append) is detected and truncated away.
+// append) is detected and truncated away. Records are written from one
+// retained buffer and read back (Get, the scan) into another, so neither
+// direction allocates per record beyond the decoded block itself, which owns
+// its bytes (see wire.Reader.VarDecode for the rule that makes reuse safe).
 //
 // Layout per record:
 //
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -48,6 +52,7 @@ type Store struct {
 	index  map[crypto.Hash]recordRef
 	order  []crypto.Hash // append order, for replay
 	rec    wire.Writer   // Append's record buffer, reused across appends
+	buf    []byte        // the read buffer Get and the open scan reuse
 	closed bool
 
 	// syncFn stands in for f.Sync so failure-injection tests can make
@@ -126,8 +131,8 @@ func (s *Store) scan() error {
 		if off+headerSize+int64(length) > total {
 			break // torn tail: truncate below
 		}
-		payload := make([]byte, length)
-		if _, err := s.f.ReadAt(payload, off+headerSize); err != nil {
+		payload, err := s.read(off, length)
+		if err != nil {
 			return err
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {
@@ -241,11 +246,24 @@ func (s *Store) Get(h crypto.Hash) (types.Block, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 	}
-	payload := make([]byte, ref.length)
-	if _, err := s.f.ReadAt(payload, ref.offset+headerSize); err != nil {
+	payload, err := s.read(ref.offset, ref.length)
+	if err != nil {
 		return nil, fmt.Errorf("blockstore: read %s: %w", h.Short(), err)
 	}
 	return decodeBlock(ref.kind, payload)
+}
+
+// read returns the payload of the record at offset, read into the store's one
+// read buffer: it is valid until the next read, which is why callers decode it
+// before anything else touches the store (a decoded block copies what it
+// keeps; see wire.Reader.VarDecode).
+func (s *Store) read(offset int64, length uint32) ([]byte, error) {
+	s.buf = slices.Grow(s.buf[:0], int(length))
+	payload := s.buf[:length]
+	if _, err := s.f.ReadAt(payload, offset+headerSize); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // Replay streams every stored block in append order — parents before

@@ -317,6 +317,56 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 	}
 }
 
+// TestGetReadsIntoOneBuffer: every Get reads its record into the store's one
+// read buffer, so after the largest record the read allocates nothing — and
+// a block decoded from that buffer owns its bytes: once later reads have
+// overwritten the buffer it still re-encodes to exactly what was appended.
+func TestGetReadsIntoOneBuffer(t *testing.T) {
+	s := tempStore(t)
+	s.SetSyncHook(func() error { return nil })
+	blocks := makeChain(t, 12)
+	// Padding in a coinbase gives the records different lengths and puts a
+	// VarBytes field in every key block.
+	for i, b := range blocks {
+		if kb, ok := b.(*types.KeyBlock); ok {
+			kb.Txs[0].Padding = bytes.Repeat([]byte{byte(i)}, 50*i)
+		}
+	}
+	for _, b := range blocks {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]types.Block, len(blocks))
+	for i, b := range blocks {
+		var err error
+		if got[i], err = s.Get(b.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear(s.buf[:cap(s.buf)])
+	for i, b := range got {
+		if !bytes.Equal(wire.Encode(b), wire.Encode(blocks[i])) {
+			t.Errorf("block %d: decoded copy changed when the read buffer was reused", i)
+		}
+	}
+
+	refs := make([]recordRef, 0, len(blocks))
+	for _, b := range blocks {
+		refs = append(refs, s.index[b.Hash()])
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		ref := refs[next%len(refs)]
+		if _, err := s.read(ref.offset, ref.length); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); avg != 0 {
+		t.Errorf("a record read allocates %.1f times, want 0", avg)
+	}
+}
+
 // BenchmarkAppend times one record append — encoding, checksum and write —
 // with the fsync stubbed out through SetSyncHook; benchmark/'s
 // store.index_append_us_per_block times appends with the fsync.

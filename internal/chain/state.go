@@ -152,6 +152,8 @@ type State struct {
 	orphanOrder  []crypto.Hash                 // the keys of orphans, longest-waiting first
 	orphanCount  int
 	invalidCount int
+	// orphansEvicted counts stashed blocks the bound dropped.
+	orphansEvicted int
 }
 
 // Option configures a State at construction.
@@ -339,7 +341,9 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 		res.Status = StatusInvalid
 		return ErrKnownInvalid
 	}
-	st.AdoptStage1(b)
+	if !st.AdoptStage1(b) {
+		validate.SharedPool().WarmBlock(b)
+	}
 	if err := st.protocol.CheckBlock(st, parent, b, now); err != nil {
 		res.Status = StatusInvalid
 		return err
@@ -375,10 +379,12 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 // afterwards as always and repeats everything but the signature checks.
 //
 // It reports whether b needs no signature verification any more — it was warm
-// already, or was vouched for — so Boot can hand the rest to the worker pool.
-// The gate on a cold memo is what keeps this free for simulated fleets: their
-// nodes share warm block objects, and folding a Merkle root on each of their
-// connects costs more than the cache saves.
+// already, or was vouched for — and addOne hands the rest to the worker pool
+// before CheckBlock runs, so a cold block verifies its signatures in parallel
+// off the serial connect: an index replay, a sync batch, a chain loaded by
+// hand. The gate on a cold memo is what keeps this free for simulated fleets:
+// their nodes share warm block objects, and folding a Merkle root on each of
+// their connects costs more than the cache saves.
 func (st *State) AdoptStage1(b types.Block) bool {
 	if !types.Stage1Cold(b) {
 		return true
@@ -395,6 +401,9 @@ func (st *State) AdoptStage1(b types.Block) bool {
 	return ok
 }
 
+// OrphansEvicted returns how many stashed blocks the orphan bound has dropped.
+func (st *State) OrphansEvicted() int { return st.orphansEvicted }
+
 // stashOrphan parks b until its parent arrives. At the bound the bucket of
 // the parent that has waited longest goes, whole: arrival order, not map
 // order, so every run of a seed evicts the same blocks.
@@ -403,6 +412,7 @@ func (st *State) stashOrphan(b types.Block) {
 		oldest := st.orphanOrder[0]
 		st.orphanOrder = st.orphanOrder[1:]
 		st.orphanCount -= len(st.orphans[oldest])
+		st.orphansEvicted += len(st.orphans[oldest])
 		delete(st.orphans, oldest)
 	}
 	// Duplicate stashes are harmless (addOne dedups on adoption).

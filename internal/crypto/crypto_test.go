@@ -3,6 +3,7 @@ package crypto
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -134,14 +135,73 @@ func TestMerkleRootSensitivity(t *testing.T) {
 	for i := range leaves {
 		leaves[i] = HashBytes([]byte{byte(i)})
 	}
-	root := MerkleRoot(leaves)
+	root := MerkleRoot(slices.Clone(leaves))
 	for i := range leaves {
-		mutated := make([]Hash, len(leaves))
-		copy(mutated, leaves)
+		mutated := slices.Clone(leaves)
 		mutated[i] = HashBytes([]byte{0xff, byte(i)})
 		if MerkleRoot(mutated) == root {
 			t.Errorf("mutating leaf %d did not change the root", i)
 		}
+	}
+}
+
+// merkleModel is the textbook construction MerkleRoot folds in place: build
+// each level in a fresh slice, duplicating an odd level's last node.
+func merkleModel(leaves []Hash) Hash {
+	if len(leaves) == 0 {
+		return ZeroHash
+	}
+	level := slices.Clone(leaves)
+	for len(level) > 1 {
+		if len(level)%2 == 1 {
+			level = append(level, level[len(level)-1])
+		}
+		next := make([]Hash, len(level)/2)
+		for i := range next {
+			next[i] = hashPair(level[2*i], level[2*i+1])
+		}
+		level = next
+	}
+	return level[0]
+}
+
+// TestMerkleRootInPlaceMatchesModel: the in-place fold gives the model's root
+// for every list length up to past a few powers of two — odd levels included
+// at every depth.
+func TestMerkleRootInPlaceMatchesModel(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		leaves := make([]Hash, n)
+		for i := range leaves {
+			leaves[i] = HashBytes([]byte{byte(n), byte(i)})
+		}
+		want := merkleModel(leaves)
+		if got := MerkleRoot(leaves); got != want {
+			t.Errorf("n=%d: in-place root %s, model %s", n, got.Short(), want.Short())
+		}
+	}
+}
+
+// TestMerkleRootDoesNotAllocate pins the fold at zero allocations.
+func TestMerkleRootDoesNotAllocate(t *testing.T) {
+	leaves := make([]Hash, 2001)
+	if allocs := testing.AllocsPerRun(20, func() { MerkleRoot(leaves) }); allocs != 0 {
+		t.Errorf("MerkleRoot over %d leaves allocates %.1f times, want 0", len(leaves), allocs)
+	}
+}
+
+// BenchmarkMerkleRoot folds the root of a 2000-transaction block. Each
+// iteration refills the list the fold consumes, as a caller building its
+// TxIDs would; the 64 KB copy is well under 1 % of the 1999 pair hashes.
+func BenchmarkMerkleRoot(b *testing.B) {
+	leaves := make([]Hash, 2000)
+	for i := range leaves {
+		leaves[i] = HashBytes([]byte{byte(i), byte(i >> 8)})
+	}
+	level := make([]Hash, len(leaves))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(level, leaves)
+		MerkleRoot(level)
 	}
 }
 
@@ -151,7 +211,7 @@ func TestMerkleProofAllPositions(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = HashBytes([]byte{byte(n), byte(i)})
 		}
-		root := MerkleRoot(leaves)
+		root := MerkleRoot(slices.Clone(leaves))
 		for i := 0; i < n; i++ {
 			proof := BuildMerkleProof(leaves, i)
 			if proof == nil {

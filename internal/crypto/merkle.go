@@ -4,26 +4,26 @@ package crypto
 // Bitcoin construction: pairs of nodes are concatenated and double-SHA256
 // hashed; an odd node at any level is paired with itself. An empty list
 // yields the zero hash (only the degenerate empty-block case).
+//
+// The fold runs in place and allocates nothing: each level overwrites the
+// front of leaves, so the caller must own the slice and not need it after —
+// pass a fresh list such as types.TxIDs' result, or a copy.
 func MerkleRoot(leaves []Hash) Hash {
-	switch len(leaves) {
-	case 0:
+	if len(leaves) == 0 {
 		return ZeroHash
-	case 1:
-		return leaves[0]
 	}
-	level := make([]Hash, len(leaves))
-	copy(level, leaves)
-	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
+	for n := len(leaves); n > 1; n = (n + 1) / 2 {
+		// Node i of the next level reads nodes 2i and 2i+1 of this one, both
+		// at or after i, so writing it over node i loses nothing still needed.
+		for i := 0; 2*i < n; i++ {
+			right := leaves[2*i]
+			if 2*i+1 < n {
+				right = leaves[2*i+1]
+			}
+			leaves[i] = hashPair(leaves[2*i], right)
 		}
-		next := level[:len(level)/2]
-		for i := range next {
-			next[i] = hashPair(level[2*i], level[2*i+1])
-		}
-		level = next
 	}
-	return level[0]
+	return leaves[0]
 }
 
 // MerkleProof is the authentication path for one leaf: the sibling hash at

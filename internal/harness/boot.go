@@ -16,7 +16,6 @@ import (
 	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/store"
 	"bitcoinng/internal/types"
-	"bitcoinng/internal/validate"
 )
 
 // Boot is the restart sequence, and its only home: first build, process-level
@@ -36,13 +35,9 @@ import (
 //     before. The index holds only blocks this node validated and persisted,
 //     parent before child: one that does not connect is corruption or a
 //     rules change, not recoverable skew. Replay trusts no record: every
-//     block passes CheckBlock and the connect stage again. What it does not
-//     repeat is an ed25519 check this process already made on the same bytes:
-//     a block the connect cache vouches for (chain.State.AdoptStage1 — the
-//     node's first life, or a neighbour's, connected it) keeps its signature
-//     verdicts; the rest — a cold process, a foreign or disabled cache — are
-//     verified here on the worker pool, off the serial AddBlock, the way the
-//     live transport warms a decoded block before posting it.
+//     block passes CheckBlock and the connect stage again (AddBlock skips
+//     only the ed25519 checks the connect cache vouches this process made on
+//     the same bytes; see chain.State.AdoptStage1).
 //  5. Re-arm leadership off the recovered tip, since replay bypassed
 //     processBlock (core's tip-change hook ignores the AddResult).
 //
@@ -64,9 +59,6 @@ func Boot(env node.Env, spec protocol.Spec, ledger store.UTXO, index store.Chain
 		wire(base)
 	}
 	if err := index.Replay(func(b types.Block, receivedAt int64) error {
-		if !base.State.AdoptStage1(b) {
-			validate.SharedPool().WarmBlock(b)
-		}
 		res, err := base.State.AddBlock(b, receivedAt)
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,47 @@ func TestCrashedNodeIsInert(t *testing.T) {
 	}
 	if f.Nodes()[0].Base().State.Height() <= heightAtCrash {
 		t.Fatal("the network did not progress while node 2 was down; the test exercised nothing")
+	}
+}
+
+// TestOrphanEvictionRunsRepeat is the drop-only reduction of chaos seeds 7 and
+// 15, built by hand: five honest nodes, no adversary, no duplication or
+// reordering — only a five-minute window in which 30 % of messages are lost.
+// Lost parents leave their children in the orphan stash, children re-fetched
+// from every peer stash again, and nodes overflow the 512-block bound and
+// evict. Eviction used to take the first key of a map range, so which bucket
+// went differed from run to run and so did the run; in arrival order every
+// run must tell the same story byte for byte.
+func TestOrphanEvictionRunsRepeat(t *testing.T) {
+	run := func() (digest string, evicted int) {
+		f := newTestFleet(t, 5, 7, "", nil)
+		defer f.Close()
+		f.Run(time.Minute)
+		if err := f.SetLoss(0.3, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Run(5 * time.Minute)
+		if err := f.SetLoss(0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Run(2 * time.Minute)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v\n%+v\n", *f.Report(), f.NetStats())
+		for i, nd := range f.Nodes() {
+			st := nd.Base().State
+			fmt.Fprintf(&b, "node %d tip=%s height=%d evicted=%d\n", i, st.Tip().Hash(), st.Height(), st.OrphansEvicted())
+			evicted += st.OrphansEvicted()
+		}
+		return b.String(), evicted
+	}
+	first, evicted := run()
+	if evicted == 0 {
+		t.Fatal("no node evicted an orphan; the run does not exercise the bound")
+	}
+	for i := 1; i < 4; i++ {
+		if again, _ := run(); again != first {
+			t.Fatalf("run %d differs from run 0 (%d orphans evicted):\n%s\nvs\n%s", i, evicted, first, again)
+		}
 	}
 }
 

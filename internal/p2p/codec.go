@@ -4,6 +4,11 @@
 // execution model. The same bitcoin/core node code that runs on the
 // discrete-event simulator runs here unchanged — the repository's analogue
 // of the paper's unchanged-client methodology (§7).
+//
+// Each connection's reader reads every frame into one reused buffer and
+// decodes it — batch members straight from the frame — before reading the
+// next; decoded messages own their bytes, so nothing posted to the event
+// loop aliases the buffer.
 package p2p
 
 import (
@@ -77,18 +82,16 @@ func encodeTxBatch(m *node.TxBatchMsg) []byte {
 	return w.Bytes()
 }
 
+// decodeTxBatch decodes each member straight from the frame (VarDecode): a
+// member must fill exactly its length prefix, and keeps no byte of the frame.
 func decodeTxBatch(payload []byte) ([]*types.Transaction, error) {
 	r := wire.NewReader(payload)
 	n := r.Length(1 << 16)
 	txs := make([]*types.Transaction, 0, n)
 	for i := 0; i < n; i++ {
-		raw := r.VarBytes(1 << 20)
-		if r.Err() != nil {
-			break
-		}
 		tx := new(types.Transaction)
-		if err := wire.Decode(raw, tx); err != nil {
-			return nil, err
+		if r.VarDecode(1<<20, tx); r.Err() != nil {
+			break
 		}
 		txs = append(txs, tx)
 	}
@@ -140,20 +143,23 @@ func encodeBlockBatch(m *node.BlockBatchMsg) []byte {
 	return w.Bytes()
 }
 
+// decodeBlockBatch decodes each member straight from the frame, as
+// decodeTxBatch does.
 func decodeBlockBatch(payload []byte) (*node.BlockBatchMsg, error) {
 	r := wire.NewReader(payload)
 	more := r.Bool()
 	n := r.Length(1 << 16)
 	m := &node.BlockBatchMsg{Blocks: make([]types.Block, 0, n), More: more}
 	for i := 0; i < n; i++ {
-		t := wire.MsgType(r.Uint8())
-		raw := r.VarBytes(wire.MaxMessageSize)
+		b, err := types.NewBlockMsg(wire.MsgType(r.Uint8()))
 		if r.Err() != nil {
 			break
 		}
-		b, err := types.DecodeBlockMsg(t, raw)
 		if err != nil {
 			return nil, err
+		}
+		if r.VarDecode(wire.MaxMessageSize, b); r.Err() != nil {
+			break
 		}
 		m.Blocks = append(m.Blocks, b)
 	}

@@ -3,6 +3,7 @@ package p2p
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -410,6 +411,116 @@ func TestCodecFramesAtCountedSize(t *testing.T) {
 	}
 }
 
+// batchFixture returns a tx batch and a block batch whose members differ in
+// shape: padded and unpadded transactions, one and two inputs, and all three
+// block kinds.
+func batchFixture(t *testing.T) (*node.TxBatchMsg, *node.BlockBatchMsg) {
+	t.Helper()
+	key, err := crypto.GenerateKey(sim.NewRand(8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txs []*types.Transaction
+	for i := 0; i < 6; i++ {
+		tx := &types.Transaction{
+			Kind:    types.TxRegular,
+			Inputs:  make([]types.TxInput, 1+i%2),
+			Outputs: []types.TxOutput{{Value: types.Amount(100 + i), To: crypto.Address{byte(i)}}},
+			Padding: bytes.Repeat([]byte{byte(i)}, 40*(i%3)),
+		}
+		for j := range tx.Inputs {
+			tx.Inputs[j].Prev = types.OutPoint{TxID: crypto.Hash{byte(i), byte(j)}, Index: uint32(j)}
+			tx.SignInput(j, key)
+		}
+		txs = append(txs, tx)
+	}
+	coinbase := &types.Transaction{Kind: types.TxCoinbase, Height: 3, Outputs: []types.TxOutput{{Value: 50}}}
+	mb := &types.MicroBlock{Header: types.MicroBlockHeader{TimeNanos: 5}, Txs: txs[:3]}
+	mb.Header.TxRoot = crypto.MerkleRoot(types.TxIDs(mb.Txs))
+	mb.Header.Sign(key)
+	kb := &types.KeyBlock{Header: types.KeyBlockHeader{LeaderKey: key.Public()}, Txs: []*types.Transaction{coinbase}, SimulatedPoW: true}
+	pb := &types.PowBlock{Txs: append([]*types.Transaction{coinbase}, txs[3:]...), SimulatedPoW: true}
+	return &node.TxBatchMsg{Txs: txs}, &node.BlockBatchMsg{Blocks: []types.Block{kb, mb, pb}, More: true}
+}
+
+// TestBatchMembersOwnTheirBytes: batch members decode straight from the frame
+// (wire.Reader.VarDecode), so nothing a decoded member keeps may alias it.
+// Scribbling over the frame after decoding must leave a message that
+// re-encodes to the original bytes, hashes included.
+func TestBatchMembersOwnTheirBytes(t *testing.T) {
+	txb, bb := batchFixture(t)
+	for _, msg := range []node.Message{txb, bb} {
+		env := mustEncode(t, msg)
+		want := bytes.Clone(env.Payload)
+		out, err := decodeMessage(env)
+		if err != nil {
+			t.Fatalf("decode %T: %v", msg, err)
+		}
+		for i := range env.Payload {
+			env.Payload[i] = 0xa5
+		}
+		if again := mustEncode(t, out); !bytes.Equal(again.Payload, want) {
+			t.Errorf("%T: re-encoding after the frame was overwritten differs from the original", msg)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, msg node.Message) *wire.Envelope {
+	t.Helper()
+	env, err := encodeMessage(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// TestPeerFrameBufferReuse runs the peer reader's loop body by hand: frames
+// read through one Envelope, each decoded before the next read. Once a large
+// frame has sized the buffer, a later frame lands on top of an earlier one,
+// and the message decoded from the earlier one must come through unchanged.
+func TestPeerFrameBufferReuse(t *testing.T) {
+	txb, bb := batchFixture(t)
+	big, small := mustEncode(t, bb), mustEncode(t, txb)
+	if len(big.Payload) < len(small.Payload) {
+		t.Fatal("fixture: the block batch must be the larger frame")
+	}
+	var stream bytes.Buffer
+	for _, e := range []*wire.Envelope{big, small, big} {
+		if _, err := e.WriteTo(&stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := bytes.Clone(small.Payload)
+
+	var env wire.Envelope
+	var msgs []node.Message
+	var bufs [][]byte
+	for i := 0; i < 3; i++ {
+		if _, err := env.ReadFrom(&stream); err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, env.Payload)
+		msg, err := decodeMessage(&env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, msg)
+	}
+	if &bufs[1][0] != &bufs[0][0] || &bufs[2][0] != &bufs[0][0] {
+		t.Fatal("frames were read into fresh buffers; the overwrite is not exercised")
+	}
+	if got := mustEncode(t, msgs[1]).Payload; !bytes.Equal(got, want) {
+		t.Error("the tx batch changed when the next frame was read over it")
+	}
+}
+
+// readFrame reads one frame from r into a fresh Envelope.
+func readFrame(r io.Reader) (*wire.Envelope, error) {
+	env := new(wire.Envelope)
+	_, err := env.ReadFrom(r)
+	return env, err
+}
+
 // rawHandshake dials addr and completes the version/verack exchange as a bare
 // TCP client with the given claimed node id, returning the open connection.
 func rawHandshake(t *testing.T, addr string, id uint64, genesis crypto.Hash) net.Conn {
@@ -422,13 +533,13 @@ func rawHandshake(t *testing.T, addr string, id uint64, genesis crypto.Hash) net
 	if _, err := (&wire.Envelope{Type: wire.MsgVersion, Payload: wire.Encode(v)}).WriteTo(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadEnvelope(conn); err != nil {
+	if _, err := readFrame(conn); err != nil {
 		t.Fatalf("no version back: %v", err)
 	}
 	if _, err := (&wire.Envelope{Type: wire.MsgVerAck, Payload: []byte{}}).WriteTo(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadEnvelope(conn); err != nil {
+	if _, err := readFrame(conn); err != nil {
 		t.Fatalf("no verack back: %v", err)
 	}
 	return conn
@@ -456,7 +567,7 @@ func TestLiveMalformedFrameDropsPeer(t *testing.T) {
 		t.Fatal("malformed payload did not drop the peer")
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadEnvelope(conn); err == nil {
+	if _, err := readFrame(conn); err == nil {
 		t.Error("connection still open after malformed payload")
 	}
 
@@ -491,7 +602,7 @@ func TestLiveMalformedFrameDropsPeer(t *testing.T) {
 		t.Fatal("no key block mined")
 	}
 	conn3.SetReadDeadline(time.Now().Add(5 * time.Second))
-	env, err := wire.ReadEnvelope(conn3)
+	env, err := readFrame(conn3)
 	if err != nil {
 		t.Fatalf("no gossip after recovery: %v", err)
 	}

@@ -41,15 +41,19 @@ func (p *peer) start() {
 	go p.writeLoop()
 }
 
+// readLoop reads every frame of the connection into one Envelope, so after
+// the largest frame so far a read allocates nothing. deliver decodes each
+// frame before the next read overwrites it, and the decoded message owns its
+// bytes (see wire.Reader.VarDecode).
 func (p *peer) readLoop() {
 	defer p.rt.wg.Done()
 	defer p.close()
+	var env wire.Envelope
 	for {
-		env, err := wire.ReadEnvelope(p.conn)
-		if err != nil {
+		if _, err := env.ReadFrom(p.conn); err != nil {
 			return
 		}
-		if err := p.rt.deliver(p.id, env); err != nil {
+		if err := p.rt.deliver(p.id, &env); err != nil {
 			return // undecodable frame: drop the peer, keep the node
 		}
 	}

@@ -237,9 +237,9 @@ func (rt *Runtime) setupPeer(conn net.Conn, dialer bool) error {
 		_, err := env.WriteTo(conn)
 		return err
 	}
+	var env wire.Envelope // both handshake frames are read into it
 	recvVersion := func() (*versionPayload, error) {
-		env, err := wire.ReadEnvelope(conn)
-		if err != nil {
+		if _, err := env.ReadFrom(conn); err != nil {
 			return nil, err
 		}
 		if env.Type != wire.MsgVersion {
@@ -266,8 +266,7 @@ func (rt *Runtime) setupPeer(conn net.Conn, dialer bool) error {
 		return err
 	}
 	recvAck := func() error {
-		env, err := wire.ReadEnvelope(conn)
-		if err != nil {
+		if _, err := env.ReadFrom(conn); err != nil {
 			return err
 		}
 		if env.Type != wire.MsgVerAck {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 	"sync/atomic"
 
 	"bitcoinng/internal/crypto"
@@ -38,6 +39,7 @@ func (k BlockKind) String() string {
 // three concrete block types implement it.
 type Block interface {
 	wire.Encoder
+	wire.Decoder
 
 	// Hash returns the block identifier: the hash of the header.
 	Hash() crypto.Hash
@@ -93,11 +95,29 @@ func rootMatches(ok *atomic.Bool, txs []*Transaction, root crypto.Hash) bool {
 	if ok.Load() {
 		return true
 	}
-	if crypto.MerkleRoot(TxIDs(txs)) != root {
+	if txRoot(txs) != root {
 		return false
 	}
 	ok.Store(true)
 	return true
+}
+
+// idScratch holds the leaf lists txRoot folds, for the reason scratch holds
+// encoding buffers.
+var idScratch = sync.Pool{New: func() any { return new([]crypto.Hash) }}
+
+// txRoot is crypto.MerkleRoot(TxIDs(txs)) with the ID list in a pooled slice,
+// which the fold then consumes in place.
+func txRoot(txs []*Transaction) crypto.Hash {
+	p := idScratch.Get().(*[]crypto.Hash)
+	ids := (*p)[:0]
+	for _, tx := range txs {
+		ids = append(ids, tx.ID())
+	}
+	root := crypto.MerkleRoot(ids)
+	*p = ids
+	idScratch.Put(p)
+	return root
 }
 
 // checkTxSet validates the transaction list shared by PoW and key blocks:
@@ -170,7 +190,11 @@ func (h *PowHeader) DecodeWire(r *wire.Reader) {
 }
 
 // Hash returns the double-SHA256 of the serialized header.
-func (h *PowHeader) Hash() crypto.Hash { return crypto.HashBytes(wire.Encode(h)) }
+func (h *PowHeader) Hash() crypto.Hash {
+	w := getScratch()
+	h.EncodeWire(w)
+	return sumScratch(w)
+}
 
 // PowBlock is a full Bitcoin block.
 type PowBlock struct {
@@ -290,11 +314,15 @@ func (h *KeyBlockHeader) DecodeWire(r *wire.Reader) {
 	h.TimeNanos = r.Int64()
 	h.Target = crypto.CompactTarget(r.Uint32())
 	h.Nonce = r.Uint64()
-	copy(h.LeaderKey[:], r.Raw(crypto.PublicKeySize))
+	r.Raw(h.LeaderKey[:])
 }
 
 // Hash returns the double-SHA256 of the serialized header.
-func (h *KeyBlockHeader) Hash() crypto.Hash { return crypto.HashBytes(wire.Encode(h)) }
+func (h *KeyBlockHeader) Hash() crypto.Hash {
+	w := getScratch()
+	h.EncodeWire(w)
+	return sumScratch(w)
+}
 
 // KeyBlock is a full Bitcoin-NG key block. Its transactions are the coinbase
 // (paying the previous epoch's fee split, §4.4) and any poison transactions.
@@ -400,19 +428,25 @@ func (h *MicroBlockHeader) DecodeWire(r *wire.Reader) {
 	h.Prev = r.Bytes32()
 	h.TxRoot = r.Bytes32()
 	h.TimeNanos = r.Int64()
-	copy(h.Signature[:], r.Raw(crypto.SignatureSize))
+	r.Raw(h.Signature[:])
 }
 
 // Hash returns the double-SHA256 of the serialized header (including the
 // signature, so the ID commits to it).
-func (h *MicroBlockHeader) Hash() crypto.Hash { return crypto.HashBytes(wire.Encode(h)) }
+func (h *MicroBlockHeader) Hash() crypto.Hash {
+	w := getScratch()
+	h.EncodeWire(w)
+	return sumScratch(w)
+}
 
 // SigHash returns the digest the leader signs: the header serialized with
-// the signature zeroed.
+// the signature, its last field, zeroed.
 func (h *MicroBlockHeader) SigHash() crypto.Hash {
-	c := *h
-	c.Signature = crypto.Signature{}
-	return crypto.HashBytes(wire.Encode(&c))
+	w := getScratch()
+	h.EncodeWire(w)
+	buf := w.Bytes()
+	clear(buf[len(buf)-crypto.SignatureSize:])
+	return sumScratch(w)
 }
 
 // Sign fills in the header signature using the leader's private key, which
@@ -573,24 +607,27 @@ func AdoptSignatures(b Block) (adopted int, ok bool) {
 	return len(txs), true
 }
 
-// DecodeBlockMsg decodes a block received with the given message type.
-func DecodeBlockMsg(t wire.MsgType, payload []byte) (Block, error) {
-	var b Block
-	var d wire.Decoder
+// NewBlockMsg returns an empty block of the type relayed with message type t,
+// ready for DecodeWire.
+func NewBlockMsg(t wire.MsgType) (Block, error) {
 	switch t {
 	case wire.MsgBlock:
-		pb := new(PowBlock)
-		b, d = pb, pb
+		return new(PowBlock), nil
 	case wire.MsgKeyBlock:
-		kb := new(KeyBlock)
-		b, d = kb, kb
+		return new(KeyBlock), nil
 	case wire.MsgMicroBlock:
-		mb := new(MicroBlock)
-		b, d = mb, mb
-	default:
-		return nil, fmt.Errorf("types: message type %v is not a block", t)
+		return new(MicroBlock), nil
 	}
-	if err := wire.Decode(payload, d); err != nil {
+	return nil, fmt.Errorf("types: message type %v is not a block", t)
+}
+
+// DecodeBlockMsg decodes a block received with the given message type.
+func DecodeBlockMsg(t wire.MsgType, payload []byte) (Block, error) {
+	b, err := NewBlockMsg(t)
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.Decode(payload, b); err != nil {
 		return nil, err
 	}
 	return b, nil

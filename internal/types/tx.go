@@ -11,6 +11,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"bitcoinng/internal/crypto"
@@ -184,8 +185,8 @@ func (t *Transaction) DecodeWire(r *wire.Reader) {
 		in := &t.Inputs[i]
 		in.Prev.TxID = r.Bytes32()
 		in.Prev.Index = r.Uint32()
-		copy(in.PubKey[:], r.Raw(crypto.PublicKeySize))
-		copy(in.Sig[:], r.Raw(crypto.SignatureSize))
+		r.Raw(in.PubKey[:])
+		r.Raw(in.Sig[:])
 	}
 	nOut := r.Length(MaxTxOutputs)
 	t.Outputs = make([]TxOutput, nOut)
@@ -208,13 +209,33 @@ func (t *Transaction) DecodeWire(r *wire.Reader) {
 	t.Invalidate()
 }
 
+// scratch holds the encoding buffers digests are computed in: an ID, sighash
+// or header hash encodes into a pooled Writer, hashes the bytes where they
+// lie and hands the Writer back, so once the pool is warm a digest allocates
+// nothing. Pooled rather than per-object because the sharded event loop and
+// the validation pool compute digests from several goroutines at once.
+var scratch = sync.Pool{New: func() any { return new(wire.Writer) }}
+
+func getScratch() *wire.Writer { return scratch.Get().(*wire.Writer) }
+
+// sumScratch returns the double-SHA256 of w's contents and puts w back.
+func sumScratch(w *wire.Writer) crypto.Hash {
+	h := crypto.HashBytes(w.Bytes())
+	w.Reset()
+	scratch.Put(w)
+	return h
+}
+
 // ID returns the transaction hash over its full serialization. The result
-// is cached; see Invalidate.
+// is cached (the cached copy is the one allocation an ID costs); see
+// Invalidate.
 func (t *Transaction) ID() crypto.Hash {
 	if p := t.cachedID.Load(); p != nil {
 		return *p
 	}
-	id := crypto.HashBytes(wire.Encode(t))
+	w := getScratch()
+	t.EncodeWire(w)
+	id := sumScratch(w)
 	t.cachedID.Store(&id)
 	return id
 }
@@ -245,24 +266,31 @@ func (t *Transaction) InputAddr(i int) crypto.Address {
 	return addrs[i]
 }
 
+// Input layout inside EncodeWire's bytes: each input is its outpoint, public
+// key and signature, back to back.
+const (
+	inputSigOffset = crypto.HashSize + 4 + crypto.PublicKeySize
+	inputSize      = inputSigOffset + crypto.SignatureSize
+)
+
 // SigHash returns the digest inputs sign: the transaction serialized with
 // every input signature zeroed, so signatures cover everything else
-// (including all other inputs and outputs). The copy is built field by field
-// rather than by struct assignment so the atomic cache fields are not copied.
+// (including all other inputs and outputs). The full encoding is built in a
+// scratch buffer and each signature is zeroed there, where EncodeWire put it:
+// the inputs follow the kind byte and the input count.
 func (t *Transaction) SigHash() crypto.Hash {
-	c := Transaction{
-		Kind:     t.Kind,
-		Inputs:   make([]TxInput, len(t.Inputs)),
-		Outputs:  t.Outputs,
-		Height:   t.Height,
-		Evidence: t.Evidence,
-		Padding:  t.Padding,
+	w := getScratch()
+	w.Uint8(uint8(t.Kind))
+	w.VarInt(uint64(len(t.Inputs)))
+	sig := w.Len() + inputSigOffset
+	w.Reset()
+	t.EncodeWire(w)
+	buf := w.Bytes()
+	for range t.Inputs {
+		clear(buf[sig : sig+crypto.SignatureSize])
+		sig += inputSize
 	}
-	copy(c.Inputs, t.Inputs)
-	for i := range c.Inputs {
-		c.Inputs[i].Sig = crypto.Signature{}
-	}
-	return crypto.HashBytes(wire.Encode(&c))
+	return sumScratch(w)
 }
 
 // OutputSum returns the total of all output values.

@@ -97,8 +97,10 @@ func (p *Pool) WarmTransactions(txs []*types.Transaction) {
 // header-level well-formedness verdict where it needs no context (PoW and key
 // blocks), and every carried transaction's verdict. Microblock signature
 // checks need the epoch's leader key and stay with the contextual stage. The
-// caller must own the block exclusively until the call returns (the live p2p
-// path warms a freshly decoded block before posting it to the event loop).
+// live p2p reader warms a freshly decoded block before posting it to the event
+// loop, and chain.State.addOne warms any block that reaches the chain cold.
+// Every cache this fills is atomic, so a block shared between simulated nodes
+// may be warmed while another shard reads it.
 func (p *Pool) WarmBlock(b types.Block) {
 	b.Hash()
 	b.WireSize()

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzEnvelope round-trips the stream framing: any byte string that
-// ReadEnvelope accepts must re-encode (WriteTo) to bytes that decode to the
-// identical envelope, and the re-encoding must equal the consumed input
+// Envelope.ReadFrom accepts must re-encode (WriteTo) to bytes that decode to
+// the identical envelope, and the re-encoding must equal the consumed input
 // prefix — the header has exactly one canonical form, so a hash or
 // checksum computed by a relay hop can never disagree with the sender's.
 //
@@ -22,7 +22,8 @@ func FuzzEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x47, 0x30, 0x36, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		env, err := ReadEnvelope(bytes.NewReader(raw))
+		var env Envelope
+		n, err := env.ReadFrom(bytes.NewReader(raw))
 		if err != nil {
 			return // rejection is fine; silent mutation is not
 		}
@@ -31,11 +32,15 @@ func FuzzEnvelope(f *testing.F) {
 			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
 		consumed := envelopeHeaderSize + len(env.Payload)
+		if n != int64(consumed) {
+			t.Fatalf("ReadFrom reported %d bytes, consumed %d", n, consumed)
+		}
 		if !bytes.Equal(out.Bytes(), raw[:consumed]) {
 			t.Fatalf("re-encoding differs from accepted input:\n in: %x\nout: %x",
 				raw[:consumed], out.Bytes())
 		}
-		again, err := ReadEnvelope(bytes.NewReader(out.Bytes()))
+		var again Envelope
+		_, err = again.ReadFrom(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded envelope rejected: %v", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // MsgType identifies a protocol message inside an Envelope. The protocol
@@ -112,31 +113,43 @@ func (e *Envelope) WriteTo(w io.Writer) (int64, error) {
 	return total + int64(n), err
 }
 
-// ReadEnvelope reads one framed message from r, validating magic, length,
-// and checksum before returning the payload.
-func ReadEnvelope(r io.Reader) (*Envelope, error) {
-	hdr := make([]byte, envelopeHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+// ReadFrom reads one framed message from r into e, validating magic, type,
+// length and checksum; it returns the bytes read. Header and payload are read
+// into e.Payload's backing array, which grows only when a frame outgrows it,
+// so a connection that keeps one Envelope reads every frame into one buffer.
+// The price is aliasing: the next ReadFrom overwrites this frame's payload, so
+// decode it first (decoders copy what they keep; see Reader.VarDecode). On
+// error e holds no message, only the buffer for the next call.
+func (e *Envelope) ReadFrom(r io.Reader) (int64, error) {
+	buf := slices.Grow(e.Payload[:0], envelopeHeaderSize)
+	e.Type, e.Payload = MsgInvalid, buf[:0]
+	hdr := buf[:envelopeHeaderSize]
+	n, err := io.ReadFull(r, hdr)
+	if err != nil {
+		return int64(n), err
 	}
 	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != Magic {
-		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, got)
+		return int64(n), fmt.Errorf("%w: %#x", ErrBadMagic, got)
 	}
 	typ := MsgType(hdr[4])
 	if !typ.Valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadMsgType, hdr[4])
+		return int64(n), fmt.Errorf("%w: %d", ErrBadMsgType, hdr[4])
 	}
 	length := binary.LittleEndian.Uint32(hdr[5:9])
 	if length > MaxMessageSize {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, length)
+		return int64(n), fmt.Errorf("%w: payload %d bytes", ErrTooLarge, length)
 	}
 	want := binary.LittleEndian.Uint32(hdr[9:13])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	// The header is parsed, so the payload may overwrite it.
+	buf = slices.Grow(buf[:0], int(length))
+	e.Payload = buf[:0]
+	m, err := io.ReadFull(r, buf[:length])
+	if err != nil {
+		return int64(n + m), err
 	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, ErrBadChecksum
+	if crc32.ChecksumIEEE(buf[:length]) != want {
+		return int64(n + m), ErrBadChecksum
 	}
-	return &Envelope{Type: typ, Payload: payload}, nil
+	e.Type, e.Payload = typ, buf[:length]
+	return int64(n + m), nil
 }

@@ -12,6 +12,13 @@
 // headers. Decoding is strict: trailing garbage, oversized lengths, and
 // non-canonical CompactSize encodings are rejected, so a hash computed over
 // a decoded-then-reencoded message always matches the original.
+//
+// Buffers are meant to be reused: digests encode into pooled Writers, the
+// live transport reads every frame of a connection into one Envelope, and
+// batch members decode in place (Reader.VarDecode). That is safe because of
+// one rule every DecodeWire follows: a decoder copies whatever it keeps —
+// Bytes32, VarBytes and Raw all copy — and never retains a slice of the
+// Reader's buffer.
 package wire
 
 import (
@@ -330,15 +337,35 @@ func (r *Reader) VarBytes(max uint64) []byte {
 	return out
 }
 
-// Raw decodes n bytes with no length prefix, returning a copy.
-func (r *Reader) Raw(n int) []byte {
-	b := r.take(n)
-	if b == nil {
-		return nil
+// Raw decodes len(dst) bytes with no length prefix into dst, the mirror of
+// Writer.Raw. On error dst is left as it was.
+func (r *Reader) Raw(dst []byte) { copy(dst, r.take(len(dst))) }
+
+// VarDecode decodes a length-prefixed encoding of at most max bytes into d —
+// a list member written as VarInt(size) then EncodeWire — straight from the
+// Reader's buffer, without copying the member out first. d must consume
+// exactly the prefixed length, just as Decode requires of a whole buffer.
+//
+// Nothing here copies, so the rule every DecodeWire in this repository
+// follows is what makes it safe to reuse the buffer afterwards: a decoder
+// copies whatever it keeps (Raw, VarBytes and Bytes32 all do) and retains no
+// slice of the buffer.
+func (r *Reader) VarDecode(max uint64, d Decoder) {
+	n := r.Length(max)
+	if r.err != nil {
+		return
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	if r.Remaining() < n {
+		r.fail(io.ErrUnexpectedEOF)
+		return
+	}
+	whole, end := r.buf, r.off+n
+	r.buf = whole[:end] // the member's bytes are all d can see
+	d.DecodeWire(r)
+	if r.err == nil && r.off != end {
+		r.fail(fmt.Errorf("%w: %d bytes", ErrTrailing, end-r.off))
+	}
+	r.buf = whole
 }
 
 // Encoder is implemented by values that serialize themselves to a Writer.

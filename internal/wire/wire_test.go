@@ -50,8 +50,9 @@ func TestWriterReaderRoundTripFixed(t *testing.T) {
 	if got := r.VarBytes(100); !bytes.Equal(got, []byte("hello")) {
 		t.Errorf("VarBytes = %q", got)
 	}
-	if got := r.Raw(2); !bytes.Equal(got, []byte{9, 9}) {
-		t.Errorf("Raw = %v", got)
+	var raw [2]byte
+	if r.Raw(raw[:]); raw != [2]byte{9, 9} {
+		t.Errorf("Raw = %v", raw)
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -191,57 +192,140 @@ func TestEncodeDecodeHelpers(t *testing.T) {
 	}
 }
 
+// TestVarDecodeBoundsTheMember: a length-prefixed member decodes in place
+// only if it consumes exactly its prefix — a decoder may neither stop short
+// nor read on into the next member — and what it keeps is its own copy.
+func TestVarDecodeBoundsTheMember(t *testing.T) {
+	member := func(prefix int, m *testMsg) []byte {
+		w := NewWriter(0)
+		w.VarInt(uint64(prefix))
+		m.EncodeWire(w)
+		w.Uint8(0xee) // the next member's first byte
+		return w.Bytes()
+	}
+	in := &testMsg{A: 5, B: []byte("kept")}
+	size := Size(in)
+
+	buf := member(size, in)
+	r := NewReader(buf)
+	var out testMsg
+	r.VarDecode(64, &out)
+	if r.Err() != nil || out.A != in.A || !bytes.Equal(out.B, in.B) || r.Uint8() != 0xee || r.Finish() != nil {
+		t.Fatalf("exact member: err %v, got %+v", r.Err(), out)
+	}
+	clear(buf)
+	if !bytes.Equal(out.B, []byte("kept")) {
+		t.Error("the decoded member aliases the reader's buffer")
+	}
+
+	for _, c := range []struct {
+		name   string
+		prefix int
+		max    uint64
+	}{
+		{"prefix longer than the member", size + 1, 64},
+		{"prefix shorter than the member", size - 1, 64},
+		{"prefix past the buffer", size + 10, 64},
+		{"prefix above max", size, uint64(size - 1)},
+	} {
+		r := NewReader(member(c.prefix, in))
+		r.VarDecode(c.max, new(testMsg))
+		if r.Err() == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Envelope{Type: MsgBlock, Payload: []byte("block bytes")}
 	if _, err := in.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	out, err := ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatalf("ReadEnvelope: %v", err)
+	var out Envelope
+	if _, err := out.ReadFrom(&buf); err != nil {
+		t.Fatalf("ReadFrom: %v", err)
 	}
 	if out.Type != in.Type || !bytes.Equal(out.Payload, in.Payload) {
 		t.Errorf("round trip mismatch: %+v != %+v", out, in)
 	}
 }
 
-func TestEnvelopeRejectsCorruption(t *testing.T) {
-	frame := func() []byte {
-		var buf bytes.Buffer
-		e := &Envelope{Type: MsgInv, Payload: []byte("abcdef")}
+// frames returns the framed encodings of the given envelopes, back to back.
+func frames(t testing.TB, envs ...*Envelope) []byte {
+	var buf bytes.Buffer
+	for _, e := range envs {
 		if _, err := e.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		return buf.Bytes()
+	}
+	return buf.Bytes()
+}
+
+// TestEnvelopeReadFromReusesBuffer: consecutive frames read through one
+// Envelope land in one buffer — the second overwrites the first, which is
+// why a reader decodes each frame before reading the next — and once the
+// buffer has grown to the largest frame, reading allocates nothing.
+func TestEnvelopeReadFromReusesBuffer(t *testing.T) {
+	big := &Envelope{Type: MsgBlock, Payload: bytes.Repeat([]byte{0xb1}, 3000)}
+	small := &Envelope{Type: MsgInv, Payload: []byte("inv")}
+	stream := bytes.NewReader(frames(t, big, small))
+
+	var env Envelope
+	if _, err := env.ReadFrom(stream); err != nil || env.Type != MsgBlock || !bytes.Equal(env.Payload, big.Payload) {
+		t.Fatalf("first frame: %v %v (%d bytes)", err, env.Type, len(env.Payload))
+	}
+	first := env.Payload
+	if _, err := env.ReadFrom(stream); err != nil || env.Type != MsgInv || !bytes.Equal(env.Payload, small.Payload) {
+		t.Fatalf("second frame: %v %v %q", err, env.Type, env.Payload)
+	}
+	if &first[0] != &env.Payload[0] {
+		t.Error("the second frame was read into a fresh buffer")
+	}
+	if _, err := env.ReadFrom(stream); err != io.EOF || env.Type != MsgInvalid || len(env.Payload) != 0 {
+		t.Errorf("end of stream: err %v, type %v, %d payload bytes", err, env.Type, len(env.Payload))
 	}
 
-	// Corrupt magic.
+	raw := frames(t, small, big)
+	allocs := testing.AllocsPerRun(100, func() {
+		stream.Reset(raw)
+		for i := 0; i < 2; i++ {
+			if _, err := env.ReadFrom(stream); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state frame reads allocate %.1f times per two frames, want 0", allocs)
+	}
+}
+
+func TestEnvelopeRejectsCorruption(t *testing.T) {
+	frame := func() []byte { return frames(t, &Envelope{Type: MsgInv, Payload: []byte("abcdef")}) }
+	// One Envelope reads every case: a rejected frame must not leave a
+	// message behind for the next read to be confused with.
+	var env Envelope
+	reject := func(what string, b []byte) {
+		t.Helper()
+		if _, err := env.ReadFrom(bytes.NewReader(b)); err == nil || env.Type != MsgInvalid || len(env.Payload) != 0 {
+			t.Errorf("accepted %s (err %v, type %v)", what, err, env.Type)
+		}
+	}
+
 	b := frame()
 	b[0] ^= 0xff
-	if _, err := ReadEnvelope(bytes.NewReader(b)); err == nil {
-		t.Error("accepted bad magic")
-	}
+	reject("bad magic", b)
 
-	// Corrupt message type.
 	b = frame()
 	b[4] = 0xee
-	if _, err := ReadEnvelope(bytes.NewReader(b)); err == nil {
-		t.Error("accepted bad message type")
-	}
+	reject("bad message type", b)
 
-	// Corrupt payload byte (checksum must catch it).
 	b = frame()
-	b[len(b)-1] ^= 0x01
-	if _, err := ReadEnvelope(bytes.NewReader(b)); err == nil {
-		t.Error("accepted corrupted payload")
-	}
+	b[len(b)-1] ^= 0x01 // the checksum must catch it
+	reject("corrupted payload", b)
 
-	// Truncated payload.
 	b = frame()
-	if _, err := ReadEnvelope(bytes.NewReader(b[:len(b)-2])); err == nil {
-		t.Error("accepted truncated frame")
-	}
+	reject("truncated frame", b[:len(b)-2])
 }
 
 func TestEnvelopeRejectsOversize(t *testing.T) {
