@@ -41,7 +41,8 @@ race:
 
 # allocs runs the allocation pins without the race detector (whose
 # instrumentation may change what escapes): on the loose-transaction path,
-# refused mempool admissions, counted wire sizes, exactly-sized encodings and
+# refused mempool admissions, a warm add/confirm churn cycle (recycled pool
+# entries), counted wire sizes, exactly-sized encodings and
 # the relay flush; on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the file-backed
 # store path, a page fault served from the evicted page, archive records
@@ -50,7 +51,7 @@ race:
 # metric-buffer merge and the cross-shard outbox flush. CI calls it from the
 # `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer' \
 		./internal/types ./internal/crypto ./internal/wire

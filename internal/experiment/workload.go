@@ -170,6 +170,10 @@ func (v *WorkloadView) Add(tx *types.Transaction) error {
 	return fmt.Errorf("experiment: workload pool is read-only")
 }
 
+// Known implements node.TxPool. Nothing is relayed into a view, and Add
+// refuses everything anyway, so no transaction is known by ID.
+func (v *WorkloadView) Known(crypto.Hash) bool { return false }
+
 // limit returns the first index Select may NOT offer yet under the active
 // pacing discipline.
 func (v *WorkloadView) limit() int64 {

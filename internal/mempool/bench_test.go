@@ -73,6 +73,37 @@ func TestRefusalsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestChurnDoesNotAllocate pins the steady state of a relaying node's pool:
+// once warm, admitting a blockful and confirming an older one reuses entries
+// from the free list, tombstone lists and map slots, and allocates nothing.
+// Each batch returns four generations after it was confirmed, by when its
+// tombstones have expired.
+func TestChurnDoesNotAllocate(t *testing.T) {
+	const batch, batches = 64, 8
+	txs := streamTxs(t, batch*batches)
+	p := mempool.New()
+	p.SetLimits(mempool.Limits{MaxTxs: 8 * batch})
+	step := 0
+	cycle := func() {
+		for _, tx := range txs[step%batches*batch:][:batch] {
+			if err := p.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.RemoveConfirmed(txs[(step+batches/2)%batches*batch:][:batch])
+		step++
+	}
+	for i := 0; i < 4*batches; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("a warm add/confirm cycle allocates %v times, want 0", allocs)
+	}
+	if p.Len() != batches/2*batch {
+		t.Fatalf("pool holds %d, want %d", p.Len(), batches/2*batch)
+	}
+}
+
 // BenchmarkAddDuplicate is the cost of the delivery a flooding mesh makes
 // most: a transaction the pool already holds.
 func BenchmarkAddDuplicate(b *testing.B) {
@@ -95,6 +126,8 @@ func BenchmarkAddDuplicate(b *testing.B) {
 
 // BenchmarkAddAdmit is the cost of a first delivery: admission into an
 // unbounded pool, emptied whenever the prepared transactions run out.
+// Emptying confirms them, so empty generations follow until their tombstones
+// expire and the same transactions are admissible again.
 func BenchmarkAddAdmit(b *testing.B) {
 	txs := streamTxs(b, 4096)
 	p := mempool.New()
@@ -104,6 +137,9 @@ func BenchmarkAddAdmit(b *testing.B) {
 		if i == len(txs) {
 			b.StopTimer()
 			p.RemoveConfirmed(txs)
+			for p.Known(txs[0].ID()) {
+				p.RemoveConfirmed(nil)
+			}
 			i = 0
 			b.StartTimer()
 		}

@@ -14,6 +14,11 @@
 // caller drops, so a refusal must cost a map probe and nothing else. A
 // caller that reports the error to a person adds the transaction id there
 // (node.Base.SubmitTx does).
+//
+// A confirmed transaction leaves a tombstone in the pool's index for
+// tombGenerations calls of RemoveConfirmed, so a relayed copy that arrives
+// after its block connected is refused by the same duplicate probe instead
+// of being pooled and relayed again. Nothing else sees a tombstone.
 package mempool
 
 import (
@@ -53,13 +58,23 @@ type Stats struct {
 	Rejected  uint64 // additions refused with ErrPoolFull so far
 }
 
-// entry is one pooled transaction with its selection metadata.
+// tombGenerations is how many RemoveConfirmed calls (one per tip change) a
+// tombstone outlives: a stale relayed copy trails its block by at most the
+// relay queue delay, which stays below one microblock interval (4.7 s of
+// 10 s on blast16, under 0.6 s of 2 s at the smallest interval measured), so
+// it lands before the next-but-one tip change.
+const tombGenerations = 2
+
+// entry is one pooled transaction with its selection metadata, or the
+// tombstone of a confirmed one (tx nil, gen set, in no bucket).
 type entry struct {
-	tx   *types.Transaction
+	id   crypto.Hash
+	tx   *types.Transaction // nil for a tombstone
 	size int
 	rate int64 // fee per 1000 bytes; 0 when the fee could not be resolved
 	bkt  *bucket
-	pos  int // index in bkt.order (maintained by compaction)
+	pos  int    // index in bkt.order (maintained by compaction)
+	gen  uint64 // generation a tombstone was laid in
 }
 
 // bucket is the FIFO of one fee rate. Removed entries are nil'd in place
@@ -76,11 +91,22 @@ type bucket struct {
 // classic arrival-order policy. It is not safe for concurrent use; each
 // node owns one and drives it from its event loop.
 type Pool struct {
-	txs     map[crypto.Hash]*entry
+	txs     map[crypto.Hash]*entry         // pooled entries and tombstones
 	spends  map[types.OutPoint]crypto.Hash // claimed inputs -> claiming tx
 	buckets map[int64]*bucket
 	rates   []int64 // bucket keys, sorted descending; never map order
 
+	// gen counts RemoveConfirmed calls; tombs[g%tombGenerations] lists the
+	// tombstones laid in generation g, purged when generation
+	// g+tombGenerations begins. A listed entry may since have been revived
+	// or recycled: purge skips any that is no longer a tombstone of g.
+	gen   uint64
+	tombs [tombGenerations][]*entry
+	// free holds zeroed entries (purged tombstones, removed or evicted
+	// transactions) for Add and RemoveConfirmed to reuse.
+	free []*entry
+
+	live     int // pooled entries in txs (tombstones excluded)
 	bytes    int
 	limits   Limits
 	resolver FeeResolver
@@ -116,14 +142,22 @@ func (p *Pool) SetFeeResolver(r FeeResolver) { p.resolver = r }
 
 // Stats returns a point-in-time summary.
 func (p *Pool) Stats() Stats {
-	return Stats{Txs: len(p.txs), Bytes: p.bytes, Evictions: p.evictions, Rejected: p.rejected}
+	return Stats{Txs: p.live, Bytes: p.bytes, Evictions: p.evictions, Rejected: p.rejected}
 }
 
 // Len returns the number of pooled transactions.
-func (p *Pool) Len() int { return len(p.txs) }
+func (p *Pool) Len() int { return p.live }
 
 // Contains reports whether the pool holds txid.
 func (p *Pool) Contains(txid crypto.Hash) bool {
+	e, ok := p.txs[txid]
+	return ok && e.tx != nil
+}
+
+// Known reports whether txid is pooled or was confirmed within the last
+// tombGenerations generations: exactly the transactions Add refuses with
+// ErrDuplicate. It lets a caller skip checking a relayed copy it would drop.
+func (p *Pool) Known(txid crypto.Hash) bool {
 	_, ok := p.txs[txid]
 	return ok
 }
@@ -140,7 +174,7 @@ func (p *Pool) feeRate(tx *types.Transaction, size int) int64 {
 		prev := tx.Inputs[i].Prev
 		v, ok := p.resolver(prev)
 		if !ok {
-			if parent, pooled := p.txs[prev.TxID]; pooled && int(prev.Index) < len(parent.tx.Outputs) {
+			if parent, pooled := p.txs[prev.TxID]; pooled && parent.tx != nil && int(prev.Index) < len(parent.tx.Outputs) {
 				v, ok = parent.tx.Outputs[prev.Index].Value, true
 			}
 		}
@@ -192,7 +226,8 @@ func (p *Pool) dropBucket(b *bucket) {
 // transaction can become invalid later through a conflicting confirmation).
 // When limits are set, admission may evict lower-priority entries or return
 // ErrPoolFull. Every refusal is a bare sentinel (ErrKind, ErrDuplicate,
-// ErrConflict, ErrPoolFull) and allocates nothing.
+// ErrConflict, ErrPoolFull) and allocates nothing. A transaction confirmed
+// within the last tombGenerations generations is a duplicate too.
 func (p *Pool) Add(tx *types.Transaction) error {
 	if tx.Kind != types.TxRegular {
 		return ErrKind
@@ -213,10 +248,12 @@ func (p *Pool) Add(tx *types.Transaction) error {
 		return err
 	}
 	b := p.bucketFor(rate)
-	e := &entry{tx: tx, size: size, rate: rate, bkt: b, pos: len(b.order)}
+	e := p.newEntry()
+	*e = entry{id: txid, tx: tx, size: size, rate: rate, bkt: b, pos: len(b.order)}
 	b.order = append(b.order, e)
 	b.live++
 	p.txs[txid] = e
+	p.live++
 	p.bytes += size
 	for i := range tx.Inputs {
 		p.spends[tx.Inputs[i].Prev] = txid
@@ -237,7 +274,7 @@ func (p *Pool) makeRoom(size int, rate int64) error {
 		return nil
 	}
 	over := func() bool {
-		if p.limits.MaxTxs > 0 && len(p.txs)+1 > p.limits.MaxTxs {
+		if p.limits.MaxTxs > 0 && p.live+1 > p.limits.MaxTxs {
 			return true
 		}
 		return p.limits.MaxBytes > 0 && p.bytes+size > p.limits.MaxBytes
@@ -300,16 +337,22 @@ scan:
 	return out
 }
 
-// RemoveConfirmed drops the given transactions (typically the contents of a
-// newly connected block) and any pooled transaction that conflicts with
-// them on an input.
+// RemoveConfirmed drops the given transactions (the contents of the blocks
+// one tip change connected), leaving a tombstone for each regular one, and
+// drops any pooled transaction that conflicts with them on an input. Each
+// call is one generation: it first purges the tombstones laid
+// tombGenerations calls ago, so a caller connecting several blocks at once
+// must pass them in one call.
 func (p *Pool) RemoveConfirmed(txs []*types.Transaction) {
+	p.age()
 	for _, tx := range txs {
-		p.remove(tx.ID())
+		if tx.Kind == types.TxRegular {
+			p.bury(tx.ID())
+		}
 		// Evict pool entries that spend the same inputs.
 		for i := range tx.Inputs {
 			if owner, ok := p.spends[tx.Inputs[i].Prev]; ok {
-				p.remove(owner)
+				p.removeEntry(p.txs[owner])
 			}
 		}
 	}
@@ -317,30 +360,85 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) {
 }
 
 // Reinsert returns transactions to the pool after the block containing them
-// was disconnected in a reorganization. Conflicting entries that arrived in
-// the meantime win; reinsertion is best-effort, as in Bitcoin.
+// was disconnected in a reorganization, clearing their tombstones first.
+// Conflicting entries that arrived in the meantime win; reinsertion is
+// best-effort, as in Bitcoin.
 func (p *Pool) Reinsert(txs []*types.Transaction) {
 	for _, tx := range txs {
 		if tx.Kind != types.TxRegular {
 			continue // coinbases and poisons die with their block
 		}
+		if e, ok := p.txs[tx.ID()]; ok && e.tx == nil {
+			p.release(e)
+		}
 		_ = p.Add(tx)
 	}
 }
 
-func (p *Pool) remove(txid crypto.Hash) {
-	e, ok := p.txs[txid]
-	if !ok {
-		return
+// age starts a new generation, purging the tombstones laid tombGenerations
+// generations ago.
+func (p *Pool) age() {
+	p.gen++
+	slot := &p.tombs[p.gen%tombGenerations]
+	// An entry listed here that is no longer a tombstone of generation old
+	// was revived or recycled since. (A zeroed free entry has gen 0, and no
+	// tombstone is laid in generation 0.)
+	old := p.gen - tombGenerations
+	for _, e := range *slot {
+		if e.tx == nil && e.gen == old {
+			p.release(e)
+		}
 	}
-	p.removeEntry(e)
+	*slot = (*slot)[:0]
 }
 
+// bury turns txid's pooled entry into a tombstone of the current
+// generation, or lays a fresh one if the pool never held it.
+func (p *Pool) bury(txid crypto.Hash) {
+	e, ok := p.txs[txid]
+	switch {
+	case !ok:
+		e = p.newEntry()
+		p.txs[txid] = e
+	case e.tx != nil:
+		p.unlink(e)
+	case e.gen == p.gen:
+		return // already laid this generation
+	}
+	*e = entry{id: txid, gen: p.gen}
+	slot := &p.tombs[p.gen%tombGenerations]
+	*slot = append(*slot, e)
+}
+
+// newEntry takes a recycled entry, or allocates one when none is free.
+func (p *Pool) newEntry() *entry {
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free = p.free[:n-1]
+		return e
+	}
+	return new(entry)
+}
+
+// release deletes e's slot in txs and recycles it, zeroed so it pins no
+// transaction.
+func (p *Pool) release(e *entry) {
+	delete(p.txs, e.id)
+	*e = entry{}
+	p.free = append(p.free, e)
+}
+
+// removeEntry drops a pooled transaction outright (eviction, conflict).
 func (p *Pool) removeEntry(e *entry) {
-	txid := e.tx.ID()
-	delete(p.txs, txid)
+	p.unlink(e)
+	p.release(e)
+}
+
+// unlink takes a pooled entry out of its bucket, the spend index and the
+// counts; its slot in txs stays.
+func (p *Pool) unlink(e *entry) {
 	for i := range e.tx.Inputs {
-		if p.spends[e.tx.Inputs[i].Prev] == txid {
+		if p.spends[e.tx.Inputs[i].Prev] == e.id {
 			delete(p.spends, e.tx.Inputs[i].Prev)
 		}
 	}
@@ -351,7 +449,8 @@ func (p *Pool) removeEntry(e *entry) {
 	e.bkt.order[e.pos] = nil
 	e.bkt.live--
 	e.bkt = nil
-	if len(p.txs) == 0 {
+	p.live--
+	if p.live == 0 {
 		p.minSize = 0
 	}
 }
@@ -411,7 +510,7 @@ func (p *Pool) compact(force bool) {
 		}
 		p.minSize = min
 	}
-	if len(p.txs) == 0 {
+	if p.live == 0 {
 		p.minSize = 0
 	}
 }

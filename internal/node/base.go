@@ -143,8 +143,8 @@ func (b *Base) processBlock(blk types.Block, from int, relay bool) *chain.AddRes
 		for _, n := range res.Disconnected {
 			b.Pool.Reinsert(n.Block().Transactions())
 		}
-		for _, n := range res.Connected {
-			b.Pool.RemoveConfirmed(n.Block().Transactions())
+		if len(res.Connected) > 0 {
+			b.Pool.RemoveConfirmed(confirmedTxs(res.Connected))
 		}
 		b.Recorder.TipChanged(b.Env.NodeID(), now, b.State.Tip().Hash(),
 			ids(res.Connected), ids(res.Disconnected))
@@ -155,10 +155,15 @@ func (b *Base) processBlock(blk types.Block, from int, relay bool) *chain.AddRes
 	return res
 }
 
-// handleTx pools and optionally relays a loose transaction.
+// handleTx pools and optionally relays a loose transaction. A copy the pool
+// already knows is dropped before its signatures are checked: the ID covers
+// the signatures, so same ID means same bytes and the same verdict.
 func (b *Base) handleTx(from int, tx *types.Transaction) {
 	if tx == nil {
 		return // malformed relay; never let a byzantine peer panic the node
+	}
+	if b.Pool.Known(tx.ID()) {
+		return
 	}
 	if err := tx.CheckWellFormed(); err != nil {
 		return
@@ -187,6 +192,21 @@ func (b *Base) SubmitTx(tx *types.Transaction) error {
 		b.Gossip.RelayTx(tx, -1)
 	}
 	return nil
+}
+
+// confirmedTxs gathers the transactions of one tip change's connected
+// blocks, in chain order, so the pool sees one RemoveConfirmed call (one
+// generation of its tombstones) per tip change however many blocks it
+// connected. The common single-block case passes the block's own slice.
+func confirmedTxs(connected []*chain.Node) []*types.Transaction {
+	if len(connected) == 1 {
+		return connected[0].Block().Transactions()
+	}
+	var txs []*types.Transaction
+	for _, n := range connected {
+		txs = append(txs, n.Block().Transactions()...)
+	}
+	return txs
 }
 
 func ids(nodes []*chain.Node) []BlockID {

@@ -1,6 +1,9 @@
 package node
 
-import "bitcoinng/internal/types"
+import (
+	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/types"
+)
 
 // TxPool is the transaction-pool interface a node's block assembly draws
 // from. internal/mempool provides the general implementation; the experiment
@@ -10,11 +13,16 @@ import "bitcoinng/internal/types"
 type TxPool interface {
 	// Add inserts a loose transaction (live relay and wallets).
 	Add(tx *types.Transaction) error
+	// Known reports whether Add would refuse txid as a duplicate (held, or
+	// recently confirmed), so a relayed copy is dropped before its
+	// signatures are checked.
+	Known(txid crypto.Hash) bool
 	// Select returns transactions fitting maxBytes, in the pool's
 	// deterministic order, without removing them.
 	Select(maxBytes int) []*types.Transaction
-	// RemoveConfirmed drops transactions confirmed by a connected block
-	// and anything conflicting with them.
+	// RemoveConfirmed drops transactions confirmed by the blocks one tip
+	// change connected, and anything conflicting with them. The node makes
+	// one call per tip change.
 	RemoveConfirmed(txs []*types.Transaction)
 	// Reinsert returns transactions from a disconnected block.
 	Reinsert(txs []*types.Transaction)
