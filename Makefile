@@ -13,7 +13,8 @@ vet:
 # lint is the static determinism/protocol-safety gate: go vet, then the
 # project's own nglint suite — the per-function analyzers (walltime,
 # globalrand, maporder, locksafe, wiresym) plus the interprocedural module
-# analyzers (detflow, parity, errflow) — see DESIGN.md §9 — then staticcheck
+# analyzers (detflow; parity over interface impls, the invariant catalogue and
+# strategy hooks; errflow) — see DESIGN.md §9 — then staticcheck
 # and govulncheck when installed (CI installs both; locally they are
 # optional extras since the sandbox has no network). A finding, or an
 # unjustified //nglint:allow, fails the build. NGLINT_FLAGS threads extra
@@ -42,8 +43,8 @@ race:
 # allocs runs the allocation pins without the race detector (whose
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, a warm add/confirm churn cycle (recycled pool
-# entries), counted wire sizes, exactly-sized encodings and
-# the relay flush; on the stage-1 hashing path, transaction and microblock
+# entries), counted wire sizes, every gossip message's Size(), exactly-sized
+# encodings and the relay flush; on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the file-backed
 # store path, a page fault served from the evicted page, archive records
 # written from a retained buffer and read back into one; on the live path, a
@@ -51,7 +52,7 @@ race:
 # metric-buffer merge and the cross-shard outbox flush. CI calls it from the
 # `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer' \
 		./internal/types ./internal/crypto ./internal/wire
@@ -197,6 +198,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzBlockWire -fuzztime=$(FUZZTIME) -run '^$$' ./internal/types
 	$(GO) test -fuzz=FuzzEnvelope -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzMessage -fuzztime=$(FUZZTIME) -run '^$$' ./internal/p2p
 	$(GO) test -fuzz=FuzzVarInt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzNextTarget -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chain
 	$(GO) test -fuzz=FuzzBlockstoreReopen -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore

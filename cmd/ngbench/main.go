@@ -180,15 +180,12 @@ func throughputFigure(scale experiment.Scale, rateList string, duration time.Dur
 // chaosSoak runs the randomized-scenario campaign and fails on any
 // invariant violation, scenario error, or cross-engine divergence.
 func chaosSoak(seeds int, baseSeed int64, differential bool, parallelism int) error {
-	report, err := chaos.Soak(chaos.SoakConfig{
+	report := chaos.Soak(chaos.SoakConfig{
 		Seeds:        seeds,
 		BaseSeed:     baseSeed,
 		Parallelism:  parallelism,
 		Differential: differential,
 	})
-	if err != nil {
-		return err
-	}
 	report.Fprint(os.Stdout)
 	if fails := report.Failures(); len(fails) > 0 {
 		return fmt.Errorf("%d of %d seeds failed", len(fails), seeds)

@@ -17,11 +17,13 @@ import (
 // that claims "byte-identical" must reproduce it unchanged. Re-record it only
 // for a change that is MEANT to alter cluster behaviour, and say so.
 //
-// Re-recorded once so far: when a confirmed transaction began leaving a
+// Re-recorded twice so far: when a confirmed transaction began leaving a
 // tombstone in the pool, late relayed copies stopped being re-admitted and
-// re-relayed. The load report and every tip stayed the same; the net=
-// counters and TimeToPrune moved.
-const clusterGolden = "94caba98ce3fe3ad"
+// re-relayed (the load report and every tip stayed the same; the net=
+// counters and TimeToPrune moved); and when a sync batch began charging the
+// one type byte per block its frame carries (net= BytesSent alone moved,
+// 27169567 → 27169582).
+const clusterGolden = "da2ec5050db793fd"
 
 // TestClusterGoldenFingerprint drives one small cluster through every path
 // the harness owns — a scheduled partition/heal, a crash and restart of the

@@ -85,15 +85,9 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	cfg := SoakConfig{Seeds: 4, BaseSeed: 1, Parallelism: 2}
 	var out1, out2 bytes.Buffer
-	r1, err := Soak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := Soak(cfg)
 	r1.Fprint(&out1)
-	r2, err := Soak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := Soak(cfg)
 	r2.Fprint(&out2)
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Fatalf("soak reports differ:\n--- first\n%s--- second\n%s", out1.String(), out2.String())

@@ -66,9 +66,9 @@ func (r *SoakReport) Failures() []error {
 // TestSoakDeterministic and relied on by the CI soak gate.
 //
 // Soak itself never fails a campaign; callers decide what to do with
-// report.Failures(). Returns an error only when the harness could not even
-// execute (a Sweep infrastructure failure).
-func Soak(cfg SoakConfig) (*SoakReport, error) {
+// report.Failures(). A run that fails or panics fails its seed, with the
+// run's own error.
+func Soak(cfg SoakConfig) *SoakReport {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 50
 	}
@@ -100,8 +100,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		out.Gen = gen
 		base := results[i*len(variants)]
 		if base == nil {
-			out.Err = Failure{Seed: gen.Seed,
-				Err: fmt.Errorf("run failed: %w", rerunError(gen, variants[0], sweepErr))}
+			out.Err = Failure{Seed: gen.Seed, Err: experiment.PointErr(sweepErr, i*len(variants))}
 			continue
 		}
 		out.Digest = Digest(base)
@@ -115,7 +114,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			if res == nil {
 				out.Err = Failure{Seed: gen.Seed, Err: fmt.Errorf(
 					"differential %s failed: %w", variants[j].name,
-					rerunError(gen, variants[j], sweepErr))}
+					experiment.PointErr(sweepErr, i*len(variants)+j))}
 				break
 			}
 			if d := Digest(res); d != out.Digest {
@@ -128,20 +127,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			}
 		}
 	}
-	return report, nil
-}
-
-// rerunError recovers a failed sweep point's own error: experiment.Sweep
-// only surfaces the joined errors of every failed point, which would
-// misattribute other seeds' failures to this row, so the (rare, already
-// failing) configuration is re-run sequentially for its exact error. Runs
-// are seed-deterministic, so the failure reproduces; if it somehow does
-// not, the aggregate is returned rather than claiming success.
-func rerunError(gen Generated, v engineVariant, sweepErr error) error {
-	if _, err := experiment.Run(variantConfig(gen, v)); err != nil {
-		return err
-	}
-	return fmt.Errorf("not reproducible sequentially; sweep reported: %v", sweepErr)
+	return report
 }
 
 // Fprint writes the campaign as a deterministic table: one row per seed

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -22,7 +23,8 @@ import (
 //
 // On failures the returned slice still carries every successful result (nil
 // at failed indices) and the error joins every failure, each wrapped with
-// its point index.
+// its point index. A point that panics fails with the panic and its stack
+// as its error; the other points run on.
 func Sweep(cfgs []Config, parallelism int) ([]*Result, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -51,9 +53,9 @@ func Sweep(cfgs []Config, parallelism int) ([]*Result, error) {
 				if cfg.Parallelism == 0 {
 					cfg.Parallelism = 1
 				}
-				res, err := Run(cfg)
+				res, err := runRecovered(cfg)
 				if err != nil {
-					errs[i] = fmt.Errorf("sweep point %d: %w", i, err)
+					errs[i] = &pointError{i, err}
 					continue
 				}
 				results[i] = res
@@ -62,4 +64,38 @@ func Sweep(cfgs []Config, parallelism int) ([]*Result, error) {
 	}
 	wg.Wait()
 	return results, errors.Join(errs...)
+}
+
+// pointError is one failed sweep point.
+type pointError struct {
+	index int
+	err   error
+}
+
+func (e *pointError) Error() string { return fmt.Sprintf("sweep point %d: %v", e.index, e.err) }
+
+func (e *pointError) Unwrap() error { return e.err }
+
+// PointErr returns the error point i failed with, out of the error Sweep
+// returned; nil if the point did not fail.
+func PointErr(err error, i int) error {
+	var joined interface{ Unwrap() []error }
+	if errors.As(err, &joined) {
+		for _, e := range joined.Unwrap() {
+			if pe, ok := e.(*pointError); ok && pe.index == i {
+				return pe.err
+			}
+		}
+	}
+	return nil
+}
+
+// runRecovered is Run with a panic turned into the point's error.
+func runRecovered(cfg Config) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return Run(cfg)
 }

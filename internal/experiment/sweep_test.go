@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bitcoinng/internal/scenario"
 )
 
 func sweepCfg(seed int64, blocks int) Config {
@@ -72,6 +74,26 @@ func TestSweepAggregatesErrors(t *testing.T) {
 	var joined interface{ Unwrap() []error }
 	if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
 		t.Errorf("want 2 joined errors, got %v", msg)
+	}
+}
+
+// TestSweepRecoversPanics: a point that panics fails with the panic and its
+// stack, and the points around it still return.
+func TestSweepRecoversPanics(t *testing.T) {
+	bad := sweepCfg(2, 3)
+	bad.Scenario = scenario.New(scenario.At(time.Second, scenario.Step{
+		Name: "explode",
+		Do:   func(scenario.Runtime) error { panic("boom") },
+	}))
+	results, err := Sweep([]Config{sweepCfg(1, 3), bad, sweepCfg(3, 3)}, 2)
+	if results[0] == nil || results[1] != nil || results[2] == nil {
+		t.Errorf("results %v: want the panicking point alone missing", results)
+	}
+	if err == nil {
+		t.Fatal("a panicking point returned no error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "sweep point 1: panic: boom") || !strings.Contains(msg, "runtime/debug.Stack") {
+		t.Errorf("error lacks the panic or its stack: %v", msg)
 	}
 }
 

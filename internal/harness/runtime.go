@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/simnet"
@@ -96,8 +97,10 @@ func (f *Fleet) AdoptStrategy(node int, name string) error {
 // PublishEquivocation makes the given node — which must currently lead — sign
 // two conflicting microblocks on its tip, each carrying one of the
 // transactions (nil for empty), publishing the first normally and slipping the
-// second to its successor in index order: the split-brain double-spend of
-// §4.5. Honest nodes that see both poison the leader once they lead.
+// second to a neighbour, the first up one after it in index order: the
+// split-brain double-spend of §4.5. Honest nodes that see both poison the
+// leader once they lead. A leader with no up neighbour is an error: the
+// victim must be able to fetch what it lacks from the leader.
 func (f *Fleet) PublishEquivocation(leader int, txA, txB *types.Transaction) (*types.MicroBlock, *types.MicroBlock, error) {
 	nd, err := f.node(leader)
 	if err != nil {
@@ -105,6 +108,15 @@ func (f *Fleet) PublishEquivocation(leader int, txA, txB *types.Transaction) (*t
 	}
 	if nd.Down {
 		return nil, nil, fmt.Errorf("harness: node %d is down", leader)
+	}
+	victim := -1
+	for i := 1; i < len(f.nodes) && victim < 0; i++ {
+		if v := (leader + i) % len(f.nodes); !f.nodes[v].Down && slices.Contains(f.net.Peers(leader), v) {
+			victim = v
+		}
+	}
+	if victim < 0 {
+		return nil, nil, fmt.Errorf("harness: node %d has no up neighbour to equivocate to", leader)
 	}
 	eq, ok := nd.Client.(protocol.Equivocator)
 	if !ok {
@@ -115,8 +127,7 @@ func (f *Fleet) PublishEquivocation(leader int, txA, txB *types.Transaction) (*t
 		return nil, nil, fmt.Errorf("harness: node %d (%s): %w", leader, f.spec.Protocol, err)
 	}
 	nd.Base().ProcessBlock(mbA, -1)
-	victim := f.nodes[(leader+1)%len(f.nodes)]
-	victim.Base().ProcessFn(mbB, leader)
+	f.nodes[victim].Base().ProcessFn(mbB, leader)
 	return mbA, mbB, nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"bitcoinng/internal/lint/parity"
 )
 
+// TestModuleSweepParity runs the default contracts over the whole module,
+// which must satisfy every one of them: any finding fails.
 func TestModuleSweepParity(t *testing.T) {
 	root := linttest.ModuleRoot(t)
 	l := load.New("bitcoinng", root)
@@ -26,6 +28,6 @@ func TestModuleSweepParity(t *testing.T) {
 	}
 	prog := dataflow.NewProgram(l.Fset(), pkgs)
 	for _, d := range parity.Run(prog, parity.Default()) {
-		t.Logf("%s: %s", l.Fset().Position(d.Pos), d.Message)
+		t.Errorf("%s: %s", l.Fset().Position(d.Pos), d.Message)
 	}
 }

@@ -150,3 +150,47 @@ func (o *OptBad) DecodeWire(r *wire.Reader) {
 		o.Ext.DecodeWire(r)
 	}
 }
+
+// Batch pairs the list-member codecs: a counted list of length-prefixed
+// members (VarEncode/VarDecode) and an embedded body (Embed/DecodeWire).
+type Batch struct {
+	Head    *Good
+	Members []*Good
+}
+
+func (g *Good) WireSize() int { return wire.Size(g) }
+
+func (b *Batch) EncodeWire(w *wire.Writer) {
+	w.Embed(b.Head)
+	w.VarInt(uint64(len(b.Members)))
+	for _, m := range b.Members {
+		w.VarEncode(m)
+	}
+}
+
+func (b *Batch) DecodeWire(r *wire.Reader) {
+	b.Head.DecodeWire(r)
+	b.Members = make([]*Good, r.Count(16, 2))
+	for i := range b.Members {
+		b.Members[i] = new(Good)
+		r.VarDecode(64, b.Members[i])
+	}
+}
+
+// Unprefixed writes members length-prefixed but reads them bare.
+type Unprefixed struct{ Members []*Good }
+
+func (u *Unprefixed) EncodeWire(w *wire.Writer) {
+	w.VarInt(uint64(len(u.Members)))
+	for _, m := range u.Members {
+		w.VarEncode(m)
+	}
+}
+
+func (u *Unprefixed) DecodeWire(r *wire.Reader) {
+	u.Members = make([]*Good, r.Count(16, 2))
+	for i := range u.Members {
+		u.Members[i] = new(Good)
+		u.Members[i].DecodeWire(r) // want `encode step 3 is varcodec\(m\) but decode step 3 is sub-codec`
+	}
+}

@@ -49,13 +49,14 @@ var Analyzer = &analysis.Analyzer{
 var writerCodecs = map[string]string{
 	"Uint8": "u8", "Bool": "bool", "Uint16": "u16", "Uint32": "u32",
 	"Uint64": "u64", "Int64": "i64", "VarInt": "varint", "Bytes32": "b32",
-	"VarBytes": "varbytes", "Raw": "raw",
+	"VarBytes": "varbytes", "Raw": "raw", "Embed": "sub", "VarEncode": "varcodec",
 }
 
 var readerCodecs = map[string]string{
 	"Uint8": "u8", "Bool": "bool", "Uint16": "u16", "Uint32": "u32",
 	"Uint64": "u64", "Int64": "i64", "VarInt": "varint", "Length": "varint",
-	"Bytes32": "b32", "VarBytes": "varbytes", "Raw": "raw",
+	"Count": "varint", "Bytes32": "b32", "VarBytes": "varbytes", "Raw": "raw",
+	"VarDecode": "varcodec",
 }
 
 // step is one element of a codec sequence.

@@ -116,42 +116,14 @@ func (g *Gossip) Announce(b types.Block, except int) {
 }
 
 // maxInvItems bounds accepted inv/getdata item lists; an oversized message is
-// a protocol violation and is ignored whole rather than partially honored.
+// a protocol violation, ignored whole rather than partially honored (and on
+// the live path refused by its decoder).
 const maxInvItems = 1024
 
-// HandleMessage dispatches one gossip message. Unknown message types are
-// ignored (forward compatibility), and malformed payloads — nil blocks or
-// transactions, oversized item lists — are dropped without reaching protocol
-// code, so a byzantine peer cannot panic the node.
-func (g *Gossip) HandleMessage(from int, msg Message) {
-	switch m := msg.(type) {
-	case *InvMsg:
-		if len(m.Items) > maxInvItems {
-			return
-		}
-		g.handleInv(from, m)
-	case *GetDataMsg:
-		if len(m.Items) > maxInvItems {
-			return
-		}
-		g.handleGetData(from, m)
-	case *BlockMsg:
-		if m.Block == nil {
-			return
-		}
-		g.handleBlock(from, m)
-	case *TxMsg:
-		g.base.handleTx(from, m.Tx)
-	case *TxBatchMsg:
-		for _, tx := range m.Txs {
-			g.base.handleTx(from, tx)
-		}
-	case *GetBlocksMsg:
-		g.base.Sync.handleGetBlocks(from, m)
-	case *BlockBatchMsg:
-		g.base.Sync.handleBlockBatch(from, m)
-	}
-}
+// HandleMessage dispatches one gossip message to its handler. Malformed
+// payloads — nil blocks or transactions, oversized lists — are dropped
+// without reaching protocol code, so a byzantine peer cannot panic the node.
+func (g *Gossip) HandleMessage(from int, msg Message) { msg.dispatch(g, from) }
 
 // RelayTx forwards a loose transaction to every peer except `except` (-1
 // reaches everyone). With Params.TxBatchInterval unset each transaction goes
@@ -219,6 +191,9 @@ func (g *Gossip) flushTxs() {
 func (g *Gossip) QueuedTxs() int { return g.txQueued }
 
 func (g *Gossip) handleInv(from int, m *InvMsg) {
+	if len(m.Items) > maxInvItems {
+		return
+	}
 	for _, inv := range m.Items {
 		if g.base.State.HasBlock(inv.Hash) {
 			continue
@@ -274,6 +249,9 @@ func (g *Gossip) request(pf *pendingFetch) {
 }
 
 func (g *Gossip) handleGetData(from int, m *GetDataMsg) {
+	if len(m.Items) > maxInvItems {
+		return
+	}
 	for _, inv := range m.Items {
 		n, ok := g.base.State.Store().Get(inv.Hash)
 		if !ok {
@@ -284,6 +262,9 @@ func (g *Gossip) handleGetData(from int, m *GetDataMsg) {
 }
 
 func (g *Gossip) handleBlock(from int, m *BlockMsg) {
+	if m.Block == nil {
+		return
+	}
 	h := m.Block.Hash()
 	if pf, ok := g.pending[h]; ok {
 		if pf.timer != nil {

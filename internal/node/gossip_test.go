@@ -368,23 +368,6 @@ func TestStaleGetDataIgnored(t *testing.T) {
 	}
 }
 
-func TestMessageSizes(t *testing.T) {
-	inv := &node.InvMsg{Items: make([]node.Inv, 3)}
-	if inv.Size() != 13+1+3*33 {
-		t.Errorf("inv size = %d", inv.Size())
-	}
-	gd := &node.GetDataMsg{Items: make([]node.Inv, 1)}
-	if gd.Size() != 13+1+33 {
-		t.Errorf("getdata size = %d", gd.Size())
-	}
-	key, _ := crypto.GenerateKey(rand.New(rand.NewSource(9)))
-	b := mineOn(t, key, crypto.Hash{}, 1)
-	bm := &node.BlockMsg{Block: b}
-	if bm.Size() != 13+b.WireSize() {
-		t.Errorf("block msg size = %d, want 13+%d", bm.Size(), b.WireSize())
-	}
-}
-
 // TestFetchTimerClearedOnDirectInjection is the regression test for a fetch
 // entry outliving its block: when a block enters the chain without passing
 // through handleBlock (delivered directly by a harness, or adopted from the

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/wire"
@@ -45,22 +47,63 @@ func InfoFor(b types.Block, minerID int) BlockInfo {
 	return info
 }
 
-// Message is a gossip-layer message. Concrete types are InvMsg, GetDataMsg,
-// BlockMsg, and TxMsg. Size reports the bytes the network model charges,
-// matching what the TCP framing would send.
+// Message is a gossip-layer message: InvMsg, GetDataMsg, BlockMsg, TxMsg,
+// TxBatchMsg, GetBlocksMsg or BlockBatchMsg. Each type is defined once, here:
+// its EncodeWire/DecodeWire are the live wire format, Size is what that
+// encoding frames to — the bytes the network model charges — and dispatch
+// routes it to its handler, so a message without one does not compile.
+// NewMessage is the table the live transport decodes through.
 type Message interface {
+	wire.Encoder
+	wire.Decoder
 	// Size returns the framed wire size in bytes.
 	Size() int
 	// Type returns the envelope message type.
 	Type() wire.MsgType
+	// dispatch hands the message to its handler.
+	dispatch(g *Gossip, from int)
 }
 
 // envelopeOverhead is the framing cost per message (magic + type + length +
 // checksum), mirroring wire.Envelope.
 const envelopeOverhead = 13
 
-// invItemSize is one announced hash plus its type tag.
-const invItemSize = 33
+// NewMessage returns an empty message of type t, ready for DecodeWire; an
+// error for a type that frames no gossip message (the handshake's, the
+// reserved and unknown ones).
+func NewMessage(t wire.MsgType) (Message, error) {
+	if int(t) < len(messages) && messages[t] != nil {
+		return messages[t](), nil
+	}
+	return nil, fmt.Errorf("node: message type %v is not a gossip message", t)
+}
+
+// messages is the MsgType → constructor table.
+var messages = [...]func() Message{
+	wire.MsgInv:        func() Message { return new(InvMsg) },
+	wire.MsgGetData:    func() Message { return new(GetDataMsg) },
+	wire.MsgBlock:      func() Message { return &BlockMsg{Block: new(types.PowBlock)} },
+	wire.MsgKeyBlock:   func() Message { return &BlockMsg{Block: new(types.KeyBlock)} },
+	wire.MsgMicroBlock: func() Message { return &BlockMsg{Block: new(types.MicroBlock)} },
+	wire.MsgTx:         func() Message { return &TxMsg{Tx: new(types.Transaction)} },
+	wire.MsgTxBatch:    func() Message { return new(TxBatchMsg) },
+	wire.MsgGetBlocks:  func() Message { return new(GetBlocksMsg) },
+	wire.MsgBlockBatch: func() Message { return new(BlockBatchMsg) },
+}
+
+// Smallest encodings of list members, which bound a decoded count by the
+// bytes left (wire.Reader.Count): an inv item is its type tag and hash; a
+// batched block at least its type tag and length prefix; a batched
+// transaction at least its length prefix and an empty transaction.
+const (
+	invItemSize   = 1 + crypto.HashSize
+	minBlockEntry = 2
+)
+
+var minTxMember = 1 + wire.Size(new(types.Transaction))
+
+// maxTxBatch bounds a decoded txbatch's count.
+const maxTxBatch = 1 << 16
 
 // Inv names one announced or requested block.
 type Inv struct {
@@ -75,33 +118,71 @@ type InvMsg struct {
 	Items []Inv
 }
 
+// EncodeWire implements wire.Encoder: a CompactSize count, then each item's
+// type tag and hash.
+func (m *InvMsg) EncodeWire(w *wire.Writer) {
+	w.VarInt(uint64(len(m.Items)))
+	for _, it := range m.Items {
+		w.Uint8(uint8(it.Type))
+		w.Bytes32(it.Hash)
+	}
+}
+
+// DecodeWire implements wire.Decoder.
+func (m *InvMsg) DecodeWire(r *wire.Reader) {
+	m.Items = make([]Inv, r.Count(maxInvItems, invItemSize))
+	for i := range m.Items {
+		m.Items[i].Type = wire.MsgType(r.Uint8())
+		m.Items[i].Hash = r.Bytes32()
+	}
+}
+
 // Size implements Message.
-func (m *InvMsg) Size() int { return envelopeOverhead + 1 + invItemSize*len(m.Items) }
+func (m *InvMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *InvMsg) Type() wire.MsgType { return wire.MsgInv }
 
-// GetDataMsg requests previously announced inventory.
+func (m *InvMsg) dispatch(g *Gossip, from int) { g.handleInv(from, m) }
+
+// GetDataMsg requests previously announced inventory; it is framed as an
+// InvMsg is.
 type GetDataMsg struct {
 	Items []Inv
 }
 
+// EncodeWire implements wire.Encoder.
+func (m *GetDataMsg) EncodeWire(w *wire.Writer) { (*InvMsg)(m).EncodeWire(w) }
+
+// DecodeWire implements wire.Decoder.
+func (m *GetDataMsg) DecodeWire(r *wire.Reader) { (*InvMsg)(m).DecodeWire(r) }
+
 // Size implements Message.
-func (m *GetDataMsg) Size() int { return envelopeOverhead + 1 + invItemSize*len(m.Items) }
+func (m *GetDataMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *GetDataMsg) Type() wire.MsgType { return wire.MsgGetData }
 
-// BlockMsg delivers a full block.
+func (m *GetDataMsg) dispatch(g *Gossip, from int) { g.handleGetData(from, m) }
+
+// BlockMsg delivers a full block; its message type names the block's kind.
 type BlockMsg struct {
 	Block types.Block
 }
 
+// EncodeWire implements wire.Encoder.
+func (m *BlockMsg) EncodeWire(w *wire.Writer) { w.Embed(m.Block) }
+
+// DecodeWire implements wire.Decoder into the block NewMessage chose.
+func (m *BlockMsg) DecodeWire(r *wire.Reader) { m.Block.DecodeWire(r) }
+
 // Size implements Message.
-func (m *BlockMsg) Size() int { return envelopeOverhead + m.Block.WireSize() }
+func (m *BlockMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *BlockMsg) Type() wire.MsgType { return types.BlockMsgType(m.Block) }
+
+func (m *BlockMsg) dispatch(g *Gossip, from int) { g.handleBlock(from, m) }
 
 // GetBlocksMsg asks a peer for the main-chain blocks after the fork point: the
 // locator lists block hashes from the requester's tip back to genesis with
@@ -111,13 +192,30 @@ type GetBlocksMsg struct {
 	Locator []BlockID
 }
 
-// Size implements Message.
-func (m *GetBlocksMsg) Size() int {
-	return envelopeOverhead + compactSizeLen(len(m.Locator)) + crypto.HashSize*len(m.Locator)
+// EncodeWire implements wire.Encoder: a CompactSize count, then the hashes,
+// tip first.
+func (m *GetBlocksMsg) EncodeWire(w *wire.Writer) {
+	w.VarInt(uint64(len(m.Locator)))
+	for _, h := range m.Locator {
+		w.Bytes32(h)
+	}
 }
+
+// DecodeWire implements wire.Decoder.
+func (m *GetBlocksMsg) DecodeWire(r *wire.Reader) {
+	m.Locator = make([]BlockID, r.Count(maxLocatorLen, crypto.HashSize))
+	for i := range m.Locator {
+		m.Locator[i] = r.Bytes32()
+	}
+}
+
+// Size implements Message.
+func (m *GetBlocksMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *GetBlocksMsg) Type() wire.MsgType { return wire.MsgGetBlocks }
+
+func (m *GetBlocksMsg) dispatch(g *Gossip, from int) { g.base.Sync.handleGetBlocks(from, m) }
 
 // BlockBatchMsg answers GetBlocksMsg with a bounded run of main-chain blocks
 // in parent-before-child order. More signals the responder's chain continued
@@ -127,17 +225,45 @@ type BlockBatchMsg struct {
 	More   bool
 }
 
-// Size implements Message.
-func (m *BlockBatchMsg) Size() int {
-	n := envelopeOverhead + compactSizeLen(len(m.Blocks)) + 1
+// EncodeWire implements wire.Encoder: the More flag, a CompactSize count,
+// then each block as its message type and its length-prefixed encoding — the
+// per-member prefix keeps one corrupt block from desynchronizing the rest of
+// the frame.
+func (m *BlockBatchMsg) EncodeWire(w *wire.Writer) {
+	w.Bool(m.More)
+	w.VarInt(uint64(len(m.Blocks)))
 	for _, b := range m.Blocks {
-		n += compactSizeLen(b.WireSize()) + b.WireSize()
+		w.Uint8(uint8(types.BlockMsgType(b)))
+		w.VarEncode(b)
 	}
-	return n
 }
+
+// DecodeWire implements wire.Decoder. Members decode straight from the
+// frame (wire.Reader.VarDecode) and keep none of its bytes.
+func (m *BlockBatchMsg) DecodeWire(r *wire.Reader) {
+	m.More = r.Bool()
+	m.Blocks = make([]types.Block, r.Count(maxSyncBatch, minBlockEntry))
+	for i := range m.Blocks {
+		b, err := types.NewBlockMsg(wire.MsgType(r.Uint8()))
+		if r.Err() != nil {
+			return
+		}
+		if err != nil {
+			r.Fail(err)
+			return
+		}
+		r.VarDecode(wire.MaxMessageSize, b)
+		m.Blocks[i] = b
+	}
+}
+
+// Size implements Message.
+func (m *BlockBatchMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *BlockBatchMsg) Type() wire.MsgType { return wire.MsgBlockBatch }
+
+func (m *BlockBatchMsg) dispatch(g *Gossip, from int) { g.base.Sync.handleBlockBatch(from, m) }
 
 // TxMsg relays a loose transaction (used by the live node; experiments
 // pre-load mempools instead, §7 "No Transaction Propagation").
@@ -145,11 +271,19 @@ type TxMsg struct {
 	Tx *types.Transaction
 }
 
+// EncodeWire implements wire.Encoder.
+func (m *TxMsg) EncodeWire(w *wire.Writer) { w.Embed(m.Tx) }
+
+// DecodeWire implements wire.Decoder into the transaction NewMessage made.
+func (m *TxMsg) DecodeWire(r *wire.Reader) { m.Tx.DecodeWire(r) }
+
 // Size implements Message.
-func (m *TxMsg) Size() int { return envelopeOverhead + m.Tx.WireSize() }
+func (m *TxMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *TxMsg) Type() wire.MsgType { return wire.MsgTx }
+
+func (m *TxMsg) dispatch(g *Gossip, from int) { g.base.handleTx(from, m.Tx) }
 
 // TxBatchMsg relays several loose transactions in one envelope. Under
 // sustained load the per-transaction envelope and event overhead of TxMsg
@@ -159,27 +293,36 @@ type TxBatchMsg struct {
 	Txs []*types.Transaction
 }
 
-// Size implements Message.
-func (m *TxBatchMsg) Size() int {
-	n := envelopeOverhead + compactSizeLen(len(m.Txs))
+// EncodeWire implements wire.Encoder: a CompactSize count, then each
+// transaction length-prefixed, so a corrupt member fails cleanly at its
+// prefix instead of desynchronizing the rest of the batch.
+func (m *TxBatchMsg) EncodeWire(w *wire.Writer) {
+	w.VarInt(uint64(len(m.Txs)))
 	for _, tx := range m.Txs {
-		n += compactSizeLen(tx.WireSize()) + tx.WireSize()
+		w.VarEncode(tx)
 	}
-	return n
 }
+
+// DecodeWire implements wire.Decoder, each member straight from the frame.
+func (m *TxBatchMsg) DecodeWire(r *wire.Reader) {
+	m.Txs = make([]*types.Transaction, r.Count(maxTxBatch, minTxMember))
+	for i := range m.Txs {
+		if r.Err() != nil {
+			return
+		}
+		m.Txs[i] = new(types.Transaction)
+		r.VarDecode(1<<20, m.Txs[i])
+	}
+}
+
+// Size implements Message.
+func (m *TxBatchMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 
 // Type implements Message.
 func (m *TxBatchMsg) Type() wire.MsgType { return wire.MsgTxBatch }
 
-// compactSizeLen is the encoded size of a CompactSize count.
-func compactSizeLen(n int) int {
-	switch {
-	case n < 0xfd:
-		return 1
-	case n <= 0xffff:
-		return 3
-	case n <= 0xffffffff:
-		return 5
+func (m *TxBatchMsg) dispatch(g *Gossip, from int) {
+	for _, tx := range m.Txs {
+		g.base.handleTx(from, tx)
 	}
-	return 9
 }

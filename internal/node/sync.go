@@ -155,16 +155,12 @@ func (s *Syncer) handleGetBlocks(from int, m *GetBlocksMsg) {
 	}
 	end := min(start+syncBatchSize, len(mc))
 	batch := &BlockBatchMsg{Blocks: make([]types.Block, 0, end-start)}
-	// size is what the live codec will frame: the empty batch's Size(), then
-	// per block its length-prefixed body plus the type tag Size() omits.
-	size := batch.Size()
 	for _, n := range mc[start:end] {
-		ws := n.Block().WireSize()
-		size += 1 + compactSizeLen(ws) + ws
-		if size > wire.MaxMessageSize && len(batch.Blocks) > 0 {
+		batch.Blocks = append(batch.Blocks, n.Block())
+		if batch.Size() > wire.MaxMessageSize && len(batch.Blocks) > 1 {
+			batch.Blocks = batch.Blocks[:len(batch.Blocks)-1]
 			break
 		}
-		batch.Blocks = append(batch.Blocks, n.Block())
 	}
 	batch.More = start+len(batch.Blocks) < len(mc)
 	s.env.Send(from, batch)

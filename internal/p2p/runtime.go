@@ -166,11 +166,7 @@ func (rt *Runtime) Send(peerID int, msg node.Message) {
 	if p == nil {
 		return // disconnected; gossip retry logic recovers
 	}
-	env, err := encodeMessage(msg)
-	if err != nil {
-		return
-	}
-	p.send(env)
+	p.send(encodeMessage(msg))
 }
 
 // Listen accepts inbound connections on addr ("host:port").

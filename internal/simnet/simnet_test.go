@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -358,4 +359,30 @@ func TestScaleLatencyAbsoluteFactor(t *testing.T) {
 			net.ScaleLatency(bad)
 		}()
 	}
+}
+
+// TestSendToNonNeighbourPanics pins what a send over a link that does not
+// exist means: a programmer error, not a lost message. The overlay has no
+// routing, and the harness only sends between neighbours (an equivocation
+// goes to one of the leader's neighbours), so nothing may count it as loss.
+func TestSendToNonNeighbourPanics(t *testing.T) {
+	net := New(sim.NewLoop(0), DefaultConfig(30, 1))
+	from, to := 0, -1
+	for j := 1; j < net.Size() && to < 0; j++ {
+		if !slices.Contains(net.Peers(from), j) {
+			to = j
+		}
+	}
+	if to < 0 {
+		t.Fatal("fixture: node 0 is linked to everyone")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a send %d->%d over no link did not panic", from, to)
+		}
+		if s := net.Stats(); s.MessagesSent != 0 || s.MessagesLost != 0 {
+			t.Errorf("the refused send was counted: %+v", s)
+		}
+	}()
+	net.Send(from, to, "payload", 100)
 }

@@ -205,7 +205,7 @@ func TestDecodeBlockMsg(t *testing.T) {
 	if got.Hash() != pb.Hash() {
 		t.Error("decoded block hash mismatch")
 	}
-	if _, err := DecodeBlockMsg(wire.MsgPing, payload); err == nil {
+	if _, err := DecodeBlockMsg(wire.MsgTx, payload); err == nil {
 		t.Error("non-block message type accepted")
 	}
 	if _, err := DecodeBlockMsg(wire.MsgMicroBlock, payload); err == nil {

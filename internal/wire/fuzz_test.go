@@ -13,7 +13,7 @@ import (
 //
 //	go test -fuzz=FuzzEnvelope -fuzztime=30s ./internal/wire
 func FuzzEnvelope(f *testing.F) {
-	valid := &Envelope{Type: MsgPing, Payload: []byte("hello")}
+	valid := &Envelope{Type: MsgTx, Payload: []byte("hello")}
 	var buf bytes.Buffer
 	if _, err := valid.WriteTo(&buf); err != nil {
 		f.Fatal(err)

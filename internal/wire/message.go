@@ -24,14 +24,12 @@ const (
 	MsgKeyBlock                  // Bitcoin-NG key block
 	MsgMicroBlock                // Bitcoin-NG microblock
 	MsgTx                        // loose transaction
-	//nglint:allow parity reserved wire-format slot: the identifiers are part of the numbered frame layout, but no transport implements liveness probes yet
-	MsgPing // liveness probe
-	//nglint:allow parity reserved wire-format slot: the identifiers are part of the numbered frame layout, but no transport implements liveness probes yet
-	MsgPong       // liveness response
-	MsgTxBatch    // batched loose-transaction relay
-	MsgGetBlocks  // locator-based catch-up sync request
-	MsgBlockBatch // bounded batch of main-chain blocks (sync response)
-	msgSentinel   // one past the last valid type
+	_                            // 9: reserved, so later numbers never move
+	_                            // 10: reserved
+	MsgTxBatch                   // batched loose-transaction relay
+	MsgGetBlocks                 // locator-based catch-up sync request
+	MsgBlockBatch                // bounded batch of main-chain blocks (sync response)
+	msgSentinel                  // one past the last valid type
 )
 
 var msgTypeNames = [...]string{
@@ -44,8 +42,6 @@ var msgTypeNames = [...]string{
 	MsgKeyBlock:   "keyblock",
 	MsgMicroBlock: "microblock",
 	MsgTx:         "tx",
-	MsgPing:       "ping",
-	MsgPong:       "pong",
 	MsgTxBatch:    "txbatch",
 	MsgGetBlocks:  "getblocks",
 	MsgBlockBatch: "blockbatch",
@@ -53,14 +49,15 @@ var msgTypeNames = [...]string{
 
 // String returns the canonical lower-case message name.
 func (t MsgType) String() string {
-	if int(t) < len(msgTypeNames) {
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
 		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
 
-// Valid reports whether t identifies a known message type.
-func (t MsgType) Valid() bool { return t > MsgInvalid && t < msgSentinel }
+// Valid reports whether t identifies a known message type; MsgInvalid and
+// the reserved numbers are not.
+func (t MsgType) Valid() bool { return t < msgSentinel && msgTypeNames[t] != "" && t != MsgInvalid }
 
 // Envelope frames a message payload for stream transports. The frame layout
 // is:

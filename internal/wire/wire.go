@@ -172,6 +172,40 @@ func (w *Writer) Raw(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Embed writes e in place, the mirror of calling e.DecodeWire on the same
+// Reader. A counting Writer adds e's memoized WireSize instead of walking e,
+// so sizing a message costs O(members), not O(bytes).
+func (w *Writer) Embed(e Sized) {
+	if w.counting {
+		w.n += e.WireSize()
+		return
+	}
+	w.encode(e)
+}
+
+// VarEncode writes e as a list member — its WireSize as a CompactSize, then
+// e in place — the mirror of Reader.VarDecode. Like Embed it counts e from
+// its memoized size.
+func (w *Writer) VarEncode(e Sized) {
+	n := e.WireSize()
+	w.VarInt(uint64(n))
+	if w.counting {
+		w.n += n
+		return
+	}
+	w.encode(e)
+}
+
+// encode runs e.EncodeWire on a Writer sharing w's buffer. Handing the
+// interface call a copy keeps w itself from escaping, so the counting Writer
+// Size puts on the stack (it never gets here) stays there and sizing
+// allocates nothing.
+func (w *Writer) encode(e Encoder) {
+	sub := &Writer{buf: w.buf}
+	e.EncodeWire(sub)
+	w.buf = sub.buf
+}
+
 // Reader decodes values from a byte slice. Reader records the first error it
 // encounters; once an error occurs every subsequent read returns zero values,
 // so call sites can decode a whole structure and check Err once at the end.
@@ -201,7 +235,9 @@ func (r *Reader) Finish() error {
 	return nil
 }
 
-func (r *Reader) fail(err error) {
+// Fail records err unless an error is already recorded: for decoders that
+// reject a value the format itself allows (an unknown type tag, say).
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -212,7 +248,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || r.Remaining() < n {
-		r.fail(io.ErrUnexpectedEOF)
+		r.Fail(io.ErrUnexpectedEOF)
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -236,7 +272,7 @@ func (r *Reader) Uint8() uint8 {
 func (r *Reader) Bool() bool {
 	b := r.Uint8()
 	if r.err == nil && b > 1 {
-		r.fail(fmt.Errorf("%w: boolean byte %#x", ErrNonCanonical, b))
+		r.Fail(fmt.Errorf("%w: boolean byte %#x", ErrNonCanonical, b))
 	}
 	return b == 1
 }
@@ -281,19 +317,19 @@ func (r *Reader) VarInt() uint64 {
 	case 0xfd:
 		v := r.Uint16()
 		if r.err == nil && v < 0xfd {
-			r.fail(ErrNonCanonical)
+			r.Fail(ErrNonCanonical)
 		}
 		return uint64(v)
 	case 0xfe:
 		v := r.Uint32()
 		if r.err == nil && v <= math.MaxUint16 {
-			r.fail(ErrNonCanonical)
+			r.Fail(ErrNonCanonical)
 		}
 		return uint64(v)
 	case 0xff:
 		v := r.Uint64()
 		if r.err == nil && v <= math.MaxUint32 {
-			r.fail(ErrNonCanonical)
+			r.Fail(ErrNonCanonical)
 		}
 		return v
 	default:
@@ -308,10 +344,23 @@ func (r *Reader) Length(max uint64) int {
 		return 0
 	}
 	if v > max {
-		r.fail(fmt.Errorf("%w: length %d > %d", ErrTooLarge, v, max))
+		r.Fail(fmt.Errorf("%w: length %d > %d", ErrTooLarge, v, max))
 		return 0
 	}
 	return int(v)
+}
+
+// Count decodes a list's CompactSize element count, bounded by max and by
+// the bytes left: every element takes at least minSize bytes, so a count the
+// rest of the buffer cannot hold fails here, before the caller allocates for
+// it.
+func (r *Reader) Count(max uint64, minSize int) int {
+	n := r.Length(max)
+	if n*minSize > r.Remaining() {
+		r.Fail(fmt.Errorf("%w: %d elements of at least %d bytes in %d", io.ErrUnexpectedEOF, n, minSize, r.Remaining()))
+		return 0
+	}
+	return n
 }
 
 // Bytes32 decodes a fixed 32-byte array.
@@ -356,14 +405,14 @@ func (r *Reader) VarDecode(max uint64, d Decoder) {
 		return
 	}
 	if r.Remaining() < n {
-		r.fail(io.ErrUnexpectedEOF)
+		r.Fail(io.ErrUnexpectedEOF)
 		return
 	}
 	whole, end := r.buf, r.off+n
 	r.buf = whole[:end] // the member's bytes are all d can see
 	d.DecodeWire(r)
 	if r.err == nil && r.off != end {
-		r.fail(fmt.Errorf("%w: %d bytes", ErrTrailing, end-r.off))
+		r.Fail(fmt.Errorf("%w: %d bytes", ErrTrailing, end-r.off))
 	}
 	r.buf = whole
 }
@@ -376,6 +425,13 @@ type Encoder interface {
 // Decoder is implemented by values that deserialize themselves from a Reader.
 type Decoder interface {
 	DecodeWire(r *Reader)
+}
+
+// Sized is an Encoder that memoizes its encoded size (blocks and
+// transactions), so enclosing encodings count it without walking it.
+type Sized interface {
+	Encoder
+	WireSize() int
 }
 
 // Size returns the number of bytes Encode(e) would produce, without

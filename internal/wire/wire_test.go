@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -176,6 +177,33 @@ func (m *testMsg) DecodeWire(r *Reader) {
 	m.B = r.VarBytes(MaxMessageSize)
 }
 
+// WireSize makes testMsg Sized; it is computed, not memoized.
+func (m *testMsg) WireSize() int { return Size(m) }
+
+// TestCountBoundsByRemaining: a list count decodes only if the bytes left can
+// hold that many elements of the smallest size, so a short frame claiming a
+// long list fails before its decoder allocates.
+func TestCountBoundsByRemaining(t *testing.T) {
+	for _, c := range []struct {
+		buf     []byte
+		max     uint64
+		minSize int
+		want    int
+		ok      bool
+	}{
+		{[]byte{3, 0, 0, 0, 0, 0, 0}, 10, 2, 3, true},
+		{[]byte{3, 0, 0, 0, 0, 0}, 10, 2, 0, false},
+		{[]byte{0xfd, 0xff, 0xff}, 1 << 16, 1, 0, false},
+		{[]byte{11}, 10, 0, 0, false},
+		{[]byte{0}, 10, 33, 0, true},
+	} {
+		r := NewReader(c.buf)
+		if got := r.Count(c.max, c.minSize); got != c.want || (r.Err() == nil) != c.ok {
+			t.Errorf("Count(%d, %d) over %x = %d, err %v", c.max, c.minSize, c.buf, got, r.Err())
+		}
+	}
+}
+
 func TestEncodeDecodeHelpers(t *testing.T) {
 	in := &testMsg{A: 77, B: []byte("payload")}
 	b := Encode(in)
@@ -342,6 +370,15 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgType(200).Valid() {
 		t.Error("MsgType(200) reported valid")
 	}
+	// Numbers of retired types stay reserved, so later ones never move.
+	for _, reserved := range []MsgType{9, 10} {
+		if reserved.Valid() || reserved.String() != fmt.Sprintf("msgtype(%d)", reserved) {
+			t.Errorf("reserved type %d: valid %v, named %q", reserved, reserved.Valid(), reserved.String())
+		}
+	}
+	if MsgTx != 8 || MsgTxBatch != 11 || MsgBlockBatch != 13 {
+		t.Errorf("frame numbers moved: tx %d, txbatch %d, blockbatch %d", MsgTx, MsgTxBatch, MsgBlockBatch)
+	}
 }
 
 // everyMethod writes through each Writer method once per element, with
@@ -361,6 +398,8 @@ func (m everyMethod) EncodeWire(w *Writer) {
 		b := make([]byte, v%70000)
 		w.VarBytes(b)
 		w.Raw(b[:len(b)/2])
+		w.Embed(&testMsg{A: v, B: b[:len(b)/3]})
+		w.VarEncode(&testMsg{A: v, B: b[:len(b)/4]})
 	}
 }
 
