@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: build vet lint test race allocs race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
+.PHONY: build vet fmt lint test race allocs race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
 
 build:
 	$(GO) build ./...
@@ -10,18 +10,26 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is the static determinism/protocol-safety gate: go vet, then the
-# project's own nglint suite — the per-function analyzers (walltime,
-# globalrand, maporder, locksafe, wiresym) plus the interprocedural module
-# analyzers (detflow; parity over interface impls, the invariant catalogue and
-# strategy hooks; errflow) — see DESIGN.md §9 — then staticcheck
-# and govulncheck when installed (CI installs both; locally they are
-# optional extras since the sandbox has no network). A finding, or an
+# fmt fails when any Go file is not gofmt-clean, listing the files.
+fmt:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
+
+# lint is the static determinism/protocol-safety gate: gofmt (any file
+# `gofmt -l` names fails it), go vet, then the project's own nglint suite —
+# the per-function analyzers (walltime, globalrand, maporder, locksafe,
+# wiresym) plus the interprocedural module analyzers (detflow; parity over
+# interface impls, the invariant catalogue and strategy hooks; errflow) —
+# see DESIGN.md §9 — then staticcheck and govulncheck when installed (CI
+# installs both; locally they are optional extras since the sandbox has no
+# network). A finding, or an
 # unjustified //nglint:allow, fails the build. NGLINT_FLAGS threads extra
 # flags through (CI passes -cache to skip the type-check when sources are
 # unchanged).
 NGLINT_FLAGS ?=
-lint: vet
+lint: fmt vet
 	$(GO) run ./cmd/nglint $(NGLINT_FLAGS) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "== staticcheck"; staticcheck ./...; \
@@ -52,7 +60,7 @@ race:
 # metric-buffer merge and the cross-shard outbox flush. CI calls it from the
 # `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer' \
 		./internal/types ./internal/crypto ./internal/wire

@@ -174,6 +174,10 @@ func (v *WorkloadView) Add(tx *types.Transaction) error {
 // refuses everything anyway, so no transaction is known by ID.
 func (v *WorkloadView) Known(crypto.Hash) bool { return false }
 
+// Get implements node.TxPool: nothing is relayed into a view, so no block
+// is ever filled from one.
+func (v *WorkloadView) Get(crypto.Hash) *types.Transaction { return nil }
+
 // limit returns the first index Select may NOT offer yet under the active
 // pacing discipline.
 func (v *WorkloadView) limit() int64 {

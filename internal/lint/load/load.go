@@ -26,8 +26,8 @@ import (
 
 // Package is one fully loaded module package, ready for analysis.
 type Package struct {
-	Path  string   // import path, e.g. "bitcoinng/internal/sim"
-	Dir   string   // absolute directory
+	Path  string // import path, e.g. "bitcoinng/internal/sim"
+	Dir   string // absolute directory
 	Files []*ast.File
 	// Filenames[i] is the absolute path of Files[i].
 	Filenames []string

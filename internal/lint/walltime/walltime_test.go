@@ -31,9 +31,9 @@ func TestDeterministicPrefixes(t *testing.T) {
 		}
 	}
 	for _, p := range []string{
-		"bitcoinng/internal/p2p",    // live harness: wall clock is its job
-		"bitcoinng",                 // cluster harness wraps p2p
-		"bitcoinng/cmd/ngbench",     // CLI timing is operator-facing
+		"bitcoinng/internal/p2p",     // live harness: wall clock is its job
+		"bitcoinng",                  // cluster harness wraps p2p
+		"bitcoinng/cmd/ngbench",      // CLI timing is operator-facing
 		"bitcoinng/internal/simnetx", // prefix must match whole path segments
 	} {
 		if walltime.Deterministic(p) {

@@ -148,18 +148,21 @@ func (p *Pool) Stats() Stats {
 // Len returns the number of pooled transactions.
 func (p *Pool) Len() int { return p.live }
 
-// Contains reports whether the pool holds txid.
-func (p *Pool) Contains(txid crypto.Hash) bool {
-	e, ok := p.txs[txid]
-	return ok && e.tx != nil
-}
-
 // Known reports whether txid is pooled or was confirmed within the last
 // tombGenerations generations: exactly the transactions Add refuses with
 // ErrDuplicate. It lets a caller skip checking a relayed copy it would drop.
 func (p *Pool) Known(txid crypto.Hash) bool {
 	_, ok := p.txs[txid]
 	return ok
+}
+
+// Get returns the pooled transaction with ID txid, or nil (a tombstone holds
+// no body).
+func (p *Pool) Get(txid crypto.Hash) *types.Transaction {
+	if e, ok := p.txs[txid]; ok {
+		return e.tx
+	}
+	return nil
 }
 
 // feeRate resolves tx's fee and converts it to a per-1000-byte rate.

@@ -119,7 +119,7 @@ func TestRemoveConfirmedEvictsConflicts(t *testing.T) {
 	// A confirmed tx spending the same outpoint but not identical.
 	confirmed := tx(t, key, 1, 8)
 	p.RemoveConfirmed([]*types.Transaction{confirmed})
-	if p.Contains(pooled.ID()) {
+	if p.Get(pooled.ID()) != nil {
 		t.Error("conflicting pooled tx survived confirmation")
 	}
 	if p.Len() != 0 {
@@ -141,7 +141,7 @@ func TestReinsertAfterReorg(t *testing.T) {
 	// Disconnected block returns its transactions; coinbase is dropped.
 	cb := &types.Transaction{Kind: types.TxCoinbase, Outputs: []types.TxOutput{{Value: 1}}, Height: 4}
 	p.Reinsert([]*types.Transaction{a, cb})
-	if !p.Contains(a.ID()) {
+	if p.Get(a.ID()) == nil {
 		t.Error("regular tx not reinserted")
 	}
 	if p.Len() != 1 {
@@ -362,7 +362,7 @@ func TestBoundedAdmission(t *testing.T) {
 	if err := p.Add(d); err != nil {
 		t.Fatal(err)
 	}
-	if p.Contains(b.ID()) || !p.Contains(a.ID()) || !p.Contains(c.ID()) || !p.Contains(d.ID()) {
+	if p.Get(b.ID()) != nil || p.Get(a.ID()) == nil || p.Get(c.ID()) == nil || p.Get(d.ID()) == nil {
 		t.Fatal("eviction did not shed the newest lowest-rate entry")
 	}
 	st := p.Stats()
@@ -373,7 +373,7 @@ func TestBoundedAdmission(t *testing.T) {
 	if err := p.Add(mk(6, 3000)); err != nil {
 		t.Fatal(err)
 	}
-	if p.Contains(a.ID()) {
+	if p.Get(a.ID()) != nil {
 		t.Fatal("second eviction should have shed the remaining low-rate entry")
 	}
 }

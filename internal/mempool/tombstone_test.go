@@ -26,8 +26,8 @@ func TestTombstoneRefusesForTwoGenerations(t *testing.T) {
 			if err := p.Add(x); err != ErrDuplicate {
 				t.Fatalf("generation %d: re-add returned %v, want ErrDuplicate", gen, err)
 			}
-			if !p.Known(x.ID()) || p.Contains(x.ID()) {
-				t.Fatalf("generation %d: Known %v Contains %v, want a tombstone", gen, p.Known(x.ID()), p.Contains(x.ID()))
+			if !p.Known(x.ID()) || p.Get(x.ID()) != nil {
+				t.Fatalf("generation %d: Known %v pooled %v, want a tombstone", gen, p.Known(x.ID()), p.Get(x.ID()) != nil)
 			}
 		}
 		if gen < tombGenerations {
@@ -95,7 +95,7 @@ func TestReinsertRevivesTombstoned(t *testing.T) {
 	}
 	p.RemoveConfirmed([]*types.Transaction{a})
 	p.Reinsert([]*types.Transaction{a})
-	if !p.Contains(a.ID()) || p.Len() != 1 {
+	if p.Get(a.ID()) == nil || p.Len() != 1 {
 		t.Fatalf("Reinsert did not revive the tombstoned transaction (len %d)", p.Len())
 	}
 	for i := 0; i <= tombGenerations; i++ {
@@ -106,7 +106,7 @@ func TestReinsertRevivesTombstoned(t *testing.T) {
 	}
 	// Confirmed again (the reorg's winning branch carries it): a tombstone again.
 	p.RemoveConfirmed([]*types.Transaction{a})
-	if p.Contains(a.ID()) || !p.Known(a.ID()) || p.Len() != 0 {
+	if p.Get(a.ID()) != nil || !p.Known(a.ID()) || p.Len() != 0 {
 		t.Fatal("re-confirmed transaction did not become a tombstone")
 	}
 }
@@ -403,9 +403,9 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 				for _, x := range universe {
 					_, tomb := m.tombs[x.ID()]
 					held := m.find(x.ID()) >= 0
-					if p.Contains(x.ID()) != held || p.Known(x.ID()) != (held || tomb) {
-						t.Fatalf("step %d: Contains %v Known %v, model held %v tombstoned %v",
-							step, p.Contains(x.ID()), p.Known(x.ID()), held, tomb)
+					if (p.Get(x.ID()) != nil) != held || p.Known(x.ID()) != (held || tomb) {
+						t.Fatalf("step %d: held %v Known %v, model held %v tombstoned %v",
+							step, p.Get(x.ID()) != nil, p.Known(x.ID()), held, tomb)
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/wire"
 )
 
 // defaultFetchTimeout is the base re-request backoff for a requested block,
@@ -47,6 +48,16 @@ type pendingFetch struct {
 	announcers []int // peers that announced it, in order heard
 	attempts   int   // requests sent so far; also indexes the rotation
 	timer      Timer
+	// compact is set while a getblocktxn is out. A pointer, so fetches
+	// that never need one stay in their allocation size class.
+	compact *compactFetch
+}
+
+// compactFetch is a compact block awaiting the transactions at missing, the
+// indexes its getblocktxn named.
+type compactFetch struct {
+	msg     *CompactBlockMsg
+	missing []uint32
 }
 
 func newPendingFetch(inv Inv, from int) *pendingFetch {
@@ -70,7 +81,7 @@ type Gossip struct {
 	// peers that announced it to us: they provably have it, so the relay
 	// suppresses the useless inv back to them (the operational client's
 	// known-inventory filtering). Valid only for the duration of the
-	// handleBlock call that set them.
+	// deliver call that set them.
 	knownHash BlockID
 	knownBy   []int
 
@@ -155,7 +166,9 @@ func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 // flushTxs drains the relay queue: one txbatch per peer with queued traffic,
 // in env.Peers() order, each carrying the window's transactions in relay
 // order minus those that peer sent us. Each batch is counted first and then
-// filled into one exactly-sized slice.
+// filled into one exactly-sized slice; every peer owed the whole window (none
+// of it came from that peer) shares one, since messages are read-only after
+// send.
 //
 // The peer set is read at flush time, not at each RelayTx: a peer that
 // vanished mid-window gets nothing (as before), and a peer that connected
@@ -163,6 +176,7 @@ func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 // rather than only those relayed after it joined.
 func (g *Gossip) flushTxs() {
 	g.txFlush = nil
+	var whole []*types.Transaction
 	for _, p := range g.env.Peers() {
 		n := 0
 		for _, q := range g.txQueue {
@@ -170,13 +184,21 @@ func (g *Gossip) flushTxs() {
 				n++
 			}
 		}
-		if n == 0 {
+		var txs []*types.Transaction
+		switch {
+		case n == 0:
 			continue
-		}
-		txs := make([]*types.Transaction, 0, n)
-		for _, q := range g.txQueue {
-			if q.except != p {
-				txs = append(txs, q.tx)
+		case n == len(g.txQueue) && whole != nil:
+			txs = whole
+		default:
+			txs = make([]*types.Transaction, 0, n)
+			for _, q := range g.txQueue {
+				if q.except != p {
+					txs = append(txs, q.tx)
+				}
+			}
+			if n == len(g.txQueue) {
+				whole = txs
 			}
 		}
 		g.env.Send(p, &TxBatchMsg{Txs: txs})
@@ -203,10 +225,19 @@ func (g *Gossip) handleInv(from int, m *InvMsg) {
 			pf.announcers = append(pf.announcers, from)
 			continue
 		}
-		pf := newPendingFetch(inv, from)
-		g.pending[inv.Hash] = pf
-		g.request(pf)
+		if inv.Type == wire.MsgMicroBlock && g.base.RelayTxs {
+			// A relaying pool holds most of the body already.
+			inv.Type = wire.MsgCompactBlock
+		}
+		g.fetch(inv, from)
 	}
+}
+
+// fetch starts a pending fetch of inv from the peer that revealed it.
+func (g *Gossip) fetch(inv Inv, from int) {
+	pf := newPendingFetch(inv, from)
+	g.pending[inv.Hash] = pf
+	g.request(pf)
 }
 
 // request asks an announcer for the block and arms the backoff timer. The
@@ -257,6 +288,10 @@ func (g *Gossip) handleGetData(from int, m *GetDataMsg) {
 		if !ok {
 			continue // we never announce what we don't have; stale request
 		}
+		if mb, ok := n.Block().(*types.MicroBlock); ok && inv.Type == wire.MsgCompactBlock {
+			g.env.Send(from, &CompactBlockMsg{Block: mb})
+			continue
+		}
 		g.env.Send(from, &BlockMsg{Block: n.Block()})
 	}
 }
@@ -265,7 +300,12 @@ func (g *Gossip) handleBlock(from int, m *BlockMsg) {
 	if m.Block == nil {
 		return
 	}
-	h := m.Block.Hash()
+	g.deliver(from, m.Block)
+}
+
+// deliver ends b's fetch, if one is pending, and processes b.
+func (g *Gossip) deliver(from int, b types.Block) {
+	h := b.Hash()
 	if pf, ok := g.pending[h]; ok {
 		if pf.timer != nil {
 			pf.timer.Stop()
@@ -275,8 +315,88 @@ func (g *Gossip) handleBlock(from int, m *BlockMsg) {
 		// issued while processing skips them.
 		g.knownHash, g.knownBy = h, pf.announcers
 	}
-	g.base.ProcessFn(m.Block, from)
+	g.base.ProcessFn(b, from)
 	g.knownHash, g.knownBy = BlockID{}, nil
+}
+
+// handleCompactBlock fills a requested compact block from the pool. A
+// complete one is delivered at once; otherwise the sender is asked for the
+// missing transactions (poison among them: no pool holds one), and the fetch
+// timer stays armed: a lost exchange is retried like a lost block. A decoded
+// block has its gaps filled with the pooled bodies, and the rebuilt block
+// then passes the usual stage-1 checks. The simulator's block is the
+// sender's whole object, so the pool is only asked whether it holds each
+// transaction: rebuilding would refold the Merkle root and re-verify the
+// leader signature at every receiver.
+func (g *Gossip) handleCompactBlock(from int, m *CompactBlockMsg) {
+	if m.Block == nil || (m.IDs != nil && len(m.IDs) != len(m.Block.Txs)) {
+		return
+	}
+	h := m.Block.Hash()
+	pf, ok := g.pending[h]
+	if !ok {
+		return // unrequested, or already delivered
+	}
+	var missing []uint32
+	for i, tx := range m.Block.Txs {
+		if m.IDs == nil && tx == nil {
+			return // a whole block with a hole: malformed
+		}
+		body := g.base.Pool.Get(m.id(i))
+		switch {
+		case body == nil:
+			missing = append(missing, uint32(i))
+		case m.IDs != nil:
+			m.Block.Txs[i] = body
+		}
+	}
+	if len(missing) == 0 {
+		g.deliver(from, m.Block)
+		return
+	}
+	pf.compact = &compactFetch{msg: m, missing: missing}
+	g.env.Send(from, &GetBlockTxnMsg{Hash: h, Indexes: missing})
+}
+
+// handleGetBlockTxn answers with the transactions of a stored block at
+// strictly ascending, in-range indexes; any other request is dropped.
+func (g *Gossip) handleGetBlockTxn(from int, m *GetBlockTxnMsg) {
+	n, ok := g.base.State.Store().Get(m.Hash)
+	if !ok || len(m.Indexes) == 0 {
+		return
+	}
+	txs := n.Block().Transactions()
+	reply := &BlockTxnMsg{Hash: m.Hash, Txs: make([]*types.Transaction, len(m.Indexes))}
+	next := uint32(0)
+	for j, i := range m.Indexes {
+		if i < next || int(i) >= len(txs) {
+			return
+		}
+		reply.Txs[j], next = txs[i], i+1
+	}
+	g.env.Send(from, reply)
+}
+
+// handleBlockTxn completes a compact block once every returned transaction
+// carries the ID at the index it answers. A reply that does not is dropped
+// whole, and the fetch timer retries the block.
+func (g *Gossip) handleBlockTxn(from int, m *BlockTxnMsg) {
+	pf, ok := g.pending[m.Hash]
+	if !ok || pf.compact == nil || len(m.Txs) != len(pf.compact.missing) {
+		return
+	}
+	c, missing := pf.compact.msg, pf.compact.missing
+	for j, i := range missing {
+		if tx := m.Txs[j]; tx == nil || tx.ID() != c.id(int(i)) {
+			return
+		}
+	}
+	if c.IDs != nil {
+		for j, i := range missing {
+			c.Block.Txs[i] = m.Txs[j]
+		}
+	}
+	g.deliver(from, c.Block)
 }
 
 // PendingFetches returns how many block fetches are outstanding
@@ -293,7 +413,5 @@ func (g *Gossip) RequestBlock(inv Inv, from int) {
 		pf.announcers = append(pf.announcers, from)
 		return
 	}
-	pf := newPendingFetch(inv, from)
-	g.pending[inv.Hash] = pf
-	g.request(pf)
+	g.fetch(inv, from)
 }

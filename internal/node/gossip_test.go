@@ -11,6 +11,7 @@ import (
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/wire"
 )
 
 // harness is a hand-pumped message fabric: Sends are queued and delivered
@@ -22,6 +23,15 @@ type harness struct {
 	envs  map[int]*fakeEnv
 	bases map[int]*node.Base
 	mute  map[int]bool // nodes that drop all incoming messages
+
+	// wire, when set, delivers each message as the live path does: encoded
+	// and decoded through node.NewMessage's table.
+	wire bool
+	// tamper, when set, sees each message before delivery and may rewrite
+	// it; returning false drops it.
+	tamper func(qm *queuedMsg) bool
+	// delivered logs every message pump handed to a node.
+	delivered []queuedMsg
 }
 
 type queuedMsg struct {
@@ -117,12 +127,30 @@ func (h *harness) pump() int {
 		e.queue = nil
 	}
 	for _, qm := range all {
-		if h.mute[qm.to] {
+		if h.mute[qm.to] || (h.tamper != nil && !h.tamper(&qm)) {
 			continue
 		}
+		if h.wire {
+			qm.msg = reframe(h.t, qm.msg)
+		}
+		h.delivered = append(h.delivered, qm)
 		h.bases[qm.to].HandleMessage(qm.from, qm.msg)
 	}
 	return len(all)
+}
+
+// reframe returns m as a live peer receives it: encoded, then decoded into a
+// fresh message of its type.
+func reframe(t testing.TB, m node.Message) node.Message {
+	t.Helper()
+	out, err := node.NewMessage(m.Type())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Decode(wire.Encode(m), out); err != nil {
+		t.Fatalf("%v: %v", m.Type(), err)
+	}
+	return out
 }
 
 // drain pumps until quiescent.
@@ -326,8 +354,7 @@ func TestTxRelayFloodsWhenEnabled(t *testing.T) {
 	}
 	h.drain()
 	for i := 1; i < 3; i++ {
-		pool := h.bases[i].Pool.(interface{ Contains(crypto.Hash) bool })
-		if !pool.Contains(tx.ID()) {
+		if h.bases[i].Pool.Get(tx.ID()) == nil {
 			t.Errorf("node %d did not pool the relayed tx", i)
 		}
 	}

@@ -3,16 +3,18 @@ package node_test
 import (
 	"testing"
 
+	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 )
 
 // TestMalformedMessagesDropped feeds the gossip dispatcher every class of
 // malformed message a byzantine peer can produce on the simulated path — nil
-// payloads, oversized item lists, bogus locators and batches — and asserts
-// the node neither panics nor responds nor mutates chain state. The live TCP
-// path has the mirror-image test in internal/p2p (there a malformed frame
-// additionally drops the connection).
+// payloads, oversized item lists, bogus locators and batches, compact blocks
+// and transaction replies nobody asked for, transaction requests naming no
+// transaction — and asserts the node neither panics nor responds nor mutates
+// chain state. The live TCP path has the mirror-image test in internal/p2p
+// (there a malformed frame additionally drops the connection).
 func TestMalformedMessagesDropped(t *testing.T) {
 	h, genesis, key := newHarness(t, 2)
 	base := h.bases[1]
@@ -22,12 +24,20 @@ func TestMalformedMessagesDropped(t *testing.T) {
 		&node.BlockMsg{Block: nil},
 		&node.TxMsg{Tx: nil},
 		&node.TxBatchMsg{Txs: []*types.Transaction{nil, nil}},
-		&node.InvMsg{Items: make([]node.Inv, 4096)},     // over maxInvItems
-		&node.GetDataMsg{Items: make([]node.Inv, 4096)}, // over maxInvItems
-		&node.GetBlocksMsg{},                            // empty locator
+		&node.InvMsg{Items: make([]node.Inv, 4096)},            // over maxInvItems
+		&node.GetDataMsg{Items: make([]node.Inv, 4096)},        // over maxInvItems
+		&node.GetBlocksMsg{},                                   // empty locator
 		&node.GetBlocksMsg{Locator: make([]node.BlockID, 256)}, // oversized locator
 		&node.BlockBatchMsg{Blocks: []types.Block{nil}},
 		&node.BlockBatchMsg{Blocks: make([]types.Block, 1024)}, // over maxSyncBatch
+		&node.CompactBlockMsg{Block: nil},
+		&node.CompactBlockMsg{Block: &types.MicroBlock{Txs: []*types.Transaction{nil}}}, // unrequested, with a hole
+		&node.CompactBlockMsg{Block: &types.MicroBlock{}, IDs: make([]crypto.Hash, 3)},  // more IDs than slots
+		&node.GetBlockTxnMsg{Hash: genesis.Hash()},                                      // names nothing
+		&node.GetBlockTxnMsg{Hash: genesis.Hash(), Indexes: []uint32{1}},                // past the last transaction
+		&node.GetBlockTxnMsg{Hash: genesis.Hash(), Indexes: []uint32{0, 0}},             // not ascending
+		&node.GetBlockTxnMsg{Hash: crypto.Hash{1}, Indexes: []uint32{0}},                // unknown block
+		&node.BlockTxnMsg{Txs: []*types.Transaction{nil}},                               // unrequested
 	}
 	for _, msg := range malformed {
 		base.HandleMessage(0, msg) // must not panic

@@ -47,8 +47,9 @@ func InfoFor(b types.Block, minerID int) BlockInfo {
 	return info
 }
 
-// Message is a gossip-layer message: InvMsg, GetDataMsg, BlockMsg, TxMsg,
-// TxBatchMsg, GetBlocksMsg or BlockBatchMsg. Each type is defined once, here:
+// Message is a gossip-layer message: InvMsg, GetDataMsg, BlockMsg,
+// CompactBlockMsg, GetBlockTxnMsg, BlockTxnMsg, TxMsg, TxBatchMsg,
+// GetBlocksMsg or BlockBatchMsg. Each type is defined once, here:
 // its EncodeWire/DecodeWire are the live wire format, Size is what that
 // encoding frames to — the bytes the network model charges — and dispatch
 // routes it to its handler, so a message without one does not compile.
@@ -80,15 +81,18 @@ func NewMessage(t wire.MsgType) (Message, error) {
 
 // messages is the MsgType → constructor table.
 var messages = [...]func() Message{
-	wire.MsgInv:        func() Message { return new(InvMsg) },
-	wire.MsgGetData:    func() Message { return new(GetDataMsg) },
-	wire.MsgBlock:      func() Message { return &BlockMsg{Block: new(types.PowBlock)} },
-	wire.MsgKeyBlock:   func() Message { return &BlockMsg{Block: new(types.KeyBlock)} },
-	wire.MsgMicroBlock: func() Message { return &BlockMsg{Block: new(types.MicroBlock)} },
-	wire.MsgTx:         func() Message { return &TxMsg{Tx: new(types.Transaction)} },
-	wire.MsgTxBatch:    func() Message { return new(TxBatchMsg) },
-	wire.MsgGetBlocks:  func() Message { return new(GetBlocksMsg) },
-	wire.MsgBlockBatch: func() Message { return new(BlockBatchMsg) },
+	wire.MsgInv:          func() Message { return new(InvMsg) },
+	wire.MsgGetData:      func() Message { return new(GetDataMsg) },
+	wire.MsgBlock:        func() Message { return &BlockMsg{Block: new(types.PowBlock)} },
+	wire.MsgKeyBlock:     func() Message { return &BlockMsg{Block: new(types.KeyBlock)} },
+	wire.MsgMicroBlock:   func() Message { return &BlockMsg{Block: new(types.MicroBlock)} },
+	wire.MsgTx:           func() Message { return &TxMsg{Tx: new(types.Transaction)} },
+	wire.MsgTxBatch:      func() Message { return new(TxBatchMsg) },
+	wire.MsgGetBlocks:    func() Message { return new(GetBlocksMsg) },
+	wire.MsgBlockBatch:   func() Message { return new(BlockBatchMsg) },
+	wire.MsgCompactBlock: func() Message { return new(CompactBlockMsg) },
+	wire.MsgGetBlockTxn:  func() Message { return new(GetBlockTxnMsg) },
+	wire.MsgBlockTxn:     func() Message { return new(BlockTxnMsg) },
 }
 
 // Smallest encodings of list members, which bound a decoded count by the
@@ -101,6 +105,11 @@ const (
 )
 
 var minTxMember = 1 + wire.Size(new(types.Transaction))
+
+// maxBlockTxs bounds a decoded compact block's transaction count, and with it
+// every index list naming them: the most transactions a block that fits one
+// frame can hold.
+var maxBlockTxs = uint64(wire.MaxMessageSize / wire.Size(new(types.Transaction)))
 
 // maxTxBatch bounds a decoded txbatch's count.
 const maxTxBatch = 1 << 16
@@ -183,6 +192,130 @@ func (m *BlockMsg) Size() int { return envelopeOverhead + wire.Size(m) }
 func (m *BlockMsg) Type() wire.MsgType { return types.BlockMsgType(m.Block) }
 
 func (m *BlockMsg) dispatch(g *Gossip, from int) { g.handleBlock(from, m) }
+
+// CompactBlockMsg delivers a microblock in compact form, BIP 152's
+// cmpctblock with full 32-byte IDs instead of salted short ones: the signed
+// header and every transaction's ID in block order. A node that relays loose
+// transactions asks for it with a MsgCompactBlock getdata item, fills the IDs
+// from its pool and fetches every body its pool lacks with GetBlockTxnMsg.
+type CompactBlockMsg struct {
+	// Block is the microblock. A sender's is whole, and the simulator
+	// delivers it as it is. A decoded one holds the header and a nil
+	// transaction at every index until the receiver fills it.
+	Block *types.MicroBlock
+	// IDs names every transaction of a decoded Block. A sender leaves it
+	// nil: its Block's transactions name themselves.
+	IDs []crypto.Hash
+}
+
+// id returns the ID of the block's i-th transaction.
+func (m *CompactBlockMsg) id(i int) crypto.Hash {
+	if m.IDs != nil {
+		return m.IDs[i]
+	}
+	return m.Block.Txs[i].ID()
+}
+
+// EncodeWire implements wire.Encoder: the header, a CompactSize count and
+// the IDs.
+func (m *CompactBlockMsg) EncodeWire(w *wire.Writer) {
+	m.Block.Header.EncodeWire(w)
+	w.VarInt(uint64(len(m.Block.Txs)))
+	for i := range m.Block.Txs {
+		w.Bytes32(m.id(i))
+	}
+}
+
+// DecodeWire implements wire.Decoder.
+func (m *CompactBlockMsg) DecodeWire(r *wire.Reader) {
+	m.Block = new(types.MicroBlock)
+	m.Block.Header.DecodeWire(r)
+	m.IDs = make([]crypto.Hash, r.Count(maxBlockTxs, crypto.HashSize))
+	for i := range m.IDs {
+		m.IDs[i] = r.Bytes32()
+	}
+	m.Block.Txs = make([]*types.Transaction, len(m.IDs))
+}
+
+// Size implements Message.
+func (m *CompactBlockMsg) Size() int { return envelopeOverhead + wire.Size(m) }
+
+// Type implements Message.
+func (m *CompactBlockMsg) Type() wire.MsgType { return wire.MsgCompactBlock }
+
+func (m *CompactBlockMsg) dispatch(g *Gossip, from int) { g.handleCompactBlock(from, m) }
+
+// GetBlockTxnMsg asks the sender of a compact block for the transactions at
+// Indexes, the ones the requester's pool lacked (BIP 152's getblocktxn).
+type GetBlockTxnMsg struct {
+	Hash    BlockID
+	Indexes []uint32
+}
+
+// EncodeWire implements wire.Encoder: the block hash, a CompactSize count,
+// then each index as a CompactSize.
+func (m *GetBlockTxnMsg) EncodeWire(w *wire.Writer) {
+	w.Bytes32(m.Hash)
+	w.VarInt(uint64(len(m.Indexes)))
+	for _, i := range m.Indexes {
+		w.VarInt(uint64(i))
+	}
+}
+
+// DecodeWire implements wire.Decoder.
+func (m *GetBlockTxnMsg) DecodeWire(r *wire.Reader) {
+	m.Hash = r.Bytes32()
+	m.Indexes = make([]uint32, r.Count(maxBlockTxs, 1))
+	for i := range m.Indexes {
+		m.Indexes[i] = uint32(r.Length(maxBlockTxs - 1))
+	}
+}
+
+// Size implements Message.
+func (m *GetBlockTxnMsg) Size() int { return envelopeOverhead + wire.Size(m) }
+
+// Type implements Message.
+func (m *GetBlockTxnMsg) Type() wire.MsgType { return wire.MsgGetBlockTxn }
+
+func (m *GetBlockTxnMsg) dispatch(g *Gossip, from int) { g.handleGetBlockTxn(from, m) }
+
+// BlockTxnMsg answers GetBlockTxnMsg with the requested transactions, in the
+// order asked (BIP 152's blocktxn).
+type BlockTxnMsg struct {
+	Hash BlockID
+	Txs  []*types.Transaction
+}
+
+// EncodeWire implements wire.Encoder: the block hash, a CompactSize count,
+// then each transaction length-prefixed, as in a txbatch.
+func (m *BlockTxnMsg) EncodeWire(w *wire.Writer) {
+	w.Bytes32(m.Hash)
+	w.VarInt(uint64(len(m.Txs)))
+	for _, tx := range m.Txs {
+		w.VarEncode(tx)
+	}
+}
+
+// DecodeWire implements wire.Decoder, each member straight from the frame.
+func (m *BlockTxnMsg) DecodeWire(r *wire.Reader) {
+	m.Hash = r.Bytes32()
+	m.Txs = make([]*types.Transaction, r.Count(maxBlockTxs, minTxMember))
+	for i := range m.Txs {
+		if r.Err() != nil {
+			return
+		}
+		m.Txs[i] = new(types.Transaction)
+		r.VarDecode(1<<20, m.Txs[i])
+	}
+}
+
+// Size implements Message.
+func (m *BlockTxnMsg) Size() int { return envelopeOverhead + wire.Size(m) }
+
+// Type implements Message.
+func (m *BlockTxnMsg) Type() wire.MsgType { return wire.MsgBlockTxn }
+
+func (m *BlockTxnMsg) dispatch(g *Gossip, from int) { g.handleBlockTxn(from, m) }
 
 // GetBlocksMsg asks a peer for the main-chain blocks after the fork point: the
 // locator lists block hashes from the requester's tip back to genesis with

@@ -17,6 +17,9 @@ type TxPool interface {
 	// recently confirmed), so a relayed copy is dropped before its
 	// signatures are checked.
 	Known(txid crypto.Hash) bool
+	// Get returns the pooled transaction with ID txid, or nil: the body
+	// lookup a compact block's IDs are filled through.
+	Get(txid crypto.Hash) *types.Transaction
 	// Select returns transactions fitting maxBytes, in the pool's
 	// deterministic order, without removing them.
 	Select(maxBytes int) []*types.Transaction

@@ -134,6 +134,43 @@ func TestRelayFlushAllocations(t *testing.T) {
 	}
 }
 
+// TestWalletWindowSharesOneBatch: when every queued transaction came from
+// the node's own wallet, every peer is owed the whole window, so one flush to
+// d peers allocates d batch messages around one shared slice.
+func TestWalletWindowSharesOneBatch(t *testing.T) {
+	const d, k = 8, 50
+	_, g, env, pool := relayHarness(t, d, k)
+	env.queue = make([]queuedMsg, 0, d)
+	peers := env.peers
+	window := func() {
+		env.queue = env.queue[:0]
+		for _, tx := range pool {
+			g.RelayTx(tx, -1)
+		}
+		fire := env.timers[0].fn
+		env.timers = env.timers[:0]
+		fire()
+	}
+	withPeers := testing.AllocsPerRun(20, window)
+	env.peers = nil
+	baseline := testing.AllocsPerRun(20, window)
+	env.peers = peers
+	if flush := withPeers - baseline; flush != d+1 {
+		t.Errorf("flush of a wallet-only window to %d peers allocates %v times, want %d", d, flush, d+1)
+	}
+	window()
+	if len(env.queue) != d {
+		t.Fatalf("flush sent %d batches, want %d", len(env.queue), d)
+	}
+	shared := env.queue[0].msg.(*node.TxBatchMsg).Txs
+	for _, qm := range env.queue {
+		b := qm.msg.(*node.TxBatchMsg)
+		if !slices.Equal(b.Txs, pool) || &b.Txs[0] != &shared[0] {
+			t.Fatalf("batch to peer %d is not the one shared window", qm.to)
+		}
+	}
+}
+
 // BenchmarkRelayFlush is one flush window on a 16-node mesh: 50 relays
 // queued, then 15 batches built and sent.
 func BenchmarkRelayFlush(b *testing.B) {

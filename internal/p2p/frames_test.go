@@ -65,6 +65,12 @@ func frameFixture(t testing.TB) []frameCase {
 		// More flag, count, then per block a type tag, a length prefix and
 		// its encoding
 		{&node.BlockBatchMsg{Blocks: []types.Block{kb, mb}, More: true}, 13 + 1 + 1 + (1 + 1 + kb.WireSize()) + (1 + 3 + mb.WireSize())},
+		// header, count, then the IDs
+		{&node.CompactBlockMsg{Block: mb}, 13 + 136 + 1 + 32},
+		// hash, count, then each index as a CompactSize
+		{&node.GetBlockTxnMsg{Hash: crypto.Hash{11}, Indexes: []uint32{0, 300}}, 13 + 32 + 1 + 1 + 3},
+		// hash, count, then per transaction a length prefix and its encoding
+		{&node.BlockTxnMsg{Hash: crypto.Hash{12}, Txs: []*types.Transaction{tx}}, 13 + 32 + 1 + (1 + tx.WireSize())},
 	}
 }
 
@@ -158,6 +164,9 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 		{Type: wire.MsgTxBatch, Payload: count},
 		{Type: wire.MsgGetBlocks, Payload: count},
 		{Type: wire.MsgBlockBatch, Payload: append([]byte{1}, count...)},
+		{Type: wire.MsgCompactBlock, Payload: append(make([]byte, wire.Size(new(types.MicroBlockHeader))), count...)},
+		{Type: wire.MsgGetBlockTxn, Payload: append(make([]byte, 32), count...)},
+		{Type: wire.MsgBlockTxn, Payload: append(make([]byte, 32), count...)},
 	} {
 		const runs = 100
 		var before, after runtime.MemStats

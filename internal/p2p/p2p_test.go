@@ -130,6 +130,83 @@ func TestLiveLeaderMicroblocks(t *testing.T) {
 	}
 }
 
+// TestLiveCompactMicroblock: over TCP, a relaying follower takes the leader's
+// microblocks as compact blocks, rebuilds them from its pool and fetches the
+// one transaction the leader never relayed.
+func TestLiveCompactMicroblock(t *testing.T) {
+	owner, err := crypto.GenerateKey(sim.NewRand(9, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payouts := make([]types.TxOutput, 4)
+	for i := range payouts {
+		payouts[i] = types.TxOutput{Value: 10_000, To: owner.Public().Addr()}
+	}
+	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget, Payouts: payouts})
+	a, _ := startLiveNG(t, 1, genesis)
+	b, addrB := startLiveNG(t, 2, genesis)
+	got := map[wire.MsgType]int{}
+	b.rt.Do(func() {
+		b.node.RelayTxs = true
+		b.rt.SetHandler(func(from int, msg node.Message) {
+			got[msg.Type()]++
+			b.node.HandleMessage(from, msg)
+		})
+	})
+	a.rt.Do(func() { a.node.RelayTxs = true })
+	if err := a.rt.Connect(addrB); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, b.rt, 5*time.Second, func() bool { return len(b.rt.Peers()) == 1 }) {
+		t.Fatal("b never registered a")
+	}
+	txs := make([]*types.Transaction, len(payouts))
+	for i := range txs {
+		txs[i] = &types.Transaction{
+			Kind:    types.TxRegular,
+			Inputs:  []types.TxInput{{Prev: types.OutPoint{TxID: genesis.Txs[0].ID(), Index: uint32(i)}}},
+			Outputs: []types.TxOutput{{Value: 9_000, To: crypto.Address{byte(i)}}},
+		}
+		txs[i].SignInput(0, owner)
+	}
+	var submitErr error
+	a.rt.Do(func() {
+		for _, tx := range txs[1:] {
+			if err := a.node.SubmitTx(tx); err != nil {
+				submitErr = err
+			}
+		}
+	})
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
+	if !waitFor(t, b.rt, 5*time.Second, func() bool { return b.node.Pool.Len() == len(txs)-1 }) {
+		t.Fatal("the relayed transactions never reached b's pool")
+	}
+	a.rt.Do(func() {
+		submitErr = a.node.Pool.Add(txs[0]) // pooled at the leader alone
+		a.node.MineKeyBlock()
+	})
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
+	if !waitFor(t, b.rt, 5*time.Second, func() bool {
+		for _, tx := range txs {
+			if _, ok := b.node.State.UTXO().Lookup(types.OutPoint{TxID: tx.ID()}); !ok {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the microblock did not reach b")
+	}
+	b.rt.Do(func() {
+		if got[wire.MsgCompactBlock] == 0 || got[wire.MsgBlockTxn] == 0 || got[wire.MsgMicroBlock] != 0 {
+			t.Errorf("b received %d compact blocks, %d blocktxns and %d full microblocks", got[wire.MsgCompactBlock], got[wire.MsgBlockTxn], got[wire.MsgMicroBlock])
+		}
+	})
+}
+
 func TestLiveRejectsWrongGenesis(t *testing.T) {
 	g1 := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
 	g2 := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget, TimeNanos: 42})

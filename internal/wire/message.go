@@ -15,36 +15,42 @@ type MsgType uint8
 
 // Message type identifiers. The numeric values are part of the wire format.
 const (
-	MsgInvalid    MsgType = iota // never sent
-	MsgVersion                   // p2p handshake
-	MsgVerAck                    // p2p handshake acknowledgment
-	MsgInv                       // inventory announcement (block hashes)
-	MsgGetData                   // request for announced inventory
-	MsgBlock                     // Bitcoin block
-	MsgKeyBlock                  // Bitcoin-NG key block
-	MsgMicroBlock                // Bitcoin-NG microblock
-	MsgTx                        // loose transaction
-	_                            // 9: reserved, so later numbers never move
-	_                            // 10: reserved
-	MsgTxBatch                   // batched loose-transaction relay
-	MsgGetBlocks                 // locator-based catch-up sync request
-	MsgBlockBatch                // bounded batch of main-chain blocks (sync response)
-	msgSentinel                  // one past the last valid type
+	MsgInvalid      MsgType = iota // never sent
+	MsgVersion                     // p2p handshake
+	MsgVerAck                      // p2p handshake acknowledgment
+	MsgInv                         // inventory announcement (block hashes)
+	MsgGetData                     // request for announced inventory
+	MsgBlock                       // Bitcoin block
+	MsgKeyBlock                    // Bitcoin-NG key block
+	MsgMicroBlock                  // Bitcoin-NG microblock
+	MsgTx                          // loose transaction
+	_                              // 9: reserved, so later numbers never move
+	_                              // 10: reserved
+	MsgTxBatch                     // batched loose-transaction relay
+	MsgGetBlocks                   // locator-based catch-up sync request
+	MsgBlockBatch                  // bounded batch of main-chain blocks (sync response)
+	MsgCompactBlock                // microblock as header and transaction IDs
+	MsgGetBlockTxn                 // request for a compact block's missing transactions
+	MsgBlockTxn                    // the requested transactions
+	msgSentinel                    // one past the last valid type
 )
 
 var msgTypeNames = [...]string{
-	MsgInvalid:    "invalid",
-	MsgVersion:    "version",
-	MsgVerAck:     "verack",
-	MsgInv:        "inv",
-	MsgGetData:    "getdata",
-	MsgBlock:      "block",
-	MsgKeyBlock:   "keyblock",
-	MsgMicroBlock: "microblock",
-	MsgTx:         "tx",
-	MsgTxBatch:    "txbatch",
-	MsgGetBlocks:  "getblocks",
-	MsgBlockBatch: "blockbatch",
+	MsgInvalid:      "invalid",
+	MsgVersion:      "version",
+	MsgVerAck:       "verack",
+	MsgInv:          "inv",
+	MsgGetData:      "getdata",
+	MsgBlock:        "block",
+	MsgKeyBlock:     "keyblock",
+	MsgMicroBlock:   "microblock",
+	MsgTx:           "tx",
+	MsgTxBatch:      "txbatch",
+	MsgGetBlocks:    "getblocks",
+	MsgBlockBatch:   "blockbatch",
+	MsgCompactBlock: "cmpctblock",
+	MsgGetBlockTxn:  "getblocktxn",
+	MsgBlockTxn:     "blocktxn",
 }
 
 // String returns the canonical lower-case message name.

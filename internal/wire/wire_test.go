@@ -379,6 +379,9 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgTx != 8 || MsgTxBatch != 11 || MsgBlockBatch != 13 {
 		t.Errorf("frame numbers moved: tx %d, txbatch %d, blockbatch %d", MsgTx, MsgTxBatch, MsgBlockBatch)
 	}
+	if MsgCompactBlock != 14 || MsgGetBlockTxn != 15 || MsgBlockTxn != 16 {
+		t.Errorf("frame numbers moved: cmpctblock %d, getblocktxn %d, blocktxn %d", MsgCompactBlock, MsgGetBlockTxn, MsgBlockTxn)
+	}
 }
 
 // everyMethod writes through each Writer method once per element, with
