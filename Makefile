@@ -21,7 +21,7 @@ fmt:
 # `gofmt -l` names fails it), go vet, then the project's own nglint suite —
 # the per-function analyzers (walltime, globalrand, maporder, locksafe,
 # wiresym) plus the interprocedural module analyzers (detflow; parity over
-# interface impls, the invariant catalogue and strategy hooks; errflow) —
+# the invariant catalogue and strategy hooks; errflow) —
 # see DESIGN.md §9 — then staticcheck and govulncheck when installed (CI
 # installs both; locally they are optional extras since the sandbox has no
 # network). A finding, or an
@@ -54,8 +54,9 @@ race:
 # entries), counted wire sizes, every gossip message's Size(), exactly-sized
 # encodings and the relay flush; on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the file-backed
-# store path, a page fault served from the evicted page, archive records
-# written from a retained buffer and read back into one; on the live path, a
+# store path, a page fault served from the evicted page, chain-index records
+# (block and arrival time) written from a retained buffer and read back into
+# one; on the live path, a
 # steady-state frame read; at the sharded engine's window barrier, the
 # metric-buffer merge and the cross-shard outbox flush. CI calls it from the
 # `test` job beside the -race run.
@@ -184,10 +185,12 @@ faults:
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
 # unit suites (paged table with its map-model and churn tests, the file
-# ledger's clean start, chain index, blockstore failure-injection
-# durability), the durability/aliasing bugfix pins (Clone mutation
-# isolation, reopened-index tie-break equivalence), the harness kernel's
-# restart pins over both backends, the committed chaos regression seeds —
+# ledger's clean start, the factory's chain index, and the blockstore's
+# Store/Mem contract, block-and-arrival-time record recovery, old-format
+# refusal and failure-injection durability), the durability/aliasing bugfix
+# pins (Clone mutation isolation, reopened-index tie-break equivalence), the
+# harness kernel's restart pins over both backends, the committed chaos
+# regression seeds —
 # each replayed under the mem vs file backend differential — and the
 # beyond-RAM bounded-memory soak over file backends.
 stores:

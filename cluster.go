@@ -77,8 +77,8 @@ type ClusterConfig struct {
 	// keeps the paper's 100 kbit/s.
 	BandwidthBPS float64
 	// StateDir, when set, gives every node a file-backed durable block
-	// archive at StateDir/node-<i>.blocks (with its arrival-time sidecar at
-	// node-<i>.times), so Crash/Restart recover from real files (and a
+	// archive at StateDir/node-<i>.blocks (each record a block with its
+	// arrival time), so Crash/Restart recover from real files (and a
 	// damaged file recovers its longest valid prefix). Unset, nodes persist
 	// to in-memory archives that survive simulated crashes only. Shorthand
 	// for StoreURL "file:<StateDir>"; StoreURL wins when both are set.

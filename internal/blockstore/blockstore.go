@@ -1,18 +1,25 @@
-// Package blockstore persists blocks to an append-only file so a live node
-// (cmd/ngnode) can restart without losing its chain. The format is a
-// sequence of length-prefixed, checksummed records; the in-memory index is
-// rebuilt by a single scan on open, and a torn final record (crash during
-// append) is detected and truncated away. Records are written from one
-// retained buffer and read back (Get, the scan) into another, so neither
-// direction allocates per record beyond the decoded block itself, which owns
-// its bytes (see wire.Reader.VarDecode for the rule that makes reuse safe).
+// Package blockstore is a node's chain index: every accepted block in append
+// order together with its local arrival time, on an append-only file (Store)
+// or in memory (Mem). The arrival time is consensus input — the first-seen
+// tie-break reads it — so a reopened index replays exactly the (block,
+// receivedAt) pairs its first life recorded, and both live in one record
+// under one checksum.
+//
+// The file is a sequence of length-prefixed, checksummed records; the
+// in-memory index is rebuilt by a single scan on open, and a torn final
+// record (crash during append) is detected and truncated away. Records are
+// written from one retained buffer and read back (Get, the scan) into
+// another, so neither direction allocates per record beyond the decoded block
+// itself, which owns its bytes (see wire.Reader.VarDecode for the rule that
+// makes reuse safe).
 //
 // Layout per record:
 //
-//	magic  uint32  // record marker, catches misaligned scans
-//	kind   uint8   // types.BlockKind
-//	length uint32  // payload bytes
-//	crc32  uint32  // IEEE checksum of the payload
+//	magic      uint32  // record marker, catches misaligned scans
+//	kind       uint8   // types.BlockKind
+//	length     uint32  // payload bytes
+//	crc32      uint32  // IEEE checksum of receivedAt and the payload
+//	receivedAt int64   // local arrival time on the node's clock
 //	payload [length]byte  // wire-encoded block
 package blockstore
 
@@ -30,8 +37,11 @@ import (
 )
 
 const (
-	recordMagic  uint32 = 0x4e474253 // "SBGN" little-endian
-	headerSize          = 4 + 1 + 4 + 4
+	recordMagic uint32 = 0x4e474254 // "TBGN" little-endian
+	// legacyMagic opened every record of the layout without receivedAt,
+	// whose arrival times lived in a separate sidecar file.
+	legacyMagic  uint32 = 0x4e474253 // "SBGN" little-endian
+	headerSize          = 4 + 1 + 4 + 4 + 8
 	maxBlockSize        = wire.MaxMessageSize
 )
 
@@ -39,6 +49,9 @@ const (
 var (
 	ErrNotFound = errors.New("blockstore: block not found")
 	ErrClosed   = errors.New("blockstore: closed")
+	// ErrOldFormat refuses a file in the layout without arrival times: its
+	// records would scan as corruption and be truncated away.
+	ErrOldFormat = errors.New("blockstore: file is in the old record format without arrival times")
 )
 
 // Store is an append-only block file with an in-memory offset index. Every
@@ -65,14 +78,16 @@ type Store struct {
 }
 
 type recordRef struct {
-	offset int64
-	kind   types.BlockKind
-	length uint32
+	offset     int64
+	receivedAt int64
+	kind       types.BlockKind
+	length     uint32
 }
 
 // Open opens (or creates) the store at path, scanning existing records to
 // rebuild the index. A trailing partial record — a crash mid-append — is
-// truncated away.
+// truncated away. A file written in the old record format is refused with
+// ErrOldFormat and left untouched.
 func Open(path string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -107,14 +122,19 @@ func (s *Store) SetSyncHook(hook func() error) {
 // content, only on I/O errors; a crash or disk scribble costs the suffix, not
 // the store. (Records are append-ordered, so any prefix is a usable chain
 // history — exactly the durable-prefix contract the restart path asserts.)
+// The one exception is a file that opens with the old format's magic: it is
+// refused whole rather than truncated to nothing.
 func (s *Store) scan() error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return err
 	}
 	total := info.Size()
-	var off int64
 	hdr := make([]byte, headerSize)
+	if _, err := s.f.ReadAt(hdr[:4], 0); err == nil && binary.LittleEndian.Uint32(hdr) == legacyMagic {
+		return fmt.Errorf("%w: %s", ErrOldFormat, s.f.Name())
+	}
+	var off int64
 	for off+headerSize <= total {
 		if _, err := s.f.ReadAt(hdr, off); err != nil {
 			return err
@@ -135,8 +155,8 @@ func (s *Store) scan() error {
 		if err != nil {
 			return err
 		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // corrupt payload
+		if crc32.Update(crc32.ChecksumIEEE(hdr[13:]), crc32.IEEETable, payload) != wantCRC {
+			break // corrupt arrival time or payload
 		}
 		b, err := decodeBlock(kind, payload)
 		if err != nil {
@@ -144,7 +164,8 @@ func (s *Store) scan() error {
 		}
 		h := b.Hash()
 		if _, dup := s.index[h]; !dup {
-			s.index[h] = recordRef{offset: off, kind: kind, length: length}
+			receivedAt := int64(binary.LittleEndian.Uint64(hdr[13:21]))
+			s.index[h] = recordRef{offset: off, receivedAt: receivedAt, kind: kind, length: length}
 			s.order = append(s.order, h)
 		}
 		off += headerSize + int64(length)
@@ -191,13 +212,14 @@ func (s *Store) Contains(h crypto.Hash) bool {
 	return ok
 }
 
-// Append persists a block. Appending an already-stored block is a no-op, so
-// callers can feed every accepted block without tracking. The record is
-// fsynced before Append returns: an acknowledged block is durable, full
-// stop. A failed sync unwinds the record — the file is truncated back so the
-// on-disk prefix stays exactly the acknowledged set — and poisons the store
-// (see Store.err).
-func (s *Store) Append(b types.Block) error {
+// Append persists a block with its arrival time. Appending an already-stored
+// block is a no-op that keeps the original time — the first-seen rule is
+// about the first arrival — so callers can feed every accepted block without
+// tracking. The record is fsynced before Append returns: an acknowledged
+// block is durable, full stop. A failed sync unwinds the record — the file is
+// truncated back so the on-disk prefix stays exactly the acknowledged set —
+// and poisons the store (see Store.err).
+func (s *Store) Append(b types.Block, receivedAt int64) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -219,7 +241,8 @@ func (s *Store) Append(b types.Block) error {
 	binary.LittleEndian.PutUint32(rec[0:4], recordMagic)
 	rec[4] = byte(b.Kind())
 	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(rec[13:21], uint64(receivedAt))
+	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(rec[13:]))
 	if _, err := s.f.WriteAt(rec, s.size); err != nil {
 		return fmt.Errorf("blockstore: append record: %w", err)
 	}
@@ -231,7 +254,7 @@ func (s *Store) Append(b types.Block) error {
 		s.err = fmt.Errorf("blockstore: append sync: %w", err)
 		return s.err
 	}
-	s.index[h] = recordRef{offset: s.size, kind: b.Kind(), length: uint32(len(payload))}
+	s.index[h] = recordRef{offset: s.size, receivedAt: receivedAt, kind: b.Kind(), length: uint32(len(payload))}
 	s.order = append(s.order, h)
 	s.size += int64(len(rec))
 	return nil
@@ -266,10 +289,11 @@ func (s *Store) read(offset int64, length uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// Replay streams every stored block in append order — parents before
-// children for blocks a node accepted, which is exactly what chain
-// reconstruction needs. Iteration stops at the first callback error.
-func (s *Store) Replay(fn func(types.Block) error) error {
+// Replay streams every stored block in append order with its recorded
+// arrival time — parents before children for blocks a node accepted, which is
+// exactly what chain reconstruction needs. Iteration stops at the first
+// callback error.
+func (s *Store) Replay(fn func(b types.Block, receivedAt int64) error) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -278,7 +302,7 @@ func (s *Store) Replay(fn func(types.Block) error) error {
 		if err != nil {
 			return err
 		}
-		if err := fn(b); err != nil {
+		if err := fn(b, s.index[h].receivedAt); err != nil {
 			return err
 		}
 	}

@@ -76,7 +76,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	s := tempStore(t)
 	blocks := makeChain(t, 9)
 	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestAppendIdempotent(t *testing.T) {
 	blocks := makeChain(t, 3)
 	for i := 0; i < 3; i++ {
 		for _, b := range blocks {
-			if err := s.Append(b); err != nil {
+			if err := s.Append(b, b.Time()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,7 +120,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 	blocks := makeChain(t, 12)
 	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 	// Replay preserves append order.
 	var replayed []crypto.Hash
-	if err := s2.Replay(func(b types.Block) error {
+	if err := s2.Replay(func(b types.Block, _ int64) error {
 		replayed = append(replayed, b.Hash())
 		return nil
 	}); err != nil {
@@ -159,7 +159,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	blocks := makeChain(t, 5)
 	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("len after torn tail = %d, want 4", s2.Len())
 	}
 	// The store accepts new appends after recovery.
-	if err := s2.Append(blocks[4]); err != nil {
+	if err := s2.Append(blocks[4], blocks[4].Time()); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != 5 {
@@ -199,7 +199,7 @@ func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 	}
 	blocks := makeChain(t, 3)
 	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 	// The store accepts new appends after recovery, re-persisting what the
 	// corruption cost.
 	for _, b := range blocks[1:] {
-		if err := s2.Append(b); err != nil {
+		if err := s2.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,11 +255,11 @@ func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 func TestClosedStoreErrors(t *testing.T) {
 	s := tempStore(t)
 	blocks := makeChain(t, 1)
-	if err := s.Append(blocks[0]); err != nil {
+	if err := s.Append(blocks[0], blocks[0].Time()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := s.Append(blocks[0]); !errors.Is(err, ErrClosed) {
+	if err := s.Append(blocks[0], blocks[0].Time()); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close err = %v", err)
 	}
 	if _, err := s.Get(blocks[0].Hash()); !errors.Is(err, ErrClosed) {
@@ -271,10 +271,9 @@ func TestClosedStoreErrors(t *testing.T) {
 }
 
 // TestAppendRecordBytesAndAllocations pins the append path's two promises:
-// the record on disk is magic, kind, length, CRC and the block's wire
-// encoding, byte for byte what an independent encoder writes — so stores
-// written before the header and payload shared one buffer read back the same
-// — and a steady-state Append allocates nothing per record: the encoding goes
+// the record on disk is magic, kind, length, CRC, arrival time and the
+// block's wire encoding, byte for byte what an independent encoder writes,
+// and a steady-state Append allocates nothing per record: the encoding goes
 // into the store's retained buffer, not a fresh payload and header. The fsync
 // is stubbed out; it allocates nothing and would only slow the loop.
 func TestAppendRecordBytesAndAllocations(t *testing.T) {
@@ -282,16 +281,18 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 	s.SetSyncHook(func() error { return nil })
 	blocks := makeChain(t, 400)
 	var want []byte
-	for _, b := range blocks[:100] {
-		if err := s.Append(b); err != nil {
+	for i, b := range blocks[:100] {
+		receivedAt := int64(7000 + 3*i)
+		if err := s.Append(b, receivedAt); err != nil {
 			t.Fatal(err)
 		}
-		payload := wire.Encode(b)
+		body := binary.LittleEndian.AppendUint64(nil, uint64(receivedAt))
+		body = append(body, wire.Encode(b)...)
 		want = binary.LittleEndian.AppendUint32(want, recordMagic)
 		want = append(want, byte(b.Kind()))
-		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
-		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
-		want = append(want, payload...)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(body)-8))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
+		want = append(want, body...)
 	}
 	got, err := os.ReadFile(s.f.Name())
 	if err != nil {
@@ -308,7 +309,7 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 	// The index map and the order slice grow now and then; per record that
 	// averages below one allocation, which AllocsPerRun reports as zero.
 	if avg := testing.AllocsPerRun(250, func() {
-		if err := s.Append(blocks[next]); err != nil {
+		if err := s.Append(blocks[next], blocks[next].Time()); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -333,7 +334,7 @@ func TestGetReadsIntoOneBuffer(t *testing.T) {
 		}
 	}
 	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,7 +393,7 @@ func BenchmarkAppend(b *testing.B) {
 			s.SetSyncHook(func() error { return nil })
 			b.StartTimer()
 		}
-		if err := s.Append(blocks[i%len(blocks)]); err != nil {
+		if err := s.Append(blocks[i%len(blocks)], int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,21 +22,21 @@ func TestAppendSyncFailureUnwinds(t *testing.T) {
 	}
 	blocks := makeChain(t, 3)
 	for _, b := range blocks[:2] {
-		if err := s.Append(b); err != nil {
+		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	durable := s.size
 
 	s.SetSyncHook(func() error { return errDiskFull })
-	if err := s.Append(blocks[2]); !errors.Is(err, errDiskFull) {
+	if err := s.Append(blocks[2], blocks[2].Time()); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Append under failing sync = %v, want injected error", err)
 	}
 	if s.Contains(blocks[2].Hash()) {
 		t.Fatal("unacknowledged block was indexed")
 	}
 	// Sticky: every later mutation reports the original failure.
-	if err := s.Append(blocks[2]); !errors.Is(err, errDiskFull) {
+	if err := s.Append(blocks[2], blocks[2].Time()); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Append after poisoning = %v", err)
 	}
 	if err := s.Sync(); !errors.Is(err, errDiskFull) {
@@ -95,7 +95,7 @@ func FuzzAppendSyncFailure(f *testing.F) {
 		blocks := makeChain(t, 8)
 		acked := 0
 		for _, b := range blocks {
-			if err := s.Append(b); err != nil {
+			if err := s.Append(b, b.Time()); err != nil {
 				if !errors.Is(err, errDiskFull) {
 					t.Fatalf("unexpected append error: %v", err)
 				}

@@ -1,7 +1,9 @@
 package blockstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -39,7 +41,7 @@ func validStoreBytes(t interface {
 			},
 		}
 		mb.Header.Sign(key)
-		if err := s.Append(mb); err != nil {
+		if err := s.Append(mb, int64(1000+7*i)); err != nil {
 			t.Fatal(err)
 		}
 		prev = mb.Hash()
@@ -54,11 +56,17 @@ func validStoreBytes(t interface {
 	return raw
 }
 
+// stored is one recovered record as the index serves it.
+type stored struct {
+	hash       crypto.Hash
+	receivedAt int64
+}
+
 // referencePrefix independently parses the longest valid record prefix of
-// data, returning the deduplicated block hashes in order — the oracle the
-// fuzzed Open must agree with byte for byte.
-func referencePrefix(data []byte) []crypto.Hash {
-	var out []crypto.Hash
+// data, returning the deduplicated (hash, receivedAt) pairs in order — the
+// oracle the fuzzed Open must agree with byte for byte.
+func referencePrefix(data []byte) []stored {
+	var out []stored
 	seen := make(map[crypto.Hash]bool)
 	off := 0
 	for off+headerSize <= len(data) {
@@ -71,27 +79,44 @@ func referencePrefix(data []byte) []crypto.Hash {
 		if length > maxBlockSize || off+headerSize+int(length) > len(data) {
 			break
 		}
-		payload := data[off+headerSize : off+headerSize+int(length)]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
+		if crc32.ChecksumIEEE(data[off+13:off+headerSize+int(length)]) != wantCRC {
 			break
 		}
-		b, err := decodeBlock(kind, payload)
+		receivedAt := int64(binary.LittleEndian.Uint64(data[off+13 : off+21]))
+		b, err := decodeBlock(kind, data[off+headerSize:off+headerSize+int(length)])
 		if err != nil {
 			break
 		}
 		if h := b.Hash(); !seen[h] {
 			seen[h] = true
-			out = append(out, h)
+			out = append(out, stored{h, receivedAt})
 		}
 		off += headerSize + int(length)
 	}
 	return out
 }
 
+// replayed lists what an index serves through Replay.
+func replayed(t testing.TB, ix interface {
+	Replay(func(types.Block, int64) error) error
+}) []stored {
+	t.Helper()
+	var out []stored
+	if err := ix.Replay(func(b types.Block, receivedAt int64) error {
+		out = append(out, stored{b.Hash(), receivedAt})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // FuzzBlockstoreReopen throws arbitrary mutations of a valid store file —
 // truncations, bit-flips, garbage — at Open. Reopening must never panic,
-// must recover exactly the longest valid record prefix, and must leave the
-// file re-appendable.
+// must recover exactly the longest valid record prefix with its arrival
+// times, and must leave the file re-appendable. The one input Open refuses is
+// a file that starts with the old format's magic, which it must leave
+// byte-for-byte untouched.
 func FuzzBlockstoreReopen(f *testing.F) {
 	raw := validStoreBytes(f)
 	f.Add(raw)
@@ -104,6 +129,14 @@ func FuzzBlockstoreReopen(f *testing.F) {
 	magic := append([]byte(nil), raw...) // magic smashed mid-file
 	magic[len(raw)/2] ^= 0xff
 	f.Add(magic)
+	at := append([]byte(nil), raw...) // arrival-time bit-flip in record 2
+	at[headerSize+int(binary.LittleEndian.Uint32(raw[5:9]))+13] ^= 0x01
+	f.Add(at)
+	b, err := decodeBlock(types.BlockKind(raw[4]), raw[headerSize:headerSize+int(binary.LittleEndian.Uint32(raw[5:9]))])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacyRecord(b)) // the old format, refused untouched
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "blocks.dat")
@@ -111,19 +144,29 @@ func FuzzBlockstoreReopen(f *testing.F) {
 			t.Fatal(err)
 		}
 		s, err := Open(path)
+		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == legacyMagic {
+			if !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("old-format file opened with err %v, want ErrOldFormat", err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Fatal("refused old-format file was modified")
+			}
+			return
+		}
 		if err != nil {
 			// Only genuine I/O failures may surface; corruption must not.
 			t.Fatalf("open rejected corrupt-but-readable input: %v", err)
 		}
 		defer s.Close()
 		want := referencePrefix(data)
-		got := s.Hashes()
+		got := replayed(t, s)
 		if len(got) != len(want) {
 			t.Fatalf("recovered %d records, reference prefix has %d", len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("record %d: recovered %s, want %s", i, got[i].Short(), want[i].Short())
+				t.Fatalf("record %d: recovered %s at %d, want %s at %d",
+					i, got[i].hash.Short(), got[i].receivedAt, want[i].hash.Short(), want[i].receivedAt)
 			}
 		}
 		// The recovered store must accept appends (the restart path
@@ -140,7 +183,7 @@ func FuzzBlockstoreReopen(f *testing.F) {
 			},
 		}
 		mb.Header.Sign(key)
-		if err := s.Append(mb); err != nil {
+		if err := s.Append(mb, mb.Time()); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if !s.Contains(mb.Hash()) {

@@ -8,19 +8,25 @@ import (
 )
 
 // Mem is the in-memory counterpart of Store: same append-order, same
-// idempotent Append, no file. It backs the durable-persistence hook on the
-// default simulation path, where "durable" means "survives the simulated
-// crash" — the harness tears down a node's entire in-memory client but keeps
-// its Mem archive, exactly as a real disk survives a process crash. Not safe
-// for concurrent use; the owning node serializes access.
+// idempotent Append keeping the first arrival time, no file. It backs the
+// chain index on the default simulation path, where "durable" means
+// "survives the simulated crash" — the harness tears down a node's entire
+// in-memory client but keeps its Mem, exactly as a real disk survives a
+// process crash. Not safe for concurrent use; the owning node serializes
+// access.
 type Mem struct {
-	blocks map[crypto.Hash]types.Block
-	order  []crypto.Hash
+	records map[crypto.Hash]memRecord
+	order   []crypto.Hash
+}
+
+type memRecord struct {
+	block      types.Block
+	receivedAt int64
 }
 
 // NewMem builds an empty in-memory archive.
 func NewMem() *Mem {
-	return &Mem{blocks: make(map[crypto.Hash]types.Block)}
+	return &Mem{records: make(map[crypto.Hash]memRecord)}
 }
 
 // Len returns the number of stored blocks.
@@ -28,28 +34,29 @@ func (m *Mem) Len() int { return len(m.order) }
 
 // Contains reports whether the block is stored.
 func (m *Mem) Contains(h crypto.Hash) bool {
-	_, ok := m.blocks[h]
+	_, ok := m.records[h]
 	return ok
 }
 
-// Append stores a block; duplicates are a no-op, mirroring Store.
-func (m *Mem) Append(b types.Block) error {
+// Append stores a block with its arrival time; duplicates are a no-op that
+// keeps the original time, mirroring Store.
+func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	h := b.Hash()
-	if _, dup := m.blocks[h]; dup {
+	if _, dup := m.records[h]; dup {
 		return nil
 	}
-	m.blocks[h] = b
+	m.records[h] = memRecord{block: b, receivedAt: receivedAt}
 	m.order = append(m.order, h)
 	return nil
 }
 
 // Get loads a block by hash.
 func (m *Mem) Get(h crypto.Hash) (types.Block, error) {
-	b, ok := m.blocks[h]
+	r, ok := m.records[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 	}
-	return b, nil
+	return r.block, nil
 }
 
 // Hashes returns the stored block hashes in append order. The caller owns
@@ -60,13 +67,21 @@ func (m *Mem) Hashes() []crypto.Hash {
 	return out
 }
 
-// Replay streams every stored block in append order, stopping at the first
-// callback error.
-func (m *Mem) Replay(fn func(types.Block) error) error {
+// Replay streams every stored block in append order with its recorded
+// arrival time, stopping at the first callback error.
+func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
 	for _, h := range m.order {
-		if err := fn(m.blocks[h]); err != nil {
+		r := m.records[h]
+		if err := fn(r.block, r.receivedAt); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// Sync is a no-op: Mem is durable only against simulated crashes.
+func (m *Mem) Sync() error { return nil }
+
+// Close releases nothing; Mem stays readable, because the simulated-crash
+// harness keeps reading the survivor.
+func (m *Mem) Close() error { return nil }

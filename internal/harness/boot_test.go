@@ -102,7 +102,11 @@ func newReplayFixture(tb testing.TB, blocks, spends int) *replayFixture {
 			SimulatedMining: true, ConnectCache: f.cache,
 		},
 	}
-	index, err := store.OpenFileIndex(tb.TempDir(), "replay")
+	factory, err := store.NewFactory("file:" + tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	index, err := factory.NewChainIndex("replay")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -163,13 +167,16 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 	if cold.Tip().Hash() != adopted.Tip().Hash() || cold.Store().Len() != fx.blocks+1 || adopted.Store().Len() != fx.blocks+1 {
 		t.Fatalf("tips %s / %s, trees %d / %d blocks", cold.Tip().Hash().Short(), adopted.Tip().Hash().Short(), cold.Store().Len(), adopted.Store().Len())
 	}
-	for _, h := range fx.index.Hashes() {
-		want, _ := fx.index.ReceivedAt(h)
+	if err := fx.index.Replay(func(b types.Block, want int64) error {
+		h := b.Hash()
 		a, _ := adopted.Store().Get(h)
 		c, _ := cold.Store().Get(h)
 		if a == nil || c == nil || a.ReceivedAt != want || c.ReceivedAt != want {
 			t.Fatalf("block %s: arrival times differ from the recorded %d", h.Short(), want)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	want := map[types.OutPoint]utxo.Entry{}
 	adoptedLedger.Range(func(op types.OutPoint, e utxo.Entry) bool { want[op] = e; return true })

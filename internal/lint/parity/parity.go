@@ -1,13 +1,7 @@
 // Package parity statically diffs surfaces that the codebase promises to
-// keep in lockstep but that the compiler cannot couple:
-//
-//   - interface parity: every type that sets out to implement a paired
-//     interface (it declares at least half of the methods) must implement
-//     all of it. Inside the module the compiler enforces this at the
-//     assignment site — but a harness loaded with soft type errors, or an
-//     implementation whose interface assertion was lost in a refactor,
-//     silently drifts. The check also names the missing methods directly,
-//     where the compiler error names only the first.
+// keep in lockstep but that the compiler cannot couple (interface
+// implementations it can, so those are pinned by compile-time assertions
+// instead):
 //
 //   - catalogue parity: every exported invariant constructor must be wired
 //     into the default catalogue, or a scenario harness that asks for "all
@@ -41,7 +35,7 @@ import (
 // Analyzer is the nglint entry point, running the default contracts.
 var Analyzer = &analysis.ModuleAnalyzer{
 	Name: "parity",
-	Doc:  "paired surfaces must not drift: harness interfaces fully implemented, invariant catalogue complete, strategy hooks threaded",
+	Doc:  "paired surfaces must not drift: invariant catalogue complete, strategy hooks threaded",
 	Run: func(pass *analysis.ModulePass) error {
 		prog := dataflow.NewProgram(pass.Fset, pass.Pkgs)
 		for _, d := range Run(prog, Default()) {
@@ -49,17 +43,6 @@ var Analyzer = &analysis.ModuleAnalyzer{
 		}
 		return nil
 	},
-}
-
-// ImplContract names an interface whose implementations must be complete: a
-// type declaring at least half of the interface's methods is considered an
-// intended implementation and every missing method is reported.
-type ImplContract struct {
-	IfacePkg, IfaceName string
-	// Exempt maps package-qualified type names ("pkg/path.Type") to the
-	// reason their partial overlap is deliberate — a lower-layer primitive
-	// that shares the vocabulary without implementing the contract.
-	Exempt map[string]string
 }
 
 // CatalogueContract requires every exported constructor returning ResultType
@@ -78,7 +61,6 @@ type HookContract struct {
 // Contracts is the full parity specification. Tests substitute narrower
 // ones; nglint runs Default().
 type Contracts struct {
-	Impl      []ImplContract
 	Catalogue []CatalogueContract
 	Hooks     []HookContract
 }
@@ -86,25 +68,6 @@ type Contracts struct {
 // Default returns the repository's parity contracts.
 func Default() Contracts {
 	return Contracts{
-		Impl: []ImplContract{
-			// scenario.Runtime is deliberately absent: it has exactly one
-			// implementation (harness.Fleet, pinned by a compile-time
-			// assertion there), and one implementation cannot drift from
-			// itself. store.UTXO is absent for the same reason: *utxo.Set is
-			// its one implementation over either backend (a compile-time
-			// assertion in internal/store).
-			//
-			// The chain indexes pair up behind store.ChainIndex (mem/file);
-			// the chaos differential byte-compares runs across them, which
-			// only means anything if both sides expose the whole surface.
-			{
-				IfacePkg: "bitcoinng/internal/store", IfaceName: "ChainIndex",
-				Exempt: map[string]string{
-					"bitcoinng/internal/blockstore.Store": "hash-keyed block archive primitive under FileIndex; has no arrival-time column by design",
-					"bitcoinng/internal/blockstore.Mem":   "in-memory mirror of blockstore.Store; same deliberate gap",
-				},
-			},
-		},
 		Catalogue: []CatalogueContract{{
 			Pkg:        "bitcoinng/internal/invariant",
 			ResultType: "Invariant",
@@ -121,9 +84,6 @@ func Default() Contracts {
 // skipped: sandbox loads analyze single packages.
 func Run(prog *dataflow.Program, c Contracts) []analysis.Diagnostic {
 	r := &runner{prog: prog}
-	for _, ic := range c.Impl {
-		r.implContract(ic)
-	}
 	for _, cc := range c.Catalogue {
 		r.catalogueContract(cc)
 	}
@@ -213,57 +173,6 @@ func ifaceMethods(iface *types.Interface) []*types.Func {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
-}
-
-// --- interface implementation parity -----------------------------------
-
-func (r *runner) implContract(c ImplContract) {
-	iface := r.findIface(c.IfacePkg, c.IfaceName)
-	if iface == nil {
-		return
-	}
-	want := ifaceMethods(iface)
-	short := c.IfacePkg[strings.LastIndex(c.IfacePkg, "/")+1:] + "." + c.IfaceName
-	for _, pkg := range r.prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, nm := range scope.Names() {
-			tn, ok := scope.Lookup(nm).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if _, exempt := c.Exempt[pkg.Path+"."+nm]; exempt {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			if _, isIface := named.Underlying().(*types.Interface); isIface {
-				continue
-			}
-			ms := types.NewMethodSet(types.NewPointer(named))
-			have := map[string]bool{}
-			for i := 0; i < ms.Len(); i++ {
-				have[ms.At(i).Obj().Name()] = true
-			}
-			hits := 0
-			var missing []string
-			for _, m := range want {
-				if have[m.Name()] {
-					hits++
-				} else {
-					missing = append(missing, fmt.Sprintf("%s (interface method at %s)", m.Name(), r.pos(m.Pos())))
-				}
-			}
-			// At least half the interface: an intended implementation, not
-			// a coincidental name overlap.
-			if len(missing) == 0 || hits < (len(want)+1)/2 {
-				continue
-			}
-			r.reportf(tn.Pos(), "%s implements %d of %d %s methods but is missing %s — the harnesses must stay step-for-step interchangeable",
-				nm, hits, len(want), short, strings.Join(missing, ", "))
-		}
-	}
 }
 
 // --- catalogue parity ---------------------------------------------------

@@ -8,17 +8,12 @@ import (
 	"bitcoinng/internal/lint/parity"
 )
 
-// TestFixtures drives all three contract families over a synthetic surface
+// TestFixtures drives both contract families over a synthetic surface
 // with one deliberate gap per family.
 func TestFixtures(t *testing.T) {
-	l, pkgs := linttest.LoadFixtures(t,
-		"parityfx/iface", "parityfx/impl",
-		"parityfx/cat", "parityfx/hooks")
+	l, pkgs := linttest.LoadFixtures(t, "parityfx/cat", "parityfx/hooks")
 	prog := dataflow.NewProgram(l.Fset(), pkgs)
 	c := parity.Contracts{
-		Impl: []parity.ImplContract{
-			{IfacePkg: "parityfx/iface", IfaceName: "Runner"},
-		},
 		Catalogue: []parity.CatalogueContract{{
 			Pkg:        "parityfx/cat",
 			ResultType: "Check",

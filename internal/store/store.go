@@ -4,13 +4,13 @@
 // root its entries spill to an on-disk paged table behind a bounded page
 // cache, so total chain state can exceed process RAM. The table is a cache,
 // not a record: it is truncated on open, and every boot rebuilds the ledger
-// from the chain index. The chain index has an in-memory implementation and a
-// durable file-backed one.
+// from the chain index. The chain index is a blockstore: blockstore.Mem in
+// memory, blockstore.Store on disk, each keeping a block and its arrival
+// time in one record.
 //
 // Both backends must behave identically at the consensus surface — the chaos
 // differential replays whole experiments across them and byte-compares the
-// reports — and the parity linter holds the two chain-index method sets
-// structurally in sync.
+// reports — and compile-time assertions hold both to ChainIndex.
 package store
 
 import (
@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
@@ -70,8 +71,6 @@ type ChainIndex interface {
 	Len() int
 	// Hashes returns the stored block hashes in append order.
 	Hashes() []crypto.Hash
-	// ReceivedAt returns the recorded arrival time for a stored block.
-	ReceivedAt(h crypto.Hash) (int64, bool)
 	// Replay streams every stored block in append order with its recorded
 	// arrival time. Iteration stops at the first callback error.
 	Replay(fn func(b types.Block, receivedAt int64) error) error
@@ -80,6 +79,11 @@ type ChainIndex interface {
 	// Close releases resources.
 	Close() error
 }
+
+var (
+	_ ChainIndex = (*blockstore.Store)(nil)
+	_ ChainIndex = (*blockstore.Mem)(nil)
+)
 
 // Factory builds per-node stores from one URL-style locator:
 //
@@ -138,12 +142,17 @@ func (f *Factory) NewUTXO(name string) (UTXO, error) {
 	return utxo.NewWith(table), nil
 }
 
-// NewChainIndex builds the named chain index.
+// NewChainIndex builds the named chain index: an in-memory archive, or the
+// block file <dir>/<name>.blocks.
 func (f *Factory) NewChainIndex(name string) (ChainIndex, error) {
 	if f.dir == "" {
-		return NewMemIndex(), nil
+		return blockstore.NewMem(), nil
 	}
-	return OpenFileIndex(f.dir, name)
+	s, err := blockstore.Open(filepath.Join(f.dir, name+".blocks"))
+	if err != nil {
+		return nil, err // not a typed-nil *Store inside the interface
+	}
+	return s, nil
 }
 
 // Close removes the temporary root when the factory created one.

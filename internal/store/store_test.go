@@ -452,10 +452,40 @@ func makeChain(t *testing.T, n int) []types.Block {
 	return blocks
 }
 
-// indexContract drives the behavior both ChainIndex implementations must
-// share: append order, duplicate-keeps-original-time, ReceivedAt, Replay.
-func indexContract(t *testing.T, ix ChainIndex) {
+// openFileIndex opens the file chain index named n0 under dir through the
+// factory, as a node booted with a file: root does.
+func openFileIndex(t *testing.T, dir string) ChainIndex {
 	t.Helper()
+	f, err := NewFactory("file:" + dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := f.NewChainIndex("n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// replayTimes returns every stored block's arrival time, in append order.
+func replayTimes(t *testing.T, ix ChainIndex) map[crypto.Hash]int64 {
+	t.Helper()
+	times := make(map[crypto.Hash]int64)
+	if err := ix.Replay(func(b types.Block, at int64) error {
+		times[b.Hash()] = at
+		return nil
+	}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return times
+}
+
+// TestFileIndexContract drives the chain-index contract over the file
+// backend: append order, lookups, a duplicate append keeping the first
+// arrival time, and Replay's (block, receivedAt) pairs.
+func TestFileIndexContract(t *testing.T) {
+	ix := openFileIndex(t, t.TempDir())
+	defer ix.Close()
 	blocks := makeChain(t, 6)
 	for i, b := range blocks {
 		if err := ix.Append(b, int64(1000+i)); err != nil {
@@ -466,8 +496,8 @@ func indexContract(t *testing.T, ix ChainIndex) {
 	if err := ix.Append(blocks[2], 9999); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := ix.ReceivedAt(blocks[2].Hash()); !ok || got != 1002 {
-		t.Fatalf("ReceivedAt after dup = %d ok=%v, want 1002", got, ok)
+	if got := replayTimes(t, ix)[blocks[2].Hash()]; got != 1002 {
+		t.Fatalf("arrival time after dup = %d, want 1002", got)
 	}
 	if ix.Len() != len(blocks) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(blocks))
@@ -498,26 +528,12 @@ func indexContract(t *testing.T, ix ChainIndex) {
 	}
 }
 
-func TestMemIndexContract(t *testing.T) { indexContract(t, NewMemIndex()) }
-
-func TestFileIndexContract(t *testing.T) {
-	ix, err := OpenFileIndex(t.TempDir(), "n0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	indexContract(t, ix)
-}
-
-// TestFileIndexReopenTimes is the satellite-3 core: a reopened index must
-// serve the same (block, receivedAt) pairs, so the rebuilt node's first-seen
-// tie-break sees the inputs its first life recorded — not the reopen clock.
+// TestFileIndexReopenTimes: a reopened file index must serve the same
+// (block, receivedAt) pairs, so the rebuilt node's first-seen tie-break sees
+// the inputs its first life recorded — not the reopen clock.
 func TestFileIndexReopenTimes(t *testing.T) {
 	dir := t.TempDir()
-	ix, err := OpenFileIndex(dir, "n0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := openFileIndex(t, dir)
 	blocks := makeChain(t, 5)
 	for i, b := range blocks {
 		if err := ix.Append(b, int64(5000+i*3)); err != nil {
@@ -531,16 +547,13 @@ func TestFileIndexReopenTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenFileIndex(dir, "n0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openFileIndex(t, dir)
 	defer r.Close()
 	if r.Len() != len(blocks) {
 		t.Fatalf("reopened Len = %d", r.Len())
 	}
 	i := 0
-	err = r.Replay(func(b types.Block, at int64) error {
+	err := r.Replay(func(b types.Block, at int64) error {
 		if b.Hash() != blocks[i].Hash() {
 			t.Fatalf("Replay %d: wrong block", i)
 		}
@@ -557,7 +570,7 @@ func TestFileIndexReopenTimes(t *testing.T) {
 	if err := r.Append(blocks[0], 99999); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := r.ReceivedAt(blocks[0].Hash()); got != 5000 {
+	if got := replayTimes(t, r)[blocks[0].Hash()]; got != 5000 {
 		t.Fatalf("duplicate append after reopen changed time: %d", got)
 	}
 }
@@ -587,9 +600,37 @@ func TestFactoryBuildsWorkingStores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewChainIndex: %v", url, err)
 		}
-		indexContract(t, ix)
+		blocks := makeChain(t, 4)
+		for i, b := range blocks {
+			if err := ix.Append(b, int64(1000+i)); err != nil {
+				t.Fatalf("%s: Append %d: %v", url, i, err)
+			}
+		}
 		if err := ix.Close(); err != nil {
 			t.Fatalf("%s: index Close: %v", url, err)
+		}
+		if !f.InMemory() {
+			// The file root holds one chain-index file, no sidecar, and
+			// a second index by the same name reopens it.
+			names, err := filepath.Glob(filepath.Join(f.Dir(), "n0.*"))
+			if err != nil || len(names) != 2 || filepath.Base(names[0]) != "n0.blocks" || filepath.Base(names[1]) != "n0.tab" {
+				t.Fatalf("%s: store files %v (err %v), want n0.blocks and n0.tab", url, names, err)
+			}
+			if ix, err = f.NewChainIndex("n0"); err != nil {
+				t.Fatalf("%s: reopening NewChainIndex: %v", url, err)
+			}
+			defer ix.Close()
+		}
+		i := 0
+		err = ix.Replay(func(b types.Block, at int64) error {
+			if b.Hash() != blocks[i].Hash() || at != int64(1000+i) {
+				t.Fatalf("%s: Replay %d: hash/time mismatch (at=%d)", url, i, at)
+			}
+			i++
+			return nil
+		})
+		if err != nil || i != len(blocks) {
+			t.Fatalf("%s: Replay: %v after %d blocks", url, err, i)
 		}
 		f.Close()
 	}
