@@ -51,24 +51,31 @@ race:
 # allocs runs the allocation pins without the race detector (whose
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, a warm add/confirm churn cycle (recycled pool
-# entries), counted wire sizes, every gossip message's Size(), exactly-sized
-# encodings and the relay flush; on the stage-1 hashing path, transaction and microblock
+# entries), a fill/confirm-all/refill cycle (the pool's spare bucket array),
+# counted wire sizes, every gossip message's Size(), exactly-sized
+# encodings and the relay flush; on the leader's path, repeat assemblies in
+# the node's spend filter; in the blaster, a steady-state Tick and
+# ReleaseBehind; on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the file-backed
 # store path, a page fault served from the evicted page, chain-index records
 # (block and arrival time) written from a retained buffer and read back into
 # one; on the live path, a
-# steady-state frame read; at the sharded engine's window barrier, the
-# metric-buffer merge and the cross-shard outbox flush. CI calls it from the
-# `test` job beside the -race run.
+# steady-state frame read and a send into a pooled frame; in the simulator, a
+# Send and its delivery (recycled deliveries, on one loop and across two
+# shards both ways) and a warm two-shard window; at the sharded engine's
+# window barrier, the metric-buffer merge and the cross-shard outbox flush.
+# CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
-	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer' \
-		./internal/types ./internal/crypto ./internal/wire
+	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
+		./internal/bitcoin ./internal/load
+	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
+		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
 	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer' \
 		./internal/store ./internal/blockstore
-	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations' \
-		./internal/metrics ./internal/simnet
+	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
+		./internal/metrics ./internal/simnet ./internal/sim
 
 # race-soak replays a reduced chaos soak under the race detector. The
 # differential replay (parallelism 1 vs 4, connect cache on vs off) is
@@ -83,9 +90,11 @@ race-soak:
 # restart, resync, and lossy-link paths all spin real goroutines (live
 # transport, cluster runtime) that the plain faults gate only checks for
 # correctness, not for data races. It also runs the load stream's signer
-# tests (a background goroutine signing ahead of racing consumers) and the
-# paged table's model test.
+# tests (a background goroutine signing ahead of racing consumers), the
+# paged table's model test, and the simulator's delivery recycling on four
+# lossy shards with a node crashing under traffic.
 race-faults:
+	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node

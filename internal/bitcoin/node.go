@@ -46,8 +46,9 @@ type Config struct {
 // Node is a Bitcoin protocol node.
 type Node struct {
 	*node.Base
-	cfg   Config
-	miner *mining.Miner
+	cfg    Config
+	miner  *mining.Miner
+	filter SpendFilter
 }
 
 // New builds a Bitcoin node on env. Call Miner().SetRate and Start (or drive
@@ -98,7 +99,7 @@ func (n *Node) AssembleBlock() *types.PowBlock {
 	tip := n.State.Tip()
 	params := n.cfg.Params
 	candidates := n.Pool.Select(params.MaxBlockSize - coinbaseReserve)
-	txs, fees := FilterSpendable(n.State, candidates, tip.KeyHeight+1)
+	txs, fees := n.filter.Filter(n.State, candidates, tip.KeyHeight+1)
 
 	coinbase := &types.Transaction{
 		Kind:    types.TxCoinbase,
@@ -121,29 +122,41 @@ func (n *Node) AssembleBlock() *types.PowBlock {
 	return b
 }
 
-// FilterSpendable drops candidate transactions a block built at the given
-// key height could not connect: inputs missing from the UTXO set, revoked,
-// owned by someone else, immature coinbases, or value overflows. It tracks
-// intra-block spends so chained candidates survive, and returns total fees.
-// Bitcoin-NG microblock assembly (internal/core) reuses it.
-func FilterSpendable(st *chain.State, candidates []*types.Transaction, atKeyHeight uint64) ([]*types.Transaction, types.Amount) {
-	var (
-		out      []*types.Transaction
-		fees     types.Amount
-		produced = make(map[types.OutPoint]types.Amount)
-		consumed = make(map[types.OutPoint]bool)
-	)
+// SpendFilter drops candidate transactions a block built at a given key
+// height could not connect: inputs missing from the UTXO set, revoked, owned
+// by someone else, immature coinbases, or value overflows. It tracks
+// intra-block spends so chained candidates survive. Its two scratch maps are
+// kept between calls, so a node that assembles a block every interval
+// reuses their memory; each node owns its filter, because leaders on
+// different shards assemble at the same time. Bitcoin-NG microblock
+// assembly (internal/core) uses it too.
+type SpendFilter struct {
+	produced map[types.OutPoint]types.Amount
+	consumed map[types.OutPoint]struct{}
+}
+
+// Filter returns the spendable candidates, in order, and their total fees.
+// The result reuses candidates' array, whose contents it overwrites.
+func (f *SpendFilter) Filter(st *chain.State, candidates []*types.Transaction, atKeyHeight uint64) ([]*types.Transaction, types.Amount) {
+	if f.produced == nil {
+		f.produced = make(map[types.OutPoint]types.Amount)
+		f.consumed = make(map[types.OutPoint]struct{})
+	}
+	clear(f.produced)
+	clear(f.consumed)
+	out := candidates[:0]
+	var fees types.Amount
 	maturity := uint64(st.Params().CoinbaseMaturity)
 	for _, tx := range candidates {
 		var in types.Amount
 		ok := true
 		for i := range tx.Inputs {
 			op := tx.Inputs[i].Prev
-			if consumed[op] {
+			if _, spent := f.consumed[op]; spent {
 				ok = false
 				break
 			}
-			if v, hit := produced[op]; hit {
+			if v, hit := f.produced[op]; hit {
 				in += v
 				continue
 			}
@@ -162,10 +175,10 @@ func FilterSpendable(st *chain.State, candidates []*types.Transaction, atKeyHeig
 			continue
 		}
 		for i := range tx.Inputs {
-			consumed[tx.Inputs[i].Prev] = true
+			f.consumed[tx.Inputs[i].Prev] = struct{}{}
 		}
 		for i := range tx.Outputs {
-			produced[types.OutPoint{TxID: tx.ID(), Index: uint32(i)}] = tx.Outputs[i].Value
+			f.produced[types.OutPoint{TxID: tx.ID(), Index: uint32(i)}] = tx.Outputs[i].Value
 		}
 		out = append(out, tx)
 		fees += in - tx.OutputSum()

@@ -42,19 +42,24 @@ func variantConfig(gen Generated, v engineVariant) experiment.Config {
 	return cfg
 }
 
-// Differential replays a generated run under every engine/cache variant and
-// returns an error on the first digest divergence — the "same seed, same
-// report, any engine" guarantee that makes every other chaos finding
+// Differential replays a generated run under every engine/cache variant,
+// concurrently on the experiment.Sweep pool, and returns an error on the
+// first failure or digest divergence in variant order — the "same seed,
+// same report, any engine" guarantee that makes every other chaos finding
 // trustworthy (a violation that appeared on only one engine would be an
 // engine bug, not a protocol bug).
 func Differential(gen Generated) error {
+	cfgs := make([]experiment.Config, len(diffVariants))
+	for i, v := range diffVariants {
+		cfgs[i] = variantConfig(gen, v)
+	}
+	results, sweepErr := experiment.Sweep(cfgs, 0)
 	var base string
 	for i, v := range diffVariants {
-		res, err := experiment.Run(variantConfig(gen, v))
-		if err != nil {
-			return Failure{Seed: gen.Seed, Err: fmt.Errorf("differential %s: %w", v.name, err)}
+		if results[i] == nil {
+			return Failure{Seed: gen.Seed, Err: fmt.Errorf("differential %s: %w", v.name, experiment.PointErr(sweepErr, i))}
 		}
-		d := Digest(res)
+		d := Digest(results[i])
 		if i == 0 {
 			base = d
 			continue

@@ -56,9 +56,10 @@ type Config struct {
 // signed microblocks at the configured rate until deposed (§4.2).
 type Node struct {
 	*node.Base
-	cfg   Config
-	miner *mining.Miner
-	strat strategy.Strategy
+	cfg    Config
+	miner  *mining.Miner
+	strat  strategy.Strategy
+	filter bitcoin.SpendFilter
 
 	microTimer node.Timer
 	// leading reports whether the microblock production loop is armed.
@@ -291,7 +292,7 @@ func (n *Node) AssembleMicroBlock() *types.MicroBlock {
 	var txs []*types.Transaction
 	if !n.cfg.CensorTransactions {
 		candidates := n.Pool.Select(params.MaxBlockSize - microReserve)
-		txs, _ = bitcoin.FilterSpendable(n.State, candidates, tip.KeyHeight)
+		txs, _ = n.filter.Filter(n.State, candidates, tip.KeyHeight)
 		txs = append(txs, n.eligiblePoisons(tip)...)
 	}
 

@@ -117,12 +117,15 @@ func (b *Blaster) Tick(now int64, confirmed int64, submit func(*types.Transactio
 }
 
 // ReleaseBehind frees stream slots more than slack behind the confirmation
-// floor and drops the matching offer-time prefix.
+// floor and drops the matching offer-time prefix, shifting the rest down in
+// place: the log's array stays the size of the outstanding window, and Tick
+// appends into it without regrowing.
 func (b *Blaster) ReleaseBehind(floor, slack int64) {
 	b.stream.Release(floor - slack)
 	base := b.stream.Released()
 	if drop := base - b.offerBase; drop > 0 && drop <= int64(len(b.offerTimes)) {
-		b.offerTimes = append(b.offerTimes[:0:0], b.offerTimes[drop:]...)
+		n := copy(b.offerTimes, b.offerTimes[drop:])
+		b.offerTimes = b.offerTimes[:n]
 		b.offerBase = base
 	}
 }
@@ -157,9 +160,15 @@ type Confirmation struct {
 // Confirmations walks a final main chain tip-to-genesis and collects every
 // stream transaction with the block timestamp that serialized it. The walk
 // reads only committed chain structure, so it is engine-independent and
-// byte-identical at any parallelism.
+// byte-identical at any parallelism. A first pass counts the chain's
+// transactions, an upper bound on the result, so it is allocated once
+// instead of grown.
 func Confirmations(tip *chain.Node) []Confirmation {
-	var out []Confirmation
+	size := 0
+	for n := tip; n != nil; n = n.Parent {
+		size += len(n.Block().Transactions())
+	}
+	out := make([]Confirmation, 0, size)
 	for n := tip; n != nil; n = n.Parent {
 		t := n.Block().Time()
 		for _, tx := range n.Block().Transactions() {

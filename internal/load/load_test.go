@@ -251,3 +251,36 @@ func TestBlasterReleaseBehindRetainsOfferTimes(t *testing.T) {
 		t.Fatal("offer time of released index must be gone")
 	}
 }
+
+// TestBlasterSteadyStateDoesNotAllocate pins the blaster's bookkeeping: once
+// its offer-time log has reached the outstanding window, a Tick and the
+// ReleaseBehind that follows it shift the log in place and allocate nothing.
+// The stream is materialized first, as the benchmark's presign does, so only
+// the blaster is measured.
+func TestBlasterSteadyStateDoesNotAllocate(t *testing.T) {
+	const rate, outstanding = 64, 128
+	s := testStream(t, StreamConfig{Seed: 15, Lanes: 8, MaxTxs: 8192})
+	for i := int64(0); i < s.MaxTxs(); i++ {
+		s.Tx(i)
+	}
+	b := NewBlaster(s, BlasterConfig{Rate: rate})
+	admit := func(*types.Transaction) bool { return true }
+	now := int64(0)
+	cycle := func() {
+		now += int64(time.Second)
+		b.Tick(now, 0, admit)
+		b.ReleaseBehind(b.Injected()-outstanding, 0)
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state Tick and ReleaseBehind allocate %v times, want 0", allocs)
+	}
+	if got := b.Injected(); got != 111*rate {
+		t.Fatalf("injected %d, want %d", got, 111*rate)
+	}
+	if at, ok := b.offerTimeOf(b.Injected() - 1); !ok || at != now {
+		t.Fatalf("offer time of the newest index: %v %v, want %v", at, ok, now)
+	}
+}

@@ -104,6 +104,38 @@ func TestChurnDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRefillDoesNotAllocate pins a relaying node's pool between microblocks:
+// a blockful arrives, one microblock confirms all of it, and the emptied
+// bucket is dropped and re-created by the next blockful. Once warm, the
+// bucket and its FIFO array come back from the pool's spare and nothing is
+// allocated. Batches rotate through eight generations, so each returns
+// after its tombstones expired.
+func TestRefillDoesNotAllocate(t *testing.T) {
+	const batch, batches = 256, 8
+	txs := streamTxs(t, batch*batches)
+	p := mempool.New()
+	step := 0
+	cycle := func() {
+		fill := txs[step%batches*batch:][:batch]
+		for _, tx := range fill {
+			if err := p.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.RemoveConfirmed(fill)
+		step++
+	}
+	for i := 0; i < 2*batches; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm fill/confirm-all cycle allocates %v times, want 0", allocs)
+	}
+	if p.Len() != 0 {
+		t.Fatalf("pool holds %d after confirming everything", p.Len())
+	}
+}
+
 // BenchmarkAddDuplicate is the cost of the delivery a flooding mesh makes
 // most: a transaction the pool already holds.
 func BenchmarkAddDuplicate(b *testing.B) {

@@ -105,6 +105,13 @@ type Pool struct {
 	// free holds zeroed entries (purged tombstones, removed or evicted
 	// transactions) for Add and RemoveConfirmed to reuse.
 	free []*entry
+	// spare is the FIFO array a bucket gave up most recently (dropped when
+	// emptied, or re-homed by compaction), cleared so it pins no
+	// transaction; spareBkt is the last dropped bucket. A bucket that
+	// would regrow its FIFO moves into spare instead, so a pool that a
+	// microblock empties every interval refills without allocating.
+	spare    []*entry
+	spareBkt *bucket
 
 	live     int // pooled entries in txs (tombstones excluded)
 	bytes    int
@@ -166,8 +173,10 @@ func (p *Pool) Get(txid crypto.Hash) *types.Transaction {
 }
 
 // feeRate resolves tx's fee and converts it to a per-1000-byte rate.
-// Inputs resolve against the node's UTXO view first, then against pooled
-// parents; any unresolved input zeroes the fee.
+// Inputs resolve against pooled parents first, then against the node's UTXO
+// view; any unresolved input zeroes the fee. The order only saves the
+// resolver's walk: a pooled parent's outputs carry the values the ledger
+// gives them once it connects.
 func (p *Pool) feeRate(tx *types.Transaction, size int) int64 {
 	if p.resolver == nil || size <= 0 {
 		return 0
@@ -175,11 +184,12 @@ func (p *Pool) feeRate(tx *types.Transaction, size int) int64 {
 	var in types.Amount
 	for i := range tx.Inputs {
 		prev := tx.Inputs[i].Prev
-		v, ok := p.resolver(prev)
-		if !ok {
-			if parent, pooled := p.txs[prev.TxID]; pooled && parent.tx != nil && int(prev.Index) < len(parent.tx.Outputs) {
-				v, ok = parent.tx.Outputs[prev.Index].Value, true
-			}
+		var v types.Amount
+		ok := false
+		if parent, pooled := p.txs[prev.TxID]; pooled && parent.tx != nil && int(prev.Index) < len(parent.tx.Outputs) {
+			v, ok = parent.tx.Outputs[prev.Index].Value, true
+		} else {
+			v, ok = p.resolver(prev)
 		}
 		if !ok {
 			return 0
@@ -203,7 +213,12 @@ func (p *Pool) bucketFor(rate int64) *bucket {
 	if b, ok := p.buckets[rate]; ok {
 		return b
 	}
-	b := &bucket{rate: rate}
+	b := p.spareBkt
+	if b == nil {
+		b = new(bucket)
+	}
+	p.spareBkt = nil
+	b.rate = rate
 	p.buckets[rate] = b
 	i := sort.Search(len(p.rates), func(i int) bool { return p.rates[i] <= rate })
 	p.rates = append(p.rates, 0)
@@ -212,15 +227,41 @@ func (p *Pool) bucketFor(rate int64) *bucket {
 	return b
 }
 
-// dropBucket removes an emptied bucket from the rate index.
+// dropBucket removes an emptied bucket from the rate index and keeps it for
+// the next bucketFor, its FIFO array as the spare.
 func (p *Pool) dropBucket(b *bucket) {
 	delete(p.buckets, b.rate)
 	for i, r := range p.rates {
 		if r == b.rate {
 			p.rates = append(p.rates[:i], p.rates[i+1:]...)
-			return
+			break
 		}
 	}
+	p.keepSpare(b.order)
+	*b = bucket{}
+	p.spareBkt = b
+}
+
+// keepSpare makes arr, cleared, the pool's spare when its bucket used at
+// least a quarter of it since it last moved, and otherwise lets both arr
+// and the old spare go: a pool that once burst shrinks back to its working
+// set, as compaction intends.
+func (p *Pool) keepSpare(arr []*entry) {
+	p.spare = nil
+	if cap(arr) <= 4*len(arr) {
+		clear(arr[:cap(arr)])
+		p.spare = arr[:0]
+	}
+}
+
+// push appends e to b's FIFO. When the array is full and the spare is
+// larger, the entries move into the spare rather than into a fresh array.
+func (p *Pool) push(b *bucket, e *entry) {
+	if len(b.order) == cap(b.order) && cap(p.spare) > len(b.order) {
+		b.order = append(p.spare, b.order...)
+		p.spare = nil
+	}
+	b.order = append(b.order, e)
 }
 
 // Add inserts a well-formed regular transaction, rejecting duplicates and
@@ -253,7 +294,7 @@ func (p *Pool) Add(tx *types.Transaction) error {
 	b := p.bucketFor(rate)
 	e := p.newEntry()
 	*e = entry{id: txid, tx: tx, size: size, rate: rate, bkt: b, pos: len(b.order)}
-	b.order = append(b.order, e)
+	p.push(b, e)
 	b.live++
 	p.txs[txid] = e
 	p.live++
@@ -349,8 +390,8 @@ scan:
 func (p *Pool) RemoveConfirmed(txs []*types.Transaction) {
 	p.age()
 	for _, tx := range txs {
-		if tx.Kind == types.TxRegular {
-			p.bury(tx.ID())
+		if tx.Kind == types.TxRegular && p.bury(tx.ID()) {
+			continue // its inputs were its own claims, released by unlink
 		}
 		// Evict pool entries that spend the same inputs.
 		for i := range tx.Inputs {
@@ -396,8 +437,9 @@ func (p *Pool) age() {
 }
 
 // bury turns txid's pooled entry into a tombstone of the current
-// generation, or lays a fresh one if the pool never held it.
-func (p *Pool) bury(txid crypto.Hash) {
+// generation, or lays a fresh one if the pool never held it. It reports
+// whether txid was pooled.
+func (p *Pool) bury(txid crypto.Hash) (pooled bool) {
 	e, ok := p.txs[txid]
 	switch {
 	case !ok:
@@ -405,12 +447,14 @@ func (p *Pool) bury(txid crypto.Hash) {
 		p.txs[txid] = e
 	case e.tx != nil:
 		p.unlink(e)
+		pooled = true
 	case e.gen == p.gen:
-		return // already laid this generation
+		return false // already laid this generation
 	}
 	*e = entry{id: txid, gen: p.gen}
 	slot := &p.tombs[p.gen%tombGenerations]
 	*slot = append(*slot, e)
+	return pooled
 }
 
 // newEntry takes a recycled entry, or allocates one when none is free.
@@ -491,10 +535,9 @@ func (p *Pool) compact(force bool) {
 				// Clear the vacated trailing slots so the tail stops
 				// pinning moved-from entry pointers (and the transactions
 				// they hold) until the next growth overwrites them.
-				tail := dst[len(dst):cap(dst)]
-				for j := range tail {
-					tail[j] = nil
-				}
+				clear(dst[len(dst):cap(dst)])
+			} else {
+				p.keepSpare(b.order)
 			}
 			b.order = dst
 		}

@@ -12,6 +12,8 @@
 package p2p
 
 import (
+	"sync"
+
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/wire"
 )
@@ -38,9 +40,17 @@ func (v *versionPayload) DecodeWire(r *wire.Reader) {
 	v.Genesis = r.Bytes32()
 }
 
-// encodeMessage frames a gossip message for the TCP transport.
-func encodeMessage(m node.Message) *wire.Envelope {
-	return &wire.Envelope{Type: m.Type(), Payload: wire.Encode(m)}
+// framePool recycles outbound frames: Runtime.Send encodes into one, and the
+// peer returns it once the frame is written, dropped or abandoned by a
+// closing connection.
+var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
+
+// encodeFrame frames a gossip message for the TCP transport in a pooled
+// buffer; release it with framePool.Put.
+func encodeFrame(m node.Message) *wire.Frame {
+	f := framePool.Get().(*wire.Frame)
+	f.Encode(m.Type(), m)
+	return f
 }
 
 // decodeMessage parses a framed gossip message through node's constructor

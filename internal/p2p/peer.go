@@ -15,7 +15,7 @@ type peer struct {
 	id   int
 	conn net.Conn
 
-	outbox    chan *wire.Envelope
+	outbox    chan *wire.Frame
 	closeOnce sync.Once
 	done      chan struct{}
 }
@@ -30,7 +30,7 @@ func newPeer(rt *Runtime, id int, conn net.Conn) *peer {
 		rt:     rt,
 		id:     id,
 		conn:   conn,
-		outbox: make(chan *wire.Envelope, outboxDepth),
+		outbox: make(chan *wire.Frame, outboxDepth),
 		done:   make(chan struct{}),
 	}
 }
@@ -59,29 +59,51 @@ func (p *peer) readLoop() {
 	}
 }
 
+// writeLoop writes queued frames and returns each to framePool; on close it
+// returns what is still queued.
 func (p *peer) writeLoop() {
 	defer p.rt.wg.Done()
 	for {
 		select {
-		case env := <-p.outbox:
-			if _, err := env.WriteTo(p.conn); err != nil {
+		case f := <-p.outbox:
+			_, err := f.WriteTo(p.conn)
+			framePool.Put(f)
+			if err != nil {
 				p.close()
+				p.drain()
 				return
 			}
 		case <-p.done:
+			p.drain()
 			return
 		}
 	}
 }
 
-// send enqueues a frame, dropping when the peer is saturated.
-func (p *peer) send(env *wire.Envelope) {
+// drain returns the frames left in a closed peer's outbox to framePool. A
+// send racing the close may still queue one; that frame goes to the
+// collector instead.
+func (p *peer) drain() {
+	for {
+		select {
+		case f := <-p.outbox:
+			framePool.Put(f)
+		default:
+			return
+		}
+	}
+}
+
+// send enqueues a frame, dropping it when the peer is saturated or closed.
+func (p *peer) send(f *wire.Frame) {
 	select {
-	case p.outbox <- env:
+	case p.outbox <- f:
 	case <-p.done:
+		framePool.Put(f)
 	default:
 		// Outbox full: drop. Inventory re-announcement and fetch retry
 		// make block relay loss-tolerant.
+		framePool.Put(f)
 	}
 }
 

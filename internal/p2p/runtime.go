@@ -166,7 +166,7 @@ func (rt *Runtime) Send(peerID int, msg node.Message) {
 	if p == nil {
 		return // disconnected; gossip retry logic recovers
 	}
-	p.send(encodeMessage(msg))
+	p.send(encodeFrame(msg))
 }
 
 // Listen accepts inbound connections on addr ("host:port").

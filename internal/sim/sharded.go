@@ -274,14 +274,15 @@ func (sl *ShardedLoop) runWindow(T int64) {
 			l.AdvanceTo(T)
 		}
 	}
-	var failure *workerResult
+	// The first failure is kept by value: a pointer to the received result
+	// would move it to the heap, one allocation per window.
+	var failure workerResult
 	for ; dispatched > 0; dispatched-- {
-		res := <-sl.done
-		if res.panicked != nil && failure == nil {
-			failure = &res
+		if res := <-sl.done; res.panicked != nil && failure.panicked == nil {
+			failure = res
 		}
 	}
-	if failure != nil {
+	if failure.panicked != nil {
 		panic(fmt.Sprintf("sim: shard %d panicked: %v\n%s",
 			failure.shard, failure.panicked, failure.stack))
 	}

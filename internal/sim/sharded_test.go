@@ -251,3 +251,40 @@ func TestShardedEmptyJump(t *testing.T) {
 		t.Fatalf("empty run used %d windows, want ≤ 1", windows)
 	}
 }
+
+// ticker re-posts itself every period on its own loop: a shard with work in
+// every window that allocates nothing itself.
+type ticker struct {
+	loop   *Loop
+	period int64
+	fired  int
+}
+
+func (k *ticker) Run() {
+	k.fired++
+	k.loop.PostEvent(k.loop.Now()+k.period, k)
+}
+
+// TestShardedWindowDoesNotAllocate pins the engine's own cost per window:
+// once warm, dispatching two busy shards, collecting their results and
+// running the barrier allocates nothing.
+func TestShardedWindowDoesNotAllocate(t *testing.T) {
+	sl := NewShardedLoop(0, 2)
+	defer sl.Close()
+	sl.SetLookahead(10)
+	var ks [2]*ticker
+	for i := range ks {
+		ks[i] = &ticker{loop: sl.Shard(i), period: 7 + int64(i)}
+		ks[i].loop.PostEvent(1, ks[i])
+	}
+	barriers := 0
+	sl.OnBarrier(func() { barriers++ })
+	window := func() { sl.RunFor(10) }
+	window()
+	if allocs := testing.AllocsPerRun(200, window); allocs != 0 {
+		t.Fatalf("a warm two-shard window allocates %v times, want 0", allocs)
+	}
+	if barriers < 200 || ks[0].fired == 0 || ks[1].fired == 0 {
+		t.Fatalf("%d barriers, shards fired %d and %d: the windows did not run", barriers, ks[0].fired, ks[1].fired)
+	}
+}

@@ -122,6 +122,10 @@ type Network struct {
 	// has a single consuming goroutine and a deterministic draw order.
 	faultRng []*rand.Rand
 
+	// pools recycles deliveries, one per shard (one when unsharded); see
+	// shardPool for who may touch which.
+	pools []shardPool
+
 	// Sharded mode (nil/empty when running on a single loop).
 	shardLoops []*sim.Loop
 	shardOf    []int      // node -> shard
@@ -160,6 +164,7 @@ func New(loop *sim.Loop, cfg Config) *Network {
 		handlers:     make([]Handler, cfg.Nodes),
 		busyAt:       make([]int64, cfg.Nodes),
 		stats:        make([]Stats, 1),
+		pools:        make([]shardPool, 1),
 		latencyScale: 1,
 		down:         make([]bool, cfg.Nodes),
 		faultRng:     make([]*rand.Rand, cfg.Nodes),
@@ -299,6 +304,7 @@ func (n *Network) Shard(loops []*sim.Loop, shardOf []int) {
 	n.shardOf = shardOf
 	n.outbox = make([][]outMsg, len(loops))
 	n.stats = make([]Stats, len(loops))
+	n.pools = make([]shardPool, len(loops))
 }
 
 // loopFor returns the event loop that owns node id.
@@ -342,8 +348,18 @@ func (n *Network) MinCrossShardLatency() time.Duration {
 // FlushOutboxes injects buffered cross-shard deliveries into their receiving
 // shards' loops, ordered by (arrival, send time, sender shard) — exactly the
 // (time, priority, sequence) order the sequential engine's single heap would
-// have given them. Runs at window barriers, while all shards are quiescent.
+// have given them, and hands the cross-shard deliveries that finished during
+// the window back to their senders' shards. Runs at window barriers, while
+// all shards are quiescent.
 func (n *Network) FlushOutboxes() {
+	for s := range n.pools {
+		for d := n.pools[s].back; d != nil; {
+			next := d.next
+			n.pools[n.shardOf[d.from]].put(d)
+			d = next
+		}
+		n.pools[s].back = nil
+	}
 	total := 0
 	for s := range n.outbox {
 		total += len(n.outbox[s])
@@ -511,11 +527,70 @@ func (n *Network) Send(from, to int, payload any, size int) {
 	st.MessagesSent++
 	st.BytesSent += uint64(size)
 
-	n.post(shard, arrival, now, &delivery{n: n, from: from, to: to, payload: payload, size: size})
+	n.post(shard, arrival, now, n.newDelivery(shard, from, to, payload, size))
 	if duplicate {
 		st.MessagesDuplicated++
-		n.post(shard, arrival+dupDelay, now, &delivery{n: n, from: from, to: to, payload: payload, size: size})
+		n.post(shard, arrival+dupDelay, now, n.newDelivery(shard, from, to, payload, size))
 	}
+}
+
+// maxFreeDeliveries bounds each shard's free list; a delivery finishing on a
+// full list is left to the collector. Cross-shard deliveries go back to their
+// sender's list (see shardPool), so one-way traffic cannot pile them up on
+// the receiving shard.
+const maxFreeDeliveries = 4096
+
+// shardPool is one shard's supply of recycled deliveries. A delivery is taken
+// from its sender's shard by Send and finishes on its receiver's shard, after
+// the second hop or on finding the receiver down. One that finishes on its
+// own shard goes straight back to free; one from another shard waits in
+// back until the next barrier, where FlushOutboxes returns it to its
+// sender's free list. So a pool is touched only by its own shard's events,
+// and by the driver while every shard is parked at a barrier.
+type shardPool struct {
+	free  *delivery // linked through next, at most maxFreeDeliveries
+	nfree int
+	back  *delivery // finished here, owed to other shards
+}
+
+// put pushes d, cleared so it pins no payload, onto the free list, unless
+// the list is full.
+func (p *shardPool) put(d *delivery) {
+	if p.nfree >= maxFreeDeliveries {
+		return
+	}
+	*d = delivery{n: d.n, next: p.free}
+	p.free = d
+	p.nfree++
+}
+
+// newDelivery takes a delivery from shard's free list, or allocates one.
+func (n *Network) newDelivery(shard, from, to int, payload any, size int) *delivery {
+	p := &n.pools[shard]
+	d := p.free
+	if d == nil {
+		d = &delivery{n: n}
+	} else {
+		p.free = d.next
+		p.nfree--
+	}
+	d.from, d.to, d.payload, d.size, d.next = from, to, payload, size, nil
+	return d
+}
+
+// recycle retires a finished delivery on its receiver's shard.
+func (n *Network) recycle(d *delivery) {
+	if n.shardOf == nil {
+		n.pools[0].put(d)
+		return
+	}
+	p := &n.pools[n.shardOf[d.to]]
+	if n.shardOf[d.from] == n.shardOf[d.to] {
+		p.put(d)
+		return
+	}
+	*d = delivery{n: d.n, from: d.from, next: p.back}
+	p.back = d
 }
 
 // post routes one delivery to the receiver's loop, buffering cross-shard
@@ -529,15 +604,16 @@ func (n *Network) post(senderShard int, arrival, sent int64, d *delivery) {
 }
 
 // delivery carries one in-flight message through its two scheduling hops
-// (arrival at the receiver, then completion of receiver-side processing)
-// with a single allocation: it is its own event (sim.Runnable), re-posting
-// itself for the second hop.
+// (arrival at the receiver, then completion of receiver-side processing): it
+// is its own event (sim.Runnable), re-posting itself for the second hop, and
+// is recycled through the shard pools once it has finished.
 type delivery struct {
 	n        *Network
 	from, to int
 	size     int
 	payload  any
 	arrived  bool
+	next     *delivery // free or back list link while recycled
 }
 
 // Run implements sim.Runnable. The first hop lands at propagation end, where
@@ -556,6 +632,7 @@ func (d *delivery) Run() {
 			shard = n.shardOf[d.to]
 		}
 		n.stats[shard].MessagesLost++
+		n.recycle(d)
 		return
 	}
 	if !d.arrived {
@@ -570,8 +647,12 @@ func (d *delivery) Run() {
 		loop.PostEvent(done, d)
 		return
 	}
-	if h := n.handlers[d.to]; h != nil {
-		h(d.from, d.payload, d.size)
+	// The delivery goes back to its pool before the handler runs, so sends
+	// the handler makes can reuse it.
+	h, from, payload, size := n.handlers[d.to], d.from, d.payload, d.size
+	n.recycle(d)
+	if h != nil {
+		h(from, payload, size)
 	}
 }
 

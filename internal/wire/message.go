@@ -96,17 +96,11 @@ var (
 
 // WriteTo serializes the framed message to w.
 func (e *Envelope) WriteTo(w io.Writer) (int64, error) {
-	if !e.Type.Valid() {
-		return 0, fmt.Errorf("%w: %d", ErrBadMsgType, e.Type)
-	}
-	if len(e.Payload) > MaxMessageSize {
-		return 0, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(e.Payload))
+	if err := checkFrame(e.Type, e.Payload); err != nil {
+		return 0, err
 	}
 	hdr := make([]byte, envelopeHeaderSize)
-	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = byte(e.Type)
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(e.Payload)))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(e.Payload))
+	putHeader(hdr, e.Type, e.Payload)
 	n, err := w.Write(hdr)
 	total := int64(n)
 	if err != nil {
@@ -114,6 +108,57 @@ func (e *Envelope) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err = w.Write(e.Payload)
 	return total + int64(n), err
+}
+
+// checkFrame refuses what no peer would read back: an unknown type or an
+// oversized payload.
+func checkFrame(t MsgType, payload []byte) error {
+	if !t.Valid() {
+		return fmt.Errorf("%w: %d", ErrBadMsgType, t)
+	}
+	if len(payload) > MaxMessageSize {
+		return fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(payload))
+	}
+	return nil
+}
+
+// putHeader writes the frame header of a payload into hdr.
+func putHeader(hdr []byte, t MsgType, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
+	hdr[4] = byte(t)
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
+}
+
+// Frame is an outbound message framed in a buffer it keeps: header and
+// payload together, written with one call and laid out as Envelope's. Encode
+// reuses the buffer, so a sender that recycles its Frames stops allocating
+// once they have grown to its largest message.
+type Frame struct {
+	typ MsgType
+	w   Writer
+}
+
+// Encode frames e as a message of type t, replacing the previous contents.
+// Like the package's Encode it counts the payload first, so a buffer that is
+// too small grows once, to the exact size.
+func (f *Frame) Encode(t MsgType, e Encoder) {
+	f.typ = t
+	f.w = Writer{buf: f.w.buf[:0], counting: true}
+	e.EncodeWire(&f.w)
+	size := envelopeHeaderSize + f.w.n
+	f.w = Writer{buf: slices.Grow(f.w.buf, size)[:envelopeHeaderSize]}
+	e.EncodeWire(&f.w)
+	putHeader(f.w.buf[:envelopeHeaderSize], t, f.w.buf[envelopeHeaderSize:])
+}
+
+// WriteTo writes the frame to w.
+func (f *Frame) WriteTo(w io.Writer) (int64, error) {
+	if err := checkFrame(f.typ, f.w.buf[envelopeHeaderSize:]); err != nil {
+		return 0, err
+	}
+	n, err := w.Write(f.w.buf)
+	return int64(n), err
 }
 
 // ReadFrom reads one framed message from r into e, validating magic, type,
