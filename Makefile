@@ -63,10 +63,12 @@ race:
 # steady-state frame read and a send into a pooled frame; in the simulator, a
 # Send and its delivery (recycled deliveries, on one loop and across two
 # shards both ways) and a warm two-shard window; at the sharded engine's
-# window barrier, the metric-buffer merge and the cross-shard outbox flush.
+# window barrier, the metric-buffer merge and the cross-shard outbox flush;
+# and a node's per-block bookkeeping: a block's cached work, a tip change's
+# Recorder call and a warm inv/getdata/block fetch cycle (only its getdata).
 # CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestWorkIsComputedOnce|TestTipChangeReportDoesNotAllocate|TestFetchCycleAllocatesOnlyItsRequest' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
 		./internal/bitcoin ./internal/load

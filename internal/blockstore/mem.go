@@ -15,8 +15,8 @@ import (
 // process crash. Not safe for concurrent use; the owning node serializes
 // access.
 type Mem struct {
-	records map[crypto.Hash]memRecord
-	order   []crypto.Hash
+	records []memRecord           // append order
+	index   map[crypto.Hash]int32 // block hash → position in records
 }
 
 type memRecord struct {
@@ -26,15 +26,15 @@ type memRecord struct {
 
 // NewMem builds an empty in-memory archive.
 func NewMem() *Mem {
-	return &Mem{records: make(map[crypto.Hash]memRecord)}
+	return &Mem{index: make(map[crypto.Hash]int32)}
 }
 
 // Len returns the number of stored blocks.
-func (m *Mem) Len() int { return len(m.order) }
+func (m *Mem) Len() int { return len(m.records) }
 
 // Contains reports whether the block is stored.
 func (m *Mem) Contains(h crypto.Hash) bool {
-	_, ok := m.records[h]
+	_, ok := m.index[h]
 	return ok
 }
 
@@ -42,36 +42,37 @@ func (m *Mem) Contains(h crypto.Hash) bool {
 // keeps the original time, mirroring Store.
 func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	h := b.Hash()
-	if _, dup := m.records[h]; dup {
+	if _, dup := m.index[h]; dup {
 		return nil
 	}
-	m.records[h] = memRecord{block: b, receivedAt: receivedAt}
-	m.order = append(m.order, h)
+	m.index[h] = int32(len(m.records))
+	m.records = append(m.records, memRecord{block: b, receivedAt: receivedAt})
 	return nil
 }
 
 // Get loads a block by hash.
 func (m *Mem) Get(h crypto.Hash) (types.Block, error) {
-	r, ok := m.records[h]
+	i, ok := m.index[h]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 	}
-	return r.block, nil
+	return m.records[i].block, nil
 }
 
 // Hashes returns the stored block hashes in append order. The caller owns
 // the returned slice.
 func (m *Mem) Hashes() []crypto.Hash {
-	out := make([]crypto.Hash, len(m.order))
-	copy(out, m.order)
+	out := make([]crypto.Hash, len(m.records))
+	for i, r := range m.records {
+		out[i] = r.block.Hash()
+	}
 	return out
 }
 
 // Replay streams every stored block in append order with its recorded
 // arrival time, stopping at the first callback error.
 func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
-	for _, h := range m.order {
-		r := m.records[h]
+	for _, r := range m.records {
 		if err := fn(r.block, r.receivedAt); err != nil {
 			return err
 		}

@@ -179,8 +179,10 @@ type Store struct {
 func NewStore(genesis types.Block) *Store {
 	s := &Store{nodes: make(map[crypto.Hash]*Node)}
 	g := newNode(s, genesis)
-	g.Weight = new(big.Int).Set(genesis.Work())
-	g.SubtreeWeight = new(big.Int).Set(genesis.Work())
+	// The genesis work is shared by every store built on the block and is
+	// read-only; EnableSubtreeWeights gives the root its own copy.
+	g.Weight = genesis.Work()
+	g.SubtreeWeight = genesis.Work()
 	g.KeyAncestor = g
 	s.genesis = g
 	s.nodes[g.hash] = g
@@ -229,6 +231,8 @@ func (s *Store) EnableSubtreeWeights() {
 		panic("chain: EnableSubtreeWeights after blocks were inserted")
 	}
 	s.trackSubtree = true
+	// Own big.Int: descendants add their work into the root's.
+	s.genesis.SubtreeWeight = new(big.Int).Set(s.genesis.SubtreeWeight)
 }
 
 // Get returns the node for the hash, if the block is known.

@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"fmt"
-
-	"bitcoinng/internal/experiment"
-)
+import "bitcoinng/internal/experiment"
 
 // engineVariant is one execution-engine/cache/storage combination the
 // differential checker replays a seed under.
@@ -43,32 +39,11 @@ func variantConfig(gen Generated, v engineVariant) experiment.Config {
 }
 
 // Differential replays a generated run under every engine/cache variant,
-// concurrently on the experiment.Sweep pool, and returns an error on the
-// first failure or digest divergence in variant order — the "same seed,
-// same report, any engine" guarantee that makes every other chaos finding
-// trustworthy (a violation that appeared on only one engine would be an
-// engine bug, not a protocol bug).
+// concurrently on the experiment.Sweep pool, and returns an error on a
+// failed run, a baseline verdict or the first digest divergence in variant
+// order — the "same seed, same report, any engine" guarantee that makes
+// every other chaos finding trustworthy (a violation that appeared on only
+// one engine would be an engine bug, not a protocol bug).
 func Differential(gen Generated) error {
-	cfgs := make([]experiment.Config, len(diffVariants))
-	for i, v := range diffVariants {
-		cfgs[i] = variantConfig(gen, v)
-	}
-	results, sweepErr := experiment.Sweep(cfgs, 0)
-	var base string
-	for i, v := range diffVariants {
-		if results[i] == nil {
-			return Failure{Seed: gen.Seed, Err: fmt.Errorf("differential %s: %w", v.name, experiment.PointErr(sweepErr, i))}
-		}
-		d := Digest(results[i])
-		if i == 0 {
-			base = d
-			continue
-		}
-		if d != base {
-			return Failure{Seed: gen.Seed, Err: fmt.Errorf(
-				"differential divergence between %s and %s: %s",
-				diffVariants[0].name, v.name, firstDiff(base, d))}
-		}
-	}
-	return nil
+	return sweepSeeds([]Generated{gen}, diffVariants, 0)[0].Err
 }

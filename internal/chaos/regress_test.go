@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"bitcoinng/internal/experiment"
 )
 
 // TestRegressionSeeds replays every committed regression seed at full
@@ -29,23 +27,29 @@ func TestRegressionSeeds(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no regression seeds committed; testdata/seeds must hold at least the initial set")
 	}
-	for _, file := range files {
-		file := file
+	gens := make([]Generated, len(files))
+	goldens := make([]string, len(files))
+	for i, file := range files {
+		seed, golden := readSeed(t, file)
+		gens[i], goldens[i] = Generate(GenConfig{}, seed), golden
+	}
+	// Every seed and every differential variant share one pool; each seed
+	// is still judged on its own.
+	variants := diffVariants
+	if testing.Short() {
+		// The differential replay multiplies the cost; keep the sharded
+		// engine, which is what -race -short is there to exercise.
+		variants = variants[1:2]
+	}
+	outcomes := sweepSeeds(gens, variants, 0)
+	for i, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
-			seed, golden := readSeed(t, file)
-			gen := Generate(GenConfig{}, seed)
-			res, err := experiment.Run(gen.Cfg)
-			if err := Verdict(seed, res, err); err != nil {
-				t.Fatalf("%v\nprogram: %s", err, gen.Desc)
+			out := outcomes[i]
+			if out.Err != nil {
+				t.Errorf("%v\nprogram: %s", out.Err, out.Gen.Desc)
 			}
-			if got := ShortDigest(Digest(res)); got != golden {
-				t.Fatalf("digest %s, want golden %s\nprogram: %s\n%s", got, golden, gen.Desc, Digest(res))
-			}
-			if testing.Short() {
-				return // the differential replay triples the cost
-			}
-			if err := Differential(gen); err != nil {
-				t.Fatalf("%v\nprogram: %s", err, gen.Desc)
+			if got := ShortDigest(out.Digest); got != goldens[i] {
+				t.Errorf("digest %s, want golden %s\nprogram: %s\n%s", got, goldens[i], out.Gen.Desc, out.Digest)
 			}
 		})
 	}

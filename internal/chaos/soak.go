@@ -78,25 +78,33 @@ func Soak(cfg SoakConfig) *SoakReport {
 		gens[i] = Generate(cfg.Gen, cfg.BaseSeed+int64(i))
 	}
 
-	// Flatten (seed x variant) into one sweep so the pool keeps every core
-	// busy. The baseline always runs twice: the differential only compares
+	// The baseline always runs twice: the differential only compares
 	// different variants, so without the repeat a seed whose digest drifts
 	// from run to run under one configuration would pass unseen.
 	variants := []engineVariant{diffVariants[0], diffVariants[0]}
 	if cfg.Differential {
 		variants = append(variants, diffVariants[1:]...)
 	}
+	return &SoakReport{Cfg: cfg, Outcomes: sweepSeeds(gens, variants, cfg.Parallelism)}
+}
+
+// sweepSeeds runs every seed under every variant, flattened (seed x
+// variant) into one experiment.Sweep so the pool keeps every core busy, and
+// judges each seed on its own: the first variant is the baseline whose
+// digest and verdict the seed reports, and every later variant must repeat
+// its digest byte for byte.
+func sweepSeeds(gens []Generated, variants []engineVariant, parallelism int) []SeedOutcome {
 	cfgs := make([]experiment.Config, 0, len(gens)*len(variants))
 	for _, gen := range gens {
 		for _, v := range variants {
 			cfgs = append(cfgs, variantConfig(gen, v))
 		}
 	}
-	results, sweepErr := experiment.Sweep(cfgs, cfg.Parallelism)
+	results, sweepErr := experiment.Sweep(cfgs, parallelism)
 
-	report := &SoakReport{Cfg: cfg, Outcomes: make([]SeedOutcome, len(gens))}
+	outcomes := make([]SeedOutcome, len(gens))
 	for i, gen := range gens {
-		out := &report.Outcomes[i]
+		out := &outcomes[i]
 		out.Gen = gen
 		base := results[i*len(variants)]
 		if base == nil {
@@ -119,7 +127,7 @@ func Soak(cfg SoakConfig) *SoakReport {
 			}
 			if d := Digest(res); d != out.Digest {
 				what := "differential divergence between " + variants[0].name + " and " + variants[j].name
-				if j == 1 {
+				if variants[j] == variants[0] {
 					what = "run-to-run drift: " + variants[0].name + " run twice"
 				}
 				out.Err = Failure{Seed: gen.Seed, Err: fmt.Errorf("%s: %s", what, firstDiff(out.Digest, d))}
@@ -127,7 +135,7 @@ func Soak(cfg SoakConfig) *SoakReport {
 			}
 		}
 	}
-	return report
+	return outcomes
 }
 
 // Fprint writes the campaign as a deterministic table: one row per seed

@@ -112,6 +112,37 @@ func TestViewCompactFloor(t *testing.T) {
 	}
 }
 
+// TestViewGrowthAfterCompactReadsZeros: Compact shifts the live words down
+// and leaves the dropped words' old contents past len, inside the slice's
+// capacity. A setBit that grows the window again must expose only fresh
+// zero words, never those stale ones (growing by re-slicing would mark
+// unconfirmed transactions confirmed).
+func TestViewGrowthAfterCompactReadsZeros(t *testing.T) {
+	w, err := NewStreamWorkload(24, 476, 8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := w.NewView()
+	for i := int64(0); i < 4*64; i++ {
+		v.setBit(i) // four all-ones words
+	}
+	v.Compact(2 * 64)
+	if len(v.confirmed) != 2 || cap(v.confirmed) < 4 {
+		t.Fatalf("compact left len %d cap %d, want 2 live words with stale ones past them", len(v.confirmed), cap(v.confirmed))
+	}
+	set := map[int64]bool{4*64 + 5: true, 5*64 + 7: true}
+	for i := range set {
+		if !v.setBit(i) {
+			t.Fatalf("index %d read as already confirmed before its setBit", i)
+		}
+	}
+	for i := int64(4 * 64); i < 6*64; i++ {
+		if v.bit(i) != set[i] {
+			t.Errorf("index %d reads confirmed=%v after regrowth, want %v", i, v.bit(i), set[i])
+		}
+	}
+}
+
 // TestPacedRunDeterministicAcrossEngines is the tentpole's determinism
 // gate in miniature: an open-loop streaming run must produce byte-identical
 // load reports and backpressure series at parallelism 1 vs 4, and with the

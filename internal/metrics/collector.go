@@ -122,11 +122,17 @@ func (c *Collector) BlockAccepted(nodeID int, at int64, blockID node.BlockID) {
 	if !ok {
 		return // acceptance raced generation registration; drop
 	}
-	c.blocks[idx].Accepts = append(c.blocks[idx].Accepts, accept{Node: int32(nodeID), At: at})
+	rec := c.blocks[idx]
+	if rec.Accepts == nil {
+		// Every node accepts a block at most once: size the log for all of
+		// them up front instead of growing it by doubling.
+		rec.Accepts = make([]accept, 0, c.nodes)
+	}
+	rec.Accepts = append(rec.Accepts, accept{Node: int32(nodeID), At: at})
 }
 
-// TipChanged implements node.Recorder.
-func (c *Collector) TipChanged(nodeID int, at int64, tip node.BlockID, connected, disconnected []node.BlockID) {
+// TipChanged implements node.Recorder. It keeps only the new tip.
+func (c *Collector) TipChanged(nodeID int, at int64, tip node.BlockID, _, _ []node.BlockID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.noteNode(nodeID)

@@ -39,8 +39,6 @@ type recEvent struct {
 	shard int32
 	info  node.BlockInfo // recGenerated
 	id    node.BlockID   // recAccepted, recTipChanged (the new tip)
-	conn  []node.BlockID // recTipChanged
-	disc  []node.BlockID // recTipChanged
 }
 
 // NewSharded wraps c for a run on the given number of shards.
@@ -85,7 +83,7 @@ func (s *ShardedCollector) Flush() {
 		case recAccepted:
 			s.c.BlockAccepted(ev.node, ev.at, ev.id)
 		case recTipChanged:
-			s.c.TipChanged(ev.node, ev.at, ev.id, ev.conn, ev.disc)
+			s.c.TipChanged(ev.node, ev.at, ev.id, nil, nil)
 		}
 	}
 	clear(all)
@@ -110,9 +108,10 @@ func (r *shardRecorder) BlockAccepted(nodeID int, at int64, blockID node.BlockID
 	})
 }
 
-func (r *shardRecorder) TipChanged(nodeID int, at int64, tip node.BlockID, connected, disconnected []node.BlockID) {
+// TipChanged buffers only the new tip: the Collector reads nothing else, and
+// the id slices are the node's call-scoped scratch.
+func (r *shardRecorder) TipChanged(nodeID int, at int64, tip node.BlockID, _, _ []node.BlockID) {
 	r.owner.bufs[r.shard] = append(r.owner.bufs[r.shard], recEvent{
-		kind: recTipChanged, node: nodeID, at: at, shard: int32(r.shard),
-		id: tip, conn: connected, disc: disconnected,
+		kind: recTipChanged, node: nodeID, at: at, shard: int32(r.shard), id: tip,
 	})
 }

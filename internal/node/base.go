@@ -49,6 +49,10 @@ type Base struct {
 	// RelayTxs enables loose-transaction relay (live nodes); experiments
 	// leave it false per the paper's methodology (§7).
 	RelayTxs bool
+
+	// connIDs and discIDs are the scratch Recorder.TipChanged receives its
+	// block ids in; the recorder may read them only during the call.
+	connIDs, discIDs []BlockID
 }
 
 // NewBase wires the core. The caller supplies the chain state (built with
@@ -146,8 +150,7 @@ func (b *Base) processBlock(blk types.Block, from int, relay bool) *chain.AddRes
 		if len(res.Connected) > 0 {
 			b.Pool.RemoveConfirmed(confirmedTxs(res.Connected))
 		}
-		b.Recorder.TipChanged(b.Env.NodeID(), now, b.State.Tip().Hash(),
-			ids(res.Connected), ids(res.Disconnected))
+		b.recordTipChange(now, res)
 		if b.OnTipChange != nil {
 			b.OnTipChange(res)
 		}
@@ -209,10 +212,17 @@ func confirmedTxs(connected []*chain.Node) []*types.Transaction {
 	return txs
 }
 
-func ids(nodes []*chain.Node) []BlockID {
-	out := make([]BlockID, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Hash()
+// recordTipChange reports a tip change to the Recorder, naming its blocks in
+// the node's reused id scratch.
+func (b *Base) recordTipChange(now int64, res *chain.AddResult) {
+	b.connIDs = appendIDs(b.connIDs[:0], res.Connected)
+	b.discIDs = appendIDs(b.discIDs[:0], res.Disconnected)
+	b.Recorder.TipChanged(b.Env.NodeID(), now, b.State.Tip().Hash(), b.connIDs, b.discIDs)
+}
+
+func appendIDs(dst []BlockID, nodes []*chain.Node) []BlockID {
+	for _, n := range nodes {
+		dst = append(dst, n.Hash())
 	}
-	return out
+	return dst
 }

@@ -52,7 +52,9 @@ type Recorder interface {
 	// (including the generator), before any tip change it causes.
 	BlockAccepted(nodeID int, at int64, blockID BlockID)
 	// TipChanged fires when a node's main chain changes: connected and
-	// disconnected block ids, oldest first.
+	// disconnected block ids, oldest first. The two slices are the node's
+	// scratch, valid only during the call: a recorder that keeps ids must
+	// copy them.
 	TipChanged(nodeID int, at int64, tip BlockID, connected, disconnected []BlockID)
 }
 

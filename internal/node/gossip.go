@@ -41,13 +41,16 @@ func (g *Gossip) fetchBackoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * (1 + fetchJitter*g.env.Rand().Float64()))
 }
 
-// pendingFetch tracks an outstanding getdata. The request message is built
-// once and reused across retry rounds (messages are read-only after send).
+// pendingFetch tracks an outstanding getdata. Records are recycled through
+// Gossip.free once their fetch ends, keeping their announcer arrays and their
+// bound timer callback. Each request sends a GetDataMsg of its own: a sent
+// message is read-only and may still be in flight when the record is reused.
 type pendingFetch struct {
-	req        GetDataMsg
+	inv        Inv
 	announcers []int // peers that announced it, in order heard
 	attempts   int   // requests sent so far; also indexes the rotation
 	timer      Timer
+	onTimeout  func() // g.timeout(pf), bound once per record
 	// compact is set while a getblocktxn is out. A pointer, so fetches
 	// that never need one stay in their allocation size class.
 	compact *compactFetch
@@ -60,13 +63,35 @@ type compactFetch struct {
 	missing []uint32
 }
 
-func newPendingFetch(inv Inv, from int) *pendingFetch {
-	pf := &pendingFetch{announcers: []int{from}}
-	pf.req.Items = []Inv{inv}
+func (pf *pendingFetch) hash() BlockID { return pf.inv.Hash }
+
+// newFetch returns a record for a fetch of inv first announced by from,
+// recycled when one is free.
+func (g *Gossip) newFetch(inv Inv, from int) *pendingFetch {
+	var pf *pendingFetch
+	if n := len(g.free); n > 0 {
+		pf = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		pf = &pendingFetch{}
+		pf.onTimeout = func() { g.timeout(pf) }
+	}
+	pf.inv = inv
+	pf.announcers = append(pf.announcers[:0], from)
 	return pf
 }
 
-func (pf *pendingFetch) hash() BlockID { return pf.req.Items[0].Hash }
+// recycle returns an ended fetch's record to the free list. A record whose
+// timer cannot be stopped any more is left to the collector instead, so a
+// late callback never drives a reused record.
+func (g *Gossip) recycle(pf *pendingFetch) {
+	if pf.timer != nil && !pf.timer.Stop() {
+		return
+	}
+	pf.timer, pf.compact, pf.attempts = nil, nil, 0
+	g.free = append(g.free, pf)
+}
 
 // Gossip implements inventory-based block relay over Env: announce new
 // blocks with inv, request unknown announcements with getdata, deliver with
@@ -76,6 +101,7 @@ type Gossip struct {
 	base *Base
 
 	pending map[BlockID]*pendingFetch
+	free    []*pendingFetch // ended fetches' records, for reuse
 
 	// knownHash/knownBy, while a fetched block is being processed, name the
 	// peers that announced it to us: they provably have it, so the relay
@@ -117,7 +143,7 @@ func (g *Gossip) Announce(b types.Block, except int) {
 	if h == g.knownHash {
 		known = g.knownBy
 	}
-	msg := &InvMsg{Items: []Inv{{Type: types.BlockMsgType(b), Hash: h}}}
+	msg := newInvMsg(Inv{Type: types.BlockMsgType(b), Hash: h})
 	for _, p := range g.env.Peers() {
 		if p == except || slices.Contains(known, p) {
 			continue
@@ -235,7 +261,7 @@ func (g *Gossip) handleInv(from int, m *InvMsg) {
 
 // fetch starts a pending fetch of inv from the peer that revealed it.
 func (g *Gossip) fetch(inv Inv, from int) {
-	pf := newPendingFetch(inv, from)
+	pf := g.newFetch(inv, from)
 	g.pending[inv.Hash] = pf
 	g.request(pf)
 }
@@ -251,32 +277,37 @@ func (g *Gossip) request(pf *pendingFetch) {
 		// matters we are likely behind by more than one fetch can bridge.
 		delete(g.pending, pf.hash())
 		g.base.Sync.Start(pf.announcers[(pf.attempts-1)%len(pf.announcers)])
+		g.recycle(pf)
 		return
 	}
 	peer := pf.announcers[pf.attempts%len(pf.announcers)]
 	backoff := g.fetchBackoff(pf.attempts)
 	pf.attempts++
-	g.env.Send(peer, &pf.req)
-	pf.timer = g.env.After(backoff, func() {
-		pf.timer = nil
-		// The identity check (not just presence) guards against a stale
-		// timer driving a superseded fetch: acting on pf after the map
-		// entry was replaced would re-request from the old announcer list
-		// and arm a second timer for the same hash.
-		if g.pending[pf.hash()] != pf {
-			return
-		}
-		// A block can enter the chain without passing through handleBlock
-		// — injected directly by a harness (equivocation delivery) or
-		// adopted from the orphan stash — leaving its fetch entry armed.
-		// Without this check the timer keeps re-requesting a block the
-		// node already has until the announcer list runs dry.
-		if g.base.State.HasBlock(pf.hash()) {
-			delete(g.pending, pf.hash())
-			return
-		}
-		g.request(pf)
-	})
+	g.env.Send(peer, newGetDataMsg(pf.inv))
+	pf.timer = g.env.After(backoff, pf.onTimeout)
+}
+
+// timeout is a fetch's backoff timer firing: retry, or end the fetch.
+func (g *Gossip) timeout(pf *pendingFetch) {
+	pf.timer = nil
+	// The identity check (not just presence) guards against a stale timer
+	// driving a superseded fetch: acting on pf after the map entry was
+	// replaced would re-request from the old announcer list and arm a
+	// second timer for the same hash.
+	if g.pending[pf.hash()] != pf {
+		return
+	}
+	// A block can enter the chain without passing through handleBlock —
+	// injected directly by a harness (equivocation delivery) or adopted
+	// from the orphan stash — leaving its fetch entry armed. Without this
+	// check the timer keeps re-requesting a block the node already has
+	// until the announcer list runs dry.
+	if g.base.State.HasBlock(pf.hash()) {
+		delete(g.pending, pf.hash())
+		g.recycle(pf)
+		return
+	}
+	g.request(pf)
 }
 
 func (g *Gossip) handleGetData(from int, m *GetDataMsg) {
@@ -303,13 +334,12 @@ func (g *Gossip) handleBlock(from int, m *BlockMsg) {
 	g.deliver(from, m.Block)
 }
 
-// deliver ends b's fetch, if one is pending, and processes b.
+// deliver ends b's fetch, if one is pending, and processes b. The fetch's
+// record is recycled only after processing, which reads its announcers.
 func (g *Gossip) deliver(from int, b types.Block) {
 	h := b.Hash()
-	if pf, ok := g.pending[h]; ok {
-		if pf.timer != nil {
-			pf.timer.Stop()
-		}
+	pf, ok := g.pending[h]
+	if ok {
 		delete(g.pending, h)
 		// Everyone who announced the block provably has it; the Announce
 		// issued while processing skips them.
@@ -317,6 +347,9 @@ func (g *Gossip) deliver(from int, b types.Block) {
 	}
 	g.base.ProcessFn(b, from)
 	g.knownHash, g.knownBy = BlockID{}, nil
+	if ok {
+		g.recycle(pf)
+	}
 }
 
 // handleCompactBlock fills a requested compact block from the pool. A

@@ -269,6 +269,55 @@ func TestFetchRetryAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestSentGetDataIsNeverRewritten holds a fetch's first getdata in flight
+// while the retry to the second announcer delivers the block and a new fetch
+// reuses the ended fetch's record. The held request must still name the
+// first block when it finally arrives: a request aliasing its recycled
+// record would ask for the second one.
+func TestSentGetDataIsNeverRewritten(t *testing.T) {
+	h, genesis, key := newHarness(t, 3)
+	first := mineOn(t, key, genesis.Hash(), 1)
+	second := mineOn(t, key, first.Hash(), 2)
+	for i := 0; i <= 1; i++ {
+		h.bases[i].State.AddBlock(first, 0)
+	}
+	var held []queuedMsg
+	h.tamper = func(qm *queuedMsg) bool {
+		if _, ok := qm.msg.(*node.GetDataMsg); ok && qm.to == 0 {
+			held = append(held, *qm) // the slow link to node 0
+			return false
+		}
+		return true
+	}
+	inv := node.Inv{Type: types.BlockMsgType(first), Hash: first.Hash()}
+	h.bases[2].HandleMessage(0, &node.InvMsg{Items: []node.Inv{inv}})
+	h.bases[2].HandleMessage(1, &node.InvMsg{Items: []node.Inv{inv}})
+	h.drain()
+	h.advance(25 * time.Second) // retry to node 1, which delivers
+	h.drain()
+	if !h.bases[2].State.HasBlock(first.Hash()) || len(held) != 1 {
+		t.Fatalf("retry did not deliver the first block (held %d getdata)", len(held))
+	}
+	next := node.Inv{Type: types.BlockMsgType(second), Hash: second.Hash()}
+	h.bases[2].HandleMessage(1, &node.InvMsg{Items: []node.Inv{next}})
+	if h.bases[2].Gossip.PendingFetches() != 1 {
+		t.Fatal("the second block's fetch did not start")
+	}
+
+	gd := held[0].msg.(*node.GetDataMsg)
+	if len(gd.Items) != 1 || gd.Items[0] != inv {
+		t.Fatalf("held getdata now asks for %v, want %v", gd.Items, inv)
+	}
+	h.bases[0].HandleMessage(2, gd)
+	q := h.envs[0].queue
+	if len(q) != 1 {
+		t.Fatalf("node 0 answered the held getdata with %d messages, want 1", len(q))
+	}
+	if bm, ok := q[0].msg.(*node.BlockMsg); !ok || bm.Block.Hash() != first.Hash() {
+		t.Errorf("node 0 answered with %T, want the first block", q[0].msg)
+	}
+}
+
 // TestFetchTimeoutConfigurable asserts the retry timer follows
 // Params.FetchTimeout rather than the built-in default — LatencySpike
 // scenarios at large scale factors stretch propagation past 20 s and must be

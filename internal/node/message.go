@@ -125,6 +125,14 @@ type Inv struct {
 // announce/request/deliver like the operational client's inv/getdata).
 type InvMsg struct {
 	Items []Inv
+	one   [1]Inv // backs a single-item Items, so the message is one allocation
+}
+
+// newInvMsg returns a one-item inv in a single allocation.
+func newInvMsg(inv Inv) *InvMsg {
+	m := &InvMsg{one: [1]Inv{inv}}
+	m.Items = m.one[:]
+	return m
 }
 
 // EncodeWire implements wire.Encoder: a CompactSize count, then each item's
@@ -137,9 +145,13 @@ func (m *InvMsg) EncodeWire(w *wire.Writer) {
 	}
 }
 
-// DecodeWire implements wire.Decoder.
+// DecodeWire implements wire.Decoder; a single item decodes inline.
 func (m *InvMsg) DecodeWire(r *wire.Reader) {
-	m.Items = make([]Inv, r.Count(maxInvItems, invItemSize))
+	if n := r.Count(maxInvItems, invItemSize); n == 1 {
+		m.Items = m.one[:]
+	} else {
+		m.Items = make([]Inv, n)
+	}
 	for i := range m.Items {
 		m.Items[i].Type = wire.MsgType(r.Uint8())
 		m.Items[i].Hash = r.Bytes32()
@@ -158,7 +170,11 @@ func (m *InvMsg) dispatch(g *Gossip, from int) { g.handleInv(from, m) }
 // InvMsg is.
 type GetDataMsg struct {
 	Items []Inv
+	one   [1]Inv // InvMsg's layout, which the conversions below rely on
 }
+
+// newGetDataMsg returns a one-item getdata in a single allocation.
+func newGetDataMsg(inv Inv) *GetDataMsg { return (*GetDataMsg)(newInvMsg(inv)) }
 
 // EncodeWire implements wire.Encoder.
 func (m *GetDataMsg) EncodeWire(w *wire.Writer) { (*InvMsg)(m).EncodeWire(w) }

@@ -51,7 +51,10 @@ type Block interface {
 	// GMT time" of §4.1/§4.2, at nanosecond resolution for the simulator).
 	Time() int64
 	// Work returns the expected hash evaluations the block's proof of work
-	// represents; zero for microblocks, which carry no weight (§4.2).
+	// represents; zero for microblocks, which carry no weight (§4.2). The
+	// value is computed once per block and shared by every caller (every
+	// node of a simulation holding the block), so it is read-only: copy it
+	// before doing arithmetic into it.
 	Work() *big.Int
 	// Transactions returns the ledger entries the block carries.
 	Transactions() []*Transaction
@@ -70,6 +73,20 @@ var (
 )
 
 var zeroWork = new(big.Int)
+
+// cachedWork returns the work a target represents, computing it on the first
+// call and publishing it in slot. Racing shard goroutines compute equal
+// values; the first to publish wins, so every caller gets one pointer.
+func cachedWork(slot *atomic.Pointer[big.Int], target crypto.CompactTarget) *big.Int {
+	if w := slot.Load(); w != nil {
+		return w
+	}
+	w := crypto.WorkForTarget(target)
+	if !slot.CompareAndSwap(nil, w) {
+		return slot.Load()
+	}
+	return w
+}
 
 // wfVerdict is an atomically published well-formedness verdict. Block caches
 // are atomic because the sharded event loop lets several shard goroutines
@@ -211,6 +228,7 @@ type PowBlock struct {
 
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
+	cachedWork atomic.Pointer[big.Int]
 	wf         atomic.Pointer[wfVerdict]
 	rootOK     atomic.Bool
 }
@@ -229,6 +247,7 @@ func (b *PowBlock) DecodeWire(r *wire.Reader) {
 	b.Txs = decodeTxs(r)
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
+	b.cachedWork.Store(nil)
 	b.wf.Store(nil)
 	b.rootOK.Store(false)
 }
@@ -252,8 +271,8 @@ func (b *PowBlock) Kind() BlockKind { return KindPow }
 // Time implements Block.
 func (b *PowBlock) Time() int64 { return b.Header.TimeNanos }
 
-// Work implements Block.
-func (b *PowBlock) Work() *big.Int { return crypto.WorkForTarget(b.Header.Target) }
+// Work implements Block; the result is cached, shared and read-only.
+func (b *PowBlock) Work() *big.Int { return cachedWork(&b.cachedWork, b.Header.Target) }
 
 // Transactions implements Block.
 func (b *PowBlock) Transactions() []*Transaction { return b.Txs }
@@ -333,6 +352,7 @@ type KeyBlock struct {
 
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
+	cachedWork atomic.Pointer[big.Int]
 	wf         atomic.Pointer[wfVerdict]
 	rootOK     atomic.Bool
 }
@@ -351,6 +371,7 @@ func (b *KeyBlock) DecodeWire(r *wire.Reader) {
 	b.Txs = decodeTxs(r)
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
+	b.cachedWork.Store(nil)
 	b.wf.Store(nil)
 	b.rootOK.Store(false)
 }
@@ -374,8 +395,8 @@ func (b *KeyBlock) Kind() BlockKind { return KindKey }
 // Time implements Block.
 func (b *KeyBlock) Time() int64 { return b.Header.TimeNanos }
 
-// Work implements Block.
-func (b *KeyBlock) Work() *big.Int { return crypto.WorkForTarget(b.Header.Target) }
+// Work implements Block; the result is cached, shared and read-only.
+func (b *KeyBlock) Work() *big.Int { return cachedWork(&b.cachedWork, b.Header.Target) }
 
 // Transactions implements Block.
 func (b *KeyBlock) Transactions() []*Transaction { return b.Txs }

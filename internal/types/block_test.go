@@ -381,3 +381,35 @@ func TestAdoptSignaturesPowAndKeyBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkIsComputedOnce pins the cached block work: after the first call,
+// Work allocates nothing and hands every caller the same value (the chain
+// store reads it once per block per node), and decoding new contents into
+// the block drops the cache.
+func TestWorkIsComputedOnce(t *testing.T) {
+	pb := &PowBlock{Header: PowHeader{Target: crypto.EasiestTarget}}
+	kb := &KeyBlock{Header: KeyBlockHeader{Target: crypto.EasiestTarget}}
+	for _, b := range []Block{pb, kb} {
+		first := b.Work()
+		if a := testing.AllocsPerRun(100, func() { b.Work() }); a != 0 {
+			t.Errorf("%T: a cached Work allocates %v times, want 0", b, a)
+		}
+		if b.Work() != first {
+			t.Errorf("%T: Work returned a new value after the first call", b)
+		}
+		if want := crypto.WorkForTarget(crypto.EasiestTarget); first.Cmp(want) != 0 {
+			t.Errorf("%T: Work = %v, want %v", b, first, want)
+		}
+	}
+	var out PowBlock
+	if err := wire.Decode(wire.Encode(&PowBlock{Header: PowHeader{Target: 0x1d00ffff}}), &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Work()
+	if err := wire.Decode(wire.Encode(pb), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Work().Cmp(pb.Work()) != 0 {
+		t.Error("decoding into a block kept the previous contents' work")
+	}
+}
