@@ -1,8 +1,6 @@
 GO ?= go
-BENCH_DATE := $(shell date +%Y%m%d)
-BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: build vet fmt lint test race allocs race-soak race-faults bench bench-json bench-diff bench-trajectory smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
+.PHONY: build vet fmt lint test race allocs race-soak race-faults smoke determinism throughput-smoke examples soak faults fuzz cover stores loc
 
 build:
 	$(GO) build ./...
@@ -105,30 +103,6 @@ race-faults:
 	$(GO) test -race -count=1 -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' ./internal/experiment
 	$(GO) test -race -count=1 -run 'TestMajorityCrashConverges|TestRegressionSeeds' ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' .
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# bench-json records the Figure and substrate benchmarks as go test -json
-# events in BENCH_<date>.json (override with BENCH_OUT=...) — committed when
-# a PR claims a performance change, so the perf trajectory stays auditable.
-bench-json:
-	$(GO) test -json -bench=. -benchtime=1x -run='^$$' . > $(BENCH_OUT)
-	@grep -c '"Action"' $(BENCH_OUT) >/dev/null && echo "wrote $(BENCH_OUT)"
-
-# bench-diff renders per-benchmark ns/op deltas between two bench-json
-# snapshots, flagging regressions >10%. Defaults to oldest vs newest
-# committed snapshot; override with OLD=... NEW=...
-OLD ?= $(firstword $(sort $(wildcard BENCH_*.json)))
-NEW ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-bench-diff:
-	$(GO) run ./cmd/ngbench -compare $(OLD) $(NEW)
-
-# bench-trajectory renders the whole committed perf history at once: every
-# BENCH_*.json snapshot chronologically (the date-stamped names sort), one
-# column per snapshot, with the cumulative first→last delta per benchmark.
-bench-trajectory:
-	$(GO) run ./cmd/ngbench -trajectory $(sort $(wildcard BENCH_*.json))
 
 # smoke is the CI scalability gate: a paper-scale (1000-node) Bitcoin-NG run
 # kept to a handful of payload blocks so it finishes in well under the job's

@@ -40,31 +40,8 @@ func main() {
 		rates       = flag.String("rates", "", "throughput: comma-separated offered rates in tx/s (default 1,2,4,...,256)")
 		duration    = flag.Duration("duration", 0, "throughput: virtual duration per sweep point (default 15m)")
 		chaosDiff   = flag.Bool("chaos-diff", true, "chaos soak: replay every seed on the sharded engine and with the connect cache off, failing any report divergence")
-		compareOld  = flag.String("compare", "", "compare two BENCH_*.json snapshots: -compare old.json new.json (other flags ignored)")
-		trajectory  = flag.Bool("trajectory", false, "aggregate BENCH_*.json snapshots chronologically: -trajectory s1.json s2.json ... (other flags ignored)")
 	)
 	flag.Parse()
-
-	if *trajectory {
-		if err := trajectoryBench(os.Stdout, flag.Args()); err != nil {
-			fmt.Fprintf(os.Stderr, "ngbench trajectory: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compareOld != "" {
-		newPath := flag.Arg(0)
-		if newPath == "" {
-			fmt.Fprintln(os.Stderr, "usage: ngbench -compare old.json new.json")
-			os.Exit(2)
-		}
-		if err := compareBench(os.Stdout, *compareOld, newPath); err != nil {
-			fmt.Fprintf(os.Stderr, "ngbench compare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	scale := experiment.DefaultScale()
 	scale.Seed = *seed

@@ -248,6 +248,31 @@ func TestFeeSplitEnforced(t *testing.T) {
 	if !errors.Is(err, ErrBadCoinbaseAmt) {
 		t.Errorf("minting coinbase err = %v", err)
 	}
+
+	// At the boundary: one unit short of the previous leader's share is
+	// refused, exactly the share connects.
+	parent := b.State.Tip()
+	epochFees := b.State.EpochFeesAt(parent)
+	leaderShare, _ := c.params.SplitFee(epochFees)
+	if leaderShare == 0 {
+		t.Fatal("epoch collected no fees")
+	}
+	paying := func(prevPaid types.Amount) *types.KeyBlock {
+		kb := b.AssembleKeyBlockOn(parent)
+		kb.Txs[0].Outputs = []types.TxOutput{
+			{Value: c.params.Subsidy + epochFees - leaderShare, To: c.keys[1].Public().Addr()},
+			{Value: prevPaid, To: c.keys[0].Public().Addr()},
+		}
+		kb.Txs[0].Invalidate()
+		kb.Header.MerkleRoot = crypto.MerkleRoot(types.TxIDs(kb.Txs))
+		return kb
+	}
+	if _, err := b.State.AddBlock(paying(leaderShare-1), c.loop.Now()); !errors.Is(err, ErrFeeSplitShort) {
+		t.Errorf("share-1 to the previous leader: err = %v, want ErrFeeSplitShort", err)
+	}
+	if _, err := b.State.AddBlock(paying(leaderShare), c.loop.Now()); err != nil {
+		t.Errorf("exact share to the previous leader: err = %v", err)
+	}
 }
 
 func TestMicroblockRateLimit(t *testing.T) {
@@ -460,54 +485,90 @@ func TestPoisonRejectedBeforeNextKeyBlock(t *testing.T) {
 	}
 }
 
-func TestPoisonBogusEvidenceRejected(t *testing.T) {
-	c := newNGCluster(t, 3, 12, ngParams())
-	a, b := c.nodes[0], c.nodes[1]
-	a.MineKeyBlock()
-	c.loop.RunFor(6 * time.Second) // one honest microblock
-	b.MineKeyBlock()
-	c.loop.RunFor(2 * time.Second)
+// evidenceFixture is a three-node network where a led one epoch and b leads
+// the next, each with one microblock on the main chain: the setting for a
+// poison that b places against a.
+type evidenceFixture struct {
+	c        *ngCluster
+	kbA      *types.KeyBlock
+	inA, inB *chain.Node // the first microblocks of a's and of b's epoch
+}
 
-	// Evidence whose "pruned" header is signed by the wrong key.
-	tipMicro := a.State.Tip().KeyAncestor // b's key block
-	_ = tipMicro
-	var conflict *chain.Node
-	for _, n := range a.State.MainChain() {
-		if n.Block().Kind() == types.KindMicro {
-			conflict = n
-			break
+// firstMicroIn returns the first main-chain microblock of the epoch opened
+// by key block k.
+func firstMicroIn(t *testing.T, n *Node, k *types.KeyBlock) *chain.Node {
+	t.Helper()
+	for _, m := range n.State.MainChain() {
+		if m.Block().Kind() == types.KindMicro && m.KeyAncestor.Hash() == k.Hash() {
+			return m
 		}
 	}
-	if conflict == nil {
-		t.Fatal("no microblock on chain")
-	}
-	forged := types.MicroBlockHeader{
-		Prev:      conflict.Block().PrevHash(),
-		TxRoot:    crypto.HashBytes([]byte("x")),
-		TimeNanos: 1,
-	}
-	forged.Sign(c.keys[2]) // not the epoch leader
-	poison := &types.Transaction{
-		Kind:    types.TxPoison,
-		Outputs: []types.TxOutput{{Value: 0, To: c.keys[1].Public().Addr()}},
-		Evidence: &types.PoisonEvidence{
-			Culprit:  conflict.KeyAncestor.Hash(),
-			Pruned:   forged,
-			Conflict: conflict.Hash(),
-		},
-	}
-	mb := &types.MicroBlock{
-		Header: types.MicroBlockHeader{
-			Prev:      b.State.Tip().Hash(),
-			TxRoot:    crypto.MerkleRoot(types.TxIDs([]*types.Transaction{poison})),
-			TimeNanos: c.loop.Now(),
-		},
-		Txs: []*types.Transaction{poison},
-	}
-	mb.Header.Sign(c.keys[1]) // b leads now
-	_, err := b.State.AddBlock(mb, c.loop.Now())
-	if !errors.Is(err, ErrBadEvidence) {
-		t.Errorf("forged evidence err = %v", err)
+	t.Fatal("no microblock in the epoch")
+	return nil
+}
+
+func newEvidenceFixture(t *testing.T) evidenceFixture {
+	c := newNGCluster(t, 3, 12, ngParams())
+	a, b := c.nodes[0], c.nodes[1]
+	kbA := a.MineKeyBlock()
+	c.loop.RunFor(8 * time.Second) // one honest microblock, relayed to b
+	kbB := b.MineKeyBlock()
+	c.loop.RunFor(7 * time.Second) // one microblock in b's epoch
+	return evidenceFixture{c: c, kbA: kbA, inA: firstMicroIn(t, b, kbA), inB: firstMicroIn(t, b, kbB)}
+}
+
+// sibling is a header sharing of's predecessor, signed by c.keys[signer].
+func (f evidenceFixture) sibling(of *chain.Node, signer int) types.MicroBlockHeader {
+	h := types.MicroBlockHeader{Prev: of.Block().PrevHash(), TxRoot: crypto.HashBytes([]byte("x")), TimeNanos: 1}
+	h.Sign(f.c.keys[signer])
+	return h
+}
+
+// TestPoisonBogusEvidenceRejected: a poison's evidence must prove that the
+// culprit forked its own microblock chain (§4.5). Each case passes every
+// other check and fails exactly one, on a network of its own.
+func TestPoisonBogusEvidenceRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   func(f evidenceFixture) types.PoisonEvidence
+	}{
+		// The pruned header is not signed by the epoch's leader.
+		{"wrong signer", func(f evidenceFixture) types.PoisonEvidence {
+			return types.PoisonEvidence{Culprit: f.kbA.Hash(), Pruned: f.sibling(f.inA, 2), Conflict: f.inA.Hash()}
+		}},
+		// The pruned header is the on-chain microblock itself: no fork, yet
+		// accepting it would revoke any honest leader's coinbase.
+		{"conflict cited twice", func(f evidenceFixture) types.PoisonEvidence {
+			return types.PoisonEvidence{Culprit: f.kbA.Hash(), Pruned: f.inA.Block().(*types.MicroBlock).Header, Conflict: f.inA.Hash()}
+		}},
+		// a signed a sibling of a microblock in b's epoch: no fork of a's chain.
+		{"conflict in another epoch", func(f evidenceFixture) types.PoisonEvidence {
+			return types.PoisonEvidence{Culprit: f.kbA.Hash(), Pruned: f.sibling(f.inB, 0), Conflict: f.inB.Hash()}
+		}},
+	} {
+		f := newEvidenceFixture(t)
+		ev := tc.ev(f)
+		poison := &types.Transaction{
+			Kind:     types.TxPoison,
+			Outputs:  []types.TxOutput{{Value: 0, To: f.c.keys[1].Public().Addr()}},
+			Evidence: &ev,
+		}
+		b := f.c.nodes[1]
+		mb := &types.MicroBlock{
+			Header: types.MicroBlockHeader{
+				Prev:      b.State.Tip().Hash(),
+				TxRoot:    crypto.MerkleRoot(types.TxIDs([]*types.Transaction{poison})),
+				TimeNanos: f.c.loop.Now(),
+			},
+			Txs: []*types.Transaction{poison},
+		}
+		mb.Header.Sign(f.c.keys[1]) // b leads now
+		if _, err := b.State.AddBlock(mb, f.c.loop.Now()); !errors.Is(err, ErrBadEvidence) {
+			t.Errorf("%s: err = %v, want ErrBadEvidence", tc.name, err)
+		}
+		if b.State.UTXO().Poisoned(f.kbA.Txs[0].ID()) {
+			t.Errorf("%s: a's coinbase revoked", tc.name)
+		}
 	}
 }
 
@@ -532,5 +593,37 @@ func TestKeyBlockForkResolution(t *testing.T) {
 	}
 	if a.State.KeyHeight() != 3 {
 		t.Errorf("key height %d, want 3", a.State.KeyHeight())
+	}
+}
+
+// TestKeyBlockMedianTimePastBoundary: a key block with real proof of work
+// must be strictly later than the median time past of its parent; a
+// timestamp equal to it is refused and one nanosecond later passes.
+func TestKeyBlockMedianTimePastBoundary(t *testing.T) {
+	c := newNGCluster(t, 2, 17, ngParams())
+	a := c.nodes[0]
+	for i := 0; i < 4; i++ {
+		a.MineKeyBlock()
+		c.loop.RunFor(10 * time.Second)
+	}
+	parent := a.State.Tip()
+	mtp := chain.MedianTimePast(parent, MedianTimeWindow)
+	if mtp >= parent.KeyAncestor.Time() {
+		t.Fatalf("median time past %d not behind the last key block %d", mtp, parent.KeyAncestor.Time())
+	}
+	at := func(ts int64) *types.KeyBlock {
+		kb := a.AssembleKeyBlockOn(parent)
+		kb.SimulatedPoW = false // EasiestTarget: every hash is valid work
+		kb.Header.TimeNanos = ts
+		return kb
+	}
+	if at(0).Header.Target != crypto.EasiestTarget {
+		t.Fatal("test needs the easiest target")
+	}
+	if err := (Rules{}).CheckBlock(a.State, parent, at(mtp), c.loop.Now()); !errors.Is(err, ErrTimeTooOld) {
+		t.Errorf("key block at median time past: err = %v, want ErrTimeTooOld", err)
+	}
+	if err := (Rules{}).CheckBlock(a.State, parent, at(mtp+1), c.loop.Now()); err != nil {
+		t.Errorf("key block one nanosecond past the median: err = %v", err)
 	}
 }

@@ -213,3 +213,20 @@ func TestHighFrequencyDegradesBitcoinNotNG(t *testing.T) {
 			nres.Report.MiningPowerUtilization, bres.Report.MiningPowerUtilization)
 	}
 }
+
+// BenchmarkSimnetBlockFlood measures the discrete-event network flooding one
+// 20 kB Bitcoin block through 200 nodes (inv/getdata/block), setup excluded.
+func BenchmarkSimnetBlockFlood(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := DefaultConfig(Bitcoin, 200, int64(i+1))
+		cfg.TargetBlocks = 1
+		cfg.Params.MaxBlockSize = 20_000
+		cfg.Params.TargetBlockInterval = 10 * time.Second
+		b.StartTimer()
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

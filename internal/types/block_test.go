@@ -178,6 +178,30 @@ func TestMicroBlockRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkMicroblockVerify measures uncached microblock validation: decode
+// a fresh copy of a signed 40-transaction microblock, so no verdict cache
+// helps, and check it against the leader key. The paper estimated this at
+// "several milliseconds per microblock" and left it out of its prototype.
+func BenchmarkMicroblockVerify(b *testing.B) {
+	mb := benchBlock(b, 40)
+	leader := testKey(b, 23)
+	mb.Header = MicroBlockHeader{Prev: crypto.HashBytes([]byte("k")), TxRoot: crypto.MerkleRoot(TxIDs(mb.Txs)), TimeNanos: 1}
+	mb.Header.Sign(leader)
+	enc := wire.Encode(mb)
+	pub := leader.Public()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for b.Loop() {
+		var fresh MicroBlock
+		if err := wire.Decode(enc, &fresh); err != nil {
+			b.Fatal(err)
+		}
+		if err := fresh.CheckWellFormed(pub); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestMicroBlockHashCommitsToSignature(t *testing.T) {
 	leaderA := testKey(t, 15)
 	leaderB := testKey(t, 16)

@@ -89,14 +89,14 @@ func TestColdWireSizeDoesNotAllocate(t *testing.T) {
 }
 
 // benchBlock is a microblock of n padded ~476-byte transactions, the
-// blast16 shape.
+// blast16 shape, each signed over its padding.
 func benchBlock(b *testing.B, n int) *MicroBlock {
 	key := testKey(b, 22)
 	txs := make([]*Transaction, n)
 	for i := range txs {
 		txs[i] = makeSignedTx(b, key, OutPoint{Index: uint32(i)}, 10, 5)
 		txs[i].Padding = make([]byte, 260)
-		txs[i].Invalidate()
+		txs[i].SignInput(0, key)
 	}
 	return &MicroBlock{Txs: txs}
 }
