@@ -62,8 +62,12 @@ race:
 # Send and its delivery (recycled deliveries, on one loop and across two
 # shards both ways) and a warm two-shard window; at the sharded engine's
 # window barrier, the metric-buffer merge and the cross-shard outbox flush;
-# and a node's per-block bookkeeping: a block's cached work, a tip change's
-# Recorder call and a warm inv/getdata/block fetch cycle (only its getdata).
+# a node's per-block bookkeeping: a block's cached work, a tip change's
+# Recorder call and a warm inv/getdata/block fetch cycle (only its getdata);
+# and the fleet's shared block table: block lookups in the tree, the state
+# and the in-memory chain index (hit and miss), and a second store's insert
+# of a block another store already named (its Node and its parent's
+# children slice, nothing more).
 # CI calls it from the `test` job beside the -race run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestWorkIsComputedOnce|TestTipChangeReportDoesNotAllocate|TestFetchCycleAllocatesOnlyItsRequest' \
@@ -72,8 +76,9 @@ allocs:
 		./internal/bitcoin ./internal/load
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
-	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer' \
+	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate' \
 		./internal/store ./internal/blockstore
+	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode' ./internal/chain
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
 		./internal/metrics ./internal/simnet ./internal/sim
 
@@ -91,12 +96,14 @@ race-soak:
 # transport, cluster runtime) that the plain faults gate only checks for
 # correctness, not for data races. It also runs the load stream's signer
 # tests (a background goroutine signing ahead of racing consumers), the
-# paged table's model test, and the simulator's delivery recycling on four
-# lossy shards with a node crashing under traffic.
+# paged table's model test, the simulator's delivery recycling on four
+# lossy shards with a node crashing under traffic, and two goroutines
+# interning overlapping hashes in one block table.
 race-faults:
 	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
+	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
 	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' ./internal/harness

@@ -3,6 +3,7 @@ package bitcoin
 import (
 	"fmt"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/mining"
@@ -38,6 +39,10 @@ type Config struct {
 	// deltas, fees) with every other node whose rules fingerprint matches;
 	// nil validates everything locally.
 	ConnectCache *validate.Cache
+	// Blocks, when set, names the node's blocks in a table shared with the
+	// other nodes of a simulated fleet (chain.WithBlockTable); nil keeps a
+	// private one.
+	Blocks *blockstore.Table
 	// UTXO, when set, swaps the ledger storage backend (internal/store);
 	// nil keeps the in-memory set.
 	UTXO chain.UTXOStore
@@ -62,7 +67,7 @@ func New(env node.Env, cfg Config) (*Node, error) {
 		choice = &chain.HeaviestChain{RandomTieBreak: cfg.Params.RandomTieBreak, Rand: env.Rand()}
 	}
 	st, err := chain.New(cfg.Genesis, cfg.Params, Rules{AllowSimulatedPoW: cfg.SimulatedMining}, choice,
-		chain.WithConnectCache(cfg.ConnectCache), chain.WithUTXOStore(cfg.UTXO))
+		chain.WithConnectCache(cfg.ConnectCache), chain.WithUTXOStore(cfg.UTXO), chain.WithBlockTable(cfg.Blocks))
 	if err != nil {
 		return nil, err
 	}

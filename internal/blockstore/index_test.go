@@ -56,7 +56,7 @@ func TestIndexContract(t *testing.T) {
 		},
 		{
 			name:   "mem",
-			open:   func(*testing.T) chainIndex { return NewMem() },
+			open:   func(*testing.T) chainIndex { return NewMem(nil) },
 			reopen: func(_ *testing.T, old chainIndex) chainIndex { return old },
 		},
 	} {
@@ -108,6 +108,63 @@ func TestIndexContract(t *testing.T) {
 			check(r, "after duplicate append")
 		})
 	}
+
+	// Two Mems over one table, as a fleet's nodes share one: the table only
+	// names blocks, so what one Mem stores stays invisible to the other, and
+	// each keeps its own first arrival time for a block both store.
+	t.Run("two mems one table", func(t *testing.T) {
+		tab := NewTable()
+		a, b := NewMem(tab), NewMem(tab)
+		blocks := makeChain(t, 4)
+		add := func(m *Mem, i int, receivedAt int64) {
+			t.Helper()
+			if err := m.Append(blocks[i], receivedAt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add(a, 0, 10)
+		add(a, 1, 11)
+		add(a, 2, 12)
+		add(b, 2, 50)
+		add(b, 3, 53) // named by b alone
+		add(a, 2, 99) // duplicates: each keeps its first time
+		add(b, 2, 98)
+		h := func(i int) crypto.Hash { return blocks[i].Hash() }
+		wantA := []stored{{h(0), 10}, {h(1), 11}, {h(2), 12}}
+		wantB := []stored{{h(2), 50}, {h(3), 53}}
+		if tab.Len() != 4 {
+			t.Fatalf("table Len = %d, want 4", tab.Len())
+		}
+		for _, tc := range []struct {
+			name   string
+			m      *Mem
+			want   []stored
+			absent []int
+		}{{"a", a, wantA, []int{3}}, {"b", b, wantB, []int{0, 1}}} {
+			if tc.m.Len() != len(tc.want) {
+				t.Errorf("%s: Len = %d, want %d", tc.name, tc.m.Len(), len(tc.want))
+			}
+			hs := tc.m.Hashes()
+			got := replayed(t, tc.m)
+			if len(hs) != len(tc.want) || len(got) != len(tc.want) {
+				t.Fatalf("%s: %d hashes and %d replayed, want %d", tc.name, len(hs), len(got), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if hs[i] != w.hash || got[i] != w {
+					t.Errorf("%s: record %d = (%s, %d), want (%s, %d)", tc.name, i,
+						got[i].hash.Short(), got[i].receivedAt, w.hash.Short(), w.receivedAt)
+				}
+			}
+			for _, i := range tc.absent {
+				if tc.m.Contains(h(i)) {
+					t.Errorf("%s: Contains block %d, stored only in the other Mem", tc.name, i)
+				}
+				if _, err := tc.m.Get(h(i)); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: Get block %d = %v, want ErrNotFound", tc.name, i, err)
+				}
+			}
+		}
+	})
 }
 
 // legacyRecord encodes b in the record layout that kept arrival times in a

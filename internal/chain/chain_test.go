@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 )
@@ -569,4 +570,13 @@ func TestStoreInsertPanics(t *testing.T) {
 	assertPanics("duplicate insert", func() { f.st.Store().Insert(b1, 0) })
 	orphan := f.powBlock(crypto.HashBytes([]byte("nowhere")))
 	assertPanics("missing parent", func() { f.st.Store().Insert(orphan, 0) })
+	// A parent the shared block table names because another store holds
+	// it is still unknown here.
+	tab := blockstore.NewTable()
+	other, own := NewStore(f.genesis, tab), NewStore(f.genesis, tab)
+	other.Insert(b1, 0)
+	if _, ok := own.Get(b1.Hash()); ok || own.Len() != 1 {
+		t.Errorf("a block inserted into one store shows in another (Len %d)", own.Len())
+	}
+	assertPanics("parent held by another store", func() { own.Insert(f.powBlock(b1.Hash()), 0) })
 }

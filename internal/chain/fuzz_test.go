@@ -27,7 +27,7 @@ func FuzzNextTarget(f *testing.F) {
 		params.RetargetWindow = int(window)
 
 		genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
-		store := NewStore(genesis)
+		store := NewStore(genesis, nil)
 
 		// Each 10 raw bytes derive one key block: 8 bytes timestamp (any
 		// int64), 2 bytes target offset folded into a valid compact range.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
@@ -147,6 +148,8 @@ type State struct {
 	// it. fp is derived once at construction.
 	cache *validate.Cache
 	fp    validate.Fingerprint
+	// blocks is the table New builds the store over (nil: a private one).
+	blocks *blockstore.Table
 
 	orphans      map[crypto.Hash][]types.Block // parent hash -> waiting blocks
 	orphanOrder  []crypto.Hash                 // the keys of orphans, longest-waiting first
@@ -165,6 +168,12 @@ func WithConnectCache(c *validate.Cache) Option {
 	return func(st *State) { st.cache = c }
 }
 
+// WithBlockTable names the state's blocks in a table shared with other
+// states (a simulated fleet passes one per fleet); nil keeps a private one.
+func WithBlockTable(t *blockstore.Table) Option {
+	return func(st *State) { st.blocks = t }
+}
+
 // WithUTXOStore swaps the ledger storage backend; nil keeps the default
 // in-memory set. The store must be empty (or freshly Reset) — New applies
 // the genesis coinbase into it.
@@ -181,7 +190,6 @@ func WithUTXOStore(u UTXOStore) Option {
 func New(genesis types.Block, params types.Params, protocol Protocol, choice ForkChoice, opts ...Option) (*State, error) {
 	st := &State{
 		params:   params,
-		store:    NewStore(genesis),
 		protocol: protocol,
 		choice:   choice,
 		utxoSet:  utxo.New(),
@@ -191,6 +199,7 @@ func New(genesis types.Block, params types.Params, protocol Protocol, choice For
 	for _, opt := range opts {
 		opt(st)
 	}
+	st.store = NewStore(genesis, st.blocks)
 	// Fork choices that do not declare their needs get subtree weights
 	// maintained: a custom rule reading Node.SubtreeWeight must keep
 	// working even if it predates the SubtreeWeighted interface.
@@ -599,12 +608,14 @@ func (st *State) markInvalid(n *Node) {
 // heaviest-weight/first-seen ordering. Only the rare invalid-block recovery
 // path uses it. ReceivedAt is a caller-supplied timestamp and is not unique
 // (two blocks can arrive at the same simulated nanosecond), so the fold
-// breaks full ties on block hash: without that, the adopted tip after an
-// invalidation would depend on map iteration order.
+// breaks full ties on block hash. The walk runs in ordinal order, which is
+// interning order and so, in a parallel run, scheduling order: only a fold
+// over a strict total order (weight, height, receivedAt, hash) makes the
+// adopted tip independent of it.
 func (st *State) bestValidTip() *Node {
 	best := st.store.Genesis()
-	for _, n := range st.store.nodes { //nglint:allow detflow selection fold over the strict total order (weight, height, receivedAt, hash); the result is independent of iteration order
-		if n.Invalid {
+	for _, n := range st.store.nodes {
+		if n == nil || n.Invalid {
 			continue
 		}
 		switch n.Weight.Cmp(best.Weight) {

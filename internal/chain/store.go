@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
@@ -160,10 +161,17 @@ type BodySource interface {
 // Store is the block tree. It indexes every valid block ever seen, main
 // chain or not ("Branches and blocks outside the main chain are called
 // pruned", §3 — pruned blocks stay in the tree so late reorganizations can
-// revive them).
+// revive them). Blocks are named by their ordinal in a blockstore.Table,
+// which the stores of a simulated fleet share: the store itself keeps one
+// slot per ordinal, not a map of its own.
 type Store struct {
 	genesis *Node
-	nodes   map[crypto.Hash]*Node
+	blocks  *blockstore.Table
+	// nodes is indexed by ordinal; nil where this store does not hold the
+	// block (another store sharing the table named it). count is the
+	// number of non-nil slots.
+	nodes []*Node
+	count int
 	// bodies, when attached, allows EvictBodies to drop archived block
 	// bodies from the tree; Node.Block reloads through it on demand.
 	bodies BodySource
@@ -175,9 +183,13 @@ type Store struct {
 	trackSubtree bool
 }
 
-// NewStore creates a tree rooted at the genesis block.
-func NewStore(genesis types.Block) *Store {
-	s := &Store{nodes: make(map[crypto.Hash]*Node)}
+// NewStore creates a tree rooted at the genesis block, naming its blocks in
+// t; a nil t means a private table.
+func NewStore(genesis types.Block, t *blockstore.Table) *Store {
+	if t == nil {
+		t = blockstore.NewTable()
+	}
+	s := &Store{blocks: t}
 	g := newNode(s, genesis)
 	// The genesis work is shared by every store built on the block and is
 	// read-only; EnableSubtreeWeights gives the root its own copy.
@@ -185,8 +197,19 @@ func NewStore(genesis types.Block) *Store {
 	g.SubtreeWeight = genesis.Work()
 	g.KeyAncestor = g
 	s.genesis = g
-	s.nodes[g.hash] = g
+	s.put(g)
 	return s
+}
+
+// put fills n's slot, sizing the slot slice up to the table's length at
+// once: blocks other stores named already are likely to arrive here next.
+func (s *Store) put(n *Node) {
+	o := s.blocks.Intern(n.hash)
+	if int(o) >= len(s.nodes) {
+		s.nodes = append(s.nodes, make([]*Node, s.blocks.Len()-len(s.nodes))...)
+	}
+	s.nodes[o] = n
+	s.count++
 }
 
 // Genesis returns the root node.
@@ -208,10 +231,11 @@ func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 	}
 	horizon := tip.Height - keepDepth
 	evicted := 0
-	// Map-iteration order is immaterial here: every qualifying body is
-	// dropped, and Block() reloads transparently.
+	// The walk runs in ordinal order, which is interning order and so, in a
+	// parallel run, scheduling order; nothing here depends on it: every
+	// qualifying body is dropped and the count is a sum.
 	for _, n := range s.nodes {
-		if n.block == nil || n.Parent == nil || n.Height > horizon {
+		if n == nil || n.block == nil || n.Parent == nil || n.Height > horizon {
 			continue
 		}
 		if !s.bodies.Contains(n.hash) {
@@ -227,7 +251,7 @@ func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 // must be called before any Insert (chain.New does, when the fork choice
 // needs it).
 func (s *Store) EnableSubtreeWeights() {
-	if len(s.nodes) > 1 {
+	if s.count > 1 {
 		panic("chain: EnableSubtreeWeights after blocks were inserted")
 	}
 	s.trackSubtree = true
@@ -235,24 +259,28 @@ func (s *Store) EnableSubtreeWeights() {
 	s.genesis.SubtreeWeight = new(big.Int).Set(s.genesis.SubtreeWeight)
 }
 
-// Get returns the node for the hash, if the block is known.
+// Get returns the node for the hash, if the block is known. An unknown hash
+// is not interned, so probes cannot grow the shared table.
 func (s *Store) Get(h crypto.Hash) (*Node, bool) {
-	n, ok := s.nodes[h]
-	return n, ok
+	o, ok := s.blocks.Lookup(h)
+	if !ok || int(o) >= len(s.nodes) || s.nodes[o] == nil {
+		return nil, false
+	}
+	return s.nodes[o], true
 }
 
 // Len returns the number of blocks in the tree.
-func (s *Store) Len() int { return len(s.nodes) }
+func (s *Store) Len() int { return s.count }
 
 // Insert links a block under its parent and computes cumulative metadata.
 // The parent must already be present and the block must not be. Returns the
 // new node.
 func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
-	parent := s.nodes[b.PrevHash()]
-	if parent == nil {
+	parent, ok := s.Get(b.PrevHash())
+	if !ok {
 		panic("chain: Insert called without parent present")
 	}
-	if _, dup := s.nodes[b.Hash()]; dup {
+	if _, dup := s.Get(b.Hash()); dup {
 		panic("chain: Insert called with duplicate block")
 	}
 	work := b.Work()
@@ -283,7 +311,7 @@ func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
 		n.KeyAncestor = n
 	}
 	parent.children = append(parent.children, n)
-	s.nodes[n.hash] = n
+	s.put(n)
 	// Propagate subtree weight to ancestors for GHOST.
 	if s.trackSubtree && work.Sign() > 0 {
 		for a := parent; a != nil; a = a.Parent {

@@ -242,6 +242,7 @@ func (f *Fleet) boot(nd *Node) error {
 		SimulatedMining:    true,
 		CensorTransactions: f.censors[nd.ID],
 		ConnectCache:       f.cache,
+		Blocks:             f.factory.Blocks(),
 		Strategy:           strat,
 	}, nd.UTXO, nd.Index, func(base *node.Base) {
 		if f.spec.Wire != nil {

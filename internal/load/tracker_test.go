@@ -33,7 +33,7 @@ func stampedBlock(prev crypto.Hash, salt int64, indices []int64) *types.MicroBlo
 func TestTrackerMatchesFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		store := chain.NewStore(types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget}))
+		store := chain.NewStore(types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget}), nil)
 		nodes := []*chain.Node{store.Genesis()}
 		// onBranch[n] is the set of stream indices confirmed up to n, so a
 		// new block never re-confirms one on its own branch (a chain cannot).

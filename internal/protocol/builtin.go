@@ -22,6 +22,7 @@ func bitcoinConfig(spec Spec) bitcoin.Config {
 		Recorder:        spec.Recorder,
 		SimulatedMining: spec.SimulatedMining,
 		ConnectCache:    spec.ConnectCache,
+		Blocks:          spec.Blocks,
 		UTXO:            spec.UTXO,
 	}
 }
@@ -66,6 +67,7 @@ func newBitcoinNG(env node.Env, spec Spec) (Client, error) {
 		SimulatedMining:    spec.SimulatedMining,
 		CensorTransactions: spec.CensorTransactions,
 		ConnectCache:       spec.ConnectCache,
+		Blocks:             spec.Blocks,
 		Strategy:           spec.Strategy,
 		UTXO:               spec.UTXO,
 	})

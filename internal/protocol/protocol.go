@@ -13,6 +13,7 @@
 package protocol
 
 import (
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
@@ -62,6 +63,11 @@ type Spec struct {
 	// connecting a block replays the first node's work. nil validates
 	// everything locally.
 	ConnectCache *validate.Cache
+	// Blocks names every block once for a whole simulated fleet: the
+	// harness passes its store factory's table, so each node's block tree
+	// keeps one slot per block instead of a map of its own. nil keeps a
+	// private table (live nodes).
+	Blocks *blockstore.Table
 	// Strategy is the node's mining strategy (internal/strategy): which
 	// block its key blocks extend, publish-vs-withhold decisions, and the
 	// coinbase fee split. nil runs honest. Strategies bend production

@@ -92,32 +92,37 @@ var (
 //	file:            file backends in a fresh temporary directory that
 //	                 Close removes — the chaos differential's throwaway mode
 //
-// Every store a factory hands out is independent; Close closes the factory's
-// bookkeeping only (per-store Close is the owner's job), plus the temporary
-// root when the factory created one.
+// Every store a factory hands out is independent, except that the mem: chain
+// indexes name their blocks in the factory's one block table (Blocks), which
+// holds names only; Close closes the factory's bookkeeping only (per-store
+// Close is the owner's job), plus the temporary root when the factory created
+// one.
 type Factory struct {
 	dir       string // empty for mem:
 	ephemeral bool   // dir was created by NewFactory and is removed on Close
+	blocks    *blockstore.Table
 }
 
 // NewFactory parses the locator. An empty string means "mem:".
 func NewFactory(url string) (*Factory, error) {
+	f := &Factory{blocks: blockstore.NewTable()}
 	switch {
 	case url == "" || url == "mem:" || url == "mem":
-		return &Factory{}, nil
+		return f, nil
 	case strings.HasPrefix(url, "file:"):
-		dir := strings.TrimPrefix(url, "file:")
-		if dir == "" {
+		f.dir = strings.TrimPrefix(url, "file:")
+		if f.dir == "" {
 			tmp, err := os.MkdirTemp("", "ngstore-")
 			if err != nil {
 				return nil, fmt.Errorf("store: temp root: %w", err)
 			}
-			return &Factory{dir: tmp, ephemeral: true}, nil
+			f.dir, f.ephemeral = tmp, true
+			return f, nil
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: root %s: %w", dir, err)
+		if err := os.MkdirAll(f.dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: root %s: %w", f.dir, err)
 		}
-		return &Factory{dir: dir}, nil
+		return f, nil
 	default:
 		return nil, fmt.Errorf("store: unknown locator %q (want mem: or file:<dir>)", url)
 	}
@@ -128,6 +133,11 @@ func (f *Factory) InMemory() bool { return f.dir == "" }
 
 // Dir returns the file root ("" for mem:).
 func (f *Factory) Dir() string { return f.dir }
+
+// Blocks returns the block table the factory's mem: chain indexes share. A
+// harness hands it to its nodes' chain states too (chain.WithBlockTable), so
+// a fleet names each block once.
+func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
 
 // NewUTXO builds the named ledger store: a set over the in-memory backend, or
 // over a fresh paged table at <dir>/<name>.tab.
@@ -142,11 +152,11 @@ func (f *Factory) NewUTXO(name string) (UTXO, error) {
 	return utxo.NewWith(table), nil
 }
 
-// NewChainIndex builds the named chain index: an in-memory archive, or the
-// block file <dir>/<name>.blocks.
+// NewChainIndex builds the named chain index: an in-memory archive over the
+// factory's block table, or the block file <dir>/<name>.blocks.
 func (f *Factory) NewChainIndex(name string) (ChainIndex, error) {
 	if f.dir == "" {
-		return blockstore.NewMem(), nil
+		return blockstore.NewMem(f.blocks), nil
 	}
 	s, err := blockstore.Open(filepath.Join(f.dir, name+".blocks"))
 	if err != nil {
