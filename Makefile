@@ -62,19 +62,20 @@ race:
 # Send and its delivery (recycled deliveries, on one loop and across two
 # shards both ways) and a warm two-shard window; at the sharded engine's
 # window barrier, the metric-buffer merge and the cross-shard outbox flush;
-# a node's per-block bookkeeping: a block's cached work, a tip change's
-# Recorder call and a warm inv/getdata/block fetch cycle (only its getdata);
-# and the fleet's shared block table: block lookups in the tree, the state
-# and the in-memory chain index (hit and miss), and a second store's insert
-# of a block another store already named (its Node and its parent's
+# a node's per-block bookkeeping: a repeated target's work (the fleet-wide
+# memo), a tip change's Recorder call and a warm inv/getdata/block fetch
+# cycle (only its getdata); and the fleet's shared block table: block
+# lookups in the tree, the state and the in-memory chain index (hit and
+# miss), and a second store's insert of blocks another store already named
+# (its Node, weight included, in the 192-byte size class and its parent's
 # children slice, nothing more).
 # CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestWorkIsComputedOnce|TestTipChangeReportDoesNotAllocate|TestFetchCycleAllocatesOnlyItsRequest' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleAllocatesOnlyItsRequest' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
 		./internal/bitcoin ./internal/load
-	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
+	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestWorkForTargetRepeatDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
 	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate' \
 		./internal/store ./internal/blockstore
@@ -97,13 +98,15 @@ race-soak:
 # correctness, not for data races. It also runs the load stream's signer
 # tests (a background goroutine signing ahead of racing consumers), the
 # paged table's model test, the simulator's delivery recycling on four
-# lossy shards with a node crashing under traffic, and two goroutines
-# interning overlapping hashes in one block table.
+# lossy shards with a node crashing under traffic, two goroutines
+# interning overlapping hashes in one block table, and two goroutines
+# thrashing the fleet-wide work memo with alternating targets.
 race-faults:
 	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
 	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
+	$(GO) test -race -count=1 -run 'TestWorkForTargetConcurrent' ./internal/crypto
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
 	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' ./internal/harness
@@ -204,6 +207,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMessage -fuzztime=$(FUZZTIME) -run '^$$' ./internal/p2p
 	$(GO) test -fuzz=FuzzVarInt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzNextTarget -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chain
+	$(GO) test -fuzz=FuzzWork -fuzztime=$(FUZZTIME) -run '^$$' ./internal/crypto
 	$(GO) test -fuzz=FuzzBlockstoreReopen -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore
 	$(GO) test -fuzz=FuzzLedgerTable -fuzztime=$(FUZZTIME) -run '^$$' ./internal/utxo
 

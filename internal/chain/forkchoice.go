@@ -88,7 +88,7 @@ func (g *GHOST) Best(s *Store, current, added *Node) *Node {
 				best = c
 				continue
 			}
-			switch c.SubtreeWeight.Cmp(best.SubtreeWeight) {
+			switch c.SubtreeWeight.Cmp(*best.SubtreeWeight) {
 			case 1:
 				best = c
 			case 0:

@@ -12,7 +12,6 @@ package chain
 
 import (
 	"fmt"
-	"math/big"
 
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
@@ -34,10 +33,14 @@ type Node struct {
 	store *Store
 
 	// Cached header-derived fields, valid for the node's whole lifetime.
-	hash   crypto.Hash
-	kind   types.BlockKind
-	time   int64
-	target crypto.CompactTarget
+	hash crypto.Hash
+	time int64
+	kind types.BlockKind
+	// Invalid marks blocks that failed contextual validation on connect;
+	// fork choice never adopts an invalid node or its descendants. Kind,
+	// Invalid and target share one word.
+	Invalid bool
+	target  crypto.CompactTarget
 
 	Parent *Node // nil for genesis
 
@@ -49,7 +52,7 @@ type Node struct {
 	KeyHeight uint64
 	// Weight is the cumulative work from genesis. Microblocks contribute
 	// zero (§4.2: microblocks do not affect the weight of the chain).
-	Weight *big.Int
+	Weight crypto.Work
 	// KeyAncestor is the nearest ancestor (or self) that is a PoW/key
 	// block; for a microblock it identifies the epoch's key block, whose
 	// LeaderKey signs it.
@@ -61,12 +64,8 @@ type Node struct {
 	// SubtreeWeight is the total work in the subtree rooted at this node,
 	// itself included; GHOST's fork choice reads it (§9). It is only
 	// maintained when the store's fork choice declares it needs subtree
-	// weights (Store.EnableSubtreeWeights); otherwise it holds just the
-	// node's own work.
-	SubtreeWeight *big.Int
-	// Invalid marks blocks that failed contextual validation on connect;
-	// fork choice never adopts an invalid node or its descendants.
-	Invalid bool
+	// weights (Store.EnableSubtreeWeights); otherwise it is nil.
+	SubtreeWeight *crypto.Work
 
 	children []*Node
 
@@ -176,10 +175,10 @@ type Store struct {
 	// bodies from the tree; Node.Block reloads through it on demand.
 	bodies BodySource
 	// trackSubtree enables SubtreeWeight maintenance, which costs an
-	// O(chain-length) big.Int walk per inserted PoW block. Maintenance is
+	// O(chain-length) walk per inserted PoW block. Maintenance is
 	// on unless the fork choice declares it unneeded (chain.SubtreeWeighted
 	// — the built-in heaviest-chain rule opts out); when off, SubtreeWeight
-	// holds just the node's own work.
+	// is nil.
 	trackSubtree bool
 }
 
@@ -191,10 +190,7 @@ func NewStore(genesis types.Block, t *blockstore.Table) *Store {
 	}
 	s := &Store{blocks: t}
 	g := newNode(s, genesis)
-	// The genesis work is shared by every store built on the block and is
-	// read-only; EnableSubtreeWeights gives the root its own copy.
-	g.Weight = genesis.Work()
-	g.SubtreeWeight = genesis.Work()
+	g.Weight = crypto.WorkForTarget(g.target)
 	g.KeyAncestor = g
 	s.genesis = g
 	s.put(g)
@@ -255,8 +251,8 @@ func (s *Store) EnableSubtreeWeights() {
 		panic("chain: EnableSubtreeWeights after blocks were inserted")
 	}
 	s.trackSubtree = true
-	// Own big.Int: descendants add their work into the root's.
-	s.genesis.SubtreeWeight = new(big.Int).Set(s.genesis.SubtreeWeight)
+	w := s.genesis.Weight
+	s.genesis.SubtreeWeight = &w
 }
 
 // Get returns the node for the hash, if the block is known. An unknown hash
@@ -283,41 +279,32 @@ func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
 	if _, dup := s.Get(b.Hash()); dup {
 		panic("chain: Insert called with duplicate block")
 	}
-	work := b.Work()
 	n := newNode(s, b)
 	n.Parent = parent
 	n.Height = parent.Height + 1
 	n.KeyHeight = parent.KeyHeight
 	n.ReceivedAt = receivedAt
-	if work.Sign() == 0 {
-		// Zero-work blocks (microblocks) share the parent's cumulative
-		// weight; Weight values are read-only after creation.
-		n.Weight = parent.Weight
-	} else {
-		n.Weight = new(big.Int).Add(parent.Weight, work)
-	}
-	if s.trackSubtree {
-		// Own big.Int: descendants mutate it during propagation.
-		n.SubtreeWeight = new(big.Int).Set(work)
-	} else {
-		// Untracked stores never mutate SubtreeWeight, so aliasing the
-		// (possibly shared) work value is safe.
-		n.SubtreeWeight = work
-	}
+	// A microblock adds no work (§4.2); its zero target would count as most.
+	var work crypto.Work
 	if n.kind == types.KindMicro {
 		n.KeyAncestor = parent.KeyAncestor
 	} else {
+		work = crypto.WorkForTarget(n.target)
 		n.KeyHeight++
 		n.KeyAncestor = n
 	}
-	parent.children = append(parent.children, n)
-	s.put(n)
-	// Propagate subtree weight to ancestors for GHOST.
-	if s.trackSubtree && work.Sign() > 0 {
-		for a := parent; a != nil; a = a.Parent {
-			a.SubtreeWeight.Add(a.SubtreeWeight, work)
+	n.Weight = parent.Weight.Add(work)
+	if s.trackSubtree {
+		// GHOST's subtree weights: n's own work, added to every ancestor's
+		// (a microblock has none to add).
+		own := work
+		n.SubtreeWeight = &own
+		for a := parent; a != nil && n.kind != types.KindMicro; a = a.Parent {
+			*a.SubtreeWeight = a.SubtreeWeight.Add(work)
 		}
 	}
+	parent.children = append(parent.children, n)
+	s.put(n)
 	return n
 }
 

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -161,14 +162,16 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 // same chain allocates per block exactly two objects, both its own: the
 // Node, and the one-entry children slice of its parent (each block of a
 // chain is its parent's first child). Naming costs nothing, because the
-// table holds the names already, and the slot slice grew once, to the
-// table's length, on the store's first insert (the key block, outside the
-// count). A per-store map would grow on top.
+// table holds the names already, and the slot slice was sized to the
+// table's length when the store was made. A key block's weight is a value
+// in its Node, so the key block costs what a microblock does. The byte
+// count pins the Node to its 192-byte size class; a per-store map would
+// grow on top.
 func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
 	f := newFixture(t, false)
 	leader := f.key
 	tab := blockstore.NewTable()
-	first, second := NewStore(f.genesis, tab), NewStore(f.genesis, tab)
+	first := NewStore(f.genesis, tab)
 	const n = 512
 	blocks := []types.Block{f.keyBlock(f.genesis.Hash(), leader)}
 	for len(blocks) < n {
@@ -177,13 +180,17 @@ func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
 	for _, b := range blocks {
 		first.Insert(b, 1)
 	}
-	second.Insert(blocks[0], 1) // also allocates the key block's weight
-	got := mallocsOf(func() {
-		for _, b := range blocks[1:] {
-			second.Insert(b, 1)
-		}
-	})
-	if want := uint64(2 * (n - 1)); got != want {
-		t.Fatalf("inserting %d named microblocks allocated %d objects, want %d", n-1, got, want)
+	second := NewStore(f.genesis, tab)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range blocks {
+		second.Insert(b, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := after.Mallocs-before.Mallocs, uint64(2*n); got != want {
+		t.Errorf("inserting %d named blocks allocated %d objects, want %d", n, got, want)
+	}
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(n*(192+8)); got != want {
+		t.Errorf("inserting %d named blocks allocated %d bytes, want %d (a 192-byte Node and an 8-byte children slice each)", n, got, want)
 	}
 }

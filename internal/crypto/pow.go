@@ -1,8 +1,12 @@
 package crypto
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"sync/atomic"
 )
 
 // CompactTarget is the 32-bit "nBits" representation of a 256-bit
@@ -68,22 +72,67 @@ func CheckProofOfWork(hash Hash, target CompactTarget) bool {
 	return hashToInt(hash).Cmp(target.Big()) <= 0
 }
 
+// Work is a 256-bit unsigned amount of proof of work in four 64-bit limbs,
+// least significant first. As a value, a weight cannot be shared.
+type Work [4]uint64
+
+// Add returns w+x, saturating at 2^256-1.
+func (w Work) Add(x Work) Work {
+	var carry uint64
+	for i := range w {
+		w[i], carry = bits.Add64(w[i], x[i], carry)
+	}
+	if carry != 0 {
+		return Work{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	}
+	return w
+}
+
+// Cmp returns -1, 0 or +1 as w is less than, equal to or greater than x.
+func (w Work) Cmp(x Work) int {
+	for i := len(w) - 1; i >= 0; i-- {
+		if c := cmp.Compare(w[i], x[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// workMemo is the last target WorkForTarget computed, with its work.
+type workMemo struct {
+	target CompactTarget
+	work   Work
+}
+
+// lastWork is shared by the whole process: work is a pure function of the
+// target, and targets change only at retargets (never in a simulation).
+var lastWork atomic.Pointer[workMemo]
+
 // WorkForTarget returns the expected number of hash evaluations needed to
-// find a block at the given target: floor(2^256 / (target+1)). Chain weight
-// is the sum of this quantity over the chain's proof-of-work blocks (§3
-// "the winning chain is the heaviest one").
-func WorkForTarget(target CompactTarget) *big.Int {
-	t := target.Big()
-	if t.Sign() <= 0 {
-		return new(big.Int).Set(maxTarget)
+// find a block at the given target: floor(2^256 / (target+1)), or 2^256-1
+// for a zero or negative target. Chain weight is the sum of this quantity
+// over the chain's proof-of-work blocks (§3 "the winning chain is the
+// heaviest one").
+func WorkForTarget(target CompactTarget) Work {
+	if m := lastWork.Load(); m != nil && m.target == target {
+		return m.work
 	}
-	denom := new(big.Int).Add(t, bigOne)
-	work := new(big.Int).Div(new(big.Int).Lsh(bigOne, 256), denom)
-	if work.Sign() == 0 {
-		// Targets at or above 2^256 succeed on the first try.
-		work.SetInt64(1)
+	work := maxTarget
+	if t := target.Big(); t.Sign() > 0 {
+		work = new(big.Int).Div(new(big.Int).Lsh(bigOne, 256), t.Add(t, bigOne))
+		if work.Sign() == 0 {
+			// Targets at or above 2^256 succeed on the first try.
+			work.SetInt64(1)
+		}
 	}
-	return work
+	var be [32]byte
+	work.FillBytes(be[:])
+	m := &workMemo{target: target}
+	for i := range m.work {
+		m.work[i] = binary.BigEndian.Uint64(be[24-8*i:])
+	}
+	lastWork.Store(m)
+	return m.work
 }
 
 // hashToInt interprets a digest as a little-endian integer, per Bitcoin's

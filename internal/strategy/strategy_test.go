@@ -2,10 +2,10 @@ package strategy
 
 import (
 	"errors"
-	"math/big"
 	"testing"
 
 	"bitcoinng/internal/chain"
+	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 )
 
@@ -28,7 +28,7 @@ func keyNode(parent *chain.Node, keyHeight uint64, weight int64) *chain.Node {
 	})
 	n.Parent = parent
 	n.KeyHeight = keyHeight
-	n.Weight = big.NewInt(weight)
+	n.Weight = crypto.Work{uint64(weight)}
 	n.KeyAncestor = n
 	return n
 }

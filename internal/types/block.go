@@ -3,7 +3,6 @@ package types
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"sync/atomic"
 
@@ -50,12 +49,6 @@ type Block interface {
 	// Time returns the block timestamp in Unix nanoseconds ("the current
 	// GMT time" of §4.1/§4.2, at nanosecond resolution for the simulator).
 	Time() int64
-	// Work returns the expected hash evaluations the block's proof of work
-	// represents; zero for microblocks, which carry no weight (§4.2). The
-	// value is computed once per block and shared by every caller (every
-	// node of a simulation holding the block), so it is read-only: copy it
-	// before doing arithmetic into it.
-	Work() *big.Int
 	// Transactions returns the ledger entries the block carries.
 	Transactions() []*Transaction
 	// WireSize returns the serialized size in bytes; the network model
@@ -71,22 +64,6 @@ var (
 	ErrExtraCoinbase = errors.New("types: coinbase outside first position")
 	ErrBadSignature  = errors.New("types: microblock signature invalid")
 )
-
-var zeroWork = new(big.Int)
-
-// cachedWork returns the work a target represents, computing it on the first
-// call and publishing it in slot. Racing shard goroutines compute equal
-// values; the first to publish wins, so every caller gets one pointer.
-func cachedWork(slot *atomic.Pointer[big.Int], target crypto.CompactTarget) *big.Int {
-	if w := slot.Load(); w != nil {
-		return w
-	}
-	w := crypto.WorkForTarget(target)
-	if !slot.CompareAndSwap(nil, w) {
-		return slot.Load()
-	}
-	return w
-}
 
 // wfVerdict is an atomically published well-formedness verdict. Block caches
 // are atomic because the sharded event loop lets several shard goroutines
@@ -228,7 +205,6 @@ type PowBlock struct {
 
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
-	cachedWork atomic.Pointer[big.Int]
 	wf         atomic.Pointer[wfVerdict]
 	rootOK     atomic.Bool
 }
@@ -247,7 +223,6 @@ func (b *PowBlock) DecodeWire(r *wire.Reader) {
 	b.Txs = decodeTxs(r)
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
-	b.cachedWork.Store(nil)
 	b.wf.Store(nil)
 	b.rootOK.Store(false)
 }
@@ -270,9 +245,6 @@ func (b *PowBlock) Kind() BlockKind { return KindPow }
 
 // Time implements Block.
 func (b *PowBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Work implements Block; the result is cached, shared and read-only.
-func (b *PowBlock) Work() *big.Int { return cachedWork(&b.cachedWork, b.Header.Target) }
 
 // Transactions implements Block.
 func (b *PowBlock) Transactions() []*Transaction { return b.Txs }
@@ -352,7 +324,6 @@ type KeyBlock struct {
 
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
-	cachedWork atomic.Pointer[big.Int]
 	wf         atomic.Pointer[wfVerdict]
 	rootOK     atomic.Bool
 }
@@ -371,7 +342,6 @@ func (b *KeyBlock) DecodeWire(r *wire.Reader) {
 	b.Txs = decodeTxs(r)
 	b.cachedHash.Store(nil)
 	b.cachedSize.Store(0)
-	b.cachedWork.Store(nil)
 	b.wf.Store(nil)
 	b.rootOK.Store(false)
 }
@@ -394,9 +364,6 @@ func (b *KeyBlock) Kind() BlockKind { return KindKey }
 
 // Time implements Block.
 func (b *KeyBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Work implements Block; the result is cached, shared and read-only.
-func (b *KeyBlock) Work() *big.Int { return cachedWork(&b.cachedWork, b.Header.Target) }
 
 // Transactions implements Block.
 func (b *KeyBlock) Transactions() []*Transaction { return b.Txs }
@@ -529,10 +496,6 @@ func (b *MicroBlock) Kind() BlockKind { return KindMicro }
 
 // Time implements Block.
 func (b *MicroBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Work implements Block: microblocks carry no weight (§4.2, critical for
-// selfish-mining resistance, §5.1).
-func (b *MicroBlock) Work() *big.Int { return zeroWork }
 
 // Transactions implements Block.
 func (b *MicroBlock) Transactions() []*Transaction { return b.Txs }

@@ -114,9 +114,6 @@ func TestKeyBlockRoundTripAndLeaderKey(t *testing.T) {
 	if out.Kind() != KindKey {
 		t.Errorf("Kind = %v", out.Kind())
 	}
-	if out.Work().Sign() <= 0 {
-		t.Error("key block carries no work")
-	}
 }
 
 func TestMicroBlockSignatureAndWeight(t *testing.T) {
@@ -139,10 +136,6 @@ func TestMicroBlockSignatureAndWeight(t *testing.T) {
 	// Wrong leader key must fail: only the epoch leader may extend (§4.2).
 	if err := mb.CheckWellFormed(attacker.Public()); err == nil {
 		t.Error("microblock accepted under wrong leader key")
-	}
-	// Microblocks carry zero weight (§4.2).
-	if mb.Work().Sign() != 0 {
-		t.Error("microblock carries weight")
 	}
 	// A coinbase inside a microblock is invalid.
 	bad := &MicroBlock{
@@ -403,37 +396,5 @@ func TestAdoptSignaturesPowAndKeyBlocks(t *testing.T) {
 		if n, ok := AdoptSignatures(bad); ok || n != 0 || bad.Transactions()[1].sigOK.Load() {
 			t.Fatalf("%v, tampered output: adopted %d, ok %v", b.Kind(), n, ok)
 		}
-	}
-}
-
-// TestWorkIsComputedOnce pins the cached block work: after the first call,
-// Work allocates nothing and hands every caller the same value (the chain
-// store reads it once per block per node), and decoding new contents into
-// the block drops the cache.
-func TestWorkIsComputedOnce(t *testing.T) {
-	pb := &PowBlock{Header: PowHeader{Target: crypto.EasiestTarget}}
-	kb := &KeyBlock{Header: KeyBlockHeader{Target: crypto.EasiestTarget}}
-	for _, b := range []Block{pb, kb} {
-		first := b.Work()
-		if a := testing.AllocsPerRun(100, func() { b.Work() }); a != 0 {
-			t.Errorf("%T: a cached Work allocates %v times, want 0", b, a)
-		}
-		if b.Work() != first {
-			t.Errorf("%T: Work returned a new value after the first call", b)
-		}
-		if want := crypto.WorkForTarget(crypto.EasiestTarget); first.Cmp(want) != 0 {
-			t.Errorf("%T: Work = %v, want %v", b, first, want)
-		}
-	}
-	var out PowBlock
-	if err := wire.Decode(wire.Encode(&PowBlock{Header: PowHeader{Target: 0x1d00ffff}}), &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Work()
-	if err := wire.Decode(wire.Encode(pb), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Work().Cmp(pb.Work()) != 0 {
-		t.Error("decoding into a block kept the previous contents' work")
 	}
 }
