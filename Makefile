@@ -17,9 +17,8 @@ fmt:
 
 # lint is the static determinism/protocol-safety gate: gofmt (any file
 # `gofmt -l` names fails it), go vet, then the project's own nglint suite —
-# the per-function analyzers (walltime, globalrand, maporder, locksafe,
-# wiresym) plus the interprocedural module analyzers (detflow; parity over
-# the invariant catalogue and strategy hooks; errflow) —
+# the per-function analyzers (walltime, globalrand, maporder, locksafe)
+# plus the interprocedural module analyzers (detflow, errflow) —
 # see DESIGN.md §9 — then staticcheck and govulncheck when installed (CI
 # installs both; locally they are optional extras since the sandbox has no
 # network). A finding, or an

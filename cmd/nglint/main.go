@@ -1,9 +1,9 @@
 // Command nglint runs the determinism & protocol-safety analyzer suite
 // (internal/lint) over the whole module: the per-package analyzers
-// (walltime, globalrand, maporder, locksafe, wiresym), the whole-module
-// analyzers (detflow interprocedural nondeterminism taint, parity
-// paired-surface diffing, errflow consensus error-drop tracking), plus
-// verification of every //nglint:allow annotation.
+// (walltime, globalrand, maporder, locksafe), the whole-module analyzers
+// (detflow interprocedural nondeterminism taint, errflow consensus
+// error-drop tracking), plus verification of every //nglint:allow
+// annotation.
 //
 // Usage:
 //

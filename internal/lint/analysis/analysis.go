@@ -76,8 +76,7 @@ type Diagnostic struct {
 }
 
 // ModuleAnalyzer describes a static check that needs the whole module at
-// once — interprocedural dataflow, cross-package parity diffing — rather
-// than one package at a time. Module analyzers run after the per-package
+// once — interprocedural dataflow — rather than one package at a time. Module analyzers run after the per-package
 // suite over the same load, so type information and positions are shared.
 type ModuleAnalyzer struct {
 	// Name identifies the analyzer in diagnostics and //nglint:allow

@@ -4,6 +4,7 @@ package astutil
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -91,22 +92,6 @@ func Unwrap(info *types.Info, e ast.Expr) ast.Expr {
 	}
 }
 
-// FieldName returns the final selected field name of e after unwrapping
-// conversions ("h.Height" or "uint64(h.Height)" → "Height"), or "" when e
-// is not a selector or identifier.
-func FieldName(info *types.Info, e ast.Expr) string {
-	switch v := Unwrap(info, e).(type) {
-	case *ast.SelectorExpr:
-		return v.Sel.Name
-	case *ast.Ident:
-		if v.Name == "_" {
-			return ""
-		}
-		return v.Name
-	}
-	return ""
-}
-
 // RootIdent returns the leftmost identifier of a selector chain
 // (a.b.c → a), or nil.
 func RootIdent(e ast.Expr) *ast.Ident {
@@ -137,4 +122,55 @@ func Obj(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
+}
+
+// writerIface is io.Writer built structurally, so packages that never
+// import io still check.
+var writerIface = func() *types.Interface {
+	byteSlice := types.NewSlice(types.Typ[types.Byte])
+	results := types.NewTuple(
+		types.NewVar(token.NoPos, nil, "", types.Typ[types.Int]),
+		types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type()),
+	)
+	sig := types.NewSignatureType(nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", byteSlice)), results, false)
+	m := types.NewFunc(token.NoPos, nil, "Write", sig)
+	return types.NewInterfaceType([]*types.Func{m}, nil).Complete()
+}()
+
+// streamMethods emit into an ordered stream when the receiver implements
+// io.Writer (bytes.Buffer, strings.Builder, bufio.Writer, hash.Hash,
+// wire.Writer, ...).
+var streamMethods = map[string]bool{
+	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+}
+
+// StreamWrite reports whether calling method name on a receiver of type recv
+// writes an ordered stream: a Write-family method of an io.Writer (or of a
+// type whose pointer is one).
+func StreamWrite(name string, recv types.Type) bool {
+	if !streamMethods[name] || recv == nil {
+		return false
+	}
+	if types.Implements(recv, writerIface) {
+		return true
+	}
+	if _, ok := recv.Underlying().(*types.Pointer); !ok {
+		return types.Implements(types.NewPointer(recv), writerIface)
+	}
+	return false
+}
+
+// sortFuncs are the blessed reordering calls.
+var sortFuncs = map[string]map[string]bool{
+	"sort": {"Strings": true, "Ints": true, "Float64s": true, "Slice": true,
+		"SliceStable": true, "Sort": true, "Stable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
+// SortCall reports whether call is a sort.* or slices.Sort* call, which
+// puts its first argument in an order of its own.
+func SortCall(info *types.Info, call *ast.CallExpr) bool {
+	pkg, name, ok := PkgFuncCall(info, call)
+	return ok && sortFuncs[pkg][name]
 }

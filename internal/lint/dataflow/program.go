@@ -1,5 +1,5 @@
 // Package dataflow is the summary-based interprocedural analysis engine
-// under the module-wide nglint analyzers (detflow, parity, errflow). It
+// under the module-wide nglint analyzers (detflow, errflow). It
 // generalizes the shape locksafe pioneered — per-function facts propagated
 // to a fixpoint — across packages: a Program indexes every function
 // declaration in a load, resolves static call edges, and the taint engine

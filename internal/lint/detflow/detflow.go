@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"strings"
 
@@ -54,10 +53,12 @@ func run(pass *analysis.ModulePass) error {
 	return nil
 }
 
-// InZone is the default deterministic-flow zone: every module package
-// except the live transport (bitcoinng/internal/p2p — wall time is its
-// job), the lint suite itself, and the CLIs/examples (operator-facing
-// output; the determinism gates cover them end to end dynamically).
+// InZone is the deterministic zone, shared with walltime: every module
+// package whose results must be a pure function of (config, seed) — the
+// root package and all of internal/ — except the live transport
+// (bitcoinng/internal/p2p — wall time is its job), the lint suite itself,
+// and the CLIs/examples (operator-facing output; the determinism gates
+// cover them end to end dynamically).
 func InZone(pkgPath string) bool {
 	if pkgPath == "bitcoinng" {
 		return true
@@ -236,12 +237,6 @@ var streamFuncs = map[string]map[string]int{
 	"encoding/binary": {"Write": 2},
 }
 
-// streamMethods emit into an ordered stream when the receiver implements
-// io.Writer (bytes.Buffer, strings.Builder, hash.Hash, wire.Writer, ...).
-var streamMethods = map[string]bool{
-	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
-}
-
 // simDispatch are the event-scheduling methods: a tainted delay or payload
 // makes event ordering itself nondeterministic.
 var simDispatch = map[[2]string]map[string]bool{
@@ -276,7 +271,7 @@ func sinkCall(f *dataflow.Func, call *ast.CallExpr) (string, []int, bool) {
 				return "sim event scheduling (" + n.Obj().Name() + "." + name + ")", idxs, true
 			}
 		}
-		if streamMethods[name] && implementsWriter(recvT) {
+		if astutil.StreamWrite(name, recvT) {
 			idxs := make([]int, len(call.Args))
 			for i := range idxs {
 				idxs[i] = i
@@ -301,48 +296,9 @@ func sinkComposite(f *dataflow.Func, lit *ast.CompositeLit) (string, bool) {
 	return "", false
 }
 
-// sortFuncs mirror maporder's blessed reordering calls.
-var sortFuncs = map[string]map[string]bool{
-	"sort": {"Strings": true, "Ints": true, "Float64s": true, "Slice": true,
-		"SliceStable": true, "Sort": true, "Stable": true},
-	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
-}
-
+// sanitizer kills map-order taint on the first argument of a sort call.
 func sanitizer(f *dataflow.Func, call *ast.CallExpr) (int, bool) {
-	pkg, name, ok := astutil.PkgFuncCall(f.Pkg.Info, call)
-	if !ok || !sortFuncs[pkg][name] {
-		return 0, false
-	}
-	return 0, true
-}
-
-// writerIface is io.Writer built structurally (packages that never import
-// io still check).
-var writerIface = func() *types.Interface {
-	byteSlice := types.NewSlice(types.Typ[types.Byte])
-	results := types.NewTuple(
-		types.NewVar(token.NoPos, nil, "", types.Typ[types.Int]),
-		types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type()),
-	)
-	sig := types.NewSignatureType(nil, nil, nil,
-		types.NewTuple(types.NewVar(token.NoPos, nil, "", byteSlice)), results, false)
-	m := types.NewFunc(token.NoPos, nil, "Write", sig)
-	return types.NewInterfaceType([]*types.Func{m}, nil).Complete()
-}()
-
-func implementsWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if types.Implements(t, writerIface) {
-		return true
-	}
-	if _, ok := t.Underlying().(*types.Pointer); !ok {
-		if p := types.NewPointer(t); types.Implements(p, writerIface) {
-			return true
-		}
-	}
-	return false
+	return 0, astutil.SortCall(f.Pkg.Info, call)
 }
 
 // shortPos renders a position as the last two path elements plus line —

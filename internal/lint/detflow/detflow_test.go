@@ -20,6 +20,36 @@ func TestFixtures(t *testing.T) {
 	linttest.RunModule(t, detflow.Analyzer, "bitcoinng/internal/sim/dfx")
 }
 
+// TestInZone pins the deterministic zone that detflow and walltime share.
+// Exclusions match whole path segments.
+func TestInZone(t *testing.T) {
+	for _, tc := range []struct {
+		pkg  string
+		want bool
+	}{
+		{"bitcoinng", true}, // the cluster harness runs simulated fleets too
+		{"bitcoinng/internal/sim", true},
+		{"bitcoinng/internal/simnet", true},
+		{"bitcoinng/internal/simnetx", true},
+		{"bitcoinng/internal/chain", true},
+		{"bitcoinng/internal/experiment", true},
+		{"bitcoinng/internal/harness", true},
+		{"bitcoinng/internal/load", true},
+		{"bitcoinng/internal/wire", true},
+		{"bitcoinng/internal/chaos", true},
+		{"bitcoinng/internal/p2px", true},
+		{"bitcoinng/internal/p2p", false}, // live harness: wall clock is its job
+		{"bitcoinng/internal/lint/walltime", false},
+		{"bitcoinng/cmd/ngbench", false}, // CLI timing is operator-facing
+		{"bitcoinng/examples/livenet", false},
+		{"bitcoinngx/internal/sim", false},
+	} {
+		if got := detflow.InZone(tc.pkg); got != tc.want {
+			t.Errorf("InZone(%q) = %v, want %v", tc.pkg, got, tc.want)
+		}
+	}
+}
+
 // TestRevertedPoisonSortCaught is the regression acceptance test for the
 // PR-6 applyPoison map-order bug: a copy of the real utxo package with the
 // fixing sort.Slice removed must re-trigger an interprocedural finding —

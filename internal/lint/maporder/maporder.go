@@ -43,33 +43,12 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// writerIface and hashWriter are built once: io.Writer's method set,
-// constructed structurally so packages that never import io still check.
-var writerIface = func() *types.Interface {
-	byteSlice := types.NewSlice(types.Typ[types.Byte])
-	results := types.NewTuple(
-		types.NewVar(token.NoPos, nil, "", types.Typ[types.Int]),
-		types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type()),
-	)
-	sig := types.NewSignatureType(nil, nil, nil,
-		types.NewTuple(types.NewVar(token.NoPos, nil, "", byteSlice)), results, false)
-	m := types.NewFunc(token.NoPos, nil, "Write", sig)
-	return types.NewInterfaceType([]*types.Func{m}, nil).Complete()
-}()
-
 // streamFuncs are package functions that write a stream through one of
 // their arguments.
 var streamFuncs = map[string]map[string]bool{
 	"fmt":             {"Fprint": true, "Fprintf": true, "Fprintln": true},
 	"io":              {"WriteString": true, "Copy": true},
 	"encoding/binary": {"Write": true},
-}
-
-// streamMethods are method names that emit into an ordered stream when the
-// receiver implements io.Writer (covers bytes.Buffer, strings.Builder,
-// bufio.Writer, hash.Hash, wire.Writer...).
-var streamMethods = map[string]bool{
-	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -152,10 +131,8 @@ func checkMapRange(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeS
 				}
 				return true
 			}
-			if _, recvT, m, ok := astutil.MethodCall(pass.Info, v); ok && streamMethods[m] {
-				if implementsWriter(recvT) {
-					report(v.Pos(), "%s on an io.Writer inside range over map emits a stream in randomized map order; iterate sorted keys instead", m)
-				}
+			if _, recvT, m, ok := astutil.MethodCall(pass.Info, v); ok && astutil.StreamWrite(m, recvT) {
+				report(v.Pos(), "%s on an io.Writer inside range over map emits a stream in randomized map order; iterate sorted keys instead", m)
 			}
 		}
 		return true
@@ -190,13 +167,6 @@ func declaredInside(obj types.Object, rng *ast.RangeStmt) bool {
 	return obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()
 }
 
-// sortFuncs recognizes the blessed reordering calls.
-var sortFuncs = map[string]map[string]bool{
-	"sort": {"Strings": true, "Ints": true, "Float64s": true, "Slice": true,
-		"SliceStable": true, "Sort": true, "Stable": true},
-	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
-}
-
 // sortedAfter reports whether obj is passed to a sort call positioned after
 // the range loop inside funcBody.
 func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
@@ -209,8 +179,7 @@ func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		pkg, fn, ok := astutil.PkgFuncCall(pass.Info, call)
-		if !ok || !sortFuncs[pkg][fn] {
+		if !astutil.SortCall(pass.Info, call) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -224,19 +193,4 @@ func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 		return true
 	})
 	return found
-}
-
-func implementsWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if types.Implements(t, writerIface) {
-		return true
-	}
-	if _, ok := t.Underlying().(*types.Pointer); !ok {
-		if p := types.NewPointer(t); types.Implements(p, writerIface) {
-			return true
-		}
-	}
-	return false
 }

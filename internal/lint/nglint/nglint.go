@@ -33,9 +33,7 @@ import (
 	"bitcoinng/internal/lint/load"
 	"bitcoinng/internal/lint/locksafe"
 	"bitcoinng/internal/lint/maporder"
-	"bitcoinng/internal/lint/parity"
 	"bitcoinng/internal/lint/walltime"
-	"bitcoinng/internal/lint/wiresym"
 )
 
 // Analyzers is the per-package suite, in reporting order.
@@ -44,17 +42,15 @@ var Analyzers = []*analysis.Analyzer{
 	globalrand.Analyzer,
 	maporder.Analyzer,
 	locksafe.Analyzer,
-	wiresym.Analyzer,
 }
 
-// ModuleAnalyzers is the whole-module suite: interprocedural dataflow and
-// cross-package parity checks that need every package in one pass. They run
+// ModuleAnalyzers is the whole-module suite: interprocedural dataflow
+// checks that need every package in one pass. They run
 // after the per-package suite over the same load and share the //nglint:allow
 // convention — an allow on the reported line suppresses the finding no matter
 // which package the flow ends in.
 var ModuleAnalyzers = []*analysis.ModuleAnalyzer{
 	detflow.Analyzer,
-	parity.Analyzer,
 	errflow.Analyzer,
 }
 
@@ -168,51 +164,6 @@ func allowHygiene(allows []*allow) []Finding {
 		}
 	}
 	return out
-}
-
-// RunPackage applies the per-package suite to one loaded package, including
-// allow filtering. Module analyzers (detflow, parity, errflow) need the
-// whole load at once and only run through Run/RunModule.
-func RunPackage(l *load.Loader, pkg *load.Package) ([]Finding, error) {
-	type rawDiag struct {
-		analyzer string
-		d        analysis.Diagnostic
-	}
-	var diags []rawDiag
-	for _, a := range Analyzers {
-		pass := &analysis.Pass{
-			Analyzer: a,
-			Fset:     l.Fset(),
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			PkgPath:  pkg.Path,
-			Info:     pkg.Info,
-			Report: func(d analysis.Diagnostic) {
-				diags = append(diags, rawDiag{analyzer: a.Name, d: d})
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-		}
-	}
-
-	allows := collectAllows(l.Fset(), pkg)
-	var out []Finding
-	for _, rd := range diags {
-		pos := l.Fset().Position(rd.d.Pos)
-		if a := matchAllow(allows, rd.analyzer, pos); a != nil {
-			a.used = true
-			if a.reason != "" {
-				continue // justified: suppressed
-			}
-			// Empty reason: the allow is invalid, keep the finding (the
-			// empty-reason error is emitted below).
-		}
-		out = append(out, Finding{Pos: pos, Analyzer: rd.analyzer, Message: rd.d.Message})
-	}
-	out = append(out, allowHygiene(allows)...)
-	sortFindings(out)
-	return out, nil
 }
 
 type allow struct {

@@ -22,7 +22,7 @@ func runFixture(t *testing.T, name string) []nglint.Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := nglint.RunPackage(l, pkg)
+	fs, err := nglint.RunModule(l, []*load.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestDefectiveAllows(t *testing.T) {
 
 // TestSuiteIsComplete pins the advertised analyzer set.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"walltime", "globalrand", "maporder", "locksafe", "wiresym"}
-	wantModule := []string{"detflow", "parity", "errflow"}
+	want := []string{"walltime", "globalrand", "maporder", "locksafe"}
+	wantModule := []string{"detflow", "errflow"}
 	if len(nglint.Analyzers) != len(want) {
 		t.Fatalf("per-package suite has %d analyzers, want %d", len(nglint.Analyzers), len(want))
 	}

@@ -13,10 +13,10 @@ package walltime
 
 import (
 	"go/ast"
-	"strings"
 
 	"bitcoinng/internal/lint/analysis"
 	"bitcoinng/internal/lint/astutil"
+	"bitcoinng/internal/lint/detflow"
 )
 
 // banned is the set of time package functions that read or wait on the wall
@@ -34,46 +34,6 @@ var banned = map[string]bool{
 	"NewTimer":  true,
 }
 
-// DeterministicPrefixes lists the package subtrees whose results must be a
-// pure function of (config, seed). Wall-clock reads here are flagged as
-// determinism hazards; elsewhere (live harness, CLIs, examples) they are
-// still flagged, but as sites requiring an explicit justification, because
-// the whole repository shares one annotation discipline.
-var DeterministicPrefixes = []string{
-	"bitcoinng/internal/sim",
-	"bitcoinng/internal/simnet",
-	"bitcoinng/internal/chain",
-	"bitcoinng/internal/node",
-	"bitcoinng/internal/mining",
-	"bitcoinng/internal/mempool",
-	"bitcoinng/internal/load",
-	"bitcoinng/internal/experiment",
-	// The harness kernel assembles and restarts every simulated node; its
-	// transport-agnostic Boot also starts live ngnode, but reads no clock.
-	"bitcoinng/internal/harness",
-	"bitcoinng/internal/chaos",
-	"bitcoinng/internal/invariant",
-	"bitcoinng/internal/strategy",
-	"bitcoinng/internal/utxo",
-	"bitcoinng/internal/types",
-	"bitcoinng/internal/wire",
-	// Storage sits under the simulated nodes: a wall-clock read here (e.g.
-	// stamping arrival times at Append instead of persisting the caller's)
-	// would leak real time into replayed consensus state.
-	"bitcoinng/internal/store",
-	"bitcoinng/internal/blockstore",
-}
-
-// Deterministic reports whether pkgPath falls in the deterministic zone.
-func Deterministic(pkgPath string) bool {
-	for _, p := range DeterministicPrefixes {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // Analyzer is the walltime check.
 var Analyzer = &analysis.Analyzer{
 	Name: "walltime",
@@ -86,7 +46,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	det := Deterministic(pass.PkgPath)
+	// Inside detflow's deterministic zone a wall-clock read is a determinism
+	// hazard; elsewhere (live harness, CLIs, examples) it is still flagged,
+	// as a site that must carry a justification, because the whole
+	// repository shares one annotation discipline.
+	det := detflow.InZone(pass.PkgPath)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

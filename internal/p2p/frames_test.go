@@ -141,6 +141,77 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
+// TestFrameByteFlipsRoundTrip holds every codec to the decode-then-reencode
+// identity that block hashes, relays and the connect cache rely on: each
+// input decodes and re-encodes to itself, and so does every payload with one
+// byte changed (xor 0x01, 0x80 or 0xff) that decodes at all. A decoder that
+// reads fields in another order or width than its encoder writes them, or
+// accepts a non-canonical byte, fails here. The inputs are every golden
+// frame's message, a poison transaction (its evidence is in no frame) and
+// the handshake.
+func TestFrameByteFlipsRoundTrip(t *testing.T) {
+	type input struct {
+		name    string
+		payload []byte
+		// roundTrip decodes payload and returns its re-encoding.
+		roundTrip func([]byte) ([]byte, error)
+	}
+	message := func(name string, m node.Message) input {
+		typ := m.Type()
+		return input{name, wire.Encode(m), func(b []byte) ([]byte, error) {
+			out, err := decodeMessage(&wire.Envelope{Type: typ, Payload: b})
+			if err != nil {
+				return nil, err
+			}
+			return wire.Encode(out), nil
+		}}
+	}
+	var inputs []input
+	for _, tc := range frameFixture(t) {
+		inputs = append(inputs, message(tc.msg.Type().String(), tc.msg))
+	}
+
+	key, err := crypto.GenerateKey(sim.NewRand(6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := types.MicroBlockHeader{Prev: crypto.Hash{3}, TimeNanos: 8, TxRoot: crypto.Hash{10}}
+	pruned.Sign(key)
+	inputs = append(inputs, message("poison tx", &node.TxMsg{Tx: &types.Transaction{
+		Kind:     types.TxPoison,
+		Outputs:  []types.TxOutput{{Value: 1, To: crypto.Address{3}}},
+		Evidence: &types.PoisonEvidence{Culprit: crypto.Hash{13}, Pruned: pruned, Conflict: crypto.Hash{14}},
+	}}))
+
+	inputs = append(inputs, input{"version", wire.Encode(&versionPayload{Version: protocolVersion, NodeID: 7, Genesis: crypto.Hash{9}}),
+		func(b []byte) ([]byte, error) {
+			var v versionPayload
+			if err := wire.Decode(b, &v); err != nil {
+				return nil, err
+			}
+			return wire.Encode(&v), nil
+		}})
+
+next:
+	for _, in := range inputs {
+		if out, err := in.roundTrip(in.payload); err != nil || !bytes.Equal(out, in.payload) {
+			t.Errorf("%s: decode error %v, re-encoding %x, was %x", in.name, err, out, in.payload)
+			continue
+		}
+		flipped := make([]byte, len(in.payload))
+		for i := range in.payload {
+			for _, mask := range []byte{0x01, 0x80, 0xff} {
+				copy(flipped, in.payload)
+				flipped[i] ^= mask
+				if out, err := in.roundTrip(flipped); err == nil && !bytes.Equal(out, flipped) {
+					t.Errorf("%s: byte %d ^ %#x decodes but re-encodes differently\n got %x\nwant %x", in.name, i, mask, out, flipped)
+					continue next
+				}
+			}
+		}
+	}
+}
+
 // TestSizeDoesNotAllocate: the simulator charges Size() on every send, so
 // each message type counts its frame without allocating, blocks and
 // transactions from their memoized sizes.
