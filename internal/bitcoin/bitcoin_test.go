@@ -201,9 +201,11 @@ func TestRulesRejectWrongKind(t *testing.T) {
 	leader := c.keys[0]
 	kb := &types.KeyBlock{
 		Header: types.KeyBlockHeader{
-			Prev:      c.genesis.Hash(),
-			TimeNanos: 1,
-			Target:    crypto.EasiestTarget,
+			PowHeader: types.PowHeader{
+				Prev:      c.genesis.Hash(),
+				TimeNanos: 1,
+				Target:    crypto.EasiestTarget,
+			},
 			LeaderKey: leader.Public(),
 		},
 		Txs: []*types.Transaction{{
@@ -223,9 +225,9 @@ func TestRulesRejectWrongKind(t *testing.T) {
 func TestRulesRejectFutureTimestamp(t *testing.T) {
 	c := newCluster(t, 2, 6, testParams())
 	b := c.nodes[0].AssembleBlock()
-	b.Header.TimeNanos = c.loop.Now() + int64(MaxFutureSkew) + 1
+	b.Header.TimeNanos = c.loop.Now() + int64(chain.MaxFutureSkew) + 1
 	_, err := c.nodes[0].State.AddBlock(b, c.loop.Now())
-	if !errors.Is(err, ErrTimeTooNew) {
+	if !errors.Is(err, chain.ErrTimeTooNew) {
 		t.Errorf("future block err = %v", err)
 	}
 }
@@ -265,7 +267,7 @@ func TestRulesRejectWrongCoinbaseHeight(t *testing.T) {
 	b.Txs[0].Invalidate()
 	b.Header.MerkleRoot = crypto.MerkleRoot(types.TxIDs(b.Txs))
 	_, err := c.nodes[0].State.AddBlock(b, c.loop.Now())
-	if !errors.Is(err, ErrBadCoinbaseHt) {
+	if !errors.Is(err, chain.ErrBadCoinbaseHt) {
 		t.Errorf("wrong coinbase height err = %v", err)
 	}
 }
@@ -300,7 +302,7 @@ func TestLiveRejectsSimulatedPoW(t *testing.T) {
 		SimulatedPoW: true,
 	}
 	fake.Header.MerkleRoot = crypto.MerkleRoot(types.TxIDs(fake.Txs))
-	if _, err := live.State.AddBlock(fake, 1); !errors.Is(err, ErrSimulatedPoW) {
+	if _, err := live.State.AddBlock(fake, 1); !errors.Is(err, chain.ErrSimulatedPoW) {
 		t.Errorf("live node accepted simulated block: %v", err)
 	}
 }

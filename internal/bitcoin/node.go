@@ -6,7 +6,6 @@ import (
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
-	"bitcoinng/internal/mining"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/validate"
@@ -52,12 +51,11 @@ type Config struct {
 type Node struct {
 	*node.Base
 	cfg    Config
-	miner  *mining.Miner
 	filter SpendFilter
 }
 
-// New builds a Bitcoin node on env. Call Miner().SetRate and Start (or drive
-// MineBlock directly) to produce blocks.
+// New builds a Bitcoin node on env. It produces a block each time MineBlock
+// is called: by the harness's miner for this node, or directly by a test.
 func New(env node.Env, cfg Config) (*Node, error) {
 	if cfg.Key == nil {
 		return nil, fmt.Errorf("bitcoin: config needs a key")
@@ -77,16 +75,6 @@ func New(env node.Env, cfg Config) (*Node, error) {
 	}
 	return n, nil
 }
-
-// AttachMiner wires a simulated-mining scheduler that assembles and submits
-// a block each time it fires. The experiment harness sets the rate from the
-// node's share of mining power.
-func (n *Node) AttachMiner(m *mining.Miner) {
-	n.miner = m
-}
-
-// Miner returns the node's mining scheduler; nil until AttachMiner.
-func (n *Node) Miner() *mining.Miner { return n.miner }
 
 // MineBlock assembles a block on the current tip and submits it, returning
 // the block. It is the scheduler's onFind callback and is also called

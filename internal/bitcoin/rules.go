@@ -8,29 +8,16 @@ package bitcoin
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 )
 
-// MaxFutureSkew is how far a block timestamp may lead the local clock
-// (Bitcoin uses two hours).
-const MaxFutureSkew = 2 * time.Hour
-
-// MedianTimeWindow is the median-time-past window (Bitcoin uses 11).
-const MedianTimeWindow = 11
-
-// Rule violations.
+// Rule violations; the header rules' violations are chain's.
 var (
 	ErrWrongBlockKind  = errors.New("bitcoin: only pow blocks are valid")
-	ErrTimeTooNew      = errors.New("bitcoin: block timestamp too far in the future")
-	ErrTimeTooOld      = errors.New("bitcoin: block timestamp before median time past")
-	ErrWrongTarget     = errors.New("bitcoin: block target does not match schedule")
-	ErrSimulatedPoW    = errors.New("bitcoin: simulated proof of work not allowed live")
 	ErrBadCoinbaseAmt  = errors.New("bitcoin: coinbase exceeds subsidy plus fees")
-	ErrBadCoinbaseHt   = errors.New("bitcoin: coinbase height mismatch")
 	ErrPoisonInBitcoin = errors.New("bitcoin: poison transactions are not part of this protocol")
 )
 
@@ -54,29 +41,17 @@ func (r Rules) CheckBlock(st *chain.State, parent *chain.Node, b types.Block, no
 	if !ok {
 		return fmt.Errorf("%w: got %v", ErrWrongBlockKind, b.Kind())
 	}
-	if pb.SimulatedPoW && !r.AllowSimulatedPoW {
-		return ErrSimulatedPoW
-	}
-	if err := pb.CheckWellFormed(); err != nil {
-		return err
-	}
-	for i, tx := range pb.Txs {
-		if tx.Kind == types.TxPoison {
-			return fmt.Errorf("%w: tx %d", ErrPoisonInBitcoin, i)
+	return chain.CheckPowHeader(st, parent, pb, r.AllowSimulatedPoW, now, func() error {
+		if err := pb.CheckWellFormed(); err != nil {
+			return err
 		}
-	}
-	if pb.Header.TimeNanos > now+int64(MaxFutureSkew) {
-		return ErrTimeTooNew
-	}
-	if !pb.SimulatedPoW {
-		if pb.Header.TimeNanos <= chain.MedianTimePast(parent, MedianTimeWindow) {
-			return ErrTimeTooOld
+		for i, tx := range pb.Txs {
+			if tx.Kind == types.TxPoison {
+				return fmt.Errorf("%w: tx %d", ErrPoisonInBitcoin, i)
+			}
 		}
-		if want := chain.NextTarget(parent, st.Params()); pb.Header.Target != want {
-			return fmt.Errorf("%w: got %#x want %#x", ErrWrongTarget, uint32(pb.Header.Target), uint32(want))
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ConnectCheck implements chain.Protocol: the coinbase may claim at most the
@@ -86,10 +61,10 @@ func (r Rules) ConnectCheck(st *chain.State, n *chain.Node, fees []types.Amount)
 	for _, f := range fees {
 		total += f
 	}
-	coinbase := n.Block().Transactions()[0]
-	if coinbase.Height != n.KeyHeight {
-		return fmt.Errorf("%w: got %d want %d", ErrBadCoinbaseHt, coinbase.Height, n.KeyHeight)
+	if err := chain.CheckCoinbaseHeight(n); err != nil {
+		return err
 	}
+	coinbase := n.Block().Transactions()[0]
 	if max := st.Params().Subsidy + total; coinbase.OutputSum() > max {
 		return fmt.Errorf("%w: %d > %d", ErrBadCoinbaseAmt, coinbase.OutputSum(), max)
 	}

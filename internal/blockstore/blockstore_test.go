@@ -57,11 +57,13 @@ func makeChain(t testing.TB, n int) []types.Block {
 		}}
 		kb := &types.KeyBlock{
 			Header: types.KeyBlockHeader{
-				Prev:       prev,
-				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-				TimeNanos:  int64(i),
-				Target:     crypto.EasiestTarget,
-				LeaderKey:  key.Public(),
+				PowHeader: types.PowHeader{
+					Prev:       prev,
+					MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+					TimeNanos:  int64(i),
+					Target:     crypto.EasiestTarget,
+				},
+				LeaderKey: key.Public(),
 			},
 			Txs:          txs,
 			SimulatedPoW: true,

@@ -18,11 +18,10 @@ type openProtocol struct{}
 func (openProtocol) RulesID() string { return "test/open" }
 
 func (openProtocol) CheckBlock(st *State, parent *Node, b types.Block, now int64) error {
+	if pb, ok := types.CarriesPoW(b); ok {
+		return pb.CheckWellFormed()
+	}
 	switch blk := b.(type) {
-	case *types.PowBlock:
-		return blk.CheckWellFormed()
-	case *types.KeyBlock:
-		return blk.CheckWellFormed()
 	case *types.MicroBlock:
 		key, ok := parent.KeyAncestor.Block().(*types.KeyBlock)
 		if !ok {
@@ -117,11 +116,13 @@ func (f *fixture) keyBlock(prev crypto.Hash, leader *crypto.PrivateKey) *types.K
 	f.now += 1e9
 	return &types.KeyBlock{
 		Header: types.KeyBlockHeader{
-			Prev:       prev,
-			MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-			TimeNanos:  f.now,
-			Target:     crypto.EasiestTarget,
-			LeaderKey:  leader.Public(),
+			PowHeader: types.PowHeader{
+				Prev:       prev,
+				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+				TimeNanos:  f.now,
+				Target:     crypto.EasiestTarget,
+			},
+			LeaderKey: leader.Public(),
 		},
 		Txs:          txs,
 		SimulatedPoW: true,

@@ -14,8 +14,10 @@ import (
 func syntheticKeyNode(parent *Node, keyHeight uint64, at time.Duration, target crypto.CompactTarget) *Node {
 	n := DetachedNode(&types.KeyBlock{
 		Header: types.KeyBlockHeader{
-			TimeNanos: int64(at),
-			Target:    target,
+			PowHeader: types.PowHeader{
+				TimeNanos: int64(at),
+				Target:    target,
+			},
 		},
 		SimulatedPoW: true,
 	})

@@ -40,9 +40,11 @@ func FuzzNextTarget(f *testing.F) {
 			prevTarget := BlockTarget(parent.KeyAncestor.Block())
 			blk := &types.KeyBlock{
 				Header: types.KeyBlockHeader{
-					Prev:      parent.Hash(),
-					TimeNanos: ts,
-					Target:    target,
+					PowHeader: types.PowHeader{
+						Prev:      parent.Hash(),
+						TimeNanos: ts,
+						Target:    target,
+					},
 				},
 				SimulatedPoW: true,
 			}

@@ -159,11 +159,13 @@ func TestWeightMonotoneAlongChain(t *testing.T) {
 			}}
 			kb := &types.KeyBlock{
 				Header: types.KeyBlockHeader{
-					Prev:       parent.Hash(),
-					MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-					TimeNanos:  int64(height) * 1e9,
-					Target:     crypto.EasiestTarget,
-					LeaderKey:  key.Public(),
+					PowHeader: types.PowHeader{
+						Prev:       parent.Hash(),
+						MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+						TimeNanos:  int64(height) * 1e9,
+						Target:     crypto.EasiestTarget,
+					},
+					LeaderKey: key.Public(),
 				},
 				Txs:          txs,
 				SimulatedPoW: true,

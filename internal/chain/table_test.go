@@ -168,6 +168,7 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 // count pins the Node to its 192-byte size class; a per-store map would
 // grow on top.
 func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
 	f := newFixture(t, false)
 	leader := f.key
 	tab := blockstore.NewTable()

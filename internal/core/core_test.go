@@ -303,13 +303,53 @@ func TestMicroblockRateLimit(t *testing.T) {
 		Header: types.MicroBlockHeader{
 			Prev:      tip.Hash(),
 			TxRoot:    crypto.MerkleRoot(nil),
-			TimeNanos: c.loop.Now() + int64(MaxFutureSkew) + 1,
+			TimeNanos: c.loop.Now() + int64(chain.MaxFutureSkew) + 1,
 		},
 	}
 	mb2.Header.Sign(c.keys[0])
 	_, err = a.State.AddBlock(mb2, c.loop.Now())
-	if !errors.Is(err, ErrTimeTooNew) {
+	if !errors.Is(err, chain.ErrTimeTooNew) {
 		t.Errorf("future microblock err = %v", err)
+	}
+}
+
+// TestMicroblockSizeBoundary: a microblock of exactly MaxBlockSize bytes is
+// valid, and one a byte larger is refused.
+func TestMicroblockSizeBoundary(t *testing.T) {
+	// micro spends the first genesis payout in a transaction padded by
+	// padding bytes; its size depends on nothing else.
+	micro := func(c *ngCluster, prev crypto.Hash, padding int) *types.MicroBlock {
+		tx := &types.Transaction{
+			Kind:    types.TxRegular,
+			Inputs:  []types.TxInput{{Prev: types.OutPoint{TxID: c.genesis.Txs[0].ID()}}},
+			Outputs: []types.TxOutput{{Value: 9_000, To: crypto.Address{1}}},
+			Padding: make([]byte, padding),
+		}
+		tx.SignInput(0, c.keys[0])
+		txs := []*types.Transaction{tx}
+		mb := &types.MicroBlock{
+			Header: types.MicroBlockHeader{Prev: prev, TxRoot: crypto.MerkleRoot(types.TxIDs(txs)), TimeNanos: c.loop.Now()},
+			Txs:    txs,
+		}
+		mb.Header.Sign(c.keys[0])
+		return mb
+	}
+	params := ngParams()
+	params.MaxBlockSize = micro(newNGCluster(t, 2, 21, params), crypto.Hash{}, 100).WireSize()
+	c := newNGCluster(t, 2, 21, params)
+	a := c.nodes[0]
+	a.MineKeyBlock()
+	c.loop.RunFor(time.Second)
+	tip := a.State.Tip()
+	if err := (Rules{}).CheckBlock(a.State, tip, micro(c, tip.Hash(), 100), c.loop.Now()); err != nil {
+		t.Errorf("microblock of exactly MaxBlockSize (%d) bytes: %v", params.MaxBlockSize, err)
+	}
+	big := micro(c, tip.Hash(), 101)
+	if big.WireSize() != params.MaxBlockSize+1 {
+		t.Fatalf("padded microblock is %d bytes, want %d", big.WireSize(), params.MaxBlockSize+1)
+	}
+	if err := (Rules{}).CheckBlock(a.State, tip, big, c.loop.Now()); !errors.Is(err, ErrMicroTooBig) {
+		t.Errorf("microblock one byte over MaxBlockSize: err = %v, want ErrMicroTooBig", err)
 	}
 }
 
@@ -607,7 +647,7 @@ func TestKeyBlockMedianTimePastBoundary(t *testing.T) {
 		c.loop.RunFor(10 * time.Second)
 	}
 	parent := a.State.Tip()
-	mtp := chain.MedianTimePast(parent, MedianTimeWindow)
+	mtp := chain.MedianTimePast(parent, chain.MedianTimeWindow)
 	if mtp >= parent.KeyAncestor.Time() {
 		t.Fatalf("median time past %d not behind the last key block %d", mtp, parent.KeyAncestor.Time())
 	}
@@ -620,8 +660,8 @@ func TestKeyBlockMedianTimePastBoundary(t *testing.T) {
 	if at(0).Header.Target != crypto.EasiestTarget {
 		t.Fatal("test needs the easiest target")
 	}
-	if err := (Rules{}).CheckBlock(a.State, parent, at(mtp), c.loop.Now()); !errors.Is(err, ErrTimeTooOld) {
-		t.Errorf("key block at median time past: err = %v, want ErrTimeTooOld", err)
+	if err := (Rules{}).CheckBlock(a.State, parent, at(mtp), c.loop.Now()); !errors.Is(err, chain.ErrTimeTooOld) {
+		t.Errorf("key block at median time past: err = %v, want chain.ErrTimeTooOld", err)
 	}
 	if err := (Rules{}).CheckBlock(a.State, parent, at(mtp+1), c.loop.Now()); err != nil {
 		t.Errorf("key block one nanosecond past the median: err = %v", err)

@@ -7,7 +7,6 @@ import (
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
-	"bitcoinng/internal/mining"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
@@ -62,7 +61,6 @@ type Config struct {
 type Node struct {
 	*node.Base
 	cfg    Config
-	miner  *mining.Miner
 	strat  strategy.Strategy
 	filter bitcoin.SpendFilter
 
@@ -123,12 +121,6 @@ func (n *Node) SetStrategy(s strategy.Strategy) {
 	}
 	n.strat = s
 }
-
-// AttachMiner wires the key-block scheduler.
-func (n *Node) AttachMiner(m *mining.Miner) { n.miner = m }
-
-// Miner returns the key-block scheduler; nil until AttachMiner.
-func (n *Node) Miner() *mining.Miner { return n.miner }
 
 // MicroblocksMined returns how many microblocks this node has produced.
 func (n *Node) MicroblocksMined() uint64 { return n.microMined }
@@ -226,11 +218,13 @@ func (n *Node) AssembleKeyBlockOn(parent *chain.Node) *types.KeyBlock {
 	target := chain.NextTarget(parent, params)
 	return &types.KeyBlock{
 		Header: types.KeyBlockHeader{
-			Prev:       parent.Hash(),
-			MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-			TimeNanos:  n.Env.Now(),
-			Target:     target,
-			LeaderKey:  n.cfg.Key.Public(),
+			PowHeader: types.PowHeader{
+				Prev:       parent.Hash(),
+				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+				TimeNanos:  n.Env.Now(),
+				Target:     target,
+			},
+			LeaderKey: n.cfg.Key.Public(),
 		},
 		Txs:          txs,
 		SimulatedPoW: n.cfg.SimulatedMining,

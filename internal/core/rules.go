@@ -16,24 +16,13 @@ import (
 	"bitcoinng/internal/types"
 )
 
-// MaxFutureSkew is how far a key block or microblock timestamp may lead the
-// local clock.
-const MaxFutureSkew = 2 * time.Hour
-
-// MedianTimeWindow is the median-time-past window over key blocks.
-const MedianTimeWindow = 11
-
-// Rule violations.
+// Rule violations; a key block's header rules are chain's, and so are their
+// violations.
 var (
 	ErrWrongBlockKind = errors.New("core: pow blocks are not part of bitcoin-ng")
-	ErrTimeTooNew     = errors.New("core: block timestamp too far in the future")
-	ErrTimeTooOld     = errors.New("core: key block timestamp before median time past")
-	ErrWrongTarget    = errors.New("core: key block target does not match schedule")
-	ErrSimulatedPoW   = errors.New("core: simulated proof of work not allowed live")
 	ErrNoEpoch        = errors.New("core: microblock without a key-block epoch")
 	ErrMicroTooSoon   = errors.New("core: microblock violates minimum interval")
 	ErrMicroTooBig    = errors.New("core: microblock exceeds maximum size")
-	ErrBadCoinbaseHt  = errors.New("core: coinbase height mismatch")
 	ErrBadCoinbaseAmt = errors.New("core: coinbase exceeds subsidy plus epoch fees")
 	ErrFeeSplitShort  = errors.New("core: previous leader paid less than the fee split")
 	ErrBadEvidence    = errors.New("core: poison evidence does not prove a fork")
@@ -59,33 +48,12 @@ func (r Rules) RulesID() string {
 func (r Rules) CheckBlock(st *chain.State, parent *chain.Node, b types.Block, now int64) error {
 	switch blk := b.(type) {
 	case *types.KeyBlock:
-		return r.checkKeyBlock(st, parent, blk, now)
+		return chain.CheckPowHeader(st, parent, blk, r.AllowSimulatedPoW, now, blk.CheckWellFormed)
 	case *types.MicroBlock:
 		return r.checkMicroBlock(st, parent, blk, now)
 	default:
 		return fmt.Errorf("%w: got %v", ErrWrongBlockKind, b.Kind())
 	}
-}
-
-func (r Rules) checkKeyBlock(st *chain.State, parent *chain.Node, b *types.KeyBlock, now int64) error {
-	if b.SimulatedPoW && !r.AllowSimulatedPoW {
-		return ErrSimulatedPoW
-	}
-	if err := b.CheckWellFormed(); err != nil {
-		return err
-	}
-	if b.Header.TimeNanos > now+int64(MaxFutureSkew) {
-		return ErrTimeTooNew
-	}
-	if !b.SimulatedPoW {
-		if b.Header.TimeNanos <= chain.MedianTimePast(parent, MedianTimeWindow) {
-			return ErrTimeTooOld
-		}
-		if want := chain.NextTarget(parent, st.Params()); b.Header.Target != want {
-			return fmt.Errorf("%w: got %#x want %#x", ErrWrongTarget, uint32(b.Header.Target), uint32(want))
-		}
-	}
-	return nil
 }
 
 func (r Rules) checkMicroBlock(st *chain.State, parent *chain.Node, b *types.MicroBlock, now int64) error {
@@ -106,8 +74,8 @@ func (r Rules) checkMicroBlock(st *chain.State, parent *chain.Node, b *types.Mic
 	// difference with its predecessor's timestamp is smaller than the
 	// minimum, then the microblock is invalid" — the rate cap that stops a
 	// leader from swamping the system.
-	if b.Header.TimeNanos > now+int64(MaxFutureSkew) {
-		return ErrTimeTooNew
+	if b.Header.TimeNanos > now+int64(chain.MaxFutureSkew) {
+		return chain.ErrTimeTooNew
 	}
 	if gap := b.Header.TimeNanos - parent.Block().Time(); gap < int64(st.Params().MinMicroblockInterval) {
 		return fmt.Errorf("%w: gap %v < %v", ErrMicroTooSoon,
@@ -125,10 +93,10 @@ func (r Rules) ConnectCheck(st *chain.State, n *chain.Node, fees []types.Amount)
 		return nil // microblock fees are recorded by the chain layer
 	}
 	params := st.Params()
-	coinbase := n.Block().Transactions()[0]
-	if coinbase.Height != n.KeyHeight {
-		return fmt.Errorf("%w: got %d want %d", ErrBadCoinbaseHt, coinbase.Height, n.KeyHeight)
+	if err := chain.CheckCoinbaseHeight(n); err != nil {
+		return err
 	}
+	coinbase := n.Block().Transactions()[0]
 	epochFees := st.EpochFeesAt(n.Parent)
 	if max := params.Subsidy + epochFees; coinbase.OutputSum() > max {
 		return fmt.Errorf("%w: %d > %d", ErrBadCoinbaseAmt, coinbase.OutputSum(), max)

@@ -7,15 +7,27 @@ import (
 	"bitcoinng/internal/types"
 )
 
-func TestWorkloadConstruction(t *testing.T) {
-	w, err := NewWorkload(1, 100, 476)
+// finiteWorkload builds a workload of count transactions of txSize bytes
+// and materializes them all.
+func finiteWorkload(t *testing.T, seed int64, count, txSize int) (*Workload, []*types.Transaction) {
+	t.Helper()
+	w, err := NewStreamWorkload(seed, txSize, 0, int64(count))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Txs) != 100 {
-		t.Fatalf("txs = %d", len(w.Txs))
+	txs := make([]*types.Transaction, count)
+	for i := range txs {
+		txs[i] = w.Stream().Tx(int64(i))
 	}
-	for i, tx := range w.Txs {
+	return w, txs
+}
+
+func TestWorkloadConstruction(t *testing.T) {
+	w, txs := finiteWorkload(t, 1, 100, 476)
+	if w.Stream().Tx(100) != nil {
+		t.Fatal("the stream runs past its 100 transactions")
+	}
+	for i, tx := range txs {
 		if tx.WireSize() != 476 {
 			t.Fatalf("tx %d size %d, want 476", i, tx.WireSize())
 		}
@@ -24,11 +36,8 @@ func TestWorkloadConstruction(t *testing.T) {
 		}
 	}
 	// Deterministic: same seed, same IDs.
-	w2, err := NewWorkload(1, 100, 476)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Txs[42].ID() != w2.Txs[42].ID() {
+	w2, txs2 := finiteWorkload(t, 1, 100, 476)
+	if txs[42].ID() != txs2[42].ID() {
 		t.Error("workload not deterministic")
 	}
 	if w.Genesis.Hash() != w2.Genesis.Hash() {
@@ -37,40 +46,37 @@ func TestWorkloadConstruction(t *testing.T) {
 }
 
 func TestWorkloadViewPoolSemantics(t *testing.T) {
-	w, err := NewWorkload(2, 10, 476)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, txs := finiteWorkload(t, 2, 10, 476)
 	v := w.NewView()
 	if v.Len() != 10 {
 		t.Fatalf("len = %d", v.Len())
 	}
 	// Selection respects the budget and order.
 	sel := v.Select(3 * 476)
-	if len(sel) != 3 || sel[0] != w.Txs[0] {
+	if len(sel) != 3 || sel[0] != txs[0] {
 		t.Fatalf("select = %d txs", len(sel))
 	}
 	// Confirm the first two; selection moves on.
-	v.RemoveConfirmed(w.Txs[:2])
+	v.RemoveConfirmed(txs[:2])
 	if v.Len() != 8 {
 		t.Fatalf("len after confirm = %d", v.Len())
 	}
 	sel = v.Select(476)
-	if len(sel) != 1 || sel[0] != w.Txs[2] {
+	if len(sel) != 1 || sel[0] != txs[2] {
 		t.Fatal("selection did not skip confirmed prefix")
 	}
 	// Double-confirm is idempotent.
-	v.RemoveConfirmed(w.Txs[:2])
+	v.RemoveConfirmed(txs[:2])
 	if v.Len() != 8 {
 		t.Error("double confirm changed length")
 	}
 	// Reorg reinserts.
-	v.Reinsert(w.Txs[:1])
+	v.Reinsert(txs[:1])
 	if v.Len() != 9 {
 		t.Fatalf("len after reinsert = %d", v.Len())
 	}
 	sel = v.Select(476)
-	if len(sel) != 1 || sel[0] != w.Txs[0] {
+	if len(sel) != 1 || sel[0] != txs[0] {
 		t.Error("reinserted tx not selectable")
 	}
 	// Foreign transactions are ignored, additions rejected.

@@ -18,33 +18,12 @@ import (
 // Workload is the shared artificial transaction source. It is backed by a
 // streaming lane-chained generator (internal/load): transactions are signed
 // in batches on demand rather than all up front, so a run's offered load is
-// no longer bounded by setup time or RAM. NewWorkload retains the classic
-// eager shape (all transactions materialized in Txs) for finite runs and
-// benchmarks; NewStreamWorkload leaves materialization to the views.
+// no longer bounded by setup time or RAM; the views materialize them.
 type Workload struct {
 	Genesis *types.PowBlock
-	// Txs is the eagerly materialized transaction list of a finite
-	// NewWorkload; streaming workloads leave it nil and materialize lazily.
-	Txs    []*types.Transaction
-	TxSize int
+	TxSize  int
 
 	stream *load.Stream
-}
-
-// NewWorkload builds count transactions of exactly txSize bytes each (where
-// txSize permits), chained per lane from genesis endowments owned by a
-// workload key derived from seed. The genesis block funds them and is
-// shared by every node.
-func NewWorkload(seed int64, count, txSize int) (*Workload, error) {
-	w, err := NewStreamWorkload(seed, txSize, 0, int64(count))
-	if err != nil {
-		return nil, err
-	}
-	w.Txs = make([]*types.Transaction, count)
-	for i := range w.Txs {
-		w.Txs[i] = w.stream.Tx(int64(i))
-	}
-	return w, nil
 }
 
 // NewStreamWorkload builds a lazily materialized workload: lanes spend

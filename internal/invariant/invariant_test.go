@@ -83,11 +83,13 @@ func (f *fixture) keyBlock(prev crypto.Hash, leader *crypto.PrivateKey, outputs 
 	f.now += int64(time.Second)
 	return &types.KeyBlock{
 		Header: types.KeyBlockHeader{
-			Prev:       prev,
-			MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-			TimeNanos:  f.now,
-			Target:     crypto.EasiestTarget,
-			LeaderKey:  leader.Public(),
+			PowHeader: types.PowHeader{
+				Prev:       prev,
+				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+				TimeNanos:  f.now,
+				Target:     crypto.EasiestTarget,
+			},
+			LeaderKey: leader.Public(),
 		},
 		Txs:          txs,
 		SimulatedPoW: true,

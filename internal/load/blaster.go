@@ -205,14 +205,6 @@ func (r *Report) ConfirmedPerSec() float64 {
 	return float64(r.Confirmed) / r.Duration.Seconds()
 }
 
-// OfferedPerSec is the offered load over the measured interval.
-func (r *Report) OfferedPerSec() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Offered) / r.Duration.Seconds()
-}
-
 // Fprint renders the report; everything printed is a deterministic function
 // of the simulation, so CI can diff it byte for byte.
 func (r *Report) Fprint(w io.Writer) {

@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"bitcoinng/internal/stats"
 )
 
 // DefaultExponent is the paper's fitted rank exponent: the weekly mining
@@ -95,28 +97,8 @@ func RankPercentiles(samples []WeeklySample, ranks int, ps []float64) [][]float6
 		}
 		sort.Float64s(column)
 		for i, p := range ps {
-			out[i][k] = percentileSorted(column, p)
+			out[i][k] = stats.PercentileSorted(column, p)
 		}
 	}
 	return out
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	pos := p * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

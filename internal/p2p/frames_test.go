@@ -41,7 +41,7 @@ func frameFixture(t testing.TB) []frameCase {
 	tx.SignInput(0, key)
 	coinbase := &types.Transaction{Kind: types.TxCoinbase, Height: 2, Outputs: []types.TxOutput{{Value: 50, To: crypto.Address{2}}}}
 	pb := &types.PowBlock{Header: types.PowHeader{Prev: crypto.Hash{1}, TimeNanos: 5, Target: crypto.EasiestTarget, Nonce: 9}, Txs: []*types.Transaction{coinbase, tx}, SimulatedPoW: true}
-	kb := &types.KeyBlock{Header: types.KeyBlockHeader{Prev: crypto.Hash{2}, TimeNanos: 6, Target: crypto.EasiestTarget, LeaderKey: key.Public()}, Txs: []*types.Transaction{coinbase}, SimulatedPoW: true}
+	kb := &types.KeyBlock{Header: types.KeyBlockHeader{PowHeader: types.PowHeader{Prev: crypto.Hash{2}, TimeNanos: 6, Target: crypto.EasiestTarget}, LeaderKey: key.Public()}, Txs: []*types.Transaction{coinbase}, SimulatedPoW: true}
 	mb := &types.MicroBlock{Header: types.MicroBlockHeader{Prev: crypto.Hash{3}, TimeNanos: 7}, Txs: []*types.Transaction{tx}}
 	mb.Header.TxRoot = crypto.MerkleRoot(types.TxIDs(mb.Txs))
 	mb.Header.Sign(key)

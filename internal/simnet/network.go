@@ -432,9 +432,6 @@ func (n *Network) SetNodeDown(id int, down bool) {
 	n.down[id] = down
 }
 
-// NodeDown reports whether id is currently marked crashed.
-func (n *Network) NodeDown(id int) bool { return n.down[id] }
-
 // PartitionAssignment expands explicit groups of node indices into the
 // per-node assignment SetPartition takes: listed nodes get group index+1,
 // everyone unlisted joins group 0. An out-of-range index is an error (left

@@ -437,11 +437,13 @@ func makeChain(t *testing.T, n int) []types.Block {
 		}}
 		kb := &types.KeyBlock{
 			Header: types.KeyBlockHeader{
-				Prev:       prev,
-				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
-				TimeNanos:  int64(i),
-				Target:     crypto.EasiestTarget,
-				LeaderKey:  key.Public(),
+				PowHeader: types.PowHeader{
+					Prev:       prev,
+					MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+					TimeNanos:  int64(i),
+					Target:     crypto.EasiestTarget,
+				},
+				LeaderKey: key.Public(),
 			},
 			Txs:          txs,
 			SimulatedPoW: true,

@@ -23,7 +23,7 @@ func (v fakeView) Leading() bool    { return v.leading }
 // Parent, KeyAncestor, KeyHeight, Weight, and the block kind.
 func keyNode(parent *chain.Node, keyHeight uint64, weight int64) *chain.Node {
 	n := chain.DetachedNode(&types.KeyBlock{
-		Header:       types.KeyBlockHeader{TimeNanos: int64(keyHeight)*1e9 + weight},
+		Header:       types.KeyBlockHeader{PowHeader: types.PowHeader{TimeNanos: int64(keyHeight)*1e9 + weight}},
 		SimulatedPoW: true,
 	})
 	n.Parent = parent

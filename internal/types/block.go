@@ -65,34 +65,79 @@ var (
 	ErrBadSignature  = errors.New("types: microblock signature invalid")
 )
 
-// wfVerdict is an atomically published well-formedness verdict. Block caches
-// are atomic because the sharded event loop lets several shard goroutines
-// validate the same shared block object concurrently: every verdict is a pure
-// function of the immutable block, so racing fills compute equal values and
-// either store wins.
-type wfVerdict struct {
-	err error
+// memo is what a block object learns about itself, embedded in all three
+// block types. Its fields are atomic because the sharded event loop lets shard
+// goroutines validate one shared block object concurrently: every value is a
+// pure function of the immutable block, so racing fills agree.
+type memo struct {
+	cachedHash atomic.Pointer[crypto.Hash]
+	cachedSize atomic.Int32
+	wf         atomic.Pointer[verdict]
+	rootOK     atomic.Bool
 }
 
-// microVerdict caches a microblock verdict together with the leader key it
-// was checked under.
-type microVerdict struct {
+// verdict is a well-formedness verdict together with the leader key a
+// microblock was checked under (zero for a block that carries proof of work).
+type verdict struct {
 	key crypto.PublicKey
 	err error
 }
 
-// rootMatches folds the transactions' IDs into their Merkle root and compares
-// it with the header's, memoizing a match in ok: stage-1 adoption and the
-// well-formedness check both need the fold, and whichever runs first pays for
-// it. A mismatch is not memoized; the block's wf verdict already records it.
-func rootMatches(ok *atomic.Bool, txs []*Transaction, root crypto.Hash) bool {
-	if ok.Load() {
+// blockMemo lets a PowCarrier reach its memo, sealing it to this package.
+func (m *memo) blockMemo() *memo { return m }
+
+// reset forgets everything memoized, for a block being decoded afresh.
+func (m *memo) reset() {
+	m.cachedHash.Store(nil)
+	m.cachedSize.Store(0)
+	m.wf.Store(nil)
+	m.rootOK.Store(false)
+}
+
+// hash returns the header's hash, computed once.
+func (m *memo) hash(header wire.Encoder) crypto.Hash {
+	if p := m.cachedHash.Load(); p != nil {
+		return *p
+	}
+	h := hashOf(header)
+	m.cachedHash.Store(&h)
+	return h
+}
+
+// wireSize returns the block's size, counted once by count: the method value
+// encodedSize, which calls EncodeWire directly. Through an interface, or a
+// closure inlined into a caller, the counting writer may escape.
+func (m *memo) wireSize(count func() int) int {
+	if s := m.cachedSize.Load(); s != 0 {
+		return int(s)
+	}
+	s := count()
+	m.cachedSize.Store(int32(s))
+	return s
+}
+
+// judge returns the verdict recorded under key, or records check's. Simulated
+// nodes share block objects, so a check runs once per network, not per node.
+func (m *memo) judge(key crypto.PublicKey, check func() error) error {
+	if v := m.wf.Load(); v != nil && v.key == key {
+		return v.err
+	}
+	err := check()
+	m.wf.Store(&verdict{key: key, err: err})
+	return err
+}
+
+// rootMatches reports whether the transactions fold to root, memoizing a
+// match: stage-1 adoption and the well-formedness check both need the fold,
+// and whichever runs first pays. A mismatch is left to the block's verdict.
+func (m *memo) rootMatches(txs []*Transaction, root crypto.Hash) bool {
+	if m.rootOK.Load() {
 		return true
 	}
 	if txRoot(txs) != root {
 		return false
 	}
-	ok.Store(true)
+	m.rootOK.Store(true)
 	return true
 }
 
@@ -114,25 +159,43 @@ func txRoot(txs []*Transaction) crypto.Hash {
 	return root
 }
 
-// checkTxSet validates the transaction list shared by PoW and key blocks:
-// first transaction is the coinbase, no other coinbases, all well-formed,
-// and the Merkle root matches.
-func checkTxSet(txs []*Transaction, root crypto.Hash, rootOK *atomic.Bool) error {
-	if len(txs) == 0 || txs[0].Kind != TxCoinbase {
+// checkTxs validates a transaction list: each well-formed, a coinbase first
+// where one is required and nowhere else, and the Merkle root matching.
+func (m *memo) checkTxs(txs []*Transaction, root crypto.Hash, coinbaseFirst bool) error {
+	if coinbaseFirst && (len(txs) == 0 || txs[0].Kind != TxCoinbase) {
 		return ErrNoCoinbase
 	}
 	for i, tx := range txs {
-		if i > 0 && tx.Kind == TxCoinbase {
+		if tx.Kind == TxCoinbase && (i > 0 || !coinbaseFirst) {
 			return fmt.Errorf("%w: position %d", ErrExtraCoinbase, i)
 		}
 		if err := tx.CheckWellFormed(); err != nil {
 			return fmt.Errorf("tx %d: %w", i, err)
 		}
 	}
-	if !rootMatches(rootOK, txs, root) {
+	if !m.rootMatches(txs, root) {
 		return ErrBadMerkleRoot
 	}
 	return nil
+}
+
+// checkPoW is the well-formedness check of a PowCarrier: a live block's hash
+// meets its target, and its transactions are coinbase-first under its root.
+func (m *memo) checkPoW(b PowCarrier) error {
+	return m.judge(crypto.PublicKey{}, func() error {
+		h, simulated := b.PoW()
+		if !simulated && !crypto.CheckProofOfWork(b.Hash(), h.Target) {
+			return ErrBadPoW
+		}
+		return m.checkTxs(b.Transactions(), h.MerkleRoot, true)
+	})
+}
+
+// hashOf returns the double-SHA256 of e's encoding, built in pooled scratch.
+func hashOf(e wire.Encoder) crypto.Hash {
+	w := getScratch()
+	e.EncodeWire(w)
+	return sumScratch(w)
 }
 
 func encodeTxs(w *wire.Writer, txs []*Transaction) {
@@ -153,6 +216,30 @@ func decodeTxs(r *wire.Reader) []*Transaction {
 		txs[i].DecodeWire(r)
 	}
 	return txs
+}
+
+// PowCarrier is a block that carries proof of work: a PowBlock or a KeyBlock.
+type PowCarrier interface {
+	Block
+	// PoW returns the Bitcoin header and whether its proof is simulated.
+	PoW() (header *PowHeader, simulated bool)
+	// CheckWellFormed validates the block against its own header (see
+	// checkPoW); the verdict is cached.
+	CheckWellFormed() error
+	blockMemo() *memo
+}
+
+// CarriesPoW reports whether b carries proof of work, returning it as a
+// PowCarrier if so. It switches over concrete types: an assertion to an
+// interface would now and then allocate the runtime's type-assertion cache.
+func CarriesPoW(b Block) (PowCarrier, bool) {
+	switch blk := b.(type) {
+	case *PowBlock:
+		return blk, true
+	case *KeyBlock:
+		return blk, true
+	}
+	return nil, false
 }
 
 // PowHeader is a Bitcoin block header (§3: previous-block reference, Merkle
@@ -184,11 +271,7 @@ func (h *PowHeader) DecodeWire(r *wire.Reader) {
 }
 
 // Hash returns the double-SHA256 of the serialized header.
-func (h *PowHeader) Hash() crypto.Hash {
-	w := getScratch()
-	h.EncodeWire(w)
-	return sumScratch(w)
-}
+func (h *PowHeader) Hash() crypto.Hash { return hashOf(h) }
 
 // PowBlock is a full Bitcoin block.
 type PowBlock struct {
@@ -203,10 +286,7 @@ type PowBlock struct {
 	// both identically otherwise.
 	SimulatedPoW bool
 
-	cachedHash atomic.Pointer[crypto.Hash]
-	cachedSize atomic.Int32
-	wf         atomic.Pointer[wfVerdict]
-	rootOK     atomic.Bool
+	memo
 }
 
 // EncodeWire implements wire.Encoder.
@@ -221,99 +301,44 @@ func (b *PowBlock) DecodeWire(r *wire.Reader) {
 	b.Header.DecodeWire(r)
 	b.SimulatedPoW = r.Bool()
 	b.Txs = decodeTxs(r)
-	b.cachedHash.Store(nil)
-	b.cachedSize.Store(0)
-	b.wf.Store(nil)
-	b.rootOK.Store(false)
+	b.reset()
 }
 
-// Hash implements Block; the result is cached.
-func (b *PowBlock) Hash() crypto.Hash {
-	if p := b.cachedHash.Load(); p != nil {
-		return *p
-	}
-	h := b.Header.Hash()
-	b.cachedHash.Store(&h)
-	return h
-}
-
-// PrevHash implements Block.
-func (b *PowBlock) PrevHash() crypto.Hash { return b.Header.Prev }
-
-// Kind implements Block.
-func (b *PowBlock) Kind() BlockKind { return KindPow }
-
-// Time implements Block.
-func (b *PowBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Transactions implements Block.
+// Block, with Hash and WireSize cached in the memo.
+func (b *PowBlock) Hash() crypto.Hash            { return b.hash(&b.Header) }
+func (b *PowBlock) PrevHash() crypto.Hash        { return b.Header.Prev }
+func (b *PowBlock) Kind() BlockKind              { return KindPow }
+func (b *PowBlock) Time() int64                  { return b.Header.TimeNanos }
 func (b *PowBlock) Transactions() []*Transaction { return b.Txs }
+func (b *PowBlock) WireSize() int                { return b.wireSize(b.encodedSize) }
+func (b *PowBlock) encodedSize() int             { return wire.Size(b) }
 
-// WireSize implements Block; the result is cached.
-func (b *PowBlock) WireSize() int {
-	if s := b.cachedSize.Load(); s != 0 {
-		return int(s)
-	}
-	s := wire.Size(b)
-	b.cachedSize.Store(int32(s))
-	return s
-}
+// PowCarrier.
+func (b *PowBlock) PoW() (*PowHeader, bool) { return &b.Header, b.SimulatedPoW }
+func (b *PowBlock) CheckWellFormed() error  { return b.checkPoW(b) }
 
-// CheckWellFormed validates the block against its own header: transaction
-// set shape, Merkle root, and (for live blocks) proof of work. The verdict
-// is cached: simulated nodes share block objects, so the expensive checks
-// run once per network rather than once per node.
-func (b *PowBlock) CheckWellFormed() error {
-	if v := b.wf.Load(); v != nil {
-		return v.err
-	}
-	var err error
-	if !b.SimulatedPoW && !crypto.CheckProofOfWork(b.Hash(), b.Header.Target) {
-		err = ErrBadPoW
-	} else {
-		err = checkTxSet(b.Txs, b.Header.MerkleRoot, &b.rootOK)
-	}
-	b.wf.Store(&wfVerdict{err: err})
-	return err
-}
-
-// KeyBlockHeader is a Bitcoin-NG key block header (§4.1): like a Bitcoin
-// header plus the public key that signs the subsequent microblocks.
+// KeyBlockHeader is a Bitcoin-NG key block header (§4.1): a Bitcoin header
+// plus the public key that signs the subsequent microblocks.
 type KeyBlockHeader struct {
-	Prev       crypto.Hash
-	MerkleRoot crypto.Hash
-	TimeNanos  int64
-	Target     crypto.CompactTarget
-	Nonce      uint64
-	LeaderKey  crypto.PublicKey
+	PowHeader
+	LeaderKey crypto.PublicKey
 }
 
 // EncodeWire implements wire.Encoder.
 func (h *KeyBlockHeader) EncodeWire(w *wire.Writer) {
-	w.Bytes32(h.Prev)
-	w.Bytes32(h.MerkleRoot)
-	w.Int64(h.TimeNanos)
-	w.Uint32(uint32(h.Target))
-	w.Uint64(h.Nonce)
+	h.PowHeader.EncodeWire(w)
 	w.Raw(h.LeaderKey[:])
 }
 
 // DecodeWire implements wire.Decoder.
 func (h *KeyBlockHeader) DecodeWire(r *wire.Reader) {
-	h.Prev = r.Bytes32()
-	h.MerkleRoot = r.Bytes32()
-	h.TimeNanos = r.Int64()
-	h.Target = crypto.CompactTarget(r.Uint32())
-	h.Nonce = r.Uint64()
+	h.PowHeader.DecodeWire(r)
 	r.Raw(h.LeaderKey[:])
 }
 
-// Hash returns the double-SHA256 of the serialized header.
-func (h *KeyBlockHeader) Hash() crypto.Hash {
-	w := getScratch()
-	h.EncodeWire(w)
-	return sumScratch(w)
-}
+// Hash returns the double-SHA256 of the serialized header, leader key
+// included (the promoted PowHeader.Hash would leave it out).
+func (h *KeyBlockHeader) Hash() crypto.Hash { return hashOf(h) }
 
 // KeyBlock is a full Bitcoin-NG key block. Its transactions are the coinbase
 // (paying the previous epoch's fee split, §4.4) and any poison transactions.
@@ -322,10 +347,7 @@ type KeyBlock struct {
 	Txs          []*Transaction
 	SimulatedPoW bool
 
-	cachedHash atomic.Pointer[crypto.Hash]
-	cachedSize atomic.Int32
-	wf         atomic.Pointer[wfVerdict]
-	rootOK     atomic.Bool
+	memo
 }
 
 // EncodeWire implements wire.Encoder.
@@ -340,59 +362,21 @@ func (b *KeyBlock) DecodeWire(r *wire.Reader) {
 	b.Header.DecodeWire(r)
 	b.SimulatedPoW = r.Bool()
 	b.Txs = decodeTxs(r)
-	b.cachedHash.Store(nil)
-	b.cachedSize.Store(0)
-	b.wf.Store(nil)
-	b.rootOK.Store(false)
+	b.reset()
 }
 
-// Hash implements Block; the result is cached.
-func (b *KeyBlock) Hash() crypto.Hash {
-	if p := b.cachedHash.Load(); p != nil {
-		return *p
-	}
-	h := b.Header.Hash()
-	b.cachedHash.Store(&h)
-	return h
-}
-
-// PrevHash implements Block.
-func (b *KeyBlock) PrevHash() crypto.Hash { return b.Header.Prev }
-
-// Kind implements Block.
-func (b *KeyBlock) Kind() BlockKind { return KindKey }
-
-// Time implements Block.
-func (b *KeyBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Transactions implements Block.
+// Block, with Hash and WireSize cached in the memo.
+func (b *KeyBlock) Hash() crypto.Hash            { return b.hash(&b.Header) }
+func (b *KeyBlock) PrevHash() crypto.Hash        { return b.Header.Prev }
+func (b *KeyBlock) Kind() BlockKind              { return KindKey }
+func (b *KeyBlock) Time() int64                  { return b.Header.TimeNanos }
 func (b *KeyBlock) Transactions() []*Transaction { return b.Txs }
+func (b *KeyBlock) WireSize() int                { return b.wireSize(b.encodedSize) }
+func (b *KeyBlock) encodedSize() int             { return wire.Size(b) }
 
-// WireSize implements Block; the result is cached.
-func (b *KeyBlock) WireSize() int {
-	if s := b.cachedSize.Load(); s != 0 {
-		return int(s)
-	}
-	s := wire.Size(b)
-	b.cachedSize.Store(int32(s))
-	return s
-}
-
-// CheckWellFormed validates the key block against its own header. The
-// verdict is cached (see PowBlock.CheckWellFormed).
-func (b *KeyBlock) CheckWellFormed() error {
-	if v := b.wf.Load(); v != nil {
-		return v.err
-	}
-	var err error
-	if !b.SimulatedPoW && !crypto.CheckProofOfWork(b.Hash(), b.Header.Target) {
-		err = ErrBadPoW
-	} else {
-		err = checkTxSet(b.Txs, b.Header.MerkleRoot, &b.rootOK)
-	}
-	b.wf.Store(&wfVerdict{err: err})
-	return err
-}
+// PowCarrier.
+func (b *KeyBlock) PoW() (*PowHeader, bool) { return &b.Header.PowHeader, b.SimulatedPoW }
+func (b *KeyBlock) CheckWellFormed() error  { return b.checkPoW(b) }
 
 // MicroBlockHeader is a Bitcoin-NG microblock header (§4.2): predecessor
 // reference, time, hash of the ledger entries, and the leader's signature.
@@ -421,11 +405,7 @@ func (h *MicroBlockHeader) DecodeWire(r *wire.Reader) {
 
 // Hash returns the double-SHA256 of the serialized header (including the
 // signature, so the ID commits to it).
-func (h *MicroBlockHeader) Hash() crypto.Hash {
-	w := getScratch()
-	h.EncodeWire(w)
-	return sumScratch(w)
-}
+func (h *MicroBlockHeader) Hash() crypto.Hash { return hashOf(h) }
 
 // SigHash returns the digest the leader signs: the header serialized with
 // the signature, its last field, zeroed.
@@ -456,10 +436,7 @@ type MicroBlock struct {
 	Header MicroBlockHeader
 	Txs    []*Transaction
 
-	cachedHash atomic.Pointer[crypto.Hash]
-	cachedSize atomic.Int32
-	wf         atomic.Pointer[microVerdict]
-	rootOK     atomic.Bool
+	memo
 }
 
 // EncodeWire implements wire.Encoder.
@@ -472,89 +449,41 @@ func (b *MicroBlock) EncodeWire(w *wire.Writer) {
 func (b *MicroBlock) DecodeWire(r *wire.Reader) {
 	b.Header.DecodeWire(r)
 	b.Txs = decodeTxs(r)
-	b.cachedHash.Store(nil)
-	b.cachedSize.Store(0)
-	b.wf.Store(nil)
-	b.rootOK.Store(false)
+	b.reset()
 }
 
-// Hash implements Block; the result is cached.
-func (b *MicroBlock) Hash() crypto.Hash {
-	if p := b.cachedHash.Load(); p != nil {
-		return *p
-	}
-	h := b.Header.Hash()
-	b.cachedHash.Store(&h)
-	return h
-}
-
-// PrevHash implements Block.
-func (b *MicroBlock) PrevHash() crypto.Hash { return b.Header.Prev }
-
-// Kind implements Block.
-func (b *MicroBlock) Kind() BlockKind { return KindMicro }
-
-// Time implements Block.
-func (b *MicroBlock) Time() int64 { return b.Header.TimeNanos }
-
-// Transactions implements Block.
+// Block, with Hash and WireSize cached in the memo.
+func (b *MicroBlock) Hash() crypto.Hash            { return b.hash(&b.Header) }
+func (b *MicroBlock) PrevHash() crypto.Hash        { return b.Header.Prev }
+func (b *MicroBlock) Kind() BlockKind              { return KindMicro }
+func (b *MicroBlock) Time() int64                  { return b.Header.TimeNanos }
 func (b *MicroBlock) Transactions() []*Transaction { return b.Txs }
+func (b *MicroBlock) WireSize() int                { return b.wireSize(b.encodedSize) }
+func (b *MicroBlock) encodedSize() int             { return wire.Size(b) }
 
-// WireSize implements Block; the result is cached.
-func (b *MicroBlock) WireSize() int {
-	if s := b.cachedSize.Load(); s != 0 {
-		return int(s)
-	}
-	s := wire.Size(b)
-	b.cachedSize.Store(int32(s))
-	return s
-}
-
-// CheckWellFormed validates entries against the header's TxRoot and checks
-// the signature under leaderKey (the public key from the latest key block
-// on the microblock's chain, §4.2). Microblocks carry no coinbase. The
-// verdict is cached per leader key (see PowBlock.CheckWellFormed).
+// CheckWellFormed checks the signature under leaderKey (the public key of the
+// latest key block on the microblock's chain, §4.2) and the coinbase-free
+// entries against the header's TxRoot. The verdict is cached per leader key.
 func (b *MicroBlock) CheckWellFormed(leaderKey crypto.PublicKey) error {
-	if v := b.wf.Load(); v != nil && v.key == leaderKey {
-		return v.err
-	}
-	err := b.checkWellFormed(leaderKey)
-	b.wf.Store(&microVerdict{key: leaderKey, err: err})
-	return err
+	return b.judge(leaderKey, func() error {
+		if !b.Header.VerifySignature(leaderKey) {
+			return ErrBadSignature
+		}
+		return b.checkTxs(b.Txs, b.Header.TxRoot, false)
+	})
 }
 
-func (b *MicroBlock) checkWellFormed(leaderKey crypto.PublicKey) error {
-	if !b.Header.VerifySignature(leaderKey) {
-		return ErrBadSignature
+// stage1Memo returns a block's memo and its header's commitment to the
+// transactions; nil for a foreign Block implementation, which has no memo.
+func stage1Memo(b Block) (*memo, crypto.Hash) {
+	if pb, ok := CarriesPoW(b); ok {
+		h, _ := pb.PoW()
+		return pb.blockMemo(), h.MerkleRoot
 	}
-	for i, tx := range b.Txs {
-		if tx.Kind == TxCoinbase {
-			return fmt.Errorf("%w: position %d", ErrExtraCoinbase, i)
-		}
-		if err := tx.CheckWellFormed(); err != nil {
-			return fmt.Errorf("tx %d: %w", i, err)
-		}
+	if mb, ok := b.(*MicroBlock); ok {
+		return &mb.memo, mb.Header.TxRoot
 	}
-	if !rootMatches(&b.rootOK, b.Txs, b.Header.TxRoot) {
-		return ErrBadMerkleRoot
-	}
-	return nil
-}
-
-// stage1Memo returns the block-level stage-1 memos of a concrete block type:
-// whether a well-formedness verdict is recorded, the root-match memo, and the
-// header's commitment to the transaction list. rootOK is nil for a foreign
-// Block implementation, which carries no memos to adopt into.
-func stage1Memo(b Block) (judged bool, rootOK *atomic.Bool, root crypto.Hash) {
-	switch blk := b.(type) {
-	case *PowBlock:
-		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.MerkleRoot
-	case *KeyBlock:
-		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.MerkleRoot
-	case *MicroBlock:
-		return blk.wf.Load() != nil, &blk.rootOK, blk.Header.TxRoot
-	}
-	return false, nil, crypto.Hash{}
+	return nil, crypto.Hash{}
 }
 
 // Stage1Cold reports whether this block object has no stage-1 work recorded
@@ -564,8 +493,8 @@ func stage1Memo(b Block) (judged bool, rootOK *atomic.Bool, root crypto.Hash) {
 // and the cache probe in front of it, off every path that already holds a
 // memo.
 func Stage1Cold(b Block) bool {
-	judged, rootOK, _ := stage1Memo(b)
-	return rootOK != nil && !judged && !rootOK.Load()
+	m, _ := stage1Memo(b)
+	return m != nil && m.wf.Load() == nil && !m.rootOK.Load()
 }
 
 // AdoptSignatures marks every transaction of b signature-checked without
@@ -580,9 +509,9 @@ func Stage1Cold(b Block) bool {
 // or leader signature, and finds the fold memoized. A root mismatch adopts
 // nothing and leaves the rejection to CheckWellFormed.
 func AdoptSignatures(b Block) (adopted int, ok bool) {
-	_, rootOK, root := stage1Memo(b)
+	m, root := stage1Memo(b)
 	txs := b.Transactions()
-	if rootOK == nil || !rootMatches(rootOK, txs, root) {
+	if m == nil || !m.rootMatches(txs, root) {
 		return 0, false
 	}
 	for _, tx := range txs {

@@ -89,11 +89,13 @@ func TestKeyBlockRoundTripAndLeaderKey(t *testing.T) {
 	txs := []*Transaction{makeCoinbase(leader.Public().Addr(), 50, 2)}
 	kb := &KeyBlock{
 		Header: KeyBlockHeader{
-			Prev:       crypto.HashBytes([]byte("tip")),
-			MerkleRoot: crypto.MerkleRoot(TxIDs(txs)),
-			TimeNanos:  7e9,
-			Target:     crypto.EasiestTarget,
-			LeaderKey:  leader.Public(),
+			PowHeader: PowHeader{
+				Prev:       crypto.HashBytes([]byte("tip")),
+				MerkleRoot: crypto.MerkleRoot(TxIDs(txs)),
+				TimeNanos:  7e9,
+				Target:     crypto.EasiestTarget,
+			},
+			LeaderKey: leader.Public(),
 		},
 		Txs:          txs,
 		SimulatedPoW: true,
@@ -383,7 +385,7 @@ func TestAdoptSignaturesPowAndKeyBlocks(t *testing.T) {
 	root := crypto.MerkleRoot(TxIDs(txs))
 	blocks := []Block{
 		&PowBlock{Header: PowHeader{MerkleRoot: root, Target: crypto.EasiestTarget}, Txs: txs, SimulatedPoW: true},
-		&KeyBlock{Header: KeyBlockHeader{MerkleRoot: root, Target: crypto.EasiestTarget, LeaderKey: key.Public()}, Txs: txs, SimulatedPoW: true},
+		&KeyBlock{Header: KeyBlockHeader{PowHeader: PowHeader{MerkleRoot: root, Target: crypto.EasiestTarget}, LeaderKey: key.Public()}, Txs: txs, SimulatedPoW: true},
 	}
 	for _, b := range blocks {
 		c := decodedCopy(t, b)

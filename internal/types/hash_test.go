@@ -95,7 +95,7 @@ func TestDigestsMatchTheEncodings(t *testing.T) {
 			t.Fatalf("micro header %d: signature does not verify", i)
 		}
 		ph := PowHeader{Prev: mh.Hash(), MerkleRoot: tx.ID(), TimeNanos: rng.Int63(), Target: crypto.EasiestTarget, Nonce: rng.Uint64()}
-		kh := KeyBlockHeader{Prev: ph.Hash(), MerkleRoot: tx.ID(), TimeNanos: rng.Int63(), Nonce: rng.Uint64(), LeaderKey: key.Public()}
+		kh := KeyBlockHeader{PowHeader: PowHeader{Prev: ph.Hash(), MerkleRoot: tx.ID(), TimeNanos: rng.Int63(), Nonce: rng.Uint64()}, LeaderKey: key.Public()}
 		for name, h := range map[string]struct {
 			got crypto.Hash
 			enc wire.Encoder
@@ -163,7 +163,7 @@ func TestDigestsDoNotAllocate(t *testing.T) {
 	mb := &MicroBlock{Header: MicroBlockHeader{TimeNanos: 1}, Txs: txs}
 	mb.Header.Sign(key)
 	ph := PowHeader{TimeNanos: 2}
-	kh := KeyBlockHeader{TimeNanos: 3, LeaderKey: key.Public()}
+	kh := KeyBlockHeader{PowHeader: PowHeader{TimeNanos: 3}, LeaderKey: key.Public()}
 	for name, fn := range map[string]func(){
 		"Transaction.SigHash":      func() { tx.SigHash() },
 		"PowHeader.Hash":           func() { ph.Hash() },

@@ -32,7 +32,7 @@ func sizeFixtures(t testing.TB) map[string]wire.Encoder {
 		SimulatedPoW: true,
 	}
 	kb := &KeyBlock{
-		Header: KeyBlockHeader{Prev: crypto.Hash{6}, Target: crypto.EasiestTarget, LeaderKey: key.Public()},
+		Header: KeyBlockHeader{PowHeader: PowHeader{Prev: crypto.Hash{6}, Target: crypto.EasiestTarget}, LeaderKey: key.Public()},
 		Txs:    []*Transaction{coinbase, poison},
 	}
 	mb := &MicroBlock{Header: pruned, Txs: []*Transaction{regular, poison, regular}}

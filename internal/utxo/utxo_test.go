@@ -141,13 +141,44 @@ func TestWrongOwnerRejected(t *testing.T) {
 	}
 }
 
+// TestValueOverflowRejected pins the value rule at its boundary: outputs one
+// unit above the inputs are refused, and outputs equal to them connect with
+// fee 0.
 func TestValueOverflowRejected(t *testing.T) {
 	s := New()
 	key := testKey(t, 7)
-	ops := fund(t, s, key, 100)
-	tx := spendTx(key, ops[0], 200, crypto.Address{1}, 0)
+	ops := fund(t, s, key, 100, 100)
+	tx := spendTx(key, ops[0], 100, crypto.Address{1}, 1)
 	if _, _, err := s.ApplyBlock([]*types.Transaction{tx}, ctxAt(1)); !errors.Is(err, ErrValueOverflow) {
-		t.Errorf("err = %v, want ErrValueOverflow", err)
+		t.Errorf("outputs one unit over the inputs: err = %v, want ErrValueOverflow", err)
+	}
+	exact := spendTx(key, ops[1], 60, crypto.Address{1}, 40)
+	_, fees, err := s.ApplyBlock([]*types.Transaction{exact}, ctxAt(1))
+	if err != nil {
+		t.Fatalf("outputs equal to the inputs: %v", err)
+	}
+	if fees[0] != 0 {
+		t.Errorf("fee = %d, want 0", fees[0])
+	}
+}
+
+// TestDuplicateOutputRejected is the BIP30 inflation case: a coinbase whose
+// outputs are still unspent cannot be applied again, which would overwrite
+// them, and the refused block leaves the set as it was.
+func TestDuplicateOutputRejected(t *testing.T) {
+	s := New()
+	key := testKey(t, 10)
+	cb := &types.Transaction{Kind: types.TxCoinbase, Height: 1, Outputs: []types.TxOutput{{Value: 50, To: key.Public().Addr()}}}
+	if _, _, err := s.ApplyBlock([]*types.Transaction{cb}, ctxAt(1)); err != nil {
+		t.Fatal(err)
+	}
+	op := types.OutPoint{TxID: cb.ID()}
+	before, _ := s.Lookup(op)
+	if _, _, err := s.ApplyBlock([]*types.Transaction{cb}, ctxAt(2)); !errors.Is(err, ErrDuplicateOutput) {
+		t.Errorf("re-applied coinbase: err = %v, want ErrDuplicateOutput", err)
+	}
+	if after, ok := s.Lookup(op); s.Len() != 1 || !ok || after != before {
+		t.Errorf("refused block changed the set: %d entries, output %+v, was %+v", s.Len(), after, before)
 	}
 }
 

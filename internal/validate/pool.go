@@ -107,10 +107,7 @@ func (p *Pool) WarmBlock(b types.Block) {
 	// Warm the transactions first so the block-level verdict below reduces
 	// to Merkle hashing over already-verified objects.
 	p.WarmTransactions(b.Transactions())
-	switch blk := b.(type) {
-	case *types.PowBlock:
-		blk.CheckWellFormed()
-	case *types.KeyBlock:
-		blk.CheckWellFormed()
+	if pb, ok := types.CarriesPoW(b); ok {
+		pb.CheckWellFormed()
 	}
 }
