@@ -76,24 +76,22 @@ type ClusterConfig struct {
 	// BandwidthBPS overrides the network model's per-pair bandwidth; zero
 	// keeps the paper's 100 kbit/s.
 	BandwidthBPS float64
-	// StateDir, when set, gives every node a file-backed durable block
-	// archive at StateDir/node-<i>.blocks (each record a block with its
-	// arrival time), so Crash/Restart recover from real files (and a
-	// damaged file recovers its longest valid prefix). Unset, nodes persist
-	// to in-memory archives that survive simulated crashes only. Shorthand
-	// for StoreURL "file:<StateDir>"; StoreURL wins when both are set.
-	StateDir string
 	// StoreURL selects every node's storage backend — chain index AND UTXO
 	// ledger — via the internal/store locator syntax: "" or "mem:" for the
 	// RAM-bound fast path, "file:<dir>" for file backends rooted at dir,
-	// "file:" for a throwaway temporary root removed by Close.
+	// "file:" for a throwaway temporary root removed by Close. Under
+	// "file:<dir>" every node keeps a durable block archive at
+	// dir/node-<i>.blocks (each record a block with its arrival time), so
+	// Crash/Restart recover from real files (and a damaged file recovers its
+	// longest valid prefix); on "mem:" archives survive simulated crashes
+	// only.
 	StoreURL string
 }
 
 // StreamLoadConfig sizes the cluster's sustained-load stream.
 type StreamLoadConfig struct {
-	// TxSize is the uniform stream transaction size; zero takes the §7
-	// default 476 bytes.
+	// TxSize is the uniform stream transaction size; zero takes
+	// load.DefaultTxSize, §7's 476 bytes.
 	TxSize int
 	// Lanes is the chain parallelism; zero takes load.DefaultLanes.
 	Lanes int
@@ -123,7 +121,7 @@ type ClusterNode struct {
 }
 
 // NewCluster builds the network, funds wallets, and (with AutoMine) arms
-// miners. Nothing runs until Run is called. Built over a StateDir/StoreURL
+// miners. Nothing runs until Run is called. Built over a "file:<dir>" StoreURL
 // that already holds chains (same seed and size), every node resumes from its
 // persisted prefix like a process restart.
 //
@@ -138,10 +136,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
 		cfg.Params.RetargetWindow = 0
-	}
-	locator := cfg.StoreURL
-	if locator == "" && cfg.StateDir != "" {
-		locator = "file:" + cfg.StateDir
 	}
 	netCfg := simnet.DefaultConfig(cfg.Nodes, cfg.Seed)
 	if cfg.BandwidthBPS > 0 {
@@ -188,8 +182,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Seed:     cfg.Seed,
 		Keys:     keys,
 		Net:      netCfg,
-		StoreURL: locator,
-		// <root>/node-<i>.blocks preserves the pre-factory StateDir layout.
+		StoreURL: cfg.StoreURL,
+		// Each node's files are <root>/node-<i>.*.
 		StoreName:           func(i int) string { return fmt.Sprintf("node-%d", i) },
 		Resume:              true,
 		MinerStream:         0x40000,
@@ -321,7 +315,7 @@ func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 	if grace <= 0 {
 		grace = 30 * time.Second
 	}
-	txSize := 476
+	txSize := load.DefaultTxSize
 	if c.cfg.StreamLoad.TxSize > 0 {
 		txSize = c.cfg.StreamLoad.TxSize
 	}

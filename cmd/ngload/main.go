@@ -23,6 +23,7 @@ import (
 
 	"bitcoinng"
 	"bitcoinng/internal/experiment"
+	"bitcoinng/internal/load"
 	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/metrics"
 )
@@ -37,7 +38,7 @@ func main() {
 		window   = flag.Int64("window", 0, "closed-loop outstanding-transaction target (default 1024)")
 		duration = flag.Duration("duration", 15*time.Minute, "virtual duration of the blast")
 		grace    = flag.Duration("grace", 30*time.Second, "post-blast settling time")
-		txSize   = flag.Int("txsize", 476, "stream transaction size in bytes")
+		txSize   = flag.Int("txsize", load.DefaultTxSize, "stream transaction size in bytes")
 		lanes    = flag.Int("lanes", 0, "stream lane count (0 = default)")
 		bw       = flag.Float64("bandwidth", 1_000_000, "per-pair bandwidth in bits/s (0 = paper's 100 kbit/s)")
 		batch    = flag.Duration("batch", 200*time.Millisecond, "gossip tx-relay batching interval (live path; 0 = relay each tx immediately)")

@@ -45,8 +45,7 @@ func main() {
 		micro       = flag.Duration("micro-interval", 2*time.Second, "microblock interval while leading")
 		status      = flag.Duration("status", 5*time.Second, "status print interval")
 		exponent    = flag.Uint("difficulty-exp", 0x20, "compact target exponent byte (lower = harder)")
-		datadir     = flag.String("datadir", "", "directory for block persistence (empty: in-memory only); shorthand for -store file:<dir>")
-		storeURL    = flag.String("store", "", "storage locator for chain index and UTXO ledger (mem: | file:<dir>); overrides -datadir")
+		storeURL    = flag.String("store", "", "storage locator for chain index and UTXO ledger (mem: | file:<dir>; empty: in-memory only)")
 		stratName   = flag.String("strategy", "", "mining strategy ("+strings.Join(strategy.Names(), " | ")+"); empty = honest")
 	)
 	flag.Parse()
@@ -81,12 +80,8 @@ func main() {
 	defer rt.Close()
 
 	// Storage backends come from one locator — the same factory the simulator
-	// harnesses use — with -datadir kept as the file-backend shorthand.
-	locator := *storeURL
-	if locator == "" && *datadir != "" {
-		locator = "file:" + *datadir
-	}
-	factory, err := store.NewFactory(locator)
+	// harnesses use.
+	factory, err := store.NewFactory(*storeURL)
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}

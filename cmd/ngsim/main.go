@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bitcoinng/internal/experiment"
+	"bitcoinng/internal/load"
 	protoreg "bitcoinng/internal/protocol"
 )
 
@@ -28,7 +29,7 @@ func main() {
 		interval  = flag.Duration("interval", 100*time.Second, "PoW/key block interval")
 		micro     = flag.Duration("micro-interval", 10*time.Second, "NG microblock interval")
 		size      = flag.Int("size", 100_000, "block / microblock size cap in bytes")
-		txSize    = flag.Int("tx-size", 476, "artificial transaction size in bytes")
+		txSize    = flag.Int("tx-size", load.DefaultTxSize, "artificial transaction size in bytes")
 		bandwidth = flag.Float64("bandwidth", 100_000, "per-pair bandwidth in bits/sec")
 	)
 	flag.Parse()

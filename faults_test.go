@@ -77,7 +77,7 @@ func TestClusterLeaderCrashRestartResync(t *testing.T) {
 func TestClusterStateDirProcessRestart(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := New(4, WithSeed(12), WithParams(faultParams()), WithFunding(1000),
-		WithStateDir(dir))
+		WithStore("file:"+dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestClusterStateDirProcessRestart(t *testing.T) {
 	}
 
 	c2, err := New(4, WithSeed(12), WithParams(faultParams()), WithFunding(1000),
-		WithStateDir(dir))
+		WithStore("file:"+dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestClusterLossyLinks(t *testing.T) {
 func TestClusterRestartPreservesTieBreakInputs(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := New(4, WithSeed(21), WithParams(faultParams()), WithFunding(1000),
-		WithStateDir(dir))
+		WithStore("file:"+dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestClusterRestartPreservesTieBreakInputs(t *testing.T) {
 	}
 
 	c2, err := New(4, WithSeed(21), WithParams(faultParams()), WithFunding(1000),
-		WithStateDir(dir))
+		WithStore("file:"+dir))
 	if err != nil {
 		t.Fatal(err)
 	}

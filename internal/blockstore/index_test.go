@@ -180,7 +180,7 @@ func legacyRecord(b types.Block) []byte {
 
 // TestOldFormatRefused: a chain written before arrival times joined the
 // record must not scan as corruption — that would truncate an ngnode
-// -datadir chain to nothing. Open refuses it by name and leaves it as it was.
+// -store file:<dir> chain to nothing. Open refuses it by name and leaves it as it was.
 func TestOldFormatRefused(t *testing.T) {
 	blocks := makeChain(t, 2)
 	raw := append(legacyRecord(blocks[0]), legacyRecord(blocks[1])...)

@@ -104,11 +104,8 @@ func (r *AddResult) TipChanged() bool { return len(r.Connected) > 0 }
 // parent's bucket is dropped (the gossip layer will re-fetch if still needed).
 const maxOrphanBlocks = 512
 
-// Chain errors.
-var (
-	ErrUnknownParent = errors.New("chain: parent unknown")
-	ErrKnownInvalid  = errors.New("chain: block previously marked invalid")
-)
+// ErrKnownInvalid refuses a block already marked invalid.
+var ErrKnownInvalid = errors.New("chain: block previously marked invalid")
 
 // UTXOStore is the ledger-state surface the chain machinery drives. It is
 // exactly the contract extracted from *utxo.Set; internal/store puts the set

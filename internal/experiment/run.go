@@ -44,8 +44,8 @@ type Config struct {
 	// experiment's block (or microblock) size; TargetBlockInterval the
 	// PoW/key block interval; MicroblockInterval the NG microblock rate.
 	Params types.Params
-	// TxSize is the identical artificial transaction size; the default 476
-	// bytes gives Bitcoin's operational 3.5 tx/s at 1 MB per 10 minutes
+	// TxSize is the identical artificial transaction size; the default
+	// load.DefaultTxSize (476 bytes) gives Bitcoin's operational 3.5 tx/s at 1 MB per 10 minutes
 	// (§7 "No Transaction Propagation").
 	TxSize int
 	// WorkloadCount caps the workload at this many transactions; zero sizes
@@ -142,7 +142,7 @@ func DefaultConfig(protocol Protocol, nodes int, seed int64) Config {
 		Nodes:          nodes,
 		Seed:           seed,
 		Params:         params,
-		TxSize:         476,
+		TxSize:         load.DefaultTxSize,
 		TargetBlocks:   60,
 		Grace:          30 * time.Second,
 		MaxSimTime:     6 * time.Hour,
@@ -242,7 +242,7 @@ func build(cfg Config) (*runner, error) {
 		cfg.TargetBlocks = 60
 	}
 	if cfg.TxSize <= 0 {
-		cfg.TxSize = 476
+		cfg.TxSize = load.DefaultTxSize
 	}
 	if cfg.MaxSimTime <= 0 {
 		cfg.MaxSimTime = 6 * time.Hour

@@ -65,56 +65,6 @@ func NamedIs(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
-// Unwrap strips parens and value conversions (T(x), including unary &/*)
-// down to the underlying operand expression.
-func Unwrap(info *types.Info, e ast.Expr) ast.Expr {
-	for {
-		switch v := e.(type) {
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.CallExpr:
-			// A conversion like uint64(x) has exactly one argument
-			// and a type as its callee.
-			if len(v.Args) == 1 {
-				if tv, ok := info.Types[v.Fun]; ok && tv.IsType() {
-					e = v.Args[0]
-					continue
-				}
-			}
-			return e
-		default:
-			return e
-		}
-	}
-}
-
-// RootIdent returns the leftmost identifier of a selector chain
-// (a.b.c → a), or nil.
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
 // Obj returns the object an identifier resolves to, checking uses then
 // definitions.
 func Obj(info *types.Info, id *ast.Ident) types.Object {

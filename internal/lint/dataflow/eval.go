@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"bitcoinng/internal/lint/astutil"
 )
 
 // evalGrow evaluates e to an abstract value. The bool reports whether any
@@ -16,7 +18,7 @@ func (st *fnState) evalGrow(e ast.Expr) (value, bool) {
 	info := st.f.Pkg.Info
 	switch v := e.(type) {
 	case *ast.Ident:
-		if obj := objOf(info, v); obj != nil {
+		if obj := astutil.Obj(info, v); obj != nil {
 			if val, ok := st.env[obj]; ok {
 				return val, false
 			}
@@ -106,7 +108,6 @@ func (st *fnState) compositeLit(lit *ast.CompositeLit) (value, bool) {
 	if t := info.TypeOf(lit); t != nil {
 		strct, isStruct = t.Underlying().(*types.Struct)
 	}
-	anyTainted := false
 	for i, elt := range lit.Elts {
 		var ev value
 		var g bool
@@ -130,39 +131,16 @@ func (st *fnState) compositeLit(lit *ast.CompositeLit) (value, bool) {
 			}
 		}
 		grew = grew || g
-		flat := ev.flatten()
-		if !flat.empty() {
-			anyTainted = len(flat.taints) > 0 || anyTainted
+		if flat := ev.flatten(); !flat.empty() {
 			out.at(field).merge(flat, false)
 		}
 	}
-	if anyTainted && st.inZone && st.e.Cfg.SinkComposite != nil {
+	if st.sinkKinds != 0 && st.e.Cfg.SinkComposite != nil && !out.empty() {
 		if desc, ok := st.e.Cfg.SinkComposite(st.f, lit); ok {
-			flat := out.flatten()
-			for t := range flat.taints {
-				st.e.addFinding(Finding{
-					Taint: t, SinkDesc: desc, SinkPos: lit.Pos(),
-					SameRange: st.inOwnRange(t),
-				})
-				grew = true
-			}
+			grew = st.hitSink(out.flatten(), desc, lit.Pos(), st.sinkKinds, nil) || grew
 		}
 	}
 	return out, grew
-}
-
-// inOwnRange reports whether t is the MapOrder taint of a map range
-// lexically enclosing the current walk point.
-func (st *fnState) inOwnRange(t Taint) bool {
-	if t.Kind != KindMapOrder {
-		return false
-	}
-	for _, p := range st.ranges {
-		if p == t.Pos {
-			return true
-		}
-	}
-	return false
 }
 
 // evalMultiGrow evaluates an expression expected to produce n values
@@ -204,7 +182,7 @@ func (st *fnState) call(call *ast.CallExpr) ([]value, bool) {
 
 	// Builtins.
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isB := objOf(info, id).(*types.Builtin); isB {
+		if _, isB := astutil.Obj(info, id).(*types.Builtin); isB {
 			return st.builtin(id.Name, call)
 		}
 	}
@@ -233,7 +211,7 @@ func (st *fnState) call(call *ast.CallExpr) ([]value, bool) {
 						if name.Name == "_" {
 							continue
 						}
-						if obj := objOf(info, name); obj != nil {
+						if obj := astutil.Obj(info, name); obj != nil {
 							g(st.mergeObj(obj, "", tv, call.Pos(), false))
 						}
 					}
@@ -274,9 +252,8 @@ func (st *fnState) call(call *ast.CallExpr) ([]value, bool) {
 		}
 	}
 
-	// Terminal sinks: tainted arguments are findings; parameter-referencing
-	// arguments become ParamSinks entries so callers inherit the sink.
-	if st.inZone && st.e.Cfg.SinkCall != nil {
+	// Terminal sinks.
+	if st.sinkKinds != 0 && st.e.Cfg.SinkCall != nil {
 		if desc, idxs, ok := st.e.Cfg.SinkCall(st.f, call); ok {
 			for _, idx := range idxs {
 				ai := idx + recvOffset
@@ -286,19 +263,8 @@ func (st *fnState) call(call *ast.CallExpr) ([]value, bool) {
 						continue
 					}
 				}
-				if ai >= len(argvals) {
-					continue
-				}
-				flat := argvals[ai].flatten()
-				for t := range flat.taints {
-					st.e.addFinding(Finding{
-						Taint: t, SinkDesc: desc, SinkPos: call.Pos(),
-						SameRange: st.inOwnRange(t),
-					})
-					g(true)
-				}
-				for p := range flat.prefs {
-					g(st.addParamSink(p, SinkRef{Desc: desc, Pos: call.Pos(), Path: []FuncID{st.f.ID}}))
+				if ai < len(argvals) {
+					g(st.hitSink(argvals[ai].flatten(), desc, call.Pos(), st.sinkKinds, nil))
 				}
 			}
 		}
@@ -393,6 +359,26 @@ func (st *fnState) builtin(name string, call *ast.CallExpr) ([]value, bool) {
 	return []value{union(false, call.Args...)}, grew
 }
 
+// hitSink records the value it reaching a sink that reports kinds: its
+// concrete taints of those kinds are findings, and its parameter references
+// become ParamSinks so callers inherit the sink. path is the call chain from
+// this function's callee down to the sink, nil for a sink in this function.
+func (st *fnState) hitSink(it *item, desc string, pos token.Pos, kinds Kind, path []FuncID) bool {
+	grew := false
+	for t := range it.taints {
+		if t.Kind&kinds != 0 && st.e.addFinding(Finding{Taint: t, SinkDesc: desc, SinkPos: pos, Path: path}) {
+			grew = true
+		}
+	}
+	if len(it.prefs) > 0 {
+		ref := SinkRef{Desc: desc, Pos: pos, Kinds: kinds, Path: append([]FuncID{st.f.ID}, path...)}
+		for p := range it.prefs {
+			grew = st.addParamSink(p, ref) || grew
+		}
+	}
+	return grew
+}
+
 // addParamSink records that parameter p reaches ref.
 func (st *fnState) addParamSink(p pref, ref SinkRef) bool {
 	m := st.sum.ParamSinks[p.index]
@@ -477,20 +463,7 @@ func (st *fnState) compose(callee *Func, argvals []value, call *ast.CallExpr, re
 				continue
 			}
 			for _, ref := range refs {
-				for t := range it.taints {
-					st.e.addFinding(Finding{
-						Taint: t, SinkDesc: ref.Desc, SinkPos: ref.Pos,
-						Path: ref.Path, SameRange: st.inOwnRange(t),
-					})
-					g(true)
-				}
-				for p := range it.prefs {
-					chained := SinkRef{
-						Desc: ref.Desc, Pos: ref.Pos,
-						Path: append([]FuncID{st.f.ID}, ref.Path...),
-					}
-					g(st.addParamSink(p, chained))
-				}
+				g(st.hitSink(it, ref.Desc, ref.Pos, ref.Kinds, ref.Path))
 			}
 		}
 	}

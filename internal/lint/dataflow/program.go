@@ -42,21 +42,6 @@ type Func struct {
 	Results []*types.Var
 }
 
-// Exported reports whether the function (and, for methods, its receiver
-// type) is exported — i.e. whether its results are reachable from outside
-// the package without going through another declaration.
-func (f *Func) Exported() bool {
-	if !f.Decl.Name.IsExported() {
-		return false
-	}
-	if r := f.Sig.Recv(); r != nil {
-		if n := astutil.Named(r.Type()); n != nil {
-			return n.Obj().Exported()
-		}
-	}
-	return true
-}
-
 // Program is a module-wide function index over one load.
 type Program struct {
 	Fset  *token.FileSet
@@ -64,8 +49,8 @@ type Program struct {
 	Funcs map[FuncID]*Func
 	// Order holds every Func sorted by package path then declaration
 	// position: fixpoint iteration and report emission walk this slice so
-	// results are deterministic (the suite holds itself to the maporder
-	// rule).
+	// results are deterministic (the suite holds itself to detflow's
+	// map-order rule).
 	Order []*Func
 }
 

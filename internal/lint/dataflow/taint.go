@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+
+	"bitcoinng/internal/lint/astutil"
 )
 
 // Kind classifies a nondeterminism source. Kinds form a bitmask so transfer
@@ -13,7 +15,7 @@ type Kind uint8
 
 const (
 	KindWalltime Kind = 1 << iota // time.Now and friends
-	KindRand                      // global / OS randomness
+	KindRand                      // OS randomness (crypto/rand)
 	KindMapOrder                  // map iteration order
 	KindEnv                       // environment, pids, host identity
 )
@@ -144,12 +146,13 @@ func (v value) readField(field string) value {
 }
 
 // SinkRef records one reachable sink from a parameter: where it is, what it
-// is, and the call chain (FuncIDs, starting at the summarized function)
-// leading to it.
+// is, which taint kinds it reports, and the call chain (FuncIDs, starting at
+// the summarized function) leading to it.
 type SinkRef struct {
-	Desc string
-	Pos  token.Pos
-	Path []FuncID
+	Desc  string
+	Pos   token.Pos
+	Kinds Kind
+	Path  []FuncID
 }
 
 // Summary is the interprocedural contract of one function, grown
@@ -241,10 +244,6 @@ type Finding struct {
 	// met the call boundary down to the sink's function; empty for sinks
 	// in the same function as the taint.
 	Path []FuncID
-	// SameRange is set for MapOrder findings whose sink sits lexically
-	// inside the very range statement that introduced the taint — the
-	// case the syntactic maporder analyzer already owns.
-	SameRange bool
 }
 
 // Config parameterizes the engine with a client's source/sink model.
@@ -270,9 +269,12 @@ type Config struct {
 	// consulted for callees without a summary: resolved module callees are
 	// modelled precisely and need no callback approximation.
 	UnorderedCallback func(f *Func, call *ast.CallExpr) (what string, ok bool)
-	// InZone gates sink collection: only sinks whose own site is in-zone
-	// are recorded. Taint sources are tracked everywhere.
-	InZone func(pkgPath string) bool
+	// SinkKinds says which taint kinds the sinks in a package report: a
+	// sink (call, composite or channel send) in pkgPath turns only taints of
+	// these kinds into findings, and so do the callers that inherit it.
+	// Zero disables the package's sinks; nil means every kind everywhere.
+	// Taint sources are tracked everywhere.
+	SinkKinds func(pkgPath string) Kind
 }
 
 // Engine runs the interprocedural taint analysis.
@@ -336,11 +338,14 @@ func (e *Engine) Findings() []Finding {
 	return out
 }
 
-func (e *Engine) addFinding(f Finding) {
+// addFinding records f, reporting whether it is new.
+func (e *Engine) addFinding(f Finding) bool {
 	key := [2]token.Pos{f.Taint.Pos, f.SinkPos}
-	if _, ok := e.findings[key]; !ok {
-		e.findings[key] = f
+	if _, ok := e.findings[key]; ok {
+		return false
 	}
+	e.findings[key] = f
+	return true
 }
 
 // killKey identifies a sanitizer target: root object plus first field.
@@ -361,27 +366,29 @@ type fnState struct {
 	// MapOrder taint merged into the target at a position before some kill
 	// position is dropped — the canonical collect-then-sort pattern.
 	kills map[killKey][]token.Pos
-	// ranges holds the positions of map-range statements lexically
-	// enclosing the current walk point.
-	ranges []token.Pos
 	// rangeKeys pairs each enclosing map range's key variable with the
 	// range position (== its taint's Pos): storing under s[key] launders
 	// exactly that range's order taint, because map keys are unique so
 	// each slot is written once regardless of iteration order.
 	rangeKeys []rangeKey
-	inZone    bool
+	// sinkKinds is Config.SinkKinds for the function's package.
+	sinkKinds Kind
 	seeded    bool
 }
 
 func newFnState(e *Engine, f *Func) *fnState {
-	return &fnState{
-		e:      e,
-		f:      f,
-		sum:    newSummary(len(f.Params), len(f.Results)),
-		env:    map[types.Object]value{},
-		kills:  map[killKey][]token.Pos{},
-		inZone: e.Cfg.InZone == nil || e.Cfg.InZone(f.Pkg.Path),
+	st := &fnState{
+		e:         e,
+		f:         f,
+		sum:       newSummary(len(f.Params), len(f.Results)),
+		env:       map[types.Object]value{},
+		kills:     map[killKey][]token.Pos{},
+		sinkKinds: ^Kind(0),
 	}
+	if e.Cfg.SinkKinds != nil {
+		st.sinkKinds = e.Cfg.SinkKinds(f.Pkg.Path)
+	}
+	return st
 }
 
 // analyze walks the function body to a local fixpoint, returning whether
@@ -455,7 +462,7 @@ func (st *fnState) rootOf(e ast.Expr) (types.Object, string, bool) {
 			if v.Name == "_" {
 				return nil, "", false
 			}
-			if obj := objOf(st.f.Pkg.Info, v); obj != nil {
+			if obj := astutil.Obj(st.f.Pkg.Info, v); obj != nil {
 				return obj, field, true
 			}
 			return nil, "", false
@@ -485,13 +492,6 @@ func (st *fnState) rootOf(e ast.Expr) (types.Object, string, bool) {
 			return nil, "", false
 		}
 	}
-}
-
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
 }
 
 // mergeObj merges v into env[(obj, field)] at source position pos,

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"bitcoinng/internal/lint/astutil"
 )
 
 // This file is the intraprocedural half of the engine: an abstract
@@ -45,7 +47,7 @@ func (st *fnState) walkStmt(s ast.Stmt) bool {
 					vals, b := st.evalMultiGrow(vs.Values[0], len(vs.Names))
 					g(b)
 					for i, name := range vs.Names {
-						g(st.mergeObj(objOf(st.f.Pkg.Info, name), "", vals[i], name.Pos(), false))
+						g(st.mergeObj(astutil.Obj(st.f.Pkg.Info, name), "", vals[i], name.Pos(), false))
 					}
 					continue
 				}
@@ -53,7 +55,7 @@ func (st *fnState) walkStmt(s ast.Stmt) bool {
 					if i < len(vs.Values) {
 						val, b := st.evalGrow(vs.Values[i])
 						g(b)
-						g(st.mergeObj(objOf(st.f.Pkg.Info, name), "", val, name.Pos(), false))
+						g(st.mergeObj(astutil.Obj(st.f.Pkg.Info, name), "", val, name.Pos(), false))
 					}
 				}
 			}
@@ -103,9 +105,15 @@ func (st *fnState) walkStmt(s ast.Stmt) bool {
 		}
 	case *ast.SendStmt:
 		_, b1 := st.evalGrow(v.Chan)
-		_, b2 := st.evalGrow(v.Value)
+		val, b2 := st.evalGrow(v.Value)
 		g(b1)
 		g(b2)
+		// The receiver observes values in the order they were sent, so a
+		// send is a sink for map order (and only for map order: a channel
+		// carries a wall-clock value no differently than a return does).
+		if kinds := st.sinkKinds & KindMapOrder; kinds != 0 {
+			g(st.hitSink(val.flatten(), "channel send", v.Pos(), kinds, nil))
+		}
 	case *ast.IncDecStmt:
 		_, b := st.evalGrow(v.X)
 		g(b)
@@ -169,7 +177,7 @@ func (st *fnState) assign(a *ast.AssignStmt) bool {
 		// races: its last iteration wins the slot.
 		if ix, ok := lhs.(*ast.IndexExpr); ok {
 			if id, ok := ix.Index.(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil {
+				if obj := astutil.Obj(info, id); obj != nil {
 					for _, k := range st.rangeKeys {
 						if k.obj == obj {
 							rhs = stripMapOrderAt(rhs, k.pos)
@@ -248,7 +256,7 @@ func (st *fnState) mergeLHS(lhs ast.Expr, v value, pos token.Pos) bool {
 		if id.Name == "_" {
 			return false
 		}
-		return st.mergeObj(objOf(st.f.Pkg.Info, id), "", v, pos, false)
+		return st.mergeObj(astutil.Obj(st.f.Pkg.Info, id), "", v, pos, false)
 	}
 	obj, field, ok := st.rootOf(lhs)
 	if !ok {
@@ -315,9 +323,7 @@ func (st *fnState) ret(r *ast.ReturnStmt) bool {
 
 // rangeStmt seeds loop variables. Ranging a map taints the key and value
 // with KindMapOrder (plus whatever the map's content carries); ranging
-// anything else passes content through. Sinks reached inside the map-range
-// body are marked SameRange so the client can defer to the syntactic
-// maporder analyzer.
+// anything else passes content through.
 func (st *fnState) rangeStmt(r *ast.RangeStmt) bool {
 	grew := false
 	g := func(b bool) {
@@ -347,20 +353,18 @@ func (st *fnState) rangeStmt(r *ast.RangeStmt) bool {
 			return
 		}
 		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			g(st.mergeObj(objOf(info, id), "", content, e.Pos(), false))
+			g(st.mergeObj(astutil.Obj(info, id), "", content, e.Pos(), false))
 		}
 	}
 	bind(r.Key)
 	bind(r.Value)
 	if isMap {
-		st.ranges = append(st.ranges, r.Pos())
 		if id, ok := r.Key.(*ast.Ident); ok && id.Name != "_" {
-			if obj := objOf(info, id); obj != nil {
+			if obj := astutil.Obj(info, id); obj != nil {
 				st.rangeKeys = append(st.rangeKeys, rangeKey{obj, r.Pos()})
 				defer func() { st.rangeKeys = st.rangeKeys[:len(st.rangeKeys)-1] }()
 			}
 		}
-		defer func() { st.ranges = st.ranges[:len(st.ranges)-1] }()
 	}
 	g(st.walkStmt(r.Body))
 	return grew

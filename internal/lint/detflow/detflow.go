@@ -1,32 +1,35 @@
 // Package detflow is the interprocedural nondeterminism-taint analyzer.
 //
-// The per-function analyzers (walltime, globalrand, maporder) flag
-// nondeterminism sources syntactically at the call site; what they cannot
-// see is a value laundered through helper calls — a wall-clock read
-// returned through two hops, a map-range key passed to a function that
-// writes it into a digest, a delta built in map order inside an unexported
-// helper and returned from an exported consensus entry point. detflow
-// closes that gap: it taints values produced by time.Now-family calls,
-// global/OS randomness, map-iteration order, and environment reads, then
-// propagates the taint through the module call graph on the dataflow
-// engine's per-function summaries until it reaches a determinism sink —
-// stream writes feeding reports/digests/wire encodings, sim event
-// scheduling, invariant snapshot construction — or escapes through an
-// exported deterministic-zone function's results or pointer parameters
-// (map order only: that is the consensus-forking class, cf. the PR-6
-// applyPoison bug).
+// It taints values produced by time.Now-family calls, OS randomness,
+// map-iteration order, and environment reads, then propagates the taint
+// through the module call graph on the dataflow engine's per-function
+// summaries until it reaches a determinism sink — stream writes feeding
+// reports/digests/wire encodings, sim event scheduling, invariant snapshot
+// construction, channel sends (map order only) — or escapes through the
+// results or pointer parameters of a deterministic-zone function (map
+// order only: that is the consensus-forking class, cf. the applyPoison
+// bug in utxo). A sink inside the range statement that introduced the
+// order counts like any other, so a helper that writes a stream in map
+// order is caught whether the write sits in the loop or three calls below
+// it.
 //
-// Division of labor with the syntactic suite: a MapOrder sink lexically
-// inside the introducing range statement is maporder's finding, not ours;
-// everything crossing a statement or call boundary is ours. Soundness
-// caveats (dynamic dispatch, globals, aliasing) are documented in
-// DESIGN.md §9.
+// Scopes differ by kind. Map order reaching a sink is a finding in every
+// package; wall-clock, environment and randomness flows only at sinks in
+// the deterministic zone (InZone), where results must be a pure function
+// of (config, seed); escapes only from functions in the zone, exported or
+// not. Every call that draws from math/rand's process-global source or
+// builds a stdlib source in place is a finding at its call, in every
+// package: all randomness flows from an injected *rand.Rand born in
+// sim.NewRand, which keeps a whole run replayable from one seed and its
+// streams uncorrelated. Soundness caveats (dynamic dispatch, globals,
+// aliasing, a map range that exits early) are documented in DESIGN.md §9.1.
 package detflow
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 
@@ -41,7 +44,8 @@ var Analyzer = &analysis.ModuleAnalyzer{
 	Doc: "interprocedural taint analysis: wall-clock/randomness/map-order/" +
 		"environment values propagated through calls must not reach " +
 		"determinism sinks (stream writes, sim scheduling, invariant " +
-		"snapshots) or escape exported deterministic-zone functions",
+		"snapshots, channel sends) or escape deterministic-zone " +
+		"functions; global math/rand draws are findings at the call",
 	Run: run,
 }
 
@@ -81,28 +85,71 @@ func InZone(pkgPath string) bool {
 // regression tests can analyze sandbox copies loaded under non-module
 // paths.
 func Run(prog *dataflow.Program, inZone func(string) bool) []analysis.Diagnostic {
-	eng := dataflow.Analyze(prog, Config(inZone))
-	var out []analysis.Diagnostic
+	eng := dataflow.Analyze(prog, dataflow.Config{
+		SourceCall:    sourceCall,
+		SinkCall:      sinkCall,
+		SinkComposite: sinkComposite,
+		Sanitizer:     sanitizer,
+		SinkKinds: func(pkgPath string) dataflow.Kind {
+			if inZone(pkgPath) {
+				return ^dataflow.Kind(0)
+			}
+			return dataflow.KindMapOrder
+		},
+		UnorderedCallback: unorderedCallback,
+	})
+	out := randSites(prog)
 	for _, f := range eng.Findings() {
-		if f.SameRange {
-			// The syntactic maporder analyzer owns sinks inside the
-			// introducing range statement.
-			continue
-		}
 		out = append(out, analysis.Diagnostic{
 			Pos: f.Taint.Pos,
 			Message: fmt.Sprintf("%s (%s) flows to %s at %s%s — deterministic output must be a pure function of (config, seed)",
 				f.Taint.What, f.Taint.Kind, f.SinkDesc, shortPos(prog.Fset, f.SinkPos), viaPath(f.Path)),
 		})
 	}
-	out = append(out, escapes(prog, eng, inZone)...)
+	return append(out, escapes(prog, eng, inZone)...)
+}
+
+// randSites reports, in every package, each call that draws from
+// math/rand's process-global source (results then depend on global call
+// order) or builds a stdlib source in place (bypassing sim.DeriveSeed's
+// stream separation, so two subsystems fed one base seed correlate).
+func randSites(prog *dataflow.Program) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				path, name, ok := astutil.PkgFuncCall(pkg.Info, call)
+				if !ok || (path != "math/rand" && path != "math/rand/v2") {
+					return true
+				}
+				if _, isFunc := pkg.Info.Uses[call.Fun.(*ast.SelectorExpr).Sel].(*types.Func); !isFunc {
+					return true // a conversion such as rand.Source(x)
+				}
+				builds, isCtor := randConstructors[name]
+				switch {
+				case !isCtor:
+					out = append(out, analysis.Diagnostic{Pos: call.Pos(), Message: fmt.Sprintf(
+						"package-level %s.%s draws from the process-global source: results depend on global call order; take an injected *rand.Rand from sim.NewRand", path, name)})
+				case builds:
+					out = append(out, analysis.Diagnostic{Pos: call.Pos(), Message: fmt.Sprintf(
+						"%s.%s builds a random source in place: derive streams with sim.NewRand(base, stream) so seeds stay uncorrelated and replayable", path, name)})
+				}
+				return true
+			})
+		}
+	}
 	return out
 }
 
-// escapes reports MapOrder taint leaving an exported in-zone function
-// through its results or reference parameters: even without a visible sink,
-// order-dependent data published from a consensus entry point (the
-// applyPoison delta) is a replay-divergence bug waiting for a caller.
+// escapes reports MapOrder taint leaving an in-zone function through its
+// results or reference parameters: even without a visible sink,
+// order-dependent data published from a function (the applyPoison delta, a
+// helper's unsorted key list) is a replay-divergence bug waiting for a
+// caller.
 func escapes(prog *dataflow.Program, eng *dataflow.Engine, inZone func(string) bool) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
 	seen := map[[2]token.Pos]bool{}
@@ -114,12 +161,12 @@ func escapes(prog *dataflow.Program, eng *dataflow.Engine, inZone func(string) b
 		seen[key] = true
 		out = append(out, analysis.Diagnostic{
 			Pos: t.Pos,
-			Message: fmt.Sprintf("%s (%s) escapes through %s of exported %s — callers observe a different order every run; sort before publishing",
+			Message: fmt.Sprintf("%s (%s) escapes through %s of %s — callers observe a different order every run; sort before publishing",
 				t.What, t.Kind, how, f.ID),
 		})
 	}
 	for _, f := range prog.Order {
-		if !inZone(f.Pkg.Path) || !f.Exported() {
+		if !inZone(f.Pkg.Path) {
 			continue
 		}
 		sum := eng.Summary(f.ID)
@@ -144,18 +191,6 @@ func escapes(prog *dataflow.Program, eng *dataflow.Engine, inZone func(string) b
 	return out
 }
 
-// Config builds the engine configuration for the given zone predicate.
-func Config(inZone func(string) bool) dataflow.Config {
-	return dataflow.Config{
-		SourceCall:        sourceCall,
-		SinkCall:          sinkCall,
-		SinkComposite:     sinkComposite,
-		Sanitizer:         sanitizer,
-		UnorderedCallback: unorderedCallback,
-		InZone:            inZone,
-	}
-}
-
 // unorderedCallback classifies Range-style iterator methods whose callee the
 // engine could not resolve (interface dispatch: utxo.Backend.Range,
 // chain.UTXOStore.Range, sync.Map.Range). Their contract specifies no
@@ -171,16 +206,20 @@ func unorderedCallback(f *dataflow.Func, call *ast.CallExpr) (string, bool) {
 	return "Range over unordered store", true
 }
 
-// randConstructors are the math/rand entry points that take an explicit
-// seed/source and are therefore deterministic when seeded deterministically
-// — everything else in math/rand{,/v2} reads the shared global source.
+// randConstructors are the math/rand{,/v2} functions that take an explicit
+// seed or source instead of drawing from the process-global one. The value
+// says whether the call builds a stdlib source in place, which randSites
+// reports like a global draw; rand.New over an injected source
+// (sim.NewRand's own shape) and NewZipf over an injected *rand.Rand are
+// clean.
 var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
+	"New": false, "NewZipf": false,
+	"NewSource": true, "NewPCG": true, "NewChaCha8": true,
 }
 
 // sourceCalls maps package → function → taint kind for everything that
-// samples ambient state.
+// samples ambient state. math/rand is not here: randSites reports every
+// global draw at its call, which is also where a flow finding would land.
 var sourceCalls = map[string]map[string]dataflow.Kind{
 	"time": {
 		"Now": dataflow.KindWalltime, "Since": dataflow.KindWalltime,
@@ -212,9 +251,6 @@ func sourceCall(f *dataflow.Func, call *ast.CallExpr) (dataflow.Taint, bool) {
 		return dataflow.Taint{}, false
 	}
 	kind, ok := sourceCalls[pkg][name]
-	if !ok && (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name] {
-		kind, ok = dataflow.KindRand, true
-	}
 	if !ok {
 		return dataflow.Taint{}, false
 	}

@@ -1,5 +1,4 @@
-// Package mo is the maporder fixture.
-package mo
+package dfx
 
 import (
 	"fmt"
@@ -8,10 +7,12 @@ import (
 	"sort"
 )
 
+// --- map order inside the loop that introduced it -------------------------
+
 func badAppend(m map[string]int) []string {
 	var keys []string
-	for k := range m {
-		keys = append(keys, k) // want `append to "keys" inside range over map without a later sort`
+	for k := range m { // want `range over map \(map-iteration-order\) escapes through a result of bitcoinng/internal/sim/dfx\.badAppend`
+		keys = append(keys, k)
 	}
 	return keys
 }
@@ -49,8 +50,8 @@ func okSortSlice(m map[string]int) []pair {
 }
 
 func badWrite(w io.Writer, m map[string]int) {
-	for k, v := range m {
-		fmt.Fprintf(w, "%s=%d\n", k, v) // want `fmt\.Fprintf inside range over map writes a stream`
+	for k, v := range m { // want `range over map \(map-iteration-order\) flows to stream write \(fmt\.Fprintf\) at dfx/order.go:54`
+		fmt.Fprintf(w, "%s=%d\n", k, v)
 	}
 }
 
@@ -59,14 +60,14 @@ type sink interface {
 }
 
 func badHash(h sink, m map[string]bool) {
-	for k := range m {
-		h.Write([]byte(k)) // want `Write on an io\.Writer inside range over map`
+	for k := range m { // want `range over map \(map-iteration-order\) flows to stream write \(io\.Writer\.Write\) at dfx/order.go:64`
+		h.Write([]byte(k))
 	}
 }
 
 func badSend(ch chan string, m map[string]int) {
-	for k := range m {
-		ch <- k // want `send on channel inside range over map`
+	for k := range m { // want `range over map \(map-iteration-order\) flows to channel send at dfx/order.go:70`
+		ch <- k
 	}
 }
 

@@ -81,7 +81,7 @@ func Run(t *testing.T, a *analysis.Analyzer, name string) []analysis.Diagnostic 
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 
-	Check(t, l.Fset(), pkg, diags)
+	CheckAll(t, l.Fset(), []*load.Package{pkg}, diags)
 	return diags
 }
 
@@ -127,12 +127,6 @@ func RunModule(t *testing.T, a *analysis.ModuleAnalyzer, names ...string) []anal
 	}
 	CheckAll(t, l.Fset(), pkgs, diags)
 	return diags
-}
-
-// Check compares diagnostics against one fixture package's want comments.
-func Check(t *testing.T, fset *token.FileSet, pkg *load.Package, diags []analysis.Diagnostic) {
-	t.Helper()
-	CheckAll(t, fset, []*load.Package{pkg}, diags)
 }
 
 // CheckAll compares diagnostics against the want comments of several fixture

@@ -99,7 +99,7 @@ func run(pass *analysis.Pass) error {
 
 	// Pass 1: direct acquisitions and callee lists. Iterate the declaration
 	// order slice, not the map: report order must be deterministic (this
-	// package must hold itself to the maporder rule).
+	// package must hold itself to detflow's map-order rule).
 	for _, fi := range order {
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

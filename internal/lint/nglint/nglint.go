@@ -29,18 +29,14 @@ import (
 	"bitcoinng/internal/lint/analysis"
 	"bitcoinng/internal/lint/detflow"
 	"bitcoinng/internal/lint/errflow"
-	"bitcoinng/internal/lint/globalrand"
 	"bitcoinng/internal/lint/load"
 	"bitcoinng/internal/lint/locksafe"
-	"bitcoinng/internal/lint/maporder"
 	"bitcoinng/internal/lint/walltime"
 )
 
 // Analyzers is the per-package suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	walltime.Analyzer,
-	globalrand.Analyzer,
-	maporder.Analyzer,
 	locksafe.Analyzer,
 }
 

@@ -65,7 +65,7 @@ func TestDefectiveAllows(t *testing.T) {
 
 // TestSuiteIsComplete pins the advertised analyzer set.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"walltime", "globalrand", "maporder", "locksafe"}
+	want := []string{"walltime", "locksafe"}
 	wantModule := []string{"detflow", "errflow"}
 	if len(nglint.Analyzers) != len(want) {
 		t.Fatalf("per-package suite has %d analyzers, want %d", len(nglint.Analyzers), len(want))

@@ -14,6 +14,6 @@ func uptime(start time.Time) time.Duration {
 
 // standalone form: comment on the line above the violating line.
 func jitter() int {
-	//nglint:allow globalrand fixture exercising the standalone annotation form
+	//nglint:allow detflow fixture exercising the standalone annotation form
 	return rand.Intn(10)
 }

@@ -23,6 +23,11 @@ import (
 	"bitcoinng/internal/validate"
 )
 
+// DefaultTxSize is §7's transaction size in bytes, the operational
+// average the paper's experiments pad every transaction to: the default
+// for streams, experiments and the cluster blaster alike.
+const DefaultTxSize = 476
+
 // DefaultLanes is the default chain-parallelism of a stream: how many
 // independent spend chains interleave. One batch signs one transaction per
 // lane, so lanes also bound the signing batch size.
@@ -60,8 +65,8 @@ const lookahead = 4
 type StreamConfig struct {
 	// Seed derives the signing key and thereby every transaction ID.
 	Seed int64
-	// TxSize pads each transaction to this serialized size (default 476,
-	// the paper's operational average).
+	// TxSize pads each transaction to this serialized size (default
+	// DefaultTxSize).
 	TxSize int
 	// Lanes is the number of interleaved spend chains (default
 	// DefaultLanes, clamped to MaxTxs when that is smaller).
@@ -112,7 +117,7 @@ type Stream struct {
 // NewStream derives the stream key and prepares an empty (unbound) stream.
 func NewStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.TxSize <= 0 {
-		cfg.TxSize = 476
+		cfg.TxSize = DefaultTxSize
 	}
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = DefaultLanes

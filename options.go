@@ -31,7 +31,6 @@ type options struct {
 	parallelism   int
 	invariants    []invariant.Invariant
 	invInterval   time.Duration
-	stateDir      string
 	storeURL      string
 	compactDepth  uint64
 }
@@ -125,19 +124,14 @@ func WithInvariants(invs ...Invariant) Option {
 	return func(o *options) { o.invariants = append(o.invariants, invs...) }
 }
 
-// WithStateDir gives every cluster node a file-backed durable block archive
-// at dir/node-<i>.blocks (plus its arrival-time sidecar): Crash/Restart
-// recover from disk, and a second cluster built over the same directory
-// (same seed and size) resumes from the persisted prefixes like a process
-// restart. Shorthand for WithStore("file:"+dir); WithStore wins when both
-// are given. Clusters only; experiments take WithStore.
-func WithStateDir(dir string) Option { return func(o *options) { o.stateDir = dir } }
-
 // WithStore selects every node's storage backend — chain index and UTXO
 // ledger — by locator: "" or "mem:" for the RAM-bound fast path (default),
 // "file:<dir>" for file backends rooted at dir, "file:" for a throwaway
 // temporary root. Experiment reports are byte-identical across backends for
-// the same (config, seed); only Result.StoreStats differs. Both harnesses.
+// the same (config, seed); only Result.StoreStats differs. A cluster built
+// over a "file:<dir>" root that already holds chains (same seed and size)
+// resumes from them like a process restart; an experiment refuses such a
+// root. Both harnesses.
 func WithStore(locator string) Option { return func(o *options) { o.storeURL = locator } }
 
 // WithCompactDepth bounds resident chain state on long experiment runs: at
@@ -184,7 +178,6 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		DisableConnectCache: o.cacheOff,
 		Invariants:          o.invariants,
 		InvariantInterval:   o.invInterval,
-		StateDir:            o.stateDir,
 		StoreURL:            o.storeURL,
 	})
 }
