@@ -53,10 +53,11 @@ race:
 # encodings and the relay flush; on the leader's path, repeat assemblies in
 # the node's spend filter; in the blaster, a steady-state Tick and
 # ReleaseBehind; on the stage-1 hashing path, transaction and microblock
-# sighashes, header hashes and the in-place Merkle fold; on the file-backed
-# store path, a page fault served from the evicted page, chain-index records
-# (block and arrival time) written from a retained buffer and read back into
-# one; on the live path, a
+# sighashes, header hashes and the in-place Merkle fold; on the chain-index
+# path, records (block and arrival time) written from a retained buffer that
+# a larger record grows once, to about its own size, and read back into one;
+# in the ledger, a replayed create that links the leaf its delta logged
+# instead of allocating one; on the live path, a
 # steady-state frame read and a send into a pooled frame; in the simulator, a
 # Send and its delivery (recycled deliveries, on one loop and across two
 # shards both ways) and a warm two-shard window; at the sharded engine's
@@ -76,8 +77,8 @@ allocs:
 		./internal/bitcoin ./internal/load
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestWorkForTargetRepeatDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
-	$(GO) test -count=1 -run 'TestPageFaultDoesNotAllocate|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate' \
-		./internal/store ./internal/blockstore
+	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestReplayedCreateLinksLoggedLeaf' \
+		./internal/blockstore ./internal/utxo
 	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode' ./internal/chain
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
 		./internal/metrics ./internal/simnet ./internal/sim
@@ -96,14 +97,16 @@ race-soak:
 # transport, cluster runtime) that the plain faults gate only checks for
 # correctness, not for data races. It also runs the load stream's signer
 # tests (a background goroutine signing ahead of racing consumers), the
-# paged table's model test, the simulator's delivery recycling on four
+# ledger's shared deltas crossed from four goroutines (leaves are shared by
+# pointer across shards) and the trie's model test, the simulator's delivery
+# recycling on four
 # lossy shards with a node crashing under traffic, two goroutines
 # interning overlapping hashes in one block table, and two goroutines
 # thrashing the fleet-wide work memo with alternating targets.
 race-faults:
 	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
-	$(GO) test -race -count=1 -run 'TestPagedTableMatchesMapModel|TestPagedTableChurnDoesNotGrow' ./internal/store
+	$(GO) test -race -count=1 -run 'TestSharedDeltasAcrossGoroutines|FuzzLedgerTable' ./internal/utxo
 	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
 	$(GO) test -race -count=1 -run 'TestWorkForTargetConcurrent' ./internal/crypto
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
@@ -178,18 +181,18 @@ faults:
 	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
-# unit suites (paged table with its map-model and churn tests, the file
-# ledger's clean start, the factory's chain index, and the blockstore's
+# unit suites (the factory's locators and chain index, and the blockstore's
 # Store/Mem contract, block-and-arrival-time record recovery, old-format
 # refusal and failure-injection durability), the durability/aliasing bugfix
-# pins (Clone mutation isolation, reopened-index tie-break equivalence), the
+# pins (ledger Clone mutation isolation, reopened-index tie-break
+# equivalence), the
 # harness kernel's restart pins over both backends, the committed chaos
 # regression seeds —
 # each replayed under the mem vs file backend differential — and the
 # beyond-RAM bounded-memory soak over file backends.
 stores:
 	$(GO) test -count=1 ./internal/store ./internal/blockstore
-	$(GO) test -count=1 -run 'TestCloneMutationIsolation|TestSetCloneIsolationPagedBackend' ./internal/utxo ./internal/store
+	$(GO) test -count=1 -run 'TestCloneMutationIsolation' ./internal/utxo
 	$(GO) test -count=1 -run 'TestRestartRecoversDurablePrefix|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
 	$(GO) test -count=1 -run 'TestClusterRestartPreservesTieBreakInputs|TestClusterStateDirProcessRestart|TestClusterGoldenFingerprint' .
 	$(GO) test -count=1 -run 'TestRegressionSeeds' ./internal/chaos

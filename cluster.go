@@ -76,8 +76,9 @@ type ClusterConfig struct {
 	// BandwidthBPS overrides the network model's per-pair bandwidth; zero
 	// keeps the paper's 100 kbit/s.
 	BandwidthBPS float64
-	// StoreURL selects every node's storage backend — chain index AND UTXO
-	// ledger — via the internal/store locator syntax: "" or "mem:" for the
+	// StoreURL selects every node's chain index via the internal/store
+	// locator syntax (the UTXO ledger is in memory under every locator, and
+	// each boot rebuilds it from the index): "" or "mem:" for the
 	// RAM-bound fast path, "file:<dir>" for file backends rooted at dir,
 	// "file:" for a throwaway temporary root removed by Close. Under
 	// "file:<dir>" every node keeps a durable block archive at

@@ -91,11 +91,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
-	defer func() {
-		if err := ledger.Close(); err != nil {
-			log.Printf("utxo store close: %v", err)
-		}
-	}()
 	index, err := factory.NewChainIndex("node")
 	if err != nil {
 		log.Fatalf("chain index: %v", err)

@@ -231,9 +231,12 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 		return nil
 	}
 	// Header and payload are built contiguously in the retained writer and
-	// go out in one write.
+	// go out in one write. The writer is sized for the whole record first,
+	// so a record larger than any before it costs one allocation, not a
+	// chain of growing copies.
 	var hdr [headerSize]byte
 	s.rec.Reset()
+	s.rec.Grow(headerSize + b.WireSize())
 	s.rec.Raw(hdr[:])
 	b.EncodeWire(&s.rec)
 	rec := s.rec.Bytes()

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"bitcoinng/internal/crypto"
@@ -317,6 +318,50 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 		next++
 	}); avg != 0 {
 		t.Fatalf("Append allocates %.0f objects per record, want 0", avg)
+	}
+}
+
+// TestAppendSizesRecordOnce: a record larger than any before it grows the
+// record buffer once, to about its own size. Encoded piece by piece into a
+// buffer that grows as it goes, a record of many transactions costs a chain
+// of ever larger copies, about five times its size in all.
+func TestAppendSizesRecordOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet TotalAlloc counter
+	s := tempStore(t)
+	s.SetSyncHook(func() error { return nil })
+	// A small first record sets up what any first append does (the index,
+	// the checksum table).
+	if err := s.Append(makeChain(t, 1)[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	key, err := crypto.GenerateKey(sim.NewRand(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := crypto.ZeroHash
+	for n := 64; n <= 4096; n *= 4 {
+		txs := make([]*types.Transaction, n)
+		for i := range txs {
+			txs[i] = &types.Transaction{
+				Kind:    types.TxRegular,
+				Inputs:  []types.TxInput{{Prev: types.OutPoint{TxID: prev, Index: uint32(i)}, PubKey: key.Public()}},
+				Outputs: []types.TxOutput{{Value: 1, To: key.Public().Addr()}},
+			}
+		}
+		mb := &types.MicroBlock{Header: types.MicroBlockHeader{Prev: prev, TimeNanos: int64(n)}, Txs: txs}
+		mb.Header.Sign(key)
+		prev = mb.Hash()
+		record := uint64(headerSize + mb.WireSize())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.Append(mb, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > record*5/4+1024 {
+			t.Errorf("appending a %d-byte record of %d transactions allocated %d bytes, want about one record", record, n, got)
+		}
 	}
 }
 

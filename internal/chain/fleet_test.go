@@ -150,16 +150,19 @@ func sameLedger(t *testing.T, what string, got, want map[types.OutPoint]utxo.Ent
 	}
 }
 
-// unknownVersionLedger returns an empty memory-backed ledger whose version a
-// raw write has voided: the set that can only replay. base is what the raw
-// writes themselves counted.
-func unknownVersionLedger() (ledger *probeLedger, base utxo.Stats) {
-	be := utxo.NewMemBackend()
-	stray := types.OutPoint{TxID: crypto.Hash{0xEE}}
-	be.Put(stray, utxo.Entry{})
-	be.Delete(stray)
-	ledger = &probeLedger{Set: utxo.NewWith(be)}
-	return ledger, ledger.Stats()
+// collectedCache returns a connect cache holding the whole chain, computed by
+// a state that is gone: every ledger its deltas recorded has been collected,
+// so a state over this cache crosses every block by replaying its op log.
+func (c *fleetChain) collectedCache(t *testing.T) *validate.Cache {
+	t.Helper()
+	cache := validate.NewCache(0)
+	computer := c.state(t, utxo.New(), cache)
+	for i := range c.blocks {
+		c.deliver(t, computer, i)
+	}
+	runtime.GC()
+	runtime.GC()
+	return cache
 }
 
 // TestFleetAdoptsEveryHit: 64 states over one cache connect the chain block
@@ -167,8 +170,9 @@ func unknownVersionLedger() (ledger *probeLedger, base utxo.Stats) {
 // block, the prune's undo and the key block after it included, and one node
 // that is Reset and replays the whole chain — adopts: the call allocates
 // nothing, whatever the block's size. The operation counters nevertheless
-// read exactly what a replaying set's do, and the contents equal those of a
-// twin that never saw a cache.
+// read exactly what the replaying path's do (a state whose cache entries
+// outlived the ledgers they recorded), and the contents equal those of a twin
+// that never saw a cache.
 func TestFleetAdoptsEveryHit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
 	c := buildFleetChain(t)
@@ -180,8 +184,8 @@ func TestFleetAdoptsEveryHit(t *testing.T) {
 		ledgers[i] = &probeLedger{Set: utxo.New()}
 		fleet[i] = c.state(t, ledgers[i], cache)
 	}
-	replayerLedger, replayerBase := unknownVersionLedger()
-	replayer := c.state(t, replayerLedger, cache)
+	replayerLedger := &probeLedger{Set: utxo.New()}
+	replayer := c.state(t, replayerLedger, c.collectedCache(t))
 	twin := c.state(t, utxo.New(), nil)
 
 	// Whether a version matches decides adoption; whether the collector has
@@ -196,7 +200,7 @@ func TestFleetAdoptsEveryHit(t *testing.T) {
 		c.deliver(t, twin, i)
 		pins = append(pins, ledgers[0].Clone())
 		for n, l := range ledgers {
-			if l.Version() != ledgers[0].Version() || l.Version() == (utxo.Version{}) {
+			if l.Version() != ledgers[0].Version() {
 				t.Fatalf("block %d: node %d is not on the leader's ledger version", i, n)
 			}
 		}
@@ -253,11 +257,11 @@ func TestFleetAdoptsEveryHit(t *testing.T) {
 	// on every one, holds the same contents, and counted the same operations.
 	for i, m := range replayerLedger.redo {
 		if m == 0 {
-			t.Errorf("replayer redo %d allocated nothing: a set of unknown version adopted", i)
+			t.Errorf("replayer redo %d allocated nothing: it adopted a collected state", i)
 		}
 	}
 	sameLedger(t, "replayer", contentsOf(replayerLedger), want)
-	if got := replayerLedger.Stats().Sub(replayerBase); got != followerStats {
+	if got := replayerLedger.Stats(); got != followerStats {
 		t.Errorf("adoption counted %+v, the replay path counts %+v", followerStats, got)
 	}
 	if followerStats.Gets == 0 || followerStats.Puts == 0 || followerStats.Deletes == 0 {
@@ -270,22 +274,15 @@ func TestFleetAdoptsEveryHit(t *testing.T) {
 // a follower whose entry was evicted recomputes the block and stands on a
 // ledger version of its own; the next hit is recorded against another
 // version, so it replays and takes the delta's label; the hit after that
-// adopts again. A follower that was written to between blocks never adopts
-// again and still ends with the contents of its cache-off twin.
+// adopts again.
 func TestFleetFallsBackAndReconverges(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := buildFleetChain(t)
 	cache := validate.NewCache(1)
 	evicted := map[int]bool{1: true, 5: true} // blocks the follower must recompute
-	const rawAfter = 3                        // the written-to node's raw Put follows this block
-	stray := types.OutPoint{TxID: crypto.Hash{0xEE}, Index: 3}
 
 	leaderLedger, followerLedger := &probeLedger{Set: utxo.New()}, &probeLedger{Set: utxo.New()}
 	leader, follower := c.state(t, leaderLedger, cache), c.state(t, followerLedger, cache)
-	writtenBackend, twinBackend := utxo.NewMemBackend(), utxo.NewMemBackend()
-	writtenLedger := &probeLedger{Set: utxo.NewWith(writtenBackend)}
-	written := c.state(t, writtenLedger, cache)
-	writtenTwin := c.state(t, utxo.NewWith(twinBackend), nil)
 	twin := c.state(t, utxo.New(), nil)
 
 	var pins []*utxo.Set
@@ -323,16 +320,7 @@ func TestFleetFallsBackAndReconverges(t *testing.T) {
 			}
 		}
 
-		c.deliver(t, written, i)
-		c.deliver(t, writtenTwin, i)
 		c.deliver(t, twin, i)
-		if i == rawAfter {
-			writtenBackend.Put(stray, utxo.Entry{Value: 5})
-			twinBackend.Put(stray, utxo.Entry{Value: 5})
-		}
-		if i >= rawAfter && writtenLedger.Version() != (utxo.Version{}) {
-			t.Fatalf("block %d: the written-to ledger reports a known version", i)
-		}
 	}
 	if followerLedger.applies != len(evicted) {
 		t.Errorf("follower computed %d blocks, want the %d evicted ones", followerLedger.applies, len(evicted))
@@ -340,17 +328,6 @@ func TestFleetFallsBackAndReconverges(t *testing.T) {
 	sameLedger(t, "follower", contentsOf(followerLedger), contentsOf(twin.UTXO()))
 	sameLedger(t, "leader", contentsOf(leaderLedger), contentsOf(twin.UTXO()))
 
-	// Redo 0 is genesis and redo i+1 block i: all that follow the raw write
-	// replayed.
-	for i, m := range writtenLedger.redo[rawAfter+2:] {
-		if m == 0 {
-			t.Errorf("written-to node: redo of block %d allocated nothing: it adopted after the raw write", rawAfter+1+i)
-		}
-	}
-	sameLedger(t, "written-to node", contentsOf(writtenLedger), contentsOf(writtenTwin.UTXO()))
-	if _, ok := contentsOf(writtenLedger)[stray]; !ok {
-		t.Error("the raw entry is gone: the written-to node adopted a state that never held it")
-	}
 	runtime.KeepAlive(pins)
 }
 
@@ -420,7 +397,7 @@ func TestLostConnectRaceConverges(t *testing.T) {
 		t.Fatal("the two states hold different deltas for the contested block")
 	}
 	va, vb := a.UTXO().(*utxo.Set).Version(), b.UTXO().(*utxo.Set).Version()
-	if va != vb || va == (utxo.Version{}) {
+	if va != vb {
 		t.Fatal("the two states are on different ledger versions after the race")
 	}
 	sameLedger(t, "loser against winner", contentsOf(a.UTXO()), contentsOf(b.UTXO()))

@@ -107,11 +107,9 @@ const maxOrphanBlocks = 512
 // ErrKnownInvalid refuses a block already marked invalid.
 var ErrKnownInvalid = errors.New("chain: block previously marked invalid")
 
-// UTXOStore is the ledger-state surface the chain machinery drives. It is
-// exactly the contract extracted from *utxo.Set; internal/store puts the set
-// over a file-backed paged table so the ledger can exceed process RAM. Both
-// backends must behave identically — the chaos differential byte-compares
-// whole-run reports across them.
+// UTXOStore is the ledger-state surface the chain machinery drives: exactly
+// the contract extracted from *utxo.Set, its one implementation. Tests
+// substitute wrappers that observe it.
 type UTXOStore interface {
 	// Read surface (wallets, invariants, fee resolvers).
 	Lookup(op types.OutPoint) (utxo.Entry, bool)
@@ -123,8 +121,8 @@ type UTXOStore interface {
 	ApplyBlock(txs []*types.Transaction, ctx utxo.BlockContext) (*utxo.Delta, []types.Amount, error)
 	RedoBlock(d *utxo.Delta, at utxo.BlockRef)
 	UndoBlock(d *utxo.Delta, at utxo.BlockRef)
-	// Stats exposes backend counters for the harness's quiescent-boundary
-	// store metrics.
+	// Stats exposes the ledger's operation counters for the harness's
+	// quiescent-boundary store metrics.
 	Stats() utxo.Stats
 }
 

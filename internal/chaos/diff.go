@@ -17,7 +17,7 @@ type engineVariant struct {
 // diffVariants cross-checks the two simulation engines (the classic
 // sequential loop and the 4-shard conservative windowed engine), the
 // connect cache (shared memoized connects vs full local re-validation), and
-// the storage backends (in-memory vs file-backed paged table and archive).
+// the storage backends (in-memory vs file-backed chain index).
 // The first entry is the baseline the others must match byte for byte.
 var diffVariants = []engineVariant{
 	{"parallelism=1 cache=on store=mem", 1, false, ""},

@@ -13,9 +13,10 @@ import (
 // run over file-backed stores with chain compaction must hold resident
 // memory to the in-flight window — the release slack of the workload plus
 // the uncompacted chain tail — while the full chain state accumulates on
-// disk. Pre-signing the workload and keeping every block body plus UTXO
-// entry resident would cost several hundred MB; the bounded run must stay
-// under a budget well below that.
+// disk. Pre-signing the workload and keeping every block body and undo
+// record resident would cost several hundred MB; the bounded run must stay
+// under a budget well below that. The ledger itself stays in memory: it holds
+// only the unspent outputs.
 func TestBeyondRAMRunBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory soak")
@@ -60,18 +61,18 @@ func TestBeyondRAMRunBounded(t *testing.T) {
 		t.Fatalf("heap grew %d MB over the soak; beyond-RAM mode is not bounded", grew>>20)
 	}
 
-	// The chain state the run produced must actually live on disk — block
-	// archives, arrival-time sidecars, UTXO tables — and exceed the resident
-	// growth, or "beyond RAM" means nothing. The ledger is a spill cache
-	// rebuilt from the index on every boot, so no run writes a journal or a
-	// checkpoint beside it.
+	// The chain state the run produced must actually live on disk — the
+	// chain indexes, each block with its arrival time — and exceed the
+	// resident growth, or "beyond RAM" means nothing. The ledger is rebuilt
+	// from the index on every boot, so no run writes a table, a journal or a
+	// checkpoint for it.
 	var onDisk int64
 	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
 		}
-		if ext := filepath.Ext(path); ext == ".journal" || ext == ".ckpt" {
-			t.Errorf("run left %s: the ledger writes nothing but its table", path)
+		if ext := filepath.Ext(path); ext == ".tab" || ext == ".journal" || ext == ".ckpt" {
+			t.Errorf("run left %s: the ledger writes nothing to disk", path)
 		}
 		onDisk += info.Size()
 		return nil
@@ -87,13 +88,12 @@ func TestBeyondRAMRunBounded(t *testing.T) {
 			onDisk>>20, grew>>20)
 	}
 
-	// The store counters must have ridden the quiescent-boundary sampler:
-	// file backends page their tables.
+	// The ledger counters must have ridden the quiescent-boundary sampler.
 	stats := map[string]float64{}
 	for _, s := range res.StoreStats {
 		stats[s.Name] = s.Max
 	}
-	if stats["store-page-writes"] == 0 {
-		t.Error("store backpressure series store-page-writes never sampled above zero")
+	if stats["store-puts"] == 0 {
+		t.Error("store backpressure series store-puts never sampled above zero")
 	}
 }

@@ -177,13 +177,12 @@ type Result struct {
 	// block fetches, signing-lookahead occupancy) at the maintenance
 	// boundaries; deterministic at any Parallelism.
 	Backpressure []metrics.BackpressureStat
-	// StoreStats samples the fleet-aggregated storage counters (logical
-	// entry ops, page-cache hits/misses, page traffic) at the same
-	// maintenance boundaries. Unlike Backpressure it rides OUTSIDE the
-	// determinism digest: the counters are identical across Parallelism
-	// but legitimately differ with the connect cache on vs off (a cache hit
-	// replays a delta instead of re-validating, a different backend op
-	// sequence), while the Report does not.
+	// StoreStats samples the fleet-aggregated ledger counters (logical
+	// entry ops) at the same maintenance boundaries. Unlike Backpressure
+	// it rides OUTSIDE the determinism digest: the counters are identical
+	// across Parallelism but legitimately differ with the connect cache on
+	// vs off (a cache hit replays a delta instead of re-validating, a
+	// different op sequence), while the Report does not.
 	StoreStats []metrics.BackpressureStat
 	// Revenue is each node's mining revenue at run end — the UTXO balance
 	// of its reward address in the view of the reference node (the
@@ -486,10 +485,9 @@ func (r *runner) maintain() {
 }
 
 // maintainStores runs inside maintain, at the same quiescent boundaries: it
-// samples the fleet-aggregated storage counters into the store backpressure
-// series, flushes the stores (a no-op in memory; the paged tables write
-// their dirty pages back), and — when CompactDepth is set — evicts each
-// live node's deep chain history so resident state stays bounded on long runs.
+// samples the fleet-aggregated ledger counters into the store backpressure
+// series, syncs each live node's chain index, and — when CompactDepth is set —
+// evicts its deep chain history so resident state stays bounded on long runs.
 func (r *runner) maintainStores() {
 	var agg utxo.Stats
 	for _, n := range r.Nodes() {
@@ -498,19 +496,12 @@ func (r *runner) maintainStores() {
 	r.storeBP.Record("store-gets", float64(agg.Gets))
 	r.storeBP.Record("store-puts", float64(agg.Puts))
 	r.storeBP.Record("store-deletes", float64(agg.Deletes))
-	r.storeBP.Record("store-cache-hits", float64(agg.CacheHits))
-	r.storeBP.Record("store-cache-misses", float64(agg.CacheMisses))
-	r.storeBP.Record("store-page-reads", float64(agg.PageReads))
-	r.storeBP.Record("store-page-writes", float64(agg.PageWrites))
 
 	for _, n := range r.Nodes() {
 		// A down node's stores are left alone, as the crash left them, until
 		// the next Restart resets its ledger and replays its index.
 		if n.Down {
 			continue
-		}
-		if err := n.UTXO.Sync(); err != nil {
-			panic(fmt.Sprintf("experiment: node %d: store sync: %v", n.ID, err))
 		}
 		if err := n.Index.Sync(); err != nil {
 			panic(fmt.Sprintf("experiment: node %d: index sync: %v", n.ID, err))

@@ -24,7 +24,7 @@ import (
 //
 //  1. Reset the ledger: the chain index is the durable truth and step 4
 //     re-derives UTXO state from it, so whatever the ledger store held before
-//     is never trusted (a file-backed ledger is only a spill cache). Reset
+//     is never trusted (the ledger lives in memory, whatever the store). Reset
 //     precedes Build because chain.New applies genesis into the store.
 //  2. Build the client through the protocol registry.
 //  3. Attach the index as persistence hook and as the body archive Compact

@@ -263,8 +263,8 @@ func (f *Fleet) abandon(err error) error {
 	return err
 }
 
-// Close releases every node's storage backends — syncing file-backed state
-// so a later fleet over the same root resumes from it — removes an ephemeral
+// Close closes every node's chain index — syncing a file-backed one so a
+// later fleet over the same root resumes from it — removes an ephemeral
 // "file:" root, and stops the engine's workers. The fleet is unusable
 // afterwards. It returns the first error.
 func (f *Fleet) Close() error {
@@ -276,10 +276,6 @@ func (f *Fleet) Close() error {
 	}
 	for _, nd := range f.nodes {
 		keep(nd.Index.Close())
-		if nd.UTXO != nil { // nil only under a failed New
-			keep(nd.UTXO.Sync())
-			keep(nd.UTXO.Close())
-		}
 	}
 	keep(f.factory.Close())
 	if f.eng != nil {

@@ -192,8 +192,8 @@ func escapes(prog *dataflow.Program, eng *dataflow.Engine, inZone func(string) b
 }
 
 // unorderedCallback classifies Range-style iterator methods whose callee the
-// engine could not resolve (interface dispatch: utxo.Backend.Range,
-// chain.UTXOStore.Range, sync.Map.Range). Their contract specifies no
+// engine could not resolve (interface dispatch: chain.UTXOStore.Range,
+// store.UTXO.Range, sync.Map.Range). Their contract specifies no
 // visiting order, so the callback parameters carry map-order taint exactly
 // like map-range loop variables. Resolved concrete Range methods are
 // excluded upstream: the engine models those bodies precisely, and the map

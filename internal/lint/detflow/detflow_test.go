@@ -113,23 +113,24 @@ func stripLine(re *regexp.Regexp, n *int) func([]byte) []byte {
 	}
 }
 
-// TestRevertedPoisonSortCaught is the regression acceptance test for the
-// applyPoison map-order bug: a copy of the real utxo package with the
-// fixing sort.Slice removed must re-trigger an interprocedural finding —
-// the unsorted delta op log escapes through utxo.(Set).ApplyBlock's result,
-// three calls above the range that introduced the order dependence.
+// TestRevertedPoisonSortCaught is the regression acceptance test for
+// map-ordered poison placement: a copy of the real core package with the
+// sort.Slice that puts eligiblePoisons' culprits in hash order removed must
+// re-trigger a finding. The poison transactions land in the leader's next
+// microblock, so without the sort their consensus-visible order follows map
+// iteration.
 func TestRevertedPoisonSortCaught(t *testing.T) {
 	reverted := 0
-	diags := sandbox(t, "utxo", true, stripLine(regexp.MustCompile(`(?m)^\s*sort\.Slice\(revoke.*$`), &reverted), "")
-	if reverted == 0 {
-		t.Fatal("did not find the applyPoison sort.Slice(revoke...) to revert — the fixture regression has moved")
+	diags := sandbox(t, "core", true, stripLine(regexp.MustCompile(`(?s)\n\s*sort\.Slice\(culprits, .*?\n\t\}\)`), &reverted), "")
+	if reverted != 1 {
+		t.Fatalf("found %d sort.Slice(culprits...) calls to revert, want the one in eligiblePoisons", reverted)
 	}
-	if !anyFinding(diags, "map-iteration-order", "ApplyBlock") {
-		t.Errorf("reverting the applyPoison sort produced no map-order escape through ApplyBlock; detflow would miss the original bug")
+	if !anyFinding(diags, "map-iteration-order", "eligiblePoisons") {
+		t.Errorf("reverting the eligiblePoisons sort produced no map-order finding; detflow would miss the bug")
 	}
 	// Control: the sort is what makes the difference, not fixture noise.
-	for _, d := range sandbox(t, "utxo", true, nil, "") {
-		t.Errorf("intact utxo copy produced finding: %s", d)
+	for _, d := range sandbox(t, "core", true, nil, "") {
+		t.Errorf("intact core copy produced finding: %s", d)
 	}
 }
 

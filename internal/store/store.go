@@ -1,12 +1,12 @@
 // Package store is the pluggable persistence layer under a node: ledger
 // (UTXO) storage and the chain index (block bodies + arrival times), selected
-// through one URL-style locator. A ledger is always a *utxo.Set; under a file
-// root its entries spill to an on-disk paged table behind a bounded page
-// cache, so total chain state can exceed process RAM. The table is a cache,
-// not a record: it is truncated on open, and every boot rebuilds the ledger
-// from the chain index. The chain index is a blockstore: blockstore.Mem in
-// memory, blockstore.Store on disk, each keeping a block and its arrival
-// time in one record.
+// through one URL-style locator. A ledger is always an in-memory *utxo.Set,
+// whatever the locator: it is a function of the chain, and every boot
+// rebuilds it from the chain index. The chain index is a blockstore:
+// blockstore.Mem in memory, blockstore.Store on disk, each keeping a block
+// and its arrival time in one record. A file root is what lets chain state
+// exceed process RAM: compaction evicts deep block bodies and undo records,
+// and the durable index serves them back.
 //
 // Both backends must behave identically at the consensus surface — the chaos
 // differential replays whole experiments across them and byte-compares the
@@ -25,10 +25,10 @@ import (
 	"bitcoinng/internal/utxo"
 )
 
-// UTXO is the full lifecycle surface of a pluggable ledger store: the
-// chain.UTXOStore contract (stated structurally here to keep this package
-// below the chain layer) plus the lifecycle the harnesses drive. *utxo.Set
-// is its one implementation, over either backend.
+// UTXO is the full lifecycle surface of a ledger store: the chain.UTXOStore
+// contract (stated structurally here to keep this package below the chain
+// layer) plus the lifecycle the harnesses drive. *utxo.Set is its one
+// implementation.
 type UTXO interface {
 	Lookup(op types.OutPoint) (utxo.Entry, bool)
 	Len() int
@@ -43,10 +43,8 @@ type UTXO interface {
 	// Reset drops all state; the restart path resets before replaying the
 	// durable chain prefix so a half-synced store never double-applies.
 	Reset() error
-	// Sync writes buffered state back (the paged table's dirty pages); call
-	// it at quiescent boundaries.
+	// Sync and Close are no-ops on the in-memory set.
 	Sync() error
-	// Close releases resources; the store is unusable afterwards.
 	Close() error
 }
 
@@ -128,29 +126,15 @@ func NewFactory(url string) (*Factory, error) {
 	}
 }
 
-// InMemory reports whether the factory hands out RAM-bound stores.
-func (f *Factory) InMemory() bool { return f.dir == "" }
-
-// Dir returns the file root ("" for mem:).
-func (f *Factory) Dir() string { return f.dir }
-
 // Blocks returns the block table the factory's mem: chain indexes share. A
 // harness hands it to its nodes' chain states too (chain.WithBlockTable), so
 // a fleet names each block once.
 func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
 
-// NewUTXO builds the named ledger store: a set over the in-memory backend, or
-// over a fresh paged table at <dir>/<name>.tab.
-func (f *Factory) NewUTXO(name string) (UTXO, error) {
-	if f.dir == "" {
-		return utxo.New(), nil
-	}
-	table, err := newPagedTable(filepath.Join(f.dir, name+".tab"), 0)
-	if err != nil {
-		return nil, err
-	}
-	return utxo.NewWith(table), nil
-}
+// NewUTXO builds a ledger store: an empty in-memory set under every locator,
+// so it neither reads nor writes the file root. The name is unused and the
+// error always nil; both keep the signature NewChainIndex has.
+func (f *Factory) NewUTXO(name string) (UTXO, error) { return utxo.New(), nil }
 
 // NewChainIndex builds the named chain index: an in-memory archive over the
 // factory's block table, or the block file <dir>/<name>.blocks.

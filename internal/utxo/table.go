@@ -10,7 +10,7 @@ import (
 	"bitcoinng/internal/types"
 )
 
-// The memory backend's table is a persistent hash trie keyed by outpoint: a
+// The set's table is a persistent hash trie keyed by outpoint: a
 // 32-way bitmap-compressed trie in canonical (CHAMP) form — a slot holds
 // either one entry inline or a subtrie of at least two, and a delete that
 // leaves a subtrie with one entry folds it back into its parent — so the

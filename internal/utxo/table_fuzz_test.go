@@ -2,6 +2,8 @@ package utxo
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -106,23 +108,92 @@ func fuzzKey(k byte) types.OutPoint {
 	return op
 }
 
-// fuzzCulprit is one of four raw poison marks the program may flip.
-func fuzzCulprit(k byte) crypto.Hash { return crypto.Hash{0xC0, k & 3} }
+// trieTable is the bare trie FuzzLedgerTable writes to directly: a root, the
+// edit batch that owns the nodes it created, and the entry count.
+type trieTable struct {
+	root *node
+	edit *editToken
+	n    int
+}
 
-// rangeOrder returns the outpoints in Range order, failing on a repeat.
-func rangeOrder(t *testing.T, s *Set) []types.OutPoint {
+func (tt *trieTable) batch() *editToken {
+	if tt.edit == nil {
+		tt.edit = new(editToken)
+	}
+	return tt.edit
+}
+
+func (tt *trieTable) put(op types.OutPoint, e Entry) {
+	root, added := tt.root.put(tt.batch(), &leaf{op: op, e: e}, pathOf(&op), 0)
+	tt.root = root
+	if added {
+		tt.n++
+	}
+}
+
+func (tt *trieTable) del(op types.OutPoint) {
+	root, removed := tt.root.del(tt.batch(), &op, pathOf(&op), 0)
+	tt.root = root
+	if removed {
+		tt.n--
+	}
+}
+
+// freeze ends the edit batch and returns the current state, which no later
+// write may change.
+func (tt *trieTable) freeze() *trieTable {
+	tt.edit = nil
+	return &trieTable{root: tt.root, n: tt.n}
+}
+
+// eachOrder returns the outpoints in the trie's iteration order, failing on
+// a repeat.
+func eachOrder(t *testing.T, root *node) []types.OutPoint {
 	t.Helper()
 	var order []types.OutPoint
 	seen := map[types.OutPoint]bool{}
-	s.Range(func(op types.OutPoint, _ Entry) bool {
-		if seen[op] {
-			t.Fatalf("Range visited %v twice", op)
+	root.each(func(l *leaf) bool {
+		if seen[l.op] {
+			t.Fatalf("each visited %v twice", l.op)
 		}
-		seen[op] = true
+		seen[l.op] = true
+		order = append(order, l.op)
+		return true
+	})
+	return order
+}
+
+// rangeOrder returns the outpoints in a set's Range order.
+func rangeOrder(t *testing.T, s *Set) []types.OutPoint {
+	t.Helper()
+	var order []types.OutPoint
+	s.Range(func(op types.OutPoint, _ Entry) bool {
 		order = append(order, op)
 		return true
 	})
 	return order
+}
+
+// checkTrie compares everything observable about a trie with the model.
+func checkTrie(t *testing.T, what string, tt *trieTable, model map[types.OutPoint]Entry) {
+	t.Helper()
+	if tt.n != len(model) {
+		t.Fatalf("%s: %d entries, model has %d", what, tt.n, len(model))
+	}
+	order := eachOrder(t, tt.root)
+	if len(order) != len(model) {
+		t.Fatalf("%s: each visited %d entries, model has %d", what, len(order), len(model))
+	}
+	for k := 0; k < 256; k++ {
+		op := fuzzKey(byte(k))
+		l := tt.root.get(&op, pathOf(&op))
+		if want, ok := model[op]; ok != (l != nil) || ok && l.e != want {
+			t.Fatalf("%s: get(%v) = %v, model has %+v (present %v)", what, op, l, want, ok)
+		}
+	}
+	if !slices.Equal(order, canonicalOrder(t, model)) {
+		t.Fatalf("%s: iterates\n%v\ncanonical order is\n%v", what, order, canonicalOrder(t, model))
+	}
 }
 
 // checkAgainst compares everything observable about s with the model.
@@ -158,32 +229,33 @@ func hasKey(m map[types.OutPoint]Entry, op types.OutPoint) bool {
 	return ok
 }
 
-// canonicalOrder is the Range order of a table built from the model's
-// contents alone, inserted in sorted order: the order any table with these
-// contents must iterate in, whatever history produced it.
-func canonicalOrder(t *testing.T, m *ledgerModel) []types.OutPoint {
+// canonicalOrder is the iteration order of a trie built from the contents
+// alone, inserted in sorted order: the order any trie with these contents
+// must iterate in, whatever history produced it.
+func canonicalOrder(t *testing.T, entries map[types.OutPoint]Entry) []types.OutPoint {
 	t.Helper()
-	keys := make([]types.OutPoint, 0, len(m.entries))
-	for op := range m.entries {
+	keys := make([]types.OutPoint, 0, len(entries))
+	for op := range entries {
 		keys = append(keys, op)
 	}
 	slices.SortFunc(keys, func(a, b types.OutPoint) int { return compareOutPoints(&a, &b) })
-	be := NewMemBackend()
+	tt := &trieTable{root: emptyRoot}
 	for _, op := range keys {
-		be.Put(op, m.entries[op])
+		tt.put(op, entries[op])
 	}
-	return rangeOrder(t, NewWith(be))
+	return eachOrder(t, tt.root)
 }
 
-// FuzzLedgerTable drives a memory-backed set and a peer that follows it —
-// by the same raw writes, and across blocks by Redo/Undo of the leader's
-// deltas, so it adopts where the leader applied, except where the program
-// has it compute a block of its own — through a random program
-// of raw Put/Delete/SetPoisoned, Snapshot, ApplyBlock (valid and failing,
-// with poison transactions), Undo, Redo and Reset, against the map model.
-// After every step both sets equal the model, iterate in the canonical
-// order of their contents, and every snapshot and post-block version taken
-// so far still reads back exactly as when it was taken.
+// FuzzLedgerTable runs a random program over two subjects, each against a
+// map model. The trie takes raw put and delete, and freezes snapshots
+// between writes. Two sets, a leader and a peer that follows it, change only
+// by blocks: the leader applies each block (valid and failing, with poison
+// transactions), and the peer crosses the leader's delta by Redo, so it
+// adopts, except where the program has it compute the block itself and then
+// replay the leader's deltas. Both are then undone and redone, Reset and
+// cloned. After every step each subject equals its model and iterates in the
+// canonical order of its contents, and every snapshot and post-block version
+// taken so far still reads back exactly as when it was taken.
 func FuzzLedgerTable(f *testing.F) {
 	key, err := crypto.GenerateKey(rand.New(rand.NewSource(17)))
 	if err != nil {
@@ -196,7 +268,7 @@ func FuzzLedgerTable(f *testing.F) {
 	f.Add([]byte{})
 	// Collision bucket: fill it, overwrite, snapshot, drain it back through
 	// the fold-up, with a same-TxID pair that differs by index alone.
-	f.Add([]byte{0, 0, 192, 0, 4, 192, 0, 8, 192, 1, 12, 192, 0, 200, 192, 1, 201, 192, 4, 0, 4, 193, 2, 0, 2, 8, 2, 77, 2, 12, 2, 4, 2, 201, 2, 200})
+	f.Add([]byte{0, 0, 192, 0, 4, 192, 0, 8, 192, 1, 12, 192, 0, 200, 192, 1, 201, 192, 3, 0, 4, 193, 2, 0, 2, 8, 2, 77, 2, 12, 2, 4, 2, 201, 2, 200})
 	// Blocks only, from empty, so the peer adopts each one: funding, a
 	// spend, a two-transaction block with a maturing coinbase, a poison of
 	// it; then both sets walk the stack down and up again.
@@ -204,10 +276,10 @@ func FuzzLedgerTable(f *testing.F) {
 	// Failing blocks: a missing input, a double spend inside one block, an
 	// immature coinbase spend, a second poison of one culprit.
 	f.Add([]byte{6, 0, 2, 77, 5, 6, 0, 0, 16, 1, 10, 0, 0, 30, 10, 0, 0, 5, 6, 1, 0, 6, 1, 10, 0, 2, 1, 6, 2, 5, 6, 3, 5})
-	// Raw funding of same-path keys, blocks spending them out of the bucket
-	// (the sets are of unknown version: the peer replays), undo and redo,
-	// raw poison marks, then Reset and blocks on known versions again.
-	f.Add([]byte{0, 0, 192, 0, 4, 192, 0, 64, 192, 16, 1, 2, 0, 50, 2, 4, 60, 7, 8, 7, 3, 1, 1, 3, 2, 1, 3, 1, 0, 9, 6, 0, 0, 6, 1, 10, 0, 0, 7, 7, 8})
+	// Trie writes between blocks: funding, same-path keys into the trie, a
+	// spend of the funding, a delete, a snapshot, undo and redo, Reset and
+	// blocks from the empty version again, a clone, more undo and redo.
+	f.Add([]byte{6, 0, 0, 0, 0, 192, 0, 4, 192, 6, 1, 10, 0, 0, 30, 2, 0, 3, 7, 8, 9, 6, 0, 0, 6, 1, 10, 0, 1, 1, 4, 7, 7, 8})
 	// The peer computes blocks itself (a lost race, an evicted cache entry):
 	// it stands on versions of its own and crosses the leader's deltas by
 	// replay, in both directions.
@@ -226,9 +298,17 @@ func FuzzLedgerTable(f *testing.F) {
 			return b
 		}
 
+		tab := &trieTable{root: emptyRoot}
+		tabModel := map[types.OutPoint]Entry{}
+		type frozenTrie struct {
+			tab  *trieTable
+			want map[types.OutPoint]Entry
+		}
+		var tabSnaps []frozenTrie
+
 		main, peer := New(), New()
 		model := newLedgerModel()
-		marks := []crypto.Hash{fuzzCulprit(0), fuzzCulprit(1), fuzzCulprit(2), fuzzCulprit(3)}
+		var marks []crypto.Hash // every coinbase: what Poisoned is asked about
 
 		type frozen struct {
 			what string
@@ -246,9 +326,6 @@ func FuzzLedgerTable(f *testing.F) {
 		var created []types.OutPoint // outputs of applied transactions
 		var serial uint64            // keeps generated transactions distinct
 		both := func(fn func(s *Set)) { fn(main); fn(peer) }
-		// A raw write takes the sets off the block history: what was
-		// applied can no longer be undone, nor what was undone redone.
-		raw := func() { applied, undone = nil, nil }
 
 		for step := 0; len(prog) > 0; step++ {
 			switch op := next(); op % 10 {
@@ -258,23 +335,14 @@ func FuzzLedgerTable(f *testing.F) {
 				if v&16 != 0 {
 					e.To = crypto.Address{v}
 				}
-				raw()
-				both(func(s *Set) { s.be.Put(fuzzKey(k), e) })
-				model.entries[fuzzKey(k)] = e
+				tab.put(fuzzKey(k), e)
+				tabModel[fuzzKey(k)] = e
 			case 2:
 				k := next()
-				raw()
-				both(func(s *Set) { s.be.Delete(fuzzKey(k)) })
-				delete(model.entries, fuzzKey(k))
+				tab.del(fuzzKey(k))
+				delete(tabModel, fuzzKey(k))
 			case 3:
-				k, on := next(), next()&1 == 1
-				raw()
-				both(func(s *Set) { s.be.SetPoisoned(fuzzCulprit(k), on) })
-				if on {
-					model.poisoned[fuzzCulprit(k)] = true
-				} else {
-					delete(model.poisoned, fuzzCulprit(k))
-				}
+				tabSnaps = append(tabSnaps, frozenTrie{tab.freeze(), maps.Clone(tabModel)})
 			case 4:
 				taken = append(taken, frozen{"snapshot", main.Clone(), model.clone()})
 			case 5, 6:
@@ -345,7 +413,9 @@ func FuzzLedgerTable(f *testing.F) {
 					model = b.post
 				}
 			case 9:
-				raw()
+				// What was applied can no longer be undone, nor what was
+				// undone redone.
+				applied, undone = nil, nil
 				both(func(s *Set) {
 					if err := s.Reset(); err != nil {
 						t.Fatal(err)
@@ -354,9 +424,13 @@ func FuzzLedgerTable(f *testing.F) {
 				model = newLedgerModel()
 			}
 
+			checkTrie(t, "trie", tab, tabModel)
+			for i, fz := range tabSnaps {
+				checkTrie(t, fmt.Sprintf("trie snapshot %d", i), fz.tab, fz.want)
+			}
 			checkAgainst(t, "leader", main, model, marks)
 			checkAgainst(t, "peer", peer, model, marks)
-			want := canonicalOrder(t, model)
+			want := canonicalOrder(t, model.entries)
 			if got := rangeOrder(t, main); !slices.Equal(got, want) {
 				t.Fatalf("step %d: leader iterates\n%v\ncanonical order is\n%v", step, got, want)
 			}
@@ -384,11 +458,11 @@ func TestFuzzKeysCollide(t *testing.T) {
 	if pathOf(&a) != pathOf(&b) || bytes.Equal(a.TxID[:], b.TxID[:]) {
 		t.Fatal("fuzzKey(0) and fuzzKey(4) should be distinct outpoints on one path")
 	}
-	be := NewMemBackend().(*memBackend)
+	tt := &trieTable{root: emptyRoot}
 	for k := 0; k < 32; k++ {
-		be.Put(fuzzKey(byte(k)), Entry{Value: 1})
+		tt.put(fuzzKey(byte(k)), Entry{Value: 1})
 	}
-	depth, n := 0, be.led.root
+	depth, n := 0, tt.root
 	for len(n.kids) == 1 && len(n.leaves) == 0 {
 		depth, n = depth+1, n.kids[0]
 	}

@@ -4,17 +4,12 @@
 // maturity, and Bitcoin-NG poison revocation of fraudulent leader revenue
 // (§4.5).
 //
-// Storage is pluggable: the Set holds all validation and delta bookkeeping
-// and delegates raw entry storage to a Backend (in-memory here, file-backed
-// paged table in internal/store), so chain state can exceed process RAM
-// without the consensus logic knowing.
-//
-// The in-memory backend is a persistent table: every state a block operation
-// leaves behind is an immutable, versioned value. A Delta records the two
-// versions it maps between, so replaying it onto a memory-backed set that is
-// at the recorded version is not a replay at all — the set adopts the
-// recorded state in O(1), and every simulated node on one chain tip holds the
-// same ledger by pointer instead of a private copy of it.
+// The set is a persistent table held in memory, whatever store a node runs
+// on: every state a block operation leaves behind is an immutable, versioned
+// value. A Delta records the two versions it maps between, so replaying it
+// onto a set that is at the recorded version is not a replay at all — the set
+// adopts the recorded state in O(1), and every simulated node on one chain
+// tip holds the same ledger by pointer instead of a private copy of it.
 package utxo
 
 import (
@@ -57,7 +52,7 @@ var (
 )
 
 // BlockRef identifies the block a delta belongs to. The block operations
-// carry it for their callers' bookkeeping; no backend reads it.
+// carry it for their callers' bookkeeping; the set itself never reads it.
 type BlockRef struct {
 	Block  crypto.Hash
 	Parent crypto.Hash
@@ -83,47 +78,37 @@ type BlockContext struct {
 // Set is the UTXO set. It is not safe for concurrent use; each protocol node
 // owns one (or a small number, for staging branch validation).
 type Set struct {
-	be Backend
-	// mem is be when the set is memory-backed: the one backend whose states
-	// are versioned values a delta can hand over whole. Nil otherwise.
-	mem *memBackend
+	led     *ledger
+	edit    *editToken
+	version Version
+	stats   Stats
 }
 
-// New returns an empty set over the in-memory backend.
-func New() *Set { return NewWith(NewMemBackend()) }
+// New returns an empty set.
+func New() *Set { return &Set{led: &ledger{root: emptyRoot}, version: emptyVersion} }
 
-// NewWith returns a set over the given storage backend.
-func NewWith(be Backend) *Set {
-	mem, _ := be.(*memBackend)
-	return &Set{be: be, mem: mem}
-}
-
-// Version returns the logical version of a memory-backed set's contents, and
-// the zero (unknown) Version for any other backend.
-func (s *Set) Version() Version {
-	if s.mem == nil {
-		return Version{}
-	}
-	return s.mem.version
-}
+// Version returns the logical version of the set's contents.
+func (s *Set) Version() Version { return s.version }
 
 // Len returns the number of unspent entries.
-func (s *Set) Len() int { return s.be.Len() }
+func (s *Set) Len() int { return s.led.n }
 
 // Lookup returns the entry for op, if present.
-func (s *Set) Lookup(op types.OutPoint) (Entry, bool) { return s.be.Get(op) }
+func (s *Set) Lookup(op types.OutPoint) (Entry, bool) { return s.get(op) }
 
 // Range iterates the unspent entries until fn returns false, in an order
-// that repeats from run to run but differs between backends. Callers must
-// not mutate the set during iteration. Consumers that need an order
-// (wallets, reports) must sort.
-func (s *Set) Range(fn func(op types.OutPoint, e Entry) bool) { s.be.Range(fn) }
+// that is a function of the contents alone. Callers must not mutate the set
+// during iteration. Consumers that need a meaningful order (wallets,
+// reports) must sort.
+func (s *Set) Range(fn func(op types.OutPoint, e Entry) bool) {
+	s.led.root.each(func(l *leaf) bool { return fn(l.op, l.e) })
+}
 
 // BalanceOf sums the spendable (non-revoked) value paid to addr. It is a
 // linear scan intended for wallets and tests, not consensus.
 func (s *Set) BalanceOf(addr crypto.Address) types.Amount {
 	var sum types.Amount
-	s.be.Range(func(_ types.OutPoint, e Entry) bool {
+	s.Range(func(_ types.OutPoint, e Entry) bool {
 		if e.To == addr && !e.Revoked {
 			sum += e.Value
 		}
@@ -133,24 +118,32 @@ func (s *Set) BalanceOf(addr crypto.Address) types.Amount {
 }
 
 // Clone returns an isolated snapshot, used to stage validation of a
-// candidate branch without touching the active state. Mutations on the
-// clone never reach the original and vice versa; how that isolation is
-// achieved (shared persistent state, deep copy) is the backend's business.
-func (s *Set) Clone() *Set { return NewWith(s.be.Snapshot()) }
+// candidate branch without touching the active state. It shares the frozen
+// state: O(1), and isolated because neither side ever writes a frozen node —
+// each copies the paths it changes. The poisoned set is part of the state,
+// so a staged branch's poison transaction cannot leak into the active state
+// (or vice versa) any more than an entry can. The copy keeps the version;
+// its counters start at zero.
+func (s *Set) Clone() *Set { return &Set{led: s.freeze(), version: s.version} }
 
-// Reset drops all entries and poison marks, returning the set to its empty
-// state. The restart path resets before replaying the durable chain prefix
-// so a half-synced store can never double-apply.
-func (s *Set) Reset() error { return s.be.Reset() }
+// Reset drops all entries and poison marks, returning the set to the shared
+// empty version. The restart path resets before replaying the durable chain
+// prefix so a half-synced node can never double-apply.
+func (s *Set) Reset() error {
+	s.led, s.edit, s.version = &ledger{root: emptyRoot}, nil, emptyVersion
+	return nil
+}
 
-// Sync flushes buffered state to stable storage (no-op in memory).
-func (s *Set) Sync() error { return s.be.Sync() }
+// Sync does nothing: the set lives in memory, and a node's durable state is
+// its chain index, from which every boot rebuilds the ledger. It is kept for
+// callers that drive a store's whole lifecycle.
+func (s *Set) Sync() error { return nil }
 
-// Close releases backend resources; the set is unusable afterwards.
-func (s *Set) Close() error { return s.be.Close() }
+// Close does nothing, like Sync.
+func (s *Set) Close() error { return nil }
 
-// Stats returns the backend's cumulative operation counters.
-func (s *Set) Stats() Stats { return s.be.Stats() }
+// Stats returns the set's cumulative operation counters.
+func (s *Set) Stats() Stats { return s.stats }
 
 // Delta op kinds.
 const (
@@ -162,11 +155,13 @@ const (
 
 // deltaOp is one recorded mutation. Ops form an ordered log so a delta
 // replays forward correctly even when a block spends outputs it created
-// (intra-block chains), and reverses backward for reorganizations.
+// (intra-block chains), and reverses backward for reorganizations. The leaf
+// holds the new entry for opCreate and the old one for opSpend. It is the
+// very leaf the table links for that entry, so applying or replaying a
+// create, or undoing a spend, allocates no leaf.
 type deltaOp struct {
-	kind  uint8
-	op    types.OutPoint
-	entry Entry // old entry for opSpend, new entry for opCreate
+	kind uint8
+	leaf
 }
 
 // Delta records one block's effect on the set as an ordered mutation log. It
@@ -176,21 +171,24 @@ type deltaOp struct {
 // without re-validating anything (the connect cache in internal/validate
 // shares one Delta across every node that connects the block). The log and
 // the versions are immutable once ApplyBlock returns; Redo/Undo only read
-// them.
+// them. Tables link the log's leaves directly, so a live entry keeps its
+// block's log alive until the entry is spent. That costs nothing while the
+// chain holds the delta as an undo record anyway; only the log of a block
+// whose undo record compaction dropped stays resident for its unspent
+// outputs.
 //
-// A delta computed on a memory-backed set also names the versions it maps
-// between and references the frozen ledgers on both sides, which is what lets
-// Redo/Undo hand a set the recorded state instead of replaying the log. The
-// references are weak: a delta is retained as an undo record for as long as
-// its block stays connected, and must not pin every superseded ledger of a
-// node that shares with nobody. A state some set still stands on is alive
-// and adoptable; one nobody holds is gone, the next set to cross the delta
-// replays the log, and re-publishes what it rebuilt.
+// A delta also names the versions it maps between and references the frozen
+// ledgers on both sides, which is what lets Redo/Undo hand a set the recorded
+// state instead of replaying the log. The references are weak: a delta is
+// retained as an undo record for as long as its block stays connected, and
+// must not pin every superseded ledger of a node that shares with nobody. A
+// state some set still stands on is alive and adoptable; one nobody holds is
+// gone, the next set to cross the delta replays the log, and re-publishes
+// what it rebuilt.
 type Delta struct {
 	ops []deltaOp
 
-	// pre and post are the versions before and after the block; unknown for
-	// a delta computed on a file-backed set.
+	// pre and post are the versions before and after the block.
 	pre, post Version
 	// Op counts by kind, from which an adoption accounts the logical
 	// Gets/Puts/Deletes a replay would have made.
@@ -200,9 +198,9 @@ type Delta struct {
 	before, after weak.Pointer[ledger]
 }
 
-// record appends one mutation to the log.
-func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) {
-	d.ops = append(d.ops, deltaOp{kind: kind, op: op, entry: e})
+// record appends one mutation to the log and returns its leaf.
+func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) *leaf {
+	d.ops = append(d.ops, deltaOp{kind: kind, leaf: leaf{op: op, e: e}})
 	switch kind {
 	case opCreate:
 		d.creates++
@@ -211,6 +209,7 @@ func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) {
 	case opRevoke:
 		d.revokes++
 	}
+	return &d.ops[len(d.ops)-1].leaf
 }
 
 // recorded returns the frozen ledger *ref still references, if any set keeps
@@ -234,7 +233,7 @@ func (d *Delta) publish(ref *weak.Pointer[ledger], led *ledger) {
 // given context and returns the entry.
 func (s *Set) checkSpend(tx *types.Transaction, i int, ctx *BlockContext) (Entry, error) {
 	in := &tx.Inputs[i]
-	e, ok := s.be.Get(in.Prev)
+	e, ok := s.get(in.Prev)
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %v", ErrMissingInput, in.Prev)
 	}
@@ -273,7 +272,7 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 			}
 			inSum += e.Value
 			d.record(opSpend, tx.Inputs[i].Prev, e)
-			s.be.Delete(tx.Inputs[i].Prev)
+			s.del(tx.Inputs[i].Prev)
 		}
 		outSum := tx.OutputSum()
 		if outSum > inSum {
@@ -287,17 +286,15 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 	isCoinbase := tx.Kind == types.TxCoinbase && ctx.Height > 0
 	for i := range tx.Outputs {
 		op := types.OutPoint{TxID: txid, Index: uint32(i)}
-		if _, exists := s.be.Get(op); exists {
+		if _, exists := s.get(op); exists {
 			return 0, fmt.Errorf("%w: %v", ErrDuplicateOutput, op)
 		}
-		e := Entry{
+		s.put(d.record(opCreate, op, Entry{
 			Value:    tx.Outputs[i].Value,
 			To:       tx.Outputs[i].To,
 			Coinbase: isCoinbase,
 			Height:   ctx.Height,
-		}
-		s.be.Put(op, e)
-		d.record(opCreate, op, e)
+		}))
 	}
 	return fee, nil
 }
@@ -311,20 +308,18 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 	if !ok {
 		return fmt.Errorf("%w: poison %s", ErrUnknownCulprit, txid.Short())
 	}
-	if s.be.Poisoned(culpritCB) {
+	if s.Poisoned(culpritCB) {
 		// "Only one poison transaction can be placed per cheater."
 		return fmt.Errorf("%w: coinbase %s", ErrAlreadyPoisoned, culpritCB.Short())
 	}
 	// Collect the revocable outputs first and sort them: the delta op log
-	// is ordered (undo replays it back to front), and a backend's iteration
-	// order is its own — the memory table's follows the contents, the paged
-	// table's the operation history — so appending in that order would make
-	// the log, and anything derived from it, differ between backends for
-	// the same (config, seed). A coinbase has a
-	// handful of outputs, so the full-set scan is acceptable even on the
-	// paged file backend (poison transactions are rare by construction).
+	// is ordered (undo replays it back to front), and fixing it to index
+	// order keeps the log, and anything derived from it, independent of how
+	// the table happens to iterate. A coinbase has a handful of outputs, so
+	// the full-set scan is acceptable (poison transactions are rare by
+	// construction).
 	var revoke []types.OutPoint
-	s.be.Range(func(op types.OutPoint, e Entry) bool {
+	s.Range(func(op types.OutPoint, e Entry) bool {
 		if op.TxID == culpritCB && !e.Revoked {
 			revoke = append(revoke, op)
 		}
@@ -333,9 +328,9 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 	sort.Slice(revoke, func(i, j int) bool { return revoke[i].Index < revoke[j].Index })
 	var revokedValue types.Amount
 	for _, op := range revoke {
-		e, _ := s.be.Get(op)
+		e, _ := s.get(op)
 		e.Revoked = true
-		s.be.Put(op, e)
+		s.put(&leaf{op: op, e: e})
 		d.record(opRevoke, op, Entry{})
 		revokedValue += e.Value
 	}
@@ -343,7 +338,7 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 	if tx.OutputSum() > reward {
 		return fmt.Errorf("%w: %d > %d", ErrExcessReward, tx.OutputSum(), reward)
 	}
-	s.be.SetPoisoned(culpritCB, true)
+	s.setPoisoned(culpritCB, true)
 	d.record(opPoison, types.OutPoint{TxID: culpritCB}, Entry{})
 	return nil
 }
@@ -355,35 +350,30 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 // Later transactions may spend outputs created by earlier transactions in
 // the same block, matching Bitcoin semantics.
 func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []types.Amount, error) {
-	// One op per input and output (poison transactions add a few): sized up
-	// front, a retained undo log carries no append slack.
+	// One op per input and output: sized up front, a retained undo log
+	// carries no append slack. Poison transactions add a few and may move
+	// the log; leaves already linked then stay in the old array, which is
+	// just as immutable.
 	nOps := 0
 	for _, tx := range txs {
 		nOps += len(tx.Inputs) + len(tx.Outputs)
 	}
-	d := &Delta{ops: make([]deltaOp, 0, nOps)}
-	var before *ledger
-	if s.mem != nil {
-		d.pre, before = s.mem.version, s.mem.freeze()
-	}
+	d := &Delta{ops: make([]deltaOp, 0, nOps), pre: s.version}
+	before := s.freeze()
 	fees := make([]types.Amount, len(txs))
 	for i, tx := range txs {
 		fee, err := s.applyTx(tx, &ctx, d)
 		if err != nil {
-			// Reverse what was applied (the operations count, as they
-			// always have), then stand on the untouched pre-state itself.
-			s.undoOps(d)
-			if s.mem != nil {
-				s.mem.adopt(before, d.pre, 0, 0, 0)
-			}
+			// Stand on the untouched pre-state itself. The counters take
+			// the operations that reversing the applied part would make,
+			// as they always have.
+			s.adopt(before, d.pre, d.revokes, d.spends+d.revokes, d.creates)
 			return nil, nil, fmt.Errorf("block tx %d: %w", i, err)
 		}
 		fees[i] = fee
 	}
-	if s.mem != nil {
-		d.post = mintVersion()
-		d.before, d.after = weak.Make(before), weak.Make(s.mem.label(d.post))
-	}
+	d.post = mintVersion()
+	d.before, d.after = weak.Make(before), weak.Make(s.label(d.post))
 	return d, fees, nil
 }
 
@@ -393,16 +383,15 @@ func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []
 // addressing (equal block hash implies equal history below it). `at` names
 // the block the delta came from.
 //
-// There are two ways across. A memory-backed set whose version is the one
-// the delta was recorded against adopts the recorded post-state: identity of
-// an immutable version is a stronger pre-state check than any probe. Every
-// other set — file-backed, of unknown version, on a content-equal state that
-// another computation of the same block labelled differently, or arriving
-// after the recorded state was collected — replays the op log, where a
-// missing spend target means the guarantee was broken and panics: serving a
-// corrupted ledger is worse than crashing. A replay from a known version
-// labels its result with the delta's, so the set is back on shared state at
-// the next block.
+// There are two ways across. A set whose version is the one the delta was
+// recorded against adopts the recorded post-state: identity of an immutable
+// version is a stronger pre-state check than any probe. A set on a
+// content-equal state that another computation of the same block labelled
+// differently, or arriving after the recorded state was collected, replays
+// the op log, where a missing spend target means the guarantee was broken
+// and panics: serving a corrupted ledger is worse than crashing. A replay
+// labels its result with the delta's version, so the set is back on shared
+// state at the next block.
 func (s *Set) RedoBlock(d *Delta, at BlockRef) {
 	s.cross(d, true)
 }
@@ -415,8 +404,8 @@ func (s *Set) UndoBlock(d *Delta, at BlockRef) {
 }
 
 // cross moves the set over d, forward (redo) or backward (undo): by adopting
-// the recorded state when the set is memory-backed and stands on the version
-// the delta starts from in that direction, by replaying the log otherwise.
+// the recorded state when the set stands on the version the delta starts
+// from in that direction, by replaying the log otherwise.
 func (s *Set) cross(d *Delta, forward bool) {
 	from, to, ref := d.pre, d.post, &d.after
 	// The logical operations of a replay: see redoOps and undoOps.
@@ -425,10 +414,9 @@ func (s *Set) cross(d *Delta, forward bool) {
 		from, to, ref = d.post, d.pre, &d.before
 		gets, puts, deletes = d.revokes, d.spends+d.revokes, d.creates
 	}
-	at := s.Version() // known only on a memory-backed set
-	if at.known() && at == from {
+	if s.version == from {
 		if led := d.recorded(ref); led != nil {
-			s.mem.adopt(led, to, gets, puts, deletes)
+			s.adopt(led, to, gets, puts, deletes)
 			return
 		}
 	}
@@ -437,56 +425,57 @@ func (s *Set) cross(d *Delta, forward bool) {
 	} else {
 		s.undoOps(d)
 	}
-	if at.known() && to.known() {
-		d.publish(ref, s.mem.label(to))
-	}
+	d.publish(ref, s.label(to))
 }
 
-// redoOps replays the op log onto the backend in order.
+// redoOps replays the op log in order.
 func (s *Set) redoOps(d *Delta) {
 	for i := range d.ops {
 		op := &d.ops[i]
 		switch op.kind {
 		case opCreate:
-			s.be.Put(op.op, op.entry)
+			s.put(&op.leaf)
 		case opSpend:
-			if _, ok := s.be.Get(op.op); !ok {
+			if _, ok := s.get(op.op); !ok {
 				panic(fmt.Sprintf("utxo: redo spends missing entry %v", op.op))
 			}
-			s.be.Delete(op.op)
+			s.del(op.op)
 		case opRevoke:
-			e, ok := s.be.Get(op.op)
+			e, ok := s.get(op.op)
 			if !ok {
 				panic(fmt.Sprintf("utxo: redo revokes missing entry %v", op.op))
 			}
 			e.Revoked = true
-			s.be.Put(op.op, e)
+			s.put(&leaf{op: op.op, e: e})
 		case opPoison:
-			s.be.SetPoisoned(op.op.TxID, true)
+			s.setPoisoned(op.op.TxID, true)
 		}
 	}
 }
 
-// undoOps replays the op log onto the backend back to front, inverted.
+// undoOps replays the op log back to front, inverted.
 func (s *Set) undoOps(d *Delta) {
 	for i := len(d.ops) - 1; i >= 0; i-- {
 		op := &d.ops[i]
 		switch op.kind {
 		case opCreate:
-			s.be.Delete(op.op)
+			s.del(op.op)
 		case opSpend:
-			s.be.Put(op.op, op.entry)
+			s.put(&op.leaf)
 		case opRevoke:
-			if e, ok := s.be.Get(op.op); ok {
+			if e, ok := s.get(op.op); ok {
 				e.Revoked = false
-				s.be.Put(op.op, e)
+				s.put(&leaf{op: op.op, e: e})
 			}
 		case opPoison:
-			s.be.SetPoisoned(op.op.TxID, false)
+			s.setPoisoned(op.op.TxID, false)
 		}
 	}
 }
 
 // Poisoned reports whether the coinbase txid has been revoked by a poison
 // transaction.
-func (s *Set) Poisoned(coinbaseID crypto.Hash) bool { return s.be.Poisoned(coinbaseID) }
+func (s *Set) Poisoned(coinbaseID crypto.Hash) bool {
+	_, ok := s.findPoisoned(coinbaseID)
+	return ok
+}

@@ -91,17 +91,16 @@ func TestRedoUndoAdopt(t *testing.T) {
 	}
 
 	follower := New()
-	// The replaying twin: a set whose version is unknown never adopts.
+	// The twin takes the other way across: it replays every op log.
 	twin := New()
-	twin.mem.version = Version{}
 	for i, d := range deltas {
 		follower.RedoBlock(d, BlockRef{})
-		twin.RedoBlock(d, BlockRef{})
-		if follower.mem.led != pins[i+1].mem.led || follower.Version() != pins[i+1].Version() {
+		twin.redoOps(d)
+		if follower.led != pins[i+1].led || follower.Version() != pins[i+1].Version() {
 			t.Fatalf("block %d: redo did not adopt the recorded post-state", i)
 		}
-		if twin.mem.led == follower.mem.led || twin.Version().known() {
-			t.Fatalf("block %d: the unknown-version twin adopted", i)
+		if twin.led == follower.led {
+			t.Fatalf("block %d: the replaying twin holds the recorded state", i)
 		}
 	}
 	sameContents(t, "after redo", follower, twin)
@@ -110,8 +109,8 @@ func TestRedoUndoAdopt(t *testing.T) {
 	}
 	for i := len(deltas) - 1; i >= 0; i-- {
 		follower.UndoBlock(deltas[i], BlockRef{})
-		twin.UndoBlock(deltas[i], BlockRef{})
-		if follower.mem.led != pins[i].mem.led || follower.Version() != pins[i].Version() {
+		twin.undoOps(deltas[i])
+		if follower.led != pins[i].led || follower.Version() != pins[i].Version() {
 			t.Fatalf("block %d: undo did not adopt the recorded pre-state", i)
 		}
 	}
@@ -149,7 +148,7 @@ func TestAdoptionAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("undo+redo of the %d-transaction block allocates %v times, want 0", i, allocs)
 		}
-		if follower.mem.led != holder.mem.led {
+		if follower.led != holder.led {
 			t.Errorf("%d-transaction block: follower is not on the shared state", i)
 		}
 		runtime.KeepAlive(below)
@@ -164,9 +163,8 @@ func TestFallbackReplaysAndRepublishes(t *testing.T) {
 	leader, deltas := testChain(t, 3)
 	// What the first three blocks leave behind, by a set that only replays.
 	twin := New()
-	twin.mem.version = Version{}
 	for _, d := range deltas[:3] {
-		twin.RedoBlock(d, BlockRef{})
+		twin.redoOps(d)
 	}
 	// Nobody stands on the states below the leader's tip: they are garbage.
 	runtime.GC()
@@ -180,63 +178,61 @@ func TestFallbackReplaysAndRepublishes(t *testing.T) {
 		first.RedoBlock(d, BlockRef{})
 	}
 	if first.Version() != deltas[2].post {
-		t.Fatal("replay from a known version did not label its result with the delta's")
+		t.Fatal("the replay did not label its result with the delta's version")
 	}
 	sameContents(t, "fallback replay", first, twin)
 	second := New()
 	for _, d := range deltas[:3] {
 		second.RedoBlock(d, BlockRef{})
 	}
-	if second.mem.led != first.mem.led {
+	if second.led != first.led {
 		t.Fatal("second set did not adopt the state the first re-published")
 	}
 	// The last block's state is still the leader's: the first set is back
 	// on shared state one block after its fallback.
 	first.RedoBlock(deltas[3], BlockRef{})
-	if first.mem.led != leader.mem.led {
+	if first.led != leader.led {
 		t.Fatal("set did not re-converge on the shared state after its fallback")
 	}
 }
 
-// TestRawWriteVoidsVersion: a write behind the block operations' back makes
-// the version unknown, and a set of unknown version replays every delta and
-// stays unknown — its contents are no longer what any version says they are.
-func TestRawWriteVoidsVersion(t *testing.T) {
-	leader, deltas := testChain(t, 3)
-	be := NewMemBackend()
-	follower := NewWith(be)
-	follower.RedoBlock(deltas[0], BlockRef{})
-	if !follower.Version().known() {
-		t.Fatal("follower lost its version without a raw write")
+// TestReplayedCreateLinksLoggedLeaf: the table holds a created entry in the
+// very leaf the delta's op log carries, on the set that applied the block and
+// on a set that replays it, and a spend's undo restores the leaf its log
+// entry carries: crossing a block allocates no leaf of its own.
+func TestReplayedCreateLinksLoggedLeaf(t *testing.T) {
+	leader, deltas := testChain(t, 4)
+	replayer := New()
+	for _, d := range deltas {
+		replayer.redoOps(d)
 	}
-	stray := types.OutPoint{TxID: crypto.Hash{0xEE}, Index: 9}
-	be.Put(stray, Entry{Value: 1})
-	if follower.Version().known() {
-		t.Fatal("raw Put left the version known")
-	}
-	for _, d := range deltas[1:] {
-		follower.RedoBlock(d, BlockRef{})
-		if follower.Version().known() {
-			t.Fatal("a set of unknown version took a version from a delta")
+	sameContents(t, "replayed chain", replayer, leader)
+	linked := func(s *Set, op *deltaOp) bool { return s.led.root.get(&op.op, pathOf(&op.op)) == &op.leaf }
+	creates := 0
+	for _, d := range deltas {
+		for i := range d.ops {
+			op := &d.ops[i]
+			if op.kind != opCreate {
+				continue
+			}
+			if _, live := leader.Lookup(op.op); !live {
+				continue
+			}
+			creates++
+			if !linked(leader, op) || !linked(replayer, op) {
+				t.Fatalf("created entry %v is not held in its logged leaf", op.op)
+			}
 		}
 	}
-	if follower.Len() != leader.Len()+1 {
-		t.Fatalf("follower has %d entries, want the leader's %d and the stray one", follower.Len(), leader.Len())
+	if creates == 0 {
+		t.Fatal("no live created entry to check")
 	}
-	if _, ok := follower.Lookup(stray); !ok {
-		t.Fatal("replay dropped the raw entry: the set adopted")
-	}
-	be.Delete(stray)
-	sameContents(t, "follower without the stray entry", follower, leader)
-	// Reset is the way back: the empty ledger is one shared version.
-	if err := follower.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range deltas {
-		follower.RedoBlock(d, BlockRef{})
-	}
-	if follower.mem.led != leader.mem.led {
-		t.Fatal("after Reset the follower did not adopt its way back to the leader's state")
+	last := deltas[len(deltas)-1]
+	replayer.undoOps(last)
+	for i := range last.ops {
+		if op := &last.ops[i]; op.kind == opSpend && !linked(replayer, op) {
+			t.Fatalf("undone spend of %v is not held in its logged leaf", op.op)
+		}
 	}
 }
 
@@ -244,7 +240,7 @@ func TestRawWriteVoidsVersion(t *testing.T) {
 // ledger it stood on, version included, while the work still counts.
 func TestFailedApplyKeepsState(t *testing.T) {
 	leader, _ := testChain(t, 2)
-	led, version, before := leader.mem.led, leader.Version(), leader.Stats()
+	led, version, before := leader.led, leader.Version(), leader.Stats()
 	key := testKey(t, 31)
 	var live types.OutPoint
 	var value types.Amount
@@ -259,7 +255,7 @@ func TestFailedApplyKeepsState(t *testing.T) {
 	if _, _, err := leader.ApplyBlock(txs, ctxAt(5)); err == nil {
 		t.Fatal("block with a missing input applied")
 	}
-	if leader.mem.led != led || leader.Version() != version {
+	if leader.led != led || leader.Version() != version {
 		t.Fatal("failed ApplyBlock moved the set off its ledger")
 	}
 	if after := leader.Stats(); after.Puts == before.Puts || after.Deletes == before.Deletes {

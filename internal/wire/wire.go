@@ -79,6 +79,17 @@ func (w *Writer) Len() int { return len(w.buf) + w.n }
 // Reset truncates the writer so the buffer can be reused.
 func (w *Writer) Reset() { w.buf, w.n = w.buf[:0], 0 }
 
+// Grow makes room for exactly n more bytes in one allocation, if the buffer
+// lacks it, so writing them grows the buffer no further.
+func (w *Writer) Grow(n int) {
+	if w.counting || cap(w.buf)-len(w.buf) >= n {
+		return
+	}
+	buf := make([]byte, len(w.buf), len(w.buf)+n)
+	copy(buf, w.buf)
+	w.buf = buf
+}
+
 // Uint8 appends a single byte.
 func (w *Writer) Uint8(v uint8) {
 	if w.counting {

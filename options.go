@@ -124,8 +124,8 @@ func WithInvariants(invs ...Invariant) Option {
 	return func(o *options) { o.invariants = append(o.invariants, invs...) }
 }
 
-// WithStore selects every node's storage backend — chain index and UTXO
-// ledger — by locator: "" or "mem:" for the RAM-bound fast path (default),
+// WithStore selects every node's chain index (the UTXO ledger is in memory
+// under every locator, rebuilt from the index on each boot) by locator: "" or "mem:" for the RAM-bound fast path (default),
 // "file:<dir>" for file backends rooted at dir, "file:" for a throwaway
 // temporary root. Experiment reports are byte-identical across backends for
 // the same (config, seed); only Result.StoreStats differs. A cluster built
