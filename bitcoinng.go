@@ -21,11 +21,10 @@
 //   - Live nodes: the cmd/ngnode binary runs the same protocol code over
 //     real TCP with real proof-of-work at configurable difficulty.
 //
-// Two abstractions compose across all three: the protocol registry
-// (RegisterProtocol — every harness assembles nodes through it, so a new
-// protocol variant plugs in without touching them) and the Scenario API
-// (NewScenario/At — scripted partitions, churn, and attacks that run on
-// any harness's event loop).
+// Two abstractions compose across all three: one protocol switch (every
+// harness assembles its Bitcoin, GHOST or Bitcoin-NG nodes through the same
+// build call) and the Scenario API (NewScenario/At — scripted partitions,
+// churn, and attacks that run on any harness's event loop).
 //
 // See DESIGN.md for the architecture and the experiment index.
 package bitcoinng
@@ -41,8 +40,8 @@ import (
 	"bitcoinng/internal/types"
 )
 
-// Protocol selects a consensus protocol implementation by its registered
-// name (see RegisterProtocol).
+// Protocol selects a consensus protocol implementation by name: Bitcoin,
+// BitcoinNG or GHOST.
 type Protocol = protocol.Protocol
 
 // The protocols this repository implements.

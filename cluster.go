@@ -24,8 +24,7 @@ import (
 // WithScenario, ...); NewCluster remains as a thin shim over the same
 // assembly path.
 type ClusterConfig struct {
-	// Protocol selects the client implementation from the protocol
-	// registry; default BitcoinNG.
+	// Protocol selects the client implementation; default BitcoinNG.
 	Protocol Protocol
 	// Nodes is the network size (≥ 2).
 	Nodes int
@@ -42,10 +41,10 @@ type ClusterConfig struct {
 	AutoMine bool
 	// Censors lists node indices that, while leading, publish empty
 	// microblocks — the §5.2 "Censorship Resistance" DoS behaviour whose
-	// influence ends with the next honest key block.
+	// influence ends with the next honest key block. Bitcoin-NG only.
 	Censors []int
-	// Strategies assigns registered mining strategies (internal/strategy)
-	// by node index; unlisted nodes run honest.
+	// Strategies assigns mining strategies (internal/strategy) by node
+	// index; unlisted nodes run honest. Bitcoin-NG only.
 	Strategies map[int]string
 	// Scenario, if set, is armed at build time: each step fires at its
 	// offset from virtual time zero as Run advances the clock. Use
@@ -377,8 +376,8 @@ func (c *Cluster) Converged() bool {
 // ID returns the node's index.
 func (n *ClusterNode) ID() int { return n.n.ID }
 
-// Client returns the node's protocol client; assert the protocol package's
-// capability interfaces on it for protocol-specific control.
+// Client returns the node's protocol client; its NG method reaches the
+// Bitcoin-NG node for protocol-specific control.
 func (n *ClusterNode) Client() ProtocolClient { return n.n.Client }
 
 // Wallet returns the node's wallet.
@@ -439,8 +438,8 @@ func (n *ClusterNode) SetMiningRate(blocksPerSec float64) {
 // MicroblocksMined returns the node's microblock production count (zero for
 // protocols without microblocks).
 func (n *ClusterNode) MicroblocksMined() uint64 {
-	if p, ok := n.n.Client.(protocol.MicroblockProducer); ok {
-		return p.MicroblocksMined()
+	if ng := n.n.Client.NG(); ng != nil {
+		return ng.MicroblocksMined()
 	}
 	return 0
 }
@@ -453,8 +452,8 @@ func (n *ClusterNode) StrategyName() string { return n.n.StrategyName() }
 // witnessed and holds poison evidence for (§4.5); zero for protocols
 // without fraud proofs.
 func (n *ClusterNode) FraudsDetected() int {
-	if w, ok := n.n.Client.(protocol.FraudWitness); ok {
-		return w.FraudsDetected()
+	if ng := n.n.Client.NG(); ng != nil {
+		return len(ng.KnownFrauds())
 	}
 	return 0
 }

@@ -170,7 +170,7 @@ func chaosSoak(seeds int, baseSeed int64, differential bool, parallelism int) er
 	return nil
 }
 
-// attackSweep reproduces the attacker-revenue-vs-α curve for one registered
+// attackSweep reproduces the attacker-revenue-vs-α curve for one
 // deviation strategy (Greedy-Mine per Hu et al. 2023; selfish mining per
 // Eyal & Sirer) and locates the swept profitability threshold.
 func attackSweep(scale experiment.Scale, strat string) error {

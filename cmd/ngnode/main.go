@@ -1,8 +1,8 @@
 // Command ngnode runs a live Bitcoin-NG node over TCP: real proof-of-work
 // key-block mining at a configurable difficulty, microblock production while
 // leading, and inv/getdata block relay with peers. The node is assembled
-// through the protocol registry — the same path the simulator harnesses use
-// — so protocol code runs unchanged between the emulator and live sockets.
+// through protocol.Build — the same path the simulator harnesses use — so
+// protocol code runs unchanged between the emulator and live sockets.
 //
 // Start a two-node network on one machine:
 //
@@ -24,6 +24,7 @@ import (
 	"syscall"
 	"time"
 
+	"bitcoinng/internal/core"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/harness"
 	"bitcoinng/internal/node"
@@ -104,9 +105,9 @@ func main() {
 	}()
 
 	// The same boot sequence the simulator harnesses restart nodes through:
-	// ledger reset, build via the registry, stored blocks replayed under their
-	// recorded arrival times, and everything the chain accepts from here on
-	// appended to the index (gossip and self-mined paths alike).
+	// ledger reset, build via protocol.Build, stored blocks replayed under
+	// their recorded arrival times, and everything the chain accepts from
+	// here on appended to the index (gossip and self-mined paths alike).
 	client, err := harness.Boot(rt, protocol.Spec{
 		Protocol: protocol.BitcoinNG,
 		Params:   params,
@@ -143,12 +144,9 @@ func main() {
 	}
 
 	stop := make(chan struct{})
+	ng := client.NG()
 	if *mine {
-		assembler, ok := client.(protocol.KeyBlockAssembler)
-		if !ok {
-			log.Fatalf("protocol %q cannot assemble key blocks for live mining", protocol.BitcoinNG)
-		}
-		go mineLoop(rt, base, assembler, stop)
+		go mineLoop(rt, base, ng, stop)
 	}
 
 	ticker := time.NewTicker(*status) //nglint:allow walltime live-node operator status display; not part of any simulation
@@ -160,17 +158,9 @@ func main() {
 		case <-ticker.C:
 			rt.Do(func() {
 				tip := base.State.Tip()
-				leading := false
-				if l, ok := client.(protocol.Leader); ok {
-					leading = l.IsLeader()
-				}
-				var micros uint64
-				if p, ok := client.(protocol.MicroblockProducer); ok {
-					micros = p.MicroblocksMined()
-				}
 				log.Printf("height=%d keyheight=%d tip=%s leader=%v peers=%d micro=%d",
-					tip.Height, tip.KeyHeight, tip.Hash().Short(), leading,
-					len(rt.Peers()), micros)
+					tip.Height, tip.KeyHeight, tip.Hash().Short(), ng.IsLeader(),
+					len(rt.Peers()), ng.MicroblocksMined())
 			})
 		case <-sigs:
 			close(stop)
@@ -182,7 +172,7 @@ func main() {
 
 // mineLoop grinds real proofs of work on the current tip, refreshing the
 // template whenever the chain moves.
-func mineLoop(rt *p2p.Runtime, base *node.Base, assembler protocol.KeyBlockAssembler, stop chan struct{}) {
+func mineLoop(rt *p2p.Runtime, base *node.Base, ng *core.Node, stop chan struct{}) {
 	var tipGen atomic.Uint64 // bumped on every template refresh
 	for {
 		select {
@@ -193,7 +183,7 @@ func mineLoop(rt *p2p.Runtime, base *node.Base, assembler protocol.KeyBlockAssem
 		var blk *types.KeyBlock
 		var tipHash crypto.Hash
 		rt.Do(func() {
-			blk = assembler.AssembleKeyBlock()
+			blk = ng.AssembleKeyBlock()
 			tipHash = base.State.Tip().Hash()
 		})
 		gen := tipGen.Add(1)

@@ -16,13 +16,13 @@ import (
 
 	"bitcoinng/internal/experiment"
 	"bitcoinng/internal/load"
-	protoreg "bitcoinng/internal/protocol"
+	protocols "bitcoinng/internal/protocol"
 )
 
 func main() {
 	var (
 		protocol = flag.String("protocol", "bitcoin-ng",
-			"protocol: "+strings.Join(protoreg.Names(), " | "))
+			"protocol: "+strings.Join(protocols.Names(), " | "))
 		nodes     = flag.Int("nodes", 200, "network size (paper: 1000)")
 		seed      = flag.Int64("seed", 1, "experiment seed (reproducible)")
 		blocks    = flag.Int("blocks", 60, "payload blocks to run (paper: 50-100)")

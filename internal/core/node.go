@@ -109,7 +109,7 @@ func (v stratView) Tip() *chain.Node { return v.n.State.Tip() }
 func (v stratView) Leading() bool    { return v.n.IsLeader() }
 func (n *Node) view() strategy.View  { return stratView{n} }
 
-// StrategyName returns the active mining strategy's registered name.
+// StrategyName returns the active mining strategy's name.
 func (n *Node) StrategyName() string { return n.strat.Name() }
 
 // SetStrategy switches the node's mining strategy from now on; nil restores

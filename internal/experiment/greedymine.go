@@ -53,8 +53,8 @@ func attackConfig(scale Scale, alpha float64) Config {
 	return cfg
 }
 
-// AttackRevenueSweep measures the attacker-revenue-vs-α curve for a
-// registered mining strategy: for each α it runs the honest control and the
+// AttackRevenueSweep measures the attacker-revenue-vs-α curve for a named
+// mining strategy: for each α it runs the honest control and the
 // attack on identical networks (same seed, topology, workload, and honest
 // power distribution) through the shared Sweep pool, and reads the
 // attacker's revenue share from an honest node's final ledger.

@@ -9,16 +9,18 @@ import (
 	"bitcoinng/internal/scenario"
 )
 
-// adversarialConfig is a small but hostile run: censors, a partition with
-// heal, a latency spike, and leader equivocation, exercising every global
-// control path the sharded engine must serialize at barriers.
+// adversarialConfig is a small but hostile run: a censor (Bitcoin-NG only),
+// a latency spike, and a partition with heal, exercising the global control
+// paths the sharded engine must serialize at barriers.
 func adversarialConfig(p Protocol, parallelism int) Config {
 	cfg := DefaultConfig(p, 48, 7)
 	cfg.TargetBlocks = 12
 	cfg.Params.MaxBlockSize = 6000
 	cfg.Params.TargetBlockInterval = 60 * time.Second
 	cfg.Params.MicroblockInterval = 5 * time.Second
-	cfg.Censors = []int{3}
+	if p == BitcoinNG {
+		cfg.Censors = []int{3}
+	}
 	cfg.Parallelism = parallelism
 	sc := scenario.New(
 		scenario.At(40*time.Second, scenario.LatencySpike(3)),

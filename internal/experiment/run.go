@@ -20,8 +20,7 @@ import (
 	"bitcoinng/internal/utxo"
 )
 
-// Protocol selects which client the experiment runs; any name registered in
-// internal/protocol is valid.
+// Protocol selects which client the experiment runs (internal/protocol).
 type Protocol = protocol.Protocol
 
 // Protocols under evaluation.
@@ -72,24 +71,22 @@ type Config struct {
 	Grace time.Duration
 	// MaxSimTime hard-stops a run regardless of block count.
 	MaxSimTime time.Duration
-	// MiningExponent shapes the power distribution (Figure 6); the
-	// paper's fit is 0.27.
-	MiningExponent float64
-	// BandwidthBPS and Latency override the network model; zero/nil keep
-	// the paper's 100 kbit/s and the default latency histogram.
+	// BandwidthBPS overrides the network model's bandwidth; zero keeps the
+	// paper's 100 kbit/s.
 	BandwidthBPS float64
-	Latency      simnet.LatencyModel
 	// Censors lists node indices that, while leading, publish empty
 	// microblocks — the §5.2 "Censorship Resistance" DoS behaviour.
+	// Bitcoin-NG only.
 	Censors []int
-	// Strategies assigns registered mining strategies (internal/strategy)
-	// by node index; unlisted nodes run honest. The adversarial sweeps set
-	// e.g. {0: "greedymine"}.
+	// Strategies assigns mining strategies (internal/strategy) by node
+	// index; unlisted nodes run honest. The adversarial sweeps set e.g.
+	// {0: "greedymine"}. Bitcoin-NG only.
 	Strategies map[int]string
 	// MiningShares fixes each node's fraction of the network's mining
 	// power explicitly (normalized over the sum); nil draws the paper's
-	// exponential rank distribution shaped by MiningExponent. The
-	// adversarial sweeps pin the attacker's α this way.
+	// exponential rank distribution (Figure 6, exponent
+	// mining.DefaultExponent). The adversarial sweeps pin the attacker's α
+	// this way.
 	MiningShares []float64
 	// Scenario, if set, is armed at run start: each step fires at its
 	// offset from virtual time zero. The run does not stop before the
@@ -138,15 +135,14 @@ func DefaultConfig(protocol Protocol, nodes int, seed int64) Config {
 	params.RetargetWindow = 0 // fixed difficulty: the scheduler sets rates
 	params.CoinbaseMaturity = 100
 	return Config{
-		Protocol:       protocol,
-		Nodes:          nodes,
-		Seed:           seed,
-		Params:         params,
-		TxSize:         load.DefaultTxSize,
-		TargetBlocks:   60,
-		Grace:          30 * time.Second,
-		MaxSimTime:     6 * time.Hour,
-		MiningExponent: mining.DefaultExponent,
+		Protocol:     protocol,
+		Nodes:        nodes,
+		Seed:         seed,
+		Params:       params,
+		TxSize:       load.DefaultTxSize,
+		TargetBlocks: 60,
+		Grace:        30 * time.Second,
+		MaxSimTime:   6 * time.Hour,
 	}
 }
 
@@ -250,9 +246,6 @@ func build(cfg Config) (*runner, error) {
 		return nil, fmt.Errorf("experiment: scenario's last step at %v exceeds MaxSimTime %v",
 			cfg.Scenario.Duration(), cfg.MaxSimTime)
 	}
-	if cfg.MiningExponent == 0 {
-		cfg.MiningExponent = mining.DefaultExponent
-	}
 	shares, err := miningShares(cfg)
 	if err != nil {
 		return nil, err
@@ -268,9 +261,6 @@ func build(cfg Config) (*runner, error) {
 	netCfg := simnet.DefaultConfig(cfg.Nodes, cfg.Seed)
 	if cfg.BandwidthBPS > 0 {
 		netCfg.BandwidthBPS = cfg.BandwidthBPS
-	}
-	if cfg.Latency != nil {
-		netCfg.Latency = cfg.Latency
 	}
 
 	paced := cfg.Offered > 0 || cfg.ClosedLoopWindow > 0
@@ -342,7 +332,7 @@ func build(cfg Config) (*runner, error) {
 // rank distribution.
 func miningShares(cfg Config) ([]float64, error) {
 	if cfg.MiningShares == nil {
-		return mining.ExponentialShares(cfg.Nodes, cfg.MiningExponent), nil
+		return mining.ExponentialShares(cfg.Nodes, mining.DefaultExponent), nil
 	}
 	if len(cfg.MiningShares) != cfg.Nodes {
 		return nil, fmt.Errorf("experiment: %d mining shares for %d nodes",

@@ -26,7 +26,7 @@ import (
 //     re-derives UTXO state from it, so whatever the ledger store held before
 //     is never trusted (the ledger lives in memory, whatever the store). Reset
 //     precedes Build because chain.New applies genesis into the store.
-//  2. Build the client through the protocol registry.
+//  2. Build the client through protocol.Build.
 //  3. Attach the index as persistence hook and as the body archive Compact
 //     evicts against; wire, if non-nil, finishes the node's wiring.
 //  4. Replay the index straight into the chain — no gossip, no re-persist, no

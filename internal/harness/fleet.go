@@ -95,18 +95,18 @@ type Node struct {
 // Base returns the current incarnation's protocol-independent core.
 func (n *Node) Base() *node.Base { return n.Client.Base() }
 
-// IsLeader reports whether the node currently leads (protocols without
-// leadership always report false).
+// IsLeader reports whether the node currently leads (Bitcoin and GHOST
+// nodes never do).
 func (n *Node) IsLeader() bool {
-	l, ok := n.Client.(protocol.Leader)
-	return ok && l.IsLeader()
+	ng := n.Client.NG()
+	return ng != nil && ng.IsLeader()
 }
 
 // StrategyName returns the node's live mining strategy; "honest" for
-// protocols without strategic freedom.
+// Bitcoin and GHOST, which have none.
 func (n *Node) StrategyName() string {
-	if s, ok := n.Client.(protocol.Strategic); ok {
-		return s.StrategyName()
+	if ng := n.Client.NG(); ng != nil {
+		return ng.StrategyName()
 	}
 	return strategy.HonestName
 }
@@ -211,6 +211,14 @@ func New(spec Spec) (*Fleet, error) {
 		nd.UTXO = ledger
 		if err := f.boot(nd); err != nil {
 			return nil, f.abandon(fmt.Errorf("node %d: %w", i, err))
+		}
+		if nd.Client.NG() == nil {
+			if name := spec.Strategies[i]; name != "" && name != strategy.HonestName {
+				return nil, f.abandon(fmt.Errorf("node %d (%s): client cannot run mining strategy %q", i, spec.Protocol, name))
+			}
+			if censors[i] {
+				return nil, f.abandon(fmt.Errorf("node %d (%s): client cannot censor transactions", i, spec.Protocol))
+			}
 		}
 		// The closure reads the record, so a Restart's replacement client
 		// takes over mining without touching the miner (whose stream must

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
@@ -73,7 +72,7 @@ func (f *Fleet) ScaleLatency(factor float64) error {
 	return nil
 }
 
-// AdoptStrategy switches one node's mining strategy to the registered name;
+// AdoptStrategy switches one node's mining strategy to the named one;
 // "honest" restores protocol behaviour and abandons anything the previous
 // strategy was withholding.
 func (f *Fleet) AdoptStrategy(node int, name string) error {
@@ -81,15 +80,15 @@ func (f *Fleet) AdoptStrategy(node int, name string) error {
 	if err != nil {
 		return err
 	}
-	sc, ok := nd.Client.(protocol.Strategic)
-	if !ok {
+	ng := nd.Client.NG()
+	if ng == nil {
 		return fmt.Errorf("harness: node %d (%s): client cannot switch mining strategy", node, f.spec.Protocol)
 	}
 	s, err := strategy.New(name)
 	if err != nil {
 		return fmt.Errorf("harness: node %d (%s): %w", node, f.spec.Protocol, err)
 	}
-	sc.SetStrategy(s)
+	ng.SetStrategy(s)
 	f.disrupted()
 	return nil
 }
@@ -118,11 +117,11 @@ func (f *Fleet) PublishEquivocation(leader int, txA, txB *types.Transaction) (*t
 	if victim < 0 {
 		return nil, nil, fmt.Errorf("harness: node %d has no up neighbour to equivocate to", leader)
 	}
-	eq, ok := nd.Client.(protocol.Equivocator)
-	if !ok {
+	ng := nd.Client.NG()
+	if ng == nil {
 		return nil, nil, fmt.Errorf("harness: node %d (%s): client cannot equivocate", leader, f.spec.Protocol)
 	}
-	mbA, mbB, err := eq.Equivocate(txA, txB)
+	mbA, mbB, err := ng.Equivocate(txA, txB)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: node %d (%s): %w", leader, f.spec.Protocol, err)
 	}

@@ -1,31 +1,36 @@
-// Package protocol is the consensus-client registry: every way of running a
+// Package protocol builds the consensus clients: every way of running a
 // node — interactive clusters (the root package), measured experiments
 // (internal/experiment), and live binaries (cmd/ngnode) — assembles its
-// clients through one Build call, so a new protocol variant (an attack
-// client, a parameter fork) plugs into every harness by registering a
-// constructor, without touching any of them.
+// clients through one Build call over the three protocols the paper
+// compares: Bitcoin and Bitcoin-NG (§7–8), with GHOST as the §9 baseline.
 //
-// A protocol implementation satisfies Client: the universal surface the
-// harnesses drive. Everything beyond it — leadership, equivocation, live
-// key-block assembly — is an optional capability discovered by interface
-// assertion, so protocols expose exactly what they implement and harness
-// features degrade gracefully on clients that lack them.
+// A client satisfies Client: the universal surface the harnesses drive.
+// Everything beyond it — leadership, microblocks, equivocation, fraud
+// proofs, live key-block assembly, mining strategies — is Bitcoin-NG's, and
+// a harness reaches it through Client.NG, which is nil for the others.
 package protocol
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"bitcoinng/internal/bitcoin"
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
+	"bitcoinng/internal/core"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/ghost"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/validate"
 )
 
-// Protocol names a registered consensus client implementation.
+// Protocol names a consensus client implementation.
 type Protocol string
 
-// The built-in protocols, registered at package init.
+// The protocols Build knows.
 const (
 	// Bitcoin is the baseline Nakamoto blockchain (§3 of the paper).
 	Bitcoin Protocol = "bitcoin"
@@ -36,11 +41,16 @@ const (
 	GHOST Protocol = "ghost"
 )
 
+// ErrUnknownProtocol is wrapped by Build when the requested protocol is none
+// of the known ones; every harness surfaces this one error for a bad name.
+var ErrUnknownProtocol = errors.New("protocol: unknown protocol")
+
 // Spec carries everything a client constructor needs. One Spec vocabulary
-// serves every registered protocol; constructors ignore fields that do not
-// apply to them.
+// serves every protocol. CensorTransactions and Strategy are Bitcoin-NG's
+// alone: Bitcoin and GHOST clients do not read them, and the simulator
+// harnesses refuse a fleet that sets them on such a client.
 type Spec struct {
-	// Protocol selects the registered constructor.
+	// Protocol selects the client Build constructs.
 	Protocol Protocol
 	// Params are the consensus parameters under test.
 	Params types.Params
@@ -55,7 +65,7 @@ type Spec struct {
 	// blocks from peers; live nodes leave it false and grind real nonces.
 	SimulatedMining bool
 	// CensorTransactions makes an NG node publish empty microblocks while
-	// leading (§5.2 "Censorship Resistance"); other protocols ignore it.
+	// leading (§5.2 "Censorship Resistance").
 	CensorTransactions bool
 	// ConnectCache shares memoized connect-stage verdicts (UTXO deltas,
 	// fees) between every node whose validation rules fingerprint matches
@@ -72,8 +82,7 @@ type Spec struct {
 	// block its key blocks extend, publish-vs-withhold decisions, and the
 	// coinbase fee split. nil runs honest. Strategies bend production
 	// choices only — validation of received blocks is unaffected, so the
-	// connect cache stays shareable across strategies. Protocols without
-	// strategic freedom ignore it.
+	// connect cache stays shareable across strategies.
 	Strategy strategy.Strategy
 	// UTXO, when set, is the node's ledger storage backend (internal/store
 	// builds them from a locator); it must be empty or freshly Reset, since
@@ -93,48 +102,82 @@ type Client interface {
 	// under Bitcoin-NG, a regular block otherwise — and returns it. It is
 	// the simulated miner's onFind callback.
 	MineBlock() types.Block
+	// NG returns the Bitcoin-NG node behind the client — leadership,
+	// microblocks, equivocation, fraud proofs, key-block assembly and the
+	// mining strategy — or nil for Bitcoin and GHOST.
+	NG() *core.Node
 }
 
-// Optional capabilities, discovered via interface assertion on a Client.
-// Bitcoin-NG implements all of them; a custom protocol implements whichever
-// subset it supports and the harnesses adapt.
-type (
-	// Leader is implemented by protocols with a notion of a current
-	// leader (Bitcoin-NG: the miner of the latest key block).
-	Leader interface {
-		IsLeader() bool
+// Build constructs a client of spec.Protocol on env. An unknown name returns
+// an error wrapping ErrUnknownProtocol that lists the known ones.
+func Build(env node.Env, spec Spec) (Client, error) {
+	switch spec.Protocol {
+	case Bitcoin, GHOST:
+		newNode := bitcoin.New
+		if spec.Protocol == GHOST {
+			newNode = ghost.New
+		}
+		n, err := newNode(env, bitcoin.Config{
+			Params:          spec.Params,
+			Key:             spec.Key,
+			Genesis:         spec.Genesis,
+			Recorder:        spec.Recorder,
+			SimulatedMining: spec.SimulatedMining,
+			ConnectCache:    spec.ConnectCache,
+			Blocks:          spec.Blocks,
+			UTXO:            spec.UTXO,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return bitcoinClient{n}, nil
+	case BitcoinNG:
+		n, err := core.New(env, core.Config{
+			Params:             spec.Params,
+			Key:                spec.Key,
+			Genesis:            spec.Genesis,
+			Recorder:           spec.Recorder,
+			SimulatedMining:    spec.SimulatedMining,
+			CensorTransactions: spec.CensorTransactions,
+			ConnectCache:       spec.ConnectCache,
+			Blocks:             spec.Blocks,
+			Strategy:           spec.Strategy,
+			UTXO:               spec.UTXO,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return ngClient{n}, nil
 	}
+	return nil, fmt.Errorf("%w %q (known: %s)",
+		ErrUnknownProtocol, spec.Protocol, strings.Join(Names(), ", "))
+}
 
-	// MicroblockProducer reports microblock production counts.
-	MicroblockProducer interface {
-		MicroblocksMined() uint64
+// Payload returns the block kind that carries the protocol's transaction
+// payload — KindMicro for Bitcoin-NG, KindPow otherwise; the experiment
+// harness counts payload blocks toward its stop rule.
+func Payload(name Protocol) types.BlockKind {
+	if name == BitcoinNG {
+		return types.KindMicro
 	}
+	return types.KindPow
+}
 
-	// FraudWitness reports how many leader equivocations the node has
-	// witnessed and holds poison evidence for (§4.5).
-	FraudWitness interface {
-		FraudsDetected() int
-	}
+// Names returns the known protocol names, sorted.
+func Names() []string {
+	return []string{string(Bitcoin), string(BitcoinNG), string(GHOST)}
+}
 
-	// Equivocator is implemented by clients that can act as a malicious
-	// leader: sign two conflicting microblocks on the current tip for the
-	// caller to deliver to disjoint parts of the network (§4.5).
-	Equivocator interface {
-		Equivocate(txA, txB *types.Transaction) (*types.MicroBlock, *types.MicroBlock, error)
-	}
+// bitcoinClient adapts *bitcoin.Node (which GHOST shares) to Client.
+type bitcoinClient struct{ *bitcoin.Node }
 
-	// KeyBlockAssembler builds (without submitting) the next key block;
-	// live miners grind nonces on the result out of the event loop.
-	KeyBlockAssembler interface {
-		AssembleKeyBlock() *types.KeyBlock
-	}
+func (c bitcoinClient) Base() *node.Base       { return c.Node.Base }
+func (c bitcoinClient) MineBlock() types.Block { return c.Node.MineBlock() }
+func (bitcoinClient) NG() *core.Node           { return nil }
 
-	// Strategic is implemented by clients whose mining strategy can be
-	// inspected and switched at runtime (the scenario layer's
-	// AdoptStrategy step). SetStrategy(nil) restores honest; switching
-	// abandons any blocks the previous strategy was withholding.
-	Strategic interface {
-		StrategyName() string
-		SetStrategy(s strategy.Strategy)
-	}
-)
+// ngClient adapts *core.Node to Client.
+type ngClient struct{ *core.Node }
+
+func (c ngClient) Base() *node.Base       { return c.Node.Base }
+func (c ngClient) MineBlock() types.Block { return c.Node.MineKeyBlock() }
+func (c ngClient) NG() *core.Node         { return c.Node }

@@ -37,8 +37,8 @@ type Runtime interface {
 	// two conflicting microblocks and deliver them to disjoint parts of
 	// the network (§4.5). Nil transactions produce empty siblings.
 	Equivocate(leader int, txA, txB *types.Transaction) error
-	// AdoptStrategy switches one node's mining strategy to the registered
-	// strategy name (internal/strategy) from this step onward; withheld
+	// AdoptStrategy switches one node's mining strategy to the named
+	// strategy (internal/strategy) from this step onward; withheld
 	// blocks of the previous strategy are abandoned. An out-of-range node,
 	// an unknown name, or a client without strategy support is an error.
 	AdoptStrategy(node int, name string) error
@@ -205,8 +205,8 @@ func LatencySpike(factor float64) Step {
 	}}
 }
 
-// AdoptStrategy switches one node's mining strategy to the registered
-// strategy name (internal/strategy) from this step onward — attacks can
+// AdoptStrategy switches one node's mining strategy to the named strategy
+// (internal/strategy) from this step onward — attacks can
 // switch on (and off, via "honest") mid-run.
 func AdoptStrategy(node int, name string) Step {
 	return Step{Name: "adopt-strategy", Do: func(rt Runtime) error {

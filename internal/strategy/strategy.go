@@ -1,13 +1,13 @@
-// Package strategy is the pluggable mining-strategy engine: the set of
-// choices a Bitcoin-NG miner is free to make without violating consensus —
-// which block its next key block extends, whether to publish or withhold
-// blocks it produced, and how its coinbase splits the previous epoch's fees
-// — extracted behind one interface that internal/core consults instead of
+// Package strategy is the mining-strategy engine: the set of choices a
+// Bitcoin-NG miner is free to make without violating consensus — which block
+// its next key block extends, whether to publish or withhold blocks it
+// produced, and how its coinbase splits the previous epoch's fees —
+// extracted behind one interface that internal/core consults instead of
 // hard-coding honest behaviour.
 //
 // The paper's §5 incentive bounds exist precisely because rational
 // deviations are possible; this package turns those deviations into
-// first-class experiment inputs. Built-in strategies:
+// first-class experiment inputs. New builds the four strategies:
 //
 //   - "honest": the paper's protocol-following miner.
 //   - "selfish": Eyal-Sirer key-block withholding ([21]; §5.1 "Heaviest
@@ -31,7 +31,6 @@ package strategy
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/types"
@@ -80,7 +79,7 @@ type View interface {
 // the node's event goroutine; implementations keep per-node state freely but
 // must be deterministic functions of the views and nodes they were shown.
 type Strategy interface {
-	// Name returns the registered strategy name.
+	// Name returns the strategy's name, the one New takes.
 	Name() string
 
 	// KeyBlockParent picks the block the node's next key block extends.
@@ -115,7 +114,7 @@ type Strategy interface {
 }
 
 // Honest is the paper's protocol-following strategy and the zero-config
-// default. Custom strategies embed it and override the hooks they bend.
+// default. The other strategies embed it and override the hooks they bend.
 type Honest struct{}
 
 // Name implements Strategy.
@@ -143,13 +142,6 @@ func (Honest) OnOwnBlockAdded(View, *chain.Node, Action) {}
 // OnExternalBlock implements Strategy: nothing withheld, nothing to release.
 func (Honest) OnExternalBlock(View, *chain.Node) []types.Block { return nil }
 
-// Registry of strategy constructors. Strategies carry per-node state, so the
-// registry stores factories and New hands every node a fresh instance.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() Strategy{}
-)
-
 // Built-in strategy names.
 const (
 	HonestName     = "honest"
@@ -158,59 +150,29 @@ const (
 	FeeThiefName   = "feethief"
 )
 
-func init() {
-	MustRegister(HonestName, func() Strategy { return Honest{} })
-	MustRegister(SelfishName, func() Strategy { return NewSelfish() })
-	MustRegister(GreedyMineName, func() Strategy { return GreedyMine{} })
-	MustRegister(FeeThiefName, func() Strategy { return FeeThief{} })
-}
-
-// ErrUnknown is returned (wrapped) for unregistered strategy names.
+// ErrUnknown is returned (wrapped) for a name that is none of the built-ins.
 var ErrUnknown = fmt.Errorf("strategy: unknown strategy")
 
-// Register adds a strategy factory under name; it errors on duplicates.
-func Register(name string, factory func() Strategy) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("strategy: %q already registered", name)
-	}
-	registry[name] = factory
-	return nil
-}
-
-// MustRegister is Register for package-init use; it panics on error.
-func MustRegister(name string, factory func() Strategy) {
-	if err := Register(name, factory); err != nil {
-		panic(err)
-	}
-}
-
-// New returns a fresh instance of the named strategy. The empty name is the
-// honest default.
+// New returns a fresh instance of the named strategy; strategies carry
+// per-node state, so every node gets its own. The empty name is the honest
+// default.
 func New(name string) (Strategy, error) {
-	if name == "" {
-		name = HonestName
+	switch name {
+	case "", HonestName:
+		return Honest{}, nil
+	case SelfishName:
+		return NewSelfish(), nil
+	case GreedyMineName:
+		return GreedyMine{}, nil
+	case FeeThiefName:
+		return FeeThief{}, nil
 	}
-	regMu.RLock()
-	factory, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (registered: %v)", ErrUnknown, name, Names())
-	}
-	return factory(), nil
+	return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
 }
 
-// Names returns the registered strategy names, sorted.
+// Names returns the built-in strategy names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return []string{FeeThiefName, GreedyMineName, HonestName, SelfishName}
 }
 
 // ForNodes validates a node-index→strategy-name assignment against the

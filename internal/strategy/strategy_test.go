@@ -58,9 +58,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("nope"); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown name error = %v, want ErrUnknown", err)
 	}
-	if err := Register(HonestName, func() Strategy { return Honest{} }); err == nil {
-		t.Error("duplicate registration accepted")
-	}
 	// Selfish instances must not share state.
 	a, _ := New(SelfishName)
 	b, _ := New(SelfishName)

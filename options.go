@@ -39,7 +39,7 @@ func defaultOptions() options {
 	return options{protocol: BitcoinNG, seed: 1, autoMine: true}
 }
 
-// WithProtocol selects the registered protocol to run; default BitcoinNG.
+// WithProtocol selects the protocol to run; default BitcoinNG.
 func WithProtocol(p Protocol) Option { return func(o *options) { o.protocol = p } }
 
 // WithSeed makes the run deterministic from seed; default 1.
@@ -68,15 +68,15 @@ func WithScenario(s *Scenario) Option { return func(o *options) { o.scenario = s
 
 // WithCensors marks nodes that, while leading, publish empty microblocks —
 // the §5.2 "Censorship Resistance" DoS behaviour whose influence ends with
-// the next honest key block. Out-of-range indices are rejected at build
-// time.
+// the next honest key block. Out-of-range indices, and any censor under
+// Bitcoin or GHOST, are rejected at build time.
 func WithCensors(nodes ...int) Option { return func(o *options) { o.censors = nodes } }
 
-// WithStrategy assigns one node a registered mining strategy (the
-// internal/strategy engine: "honest", "selfish", "greedymine", "feethief",
-// or any custom registration) from build time onward; unassigned nodes run
-// honest. Repeat the option per adversarial node. Unknown names and
-// out-of-range indices are rejected at build time; the scenario step
+// WithStrategy assigns one node a mining strategy (the internal/strategy
+// engine: "honest", "selfish", "greedymine" or "feethief") from build time
+// onward; unassigned nodes run honest. Repeat the option per adversarial
+// node. Unknown names, out-of-range indices and any strategy but "honest"
+// under Bitcoin or GHOST are rejected at build time; the scenario step
 // AdoptStrategy switches strategies mid-run instead.
 func WithStrategy(node int, name string) Option {
 	return func(o *options) {
@@ -234,29 +234,12 @@ func DefaultInvariants(opts InvariantOptions) []Invariant {
 	return invariant.Defaults(opts)
 }
 
-// The protocol registry, re-exported so new protocols plug into every
-// harness (New, NewCluster, RunExperiment, cmd/) without touching them.
-type (
-	// ProtocolClient is a running consensus node: the surface every
-	// harness drives. Optional capabilities (protocol.Leader,
-	// protocol.Equivocator, ...) are discovered by interface assertion.
-	ProtocolClient = protocol.Client
-	// ProtocolSpec carries everything a client constructor needs.
-	ProtocolSpec = protocol.Spec
-	// ProtocolRegistration describes one protocol implementation: its
-	// constructor and which block kind carries its transaction payload.
-	ProtocolRegistration = protocol.Registration
-)
+// ProtocolClient is a running consensus node: the surface every harness
+// drives. Its NG method reaches the Bitcoin-NG node behind it (leadership,
+// microblocks, equivocation, the mining strategy), nil under Bitcoin and
+// GHOST.
+type ProtocolClient = protocol.Client
 
 // ErrUnknownProtocol is returned (wrapped) by every harness when asked for
-// an unregistered protocol name.
+// a protocol it does not know.
 var ErrUnknownProtocol = protocol.ErrUnknownProtocol
-
-// RegisterProtocol adds a protocol implementation under name; it then runs
-// under every harness. Registration errors on duplicates.
-func RegisterProtocol(name Protocol, reg ProtocolRegistration) error {
-	return protocol.Register(name, reg)
-}
-
-// RegisteredProtocols returns the registered protocol names, sorted.
-func RegisteredProtocols() []string { return protocol.Names() }

@@ -3,114 +3,86 @@ package bitcoinng
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"bitcoinng/internal/bitcoin"
-	"bitcoinng/internal/node"
-	"bitcoinng/internal/protocol"
-	"bitcoinng/internal/types"
 )
 
-// countingClient is a custom protocol registration: Bitcoin's consensus
-// rules with instrumented block production — the shape an attack variant
-// (e.g. a Greedy-Mine client) takes. It plugs into every harness through
-// the registry alone.
-type countingClient struct {
-	*bitcoin.Node
-	mined int
-}
-
-func (c *countingClient) Base() *node.Base { return c.Node.Base }
-
-func (c *countingClient) MineBlock() types.Block {
-	c.mined++
-	return c.Node.MineBlock()
-}
-
-// The registry is process-global with no unregistration, so the test
-// protocol registers once even across -count=N reruns.
-var (
-	countingOnce  sync.Once
-	countingErr   error
-	countingBuilt []*countingClient
-)
-
-const countingProtocol Protocol = "test-counting"
-
-func registerCountingProtocol(t *testing.T) {
-	t.Helper()
-	countingOnce.Do(func() {
-		countingErr = RegisterProtocol(countingProtocol, ProtocolRegistration{
-			Payload: types.KindPow,
-			New: func(env node.Env, spec ProtocolSpec) (ProtocolClient, error) {
-				n, err := bitcoin.New(env, bitcoin.Config{
-					Params:          spec.Params,
-					Key:             spec.Key,
-					Genesis:         spec.Genesis,
-					Recorder:        spec.Recorder,
-					SimulatedMining: spec.SimulatedMining,
-				})
-				if err != nil {
-					return nil, err
-				}
-				c := &countingClient{Node: n}
-				countingBuilt = append(countingBuilt, c)
-				return c, nil
-			},
-		})
-	})
-	if countingErr != nil {
-		t.Fatal(countingErr)
-	}
-}
-
-// TestCustomProtocolRunsUnderBothHarnesses registers a new protocol and
-// runs it, without any harness changes, under NewCluster and RunExperiment.
-func TestCustomProtocolRunsUnderBothHarnesses(t *testing.T) {
-	registerCountingProtocol(t)
-	start := len(countingBuilt)
-
+// TestBitcoinClusterHasNoNGSurface runs the built-in Bitcoin client under a
+// cluster: blocks are mined through Client.MineBlock, and the Bitcoin-NG
+// surface (leadership, microblocks, fraud proofs, strategies) reads empty.
+func TestBitcoinClusterHasNoNGSurface(t *testing.T) {
 	params := DefaultParams()
 	params.RetargetWindow = 0
 	params.TargetBlockInterval = 20 * time.Second
-	c, err := New(4, WithProtocol(countingProtocol), WithSeed(3), WithParams(params))
+	c, err := New(4, WithProtocol(Bitcoin), WithSeed(3), WithParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run(3 * time.Minute)
 	if c.Node(0).Height() == 0 {
-		t.Error("cluster: custom protocol produced no blocks")
+		t.Error("cluster: bitcoin produced no blocks")
 	}
-	if c.Node(0).IsLeader() {
-		t.Error("cluster: leadership capability invented for a leaderless protocol")
+	before := c.Node(0).Height()
+	b := c.Node(0).Client().MineBlock()
+	if got := c.Node(0).TipID(); got != b.Hash() || c.Node(0).Height() != before+1 {
+		t.Errorf("Client.MineBlock: tip %s at height %d, want the mined %s at %d",
+			got.Short(), c.Node(0).Height(), b.Hash().Short(), before+1)
 	}
-	clusterMined := 0
-	for _, cc := range countingBuilt[start : start+4] {
-		clusterMined += cc.mined
-	}
-	if clusterMined == 0 {
-		t.Error("cluster: mining never went through the custom client")
-	}
-
-	cfg := NewExperiment(4, WithProtocol(countingProtocol), WithSeed(1), WithTargetBlocks(5))
-	cfg.Params.MaxBlockSize = 20_000
-	cfg.Params.TargetBlockInterval = 20 * time.Second
-	res, err := RunExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Blocks == 0 {
-		t.Error("experiment: custom protocol produced no blocks")
-	}
-	if len(countingBuilt) != start+8 {
-		t.Errorf("built %d nodes through the custom constructor, want %d", len(countingBuilt)-start, 8)
+	for i := 0; i < c.Size(); i++ {
+		n := c.Node(i)
+		if n.Client().NG() != nil {
+			t.Errorf("node %d: a bitcoin client has a Bitcoin-NG node", i)
+		}
+		if n.IsLeader() || n.MicroblocksMined() != 0 || n.FraudsDetected() != 0 || n.StrategyName() != "honest" {
+			t.Errorf("node %d: leader=%v micro=%d frauds=%d strategy=%q, want a leaderless honest node",
+				i, n.IsLeader(), n.MicroblocksMined(), n.FraudsDetected(), n.StrategyName())
+		}
 	}
 }
 
-// TestUnknownProtocolSharedError asserts both harnesses reject an
-// unregistered protocol with the registry's one shared error.
+// TestNGOnlyInputsRefusedUnderBitcoinAndGHOST: censorship and mining
+// strategies are Bitcoin-NG behaviours, so Bitcoin and GHOST refuse them at
+// build time under both harnesses, as a Bitcoin cluster refuses a mid-run
+// strategy switch or equivocation.
+func TestNGOnlyInputsRefusedUnderBitcoinAndGHOST(t *testing.T) {
+	inputs := []struct {
+		name string
+		opt  Option
+		want string
+	}{
+		{"strategy", WithStrategy(0, "selfish"), "client cannot run mining strategy"},
+		{"censor", WithCensors(1), "client cannot censor transactions"},
+	}
+	for _, p := range []Protocol{Bitcoin, GHOST} {
+		for _, in := range inputs {
+			if _, err := New(4, WithProtocol(p), in.opt); err == nil || !strings.Contains(err.Error(), in.want) {
+				t.Errorf("%s New with a %s: error = %v, want %q", p, in.name, err, in.want)
+			}
+			cfg := NewExperiment(4, WithProtocol(p), WithTargetBlocks(2), in.opt)
+			if _, err := RunExperiment(cfg); err == nil || !strings.Contains(err.Error(), in.want) {
+				t.Errorf("%s RunExperiment with a %s: error = %v, want %q", p, in.name, err, in.want)
+			}
+		}
+		// An explicit honest assignment asks for nothing NG-only.
+		if _, err := New(4, WithProtocol(p), WithStrategy(0, "honest")); err != nil {
+			t.Errorf("%s New with an honest strategy: %v", p, err)
+		}
+	}
+
+	c, err := New(4, WithProtocol(Bitcoin), WithAutoMine(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AdoptStrategy(0, "selfish"); err == nil || !strings.Contains(err.Error(), "client cannot switch mining strategy") {
+		t.Errorf("bitcoin AdoptStrategy error = %v, want a refusal", err)
+	}
+	if err := c.Equivocate(0, nil, nil); err == nil || !strings.Contains(err.Error(), "client cannot equivocate") {
+		t.Errorf("bitcoin Equivocate error = %v, want a refusal", err)
+	}
+}
+
+// TestUnknownProtocolSharedError asserts both harnesses reject an unknown
+// protocol with the one shared error.
 func TestUnknownProtocolSharedError(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Protocol: "no-such-protocol", Nodes: 2}); !errors.Is(err, ErrUnknownProtocol) {
 		t.Errorf("NewCluster error = %v, want ErrUnknownProtocol", err)
@@ -127,21 +99,6 @@ func TestUnknownProtocolSharedError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
-	}
-}
-
-// TestDuplicateRegistrationRejected covers the registry's collision path.
-func TestDuplicateRegistrationRejected(t *testing.T) {
-	if err := RegisterProtocol(BitcoinNG, ProtocolRegistration{
-		Payload: types.KindMicro,
-		New: func(env node.Env, spec ProtocolSpec) (ProtocolClient, error) {
-			return nil, nil
-		},
-	}); err == nil {
-		t.Fatal("re-registering bitcoin-ng succeeded")
-	}
-	if err := protocol.Register("", ProtocolRegistration{}); err == nil {
-		t.Fatal("registering an empty name succeeded")
 	}
 }
 

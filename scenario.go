@@ -56,9 +56,9 @@ func Equivocate(leader int, txA, txB *Transaction) ScenarioStep {
 // is a step error.
 func LatencySpike(factor float64) ScenarioStep { return scenario.LatencySpike(factor) }
 
-// AdoptStrategy switches one node's mining strategy to a registered name
-// ("honest", "selfish", "greedymine", "feethief", or a custom registration)
-// mid-run — attacks can switch on, and back off, on schedule.
+// AdoptStrategy switches one node's mining strategy to a named one
+// ("honest", "selfish", "greedymine" or "feethief") mid-run — attacks can
+// switch on, and back off, on schedule.
 func AdoptStrategy(node int, name string) ScenarioStep { return scenario.AdoptStrategy(node, name) }
 
 // Call wraps an arbitrary action — mine a block, assert mid-run state,
