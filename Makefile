@@ -63,15 +63,18 @@ race:
 # shards both ways) and a warm two-shard window; at the sharded engine's
 # window barrier, the metric-buffer merge and the cross-shard outbox flush;
 # a node's per-block bookkeeping: a repeated target's work (the fleet-wide
-# memo), a tip change's Recorder call and a warm inv/getdata/block fetch
-# cycle (only its getdata); and the fleet's shared block table: block
-# lookups in the tree, the state and the in-memory chain index (hit and
-# miss), and a second store's insert of blocks another store already named
-# (its Node, weight included, in the 192-byte size class and its parent's
-# children slice, nothing more).
+# memo), a tip change's Recorder call, a warm inv/getdata/block fetch cycle
+# (nothing: the inv goes back as its getdata) and a second node's announce
+# of a block the fleet already announced (nothing: the block's one inv); the
+# collector's tip log (one allocation per chunk); and the fleet's shared
+# block table: block lookups in the tree, the state and the in-memory chain
+# index (hit and miss), a second store's insert of blocks another store
+# already named (its Node, weight included, in the 192-byte size class and
+# its parent's children slice, nothing more) and a second state's AddBlock
+# of them (the same two objects: the result is the state's own, reused).
 # CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleAllocatesOnlyItsRequest' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
 		./internal/bitcoin ./internal/load
@@ -79,8 +82,8 @@ allocs:
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
 	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestReplayedCreateLinksLoggedLeaf' \
 		./internal/blockstore ./internal/utxo
-	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode' ./internal/chain
-	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode|TestSecondStateAddBlockAllocatesOnlyItsNode' ./internal/chain
+	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestTipLogAllocatesOncePerChunk|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
 		./internal/metrics ./internal/simnet ./internal/sim
 
 # race-soak replays a reduced chaos soak under the race detector. The
@@ -101,15 +104,17 @@ race-soak:
 # pointer across shards) and the trie's model test, the simulator's delivery
 # recycling on four
 # lossy shards with a node crashing under traffic, two goroutines
-# interning overlapping hashes in one block table, and two goroutines
-# thrashing the fleet-wide work memo with alternating targets.
+# interning overlapping hashes in one block table, two goroutines
+# thrashing the fleet-wide work memo with alternating targets, and two
+# shards announcing and fetching one block object through its shared
+# messages.
 race-faults:
 	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestSharedDeltasAcrossGoroutines|FuzzLedgerTable' ./internal/utxo
 	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
 	$(GO) test -race -count=1 -run 'TestWorkForTargetConcurrent' ./internal/crypto
-	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' ./internal/node
+	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync|TestShardsShareBlockMessages' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p
 	$(GO) test -race -count=1 -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' ./internal/harness
 	$(GO) test -race -count=1 -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' ./internal/experiment

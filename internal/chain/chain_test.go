@@ -547,12 +547,12 @@ func TestCommonAncestorAndPath(t *testing.T) {
 	if anc.Hash() != b1.Hash() {
 		t.Errorf("common ancestor %s, want b1", anc.Hash().Short())
 	}
-	path := PathBetween(anc, nb2)
-	if len(path) != 1 || path[0].Hash() != b2.Hash() {
-		t.Error("PathBetween wrong")
+	path := appendPath([]*Node{na2}, anc, nb2)
+	if len(path) != 2 || path[0] != na2 || path[1].Hash() != b2.Hash() {
+		t.Error("appendPath wrong")
 	}
-	if got := PathBetween(anc, anc); got != nil {
-		t.Error("PathBetween(x,x) != nil")
+	if got := appendPath(nil, anc, anc); got != nil {
+		t.Error("appendPath(nil, x, x) != nil")
 	}
 }
 

@@ -82,6 +82,10 @@ func (s Status) String() string {
 // AddResult reports what AddBlock did, including the main-chain delta so the
 // caller can update its mempool and emit metric events. When stashed orphans
 // become connectable, their effects are folded into the same result.
+//
+// The State owns the result and reuses it, lists included: it is valid until
+// the next AddBlock on the same State. A caller that needs any of it longer
+// copies it out.
 type AddResult struct {
 	Status Status
 	// Node is the tree node for the added block (nil for orphans,
@@ -99,6 +103,12 @@ type AddResult struct {
 
 // TipChanged reports whether the main chain moved.
 func (r *AddResult) TipChanged() bool { return len(r.Connected) > 0 }
+
+// reset empties r for reuse, keeping its lists' capacity.
+func (r *AddResult) reset() *AddResult {
+	*r = AddResult{Added: r.Added[:0], Connected: r.Connected[:0], Disconnected: r.Disconnected[:0]}
+	return r
+}
 
 // maxOrphanBlocks bounds the orphan stash; beyond it the longest-waiting
 // parent's bucket is dropped (the gossip layer will re-fetch if still needed).
@@ -145,6 +155,10 @@ type State struct {
 	fp    validate.Fingerprint
 	// blocks is the table New builds the store over (nil: a private one).
 	blocks *blockstore.Table
+
+	// res is the result AddBlock returns, and sub collects one adopted
+	// orphan's effects before they are folded into res; both are reused.
+	res, sub AddResult
 
 	orphans      map[crypto.Hash][]types.Block // parent hash -> waiting blocks
 	orphanOrder  []crypto.Hash                 // the keys of orphans, longest-waiting first
@@ -317,9 +331,9 @@ func (st *State) MainChainContains(n *Node) bool {
 // nanoseconds), running fork choice and any resulting reorganization. When
 // the block's parent is unknown the block is stashed and reconsidered once
 // the parent arrives; the triggering AddBlock's result then includes the
-// orphans' effects.
+// orphans' effects. The result is valid until the next AddBlock on st.
 func (st *State) AddBlock(b types.Block, now int64) (*AddResult, error) {
-	res := &AddResult{}
+	res := st.res.reset()
 	err := st.addOne(b, now, res)
 	if err != nil || res.Status == StatusOrphan || res.Status == StatusDuplicate {
 		return res, err
@@ -441,7 +455,7 @@ func (st *State) adoptOrphans(parent crypto.Hash, now int64, res *AddResult) {
 		st.orphanOrder = slices.DeleteFunc(st.orphanOrder, func(p crypto.Hash) bool { return p == h })
 		st.orphanCount -= len(bucket)
 		for _, b := range bucket {
-			sub := &AddResult{}
+			sub := st.sub.reset()
 			// Validation errors on orphans are swallowed: the sender
 			// of an invalid orphan is long gone.
 			if err := st.addOne(b, now, sub); err != nil {
@@ -466,14 +480,19 @@ func (st *State) reorgTo(target *Node, res *AddResult) error {
 	oldTip := st.tip
 	anc := CommonAncestor(oldTip, target)
 
+	// The paths are built straight into res's lists, and taken back out if
+	// the connect fails.
+	d0, c0 := len(res.Disconnected), len(res.Connected)
+	res.Disconnected = appendPath(res.Disconnected, anc, oldTip)
+	res.Connected = appendPath(res.Connected, anc, target)
+	down, up := res.Disconnected[d0:], res.Connected[c0:]
+
 	// Disconnect oldTip..anc.
-	down := PathBetween(anc, oldTip)
 	for i := len(down) - 1; i >= 0; i-- {
 		st.disconnectBlock(down[i])
 	}
 
 	// Connect anc..target.
-	up := PathBetween(anc, target)
 	for i, n := range up {
 		if err := st.connectBlock(n); err != nil {
 			// Roll back the partial connect and restore the old chain.
@@ -488,6 +507,7 @@ func (st *State) reorgTo(target *Node, res *AddResult) error {
 				}
 			}
 			st.markInvalid(n)
+			res.Disconnected, res.Connected = res.Disconnected[:d0], res.Connected[:c0]
 			// Another branch may now be best; retry (terminates: every
 			// retry permanently invalidates at least one node).
 			if best := st.bestValidTip(); best != st.tip {
@@ -499,8 +519,6 @@ func (st *State) reorgTo(target *Node, res *AddResult) error {
 		}
 	}
 	st.tip = target
-	res.Disconnected = append(res.Disconnected, down...)
-	res.Connected = append(res.Connected, up...)
 	return nil
 }
 

@@ -12,6 +12,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
@@ -323,20 +324,16 @@ func CommonAncestor(a, b *Node) *Node {
 	return a
 }
 
-// PathBetween returns the blocks strictly after ancestor up to and including
-// tip, oldest first. ancestor must be an ancestor of tip.
-func PathBetween(ancestor, tip *Node) []*Node {
-	if ancestor == tip {
-		return nil
-	}
-	path := make([]*Node, 0, tip.Height-ancestor.Height)
+// appendPath appends the blocks strictly after ancestor up to and including
+// tip to dst, oldest first. ancestor must be an ancestor of tip.
+func appendPath(dst []*Node, ancestor, tip *Node) []*Node {
+	start := len(dst)
+	dst = slices.Grow(dst, int(tip.Height-ancestor.Height))
 	for n := tip; n != ancestor; n = n.Parent {
-		path = append(path, n)
+		dst = append(dst, n)
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
+	slices.Reverse(dst[start:])
+	return dst
 }
 
 // EpochFees sums the recorded fees of the microblocks in the epoch that ends

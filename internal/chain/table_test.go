@@ -9,6 +9,7 @@ import (
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/validate"
 )
 
 // These tests pin the block table a simulated fleet shares (one per fleet,
@@ -193,5 +194,48 @@ func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
 	}
 	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(n*(192+8)); got != want {
 		t.Errorf("inserting %d named blocks allocated %d bytes, want %d (a 192-byte Node and an 8-byte children slice each)", n, got, want)
+	}
+}
+
+// TestSecondStateAddBlockAllocatesOnlyItsNode pins a warm second state's
+// single-block AddBlock, over a fleet's one block table and connect cache, at
+// what its tree needs: the block's Node and its parent's children entry. The
+// result and its lists are the state's own, reused from call to call, and the
+// connect is a cache hit whose delta the ledger adopts.
+func TestSecondStateAddBlockAllocatesOnlyItsNode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
+	f := newFixture(t, false)
+	tab, cache := blockstore.NewTable(), validate.NewCache(0)
+	state := func() *State {
+		st, err := New(f.genesis, f.st.Params(), openProtocol{}, &HeaviestChain{},
+			WithBlockTable(tab), WithConnectCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	const n = 256
+	blocks := []types.Block{f.keyBlock(f.genesis.Hash(), f.key)}
+	for len(blocks) < n {
+		blocks = append(blocks, f.microBlock(blocks[len(blocks)-1].Hash(), f.key))
+	}
+	first, second := state(), state()
+	for _, b := range blocks {
+		if res, err := first.AddBlock(b, 1); err != nil || res.Status != StatusMainChain {
+			t.Fatalf("first state: %v, %v", res.Status, err)
+		}
+	}
+	second.AddBlock(blocks[0], 1) // warm the result's lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range blocks[1:] {
+		second.AddBlock(b, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := after.Mallocs-before.Mallocs, uint64(2*(n-1)); got != want {
+		t.Errorf("adding %d known blocks allocated %d objects, want %d (a Node and a children slice each)", n-1, got, want)
+	}
+	if second.Tip().Hash() != blocks[n-1].Hash() {
+		t.Errorf("second state's tip is not the last block")
 	}
 }

@@ -275,6 +275,13 @@ func build(cfg Config) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A view's bitmap spans the release slack below the slowest view's
+	// confirmed prefix and, allowing as much again in flight above it, is
+	// sized for twice the slack, or for the whole stream when that is less.
+	workload.viewBits = 2 * releaseSlack(cfg)
+	if maxTxs > 0 {
+		workload.viewBits = min(workload.viewBits, maxTxs)
+	}
 	keys, err := harness.Keys(cfg.Seed, 0x10000, cfg.Nodes)
 	if err != nil {
 		return nil, err
@@ -462,16 +469,21 @@ func (r *runner) maintain() {
 	r.bp.Record("lookahead-occupancy", float64(stream.Occupancy()))
 	r.maintainStores()
 
-	// Slack: enough confirmed history to survive any reorg a scenario can
-	// plausibly cause before the next maintenance boundary.
-	slack := int64(4 * (r.cfg.Params.MaxBlockSize/r.cfg.TxSize + 1))
-	if floor := minPrefix - slack; floor > 0 {
+	if floor := minPrefix - releaseSlack(r.cfg); floor > 0 {
 		stream.Release(floor)
 		released := stream.Released()
 		for _, v := range r.views {
 			v.Compact(released)
 		}
 	}
+}
+
+// releaseSlack is how far the stream's release floor stays below the slowest
+// view's confirmed prefix: four blockfuls, enough confirmed history to survive
+// any reorg a scenario can plausibly cause before the next maintenance
+// boundary.
+func releaseSlack(cfg Config) int64 {
+	return int64(4 * (cfg.Params.MaxBlockSize/cfg.TxSize + 1))
 }
 
 // maintainStores runs inside maintain, at the same quiescent boundaries: it

@@ -24,6 +24,9 @@ type Workload struct {
 	TxSize  int
 
 	stream *load.Stream
+	// viewBits, when set, is how many transactions a new view's bitmap is
+	// sized for up front.
+	viewBits int64
 }
 
 // NewStreamWorkload builds a lazily materialized workload: lanes spend
@@ -56,9 +59,14 @@ func (w *Workload) Stream() *load.Stream { return w.stream }
 // implement node.TxPool with one bit of state per transaction, so a
 // 1000-node experiment holds one copy of the workload plus 1000 bitmaps.
 // The bitmaps are windowed: Compact drops fully confirmed low words once
-// the stream's release floor passes them.
+// the stream's release floor passes them. A bitmap is sized once, for the
+// workload's viewBits, and grows past that only if the window does.
 func (v *Workload) NewView() *WorkloadView {
-	return &WorkloadView{w: v}
+	view := &WorkloadView{w: v}
+	if v.viewBits > 0 {
+		view.confirmed = make([]uint64, 0, (v.viewBits+63)/64)
+	}
+	return view
 }
 
 // WorkloadView is one node's pool over the shared workload. By default it
@@ -116,6 +124,8 @@ func (v *WorkloadView) setBit(i int64) bool {
 	if wi < 0 {
 		return false
 	}
+	// Append, never re-slice: a word past len may hold a compacted word's
+	// stale bits (TestViewGrowthAfterCompactReadsZeros).
 	for wi >= int64(len(v.confirmed)) {
 		v.confirmed = append(v.confirmed, 0)
 	}

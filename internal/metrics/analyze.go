@@ -216,12 +216,9 @@ func (c *Collector) consensusDelay(r *Report, warmStart int64, opts AnalyzeOptio
 
 	// Per-node tip timelines, sorted by time (they arrive in order per
 	// node already, but be safe).
-	timelines := make(map[int32][]tipAt, len(c.tips))
-	for id, tl := range c.tips {
-		sorted := make([]tipAt, len(tl))
-		copy(sorted, tl)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-		timelines[id] = sorted
+	timelines := c.tipTimelines()
+	for _, tl := range timelines {
+		sort.Slice(tl, func(i, j int) bool { return tl[i].At < tl[j].At })
 	}
 	tipAtTime := func(nodeID int32, t int64) int32 {
 		tl := timelines[nodeID]
@@ -259,16 +256,22 @@ func (c *Collector) consensusDelay(r *Report, warmStart int64, opts AnalyzeOptio
 	}
 
 	var delays []float64
+	// Per-sample scratch: every node's tip, the candidates and the set of
+	// them, which is cleared through the candidate list.
+	tips := make([]int32, n)
+	seen := make([]bool, len(c.blocks))
+	var candidates []int32
 	for t := warmStart + interval; t <= opts.EndTime; t += interval {
-		tips := make([]int32, n)
 		for i := 0; i < n; i++ {
 			tips[i] = tipAtTime(int32(i), t)
 		}
 		// Candidate agreement points: blocks on any node's chain, tried
 		// newest-first. Collect candidates from the union of current
 		// tips' chains.
-		seen := make(map[int32]bool)
-		var candidates []int32
+		for _, cand := range candidates {
+			seen[cand] = false
+		}
+		candidates = candidates[:0]
 		for _, tip := range tips {
 			for cur := tip; cur >= 0 && !seen[cur]; cur = c.blocks[cur].ParentIdx {
 				seen[cur] = true

@@ -29,6 +29,23 @@ type tipAt struct {
 	Idx int32 // block index of the new tip
 }
 
+// tipRec is one entry of the collector's tip log: a tip change on Node.
+type tipRec struct {
+	At   int64
+	Node int32
+	Idx  int32
+}
+
+// tipChunkLen is how many tip changes one chunk of the log holds: with its
+// link, a chunk fills a 32 KiB allocation size class.
+const tipChunkLen = 2047
+
+// tipChunk is one fixed-size chunk of the tip log.
+type tipChunk struct {
+	recs [tipChunkLen]tipRec
+	next *tipChunk
+}
+
 // blockRecord is the registry entry for one generated block.
 type blockRecord struct {
 	Info      node.BlockInfo
@@ -45,9 +62,13 @@ type Collector struct {
 	mu     sync.Mutex
 	blocks []*blockRecord
 	index  map[node.BlockID]int32
-	tips   map[int32][]tipAt
-	nodes  int32 // max node id seen + 1
-	start  int64 // virtual time of collector creation
+	// The tip log: every tip change in arrival order, in chunks linked
+	// from tipHead, so it grows without copying. tipTail holds tipN
+	// entries; every other chunk is full. Analyze groups it by node.
+	tipHead, tipTail *tipChunk
+	tipN             int
+	nodes            int32 // max node id seen + 1
+	start            int64 // virtual time of collector creation
 	// kindCount tracks generated blocks per kind (genesis excluded) so the
 	// experiment stop rule polls in O(1) instead of scanning the registry.
 	kindCount map[types.BlockKind]int
@@ -58,7 +79,6 @@ type Collector struct {
 func NewCollector(genesis types.Block, startTime int64) *Collector {
 	c := &Collector{
 		index:     make(map[node.BlockID]int32),
-		tips:      make(map[int32][]tipAt),
 		start:     startTime,
 		kindCount: make(map[types.BlockKind]int),
 	}
@@ -140,7 +160,47 @@ func (c *Collector) TipChanged(nodeID int, at int64, tip node.BlockID, _, _ []no
 	if !ok {
 		return
 	}
-	c.tips[int32(nodeID)] = append(c.tips[int32(nodeID)], tipAt{At: at, Idx: idx})
+	if c.tipTail == nil || c.tipN == tipChunkLen {
+		ch := new(tipChunk)
+		if c.tipTail == nil {
+			c.tipHead = ch
+		} else {
+			c.tipTail.next = ch
+		}
+		c.tipTail, c.tipN = ch, 0
+	}
+	c.tipTail.recs[c.tipN] = tipRec{At: at, Node: int32(nodeID), Idx: idx}
+	c.tipN++
+}
+
+// tipTimelines groups the tip log by node: timeline i holds node i's tip
+// changes in arrival order, all of them in one backing array.
+func (c *Collector) tipTimelines() [][]tipAt {
+	counts := make([]int, c.nodes)
+	total := 0
+	c.eachTip(func(r *tipRec) { counts[r.Node]++; total++ })
+	flat := make([]tipAt, total)
+	out := make([][]tipAt, c.nodes)
+	off := 0
+	for i, n := range counts {
+		out[i] = flat[off : off : off+n]
+		off += n
+	}
+	c.eachTip(func(r *tipRec) { out[r.Node] = append(out[r.Node], tipAt{At: r.At, Idx: r.Idx}) })
+	return out
+}
+
+// eachTip calls fn on every entry of the tip log, in arrival order.
+func (c *Collector) eachTip(fn func(*tipRec)) {
+	for ch := c.tipHead; ch != nil; ch = ch.next {
+		n := tipChunkLen
+		if ch == c.tipTail {
+			n = c.tipN
+		}
+		for i := range n {
+			fn(&ch.recs[i])
+		}
+	}
 }
 
 func (c *Collector) noteNode(nodeID int) {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -306,5 +308,52 @@ func TestBlockCount(t *testing.T) {
 	b.gen(0, 10*sec, b.genesis.Hash(), types.KindPow, 0)
 	if b.c.BlockCount() != 2 {
 		t.Errorf("count = %d", b.c.BlockCount())
+	}
+}
+
+// TestTipLogAllocatesOncePerChunk pins Collector.TipChanged at one allocation
+// per chunk of the tip log: the log grows without copying what it holds.
+func TestTipLogAllocatesOncePerChunk(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
+	b := newBuilder()
+	h := b.gen(0, sec, b.genesis.Hash(), types.KindPow, 0)
+	const calls = 3*tipChunkLen + 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range calls {
+		b.c.TipChanged(i%5, int64(i), h, nil, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 4 {
+		t.Errorf("%d tip changes allocated %d objects, want 4 (one per chunk)", calls, got)
+	}
+}
+
+// TestTipTimelinesKeepArrivalOrder groups a tip log that spans chunks, with
+// nodes interleaved and times out of order, and requires each node's
+// timeline to be exactly its own tip changes in arrival order: what Analyze
+// then sorts.
+func TestTipTimelinesKeepArrivalOrder(t *testing.T) {
+	b := newBuilder()
+	blocks := []crypto.Hash{b.genesis.Hash()}
+	for i := range 3 {
+		blocks = append(blocks, b.gen(0, int64(i+1)*sec, blocks[len(blocks)-1], types.KindPow, 0))
+	}
+	want := make([][]tipAt, 7)
+	for i := range 2*tipChunkLen + 100 {
+		nodeID := (i * 3) % 7
+		at := int64((i * 7919) % 1000)
+		idx := int32(1 + i%3)
+		b.tip(nodeID, at, blocks[idx])
+		want[nodeID] = append(want[nodeID], tipAt{At: at, Idx: idx})
+	}
+	got := b.c.tipTimelines()
+	if len(got) != len(want) {
+		t.Fatalf("%d timelines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("node %d: timeline of %d tip changes differs from its arrival order (%d)", i, len(got[i]), len(want[i]))
+		}
 	}
 }

@@ -55,6 +55,9 @@ type quietEnv struct {
 
 type quietTimer struct{ armed bool }
 
+// onePeer is every quietEnv's peer list, built once.
+var onePeer = []int{1}
+
 func (qt *quietTimer) Stop() bool {
 	was := qt.armed
 	qt.armed = false
@@ -67,15 +70,15 @@ func (e *quietEnv) After(time.Duration, func()) node.Timer {
 	return &e.timer
 }
 func (e *quietEnv) NodeID() int                { return 0 }
-func (e *quietEnv) Peers() []int               { return []int{1} }
+func (e *quietEnv) Peers() []int               { return onePeer }
 func (e *quietEnv) Rand() *rand.Rand           { return e.rng }
 func (e *quietEnv) Send(_ int, m node.Message) { e.sent = append(e.sent, m) }
 
-// TestFetchCycleAllocatesOnlyItsRequest pins a warm inv → getdata → block
-// cycle at one allocation, the getdata it sends: the fetch record, its
-// announcer list and its timer callback are recycled. Processing is stubbed
-// out, so the same block is fetched again every cycle.
-func TestFetchCycleAllocatesOnlyItsRequest(t *testing.T) {
+// TestFetchCycleDoesNotAllocate pins a warm inv → getdata → block cycle at
+// zero allocations: the one-item inv goes back as its own getdata, and the
+// fetch record, its announcer list and its timer callback are recycled.
+// Processing is stubbed out, so the same block is fetched again every cycle.
+func TestFetchCycleDoesNotAllocate(t *testing.T) {
 	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
 	st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
 	if err != nil {
@@ -98,13 +101,47 @@ func TestFetchCycleAllocatesOnlyItsRequest(t *testing.T) {
 		b.HandleMessage(1, delivery)
 	}
 	cycle()
-	if a := testing.AllocsPerRun(100, cycle); a != 1 {
-		t.Errorf("a warm fetch cycle allocates %v times, want 1 (its getdata)", a)
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("a warm fetch cycle allocates %v times, want 0", a)
 	}
 	if len(env.sent) != 1 || processed != 102 || b.Gossip.PendingFetches() != 0 {
 		t.Fatalf("cycle sent %d messages, processed %d blocks, left %d fetches", len(env.sent), processed, b.Gossip.PendingFetches())
 	}
-	if gd, ok := env.sent[0].(*node.GetDataMsg); !ok || gd.Items[0].Hash != blk.Hash() {
-		t.Errorf("cycle sent %T, want a getdata for the block", env.sent[0])
+	if gd, ok := env.sent[0].(*node.GetDataMsg); !ok || &gd.Items[0] != &inv.Items[0] {
+		t.Errorf("cycle sent %T, want the inv back as its getdata", env.sent[0])
+	}
+}
+
+// TestSharedAnnounceDoesNotAllocate pins a node's Announce of a block another
+// node of the fleet already announced at zero allocations: both send the
+// block's one inv.
+func TestSharedAnnounceDoesNotAllocate(t *testing.T) {
+	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
+	key, err := crypto.GenerateKey(rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := mineOn(t, key, genesis.Hash(), 1)
+	var envs [2]*quietEnv
+	var bases [2]*node.Base
+	for i := range bases {
+		st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = &quietEnv{rng: rand.New(rand.NewSource(int64(i)))}
+		bases[i] = node.NewBase(envs[i], st, nil)
+	}
+	bases[0].Gossip.Announce(blk, -1)
+	announce := func() {
+		envs[1].sent = envs[1].sent[:0]
+		bases[1].Gossip.Announce(blk, -1)
+	}
+	announce()
+	if a := testing.AllocsPerRun(100, announce); a != 0 {
+		t.Errorf("announcing a block the fleet already announced allocates %v times, want 0", a)
+	}
+	if len(envs[1].sent) != 1 || envs[0].sent[0] != envs[1].sent[0] {
+		t.Errorf("the two nodes sent %v and %v, want the block's one inv", envs[0].sent, envs[1].sent)
 	}
 }

@@ -43,12 +43,13 @@ func (g *Gossip) fetchBackoff(attempt int) time.Duration {
 
 // pendingFetch tracks an outstanding getdata. Records are recycled through
 // Gossip.free once their fetch ends, keeping their announcer arrays and their
-// bound timer callback. Each request sends a GetDataMsg of its own: a sent
-// message is read-only and may still be in flight when the record is reused.
+// bound timer callback. A record points at its request and never owns one: a
+// sent message is read-only and may still be in flight when the record is
+// reused.
 type pendingFetch struct {
-	inv        Inv
-	announcers []int // peers that announced it, in order heard
-	attempts   int   // requests sent so far; also indexes the rotation
+	req        *GetDataMsg // one item: what every attempt sends
+	announcers []int       // peers that announced it, in order heard
+	attempts   int         // requests sent so far; also indexes the rotation
 	timer      Timer
 	onTimeout  func() // g.timeout(pf), bound once per record
 	// compact is set while a getblocktxn is out. A pointer, so fetches
@@ -63,11 +64,11 @@ type compactFetch struct {
 	missing []uint32
 }
 
-func (pf *pendingFetch) hash() BlockID { return pf.inv.Hash }
+func (pf *pendingFetch) hash() BlockID { return pf.req.Items[0].Hash }
 
-// newFetch returns a record for a fetch of inv first announced by from,
+// newFetch returns a record for a fetch by req first announced by from,
 // recycled when one is free.
-func (g *Gossip) newFetch(inv Inv, from int) *pendingFetch {
+func (g *Gossip) newFetch(req *GetDataMsg, from int) *pendingFetch {
 	var pf *pendingFetch
 	if n := len(g.free); n > 0 {
 		pf = g.free[n-1]
@@ -77,7 +78,7 @@ func (g *Gossip) newFetch(inv Inv, from int) *pendingFetch {
 		pf = &pendingFetch{}
 		pf.onTimeout = func() { g.timeout(pf) }
 	}
-	pf.inv = inv
+	pf.req = req
 	pf.announcers = append(pf.announcers[:0], from)
 	return pf
 }
@@ -89,7 +90,7 @@ func (g *Gossip) recycle(pf *pendingFetch) {
 	if pf.timer != nil && !pf.timer.Stop() {
 		return
 	}
-	pf.timer, pf.compact, pf.attempts = nil, nil, 0
+	pf.req, pf.timer, pf.compact, pf.attempts = nil, nil, nil, 0
 	g.free = append(g.free, pf)
 }
 
@@ -134,16 +135,15 @@ func NewGossip(env Env, base *Base) *Gossip {
 
 // Announce sends an inv for b to every peer except `except` (the peer the
 // block came from; pass -1 to reach everyone) and except peers that already
-// announced the block to us. One message object fans out to all peers:
-// gossip messages are read-only after send, so the simulated network can
-// deliver the same object everywhere.
+// announced the block to us. The block's one shared inv fans out to all
+// peers: gossip messages are read-only after send, so the simulated network
+// can deliver the same object everywhere, from every node.
 func (g *Gossip) Announce(b types.Block, except int) {
-	h := b.Hash()
 	var known []int
-	if h == g.knownHash {
+	if b.Hash() == g.knownHash {
 		known = g.knownBy
 	}
-	msg := newInvMsg(Inv{Type: types.BlockMsgType(b), Hash: h})
+	msg := &messagesFor(b).inv
 	for _, p := range g.env.Peers() {
 		if p == except || slices.Contains(known, p) {
 			continue
@@ -251,17 +251,29 @@ func (g *Gossip) handleInv(from int, m *InvMsg) {
 			pf.announcers = append(pf.announcers, from)
 			continue
 		}
+		// A single-item inv is its own getdata, unless the fetch asks for
+		// another form of the block.
+		var req *GetDataMsg
+		if len(m.Items) == 1 {
+			req = (*GetDataMsg)(m)
+		}
 		if inv.Type == wire.MsgMicroBlock && g.base.RelayTxs {
 			// A relaying pool holds most of the body already.
 			inv.Type = wire.MsgCompactBlock
+			req = m.compact
 		}
-		g.fetch(inv, from)
+		g.fetch(inv, req, from)
 	}
 }
 
-// fetch starts a pending fetch of inv from the peer that revealed it.
-func (g *Gossip) fetch(inv Inv, from int) {
-	pf := g.newFetch(inv, from)
+// fetch starts a pending fetch of inv from the peer that revealed it, asking
+// with req when the caller has a one-item request for inv, with a new one
+// otherwise.
+func (g *Gossip) fetch(inv Inv, req *GetDataMsg, from int) {
+	if req == nil {
+		req = newGetDataMsg(inv)
+	}
+	pf := g.newFetch(req, from)
 	g.pending[inv.Hash] = pf
 	g.request(pf)
 }
@@ -283,7 +295,7 @@ func (g *Gossip) request(pf *pendingFetch) {
 	peer := pf.announcers[pf.attempts%len(pf.announcers)]
 	backoff := g.fetchBackoff(pf.attempts)
 	pf.attempts++
-	g.env.Send(peer, newGetDataMsg(pf.inv))
+	g.env.Send(peer, pf.req)
 	pf.timer = g.env.After(backoff, pf.onTimeout)
 }
 
@@ -319,11 +331,12 @@ func (g *Gossip) handleGetData(from int, m *GetDataMsg) {
 		if !ok {
 			continue // we never announce what we don't have; stale request
 		}
-		if mb, ok := n.Block().(*types.MicroBlock); ok && inv.Type == wire.MsgCompactBlock {
-			g.env.Send(from, &CompactBlockMsg{Block: mb})
+		msgs := messagesFor(n.Block())
+		if msgs.compact.Block != nil && inv.Type == wire.MsgCompactBlock {
+			g.env.Send(from, &msgs.compact)
 			continue
 		}
-		g.env.Send(from, &BlockMsg{Block: n.Block()})
+		g.env.Send(from, &msgs.block)
 	}
 }
 
@@ -446,5 +459,5 @@ func (g *Gossip) RequestBlock(inv Inv, from int) {
 		pf.announcers = append(pf.announcers, from)
 		return
 	}
-	g.fetch(inv, from)
+	g.fetch(inv, nil, from)
 }

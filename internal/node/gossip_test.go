@@ -3,6 +3,7 @@ package node_test
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,10 +271,14 @@ func TestFetchRetryAfterTimeout(t *testing.T) {
 }
 
 // TestSentGetDataIsNeverRewritten holds a fetch's first getdata in flight
-// while the retry to the second announcer delivers the block and a new fetch
-// reuses the ended fetch's record. The held request must still name the
-// first block when it finally arrives: a request aliasing its recycled
-// record would ask for the second one.
+// while the retry to the second announcer delivers the block, and a fetch of
+// a second block then reuses the ended fetch's record. Every message on the
+// way is shared: the block's one inv, which both holders announce and the
+// requester sends back as its getdata, and the block's one reply, which both
+// holders send. Each must still name the first block when the held request
+// finally arrives: a request aliasing its recycled record, or a shared
+// message rewritten for the second block, would ask for or deliver the
+// second one.
 func TestSentGetDataIsNeverRewritten(t *testing.T) {
 	h, genesis, key := newHarness(t, 3)
 	first := mineOn(t, key, genesis.Hash(), 1)
@@ -281,40 +286,133 @@ func TestSentGetDataIsNeverRewritten(t *testing.T) {
 	for i := 0; i <= 1; i++ {
 		h.bases[i].State.AddBlock(first, 0)
 	}
-	var held []queuedMsg
+	var sent, held []queuedMsg
 	h.tamper = func(qm *queuedMsg) bool {
+		sent = append(sent, *qm)
 		if _, ok := qm.msg.(*node.GetDataMsg); ok && qm.to == 0 {
 			held = append(held, *qm) // the slow link to node 0
 			return false
 		}
 		return true
 	}
+	// sentOn returns the one message from → to of m's type sent so far.
+	sentOn := func(from, to int, m node.Message) node.Message {
+		t.Helper()
+		var got []node.Message
+		for _, qm := range sent {
+			if qm.from == from && qm.to == to && qm.msg.Type() == m.Type() {
+				got = append(got, qm.msg)
+			}
+		}
+		if len(got) != 1 {
+			t.Fatalf("%d → %d sent %d %v messages, want 1", from, to, len(got), m.Type())
+		}
+		return got[0]
+	}
 	inv := node.Inv{Type: types.BlockMsgType(first), Hash: first.Hash()}
-	h.bases[2].HandleMessage(0, &node.InvMsg{Items: []node.Inv{inv}})
-	h.bases[2].HandleMessage(1, &node.InvMsg{Items: []node.Inv{inv}})
+	h.bases[0].Gossip.Announce(first, -1)
+	h.bases[1].Gossip.Announce(first, -1)
 	h.drain()
 	h.advance(25 * time.Second) // retry to node 1, which delivers
 	h.drain()
 	if !h.bases[2].State.HasBlock(first.Hash()) || len(held) != 1 {
 		t.Fatalf("retry did not deliver the first block (held %d getdata)", len(held))
 	}
-	next := node.Inv{Type: types.BlockMsgType(second), Hash: second.Hash()}
-	h.bases[2].HandleMessage(1, &node.InvMsg{Items: []node.Inv{next}})
-	if h.bases[2].Gossip.PendingFetches() != 1 {
-		t.Fatal("the second block's fetch did not start")
+	shared := sentOn(0, 2, &node.InvMsg{}).(*node.InvMsg)
+	if sentOn(1, 2, &node.InvMsg{}) != node.Message(shared) {
+		t.Fatal("the two holders announced the first block with different invs")
+	}
+	gd := held[0].msg.(*node.GetDataMsg)
+	if len(gd.Items) != 1 || &gd.Items[0] != &shared.Items[0] {
+		t.Fatal("the held getdata is not the received inv sent back")
+	}
+	reply := sentOn(1, 2, &node.BlockMsg{Block: first}).(*node.BlockMsg)
+
+	for i := 0; i <= 1; i++ {
+		h.bases[i].State.AddBlock(second, 0)
+	}
+	h.bases[1].Gossip.Announce(second, -1)
+	h.drain() // the second fetch, on the recycled record, asks node 1
+	if !h.bases[2].State.HasBlock(second.Hash()) || h.bases[2].Gossip.PendingFetches() != 0 {
+		t.Fatal("the second block's fetch did not complete")
 	}
 
-	gd := held[0].msg.(*node.GetDataMsg)
 	if len(gd.Items) != 1 || gd.Items[0] != inv {
 		t.Fatalf("held getdata now asks for %v, want %v", gd.Items, inv)
+	}
+	if len(shared.Items) != 1 || shared.Items[0] != inv {
+		t.Fatalf("the first block's inv now announces %v, want %v", shared.Items, inv)
+	}
+	if reply.Block != types.Block(first) {
+		t.Fatalf("the first block's reply now delivers %s", reply.Block.Hash().Short())
 	}
 	h.bases[0].HandleMessage(2, gd)
 	q := h.envs[0].queue
 	if len(q) != 1 {
 		t.Fatalf("node 0 answered the held getdata with %d messages, want 1", len(q))
 	}
-	if bm, ok := q[0].msg.(*node.BlockMsg); !ok || bm.Block.Hash() != first.Hash() {
-		t.Errorf("node 0 answered with %T, want the first block", q[0].msg)
+	if q[0].msg != node.Message(reply) {
+		t.Errorf("node 0 answered with %T, want the first block's shared reply", q[0].msg)
+	}
+}
+
+// TestShardsShareBlockMessages runs two shards at once, each a holder that
+// announces one block object and answers a getdata for it and a requester
+// that fetches it; under -race it checks that building the block's shared
+// messages is race-free. Both shards must send the same inv and the same
+// reply, and both requesters must connect the block.
+func TestShardsShareBlockMessages(t *testing.T) {
+	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
+	key, err := crypto.GenerateKey(rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := mineOn(t, key, genesis.Hash(), 1)
+	base := func(seed int64) (*node.Base, *quietEnv) {
+		st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &quietEnv{rng: rand.New(rand.NewSource(seed))}
+		return node.NewBase(env, st, nil), env
+	}
+	type shard struct {
+		holder, fetcher       *node.Base
+		holderEnv, fetcherEnv *quietEnv
+	}
+	var shards [2]shard
+	for i := range shards {
+		s := &shards[i]
+		s.holder, s.holderEnv = base(int64(2 * i))
+		s.fetcher, s.fetcherEnv = base(int64(2*i + 1))
+		if res, err := s.holder.State.AddBlock(blk, 0); err != nil || res.Status != chain.StatusMainChain {
+			t.Fatalf("holder %d: %v, %v", i, res.Status, err)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range shards {
+		s := &shards[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s.holder.Gossip.Announce(blk, -1)
+			s.fetcher.HandleMessage(1, s.holderEnv.sent[0])
+			s.holder.HandleMessage(1, s.fetcherEnv.sent[0])
+			s.fetcher.HandleMessage(1, s.holderEnv.sent[1])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, s := range shards {
+		if len(s.holderEnv.sent) != 2 || !s.fetcher.State.HasBlock(blk.Hash()) {
+			t.Fatalf("shard %d: holder sent %d messages, fetcher has the block: %v", i, len(s.holderEnv.sent), s.fetcher.State.HasBlock(blk.Hash()))
+		}
+	}
+	a, b := shards[0].holderEnv.sent, shards[1].holderEnv.sent
+	if a[0] != b[0] || a[1] != b[1] {
+		t.Errorf("the shards sent %v and %v, want the block's one inv and one reply", a, b)
 	}
 }
 

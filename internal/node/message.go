@@ -125,13 +125,56 @@ type Inv struct {
 // announce/request/deliver like the operational client's inv/getdata).
 type InvMsg struct {
 	Items []Inv
-	one   [1]Inv // backs a single-item Items, so the message is one allocation
+	one   [1]Inv // backs a single-item Items, so a message is one allocation
+	// compact is set on a microblock's shared inv (blockMsgs): the shared
+	// request for the block's compact form. It is not framed.
+	compact *GetDataMsg
 }
 
-// newInvMsg returns a one-item inv in a single allocation.
-func newInvMsg(inv Inv) *InvMsg {
-	m := &InvMsg{one: [1]Inv{inv}}
-	m.Items = m.one[:]
+// blockMsgs are the messages that are a pure function of one block: its
+// announcement, its delivery in full and in compact form, and the request
+// for the compact form. The nodes of a simulated fleet share every block
+// object, so the first node to need them builds them into the block's relay
+// slot (types.RelaySlot) and every node sends those same objects: messages
+// are read-only after send. A single-item fetch of the announced type sends
+// the received inv itself back as its getdata, since the two share one layout
+// and one frame.
+type blockMsgs struct {
+	inv        InvMsg
+	getCompact GetDataMsg
+	block      BlockMsg
+	compact    CompactBlockMsg
+}
+
+// messagesFor returns b's shared messages, building them on first use. Shards
+// that race to build them publish by compare-and-swap, and the loser adopts
+// the winner's, so a block has one set of messages.
+func messagesFor(b types.Block) *blockMsgs {
+	slot := types.RelaySlot(b)
+	if slot == nil {
+		return newBlockMsgs(b)
+	}
+	if v := slot.Load(); v != nil {
+		return (*v).(*blockMsgs)
+	}
+	var v any = newBlockMsgs(b)
+	if !slot.CompareAndSwap(nil, &v) {
+		v = *slot.Load()
+	}
+	return v.(*blockMsgs)
+}
+
+func newBlockMsgs(b types.Block) *blockMsgs {
+	m := &blockMsgs{block: BlockMsg{Block: b}}
+	h := b.Hash()
+	m.inv.one[0] = Inv{Type: types.BlockMsgType(b), Hash: h}
+	m.inv.Items = m.inv.one[:]
+	if mb, ok := b.(*types.MicroBlock); ok {
+		m.compact.Block = mb
+		m.getCompact.one[0] = Inv{Type: wire.MsgCompactBlock, Hash: h}
+		m.getCompact.Items = m.getCompact.one[:]
+		m.inv.compact = &m.getCompact
+	}
 	return m
 }
 
@@ -169,12 +212,17 @@ func (m *InvMsg) dispatch(g *Gossip, from int) { g.handleInv(from, m) }
 // GetDataMsg requests previously announced inventory; it is framed as an
 // InvMsg is.
 type GetDataMsg struct {
-	Items []Inv
-	one   [1]Inv // InvMsg's layout, which the conversions below rely on
+	Items   []Inv
+	one     [1]Inv      // InvMsg's layout, which the conversions below rely on
+	compact *GetDataMsg // unused: InvMsg's layout
 }
 
 // newGetDataMsg returns a one-item getdata in a single allocation.
-func newGetDataMsg(inv Inv) *GetDataMsg { return (*GetDataMsg)(newInvMsg(inv)) }
+func newGetDataMsg(inv Inv) *GetDataMsg {
+	m := &GetDataMsg{one: [1]Inv{inv}}
+	m.Items = m.one[:]
+	return m
+}
 
 // EncodeWire implements wire.Encoder.
 func (m *GetDataMsg) EncodeWire(w *wire.Writer) { (*InvMsg)(m).EncodeWire(w) }

@@ -68,12 +68,15 @@ var (
 // memo is what a block object learns about itself, embedded in all three
 // block types. Its fields are atomic because the sharded event loop lets shard
 // goroutines validate one shared block object concurrently: every value is a
-// pure function of the immutable block, so racing fills agree.
+// pure function of the immutable block, so racing fills agree. relay is
+// published once, by compare-and-swap, so every reader gets the same object
+// (RelaySlot).
 type memo struct {
 	cachedHash atomic.Pointer[crypto.Hash]
 	cachedSize atomic.Int32
 	wf         atomic.Pointer[verdict]
 	rootOK     atomic.Bool
+	relay      atomic.Pointer[any]
 }
 
 // verdict is a well-formedness verdict together with the leader key a
@@ -92,6 +95,7 @@ func (m *memo) reset() {
 	m.cachedSize.Store(0)
 	m.wf.Store(nil)
 	m.rootOK.Store(false)
+	m.relay.Store(nil)
 }
 
 // hash returns the header's hash, computed once.
@@ -484,6 +488,23 @@ func stage1Memo(b Block) (*memo, crypto.Hash) {
 		return &mb.memo, mb.Header.TxRoot
 	}
 	return nil, crypto.Hash{}
+}
+
+// RelaySlot returns the slot in which the gossip layer keeps what it derives
+// from b alone, its messages: built by the first node to need them and then
+// read by every node that shares the block object. Nil for a foreign Block
+// implementation, which has no memo. The slot is opaque here; it is cleared
+// when the block is decoded afresh.
+func RelaySlot(b Block) *atomic.Pointer[any] {
+	switch blk := b.(type) {
+	case *PowBlock:
+		return &blk.relay
+	case *KeyBlock:
+		return &blk.relay
+	case *MicroBlock:
+		return &blk.relay
+	}
+	return nil
 }
 
 // Stage1Cold reports whether this block object has no stage-1 work recorded
