@@ -3,13 +3,16 @@ package bitcoinng
 import (
 	"testing"
 	"time"
+
+	"bitcoinng/internal/types"
 )
 
-// TestEquivocateLeaderLifecycle drives the §4.5 attack through the public
-// API (the examples/doublespend scenario as a regression test): a leader
-// forks its microblock chain, honest nodes gather evidence, the next leader
-// places the poison, and the cheater's revenue is revoked network-wide.
-func TestEquivocateLeaderLifecycle(t *testing.T) {
+// equivocationRun is the §4.5 attack of the examples/doublespend scenario on
+// 8 nodes: node 0 leads and forks its microblock chain with two payments of
+// the same coins, then the cluster runs 10 s so honest nodes gather the
+// evidence. It returns the cluster, the attacker and an honest node.
+func equivocationRun(t *testing.T) (*Cluster, *ClusterNode, *ClusterNode, Params) {
+	t.Helper()
 	params := DefaultParams()
 	params.RetargetWindow = 0
 	params.TargetBlockInterval = 30 * time.Second
@@ -53,6 +56,15 @@ func TestEquivocateLeaderLifecycle(t *testing.T) {
 		t.Fatal("equivocation produced identical microblocks")
 	}
 	c.Run(10 * time.Second)
+	return c, attacker, honest, params
+}
+
+// TestEquivocateLeaderLifecycle drives the §4.5 attack through the public
+// API (the examples/doublespend scenario as a regression test): a leader
+// forks its microblock chain, honest nodes gather evidence, the next leader
+// places the poison, and the cheater's revenue is revoked network-wide.
+func TestEquivocateLeaderLifecycle(t *testing.T) {
+	c, attacker, honest, params := equivocationRun(t)
 
 	detected := 0
 	for i := 1; i < c.Size(); i++ {
@@ -79,5 +91,33 @@ func TestEquivocateLeaderLifecycle(t *testing.T) {
 	// The poisoner collected a reward above its key block subsidy.
 	if got := honest.Balance(honest.Address()); got <= Amount(params.Subsidy) {
 		t.Errorf("poisoner balance %d, want above subsidy %d", got, params.Subsidy)
+	}
+}
+
+// TestEquivocatedBlocksReachTheReport runs the same attack on to the
+// poisoning key block and requires the §6 report's main chain to be the
+// honest node's, block for block: both equivocated microblocks are reported
+// at generation, so every block later built on one of them registers at its
+// height and not detached at height 0.
+func TestEquivocatedBlocksReachTheReport(t *testing.T) {
+	c, _, honest, _ := equivocationRun(t)
+	honest.MineBlock()
+	c.Run(30 * time.Second)
+
+	blocks, pow := 0, 0
+	for _, n := range honest.Chain().MainChain()[1:] { // genesis is not counted
+		blocks++
+		if n.Kind() != types.KindMicro {
+			pow++
+		}
+	}
+	r := c.Report()
+	if r.MainChainBlocks != blocks || r.MainPowBlocks != pow {
+		t.Errorf("report's main chain has %d blocks, %d with proof of work; the honest node's has %d and %d",
+			r.MainChainBlocks, r.MainPowBlocks, blocks, pow)
+	}
+	if r.Fairness != 1 || r.MiningPowerUtilization != 1 {
+		t.Errorf("fairness %v and mining power utilization %v, want 1 and 1 (no key block was pruned)",
+			r.Fairness, r.MiningPowerUtilization)
 	}
 }

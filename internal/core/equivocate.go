@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 )
 
@@ -11,8 +12,9 @@ import (
 // conflicting microblocks on its tip, each carrying one of the transactions:
 // the split-brain double-spend of §4.5. The blocks are returned unpublished;
 // the caller delivers them to disjoint parts of the network, as a targeted
-// attacker would. Honest nodes that see both detect the fraud and poison
-// this leader once they lead.
+// attacker would. Both are reported to the Recorder as generated here, like
+// any block this node produces. Honest nodes that see both detect the fraud
+// and poison this leader once they lead.
 func (n *Node) Equivocate(txA, txB *types.Transaction) (*types.MicroBlock, *types.MicroBlock, error) {
 	if !n.IsLeader() {
 		return nil, nil, fmt.Errorf("core: node is not the current leader")
@@ -38,5 +40,9 @@ func (n *Node) Equivocate(txA, txB *types.Transaction) (*types.MicroBlock, *type
 	}
 	// Distinct timestamps give the siblings distinct hashes even when both
 	// carry the same (or no) transactions.
-	return build(txA, 0), build(txB, 1), nil
+	mbA, mbB := build(txA, 0), build(txB, 1)
+	id := n.Env.NodeID()
+	n.Recorder.BlockGenerated(id, now, node.InfoFor(mbA, id))
+	n.Recorder.BlockGenerated(id, now, node.InfoFor(mbB, id))
+	return mbA, mbB, nil
 }
