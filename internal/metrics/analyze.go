@@ -114,8 +114,8 @@ func (c *Collector) Analyze(opts AnalyzeOptions) *Report {
 }
 
 // finalMainChain picks the heaviest chain in the registry (most cumulative
-// PoW blocks, ties to earliest generation) and returns its block indices,
-// genesis first.
+// PoW blocks; a tie goes to the greater height, then to the earliest
+// generation) and returns its block indices, genesis first.
 func (c *Collector) finalMainChain() []int32 {
 	best := int32(0)
 	for _, rec := range c.blocks {

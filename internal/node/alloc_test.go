@@ -74,18 +74,24 @@ func (e *quietEnv) Peers() []int               { return onePeer }
 func (e *quietEnv) Rand() *rand.Rand           { return e.rng }
 func (e *quietEnv) Send(_ int, m node.Message) { e.sent = append(e.sent, m) }
 
+// quietNode is a Bitcoin node on genesis over its own quietEnv.
+func quietNode(t *testing.T, genesis types.Block, seed int64) (*node.Base, *quietEnv) {
+	t.Helper()
+	st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &quietEnv{rng: rand.New(rand.NewSource(seed))}
+	return node.NewBase(env, st, nil), env
+}
+
 // TestFetchCycleDoesNotAllocate pins a warm inv → getdata → block cycle at
 // zero allocations: the one-item inv goes back as its own getdata, and the
 // fetch record, its announcer list and its timer callback are recycled.
 // Processing is stubbed out, so the same block is fetched again every cycle.
 func TestFetchCycleDoesNotAllocate(t *testing.T) {
 	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
-	st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &quietEnv{rng: rand.New(rand.NewSource(1))}
-	b := node.NewBase(env, st, nil)
+	b, env := quietNode(t, genesis, 1)
 	processed := 0
 	b.ProcessFn = func(types.Block, int) *chain.AddResult { processed++; return nil }
 	key, err := crypto.GenerateKey(rand.New(rand.NewSource(2)))
@@ -125,12 +131,7 @@ func TestSharedAnnounceDoesNotAllocate(t *testing.T) {
 	var envs [2]*quietEnv
 	var bases [2]*node.Base
 	for i := range bases {
-		st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		envs[i] = &quietEnv{rng: rand.New(rand.NewSource(int64(i)))}
-		bases[i] = node.NewBase(envs[i], st, nil)
+		bases[i], envs[i] = quietNode(t, genesis, int64(i))
 	}
 	bases[0].Gossip.Announce(blk, -1)
 	announce := func() {

@@ -368,14 +368,6 @@ func TestShardsShareBlockMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk := mineOn(t, key, genesis.Hash(), 1)
-	base := func(seed int64) (*node.Base, *quietEnv) {
-		st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := &quietEnv{rng: rand.New(rand.NewSource(seed))}
-		return node.NewBase(env, st, nil), env
-	}
 	type shard struct {
 		holder, fetcher       *node.Base
 		holderEnv, fetcherEnv *quietEnv
@@ -383,8 +375,8 @@ func TestShardsShareBlockMessages(t *testing.T) {
 	var shards [2]shard
 	for i := range shards {
 		s := &shards[i]
-		s.holder, s.holderEnv = base(int64(2 * i))
-		s.fetcher, s.fetcherEnv = base(int64(2*i + 1))
+		s.holder, s.holderEnv = quietNode(t, genesis, int64(2*i))
+		s.fetcher, s.fetcherEnv = quietNode(t, genesis, int64(2*i+1))
 		if res, err := s.holder.State.AddBlock(blk, 0); err != nil || res.Status != chain.StatusMainChain {
 			t.Fatalf("holder %d: %v, %v", i, res.Status, err)
 		}
