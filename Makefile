@@ -69,9 +69,10 @@ race:
 # collector's tip log (one allocation per chunk); and the fleet's shared
 # block table: block lookups in the tree, the state and the in-memory chain
 # index (hit and miss), a second store's insert of blocks another store
-# already named (its Node, weight included, in the 192-byte size class and
-# its parent's children slice, nothing more) and a second state's AddBlock
-# of them (the same two objects: the result is the state's own, reused).
+# already named (one 48-byte view per block: the header, weight included, is
+# the fleet's), a second state's AddBlock of them (the same one object: the
+# result is the state's own, reused) and a second Mem's append of blocks the
+# fleet already archived (its order and arrival-time entries, no body).
 # CI calls it from the `test` job beside the -race run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
@@ -80,7 +81,7 @@ allocs:
 		./internal/bitcoin ./internal/load
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestWorkForTargetRepeatDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
-	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestReplayedCreateLinksLoggedLeaf' \
+	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestArchivedAppendCostsOnlyItsEntries|TestReplayedCreateLinksLoggedLeaf' \
 		./internal/blockstore ./internal/utxo
 	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode|TestSecondStateAddBlockAllocatesOnlyItsNode' ./internal/chain
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestTipLogAllocatesOncePerChunk|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
@@ -104,7 +105,9 @@ race-soak:
 # pointer across shards) and the trie's model test, the simulator's delivery
 # recycling on four
 # lossy shards with a node crashing under traffic, two goroutines
-# interning overlapping hashes in one block table, two goroutines
+# interning overlapping hashes in one block table, four stores interning
+# one forked chain's shared headers at once and reloading their evicted
+# bodies, two goroutines
 # thrashing the fleet-wide work memo with alternating targets, and two
 # shards announcing and fetching one block object through its shared
 # messages.
@@ -113,6 +116,7 @@ race-faults:
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestSharedDeltasAcrossGoroutines|FuzzLedgerTable' ./internal/utxo
 	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
+	$(GO) test -race -count=1 -run 'TestStoresInternHeadersConcurrently' ./internal/chain
 	$(GO) test -race -count=1 -run 'TestWorkForTargetConcurrent' ./internal/crypto
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync|TestShardsShareBlockMessages' ./internal/node
 	$(GO) test -race -count=1 -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' ./internal/p2p

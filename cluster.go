@@ -194,7 +194,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Wire: func(_ int, base *node.Base) {
 			base.RelayTxs = cfg.RelayTxs
 			if l := cfg.MempoolLimits; l.MaxTxs > 0 || l.MaxBytes > 0 {
-				if mp, ok := base.Pool.(*mempool.Pool); ok {
+				if mp, ok := base.Pool.(interface{ SetLimits(mempool.Limits) }); ok {
 					mp.SetLimits(l)
 				}
 			}

@@ -3,7 +3,9 @@
 // or in memory (Mem). The arrival time is consensus input — the first-seen
 // tie-break reads it — so a reopened index replays exactly the (block,
 // receivedAt) pairs its first life recorded, and both live in one record
-// under one checksum.
+// under one checksum. A fleet's Mems share a Table, which names each block
+// and keeps its body once for all of them; a Mem keeps only its order and
+// arrival times.
 //
 // The file is a sequence of length-prefixed, checksummed records; the
 // in-memory index is rebuilt by a single scan on open, and a torn final
@@ -30,6 +32,7 @@ import (
 	"hash/crc32"
 	"os"
 	"slices"
+	"sync"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -57,9 +60,11 @@ var (
 // Store is an append-only block file with an in-memory offset index. Every
 // Append is fsynced before it returns, so a block the store accepted is on
 // stable storage and a crash can only lose blocks the caller was never told
-// were safe. It is not safe for concurrent use; the owning node serializes
-// access.
+// were safe. The owning node serializes access, except that Get may be
+// called from any goroutine (a fleet's shared chain headers reload evicted
+// bodies through the archive that evicted them); mu guards it.
 type Store struct {
+	mu     sync.Mutex
 	f      *os.File
 	size   int64
 	index  map[crypto.Hash]recordRef
@@ -220,6 +225,8 @@ func (s *Store) Contains(h crypto.Hash) bool {
 // truncated back so the on-disk prefix stays exactly the acknowledged set —
 // and poisons the store (see Store.err).
 func (s *Store) Append(b types.Block, receivedAt int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
@@ -265,6 +272,8 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 
 // Get loads a block by hash.
 func (s *Store) Get(h crypto.Hash) (types.Block, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -331,6 +340,8 @@ func (s *Store) Sync() error {
 // Close syncs and closes the file, reporting a sticky failure if one is
 // pending — callers that ignored an Append error still hear about it here.
 func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}

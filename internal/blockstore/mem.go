@@ -1,6 +1,8 @@
 package blockstore
 
 import (
+	"sync"
+
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
 )
@@ -10,19 +12,17 @@ import (
 // chain index on the default simulation path, where "durable" means
 // "survives the simulated crash" — the harness tears down a node's entire
 // in-memory client but keeps its Mem, exactly as a real disk survives a
-// process crash. Block hashes are named through a Table, which a fleet's
-// Mems share with its chain stores; the Mem itself holds only its records
-// and, per ordinal, where its record sits. Not safe for concurrent use; the
-// owning node serializes access.
+// process crash. Blocks are named, and their bodies archived once, in a
+// Table, which a fleet's Mems share with its chain stores; a Mem holds only
+// its append order and arrival times. The owning node serializes access,
+// except that Get, as Store's, may be called from any goroutine; mu guards
+// it against Append.
 type Mem struct {
-	blocks  *Table
-	records []memRecord // append order
-	index   []int32     // ordinal → position in records plus one; 0 = not stored
-}
-
-type memRecord struct {
-	block      types.Block
-	receivedAt int64
+	mu     sync.Mutex
+	blocks *Table
+	order  []int32 // ordinals in append order
+	times  []int64 // arrival times, in append order
+	index  []int32 // ordinal → position in order plus one; 0 = not stored
 }
 
 // NewMem builds an empty in-memory archive naming its blocks in t; a nil t
@@ -34,25 +34,28 @@ func NewMem(t *Table) *Mem {
 	return &Mem{blocks: t}
 }
 
-// position returns the index in records of the block hashed h, or -1.
-func (m *Mem) position(h crypto.Hash) int {
+// ordinal returns the ordinal of h if this Mem stores it.
+func (m *Mem) ordinal(h crypto.Hash) (int32, bool) {
 	o, ok := m.blocks.Lookup(h)
-	if !ok || int(o) >= len(m.index) {
-		return -1
-	}
-	return int(m.index[o]) - 1
+	return o, ok && int(o) < len(m.index) && m.index[o] != 0
 }
 
 // Len returns the number of stored blocks.
-func (m *Mem) Len() int { return len(m.records) }
+func (m *Mem) Len() int { return len(m.order) }
 
 // Contains reports whether the block is stored.
-func (m *Mem) Contains(h crypto.Hash) bool { return m.position(h) >= 0 }
+func (m *Mem) Contains(h crypto.Hash) bool {
+	_, ok := m.ordinal(h)
+	return ok
+}
 
 // Append stores a block with its arrival time; duplicates are a no-op that
-// keeps the original time, mirroring Store.
+// keeps the original time, mirroring Store. The body goes to the table,
+// unless another Mem of the fleet archived it first.
 func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	o := m.blocks.Intern(b.Hash())
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if int(o) >= len(m.index) {
 		// Up to the table's length at once: blocks other holders named
 		// already are likely to be appended here next.
@@ -61,27 +64,31 @@ func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	if m.index[o] != 0 {
 		return nil
 	}
-	m.records = append(m.records, memRecord{block: b, receivedAt: receivedAt})
-	m.index[o] = int32(len(m.records))
+	m.blocks.archive(o, b)
+	m.order = append(m.order, o)
+	m.times = append(m.times, receivedAt)
+	m.index[o] = int32(len(m.order))
 	return nil
 }
 
 // Get loads a block by hash. A miss returns ErrNotFound itself, unwrapped:
 // the caller holds the hash it asked for, and a probe then allocates nothing.
 func (m *Mem) Get(h crypto.Hash) (types.Block, error) {
-	i := m.position(h)
-	if i < 0 {
+	m.mu.Lock()
+	o, ok := m.ordinal(h)
+	m.mu.Unlock()
+	if !ok {
 		return nil, ErrNotFound
 	}
-	return m.records[i].block, nil
+	return m.blocks.body(o), nil
 }
 
 // Hashes returns the stored block hashes in append order. The caller owns
 // the returned slice.
 func (m *Mem) Hashes() []crypto.Hash {
-	out := make([]crypto.Hash, len(m.records))
-	for i, r := range m.records {
-		out[i] = r.block.Hash()
+	out := make([]crypto.Hash, len(m.order))
+	for i, o := range m.order {
+		out[i] = m.blocks.body(o).Hash()
 	}
 	return out
 }
@@ -89,8 +96,8 @@ func (m *Mem) Hashes() []crypto.Hash {
 // Replay streams every stored block in append order with its recorded
 // arrival time, stopping at the first callback error.
 func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
-	for _, r := range m.records {
-		if err := fn(r.block, r.receivedAt); err != nil {
+	for i, o := range m.order {
+		if err := fn(m.blocks.body(o), m.times[i]); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/types"
 )
 
 // tableSegments splits a Table by hash so the shards of a parallel run lock
@@ -13,12 +14,11 @@ import (
 const tableSegments = 16
 
 // Table names block hashes with dense int32 ordinals, 0, 1, 2, ... in the
-// order they are first interned. It maps hash → ordinal and nothing else:
-// an ordinal is a name, not state, so every holder of a Table keeps its own
-// per-block state in slices indexed by ordinal (chain.Store's nodes, Mem's
-// record positions) and one map serves them all. A simulated fleet shares
-// one Table among its nodes; a nil Table wherever one is accepted means a
-// private one.
+// order they are first interned, and keeps per ordinal what every holder of
+// the block shares: the body its Mems archive and the header its chain
+// stores build (Share). What differs between holders each keeps in its own
+// slices indexed by ordinal. A simulated fleet shares one Table among its
+// nodes; a nil Table wherever one is accepted means a private one.
 //
 // Ordinals follow interning order, which under a parallel run is the
 // scheduling order of the shards, so no result may depend on the order of
@@ -26,11 +26,20 @@ const tableSegments = 16
 type Table struct {
 	segs [tableSegments]tableSegment
 	n    atomic.Int32
+	// slots is indexed by ordinal; mu guards the slice, not the slots.
+	mu    sync.RWMutex
+	slots []*slot
 }
 
 type tableSegment struct {
 	mu  sync.RWMutex
 	ord map[crypto.Hash]int32
+}
+
+// slot is what a Table keeps for one ordinal; each part is published once.
+type slot struct {
+	block  atomic.Pointer[types.Block]
+	shared atomic.Value
 }
 
 // NewTable returns an empty table.
@@ -68,7 +77,11 @@ func (t *Table) Intern(h crypto.Hash) int32 {
 	defer s.mu.Unlock()
 	o, ok := s.ord[h]
 	if !ok {
-		o = t.n.Add(1) - 1
+		t.mu.Lock()
+		o = int32(len(t.slots))
+		t.slots = append(t.slots, new(slot))
+		t.n.Store(o + 1)
+		t.mu.Unlock()
 		s.ord[h] = o
 	}
 	return o
@@ -77,3 +90,40 @@ func (t *Table) Intern(h crypto.Hash) int32 {
 // Len returns how many hashes have been interned: every ordinal handed out
 // so far is below it.
 func (t *Table) Len() int { return int(t.n.Load()) }
+
+func (t *Table) slot(o int32) *slot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.slots[o]
+}
+
+// body returns the body archived for ordinal o, nil if none was.
+func (t *Table) body(o int32) types.Block {
+	if p := t.slot(o).block.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// archive keeps b as the fleet's body for ordinal o unless one is kept
+// already: the bodies are equal, since b's hash names o.
+func (t *Table) archive(o int32, b types.Block) {
+	if s := t.slot(o); s.block.Load() == nil {
+		p := new(types.Block)
+		*p = b
+		s.block.CompareAndSwap(nil, p)
+	}
+}
+
+// Share returns the value every holder of the table sees for ordinal o,
+// publishing mk's unless another holder published one first. Every value
+// published in one table must have the same concrete type; chain.Store keeps
+// its block headers here.
+func (t *Table) Share(o int32, mk func() any) any {
+	s := t.slot(o)
+	if v := s.shared.Load(); v != nil {
+		return v
+	}
+	s.shared.CompareAndSwap(nil, mk())
+	return s.shared.Load()
+}

@@ -2,10 +2,12 @@ package blockstore
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/types"
 )
 
 // TestTableConcurrentIntern: two goroutines intern overlapping hash sets at
@@ -97,5 +99,53 @@ func TestMemLookupsDoNotAllocate(t *testing.T) {
 	}
 	if tab.Len() != 5 {
 		t.Errorf("table Len = %d after lookups, want 5", tab.Len())
+	}
+}
+
+// TestArchivedAppendCostsOnlyItsEntries: once one Mem of a fleet archived a
+// chain, another Mem appending the same blocks keeps no body of its own,
+// only its append order, arrival times and index: 16 bytes of entries per
+// block, and the growth of those slices. The bodies it hands back are the
+// first Mem's objects.
+func TestArchivedAppendCostsOnlyItsEntries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race allocates the index growth's temporary")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
+	const n = 512
+	blocks := makeChain(t, n)
+	tab := NewTable()
+	first := NewMem(tab)
+	for i, b := range blocks {
+		if err := first.Append(b, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := NewMem(tab)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, b := range blocks {
+		if err := second.Append(b, int64(n+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The index is sized to the table once; order (4 bytes) and times (8)
+	// at most double their way up to n, plus a size class's rounding.
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n*4+2*n*12+1024); got > max {
+		t.Errorf("appending %d archived blocks allocated %d bytes, want at most %d", n, got, max)
+	}
+	if got, max := after.Mallocs-before.Mallocs, uint64(1+2*11); got > max {
+		t.Errorf("appending %d archived blocks allocated %d objects, want at most %d (slice growth only)", n, got, max)
+	}
+	i := 0
+	if err := second.Replay(func(b types.Block, at int64) error {
+		if b != blocks[i] || at != int64(n+i) {
+			t.Fatalf("record %d: block %s at %d, want the archived object at %d", i, b.Hash().Short(), at, n+i)
+		}
+		i++
+		return nil
+	}); err != nil || i != n {
+		t.Fatalf("replayed %d of %d records: %v", i, n, err)
 	}
 }

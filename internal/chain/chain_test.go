@@ -495,13 +495,13 @@ func TestEpochFees(t *testing.T) {
 	f.add(m1)
 	f.add(m2)
 
-	got := EpochFees(f.st.Tip())
+	got := f.st.EpochFeesAt(f.st.Tip())
 	if got != 150 {
 		t.Errorf("EpochFees = %d, want 150", got)
 	}
 	// From the key block itself the epoch is empty.
 	n, _ := f.st.Store().Get(k1.Hash())
-	if got := EpochFees(n); got != 0 {
+	if got := f.st.EpochFeesAt(n); got != 0 {
 		t.Errorf("EpochFees at key block = %d", got)
 	}
 }

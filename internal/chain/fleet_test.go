@@ -393,7 +393,7 @@ func TestLostConnectRaceConverges(t *testing.T) {
 	}
 
 	a, b := states[0], states[1]
-	if a.Tip().undo == nil || a.Tip().undo != b.Tip().undo {
+	if ua, ub := a.Store().view(a.Tip()).undo, b.Store().view(b.Tip()).undo; ua == nil || ua != ub {
 		t.Fatal("the two states hold different deltas for the contested block")
 	}
 	va, vb := a.UTXO().(*utxo.Set).Version(), b.UTXO().(*utxo.Set).Version()

@@ -11,7 +11,7 @@ type ForkChoice interface {
 }
 
 // SubtreeWeighted lets a fork choice declare whether it reads
-// Node.SubtreeWeight; the store pays the per-insert ancestor walk that
+// Store.SubtreeWeight; the store pays the per-insert ancestor walk that
 // maintains subtree weights only when needed. Fork choices that do not
 // implement the interface get the weights maintained (the safe default for
 // custom rules); built-in rules that only compare cumulative chain weight
@@ -80,15 +80,15 @@ func (g *GHOST) Best(s *Store, current, added *Node) *Node {
 	n := s.Genesis()
 	for {
 		var best *Node
-		for _, c := range n.children {
-			if c.Invalid {
+		for c := range s.Children(n) {
+			if s.view(c).invalid {
 				continue
 			}
 			if best == nil {
 				best = c
 				continue
 			}
-			switch c.SubtreeWeight.Cmp(*best.SubtreeWeight) {
+			switch s.SubtreeWeight(c).Cmp(s.SubtreeWeight(best)) {
 			case 1:
 				best = c
 			case 0:
@@ -96,7 +96,7 @@ func (g *GHOST) Best(s *Store, current, added *Node) *Node {
 					if g.Rand.Intn(2) == 0 {
 						best = c
 					}
-				} else if c.ReceivedAt < best.ReceivedAt {
+				} else if s.ReceivedAt(c) < s.ReceivedAt(best) {
 					best = c
 				}
 			}

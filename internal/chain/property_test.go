@@ -201,7 +201,7 @@ func TestWeightMonotoneAlongChain(t *testing.T) {
 			t.Fatalf("key block did not increment key height at %s", n.Hash().Short())
 		}
 		// Heaviest-chain stores keep no subtree weights.
-		if n.SubtreeWeight != nil {
+		if st.Store().subtree != nil {
 			t.Fatalf("untracked store allocated a subtree weight at %s", n.Hash().Short())
 		}
 	}

@@ -61,22 +61,14 @@ const (
 	StatusMainChain               // extended or became the main chain
 )
 
+var statusNames = [...]string{"invalid", "duplicate", "orphan", "sidechain", "mainchain"}
+
 // String returns the status name.
 func (s Status) String() string {
-	switch s {
-	case StatusInvalid:
-		return "invalid"
-	case StatusDuplicate:
-		return "duplicate"
-	case StatusOrphan:
-		return "orphan"
-	case StatusSideChain:
-		return "sidechain"
-	case StatusMainChain:
-		return "mainchain"
-	default:
-		return fmt.Sprintf("status(%d)", int(s))
+	if s >= 0 && int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("status(%d)", int(s))
 }
 
 // AddResult reports what AddBlock did, including the main-chain delta so the
@@ -177,8 +169,9 @@ func WithConnectCache(c *validate.Cache) Option {
 	return func(st *State) { st.cache = c }
 }
 
-// WithBlockTable names the state's blocks in a table shared with other
-// states (a simulated fleet passes one per fleet); nil keeps a private one.
+// WithBlockTable names the state's blocks, and keeps their headers, in a
+// table shared with other states (a simulated fleet passes one per fleet);
+// nil keeps a private one.
 func WithBlockTable(t *blockstore.Table) Option {
 	return func(st *State) { st.blocks = t }
 }
@@ -209,17 +202,14 @@ func New(genesis types.Block, params types.Params, protocol Protocol, choice For
 		opt(st)
 	}
 	st.store = NewStore(genesis, st.blocks)
-	// Fork choices that do not declare their needs get subtree weights
-	// maintained: a custom rule reading Node.SubtreeWeight must keep
-	// working even if it predates the SubtreeWeighted interface.
-	track := true
-	if sw, ok := choice.(SubtreeWeighted); ok {
-		track = sw.NeedsSubtreeWeight()
-	}
-	if track {
-		st.store.EnableSubtreeWeights()
-	}
 	st.tip = st.store.Genesis()
+	// Fork choices that do not declare their needs get subtree weights
+	// maintained: a custom rule reading Store.SubtreeWeight must keep
+	// working even if it predates the SubtreeWeighted interface.
+	if sw, ok := choice.(SubtreeWeighted); !ok || sw.NeedsSubtreeWeight() {
+		st.store.subtree = make([]crypto.Work, len(st.store.views))
+		st.store.subtree[st.tip.ord] = st.tip.Weight
+	}
 
 	// Genesis application goes through the cache too: experiment genesis
 	// blocks carry hundreds of pre-funded outputs, and every node of a run
@@ -230,32 +220,9 @@ func New(genesis types.Block, params types.Params, protocol Protocol, choice For
 	return st, nil
 }
 
-// lookupConnect consults the connect cache, if one is attached.
-func (st *State) lookupConnect(key validate.Key) (*validate.ConnectResult, bool) {
-	if st.cache == nil {
-		return nil, false
-	}
-	return st.cache.Lookup(key)
-}
-
-// storeConnect memoizes a connect outcome, if a cache is attached, and
-// returns the outcome to continue with: res itself unless another state
-// stored one for the same key first.
-func (st *State) storeConnect(key validate.Key, res *validate.ConnectResult) *validate.ConnectResult {
-	if st.cache == nil {
-		return res
-	}
-	return st.cache.Store(key, res)
-}
-
 // ConnectCacheStats reports the attached cache's counters; zero Stats when
 // no cache is attached.
-func (st *State) ConnectCacheStats() validate.Stats {
-	if st.cache == nil {
-		return validate.Stats{}
-	}
-	return st.cache.Stats()
-}
+func (st *State) ConnectCacheStats() validate.Stats { return st.cache.Stats() }
 
 // Params returns the consensus parameters.
 func (st *State) Params() types.Params { return st.params }
@@ -284,12 +251,13 @@ func (st *State) Compact(keepDepth uint64) (int, int) {
 	}
 	undos := 0
 	for ; n != nil && n.Parent != nil; n = n.Parent {
-		if n.undo == nil {
+		v := st.store.view(n)
+		if v.undo == nil {
 			// Compaction nils a contiguous suffix of the main chain, so
 			// the first already-nil undo means everything below is done.
 			break
 		}
-		n.undo = nil
+		v.undo = nil
 		undos++
 	}
 	return bodies, undos
@@ -302,13 +270,20 @@ func (st *State) FeeTotal(h crypto.Hash) types.Amount {
 	if !ok {
 		return 0
 	}
-	return n.feeTotal
+	return st.store.view(n).feeTotal
 }
 
-// EpochFeesAt sums the recorded fees of the uninterrupted run of microblocks
-// ending at n (walking up until the nearest PoW/key block). Bitcoin-NG's
-// coinbase validation uses it to compute the previous epoch's fee pot.
-func (st *State) EpochFeesAt(n *Node) types.Amount { return EpochFees(n) }
+// EpochFeesAt sums the fees recorded for the uninterrupted run of
+// microblocks ending at n (walking up until the nearest PoW/key block).
+// Bitcoin-NG's coinbase validation uses it to compute the previous epoch's
+// fee pot, which funds the 40/60 split (§4.4).
+func (st *State) EpochFeesAt(n *Node) types.Amount {
+	var total types.Amount
+	for ; n != nil && n.kind == types.KindMicro; n = n.Parent {
+		total += st.store.view(n).feeTotal
+	}
+	return total
+}
 
 // Height returns the main-chain height.
 func (st *State) Height() uint64 { return st.tip.Height }
@@ -355,7 +330,7 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 		st.stashOrphan(b)
 		return nil
 	}
-	if parent.Invalid {
+	if st.store.view(parent).invalid {
 		res.Status = StatusInvalid
 		return ErrKnownInvalid
 	}
@@ -408,8 +383,7 @@ func (st *State) AdoptStage1(b types.Block) bool {
 		return true
 	}
 	parent := b.PrevHash()
-	if st.cache == nil || parent.IsZero() ||
-		!st.cache.Vouches(validate.Key{Block: b.Hash(), Parent: parent, Rules: st.fp}) {
+	if parent.IsZero() || !st.cache.Vouches(validate.Key{Block: b.Hash(), Parent: parent, Rules: st.fp}) {
 		return false
 	}
 	n, ok := types.AdoptSignatures(b)
@@ -535,10 +509,10 @@ func (st *State) connectBlock(n *Node) error {
 		ref.Parent = n.Parent.Hash()
 	}
 	key := validate.Key{Block: ref.Block, Parent: ref.Parent, Rules: st.fp}
-	res, hit := st.lookupConnect(key)
+	res, hit := st.cache.Lookup(key)
 	if !hit {
 		res = st.computeConnect(n, ref)
-		if kept := st.storeConnect(key, res); kept != res {
+		if kept := st.cache.Store(key, res); kept != res {
 			// Lost a race: another state missed on this block in the same
 			// window and stored its result first. The two are equal by
 			// purity but are different deltas with different ledger
@@ -558,8 +532,8 @@ func (st *State) connectBlock(n *Node) error {
 	if hit {
 		st.utxoSet.RedoBlock(res.Delta, ref)
 	}
-	n.undo = res.Delta
-	n.feeTotal = res.FeeTotal
+	v := st.store.view(n)
+	v.undo, v.feeTotal = res.Delta, res.FeeTotal
 	st.tip = n
 	return nil
 }
@@ -600,19 +574,20 @@ func (st *State) computeConnect(n *Node, ref utxo.BlockRef) *validate.ConnectRes
 }
 
 func (st *State) disconnectBlock(n *Node) {
-	if n.undo == nil {
+	v := st.store.view(n)
+	if v.undo == nil {
 		panic("chain: disconnecting block without undo record (reorg deeper than the compaction horizon?)")
 	}
-	st.utxoSet.UndoBlock(n.undo, utxo.BlockRef{Block: n.Hash(), Parent: n.Parent.Hash()})
-	n.undo = nil
+	st.utxoSet.UndoBlock(v.undo, utxo.BlockRef{Block: n.Hash(), Parent: n.Parent.Hash()})
+	v.undo = nil
 	st.tip = n.Parent
 }
 
 // markInvalid flags n and its entire subtree invalid.
 func (st *State) markInvalid(n *Node) {
-	n.Invalid = true
+	st.store.view(n).invalid = true
 	st.invalidCount++
-	for _, c := range n.children {
+	for c := range st.store.Children(n) {
 		st.markInvalid(c)
 	}
 }
@@ -626,30 +601,25 @@ func (st *State) markInvalid(n *Node) {
 // over a strict total order (weight, height, receivedAt, hash) makes the
 // adopted tip independent of it.
 func (st *State) bestValidTip() *Node {
-	best := st.store.Genesis()
-	for _, n := range st.store.nodes {
-		if n == nil || n.Invalid {
+	best := st.store.view(st.store.Genesis())
+	for _, v := range st.store.views {
+		if v == nil || v.invalid {
 			continue
 		}
-		switch n.Weight.Cmp(best.Weight) {
+		n, b := v.node, best.node
+		switch n.Weight.Cmp(b.Weight) {
 		case 1:
-			best = n
+			best = v
 		case 0:
-			if n.Height > best.Height ||
-				(n.Height == best.Height && n.ReceivedAt < best.ReceivedAt) ||
-				(n.Height == best.Height && n.ReceivedAt == best.ReceivedAt &&
-					bytes.Compare(hashOf(n), hashOf(best)) < 0) {
-				best = n
+			if n.Height > b.Height ||
+				(n.Height == b.Height && v.receivedAt < best.receivedAt) ||
+				(n.Height == b.Height && v.receivedAt == best.receivedAt &&
+					bytes.Compare(n.hash[:], b.hash[:]) < 0) {
+				best = v
 			}
 		}
 	}
-	return best
-}
-
-// hashOf returns n's block hash as a slice for ordering comparisons.
-func hashOf(n *Node) []byte {
-	h := n.Hash()
-	return h[:]
+	return best.node
 }
 
 // MainChain returns the active chain from genesis to tip, inclusive.
@@ -658,8 +628,6 @@ func (st *State) MainChain() []*Node {
 	for n := st.tip; n != nil; n = n.Parent {
 		out = append(out, n)
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }

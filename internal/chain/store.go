@@ -12,7 +12,9 @@ package chain
 
 import (
 	"fmt"
+	"iter"
 	"slices"
+	"sync/atomic"
 
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
@@ -20,28 +22,21 @@ import (
 	"bitcoinng/internal/utxo"
 )
 
-// Node is a block in the tree together with its chain-cumulative metadata.
-// The block body is accessed through Block(): everything fork choice,
-// difficulty, and coinbase validation read per-node (hash, kind, time,
-// target, weight, fees) is cached in fixed-size fields, so the body itself
-// can be evicted once archived in a durable body store and transparently
-// reloaded on demand — the tree's resident size then no longer grows with
-// transaction volume.
+// Node is a block's header in the tree: what is a function of the block and
+// its parent's header, and so the same wherever the block is held. A fleet
+// sharing one blockstore.Table builds each header once; a store's own view
+// of a block (arrival time, children, verdict, undo record) lives in the
+// Store. A Node is immutable once published, except that a store may evict
+// its archived body, which Block reloads on demand, so the tree's resident
+// size does not grow with transaction volume.
 type Node struct {
-	// block is the body; nil when evicted (Block() reloads it from the
-	// owning store's body archive).
-	block types.Block
-	store *Store
-
-	// Cached header-derived fields, valid for the node's whole lifetime.
-	hash crypto.Hash
-	time int64
-	kind types.BlockKind
-	// Invalid marks blocks that failed contextual validation on connect;
-	// fork choice never adopts an invalid node or its descendants. Kind,
-	// Invalid and target share one word.
-	Invalid bool
-	target  crypto.CompactTarget
+	hash   crypto.Hash
+	time   int64
+	kind   types.BlockKind
+	target crypto.CompactTarget
+	// ord is the block's ordinal in the table the header was interned in;
+	// -1 for a detached node.
+	ord int32
 
 	Parent *Node // nil for genesis
 
@@ -58,58 +53,50 @@ type Node struct {
 	// block; for a microblock it identifies the epoch's key block, whose
 	// LeaderKey signs it.
 	KeyAncestor *Node
-	// ReceivedAt is the local arrival time in Unix nanoseconds (generation
-	// time for self-mined blocks). It feeds the first-seen tie-break rule
-	// and the §6 metrics.
-	ReceivedAt int64
-	// SubtreeWeight is the total work in the subtree rooted at this node,
-	// itself included; GHOST's fork choice reads it (§9). It is only
-	// maintained when the store's fork choice declares it needs subtree
-	// weights (Store.EnableSubtreeWeights); otherwise it is nil.
-	SubtreeWeight *crypto.Work
 
-	children []*Node
-
-	// undo is the block's recorded UTXO delta while connected (nil when
-	// not on the active chain); feeTotal is the total fee the block
-	// collected when it last connected (stable per block). Kept on the
-	// node rather than in side maps: every connect touches them, and the
-	// per-State maps they replaced were a measurable allocation source.
-	undo     *utxo.Delta
-	feeTotal types.Amount
+	// body points at the resident block or, once evicted, at the archive
+	// to reload it from.
+	body atomic.Pointer[body]
 }
 
-// newNode builds a node with its header-derived caches populated.
-func newNode(s *Store, b types.Block) *Node {
-	return &Node{
-		block:  b,
-		store:  s,
-		hash:   b.Hash(),
-		kind:   b.Kind(),
-		time:   b.Time(),
-		target: BlockTarget(b),
-	}
+// body is a header's block, or the archive holding it when it is evicted.
+type body struct {
+	block types.Block
+	from  BodySource
 }
 
 // DetachedNode builds a tree-less node around a block, with the cached
 // header fields populated. Strategy and difficulty tests use it to assemble
 // synthetic chains; production nodes are always created through NewStore or
 // Insert. Callers fill Parent/KeyAncestor/heights themselves.
-func DetachedNode(b types.Block) *Node { return newNode(nil, b) }
+func DetachedNode(b types.Block) *Node {
+	n := &Node{
+		hash:   b.Hash(),
+		kind:   b.Kind(),
+		time:   b.Time(),
+		target: BlockTarget(b),
+		ord:    -1,
+	}
+	n.body.Store(&body{block: b})
+	return n
+}
 
-// Block returns the block body, reloading it from the attached body store
-// if it was evicted. A reload failure panics: bodies are only evicted after
+// Block returns the block body, reloading it from the archive it was
+// evicted against. A reload failure panics: bodies are only evicted after
 // the archive acknowledged them, so a miss means the durable store was
 // externally truncated and the tree can no longer be served.
 func (n *Node) Block() types.Block {
-	if n.block == nil {
-		b, err := n.store.bodies.Get(n.hash)
-		if err != nil {
-			panic(fmt.Sprintf("chain: reloading evicted body %s: %v", n.hash.Short(), err))
-		}
-		n.block = b
+	cur := n.body.Load()
+	if cur.block != nil {
+		return cur.block
 	}
-	return n.block
+	b, err := cur.from.Get(n.hash)
+	if err != nil {
+		panic(fmt.Sprintf("chain: reloading evicted body %s: %v", n.hash.Short(), err))
+	}
+	// Keep the first reload; a concurrent one decoded an equal body.
+	n.body.CompareAndSwap(cur, &body{block: b})
+	return n.Block()
 }
 
 // Hash returns the block hash.
@@ -124,9 +111,6 @@ func (n *Node) Time() int64 { return n.time }
 // Target returns the difficulty target the block committed to (zero for
 // microblocks) without touching the body.
 func (n *Node) Target() crypto.CompactTarget { return n.target }
-
-// Children returns the node's children; callers must not mutate the slice.
-func (n *Node) Children() []*Node { return n.children }
 
 // IsAncestorOf reports whether n is an ancestor of (or equal to) m.
 func (n *Node) IsAncestorOf(m *Node) bool {
@@ -152,35 +136,54 @@ func (n *Node) AncestorAtHeight(h uint64) *Node {
 
 // BodySource serves archived block bodies back to the tree so resident
 // bodies can be evicted. The file-backed chain index (internal/store) and
-// the in-memory archive both satisfy it.
+// the in-memory archive both satisfy it. A shared header reloads through the
+// archive that evicted it, from whichever shard asks, so Get must be safe
+// for concurrent use.
 type BodySource interface {
 	Contains(h crypto.Hash) bool
 	Get(h crypto.Hash) (types.Block, error)
+}
+
+// view is one store's own state for a block it holds.
+type view struct {
+	node       *Node
+	receivedAt int64
+	// undo is the block's UTXO delta while connected (nil off the active
+	// chain); feeTotal is the fee the block collected when it connected.
+	undo     *utxo.Delta
+	feeTotal types.Amount
+	// first and next list the store's children of a block in insertion
+	// order: the ordinal plus one of the first child and of the next
+	// sibling; 0 ends the list.
+	first, next int32
+	// invalid marks a block that failed to connect here; fork choice never
+	// adopts an invalid node or its descendants.
+	invalid bool
 }
 
 // Store is the block tree. It indexes every valid block ever seen, main
 // chain or not ("Branches and blocks outside the main chain are called
 // pruned", §3 — pruned blocks stay in the tree so late reorganizations can
 // revive them). Blocks are named by their ordinal in a blockstore.Table,
-// which the stores of a simulated fleet share: the store itself keeps one
-// slot per ordinal, not a map of its own.
+// which the stores of a simulated fleet share with its headers: a store
+// keeps only its view of each block, in a slot per ordinal.
 type Store struct {
 	genesis *Node
 	blocks  *blockstore.Table
-	// nodes is indexed by ordinal; nil where this store does not hold the
+	// views is indexed by ordinal; nil where this store does not hold the
 	// block (another store sharing the table named it). count is the
 	// number of non-nil slots.
-	nodes []*Node
+	views []*view
 	count int
 	// bodies, when attached, allows EvictBodies to drop archived block
-	// bodies from the tree; Node.Block reloads through it on demand.
+	// bodies; Node.Block reloads through it on demand.
 	bodies BodySource
-	// trackSubtree enables SubtreeWeight maintenance, which costs an
-	// O(chain-length) walk per inserted PoW block. Maintenance is
-	// on unless the fork choice declares it unneeded (chain.SubtreeWeighted
-	// — the built-in heaviest-chain rule opts out); when off, SubtreeWeight
-	// is nil.
-	trackSubtree bool
+	// subtree is GHOST's subtree weight per ordinal: the total work in the
+	// subtree rooted at the block, itself included, counting only the
+	// blocks this store holds. It is nil unless chain.New finds the fork
+	// choice needs it: the upkeep is an O(chain-length) walk per inserted
+	// PoW block.
+	subtree []crypto.Work
 }
 
 // NewStore creates a tree rooted at the genesis block, naming its blocks in
@@ -190,38 +193,95 @@ func NewStore(genesis types.Block, t *blockstore.Table) *Store {
 		t = blockstore.NewTable()
 	}
 	s := &Store{blocks: t}
-	g := newNode(s, genesis)
-	g.Weight = crypto.WorkForTarget(g.target)
-	g.KeyAncestor = g
-	s.genesis = g
-	s.put(g)
+	s.genesis = s.intern(genesis, nil)
+	s.put(s.genesis, 0)
 	return s
 }
 
-// put fills n's slot, sizing the slot slice up to the table's length at
-// once: blocks other stores named already are likely to arrive here next.
-func (s *Store) put(n *Node) {
-	o := s.blocks.Intern(n.hash)
-	if int(o) >= len(s.nodes) {
-		s.nodes = append(s.nodes, make([]*Node, s.blocks.Len()-len(s.nodes))...)
+// intern returns the fleet's header for b, a child of parent (nil for
+// genesis), building and publishing it if no store sharing the table has.
+// Two stores interning one block at once build equal headers, and both go
+// on with the one published first. A header whose body was evicted takes b
+// back as its body: the store inserting it holds it already.
+func (s *Store) intern(b types.Block, parent *Node) *Node {
+	o := s.blocks.Intern(b.Hash())
+	n := s.blocks.Share(o, func() any { return header(b, parent, o) }).(*Node)
+	if cur := n.body.Load(); cur.block == nil {
+		n.body.CompareAndSwap(cur, &body{block: b})
 	}
-	s.nodes[o] = n
+	return n
+}
+
+// header builds the header of b, the block named o, a child of parent.
+func header(b types.Block, parent *Node, o int32) *Node {
+	n := DetachedNode(b)
+	n.ord, n.Parent, n.KeyAncestor = o, parent, n
+	if parent != nil {
+		n.Height, n.KeyHeight, n.Weight = parent.Height+1, parent.KeyHeight+1, parent.Weight
+	}
+	if n.kind == types.KindMicro { // no work (§4.2): its zero target would count as most
+		n.KeyHeight, n.KeyAncestor = parent.KeyHeight, parent.KeyAncestor
+	} else {
+		n.Weight = n.Weight.Add(crypto.WorkForTarget(n.target))
+	}
+	return n
+}
+
+// put gives n a view in this store, sizing the slot slices up to the
+// table's length at once: blocks other stores named already are likely to
+// arrive here next.
+func (s *Store) put(n *Node, receivedAt int64) {
+	if int(n.ord) >= len(s.views) {
+		grow := s.blocks.Len() - len(s.views)
+		s.views = append(s.views, make([]*view, grow)...)
+		if s.subtree != nil {
+			s.subtree = append(s.subtree, make([]crypto.Work, grow)...)
+		}
+	}
+	s.views[n.ord] = &view{node: n, receivedAt: receivedAt}
 	s.count++
 }
 
+// view returns the store's view of n, which, as for every method taking a
+// node, the store must hold.
+func (s *Store) view(n *Node) *view { return s.views[n.ord] }
+
 // Genesis returns the root node.
 func (s *Store) Genesis() *Node { return s.genesis }
+
+// ReceivedAt returns the local arrival time of n in Unix nanoseconds
+// (generation time for self-mined blocks; zero for genesis). It feeds the
+// first-seen tie-break and the §6 metrics.
+func (s *Store) ReceivedAt(n *Node) int64 { return s.view(n).receivedAt }
+
+// Children yields the children of n this store holds, in the order they
+// were inserted.
+func (s *Store) Children(n *Node) iter.Seq[*Node] {
+	return func(yield func(*Node) bool) {
+		for c := s.view(n).first; c != 0; c = s.views[c-1].next {
+			if !yield(s.views[c-1].node) {
+				return
+			}
+		}
+	}
+}
+
+// SubtreeWeight returns the total work in the subtree of this store's tree
+// rooted at n, n included; GHOST's fork choice reads it (§9). Only a store
+// whose state's fork choice needs subtree weights maintains them.
+func (s *Store) SubtreeWeight(n *Node) crypto.Work { return s.subtree[n.ord] }
 
 // AttachBodySource wires a durable body archive, enabling EvictBodies.
 func (s *Store) AttachBodySource(bs BodySource) { s.bodies = bs }
 
 // EvictBodies drops the resident bodies of nodes at least keepDepth below
 // tip whose bodies the attached archive holds, returning how many were
-// dropped. The genesis body is never evicted (it predates the archive: only
-// accepted blocks pass through the persistence hook). Eviction is
-// semantically invisible — Node.Block reloads on demand — so it is safe to
-// call at any quiescent point; without an attached body source it is a
-// no-op.
+// dropped. A header is shared by the fleet, so a body another store evicted
+// already is not dropped again. The genesis body is never evicted (it
+// predates the archive: only accepted blocks pass through the persistence
+// hook). Eviction is semantically invisible — Node.Block reloads on demand
+// — so it is safe to call at any quiescent point; without an attached body
+// source it is a no-op.
 func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 	if s.bodies == nil || tip.Height < keepDepth {
 		return 0
@@ -231,47 +291,33 @@ func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 	// The walk runs in ordinal order, which is interning order and so, in a
 	// parallel run, scheduling order; nothing here depends on it: every
 	// qualifying body is dropped and the count is a sum.
-	for _, n := range s.nodes {
-		if n == nil || n.block == nil || n.Parent == nil || n.Height > horizon {
+	for _, v := range s.views {
+		if v == nil || v.node.Parent == nil || v.node.Height > horizon {
 			continue
 		}
-		if !s.bodies.Contains(n.hash) {
-			continue
+		n, cur := v.node, v.node.body.Load()
+		if cur.block != nil && s.bodies.Contains(n.hash) && n.body.CompareAndSwap(cur, &body{from: s.bodies}) {
+			evicted++
 		}
-		n.block = nil
-		evicted++
 	}
 	return evicted
-}
-
-// EnableSubtreeWeights turns on cumulative subtree-weight maintenance. It
-// must be called before any Insert (chain.New does, when the fork choice
-// needs it).
-func (s *Store) EnableSubtreeWeights() {
-	if s.count > 1 {
-		panic("chain: EnableSubtreeWeights after blocks were inserted")
-	}
-	s.trackSubtree = true
-	w := s.genesis.Weight
-	s.genesis.SubtreeWeight = &w
 }
 
 // Get returns the node for the hash, if the block is known. An unknown hash
 // is not interned, so probes cannot grow the shared table.
 func (s *Store) Get(h crypto.Hash) (*Node, bool) {
 	o, ok := s.blocks.Lookup(h)
-	if !ok || int(o) >= len(s.nodes) || s.nodes[o] == nil {
+	if !ok || int(o) >= len(s.views) || s.views[o] == nil {
 		return nil, false
 	}
-	return s.nodes[o], true
+	return s.views[o].node, true
 }
 
 // Len returns the number of blocks in the tree.
 func (s *Store) Len() int { return s.count }
 
-// Insert links a block under its parent and computes cumulative metadata.
-// The parent must already be present and the block must not be. Returns the
-// new node.
+// Insert links a block under its parent, which must be present, taking the
+// fleet's header for it. The block must not be present. Returns the node.
 func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
 	parent, ok := s.Get(b.PrevHash())
 	if !ok {
@@ -280,32 +326,22 @@ func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
 	if _, dup := s.Get(b.Hash()); dup {
 		panic("chain: Insert called with duplicate block")
 	}
-	n := newNode(s, b)
-	n.Parent = parent
-	n.Height = parent.Height + 1
-	n.KeyHeight = parent.KeyHeight
-	n.ReceivedAt = receivedAt
-	// A microblock adds no work (§4.2); its zero target would count as most.
-	var work crypto.Work
-	if n.kind == types.KindMicro {
-		n.KeyAncestor = parent.KeyAncestor
-	} else {
-		work = crypto.WorkForTarget(n.target)
-		n.KeyHeight++
-		n.KeyAncestor = n
+	n := s.intern(b, parent)
+	s.put(n, receivedAt)
+	link := &s.view(parent).first
+	for *link != 0 {
+		link = &s.views[*link-1].next
 	}
-	n.Weight = parent.Weight.Add(work)
-	if s.trackSubtree {
-		// GHOST's subtree weights: n's own work, added to every ancestor's
-		// (a microblock has none to add).
-		own := work
-		n.SubtreeWeight = &own
-		for a := parent; a != nil && n.kind != types.KindMicro; a = a.Parent {
-			*a.SubtreeWeight = a.SubtreeWeight.Add(work)
+	*link = n.ord + 1
+	if s.subtree != nil && n.kind != types.KindMicro {
+		// GHOST's subtree weights: n's own work, added to every
+		// ancestor's (a microblock has none to add).
+		work := crypto.WorkForTarget(n.target)
+		s.subtree[n.ord] = work
+		for a := parent; a != nil; a = a.Parent {
+			s.subtree[a.ord] = s.subtree[a.ord].Add(work)
 		}
 	}
-	parent.children = append(parent.children, n)
-	s.put(n)
 	return n
 }
 
@@ -334,17 +370,4 @@ func appendPath(dst []*Node, ancestor, tip *Node) []*Node {
 	}
 	slices.Reverse(dst[start:])
 	return dst
-}
-
-// EpochFees sums the recorded fees of the microblocks in the epoch that ends
-// just above keyParent's chain: walking up from `from` (inclusive) until the
-// nearest PoW/key block (exclusive). Used by Bitcoin-NG coinbase validation
-// (§4.4) — the fees of the previous leader's microblocks fund the 40/60
-// split in the next key block's coinbase.
-func EpochFees(from *Node) types.Amount {
-	var total types.Amount
-	for n := from; n != nil && n.Kind() == types.KindMicro; n = n.Parent {
-		total += n.feeTotal
-	}
-	return total
 }

@@ -13,9 +13,11 @@ import (
 )
 
 // These tests pin the block table a simulated fleet shares (one per fleet,
-// blockstore.Table): it names blocks and nothing else, so what one store
-// holds stays invisible to another, probes never add names, and nothing a
-// store computes depends on the order in which ordinals were handed out.
+// blockstore.Table): it names blocks and keeps their headers, so what one
+// store holds stays invisible to another, probes never add names, a store
+// that inserts a block another named pays only for its own view of it, and
+// nothing a store computes depends on the order in which ordinals were
+// handed out. shared_test.go pins the views apart.
 
 // tieTree builds a tree of PoW blocks made for full ties: eight siblings on
 // genesis and one child on each, so the eight leaves share weight and height
@@ -159,14 +161,13 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 }
 
 // TestSecondStoreInsertAllocatesOnlyItsNode: once one store of a fleet has
-// inserted a chain, and so named its blocks, another store inserting the
-// same chain allocates per block exactly two objects, both its own: the
-// Node, and the one-entry children slice of its parent (each block of a
-// chain is its parent's first child). Naming costs nothing, because the
-// table holds the names already, and the slot slice was sized to the
-// table's length when the store was made. A key block's weight is a value
-// in its Node, so the key block costs what a microblock does. The byte
-// count pins the Node to its 192-byte size class; a per-store map would
+// inserted a chain, and so named its blocks and published their headers,
+// another store inserting the same chain allocates per block exactly one
+// object, its own: the view that holds its arrival time, its children links,
+// its verdict and its undo record. Naming and the header cost nothing,
+// because the table holds both already, and the slot slice was sized to the
+// table's length when the store was made. The byte count pins the view to
+// its 48-byte size class; a per-store header, children slice or map would
 // grow on top.
 func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
@@ -189,18 +190,25 @@ func TestSecondStoreInsertAllocatesOnlyItsNode(t *testing.T) {
 		second.Insert(b, 1)
 	}
 	runtime.ReadMemStats(&after)
-	if got, want := after.Mallocs-before.Mallocs, uint64(2*n); got != want {
+	if got, want := after.Mallocs-before.Mallocs, uint64(n); got != want {
 		t.Errorf("inserting %d named blocks allocated %d objects, want %d", n, got, want)
 	}
-	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(n*(192+8)); got != want {
-		t.Errorf("inserting %d named blocks allocated %d bytes, want %d (a 192-byte Node and an 8-byte children slice each)", n, got, want)
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(n*48); got != want {
+		t.Errorf("inserting %d named blocks allocated %d bytes, want %d (a 48-byte view each)", n, got, want)
+	}
+	for _, b := range blocks {
+		n1, _ := first.Get(b.Hash())
+		n2, _ := second.Get(b.Hash())
+		if n1 != n2 {
+			t.Fatalf("block %s: the two stores hold different headers", b.Hash().Short())
+		}
 	}
 }
 
 // TestSecondStateAddBlockAllocatesOnlyItsNode pins a warm second state's
 // single-block AddBlock, over a fleet's one block table and connect cache, at
-// what its tree needs: the block's Node and its parent's children entry. The
-// result and its lists are the state's own, reused from call to call, and the
+// what its tree needs: the block's view, one 48-byte object. The result
+// and its lists are the state's own, reused from call to call, and the
 // connect is a cache hit whose delta the ledger adopts.
 func TestSecondStateAddBlockAllocatesOnlyItsNode(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
@@ -232,8 +240,11 @@ func TestSecondStateAddBlockAllocatesOnlyItsNode(t *testing.T) {
 		second.AddBlock(b, 1)
 	}
 	runtime.ReadMemStats(&after)
-	if got, want := after.Mallocs-before.Mallocs, uint64(2*(n-1)); got != want {
-		t.Errorf("adding %d known blocks allocated %d objects, want %d (a Node and a children slice each)", n-1, got, want)
+	if got, want := after.Mallocs-before.Mallocs, uint64(n-1); got != want {
+		t.Errorf("adding %d known blocks allocated %d objects, want %d (a view each)", n-1, got, want)
+	}
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(48*(n-1)); got != want {
+		t.Errorf("adding %d known blocks allocated %d bytes, want %d (a 48-byte view each)", n-1, got, want)
 	}
 	if second.Tip().Hash() != blocks[n-1].Hash() {
 		t.Errorf("second state's tip is not the last block")

@@ -33,7 +33,7 @@ func (n *Node) detectFraud(added *chain.Node) {
 	if _, seen := n.fraud[culprit.Hash()]; seen {
 		return // one poison per cheater (§4.5)
 	}
-	for _, sib := range parent.Children() {
+	for sib := range n.State.Store().Children(parent) {
 		if sib == added || sib.Block().Kind() != types.KindMicro {
 			continue
 		}

@@ -171,7 +171,7 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 		h := b.Hash()
 		a, _ := adopted.Store().Get(h)
 		c, _ := cold.Store().Get(h)
-		if a == nil || c == nil || a.ReceivedAt != want || c.ReceivedAt != want {
+		if a == nil || c == nil || adopted.Store().ReceivedAt(a) != want || cold.Store().ReceivedAt(c) != want {
 			t.Fatalf("block %s: arrival times differ from the recorded %d", h.Short(), want)
 		}
 		return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bitcoinng/internal/chain"
-	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/wire"
 )
@@ -53,29 +52,25 @@ type Base struct {
 	// connIDs and discIDs are the scratch Recorder.TipChanged receives its
 	// block ids in; the recorder may read them only during the call.
 	connIDs, discIDs []BlockID
+	// own is Pool until its first use or the wiring replaces it.
+	own ownPool
 }
 
 // NewBase wires the core. The caller supplies the chain state (built with
-// its protocol's rules and fork choice).
+// its protocol's rules and fork choice). Pool starts as the node's own
+// fee-resolving mempool, built on first use, so wiring that replaces it
+// builds none.
 func NewBase(env Env, st *chain.State, rec Recorder) *Base {
 	if rec == nil {
 		rec = NopRecorder{}
 	}
-	pool := mempool.New()
-	// Resolve input values against the confirmed UTXO set so the pool can
-	// fee-prioritize and make bounded-admission decisions. Unresolvable
-	// inputs (unconfirmed parents outside the pool) degrade the rate to
-	// zero rather than failing admission.
-	pool.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
-		e, ok := st.UTXO().Lookup(op)
-		return e.Value, ok
-	})
 	b := &Base{
 		Env:      env,
 		State:    st,
-		Pool:     pool,
 		Recorder: rec,
 	}
+	b.own.base = b
+	b.Pool = &b.own
 	b.Gossip = NewGossip(env, b)
 	b.Sync = newSyncer(env, b)
 	b.ProcessFn = b.ProcessBlock
@@ -135,7 +130,7 @@ func (b *Base) processBlock(blk types.Block, from int, relay bool) *chain.AddRes
 	// peers; withheld blocks skip only the relay).
 	for _, n := range res.Added {
 		if b.Persist != nil {
-			_ = b.Persist.Append(n.Block(), n.ReceivedAt) // non-fatal: see Persist docs
+			_ = b.Persist.Append(n.Block(), b.State.Store().ReceivedAt(n)) // non-fatal: see Persist docs
 		}
 		b.Recorder.BlockAccepted(b.Env.NodeID(), now, n.Hash())
 		if relay {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/types"
 )
 
@@ -32,3 +33,57 @@ type TxPool interface {
 	// Len reports the number of pending transactions.
 	Len() int
 }
+
+// ownPool stands in as the pool a node keeps unless its wiring hands it
+// another (an experiment's workload view): its first use builds a
+// fee-resolving mempool.Pool and, while it is still the node's Pool, puts
+// the mempool there, so a node whose pool is replaced never builds one and
+// every later call goes to the mempool directly. It lives inside Base, so
+// an unused one costs no allocation of its own.
+type ownPool struct {
+	base   *Base
+	p      *mempool.Pool
+	limits mempool.Limits
+}
+
+// pool builds the mempool on first use. It resolves input values against
+// the confirmed UTXO set so the pool can fee-prioritize and make bounded
+// admission decisions; unresolvable inputs (unconfirmed parents outside the
+// pool) degrade the rate to zero rather than failing admission.
+func (o *ownPool) pool() *mempool.Pool {
+	if o.p == nil {
+		st := o.base.State
+		o.p = mempool.New()
+		o.p.SetLimits(o.limits)
+		o.p.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
+			e, ok := st.UTXO().Lookup(op)
+			return e.Value, ok
+		})
+	}
+	if o.base.Pool == TxPool(o) {
+		o.base.Pool = o.p
+	}
+	return o.p
+}
+
+// SetLimits bounds the pool, as mempool.Pool.SetLimits does.
+func (o *ownPool) SetLimits(l mempool.Limits) {
+	o.limits = l
+	if o.p != nil {
+		o.p.SetLimits(l)
+	}
+}
+
+func (o *ownPool) Add(tx *types.Transaction) error { return o.pool().Add(tx) }
+
+func (o *ownPool) Known(txid crypto.Hash) bool { return o.pool().Known(txid) }
+
+func (o *ownPool) Get(txid crypto.Hash) *types.Transaction { return o.pool().Get(txid) }
+
+func (o *ownPool) Select(maxBytes int) []*types.Transaction { return o.pool().Select(maxBytes) }
+
+func (o *ownPool) RemoveConfirmed(txs []*types.Transaction) { o.pool().RemoveConfirmed(txs) }
+
+func (o *ownPool) Reinsert(txs []*types.Transaction) { o.pool().Reinsert(txs) }
+
+func (o *ownPool) Len() int { return o.pool().Len() }

@@ -1,8 +1,10 @@
 package node_test
 
 import (
+	"errors"
 	"testing"
 
+	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/wire"
@@ -96,5 +98,43 @@ func TestOneRemoveConfirmedPerTipChange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("transaction %d out of chain order", i)
 		}
+	}
+}
+
+// TestOwnPoolIsBuiltOnlyWhereUsed: a node's own mempool is built by the
+// first call that needs it, with the limits its wiring set, and then serves
+// as the node's Pool directly; a node whose wiring replaces the pool, as an
+// experiment's workload view does, never builds one.
+func TestOwnPoolIsBuiltOnlyWhereUsed(t *testing.T) {
+	h, genesis, key := newHarness(t, 2)
+	used, replaced := h.bases[0], h.bases[1]
+	if used.OwnPoolBuilt() || replaced.OwnPoolBuilt() {
+		t.Fatal("a pool was built before any use")
+	}
+	limited, ok := used.Pool.(interface{ SetLimits(mempool.Limits) })
+	if !ok {
+		t.Fatal("the node's own pool takes no limits")
+	}
+	limited.SetLimits(mempool.Limits{MaxTxs: 1})
+	if used.OwnPoolBuilt() {
+		t.Fatal("setting limits built the pool")
+	}
+	if err := used.SubmitTx(relayTx(t, key, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := used.SubmitTx(relayTx(t, key, 2)); !errors.Is(err, mempool.ErrPoolFull) {
+		t.Fatalf("second transaction over a one-transaction limit: %v, want ErrPoolFull", err)
+	}
+	if _, ok := used.Pool.(*mempool.Pool); !ok || !used.OwnPoolBuilt() {
+		t.Fatalf("after first use the node's Pool is %T, want the built *mempool.Pool", used.Pool)
+	}
+
+	replaced.Pool = mempool.New()
+	replaced.ProcessBlock(mineOn(t, key, genesis.Hash(), 1), -1)
+	if err := replaced.SubmitTx(relayTx(t, key, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if replaced.OwnPoolBuilt() {
+		t.Fatal("a node whose pool was replaced built its own")
 	}
 }

@@ -3,8 +3,9 @@
 // through one URL-style locator. A ledger is always an in-memory *utxo.Set,
 // whatever the locator: it is a function of the chain, and every boot
 // rebuilds it from the chain index. The chain index is a blockstore:
-// blockstore.Mem in memory, blockstore.Store on disk, each keeping a block
-// and its arrival time in one record. A file root is what lets chain state
+// blockstore.Mem in memory, keeping a block's arrival time and the fleet's
+// one copy of its body, or blockstore.Store on disk, keeping both in one
+// record. A file root is what lets chain state
 // exceed process RAM: compaction evicts deep block bodies and undo records,
 // and the durable index serves them back.
 //
@@ -92,7 +93,7 @@ var (
 //
 // Every store a factory hands out is independent, except that the mem: chain
 // indexes name their blocks in the factory's one block table (Blocks), which
-// holds names only; Close closes the factory's bookkeeping only (per-store
+// archives each body once for all of them; Close closes the factory's bookkeeping only (per-store
 // Close is the owner's job), plus the temporary root when the factory created
 // one.
 type Factory struct {
@@ -128,7 +129,7 @@ func NewFactory(url string) (*Factory, error) {
 
 // Blocks returns the block table the factory's mem: chain indexes share. A
 // harness hands it to its nodes' chain states too (chain.WithBlockTable), so
-// a fleet names each block once.
+// a fleet names each block, builds its header and archives its body once.
 func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
 
 // NewUTXO builds a ledger store: an empty in-memory set under every locator,

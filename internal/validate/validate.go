@@ -52,10 +52,38 @@ type Fingerprint crypto.Hash
 // the consensus parameters. Params is hashed through its full value so any
 // parameter change — even one a protocol happens to ignore — lands in a
 // fresh cache universe; false sharing is a soundness bug, false splitting
-// only costs a recompute.
+// only costs a recompute. Every node of a fleet asks for the same one, so
+// each (RulesID, Params) pair is hashed once per process.
 func FingerprintOf(rulesID string, params types.Params) Fingerprint {
-	return Fingerprint(crypto.HashBytes([]byte(fmt.Sprintf("%s|%#v", rulesID, params))))
+	k := fingerprintKey{rulesID, params}
+	fingerprints.RLock()
+	fp, ok := fingerprints.m[k]
+	fingerprints.RUnlock()
+	if ok {
+		return fp
+	}
+	fp = Fingerprint(crypto.HashBytes([]byte(fmt.Sprintf("%s|%#v", rulesID, params))))
+	// A NaN parameter makes the key unequal to itself: it could never be
+	// found again, so it is not kept.
+	if k == k {
+		fingerprints.Lock()
+		fingerprints.m[k] = fp
+		fingerprints.Unlock()
+	}
+	return fp
 }
+
+type fingerprintKey struct {
+	rulesID string
+	params  types.Params
+}
+
+// fingerprints memoizes FingerprintOf process-wide; a process holds a
+// handful of rule universes.
+var fingerprints = struct {
+	sync.RWMutex
+	m map[fingerprintKey]Fingerprint
+}{m: make(map[fingerprintKey]Fingerprint)}
 
 // Key content-addresses one connect computation.
 type Key struct {
@@ -103,7 +131,8 @@ const DefaultCacheSize = 16384
 const cacheSegments = 16
 
 // Cache is a bounded content-addressed connect cache, safe for concurrent
-// use and segmented to stay contention-free under parallel runs. Eviction
+// use and segmented to stay contention-free under parallel runs. A nil
+// *Cache caches nothing: it finds nothing, keeps nothing and counts zero. Eviction
 // is FIFO per segment: experiment traffic connects a block on every node
 // within one propagation delay of the first, so recency hardly matters and
 // FIFO keeps eviction O(1) and allocation-free.
@@ -156,6 +185,9 @@ func Shared() *Cache { return shared }
 
 // peek reads the entry for key without counting.
 func (c *Cache) peek(key Key) (*ConnectResult, bool) {
+	if c == nil {
+		return nil, false
+	}
 	s := c.segment(key)
 	s.mu.RLock()
 	res, ok := s.entries[key]
@@ -165,6 +197,9 @@ func (c *Cache) peek(key Key) (*ConnectResult, bool) {
 
 // Lookup returns the memoized result for key, if present.
 func (c *Cache) Lookup(key Key) (*ConnectResult, bool) {
+	if c == nil {
+		return nil, false
+	}
 	res, ok := c.peek(key)
 	if ok {
 		c.hits.Add(1)
@@ -196,6 +231,9 @@ func (c *Cache) CountVouched(n int) { c.vouched.Add(uint64(n)) }
 // race and must continue with the one returned, or it would stand alone on a
 // private ledger version while every other node adopts the kept one.
 func (c *Cache) Store(key Key, res *ConnectResult) *ConnectResult {
+	if c == nil {
+		return res
+	}
 	s := c.segment(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,6 +275,9 @@ func (s Stats) HitRate() float64 {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	entries := 0
 	for i := range c.segs {
 		s := &c.segs[i]
