@@ -64,18 +64,22 @@ race:
 # window barrier, the metric-buffer merge and the cross-shard outbox flush;
 # a node's per-block bookkeeping: a repeated target's work (the fleet-wide
 # memo), a tip change's Recorder call, a warm inv/getdata/block fetch cycle
-# (nothing: the inv goes back as its getdata) and a second node's announce
-# of a block the fleet already announced (nothing: the block's one inv); the
-# collector's tip log (one allocation per chunk); and the fleet's shared
-# block table: block lookups in the tree, the state and the in-memory chain
-# index (hit and miss), a second store's insert of blocks another store
-# already named (one 48-byte view per block: the header, weight included, is
-# the fleet's), a second state's AddBlock of them (the same one object: the
-# result is the state's own, reused) and a second Mem's append of blocks the
-# fleet already archived (its order and arrival-time entries, no body).
+# (nothing: the inv goes back as its getdata), the same cycle on a
+# simnet.NodeEnv over a sim.Loop (nothing: the fetch record re-arms its own
+# timer, which carries the crash guard) and a second node's announce of a
+# block the fleet already announced (nothing: the block's one inv); the
+# collector's tip log (one allocation per chunk) and its acceptance times
+# (one allocation per block, at its first acceptance); and the fleet's
+# shared block table: block lookups in the tree, the state and the
+# in-memory chain index (hit and miss), a second store's insert of blocks
+# another store already named (a 40-byte view per block, in chunks of eight,
+# plus the chunk directory's growth: the header, weight included, is the
+# fleet's), a second state's AddBlock of them (the same: the result is the
+# state's own, reused) and a second Mem's append of blocks the fleet already
+# archived (its 16-byte records' bytes plus one growth, no body).
 # CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSimulatedFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
 		./internal/bitcoin ./internal/load
@@ -84,7 +88,7 @@ allocs:
 	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestArchivedAppendCostsOnlyItsEntries|TestReplayedCreateLinksLoggedLeaf' \
 		./internal/blockstore ./internal/utxo
 	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode|TestSecondStateAddBlockAllocatesOnlyItsNode' ./internal/chain
-	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestTipLogAllocatesOncePerChunk|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestTipLogAllocatesOncePerChunk|TestAcceptancesAllocateOncePerBlock|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
 		./internal/metrics ./internal/simnet ./internal/sim
 
 # race-soak replays a reduced chaos soak under the race detector. The

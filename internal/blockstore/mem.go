@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/slots"
 	"bitcoinng/internal/types"
 )
 
@@ -13,16 +14,23 @@ import (
 // "survives the simulated crash" — the harness tears down a node's entire
 // in-memory client but keeps its Mem, exactly as a real disk survives a
 // process crash. Blocks are named, and their bodies archived once, in a
-// Table, which a fleet's Mems share with its chain stores; a Mem holds only
-// its append order and arrival times. The owning node serializes access,
-// except that Get, as Store's, may be called from any goroutine; mu guards
-// it against Append.
+// Table, which a fleet's Mems share with its chain stores. Per block a Mem
+// keeps a 16-byte record (ordinal, arrival time) in append order, in chunks
+// that never move, and a bit of its membership set. The owning node
+// serializes access, except that Get, as Store's, may be called from any
+// goroutine; mu guards it against Append.
 type Mem struct {
 	mu     sync.Mutex
 	blocks *Table
-	order  []int32 // ordinals in append order
-	times  []int64 // arrival times, in append order
-	index  []int32 // ordinal → position in order plus one; 0 = not stored
+	held   slots.Bits
+	recs   slots.Chunked[memRecord] // in append order
+	n      int32
+}
+
+// memRecord is one stored block: its ordinal and arrival time.
+type memRecord struct {
+	ord int32
+	at  int64
 }
 
 // NewMem builds an empty in-memory archive naming its blocks in t; a nil t
@@ -37,11 +45,11 @@ func NewMem(t *Table) *Mem {
 // ordinal returns the ordinal of h if this Mem stores it.
 func (m *Mem) ordinal(h crypto.Hash) (int32, bool) {
 	o, ok := m.blocks.Lookup(h)
-	return o, ok && int(o) < len(m.index) && m.index[o] != 0
+	return o, ok && m.held.Has(o)
 }
 
 // Len returns the number of stored blocks.
-func (m *Mem) Len() int { return len(m.order) }
+func (m *Mem) Len() int { return int(m.n) }
 
 // Contains reports whether the block is stored.
 func (m *Mem) Contains(h crypto.Hash) bool {
@@ -56,18 +64,13 @@ func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	o := m.blocks.Intern(b.Hash())
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if int(o) >= len(m.index) {
-		// Up to the table's length at once: blocks other holders named
-		// already are likely to be appended here next.
-		m.index = append(m.index, make([]int32, m.blocks.Len()-len(m.index))...)
-	}
-	if m.index[o] != 0 {
+	if m.held.Has(o) {
 		return nil
 	}
 	m.blocks.archive(o, b)
-	m.order = append(m.order, o)
-	m.times = append(m.times, receivedAt)
-	m.index[o] = int32(len(m.order))
+	m.held.Add(o)
+	*m.recs.At(m.n) = memRecord{ord: o, at: receivedAt}
+	m.n++
 	return nil
 }
 
@@ -86,9 +89,9 @@ func (m *Mem) Get(h crypto.Hash) (types.Block, error) {
 // Hashes returns the stored block hashes in append order. The caller owns
 // the returned slice.
 func (m *Mem) Hashes() []crypto.Hash {
-	out := make([]crypto.Hash, len(m.order))
-	for i, o := range m.order {
-		out[i] = m.blocks.body(o).Hash()
+	out := make([]crypto.Hash, m.n)
+	for i := range m.n {
+		out[i] = m.blocks.body(m.recs.At(i).ord).Hash()
 	}
 	return out
 }
@@ -96,8 +99,9 @@ func (m *Mem) Hashes() []crypto.Hash {
 // Replay streams every stored block in append order with its recorded
 // arrival time, stopping at the first callback error.
 func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
-	for i, o := range m.order {
-		if err := fn(m.blocks.body(o), m.times[i]); err != nil {
+	for i := range m.n {
+		r := m.recs.At(i)
+		if err := fn(m.blocks.body(r.ord), r.at); err != nil {
 			return err
 		}
 	}

@@ -16,9 +16,8 @@ const tableSegments = 16
 // Table names block hashes with dense int32 ordinals, 0, 1, 2, ... in the
 // order they are first interned, and keeps per ordinal what every holder of
 // the block shares: the body its Mems archive and the header its chain
-// stores build (Share). What differs between holders each keeps in its own
-// slices indexed by ordinal. A simulated fleet shares one Table among its
-// nodes; a nil Table wherever one is accepted means a private one.
+// stores build (Share). What differs, each holder keeps by ordinal itself
+// (package slots). A fleet shares one Table; nil means a private one.
 //
 // Ordinals follow interning order, which under a parallel run is the
 // scheduling order of the shards, so no result may depend on the order of

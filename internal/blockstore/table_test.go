@@ -104,13 +104,10 @@ func TestMemLookupsDoNotAllocate(t *testing.T) {
 
 // TestArchivedAppendCostsOnlyItsEntries: once one Mem of a fleet archived a
 // chain, another Mem appending the same blocks keeps no body of its own,
-// only its append order, arrival times and index: 16 bytes of entries per
-// block, and the growth of those slices. The bodies it hands back are the
-// first Mem's objects.
+// only a 16-byte record per block (ordinal and arrival time, in chunks) and
+// a membership bit, plus the growth of the chunk directory and the bit set.
+// The bodies it hands back are the first Mem's objects.
 func TestArchivedAppendCostsOnlyItsEntries(t *testing.T) {
-	if raceEnabled {
-		t.Skip("-race allocates the index growth's temporary")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
 	const n = 512
 	blocks := makeChain(t, n)
@@ -130,13 +127,16 @@ func TestArchivedAppendCostsOnlyItsEntries(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// The index is sized to the table once; order (4 bytes) and times (8)
-	// at most double their way up to n, plus a size class's rounding.
-	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n*4+2*n*12+1024); got > max {
-		t.Errorf("appending %d archived blocks allocated %d bytes, want at most %d", n, got, max)
+	// Each record (16 bytes) is written once into its chunk; only the chunk
+	// directory (a pointer per chunk) and the membership set (a bit per
+	// ordinal) grow, each to at most twice its final size.
+	chunks := uint64(n / 8)
+	records, growth := uint64(n*16), 2*(chunks*8+n/8)
+	if got, max := after.TotalAlloc-before.TotalAlloc, records+growth; got > max {
+		t.Errorf("appending %d archived blocks allocated %d bytes, want at most %d (%d of records)", n, got, max, records)
 	}
-	if got, max := after.Mallocs-before.Mallocs, uint64(1+2*11); got > max {
-		t.Errorf("appending %d archived blocks allocated %d objects, want at most %d (slice growth only)", n, got, max)
+	if got, max := after.Mallocs-before.Mallocs, chunks+2*10; got > max {
+		t.Errorf("appending %d archived blocks allocated %d objects, want at most %d (a chunk per 8 records, growth)", n, got, max)
 	}
 	i := 0
 	if err := second.Replay(func(b types.Block, at int64) error {

@@ -81,7 +81,7 @@ func (g *GHOST) Best(s *Store, current, added *Node) *Node {
 	for {
 		var best *Node
 		for c := range s.Children(n) {
-			if s.view(c).invalid {
+			if s.invalid.Has(c.ord) {
 				continue
 			}
 			if best == nil {

@@ -99,10 +99,10 @@ func TestStoresShareOnlyHeaders(t *testing.T) {
 	}
 
 	a.markInvalid(nx)
-	if !a.Store().view(nx).invalid || !a.Store().view(nx1).invalid {
+	if !a.Store().invalid.Has(nx.ord) || !a.Store().invalid.Has(nx1.ord) {
 		t.Fatal("a did not mark x's subtree invalid")
 	}
-	if b.Store().view(nx).invalid {
+	if b.Store().invalid.Has(nx.ord) {
 		t.Fatal("marking x invalid in a marked it in b")
 	}
 	if best := a.bestValidTip(); best.Hash() != y.Hash() {

@@ -8,6 +8,7 @@ import (
 
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/slots"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
 	"bitcoinng/internal/validate"
@@ -207,8 +208,8 @@ func New(genesis types.Block, params types.Params, protocol Protocol, choice For
 	// maintained: a custom rule reading Store.SubtreeWeight must keep
 	// working even if it predates the SubtreeWeighted interface.
 	if sw, ok := choice.(SubtreeWeighted); !ok || sw.NeedsSubtreeWeight() {
-		st.store.subtree = make([]crypto.Work, len(st.store.views))
-		st.store.subtree[st.tip.ord] = st.tip.Weight
+		st.store.subtree = new(slots.Chunked[crypto.Work])
+		*st.store.subtree.At(st.tip.ord) = st.tip.Weight
 	}
 
 	// Genesis application goes through the cache too: experiment genesis
@@ -330,7 +331,7 @@ func (st *State) addOne(b types.Block, now int64, res *AddResult) error {
 		st.stashOrphan(b)
 		return nil
 	}
-	if st.store.view(parent).invalid {
+	if st.store.invalid.Has(parent.ord) {
 		res.Status = StatusInvalid
 		return ErrKnownInvalid
 	}
@@ -585,7 +586,7 @@ func (st *State) disconnectBlock(n *Node) {
 
 // markInvalid flags n and its entire subtree invalid.
 func (st *State) markInvalid(n *Node) {
-	st.store.view(n).invalid = true
+	st.store.invalid.Add(n.ord)
 	st.invalidCount++
 	for c := range st.store.Children(n) {
 		st.markInvalid(c)
@@ -602,8 +603,9 @@ func (st *State) markInvalid(n *Node) {
 // adopted tip independent of it.
 func (st *State) bestValidTip() *Node {
 	best := st.store.view(st.store.Genesis())
-	for _, v := range st.store.views {
-		if v == nil || v.invalid {
+	for o := range int32(st.store.blocks.Len()) {
+		v := st.store.views.Get(o)
+		if v == nil || v.node == nil || st.store.invalid.Has(o) {
 			continue
 		}
 		n, b := v.node, best.node

@@ -18,6 +18,7 @@ import (
 
 	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/slots"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/utxo"
 )
@@ -144,9 +145,9 @@ type BodySource interface {
 	Get(h crypto.Hash) (types.Block, error)
 }
 
-// view is one store's own state for a block it holds.
+// view is one store's own state for a block it holds, 40 bytes.
 type view struct {
-	node       *Node
+	node       *Node // nil where the store does not hold the block
 	receivedAt int64
 	// undo is the block's UTXO delta while connected (nil off the active
 	// chain); feeTotal is the fee the block collected when it connected.
@@ -156,25 +157,26 @@ type view struct {
 	// order: the ordinal plus one of the first child and of the next
 	// sibling; 0 ends the list.
 	first, next int32
-	// invalid marks a block that failed to connect here; fork choice never
-	// adopts an invalid node or its descendants.
-	invalid bool
 }
 
 // Store is the block tree. It indexes every valid block ever seen, main
 // chain or not ("Branches and blocks outside the main chain are called
 // pruned", §3 — pruned blocks stay in the tree so late reorganizations can
 // revive them). Blocks are named by their ordinal in a blockstore.Table,
-// which the stores of a simulated fleet share with its headers: a store
-// keeps only its view of each block, in a slot per ordinal.
+// which the stores of a simulated fleet share with its headers: per block a
+// store keeps only its view, by value in chunks by ordinal (slots.Chunked)
+// that the table's growth never copies, and its bit of the invalid set.
 type Store struct {
 	genesis *Node
 	blocks  *blockstore.Table
-	// views is indexed by ordinal; nil where this store does not hold the
-	// block (another store sharing the table named it). count is the
-	// number of non-nil slots.
-	views []*view
-	count int
+	// views is indexed by ordinal; a view's node is nil where this store
+	// does not hold the block (another store sharing the table named it).
+	// count is the number of held blocks. invalid marks the blocks that
+	// failed to connect here: fork choice never adopts them or their
+	// descendants.
+	views   slots.Chunked[view]
+	count   int
+	invalid slots.Bits
 	// bodies, when attached, allows EvictBodies to drop archived block
 	// bodies; Node.Block reloads through it on demand.
 	bodies BodySource
@@ -183,7 +185,7 @@ type Store struct {
 	// blocks this store holds. It is nil unless chain.New finds the fork
 	// choice needs it: the upkeep is an O(chain-length) walk per inserted
 	// PoW block.
-	subtree []crypto.Work
+	subtree *slots.Chunked[crypto.Work]
 }
 
 // NewStore creates a tree rooted at the genesis block, naming its blocks in
@@ -227,24 +229,15 @@ func header(b types.Block, parent *Node, o int32) *Node {
 	return n
 }
 
-// put gives n a view in this store, sizing the slot slices up to the
-// table's length at once: blocks other stores named already are likely to
-// arrive here next.
+// put gives n a view in this store.
 func (s *Store) put(n *Node, receivedAt int64) {
-	if int(n.ord) >= len(s.views) {
-		grow := s.blocks.Len() - len(s.views)
-		s.views = append(s.views, make([]*view, grow)...)
-		if s.subtree != nil {
-			s.subtree = append(s.subtree, make([]crypto.Work, grow)...)
-		}
-	}
-	s.views[n.ord] = &view{node: n, receivedAt: receivedAt}
+	*s.views.At(n.ord) = view{node: n, receivedAt: receivedAt}
 	s.count++
 }
 
 // view returns the store's view of n, which, as for every method taking a
 // node, the store must hold.
-func (s *Store) view(n *Node) *view { return s.views[n.ord] }
+func (s *Store) view(n *Node) *view { return s.views.Get(n.ord) }
 
 // Genesis returns the root node.
 func (s *Store) Genesis() *Node { return s.genesis }
@@ -258,8 +251,8 @@ func (s *Store) ReceivedAt(n *Node) int64 { return s.view(n).receivedAt }
 // were inserted.
 func (s *Store) Children(n *Node) iter.Seq[*Node] {
 	return func(yield func(*Node) bool) {
-		for c := s.view(n).first; c != 0; c = s.views[c-1].next {
-			if !yield(s.views[c-1].node) {
+		for c := s.view(n).first; c != 0; c = s.views.Get(c - 1).next {
+			if !yield(s.views.Get(c - 1).node) {
 				return
 			}
 		}
@@ -269,7 +262,7 @@ func (s *Store) Children(n *Node) iter.Seq[*Node] {
 // SubtreeWeight returns the total work in the subtree of this store's tree
 // rooted at n, n included; GHOST's fork choice reads it (§9). Only a store
 // whose state's fork choice needs subtree weights maintains them.
-func (s *Store) SubtreeWeight(n *Node) crypto.Work { return s.subtree[n.ord] }
+func (s *Store) SubtreeWeight(n *Node) crypto.Work { return *s.subtree.At(n.ord) }
 
 // AttachBodySource wires a durable body archive, enabling EvictBodies.
 func (s *Store) AttachBodySource(bs BodySource) { s.bodies = bs }
@@ -291,8 +284,9 @@ func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 	// The walk runs in ordinal order, which is interning order and so, in a
 	// parallel run, scheduling order; nothing here depends on it: every
 	// qualifying body is dropped and the count is a sum.
-	for _, v := range s.views {
-		if v == nil || v.node.Parent == nil || v.node.Height > horizon {
+	for o := range int32(s.blocks.Len()) {
+		v := s.views.Get(o)
+		if v == nil || v.node == nil || v.node.Parent == nil || v.node.Height > horizon {
 			continue
 		}
 		n, cur := v.node, v.node.body.Load()
@@ -307,10 +301,10 @@ func (s *Store) EvictBodies(tip *Node, keepDepth uint64) int {
 // is not interned, so probes cannot grow the shared table.
 func (s *Store) Get(h crypto.Hash) (*Node, bool) {
 	o, ok := s.blocks.Lookup(h)
-	if !ok || int(o) >= len(s.views) || s.views[o] == nil {
-		return nil, false
+	if v := s.views.Get(o); ok && v != nil && v.node != nil {
+		return v.node, true
 	}
-	return s.views[o].node, true
+	return nil, false
 }
 
 // Len returns the number of blocks in the tree.
@@ -330,16 +324,17 @@ func (s *Store) Insert(b types.Block, receivedAt int64) *Node {
 	s.put(n, receivedAt)
 	link := &s.view(parent).first
 	for *link != 0 {
-		link = &s.views[*link-1].next
+		link = &s.views.Get(*link - 1).next
 	}
 	*link = n.ord + 1
 	if s.subtree != nil && n.kind != types.KindMicro {
 		// GHOST's subtree weights: n's own work, added to every
 		// ancestor's (a microblock has none to add).
 		work := crypto.WorkForTarget(n.target)
-		s.subtree[n.ord] = work
+		*s.subtree.At(n.ord) = work
 		for a := parent; a != nil; a = a.Parent {
-			s.subtree[a.ord] = s.subtree[a.ord].Add(work)
+			w := s.subtree.At(a.ord)
+			*w = w.Add(work)
 		}
 	}
 	return n

@@ -24,7 +24,8 @@ type handEnv struct {
 
 type idleTimer struct{}
 
-func (idleTimer) Stop() bool { return true }
+func (idleTimer) Stop() bool          { return true }
+func (idleTimer) Reset(time.Duration) {}
 
 func (e *handEnv) Now() int64                             { return e.now }
 func (e *handEnv) After(time.Duration, func()) node.Timer { return idleTimer{} }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"bitcoinng/internal/load"
 	"bitcoinng/internal/types"
 )
 
@@ -234,5 +236,80 @@ func TestStreamingRunBoundedMemory(t *testing.T) {
 	}
 	if res.Load.Confirmed == 0 {
 		t.Fatal("soak confirmed nothing")
+	}
+}
+
+// TestViewMatchesMapModel drives a view with random RemoveConfirmed,
+// Reinsert and Compact calls, each batch made of runs of consecutive stream
+// indices, duplicates and out-of-order singles, and checks it after every
+// call against a plain map of confirmed indices: every bit, the count and
+// the confirmed prefix. Compact's floor never passes the confirmed prefix,
+// as the stream's release floor never does, and a reinsert below the
+// compacted words is lost, as documented.
+func TestViewMatchesMapModel(t *testing.T) {
+	const n = 512
+	w, err := NewStreamWorkload(25, 476, 8, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	batch := func() []*types.Transaction {
+		var txs []*types.Transaction
+		for range 1 + rng.Intn(4) {
+			lo := rng.Int63n(n)
+			for i := lo; i < min(n, lo+rng.Int63n(150)); i++ {
+				txs = append(txs, w.Stream().Tx(i))
+			}
+			if rng.Intn(3) == 0 && len(txs) > 0 {
+				txs = append(txs, txs[rng.Intn(len(txs))]) // a duplicate
+			}
+		}
+		rng.Shuffle(len(txs), func(i, j int) {
+			if rng.Intn(8) == 0 { // mostly in order, as blocks carry them
+				txs[i], txs[j] = txs[j], txs[i]
+			}
+		})
+		return txs
+	}
+	for round := range 20 {
+		v := w.NewView()
+		model := map[int64]bool{}
+		floor := int64(0) // compacted below this index
+		for step := range 60 {
+			switch op := rng.Intn(5); {
+			case op < 3:
+				txs := batch()
+				v.RemoveConfirmed(txs)
+				for _, tx := range txs {
+					i, _ := load.TxIndex(tx)
+					model[i] = true
+				}
+			case op == 3:
+				txs := batch()
+				v.Reinsert(txs)
+				for _, tx := range txs {
+					if i, _ := load.TxIndex(tx); i >= floor {
+						delete(model, i)
+					}
+				}
+			default:
+				f := rng.Int63n(v.ConfirmedPrefix() + 1)
+				v.Compact(f)
+				floor = max(floor, f/64*64)
+			}
+			prefix := int64(0)
+			for model[prefix] {
+				prefix++
+			}
+			for i := range int64(n) {
+				if v.bit(i) != model[i] {
+					t.Fatalf("round %d step %d: index %d confirmed %v, model %v", round, step, i, v.bit(i), model[i])
+				}
+			}
+			if v.ConfirmedCount() != int64(len(model)) || v.ConfirmedPrefix() != prefix {
+				t.Fatalf("round %d step %d: count %d prefix %d, model %d and %d",
+					round, step, v.ConfirmedCount(), v.ConfirmedPrefix(), len(model), prefix)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/load"
@@ -119,22 +120,39 @@ func (v *WorkloadView) bit(i int64) bool {
 }
 
 // setBit marks i confirmed, reporting whether it was newly set.
-func (v *WorkloadView) setBit(i int64) bool {
-	wi := i/64 - v.wordBase
-	if wi < 0 {
-		return false
+func (v *WorkloadView) setBit(i int64) bool { return v.setRange(i, i+1) == 1 }
+
+// setRange marks the indices in [lo, hi) confirmed a word at a time,
+// returning how many were newly set. Indices below the compaction floor are
+// confirmed already.
+func (v *WorkloadView) setRange(lo, hi int64) int64 {
+	var set int64
+	for lo = max(lo, 64*v.wordBase); lo < hi; {
+		wi := lo/64 - v.wordBase
+		// Append, never re-slice: a word past len may hold a compacted
+		// word's stale bits (TestViewGrowthAfterCompactReadsZeros).
+		for wi >= int64(len(v.confirmed)) {
+			v.confirmed = append(v.confirmed, 0)
+		}
+		end := min(hi, (lo/64+1)*64)
+		mask := ^uint64(0) >> (64 - uint64(end-lo)) << (uint64(lo) % 64)
+		set += int64(bits.OnesCount64(mask &^ v.confirmed[wi]))
+		v.confirmed[wi] |= mask
+		lo = end
 	}
-	// Append, never re-slice: a word past len may hold a compacted word's
-	// stale bits (TestViewGrowthAfterCompactReadsZeros).
-	for wi >= int64(len(v.confirmed)) {
-		v.confirmed = append(v.confirmed, 0)
+	return set
+}
+
+// skipConfirmed advances prefix past confirmed indices, a word at a time.
+func (v *WorkloadView) skipConfirmed() {
+	v.prefix = max(v.prefix, 64*v.wordBase)
+	for wi := v.prefix/64 - v.wordBase; wi < int64(len(v.confirmed)); wi++ {
+		if free := ^v.confirmed[wi] >> (uint64(v.prefix) % 64); free != 0 {
+			v.prefix += int64(bits.TrailingZeros64(free))
+			return
+		}
+		v.prefix = (v.prefix/64 + 1) * 64
 	}
-	mask := uint64(1) << (uint64(i) % 64)
-	if v.confirmed[wi]&mask != 0 {
-		return false
-	}
-	v.confirmed[wi] |= mask
-	return true
 }
 
 // clearBit unmarks i, reporting whether it was set. Indices below the
@@ -188,9 +206,7 @@ func (v *WorkloadView) limit() int64 {
 // pacing frontier — the bounded lookahead that keeps resident memory
 // proportional to the in-flight window.
 func (v *WorkloadView) Select(maxBytes int) []*types.Transaction {
-	for v.bit(v.prefix) {
-		v.prefix++
-	}
+	v.skipConfirmed()
 	limit := v.limit()
 	var out []*types.Transaction
 	budget := maxBytes
@@ -213,20 +229,24 @@ func (v *WorkloadView) Select(maxBytes int) []*types.Transaction {
 }
 
 // RemoveConfirmed implements node.TxPool: stream members carry their index
-// in the padding stamp, so confirmation needs no pointer-identity map.
+// in the padding stamp, so confirmation needs no pointer-identity map. A
+// block carries runs of consecutive indices: each run is set a word at a
+// time, and the prefix advances once per call.
 func (v *WorkloadView) RemoveConfirmed(txs []*types.Transaction) {
+	var lo, hi int64 // the open run [lo, hi)
 	for _, tx := range txs {
 		i, ok := load.TxIndex(tx)
 		if !ok {
 			continue
 		}
-		if v.setBit(i) {
-			v.count++
-			for v.bit(v.prefix) {
-				v.prefix++
-			}
+		if i != hi {
+			v.count += v.setRange(lo, hi)
+			lo = i
 		}
+		hi = i + 1
 	}
+	v.count += v.setRange(lo, hi)
+	v.skipConfirmed()
 }
 
 // Reinsert implements node.TxPool.
@@ -262,9 +282,7 @@ func (v *WorkloadView) ConfirmedCount() int64 { return v.count }
 // ConfirmedPrefix returns the first index this view does not know to be
 // confirmed — the release-floor input.
 func (v *WorkloadView) ConfirmedPrefix() int64 {
-	for v.bit(v.prefix) {
-		v.prefix++
-	}
+	v.skipConfirmed()
 	return v.prefix
 }
 

@@ -134,21 +134,21 @@ func TestRevertedPoisonSortCaught(t *testing.T) {
 	}
 }
 
-// TestRevertedPruneSortCaught strips the sort that makes Figure 5's
-// time-to-prune percentile independent of map order: the samples are
-// collected by ranging a map, so without sort.Float64s the percentile
-// reads a different element every run.
-func TestRevertedPruneSortCaught(t *testing.T) {
+// TestRevertedStrategySortCaught strips the sort that makes
+// strategy.ForNodes validate its assignments in node order: the ids are
+// collected by ranging a map, so without sort.Ints which bad entry is
+// reported (and with it a failing run's digest) follows map order.
+func TestRevertedStrategySortCaught(t *testing.T) {
 	reverted := 0
-	diags := sandbox(t, "metrics", true, stripLine(regexp.MustCompile(`(?m)^\s*sort\.Float64s\(samples\)$`), &reverted), "")
+	diags := sandbox(t, "strategy", true, stripLine(regexp.MustCompile(`(?m)^\s*sort\.Ints\(ids\)$`), &reverted), "")
 	if reverted != 1 {
-		t.Fatalf("found %d sort.Float64s(samples) lines to strip, want the one in timeToPrune", reverted)
+		t.Fatalf("found %d sort.Ints(ids) lines to strip, want the one in ForNodes", reverted)
 	}
-	if !anyFinding(diags, "map-iteration-order", "timeToPrune") {
-		t.Error("stripping timeToPrune's sort produced no map-order finding")
+	if !anyFinding(diags, "map-iteration-order", "ForNodes") {
+		t.Error("stripping ForNodes' sort produced no map-order finding")
 	}
-	for _, d := range sandbox(t, "metrics", true, nil, "") {
-		t.Errorf("intact metrics copy produced finding: %s", d)
+	for _, d := range sandbox(t, "strategy", true, nil, "") {
+		t.Errorf("intact strategy copy produced finding: %s", d)
 	}
 }
 

@@ -14,7 +14,7 @@
 //     Warm* wrappers) blocks until worker goroutines finish: holding a
 //     mutex across it deadlocks the pool the moment a worker touches the
 //     same lock — the striped connect-cache hazard. sim.Loop.PostEvent/
-//     PostEventPrio/At/After and sim.ShardedLoop.ScheduleGlobal/OnBarrier
+//     PostEventPrio/At/After/Arm and sim.ShardedLoop.ScheduleGlobal/OnBarrier
 //     enqueue callbacks that run on a shard's execution context; capturing
 //     a held mutex there is a latent cross-shard deadlock and, worse, makes
 //     event timing depend on lock contention. Holding any mutex at such a
@@ -51,7 +51,7 @@ var dispatchMethods = map[[2]string]map[string]bool{
 		"Run": true, "WarmTransactions": true, "WarmBlock": true,
 	},
 	{"bitcoinng/internal/sim", "Loop"}: {
-		"PostEvent": true, "PostEventPrio": true, "At": true, "After": true,
+		"PostEvent": true, "PostEventPrio": true, "At": true, "After": true, "Arm": true,
 	},
 	{"bitcoinng/internal/sim", "ShardedLoop"}: {
 		"ScheduleGlobal": true, "OnBarrier": true,

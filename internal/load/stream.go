@@ -344,13 +344,8 @@ func stampIndex(tx *types.Transaction, i int64) {
 // TxIndex decodes the stream index stamped into a transaction's padding,
 // reporting ok=false for transactions that are not stream members.
 func TxIndex(tx *types.Transaction) (int64, bool) {
-	if tx.Kind != types.TxRegular || len(tx.Padding) < indexStampLen {
+	if tx.Kind != types.TxRegular || len(tx.Padding) < indexStampLen || [len(indexMagic)]byte(tx.Padding) != indexMagic {
 		return 0, false
-	}
-	for k, b := range indexMagic {
-		if tx.Padding[k] != b {
-			return 0, false
-		}
 	}
 	return int64(binary.BigEndian.Uint64(tx.Padding[len(indexMagic):])), true
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -107,7 +108,7 @@ func (c *Collector) Analyze(opts AnalyzeOptions) *Report {
 	c.composition(r, main, onMain, warmStart, opts)
 	c.fairness(r, main, onMain, opts)
 	c.consensusDelay(r, warmStart, opts)
-	c.timeToPrune(r, onMain, opts)
+	c.timeToPrune(r, main, onMain, opts)
 	c.timeToWin(r, main, onMain, opts)
 	c.propagation(r)
 	return r
@@ -214,30 +215,6 @@ func (c *Collector) consensusDelay(r *Report, warmStart int64, opts AnalyzeOptio
 		}
 	}
 
-	// Per-node tip timelines, sorted by time (they arrive in order per
-	// node already, but be safe).
-	timelines := c.tipTimelines()
-	for _, tl := range timelines {
-		sort.Slice(tl, func(i, j int) bool { return tl[i].At < tl[j].At })
-	}
-	tipAtTime := func(nodeID int32, t int64) int32 {
-		tl := timelines[nodeID]
-		// Last event at or before t; genesis (idx 0) before any event.
-		lo, hi := 0, len(tl)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if tl[mid].At <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == 0 {
-			return 0
-		}
-		return tl[lo-1].Idx
-	}
-
 	// chainContains reports whether block idx is an ancestor-or-equal of
 	// tip, and returns the next block after idx on the path (or -1 when
 	// idx is the tip itself).
@@ -256,15 +233,17 @@ func (c *Collector) consensusDelay(r *Report, warmStart int64, opts AnalyzeOptio
 	}
 
 	var delays []float64
-	// Per-sample scratch: every node's tip, the candidates and the set of
-	// them, which is cleared through the candidate list.
-	tips := make([]int32, n)
+	// Every node's tip and the time it became the tip, advanced sample by
+	// sample; per-sample scratch: the candidates and the set of them, which
+	// is cleared through the candidate list.
+	tips, tipTime := make([]int32, n), make([]int64, n)
+	for i := range tipTime {
+		tipTime[i] = math.MinInt64
+	}
 	seen := make([]bool, len(c.blocks))
 	var candidates []int32
-	for t := warmStart + interval; t <= opts.EndTime; t += interval {
-		for i := 0; i < n; i++ {
-			tips[i] = tipAtTime(int32(i), t)
-		}
+	for prev, t := int64(math.MinInt64), warmStart+interval; t <= opts.EndTime; prev, t = t, t+interval {
+		c.tipsAt(prev, t, tips, tipTime)
 		// Candidate agreement points: blocks on any node's chain, tried
 		// newest-first. Collect candidates from the union of current
 		// tips' chains.
@@ -314,18 +293,44 @@ func (c *Collector) consensusDelay(r *Report, warmStart int64, opts AnalyzeOptio
 	}
 }
 
+// tipsAt folds into tips the tip changes logged at times in (from, to]:
+// tips[i] becomes node i's latest change at or before to, a later entry of
+// the log winning a tie, and tipTime[i] that change's time. Called over
+// ascending windows from the start (every tip genesis, idx 0, at
+// math.MinInt64), it leaves each node's tip at to. It reads the log where
+// it lies, skipping the chunks whose time span misses the window.
+func (c *Collector) tipsAt(from, to int64, tips []int32, tipTime []int64) {
+	for ch := c.tipHead; ch != nil; ch = ch.next {
+		if ch.lo > to || ch.hi <= from {
+			continue
+		}
+		n := tipChunkLen
+		if ch == c.tipTail {
+			n = c.tipN
+		}
+		for _, r := range ch.recs[:n] {
+			if r.At > from && r.At <= to && r.At >= tipTime[r.Node] {
+				tips[r.Node], tipTime[r.Node] = r.Idx, r.At
+			}
+		}
+	}
+}
+
 // timeToPrune computes, per node and pruned branch, the time between the
 // node's receipt of the first branch block and its receipt of the main-chain
 // block that outweighs the branch (Figure 5), reporting the δ-percentile.
-func (c *Collector) timeToPrune(r *Report, onMain []bool, opts AnalyzeOptions) {
+func (c *Collector) timeToPrune(r *Report, main []int32, onMain []bool, opts AnalyzeOptions) {
 	// Branch roots: blocks off the final main chain whose parent is on it.
 	// The branch is the root's whole off-chain subtree; its weight is the
 	// max PowHeight within.
-	branchOf := make([]int32, len(c.blocks)) // block -> branch root (-1 main)
+	// branchOf maps a block to its branch root (-1 on the main chain);
+	// branchWeight holds a root's weight (-1 for a block that is no root).
+	branchOf := make([]int32, len(c.blocks))
+	branchWeight := make([]int32, len(c.blocks))
 	for i := range branchOf {
-		branchOf[i] = -1
+		branchOf[i], branchWeight[i] = -1, -1
 	}
-	var branchWeight = make(map[int32]int32)
+	weighted := false
 	// Blocks are registered parents-first, so one forward pass labels.
 	for _, rec := range c.blocks {
 		if onMain[rec.Idx] || rec.ParentIdx < 0 {
@@ -336,71 +341,71 @@ func (c *Collector) timeToPrune(r *Report, onMain []bool, opts AnalyzeOptions) {
 			root = pr
 		}
 		branchOf[rec.Idx] = root
-		if rec.PowHeight > branchWeight[root] {
-			branchWeight[root] = rec.PowHeight
-		}
+		branchWeight[root] = max(branchWeight[root], rec.PowHeight, 0)
+		weighted = weighted || rec.PowHeight > 0
 	}
-	if len(branchWeight) == 0 {
+	if !weighted {
+		// No branch carries work: nothing was ever outweighed.
 		r.TimeToPrune = 0
 		return
 	}
 
-	// Per node: first receipt per branch, and the receipt times of
-	// main-chain blocks by weight.
-	type nodeBranchKey struct {
-		node   int32
-		branch int32
-	}
-	firstReceipt := make(map[nodeBranchKey]int64)
-	for _, rec := range c.blocks {
-		br := branchOf[rec.Idx]
-		if br < 0 {
-			continue
-		}
-		for _, a := range rec.Accepts {
-			k := nodeBranchKey{a.Node, br}
-			if t, ok := firstReceipt[k]; !ok || a.At < t {
-				firstReceipt[k] = a.At
-			}
-		}
-	}
-	// mainReceipts[node] = sorted (weight, at) of main-chain block
-	// receipts; to prune a branch of weight w the node needs a main block
-	// with weight > w.
-	type wAt struct {
-		w  int32
-		at int64
-	}
-	mainReceipts := make(map[int32][]wAt)
-	for _, rec := range c.blocks {
-		if !onMain[rec.Idx] {
-			continue
-		}
-		for _, a := range rec.Accepts {
-			mainReceipts[a.Node] = append(mainReceipts[a.Node], wAt{w: rec.PowHeight, at: a.At})
-		}
-	}
+	// Per branch and node: the node's first receipt of a branch block, and
+	// its earliest receipt, no sooner, of a main-chain block that outweighs
+	// the branch. To prune a branch of weight w a node needs a main block
+	// of weight > w; main-chain weight never falls along the chain, so the
+	// candidates are a suffix of it.
+	var members []int32
 	var samples []float64
-	for k, t0 := range firstReceipt {
-		need := branchWeight[k.branch]
-		pruneAt := int64(-1)
-		for _, m := range mainReceipts[k.node] {
-			if m.w > need && m.at >= t0 {
-				if pruneAt < 0 || m.at < pruneAt {
-					pruneAt = m.at
-				}
+	for root, w := range branchWeight {
+		if w < 0 {
+			continue
+		}
+		members = members[:0]
+		for i, br := range branchOf {
+			if br == int32(root) {
+				members = append(members, int32(i))
 			}
 		}
-		if pruneAt >= 0 {
-			samples = append(samples, float64(pruneAt-t0))
+		heavier := main[len(main):]
+		for k, idx := range main {
+			if c.blocks[idx].PowHeight > w {
+				heavier = main[k:]
+				break
+			}
+		}
+		for nd := range c.nodes {
+			t0 := c.firstAccept(members, nd, math.MinInt64)
+			if t0 == notAccepted {
+				continue
+			}
+			if at := c.firstAccept(heavier, nd, t0); at != notAccepted {
+				samples = append(samples, float64(at-t0))
+			}
 		}
 	}
-	// firstReceipt is a map: sort the collected samples so the percentile
-	// input (and any future tie-broken statistic) is iteration-order free.
+	// Sort the samples so the percentile input (and any future tie-broken
+	// statistic) is free of the walk's order.
 	sort.Float64s(samples)
 	if len(samples) > 0 {
 		r.TimeToPrune = time.Duration(stats.PercentileSorted(samples, opts.Percentile))
 	}
+}
+
+// firstAccept returns the earliest time at or after from at which node nd
+// accepted one of blocks, notAccepted if it accepted none by then.
+func (c *Collector) firstAccept(blocks []int32, nd int32, from int64) int64 {
+	first := int64(notAccepted)
+	for _, idx := range blocks {
+		acc := c.blocks[idx].accepted
+		if int(nd) >= len(acc) {
+			continue
+		}
+		if at := acc[nd]; at != notAccepted && at >= from && (first == notAccepted || at < first) {
+			first = at
+		}
+	}
+	return first
 }
 
 // timeToWin computes, per main-chain block, the time from its generation to
@@ -467,13 +472,16 @@ func (c *Collector) propagation(r *Report) {
 		return
 	}
 	var p25s, p50s, p75s []float64
+	delays := make([]float64, 0, n) // one block's, reused
 	for _, rec := range c.blocks[1:] {
-		if len(rec.Accepts) == 0 {
-			continue
+		delays = delays[:0]
+		for _, at := range rec.accepted {
+			if at != notAccepted {
+				delays = append(delays, float64(at-rec.Info.Time))
+			}
 		}
-		delays := make([]float64, 0, len(rec.Accepts))
-		for _, a := range rec.Accepts {
-			delays = append(delays, float64(a.At-rec.Info.Time))
+		if len(delays) == 0 {
+			continue
 		}
 		sort.Float64s(delays)
 		// Time to reach a fraction of ALL nodes, not just receivers:

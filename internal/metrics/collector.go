@@ -11,23 +11,12 @@
 package metrics
 
 import (
+	"math"
 	"sync"
 
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 )
-
-// accept is one (node, time) receipt of a block.
-type accept struct {
-	Node int32
-	At   int64
-}
-
-// tipAt is one tip change on a node.
-type tipAt struct {
-	At  int64
-	Idx int32 // block index of the new tip
-}
 
 // tipRec is one entry of the collector's tip log: a tip change on Node.
 type tipRec struct {
@@ -37,14 +26,20 @@ type tipRec struct {
 }
 
 // tipChunkLen is how many tip changes one chunk of the log holds: with its
-// link, a chunk fills a 32 KiB allocation size class.
-const tipChunkLen = 2047
+// time span and link, a chunk fills a 32 KiB allocation size class.
+const tipChunkLen = 2046
 
-// tipChunk is one fixed-size chunk of the tip log.
+// tipChunk is one fixed-size chunk of the tip log. lo and hi bound the
+// times of its entries.
 type tipChunk struct {
-	recs [tipChunkLen]tipRec
-	next *tipChunk
+	recs   [tipChunkLen]tipRec
+	lo, hi int64
+	next   *tipChunk
 }
+
+// notAccepted marks, in a block's acceptance times, a node that has not
+// accepted it.
+const notAccepted = math.MinInt64
 
 // blockRecord is the registry entry for one generated block.
 type blockRecord struct {
@@ -53,18 +48,26 @@ type blockRecord struct {
 	ParentIdx int32 // -1 for genesis
 	Height    int32 // blocks from genesis
 	PowHeight int32 // PoW-bearing blocks from genesis (chain weight proxy)
-	Accepts   []accept
+	// accepted is indexed by node id: when the node accepted the block,
+	// or notAccepted. Every node accepts a block at most once, so it is
+	// sized once, at the first acceptance, for every node seen by then.
+	accepted []int64
 }
 
 // Collector gathers run events. It is safe for concurrent use (the live TCP
 // runtime delivers from multiple goroutines; the simulator from one).
+//
+// Per block it keeps one record, in generation order, with an 8-byte
+// acceptance time per node; per tip change, one 16-byte entry of the tip
+// log. Both are written in place, so nothing is copied as a run grows, and
+// Analyze reads them where they are.
 type Collector struct {
 	mu     sync.Mutex
 	blocks []*blockRecord
 	index  map[node.BlockID]int32
 	// The tip log: every tip change in arrival order, in chunks linked
 	// from tipHead, so it grows without copying. tipTail holds tipN
-	// entries; every other chunk is full. Analyze groups it by node.
+	// entries; every other chunk is full.
 	tipHead, tipTail *tipChunk
 	tipN             int
 	nodes            int32 // max node id seen + 1
@@ -143,12 +146,18 @@ func (c *Collector) BlockAccepted(nodeID int, at int64, blockID node.BlockID) {
 		return // acceptance raced generation registration; drop
 	}
 	rec := c.blocks[idx]
-	if rec.Accepts == nil {
-		// Every node accepts a block at most once: size the log for all of
-		// them up front instead of growing it by doubling.
-		rec.Accepts = make([]accept, 0, c.nodes)
+	if nodeID >= len(rec.accepted) {
+		// Early in a run a node may report before others have: grow to
+		// every node seen, at least doubling.
+		grown := make([]int64, max(int(c.nodes), 2*len(rec.accepted)))
+		for i := copy(grown, rec.accepted); i < len(grown); i++ {
+			grown[i] = notAccepted
+		}
+		rec.accepted = grown
 	}
-	rec.Accepts = append(rec.Accepts, accept{Node: int32(nodeID), At: at})
+	if rec.accepted[nodeID] == notAccepted {
+		rec.accepted[nodeID] = at
+	}
 }
 
 // TipChanged implements node.Recorder. It keeps only the new tip.
@@ -161,7 +170,7 @@ func (c *Collector) TipChanged(nodeID int, at int64, tip node.BlockID, _, _ []no
 		return
 	}
 	if c.tipTail == nil || c.tipN == tipChunkLen {
-		ch := new(tipChunk)
+		ch := &tipChunk{lo: at, hi: at}
 		if c.tipTail == nil {
 			c.tipHead = ch
 		} else {
@@ -169,38 +178,10 @@ func (c *Collector) TipChanged(nodeID int, at int64, tip node.BlockID, _, _ []no
 		}
 		c.tipTail, c.tipN = ch, 0
 	}
-	c.tipTail.recs[c.tipN] = tipRec{At: at, Node: int32(nodeID), Idx: idx}
+	ch := c.tipTail
+	ch.recs[c.tipN] = tipRec{At: at, Node: int32(nodeID), Idx: idx}
+	ch.lo, ch.hi = min(ch.lo, at), max(ch.hi, at)
 	c.tipN++
-}
-
-// tipTimelines groups the tip log by node: timeline i holds node i's tip
-// changes in arrival order, all of them in one backing array.
-func (c *Collector) tipTimelines() [][]tipAt {
-	counts := make([]int, c.nodes)
-	total := 0
-	c.eachTip(func(r *tipRec) { counts[r.Node]++; total++ })
-	flat := make([]tipAt, total)
-	out := make([][]tipAt, c.nodes)
-	off := 0
-	for i, n := range counts {
-		out[i] = flat[off : off : off+n]
-		off += n
-	}
-	c.eachTip(func(r *tipRec) { out[r.Node] = append(out[r.Node], tipAt{At: r.At, Idx: r.Idx}) })
-	return out
-}
-
-// eachTip calls fn on every entry of the tip log, in arrival order.
-func (c *Collector) eachTip(fn func(*tipRec)) {
-	for ch := c.tipHead; ch != nil; ch = ch.next {
-		n := tipChunkLen
-		if ch == c.tipTail {
-			n = c.tipN
-		}
-		for i := range n {
-			fn(&ch.recs[i])
-		}
-	}
 }
 
 func (c *Collector) noteNode(nodeID int) {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"cmp"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -329,31 +331,80 @@ func TestTipLogAllocatesOncePerChunk(t *testing.T) {
 	}
 }
 
-// TestTipTimelinesKeepArrivalOrder groups a tip log that spans chunks, with
-// nodes interleaved and times out of order, and requires each node's
-// timeline to be exactly its own tip changes in arrival order: what Analyze
-// then sorts.
-func TestTipTimelinesKeepArrivalOrder(t *testing.T) {
+// TestAcceptancesAllocateOncePerBlock pins Collector.BlockAccepted at one
+// allocation per block, its first acceptance: the block's acceptance times
+// are sized then for every node seen, and each later acceptance, and every
+// tip change within a chunk, writes in place.
+func TestAcceptancesAllocateOncePerBlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet Mallocs counter, as testing.AllocsPerRun arranges
+	const nodes, blocks = 1000, 4
+	b := newBuilder()
+	b.tip(nodes-1, 0, b.genesis.Hash()) // every node is seen
+	ids := []crypto.Hash{b.genesis.Hash()}
+	for i := range blocks {
+		ids = append(ids, b.gen(0, int64(i+1)*sec, ids[i], types.KindPow, 0))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, h := range ids[1:] {
+		for nd := 1; nd < nodes; nd++ {
+			b.accept(nd, 5*sec, h)
+			b.tip(nd, 5*sec, h)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The generator's acceptance allocated each block's times already; the
+	// tip log's first chunk holds the first tip change.
+	logged := 1 + blocks*(nodes-1)
+	if got, want := after.Mallocs-before.Mallocs, uint64((logged-1)/tipChunkLen); got != want {
+		t.Errorf("%d acceptances and tip changes allocated %d objects, want %d (tip-log chunks)", blocks*(nodes-1), got, want)
+	}
+}
+
+// TestTipsAtReadLatestChange reads every node's tip, window by ascending
+// window, from a tip log that spans chunks, with nodes interleaved and times
+// out of order, and requires at each probe time the node's latest change at
+// or before it, the later entry on a tie, and genesis before any: what a
+// sorted per-node timeline gives.
+func TestTipsAtReadLatestChange(t *testing.T) {
 	b := newBuilder()
 	blocks := []crypto.Hash{b.genesis.Hash()}
 	for i := range 3 {
 		blocks = append(blocks, b.gen(0, int64(i+1)*sec, blocks[len(blocks)-1], types.KindPow, 0))
 	}
-	want := make([][]tipAt, 7)
+	type change struct {
+		at  int64
+		idx int32
+	}
+	const nodes = 7
+	logged := make([][]change, nodes)
 	for i := range 2*tipChunkLen + 100 {
-		nodeID := (i * 3) % 7
+		nodeID := (i * 3) % nodes
 		at := int64((i * 7919) % 1000)
 		idx := int32(1 + i%3)
 		b.tip(nodeID, at, blocks[idx])
-		want[nodeID] = append(want[nodeID], tipAt{At: at, Idx: idx})
+		logged[nodeID] = append(logged[nodeID], change{at, idx})
 	}
-	got := b.c.tipTimelines()
-	if len(got) != len(want) {
-		t.Fatalf("%d timelines, want %d", len(got), len(want))
+	tips, tipTime := make([]int32, nodes), make([]int64, nodes)
+	for i := range tipTime {
+		tipTime[i] = math.MinInt64
 	}
-	for i := range want {
-		if !slices.Equal(got[i], want[i]) {
-			t.Errorf("node %d: timeline of %d tip changes differs from its arrival order (%d)", i, len(got[i]), len(want[i]))
+	prev := int64(math.MinInt64)
+	for _, probe := range []int64{-1, 0, 1, 250, 500, 998, 999, 5000} {
+		b.c.tipsAt(prev, probe, tips, tipTime)
+		prev = probe
+		for nd, changes := range logged {
+			sorted := slices.Clone(changes)
+			slices.SortStableFunc(sorted, func(x, y change) int { return cmp.Compare(x.at, y.at) })
+			want := int32(0)
+			for _, ch := range sorted {
+				if ch.at <= probe {
+					want = ch.idx
+				}
+			}
+			if tips[nd] != want {
+				t.Errorf("node %d at %d: tip %d, want %d", nd, probe, tips[nd], want)
+			}
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
+	"bitcoinng/internal/sim"
+	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/types"
 )
 
@@ -64,6 +66,8 @@ func (qt *quietTimer) Stop() bool {
 	return was
 }
 
+func (qt *quietTimer) Reset(time.Duration) { qt.armed = true }
+
 func (e *quietEnv) Now() int64 { return 0 }
 func (e *quietEnv) After(time.Duration, func()) node.Timer {
 	e.timer.armed = true
@@ -115,6 +119,47 @@ func TestFetchCycleDoesNotAllocate(t *testing.T) {
 	}
 	if gd, ok := env.sent[0].(*node.GetDataMsg); !ok || &gd.Items[0] != &inv.Items[0] {
 		t.Errorf("cycle sent %T, want the inv back as its getdata", env.sent[0])
+	}
+}
+
+// TestSimulatedFetchCycleDoesNotAllocate is TestFetchCycleDoesNotAllocate
+// on the simulator's own environment: a simnet.NodeEnv over a sim.Loop,
+// whose getdata crosses a real link. The fetch record keeps its backoff
+// timer, which carries the incarnation guard itself, so a warm cycle re-arms
+// it with no closure and no new handle.
+func TestSimulatedFetchCycleDoesNotAllocate(t *testing.T) {
+	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
+	st, err := chain.New(genesis, types.DefaultParams(), bitcoin.Rules{AllowSimulatedPoW: true}, &chain.HeaviestChain{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := sim.NewLoop(0)
+	net := simnet.New(loop, simnet.Config{Nodes: 2, MinPeers: 1, Latency: simnet.Fixed(time.Millisecond), BandwidthBPS: 1e9, Seed: 1})
+	net.Handle(1, func(int, any, int) {})
+	b := node.NewBase(simnet.NewNodeEnv(loop, net, 0, 1), st, nil)
+	processed := 0
+	b.ProcessFn = func(types.Block, int) *chain.AddResult { processed++; return nil }
+	key, err := crypto.GenerateKey(rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := mineOn(t, key, genesis.Hash(), 1)
+	inv := &node.InvMsg{Items: []node.Inv{{Type: types.BlockMsgType(blk), Hash: blk.Hash()}}}
+	delivery := &node.BlockMsg{Block: blk}
+	cycle := func() {
+		b.HandleMessage(1, inv)
+		b.HandleMessage(1, delivery)
+		loop.RunFor(time.Second) // the getdata reaches node 1
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("a warm simulated fetch cycle allocates %v times, want 0", a)
+	}
+	if processed != 102 || b.Gossip.PendingFetches() != 0 || loop.Pending() != 0 {
+		t.Fatalf("processed %d blocks, left %d fetches and %d events", processed, b.Gossip.PendingFetches(), loop.Pending())
+	}
+	if got := net.Stats().MessagesSent; got != 102 {
+		t.Errorf("sent %d getdata messages over 102 cycles", got)
 	}
 }
 

@@ -14,11 +14,15 @@ import (
 	"time"
 )
 
-// Timer is a cancellable scheduled callback; sim.Timer and the p2p runtime's
-// timers implement it.
+// Timer is a cancellable scheduled callback that its holder may re-arm; the
+// simulated and the p2p runtime's timers implement it.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
+	// Reset re-arms the timer to run its callback d from now. It may be
+	// called only once the callback has run or Stop has reported true, so
+	// a holder that keeps its timer re-arms it without a new one.
+	Reset(d time.Duration)
 }
 
 // Env is the runtime a protocol node runs on: a clock, a scheduler, an
@@ -29,7 +33,7 @@ type Timer interface {
 type Env interface {
 	// Now returns the current time in Unix nanoseconds.
 	Now() int64
-	// After schedules fn to run d from now.
+	// After schedules fn to run d from now, returning a new timer.
 	After(d time.Duration, fn func()) Timer
 	// NodeID returns this node's index in the experiment (or a unique id
 	// for live nodes).

@@ -43,15 +43,17 @@ func (g *Gossip) fetchBackoff(attempt int) time.Duration {
 
 // pendingFetch tracks an outstanding getdata. Records are recycled through
 // Gossip.free once their fetch ends, keeping their announcer arrays and their
-// bound timer callback. A record points at its request and never owns one: a
-// sent message is read-only and may still be in flight when the record is
-// reused.
+// backoff timer, which every later request re-arms. A record points at its
+// request and never owns one: a sent message is read-only and may still be
+// in flight when the record is reused.
 type pendingFetch struct {
 	req        *GetDataMsg // one item: what every attempt sends
 	announcers []int       // peers that announced it, in order heard
 	attempts   int         // requests sent so far; also indexes the rotation
-	timer      Timer
-	onTimeout  func() // g.timeout(pf), bound once per record
+	// timer runs g.timeout(pf); the record's first request makes it and
+	// every later one re-arms it. armed is set while it is pending.
+	timer Timer
+	armed bool
 	// compact is set while a getblocktxn is out. A pointer, so fetches
 	// that never need one stay in their allocation size class.
 	compact *compactFetch
@@ -76,7 +78,6 @@ func (g *Gossip) newFetch(req *GetDataMsg, from int) *pendingFetch {
 		g.free = g.free[:n-1]
 	} else {
 		pf = &pendingFetch{}
-		pf.onTimeout = func() { g.timeout(pf) }
 	}
 	pf.req = req
 	pf.announcers = append(pf.announcers[:0], from)
@@ -85,12 +86,13 @@ func (g *Gossip) newFetch(req *GetDataMsg, from int) *pendingFetch {
 
 // recycle returns an ended fetch's record to the free list. A record whose
 // timer cannot be stopped any more is left to the collector instead, so a
-// late callback never drives a reused record.
+// late callback never drives a reused record and a kept timer is re-armed
+// only once it has fired or been stopped.
 func (g *Gossip) recycle(pf *pendingFetch) {
-	if pf.timer != nil && !pf.timer.Stop() {
+	if pf.armed && !pf.timer.Stop() {
 		return
 	}
-	pf.req, pf.timer, pf.compact, pf.attempts = nil, nil, nil, 0
+	pf.req, pf.armed, pf.compact, pf.attempts = nil, false, nil, 0
 	g.free = append(g.free, pf)
 }
 
@@ -296,12 +298,17 @@ func (g *Gossip) request(pf *pendingFetch) {
 	backoff := g.fetchBackoff(pf.attempts)
 	pf.attempts++
 	g.env.Send(peer, pf.req)
-	pf.timer = g.env.After(backoff, pf.onTimeout)
+	if pf.timer == nil {
+		pf.timer = g.env.After(backoff, func() { g.timeout(pf) })
+	} else {
+		pf.timer.Reset(backoff)
+	}
+	pf.armed = true
 }
 
 // timeout is a fetch's backoff timer firing: retry, or end the fetch.
 func (g *Gossip) timeout(pf *pendingFetch) {
-	pf.timer = nil
+	pf.armed = false
 	// The identity check (not just presence) guards against a stale timer
 	// driving a superseded fetch: acting on pf after the map entry was
 	// replaced would re-request from the old announcer list and arm a

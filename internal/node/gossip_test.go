@@ -41,15 +41,26 @@ type queuedMsg struct {
 }
 
 type fakeTimer struct {
+	env     *fakeEnv
 	at      int64
 	fn      func()
 	stopped bool
+	fired   bool
 }
 
 func (ft *fakeTimer) Stop() bool {
-	was := !ft.stopped && ft.fn != nil
+	was := !ft.stopped && !ft.fired
 	ft.stopped = true
 	return was
+}
+
+// Reset re-queues the timer on its env, under the recycling rule.
+func (ft *fakeTimer) Reset(d time.Duration) {
+	if !ft.stopped && !ft.fired {
+		panic("fakeTimer: Reset of a pending timer")
+	}
+	ft.at, ft.stopped, ft.fired = ft.env.h.now+int64(d), false, false
+	ft.env.timers = append(ft.env.timers, ft)
 }
 
 type fakeEnv struct {
@@ -63,7 +74,7 @@ type fakeEnv struct {
 
 func (e *fakeEnv) Now() int64 { return e.h.now }
 func (e *fakeEnv) After(d time.Duration, fn func()) node.Timer {
-	ft := &fakeTimer{at: e.h.now + int64(d), fn: fn}
+	ft := &fakeTimer{env: e, at: e.h.now + int64(d), fn: fn}
 	e.timers = append(e.timers, ft)
 	return ft
 }
@@ -171,9 +182,8 @@ func (h *harness) advance(d time.Duration) {
 				continue
 			}
 			if ft.at <= h.now {
-				fn := ft.fn
-				ft.fn = nil
-				fn()
+				ft.fired = true
+				ft.fn()
 			} else {
 				e.timers = append(e.timers, ft)
 			}

@@ -214,7 +214,7 @@ func TestSyncSurvivesPeerlessNode(t *testing.T) {
 func armed(e *fakeEnv) int {
 	n := 0
 	for _, ft := range e.timers {
-		if !ft.stopped && ft.fn != nil {
+		if !ft.stopped && !ft.fired {
 			n++
 		}
 	}

@@ -123,6 +123,15 @@ func (lt *liveTimer) Stop() bool {
 	return lt.t.Stop()
 }
 
+// Reset implements node.Timer: the callback ran or Stop reported true, so
+// the time.Timer is idle and re-arms in place.
+func (lt *liveTimer) Reset(d time.Duration) {
+	lt.mu.Lock()
+	lt.stopped = false
+	lt.mu.Unlock()
+	lt.t.Reset(d)
+}
+
 // After implements node.Env.
 func (rt *Runtime) After(d time.Duration, fn func()) node.Timer {
 	lt := &liveTimer{}

@@ -14,9 +14,10 @@ import (
 // Timestamps are Unix nanoseconds on the virtual clock; durations are
 // time.Duration as usual.
 
-// Timer is a scheduled callback that can be cancelled. Only At hands out
-// timers; the PostEvent fast path schedules fire-and-forget events with no
-// cancellation handle and no per-event allocation.
+// Timer is the handle of a cancellable event. At hands out a new one per
+// call; Arm schedules under a handle its caller owns and re-arms, so a
+// caller that keeps one timer per record allocates nothing per arming. The
+// PostEvent fast path schedules fire-and-forget events with no handle.
 type Timer struct {
 	loop  *Loop
 	index int // heap index, -1 when fired or stopped
@@ -35,21 +36,27 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Runnable is a pre-allocated event body for PostEvent: schedulers with
-// per-message state (the network's in-flight deliveries) implement it once
-// per message instead of allocating closures per scheduling hop.
+// Runnable is a pre-allocated event body for PostEvent and Arm: schedulers
+// with per-message or per-timer state (the network's in-flight deliveries, a
+// node's timers) implement it once per object instead of allocating a
+// closure per scheduling hop.
 type Runnable interface {
 	Run()
 }
 
+// runFunc runs a plain callback as an event body; a func value fits the
+// interface word, so the conversion allocates nothing.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
 // event is one scheduled callback, stored by value: the (at, prio, seq)
 // ordering keys live inline in the heap slice, so sift comparisons touch no
-// pointers. Exactly one of fn and r is set.
+// pointers.
 type event struct {
 	at   int64
 	prio int64 // virtual time the event was scheduled at (see eventQueue)
 	seq  uint64
-	fn   func()
 	r    Runnable
 	t    *Timer // cancellation handle; nil for PostEvent events
 }
@@ -145,11 +152,28 @@ func (l *Loop) Pending() int { return len(l.queue) }
 // At schedules fn at absolute virtual time at; times in the past fire at the
 // current instant (after already-queued events for that instant). The
 // returned Timer can cancel the event; callers that never cancel should
-// prefer Post, which skips the handle allocation.
+// prefer PostEvent, which skips the handle allocation.
 func (l *Loop) At(at int64, fn func()) *Timer {
-	t := &Timer{loop: l}
-	l.push(at, fn, t)
+	t := new(Timer)
+	l.Arm(t, at, runFunc(fn))
 	return t
+}
+
+// Arm schedules r at absolute virtual time at under the caller's handle t,
+// as At does under a new one. A handle is re-armed only once its last event
+// has fired or been stopped: arming a pending handle panics, since the
+// handle names one queued event.
+func (l *Loop) Arm(t *Timer, at int64, r Runnable) {
+	if t.loop != nil && t.index >= 0 {
+		panic("sim: Arm of a pending timer")
+	}
+	if at < l.now {
+		at = l.now
+	}
+	t.loop, t.index = l, len(l.queue)
+	l.queue = append(l.queue, event{at: at, prio: l.now, seq: l.seq, r: r, t: t})
+	l.seq++
+	l.queue.siftUp(len(l.queue) - 1)
 }
 
 // PostEvent schedules a Runnable with no cancellation handle and no closure
@@ -168,18 +192,6 @@ func (l *Loop) PostEventPrio(at, prio int64, r Runnable) {
 		at = l.now
 	}
 	l.queue = append(l.queue, event{at: at, prio: prio, seq: l.seq, r: r})
-	l.seq++
-	l.queue.siftUp(len(l.queue) - 1)
-}
-
-func (l *Loop) push(at int64, fn func(), t *Timer) {
-	if at < l.now {
-		at = l.now
-	}
-	if t != nil {
-		t.index = len(l.queue)
-	}
-	l.queue = append(l.queue, event{at: at, prio: l.now, seq: l.seq, fn: fn, t: t})
 	l.seq++
 	l.queue.siftUp(len(l.queue) - 1)
 }
@@ -249,11 +261,7 @@ func (l *Loop) Step() bool {
 	ev := l.pop()
 	l.now = ev.at
 	l.executed++
-	if ev.r != nil {
-		ev.r.Run()
-	} else {
-		ev.fn()
-	}
+	ev.r.Run()
 	return true
 }
 

@@ -26,6 +26,31 @@ type NodeEnv struct {
 	gen uint64
 }
 
+// envTimer is a node timer on the virtual clock. It is its own event body
+// and carries the incarnation that armed it: when it fires, Run calls the
+// callback only if the node has not crashed since. Reset re-arms it under
+// the current incarnation, so a timer kept by its holder costs nothing per
+// arming.
+type envTimer struct {
+	sim.Timer
+	env *NodeEnv
+	gen uint64
+	fn  func()
+}
+
+// Run implements sim.Runnable.
+func (t *envTimer) Run() {
+	if t.env.gen == t.gen {
+		t.fn()
+	}
+}
+
+// Reset implements node.Timer.
+func (t *envTimer) Reset(d time.Duration) {
+	t.gen = t.env.gen
+	t.env.Loop.Arm(&t.Timer, t.env.Loop.Now()+int64(d), t)
+}
+
 // NewNodeEnv builds the environment for node id, deriving its random stream
 // from the experiment seed.
 func NewNodeEnv(loop *sim.Loop, net *Network, id int, seed int64) *NodeEnv {
@@ -40,15 +65,13 @@ func NewNodeEnv(loop *sim.Loop, net *Network, id int, seed int64) *NodeEnv {
 // Now implements node.Env.
 func (e *NodeEnv) Now() int64 { return e.Loop.Now() }
 
-// After implements node.Env. The callback is bound to the node's current
-// incarnation: if the node crashes before it fires, it does nothing.
+// After implements node.Env. The timer is bound to the node's incarnation
+// when it is armed (here, and at each Reset): if the node crashes before it
+// fires, it does nothing.
 func (e *NodeEnv) After(d time.Duration, fn func()) node.Timer {
-	g := e.gen
-	return e.Loop.After(d, func() {
-		if e.gen == g {
-			fn()
-		}
-	})
+	t := &envTimer{env: e, fn: fn}
+	t.Reset(d)
+	return t
 }
 
 // Bump advances the node's incarnation, neutering every timer armed before
