@@ -49,8 +49,11 @@ race:
 # instrumentation may change what escapes): on the loose-transaction path,
 # refused mempool admissions, a warm add/confirm churn cycle (recycled pool
 # entries), a fill/confirm-all/refill cycle (the pool's spare bucket array),
-# counted wire sizes, every gossip message's Size(), exactly-sized
-# encodings and the relay flush; on the leader's path, repeat assemblies in
+# the bytes a fresh pool allocates per admitted transaction (its entry and
+# one 16-byte slot in each 8-byte-keyed index, with growth), counted wire
+# sizes, every gossip message's Size(), exactly-sized encodings and the relay
+# flush (nothing beyond its batches: the gossip re-arms its one flush timer);
+# on the leader's path, repeat assemblies in
 # the node's spend filter; in the blaster, a steady-state Tick and
 # ReleaseBehind; on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the chain-index
@@ -79,7 +82,7 @@ race:
 # archived (its 16-byte records' bytes plus one growth, no body).
 # CI calls it from the `test` job beside the -race run.
 allocs:
-	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSimulatedFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestAdmissionBytesPerTransaction|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSimulatedFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
 	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
 		./internal/bitcoin ./internal/load

@@ -105,7 +105,7 @@ func (n *Node) AssembleBlock() *types.PowBlock {
 	b := &types.PowBlock{
 		Header: types.PowHeader{
 			Prev:       tip.Hash(),
-			MerkleRoot: crypto.MerkleRoot(types.TxIDs(all)),
+			MerkleRoot: types.TxRoot(all),
 			TimeNanos:  n.Env.Now(),
 			Target:     target,
 		},

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/types"
 )
@@ -30,7 +29,7 @@ func (n *Node) Equivocate(txA, txB *types.Transaction) (*types.MicroBlock, *type
 		mb := &types.MicroBlock{
 			Header: types.MicroBlockHeader{
 				Prev:      tip.Hash(),
-				TxRoot:    crypto.MerkleRoot(types.TxIDs(txs)),
+				TxRoot:    types.TxRoot(txs),
 				TimeNanos: now + minGap + extraNanos,
 			},
 			Txs: txs,

@@ -220,7 +220,7 @@ func (n *Node) AssembleKeyBlockOn(parent *chain.Node) *types.KeyBlock {
 		Header: types.KeyBlockHeader{
 			PowHeader: types.PowHeader{
 				Prev:       parent.Hash(),
-				MerkleRoot: crypto.MerkleRoot(types.TxIDs(txs)),
+				MerkleRoot: types.TxRoot(txs),
 				TimeNanos:  n.Env.Now(),
 				Target:     target,
 			},
@@ -243,22 +243,30 @@ func (n *Node) onTipChange(res *chain.AddResult) {
 	n.leading = false
 	if n.microTimer != nil {
 		n.microTimer.Stop()
-		n.microTimer = nil
 	}
 }
 
+// scheduleMicroblock arms the node's one microblock timer, re-arming it in
+// place once it exists: it is called only after the timer fired or was
+// stopped.
 func (n *Node) scheduleMicroblock() {
-	n.microTimer = n.Env.After(n.cfg.Params.MicroblockInterval, func() {
-		n.microTimer = nil
-		if !n.leading || !n.IsLeader() {
-			n.leading = false
-			return
-		}
-		n.MineMicroBlock()
-		if n.leading {
-			n.scheduleMicroblock()
-		}
-	})
+	if n.microTimer == nil {
+		n.microTimer = n.Env.After(n.cfg.Params.MicroblockInterval, n.microTick)
+		return
+	}
+	n.microTimer.Reset(n.cfg.Params.MicroblockInterval)
+}
+
+// microTick is the microblock timer firing: mine, and re-arm while leading.
+func (n *Node) microTick() {
+	if !n.leading || !n.IsLeader() {
+		n.leading = false
+		return
+	}
+	n.MineMicroBlock()
+	if n.leading {
+		n.scheduleMicroblock()
+	}
 }
 
 // MineMicroBlock assembles, signs, and submits one microblock on the
@@ -298,7 +306,7 @@ func (n *Node) AssembleMicroBlock() *types.MicroBlock {
 	b := &types.MicroBlock{
 		Header: types.MicroBlockHeader{
 			Prev:      tip.Hash(),
-			TxRoot:    crypto.MerkleRoot(types.TxIDs(txs)),
+			TxRoot:    types.TxRoot(txs),
 			TimeNanos: now,
 		},
 		Txs: txs,

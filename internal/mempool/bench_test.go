@@ -2,6 +2,7 @@ package mempool_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"bitcoinng/internal/crypto"
@@ -136,6 +137,39 @@ func TestRefillDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAdmissionBytesPerTransaction pins what a fresh pool allocates per
+// admitted stream transaction while it fills to 4 096: the entry (80 bytes),
+// its share of the FIFO array's doubling (16), and a 16-byte slot in each
+// index with the maps' control bytes, load factor and growth (about 83 per
+// index), 262 bytes on Go 1.24. Indexes keyed by the 32-byte ID and the
+// 36-byte outpoint (40- and 68-byte slots) cost 597. The least of a few
+// fills is taken, so a collector or stream goroutine running meanwhile
+// cannot fail it.
+func TestAdmissionBytesPerTransaction(t *testing.T) {
+	const n, bound = 4096, 300
+	txs := streamTxs(t, n)
+	var before, after runtime.MemStats
+	least := ^uint64(0)
+	for round := 0; round < 5; round++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := mempool.New()
+		for _, tx := range txs {
+			if err := p.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(p)
+	}
+	if per := least / n; per > bound {
+		t.Fatalf("admitting %d transactions into a fresh pool allocates %d bytes each, want <= %d", n, per, bound)
+	} else {
+		t.Logf("%d bytes per admitted transaction", per)
+	}
+}
+
 // BenchmarkAddDuplicate is the cost of the delivery a flooding mesh makes
 // most: a transaction the pool already holds.
 func BenchmarkAddDuplicate(b *testing.B) {
@@ -159,13 +193,15 @@ func BenchmarkAddDuplicate(b *testing.B) {
 // BenchmarkAddAdmit is the cost of a first delivery: admission into an
 // unbounded pool, emptied whenever the prepared transactions run out.
 // Emptying confirms them, so empty generations follow until their tombstones
-// expire and the same transactions are admissible again.
+// expire and the same transactions are admissible again. It counts b.N, not
+// b.Loop: Go 1.24.0's b.Loop measures time from the last StartTimer, so with
+// the timer stopped every 4 096 admissions it never reaches the bench time.
 func BenchmarkAddAdmit(b *testing.B) {
 	txs := streamTxs(b, 4096)
 	p := mempool.New()
 	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
+	b.ResetTimer()
+	for i, n := 0, 0; n < b.N; n++ {
 		if i == len(txs) {
 			b.StopTimer()
 			p.RemoveConfirmed(txs)

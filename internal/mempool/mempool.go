@@ -19,10 +19,22 @@
 // tombGenerations calls of RemoveConfirmed, so a relayed copy that arrives
 // after its block connected is refused by the same duplicate probe instead
 // of being pooled and relayed again. Nothing else sees a tombstone.
+//
+// Both indexes map 8-byte keys to entries, so a probe takes the runtime's
+// 64-bit map path and a slot is 16 bytes: transactions by their ID's first 8
+// bytes, claimed inputs by a mix of the outpoint's ID prefix and index. A
+// hit is confirmed against the entry (its ID, or its inputs). An ID or
+// outpoint whose key is already held goes into a small exact-keyed spill
+// map, read only while it is non-empty. Go seeds every map's hash, so
+// grinding keys cannot lengthen probes; an 8-byte collision among a peer's
+// own transactions costs it about 2^32 hashes and only lands in the spill
+// map, and one with an honest ID costs 2^64. No index is ever ranged over.
 package mempool
 
 import (
+	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 
 	"bitcoinng/internal/crypto"
@@ -58,6 +70,15 @@ type Stats struct {
 	Rejected  uint64 // additions refused with ErrPoolFull so far
 }
 
+// txKey and spendKey are the indexes' 8-byte keys; variables so that tests
+// can make them collide.
+var (
+	txKey    = func(id crypto.Hash) uint64 { return binary.LittleEndian.Uint64(id[:8]) }
+	spendKey = func(op types.OutPoint) uint64 {
+		return binary.LittleEndian.Uint64(op.TxID[:8]) ^ uint64(op.Index)*0x9e3779b97f4a7c15
+	}
+)
+
 // tombGenerations is how many RemoveConfirmed calls (one per tip change) a
 // tombstone outlives: a stale relayed copy trails its block by at most the
 // relay queue delay, which stays below one microblock interval (4.7 s of
@@ -91,8 +112,14 @@ type bucket struct {
 // classic arrival-order policy. It is not safe for concurrent use; each
 // node owns one and drives it from its event loop.
 type Pool struct {
-	txs     map[crypto.Hash]*entry         // pooled entries and tombstones
-	spends  map[types.OutPoint]crypto.Hash // claimed inputs -> claiming tx
+	// txs holds pooled entries and tombstones by txKey, spends each claimed
+	// input's claiming entry by spendKey; an entry or claim whose key was
+	// held when it arrived is in the spill map instead, never in both.
+	txs        map[uint64]*entry
+	spends     map[uint64]*entry
+	txSpill    map[crypto.Hash]*entry
+	spendSpill map[types.OutPoint]*entry
+
 	buckets map[int64]*bucket
 	rates   []int64 // bucket keys, sorted descending; never map order
 
@@ -113,7 +140,7 @@ type Pool struct {
 	spare    []*entry
 	spareBkt *bucket
 
-	live     int // pooled entries in txs (tombstones excluded)
+	live     int // pooled entries indexed (tombstones excluded)
 	bytes    int
 	limits   Limits
 	resolver FeeResolver
@@ -133,9 +160,11 @@ type Pool struct {
 // New returns an empty, unbounded pool with no fee resolver (pure FIFO).
 func New() *Pool {
 	return &Pool{
-		txs:     make(map[crypto.Hash]*entry),
-		spends:  make(map[types.OutPoint]crypto.Hash),
-		buckets: make(map[int64]*bucket),
+		txs:        make(map[uint64]*entry),
+		spends:     make(map[uint64]*entry),
+		txSpill:    make(map[crypto.Hash]*entry),
+		spendSpill: make(map[types.OutPoint]*entry),
+		buckets:    make(map[int64]*bucket),
 	}
 }
 
@@ -158,16 +187,59 @@ func (p *Pool) Len() int { return p.live }
 // Known reports whether txid is pooled or was confirmed within the last
 // tombGenerations generations: exactly the transactions Add refuses with
 // ErrDuplicate. It lets a caller skip checking a relayed copy it would drop.
-func (p *Pool) Known(txid crypto.Hash) bool {
-	_, ok := p.txs[txid]
-	return ok
-}
+func (p *Pool) Known(txid crypto.Hash) bool { return p.lookup(txid) != nil }
 
 // Get returns the pooled transaction with ID txid, or nil (a tombstone holds
 // no body).
 func (p *Pool) Get(txid crypto.Hash) *types.Transaction {
-	if e, ok := p.txs[txid]; ok {
+	if e := p.lookup(txid); e != nil {
 		return e.tx
+	}
+	return nil
+}
+
+// lookup returns txid's entry, pooled or tombstone, or nil.
+func (p *Pool) lookup(txid crypto.Hash) *entry {
+	if e := p.txs[txKey(txid)]; e != nil && e.id == txid {
+		return e
+	}
+	if len(p.txSpill) > 0 {
+		return p.txSpill[txid]
+	}
+	return nil
+}
+
+// put files e under key k, or under its exact key x in spill when k is held.
+func put[X comparable](index map[uint64]*entry, spill map[X]*entry, k uint64, x X, e *entry) {
+	if _, held := index[k]; held {
+		spill[x] = e
+	} else {
+		index[k] = e
+	}
+}
+
+// drop undoes put for an entry that was filed under x. An entry's claims are
+// put and dropped in input order, so when two of its inputs share a key, the
+// first is the one that may hold the slot, and the second always spills.
+func drop[X comparable](index map[uint64]*entry, spill map[X]*entry, k uint64, x X, e *entry) {
+	if index[k] == e {
+		delete(index, k)
+	} else {
+		delete(spill, x)
+	}
+}
+
+// claimant returns the pooled entry that spends op, or nil.
+func (p *Pool) claimant(op types.OutPoint) *entry {
+	if e := p.spends[spendKey(op)]; e != nil {
+		for i := range e.tx.Inputs {
+			if e.tx.Inputs[i].Prev == op {
+				return e
+			}
+		}
+	}
+	if len(p.spendSpill) > 0 {
+		return p.spendSpill[op]
 	}
 	return nil
 }
@@ -186,7 +258,7 @@ func (p *Pool) feeRate(tx *types.Transaction, size int) int64 {
 		prev := tx.Inputs[i].Prev
 		var v types.Amount
 		ok := false
-		if parent, pooled := p.txs[prev.TxID]; pooled && parent.tx != nil && int(prev.Index) < len(parent.tx.Outputs) {
+		if parent := p.lookup(prev.TxID); parent != nil && parent.tx != nil && int(prev.Index) < len(parent.tx.Outputs) {
 			v, ok = parent.tx.Outputs[prev.Index].Value, true
 		} else {
 			v, ok = p.resolver(prev)
@@ -231,11 +303,8 @@ func (p *Pool) bucketFor(rate int64) *bucket {
 // the next bucketFor, its FIFO array as the spare.
 func (p *Pool) dropBucket(b *bucket) {
 	delete(p.buckets, b.rate)
-	for i, r := range p.rates {
-		if r == b.rate {
-			p.rates = append(p.rates[:i], p.rates[i+1:]...)
-			break
-		}
+	if i := slices.Index(p.rates, b.rate); i >= 0 {
+		p.rates = slices.Delete(p.rates, i, i+1)
 	}
 	p.keepSpare(b.order)
 	*b = bucket{}
@@ -277,11 +346,11 @@ func (p *Pool) Add(tx *types.Transaction) error {
 		return ErrKind
 	}
 	txid := tx.ID()
-	if _, ok := p.txs[txid]; ok {
+	if p.lookup(txid) != nil {
 		return ErrDuplicate
 	}
 	for i := range tx.Inputs {
-		if _, ok := p.spends[tx.Inputs[i].Prev]; ok {
+		if p.claimant(tx.Inputs[i].Prev) != nil {
 			return ErrConflict
 		}
 	}
@@ -296,12 +365,13 @@ func (p *Pool) Add(tx *types.Transaction) error {
 	*e = entry{id: txid, tx: tx, size: size, rate: rate, bkt: b, pos: len(b.order)}
 	p.push(b, e)
 	b.live++
-	p.txs[txid] = e
+	put(p.txs, p.txSpill, txKey(txid), txid, e)
+	for i := range tx.Inputs {
+		op := tx.Inputs[i].Prev
+		put(p.spends, p.spendSpill, spendKey(op), op, e)
+	}
 	p.live++
 	p.bytes += size
-	for i := range tx.Inputs {
-		p.spends[tx.Inputs[i].Prev] = txid
-	}
 	if p.minSize == 0 || size < p.minSize {
 		p.minSize = size
 	}
@@ -395,8 +465,8 @@ func (p *Pool) RemoveConfirmed(txs []*types.Transaction) {
 		}
 		// Evict pool entries that spend the same inputs.
 		for i := range tx.Inputs {
-			if owner, ok := p.spends[tx.Inputs[i].Prev]; ok {
-				p.removeEntry(p.txs[owner])
+			if owner := p.claimant(tx.Inputs[i].Prev); owner != nil {
+				p.removeEntry(owner)
 			}
 		}
 	}
@@ -412,7 +482,7 @@ func (p *Pool) Reinsert(txs []*types.Transaction) {
 		if tx.Kind != types.TxRegular {
 			continue // coinbases and poisons die with their block
 		}
-		if e, ok := p.txs[tx.ID()]; ok && e.tx == nil {
+		if e := p.lookup(tx.ID()); e != nil && e.tx == nil {
 			p.release(e)
 		}
 		_ = p.Add(tx)
@@ -438,13 +508,15 @@ func (p *Pool) age() {
 
 // bury turns txid's pooled entry into a tombstone of the current
 // generation, or lays a fresh one if the pool never held it. It reports
-// whether txid was pooled.
+// whether txid was pooled. The entry keeps its ID, so it stays indexed
+// where it was.
 func (p *Pool) bury(txid crypto.Hash) (pooled bool) {
-	e, ok := p.txs[txid]
+	e := p.lookup(txid)
 	switch {
-	case !ok:
+	case e == nil:
 		e = p.newEntry()
-		p.txs[txid] = e
+		e.id = txid
+		put(p.txs, p.txSpill, txKey(txid), txid, e)
 	case e.tx != nil:
 		p.unlink(e)
 		pooled = true
@@ -467,10 +539,10 @@ func (p *Pool) newEntry() *entry {
 	return new(entry)
 }
 
-// release deletes e's slot in txs and recycles it, zeroed so it pins no
+// release deletes e's index slot and recycles it, zeroed so it pins no
 // transaction.
 func (p *Pool) release(e *entry) {
-	delete(p.txs, e.id)
+	drop(p.txs, p.txSpill, txKey(e.id), e.id, e)
 	*e = entry{}
 	p.free = append(p.free, e)
 }
@@ -482,12 +554,11 @@ func (p *Pool) removeEntry(e *entry) {
 }
 
 // unlink takes a pooled entry out of its bucket, the spend index and the
-// counts; its slot in txs stays.
+// counts; its ID's index slot stays.
 func (p *Pool) unlink(e *entry) {
 	for i := range e.tx.Inputs {
-		if p.spends[e.tx.Inputs[i].Prev] == e.id {
-			delete(p.spends, e.tx.Inputs[i].Prev)
-		}
+		op := e.tx.Inputs[i].Prev
+		drop(p.spends, p.spendSpill, spendKey(op), op, e)
 	}
 	p.bytes -= e.size
 	// Clear the slot immediately: a removed entry (and the transaction it

@@ -257,7 +257,7 @@ func TestSelectCompactsDominatedTail(t *testing.T) {
 		}
 	}
 	for _, x := range confirmed {
-		p.removeEntry(p.txs[x.ID()])
+		p.removeEntry(p.lookup(x.ID()))
 	}
 	b := p.buckets[0] // no resolver: everything rates 0
 	if len(b.order) <= 2*b.live+16 {

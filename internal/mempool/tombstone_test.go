@@ -43,8 +43,8 @@ func TestTombstoneRefusesForTwoGenerations(t *testing.T) {
 			t.Fatalf("re-add after expiry: %v", err)
 		}
 	}
-	if len(p.txs) != p.live {
-		t.Fatalf("index holds %d slots for %d pooled transactions", len(p.txs), p.live)
+	if n := len(p.txs) + len(p.txSpill); n != p.live {
+		t.Fatalf("index holds %d slots for %d pooled transactions", n, p.live)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestTombstonesAreInvisible(t *testing.T) {
 	if err := p.Add(child); err != nil {
 		t.Fatal(err)
 	}
-	if r := p.txs[child.ID()].rate; r != 0 {
+	if r := p.lookup(child.ID()).rate; r != 0 {
 		t.Fatalf("child rate %d: the fee lookup read a tombstoned parent", r)
 	}
 	// Six tombstones do not fill a two-transaction pool, and eviction never
@@ -315,7 +315,8 @@ func (m *refPool) selectTxs(maxBytes int) []*types.Transaction {
 // modelUniverse builds n distinct unsigned regular transactions (the pool
 // checks no signatures): some spend a small set of funded outpoints, so they
 // conflict, and some spend an earlier member's output, so fees resolve
-// through pooled parents.
+// through pooled parents. A fifth spend a second, different outpoint, so one
+// entry can hold two claims, and under a degenerate key two colliding ones.
 func modelUniverse(r *rand.Rand, n int) ([]*types.Transaction, map[types.OutPoint]types.Amount) {
 	funding := crypto.HashBytes([]byte("model-funding"))
 	values := map[types.OutPoint]types.Amount{}
@@ -325,14 +326,22 @@ func modelUniverse(r *rand.Rand, n int) ([]*types.Transaction, map[types.OutPoin
 		}
 	}
 	txs := make([]*types.Transaction, n)
-	for i := range txs {
-		prev := types.OutPoint{TxID: funding, Index: uint32(r.Intn(n / 2))}
+	spend := func(i int) types.OutPoint {
 		if i > 0 && r.Intn(3) == 0 {
-			prev = types.OutPoint{TxID: txs[r.Intn(i)].ID(), Index: uint32(r.Intn(2))}
+			return types.OutPoint{TxID: txs[r.Intn(i)].ID(), Index: uint32(r.Intn(2))}
+		}
+		return types.OutPoint{TxID: funding, Index: uint32(r.Intn(n / 2))}
+	}
+	for i := range txs {
+		inputs := []types.TxInput{{Prev: spend(i)}}
+		if r.Intn(5) == 0 {
+			if prev := spend(i); prev != inputs[0].Prev {
+				inputs = append(inputs, types.TxInput{Prev: prev})
+			}
 		}
 		txs[i] = &types.Transaction{
 			Kind:    types.TxRegular,
-			Inputs:  []types.TxInput{{Prev: prev}},
+			Inputs:  inputs,
 			Outputs: []types.TxOutput{{Value: types.Amount(r.Intn(4_000)), To: crypto.Address{byte(i), byte(i >> 8)}}},
 			Padding: make([]byte, r.Intn(400)),
 		}
@@ -345,70 +354,98 @@ func modelUniverse(r *rand.Rand, n int) ([]*types.Transaction, map[types.OutPoin
 // selection, count and probe must match.
 func TestPoolMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			universe, values := modelUniverse(r, 40)
-			limits := []Limits{{}, {MaxTxs: 6}, {MaxBytes: 2_500}, {MaxTxs: 10, MaxBytes: 4_000}}[seed%4]
-			p := New()
-			p.SetLimits(limits)
-			m := &refPool{limits: limits, tombs: map[crypto.Hash]int{}}
-			if seed%3 != 0 {
-				m.values = values
-				p.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
-					v, ok := values[op]
-					return v, ok
-				})
-			}
-			pick := func() []*types.Transaction {
-				out := make([]*types.Transaction, r.Intn(4))
-				for i := range out {
-					out[i] = universe[r.Intn(len(universe))]
-				}
-				return out
-			}
-			for step := 0; step < 3_000; step++ {
-				switch op := r.Intn(20); {
-				case op < 9:
-					x := universe[r.Intn(len(universe))]
-					got, want := p.Add(x), m.add(x)
-					if got != want {
-						t.Fatalf("step %d: Add = %v, model %v", step, got, want)
-					}
-				case op < 13:
-					txs := pick()
-					p.RemoveConfirmed(txs)
-					m.removeConfirmed(txs)
-				case op < 15:
-					txs := pick()
-					p.Reinsert(txs)
-					m.reinsert(txs)
-				default:
-					budget := r.Intn(5_000)
-					got, want := p.Select(budget), m.selectTxs(budget)
-					if len(got) != len(want) {
-						t.Fatalf("step %d: Select(%d) returned %d, model %d", step, budget, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("step %d: Select(%d) differs from the model at %d", step, budget, i)
-						}
-					}
-				}
-				st := p.Stats()
-				if p.Len() != len(m.live) || st.Txs != len(m.live) || st.Bytes != m.bytes ||
-					st.Evictions != m.evictions || st.Rejected != m.rejected {
-					t.Fatalf("step %d: stats %+v len %d, model %d txs %d bytes %d evictions %d rejected",
-						step, st, p.Len(), len(m.live), m.bytes, m.evictions, m.rejected)
-				}
-				for _, x := range universe {
-					_, tomb := m.tombs[x.ID()]
-					held := m.find(x.ID()) >= 0
-					if (p.Get(x.ID()) != nil) != held || p.Known(x.ID()) != (held || tomb) {
-						t.Fatalf("step %d: held %v Known %v, model held %v tombstoned %v",
-							step, p.Get(x.ID()) != nil, p.Known(x.ID()), held, tomb)
-					}
-				}
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { matchModel(t, seed) })
+	}
+}
+
+// TestPoolMatchesReferenceModelOnCollidingKeys runs the model check with
+// degenerate index keys: a constant, so every ID and every outpoint collides
+// and all but one live in the spill maps, and a 1-bit key, so about half do
+// and slots change hands as their holders leave.
+func TestPoolMatchesReferenceModelOnCollidingKeys(t *testing.T) {
+	for _, keys := range []struct {
+		name  string
+		tx    func(crypto.Hash) uint64
+		spend func(types.OutPoint) uint64
+	}{
+		{"constant", func(crypto.Hash) uint64 { return 7 }, func(types.OutPoint) uint64 { return 7 }},
+		{"one bit", func(id crypto.Hash) uint64 { return uint64(id[5] & 1) },
+			func(op types.OutPoint) uint64 { return uint64(op.TxID[5]^byte(op.Index)) & 1 }},
+	} {
+		t.Run(keys.name, func(t *testing.T) {
+			txKeyWas, spendKeyWas := txKey, spendKey
+			txKey, spendKey = keys.tx, keys.spend
+			defer func() { txKey, spendKey = txKeyWas, spendKeyWas }()
+			for seed := int64(1); seed <= 12; seed++ {
+				t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { matchModel(t, seed) })
 			}
 		})
+	}
+}
+
+// matchModel is one seed's run of the reference model check.
+func matchModel(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	universe, values := modelUniverse(r, 40)
+	limits := []Limits{{}, {MaxTxs: 6}, {MaxBytes: 2_500}, {MaxTxs: 10, MaxBytes: 4_000}}[seed%4]
+	p := New()
+	p.SetLimits(limits)
+	m := &refPool{limits: limits, tombs: map[crypto.Hash]int{}}
+	if seed%3 != 0 {
+		m.values = values
+		p.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
+			v, ok := values[op]
+			return v, ok
+		})
+	}
+	pick := func() []*types.Transaction {
+		out := make([]*types.Transaction, r.Intn(4))
+		for i := range out {
+			out[i] = universe[r.Intn(len(universe))]
+		}
+		return out
+	}
+	for step := 0; step < 3_000; step++ {
+		switch op := r.Intn(20); {
+		case op < 9:
+			x := universe[r.Intn(len(universe))]
+			got, want := p.Add(x), m.add(x)
+			if got != want {
+				t.Fatalf("step %d: Add = %v, model %v", step, got, want)
+			}
+		case op < 13:
+			txs := pick()
+			p.RemoveConfirmed(txs)
+			m.removeConfirmed(txs)
+		case op < 15:
+			txs := pick()
+			p.Reinsert(txs)
+			m.reinsert(txs)
+		default:
+			budget := r.Intn(5_000)
+			got, want := p.Select(budget), m.selectTxs(budget)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: Select(%d) returned %d, model %d", step, budget, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: Select(%d) differs from the model at %d", step, budget, i)
+				}
+			}
+		}
+		st := p.Stats()
+		if p.Len() != len(m.live) || st.Txs != len(m.live) || st.Bytes != m.bytes ||
+			st.Evictions != m.evictions || st.Rejected != m.rejected {
+			t.Fatalf("step %d: stats %+v len %d, model %d txs %d bytes %d evictions %d rejected",
+				step, st, p.Len(), len(m.live), m.bytes, m.evictions, m.rejected)
+		}
+		for _, x := range universe {
+			_, tomb := m.tombs[x.ID()]
+			held := m.find(x.ID()) >= 0
+			if (p.Get(x.ID()) != nil) != held || p.Known(x.ID()) != (held || tomb) {
+				t.Fatalf("step %d: held %v Known %v, model held %v tombstoned %v",
+					step, p.Get(x.ID()) != nil, p.Known(x.ID()), held, tomb)
+			}
+		}
 	}
 }

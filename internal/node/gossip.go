@@ -118,7 +118,9 @@ type Gossip struct {
 	// runs (Params.TxBatchInterval > 0): one ordered queue for all peers,
 	// each entry naming the one peer it must not go to. Its capacity is
 	// kept across flush windows. txQueued is the number of per-peer copies
-	// the window owes so far — what QueuedTxs reports.
+	// the window owes so far — what QueuedTxs reports. txFlush is the one
+	// flush timer, armed by the first relay of each window and re-armed in
+	// place: it is pending exactly while txQueue is non-empty.
 	txQueue  []queuedTx
 	txQueued int
 	txFlush  Timer
@@ -180,14 +182,18 @@ func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 		}
 		return
 	}
+	switch {
+	case len(g.txQueue) > 0: // the window's flush is already armed
+	case g.txFlush == nil:
+		g.txFlush = g.env.After(interval, g.flushTxs)
+	default:
+		g.txFlush.Reset(interval)
+	}
 	g.txQueue = append(g.txQueue, queuedTx{tx, except})
 	peers := g.env.Peers()
 	g.txQueued += len(peers)
 	if slices.Contains(peers, except) {
 		g.txQueued--
-	}
-	if g.txFlush == nil {
-		g.txFlush = g.env.After(interval, g.flushTxs)
 	}
 }
 
@@ -203,7 +209,6 @@ func (g *Gossip) RelayTx(tx *types.Transaction, except int) {
 // mid-window on the live path now gets the whole window's transactions
 // rather than only those relayed after it joined.
 func (g *Gossip) flushTxs() {
-	g.txFlush = nil
 	var whole []*types.Transaction
 	for _, p := range g.env.Peers() {
 		n := 0

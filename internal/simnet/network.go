@@ -81,14 +81,6 @@ type Loss struct {
 
 func (l Loss) active() bool { return l.Drop > 0 || l.Duplicate > 0 || l.Reorder > 0 }
 
-// edge is one neighbor entry in a node's adjacency list, carrying the
-// direction's link state inline so the per-message lookup is a short scan
-// over a node's (small) neighbor list instead of a map probe.
-type edge struct {
-	peer int
-	out  *link
-}
-
 // Network is the emulated overlay. It runs either on a single event loop
 // (the default) or sharded across the loops of a sim.ShardedLoop (see Shard):
 // per-node and per-directed-link state is then touched only by its owning
@@ -98,7 +90,7 @@ type Network struct {
 	loop     *sim.Loop
 	cfg      Config
 	adj      [][]int  // peer ids per node (Peers view)
-	edges    [][]edge // peer ids + outbound link state per node
+	out      [][]link // per node, the outbound link to each of adj's peers
 	handlers []Handler
 	busyAt   []int64 // per-node receiver busy-until; owned by the node's shard
 	stats    []Stats // per shard; length 1 when unsharded
@@ -143,7 +135,9 @@ type outMsg struct {
 // New builds the topology: MinPeers uniformly random outbound links per
 // node, made bidirectional, then patched to a single connected component
 // (wiring representatives of stray components together, as a bootstrap node
-// list would).
+// list would). The links are drawn first, into one flat list; then every
+// node's peers and outbound link states are cut at their final size, in the
+// order its links were drawn, from one array each.
 func New(loop *sim.Loop, cfg Config) *Network {
 	if cfg.Nodes < 2 {
 		panic(fmt.Sprintf("simnet: need at least 2 nodes, got %d", cfg.Nodes))
@@ -160,7 +154,7 @@ func New(loop *sim.Loop, cfg Config) *Network {
 		loop:         loop,
 		cfg:          cfg,
 		adj:          make([][]int, cfg.Nodes),
-		edges:        make([][]edge, cfg.Nodes),
+		out:          make([][]link, cfg.Nodes),
 		handlers:     make([]Handler, cfg.Nodes),
 		busyAt:       make([]int64, cfg.Nodes),
 		stats:        make([]Stats, 1),
@@ -175,41 +169,120 @@ func New(loop *sim.Loop, cfg Config) *Network {
 	}
 	const topologyStream = 0x7e7 // dedicated stream id for topology building
 	rng := sim.NewRand(cfg.Seed, topologyStream)
+	// Each node draws at most MinPeers links and the union adds at most one
+	// per node, so the draw never regrows the list.
+	t := newTopology(cfg.Nodes, cfg.Nodes*cfg.MinPeers+cfg.Nodes-1)
 	for i := 0; i < cfg.Nodes; i++ {
-		for len(n.adj[i]) < cfg.MinPeers {
+		for int(t.deg[i]) < cfg.MinPeers {
 			j := rng.Intn(cfg.Nodes)
-			if j == i || n.connected(i, j) {
+			if j == i || t.connected(i, j) {
 				continue
 			}
-			n.connect(i, j, rng)
+			t.connect(i, j, int64(cfg.Latency.Sample(rng)))
 		}
 	}
-	n.ensureConnected(rng)
+	t.ensureConnected(rng, cfg.Latency)
+	n.build(t)
 	return n
 }
 
-func (n *Network) connected(i, j int) bool {
-	return n.linkTo(i, j) != nil
+// topology is New's scratch while it draws the overlay: the undirected links
+// in the order they are made, and each node's links chained through them in
+// that order, so the draw can test adjacency before any node's slices exist.
+// Half-link 2k is link k seen from its a end, 2k+1 from its b end.
+type topology struct {
+	links      []drawnLink
+	head, tail []int32 // per node: first and last half-link, -1 when none
+	next       []int32 // per half-link: the node's next one, -1 at the end
+	deg        []int32
+}
+
+// drawnLink is one undirected link and its propagation delay.
+type drawnLink struct {
+	a, b int32
+	lat  int64
+}
+
+// newTopology returns an empty topology of nodes nodes, with room for
+// capLinks links.
+func newTopology(nodes, capLinks int) *topology {
+	t := &topology{
+		links: make([]drawnLink, 0, capLinks),
+		head:  make([]int32, nodes),
+		tail:  make([]int32, nodes),
+		next:  make([]int32, 0, 2*capLinks),
+		deg:   make([]int32, nodes),
+	}
+	for i := range t.head {
+		t.head[i], t.tail[i] = -1, -1
+	}
+	return t
+}
+
+// connect adds the link a-b, last in both ends' orders.
+func (t *topology) connect(a, b int, lat int64) {
+	k := int32(len(t.links))
+	t.links = append(t.links, drawnLink{a: int32(a), b: int32(b), lat: lat})
+	t.next = append(t.next, -1, -1)
+	t.chain(a, 2*k)
+	t.chain(b, 2*k+1)
+}
+
+func (t *topology) chain(node int, h int32) {
+	if t.tail[node] < 0 {
+		t.head[node] = h
+	} else {
+		t.next[t.tail[node]] = h
+	}
+	t.tail[node] = h
+	t.deg[node]++
+}
+
+// peer returns the far end of half-link h.
+func (t *topology) peer(h int32) int {
+	if h%2 == 0 {
+		return int(t.links[h/2].b)
+	}
+	return int(t.links[h/2].a)
+}
+
+func (t *topology) connected(i, j int) bool {
+	for h := t.head[i]; h >= 0; h = t.next[h] {
+		if t.peer(h) == j {
+			return true
+		}
+	}
+	return false
+}
+
+// build gives every node its adj and out slices at their final size, in its
+// links' drawn order.
+func (n *Network) build(t *topology) {
+	ids := make([]int, 2*len(t.links))
+	states := make([]link, len(ids))
+	off := 0
+	for i := range n.adj {
+		end := off + int(t.deg[i])
+		n.adj[i] = ids[off:end:end]
+		n.out[i] = states[off:end:end]
+		for h, k := t.head[i], off; h >= 0; h, k = t.next[h], k+1 {
+			ids[k] = t.peer(h)
+			states[k] = link{latency: t.links[h/2].lat, lossScale: linkLossScale(n.cfg.Seed, i, ids[k])}
+		}
+		off = end
+	}
 }
 
 // linkTo returns the i->j link, or nil when not neighbors. Degrees are small
 // (MinPeers-scale), so a linear scan beats hashing a composite key on the
 // per-message path.
 func (n *Network) linkTo(i, j int) *link {
-	for _, e := range n.edges[i] {
-		if e.peer == j {
-			return e.out
+	for k, p := range n.adj[i] {
+		if p == j {
+			return &n.out[i][k]
 		}
 	}
 	return nil
-}
-
-func (n *Network) connect(i, j int, rng *rand.Rand) {
-	lat := int64(n.cfg.Latency.Sample(rng))
-	n.edges[i] = append(n.edges[i], edge{peer: j, out: &link{latency: lat, lossScale: linkLossScale(n.cfg.Seed, i, j)}})
-	n.edges[j] = append(n.edges[j], edge{peer: i, out: &link{latency: lat, lossScale: linkLossScale(n.cfg.Seed, j, i)}})
-	n.adj[i] = append(n.adj[i], j)
-	n.adj[j] = append(n.adj[j], i)
 }
 
 // linkLossScale derives the directed link's fault susceptibility in [0.5, 1.5)
@@ -226,9 +299,11 @@ func linkLossScale(seed int64, from, to int) float64 {
 	return 0.5 + float64(x>>11)/float64(1<<53)
 }
 
-// ensureConnected unions stray components into one.
-func (n *Network) ensureConnected(rng *rand.Rand) {
-	parent := make([]int, n.cfg.Nodes)
+// ensureConnected unions stray components into one: every node whose
+// representative differs from node 0's first one is linked to that node,
+// with a latency drawn from rng.
+func (t *topology) ensureConnected(rng *rand.Rand, latency LatencyModel) {
+	parent := make([]int, len(t.deg))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -241,15 +316,15 @@ func (n *Network) ensureConnected(rng *rand.Rand) {
 		return x
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
-	for i, es := range n.edges {
-		for _, e := range es {
-			union(i, e.peer)
+	for i := range t.deg {
+		for h := t.head[i]; h >= 0; h = t.next[h] {
+			union(i, t.peer(h))
 		}
 	}
 	root := find(0)
-	for i := 1; i < n.cfg.Nodes; i++ {
+	for i := 1; i < len(t.deg); i++ {
 		if find(i) != root {
-			n.connect(root, i, rng)
+			t.connect(root, i, int64(latency.Sample(rng)))
 			union(root, i)
 		}
 	}
@@ -327,13 +402,13 @@ func (n *Network) MinCrossShardLatency() time.Duration {
 		return 0
 	}
 	min := int64(0)
-	for i, es := range n.edges {
-		for _, e := range es {
-			if n.shardOf[i] == n.shardOf[e.peer] {
+	for i, peers := range n.adj {
+		for k, p := range peers {
+			if n.shardOf[i] == n.shardOf[p] {
 				continue
 			}
-			if min == 0 || e.out.latency < min {
-				min = e.out.latency
+			if lat := n.out[i][k].latency; min == 0 || lat < min {
+				min = lat
 			}
 		}
 	}

@@ -89,6 +89,77 @@ func TestTopologyDeterministic(t *testing.T) {
 	}
 }
 
+// incrementalTopology is New's overlay as it was built link by link, each
+// node's lists grown by append: peers and latencies per node, in link order.
+func incrementalTopology(cfg Config) (peers [][]int, lats [][]int64) {
+	peers, lats = make([][]int, cfg.Nodes), make([][]int64, cfg.Nodes)
+	rng := sim.NewRand(cfg.Seed, 0x7e7)
+	connect := func(i, j int) {
+		lat := int64(cfg.Latency.Sample(rng))
+		peers[i], lats[i] = append(peers[i], j), append(lats[i], lat)
+		peers[j], lats[j] = append(peers[j], i), append(lats[j], lat)
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		for len(peers[i]) < cfg.MinPeers {
+			if j := rng.Intn(cfg.Nodes); j != i && !slices.Contains(peers[i], j) {
+				connect(i, j)
+			}
+		}
+	}
+	parent := make([]int, cfg.Nodes)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i, ps := range peers {
+		for _, j := range ps {
+			parent[find(i)] = find(j)
+		}
+	}
+	root := find(0)
+	for i := 1; i < cfg.Nodes; i++ {
+		if find(i) != root {
+			connect(root, i)
+			parent[find(root)] = find(i)
+		}
+	}
+	return peers, lats
+}
+
+// TestTopologyMatchesIncrementalBuild: drawing the links into one list and
+// cutting every node's slices once gives each node the same peers, in the
+// same order, at the same latencies and loss factors as growing them link by
+// link, including the links that join stray components.
+func TestTopologyMatchesIncrementalBuild(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultConfig(300, 3),
+		{Nodes: 60, MinPeers: 1, Latency: DefaultLatency(), Seed: 5},
+		{Nodes: 9, MinPeers: 20, Latency: DefaultLatency(), Seed: 1},
+	} {
+		net := New(sim.NewLoop(0), cfg)
+		peers, lats := incrementalTopology(net.cfg)
+		for i := range peers {
+			if !slices.Equal(net.Peers(i), peers[i]) {
+				t.Fatalf("nodes %d seed %d: node %d peers %v, built link by link %v", cfg.Nodes, cfg.Seed, i, net.Peers(i), peers[i])
+			}
+			if cap(net.Peers(i)) != len(peers[i]) || cap(net.out[i]) != len(peers[i]) {
+				t.Fatalf("node %d: slices of cap %d and %d hold %d peers", i, cap(net.Peers(i)), cap(net.out[i]), len(peers[i]))
+			}
+			for k, l := range net.out[i] {
+				if l.latency != lats[i][k] || l.lossScale != linkLossScale(cfg.Seed, i, peers[i][k]) {
+					t.Fatalf("node %d link %d: %+v, built link by link peer %d latency %d", i, k, l, peers[i][k], lats[i][k])
+				}
+			}
+		}
+	}
+}
+
 func TestDeliveryTiming(t *testing.T) {
 	loop := sim.NewLoop(0)
 	cfg := Config{
@@ -268,7 +339,7 @@ func TestSendWithoutLinkPanics(t *testing.T) {
 	found := false
 	for i := 0; i < 10 && !found; i++ {
 		for j := 0; j < 10; j++ {
-			if i == j || net.connected(i, j) {
+			if i == j || net.linkTo(i, j) != nil {
 				continue
 			}
 			a, b = i, j

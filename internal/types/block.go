@@ -138,20 +138,21 @@ func (m *memo) rootMatches(txs []*Transaction, root crypto.Hash) bool {
 	if m.rootOK.Load() {
 		return true
 	}
-	if txRoot(txs) != root {
+	if TxRoot(txs) != root {
 		return false
 	}
 	m.rootOK.Store(true)
 	return true
 }
 
-// idScratch holds the leaf lists txRoot folds, for the reason scratch holds
+// idScratch holds the leaf lists TxRoot folds, for the reason scratch holds
 // encoding buffers.
 var idScratch = sync.Pool{New: func() any { return new([]crypto.Hash) }}
 
-// txRoot is crypto.MerkleRoot(TxIDs(txs)) with the ID list in a pooled slice,
-// which the fold then consumes in place.
-func txRoot(txs []*Transaction) crypto.Hash {
+// TxRoot is the Merkle root of txs' IDs, crypto.MerkleRoot(TxIDs(txs)), with
+// the ID list in a pooled slice that the fold consumes in place: block
+// assembly and the root check allocate no leaf list.
+func TxRoot(txs []*Transaction) crypto.Hash {
 	p := idScratch.Get().(*[]crypto.Hash)
 	ids := (*p)[:0]
 	for _, tx := range txs {

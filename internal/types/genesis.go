@@ -38,7 +38,7 @@ func GenesisBlock(spec GenesisSpec) *PowBlock {
 	return &PowBlock{
 		Header: PowHeader{
 			Prev:       crypto.ZeroHash,
-			MerkleRoot: crypto.MerkleRoot(TxIDs(txs)),
+			MerkleRoot: TxRoot(txs),
 			TimeNanos:  spec.TimeNanos,
 			Target:     spec.Target,
 			Nonce:      0,

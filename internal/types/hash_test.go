@@ -170,7 +170,7 @@ func TestDigestsDoNotAllocate(t *testing.T) {
 		"KeyBlockHeader.Hash":      func() { kh.Hash() },
 		"MicroBlockHeader.Hash":    func() { mb.Header.Hash() },
 		"MicroBlockHeader.SigHash": func() { mb.Header.SigHash() },
-		"Merkle fold of 300 txs":   func() { txRoot(mb.Txs) },
+		"Merkle fold of 300 txs":   func() { TxRoot(mb.Txs) },
 		"cached Transaction.ID":    func() { tx.ID() },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
