@@ -79,7 +79,10 @@ race:
 # plus the chunk directory's growth: the header, weight included, is the
 # fleet's), a second state's AddBlock of them (the same: the result is the
 # state's own, reused) and a second Mem's append of blocks the fleet already
-# archived (its 16-byte records' bytes plus one growth, no body).
+# archived (its 16-byte records' bytes plus one growth, no body); and a
+# restarted node's index replay in a compacting file-backed fleet, which
+# decodes only the records whose fleet header was evicted and takes the
+# resident bodies as they are.
 # CI calls it from the `test` job beside the -race run.
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestAdmissionBytesPerTransaction|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSimulatedFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
@@ -91,6 +94,7 @@ allocs:
 	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestArchivedAppendCostsOnlyItsEntries|TestReplayedCreateLinksLoggedLeaf' \
 		./internal/blockstore ./internal/utxo
 	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode|TestSecondStateAddBlockAllocatesOnlyItsNode' ./internal/chain
+	$(GO) test -count=1 -run 'TestRestartDecodesOnlyEvictedBodies' ./internal/harness
 	$(GO) test -count=1 -run 'TestShardedFlushDoesNotAllocate|TestTipLogAllocatesOncePerChunk|TestAcceptancesAllocateOncePerBlock|TestFlushOutboxesOrderAndAllocations|TestSendDeliverDoesNotAllocate|TestShardedWindowDoesNotAllocate' \
 		./internal/metrics ./internal/simnet ./internal/sim
 

@@ -5,7 +5,9 @@
 // receivedAt) pairs its first life recorded, and both live in one record
 // under one checksum. A fleet's Mems share a Table, which names each block
 // and keeps its body once for all of them; a Mem keeps only its order and
-// arrival times.
+// arrival times. A Store replays from the same Table: a block whose fleet
+// header holds its body in memory is handed over as that object, and only a
+// body nobody holds is read from the file and decoded.
 //
 // The file is a sequence of length-prefixed, checksummed records; the
 // in-memory index is rebuilt by a single scan on open, and a torn final
@@ -71,6 +73,7 @@ type Store struct {
 	order  []crypto.Hash // append order, for replay
 	rec    wire.Writer   // Append's record buffer, reused across appends
 	buf    []byte        // the read buffer Get and the open scan reuse
+	blocks *Table        // the fleet's headers, whose resident bodies Replay takes
 	closed bool
 
 	// syncFn stands in for f.Sync so failure-injection tests can make
@@ -90,17 +93,19 @@ type recordRef struct {
 }
 
 // Open opens (or creates) the store at path, scanning existing records to
-// rebuild the index. A trailing partial record — a crash mid-append — is
-// truncated away. A file written in the old record format is refused with
-// ErrOldFormat and left untouched.
-func Open(path string) (*Store, error) {
+// rebuild the index, and replays against the fleet's headers in t (nil: a
+// private table, which holds none). A trailing partial record — a crash
+// mid-append — is truncated away. A file written in the old record format is
+// refused with ErrOldFormat and left untouched.
+func Open(path string, t *Table) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open %s: %w", path, err)
 	}
 	s := &Store{
-		f:     f,
-		index: make(map[crypto.Hash]recordRef),
+		f:      f,
+		index:  make(map[crypto.Hash]recordRef),
+		blocks: t,
 	}
 	s.syncFn = s.f.Sync
 	if err := s.scan(); err != nil {
@@ -303,16 +308,22 @@ func (s *Store) read(offset int64, length uint32) ([]byte, error) {
 
 // Replay streams every stored block in append order with its recorded
 // arrival time — parents before children for blocks a node accepted, which is
-// exactly what chain reconstruction needs. Iteration stops at the first
-// callback error.
+// exactly what chain reconstruction needs. A block whose fleet header holds
+// its body is that body, the same bytes by the hash's commitment (a body
+// reaches a header only after CheckBlock folded its transactions to the
+// root); any other is read from its record and decoded. Iteration stops at
+// the first callback error.
 func (s *Store) Replay(fn func(b types.Block, receivedAt int64) error) error {
 	if s.closed {
 		return ErrClosed
 	}
 	for _, h := range s.order {
-		b, err := s.Get(h)
-		if err != nil {
-			return err
+		b := s.blocks.resident(h)
+		if b == nil {
+			var err error
+			if b, err = s.Get(h); err != nil {
+				return err
+			}
 		}
 		if err := fn(b, s.index[h].receivedAt); err != nil {
 			return err

@@ -20,7 +20,7 @@ import (
 func tempStore(t testing.TB) *Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAppendIdempotent(t *testing.T) {
 
 func TestReopenRebuildsIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := Open(path, nil)
 	if err != nil {
 		t.Fatalf("open after torn tail: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
+	s2, err := Open(path, nil)
 	if err != nil {
 		t.Fatalf("open after corruption: %v", err)
 	}
@@ -434,7 +434,7 @@ func BenchmarkAppend(b *testing.B) {
 				s.Close()
 			}
 			var err error
-			if s, err = Open(filepath.Join(dir, fmt.Sprint("bench", i, ".dat"))); err != nil {
+			if s, err = Open(filepath.Join(dir, fmt.Sprint("bench", i, ".dat")), nil); err != nil {
 				b.Fatal(err)
 			}
 			s.SetSyncHook(func() error { return nil })

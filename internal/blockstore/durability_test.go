@@ -16,7 +16,7 @@ var errDiskFull = errors.New("injected: fsync failed")
 // between the index and the platter.
 func TestAppendSyncFailureUnwinds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAppendSyncFailureUnwinds(t *testing.T) {
 	if info.Size() != durable {
 		t.Fatalf("file size %d, want acknowledged prefix %d", info.Size(), durable)
 	}
-	r, err := Open(path)
+	r, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func FuzzAppendSyncFailure(f *testing.F) {
 	f.Add(uint8(200))
 	f.Fuzz(func(t *testing.T, failAfter uint8) {
 		path := filepath.Join(t.TempDir(), "blocks.dat")
-		s, err := Open(path)
+		s, err := Open(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func FuzzAppendSyncFailure(f *testing.F) {
 		}
 		s.Close()
 
-		r, err := Open(path)
+		r, err := Open(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

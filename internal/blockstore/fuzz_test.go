@@ -23,7 +23,7 @@ func validStoreBytes(t interface {
 }) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.dat")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func FuzzBlockstoreReopen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(path)
+		s, err := Open(path, nil)
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == legacyMagic {
 			if !errors.Is(err, ErrOldFormat) {
 				t.Fatalf("old-format file opened with err %v, want ErrOldFormat", err)

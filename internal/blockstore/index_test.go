@@ -46,7 +46,7 @@ func TestIndexContract(t *testing.T) {
 				if err := old.Close(); err != nil {
 					t.Fatal(err)
 				}
-				s, err := Open(old.(*Store).f.Name())
+				s, err := Open(old.(*Store).f.Name(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,7 +188,7 @@ func TestOldFormatRefused(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := Open(path); !errors.Is(err, ErrOldFormat) {
+	if s, err := Open(path, nil); !errors.Is(err, ErrOldFormat) {
 		if err == nil {
 			s.Close()
 		}
@@ -208,7 +208,7 @@ func TestOldFormatRefused(t *testing.T) {
 func writeChain(t *testing.T, blocks []types.Block) (string, []int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "n0.blocks")
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestArrivalTimeFlipDropsSuffix(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	s, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestTornRecordLosesBlockAndTime(t *testing.T) {
 			if err := os.Truncate(path, cut.keep(offsets[2])); err != nil {
 				t.Fatal(err)
 			}
-			s, err := Open(path)
+			s, err := Open(path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

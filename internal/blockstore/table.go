@@ -38,8 +38,13 @@ type tableSegment struct {
 // slot is what a Table keeps for one ordinal; each part is published once.
 type slot struct {
 	block  atomic.Pointer[types.Block]
-	shared atomic.Value
+	shared atomic.Pointer[Header]
 }
+
+// Header is the value a Table shares per ordinal: chain.Store publishes its
+// block headers. Resident returns the header's body while it is held in
+// memory, nil while it is evicted.
+type Header interface{ Resident() types.Block }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
@@ -114,15 +119,28 @@ func (t *Table) archive(o int32, b types.Block) {
 	}
 }
 
-// Share returns the value every holder of the table sees for ordinal o,
-// publishing mk's unless another holder published one first. Every value
-// published in one table must have the same concrete type; chain.Store keeps
-// its block headers here.
-func (t *Table) Share(o int32, mk func() any) any {
+// Share returns the header every holder of the table sees for ordinal o,
+// publishing mk's unless another holder published one first.
+func (t *Table) Share(o int32, mk func() Header) Header {
 	s := t.slot(o)
-	if v := s.shared.Load(); v != nil {
-		return v
+	if p := s.shared.Load(); p != nil {
+		return *p
 	}
-	s.shared.CompareAndSwap(nil, mk())
-	return s.shared.Load()
+	h := mk()
+	s.shared.CompareAndSwap(nil, &h)
+	return *s.shared.Load()
+}
+
+// resident returns the body the fleet's header for h holds in memory, nil if
+// no header of the table holds one; a nil table holds none.
+func (t *Table) resident(h crypto.Hash) types.Block {
+	if t == nil {
+		return nil
+	}
+	if o, ok := t.Lookup(h); ok {
+		if p := t.slot(o).shared.Load(); p != nil {
+			return (*p).Resident()
+		}
+	}
+	return nil
 }

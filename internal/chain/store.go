@@ -100,6 +100,10 @@ func (n *Node) Block() types.Block {
 	return n.Block()
 }
 
+// Resident returns the block body while it is held in memory, nil while it
+// is evicted; it never reloads.
+func (n *Node) Resident() types.Block { return n.body.Load().block }
+
 // Hash returns the block hash.
 func (n *Node) Hash() crypto.Hash { return n.hash }
 
@@ -207,7 +211,7 @@ func NewStore(genesis types.Block, t *blockstore.Table) *Store {
 // back as its body: the store inserting it holds it already.
 func (s *Store) intern(b types.Block, parent *Node) *Node {
 	o := s.blocks.Intern(b.Hash())
-	n := s.blocks.Share(o, func() any { return header(b, parent, o) }).(*Node)
+	n := s.blocks.Share(o, func() blockstore.Header { return header(b, parent, o) }).(*Node)
 	if cur := n.body.Load(); cur.block == nil {
 		n.body.CompareAndSwap(cur, &body{block: b})
 	}

@@ -5,8 +5,11 @@ import (
 	"time"
 
 	"bitcoinng/internal/experiment"
+	"bitcoinng/internal/harness"
 	"bitcoinng/internal/invariant"
 	"bitcoinng/internal/scenario"
+	"bitcoinng/internal/store"
+	"bitcoinng/internal/types"
 	"bitcoinng/internal/validate"
 )
 
@@ -101,10 +104,12 @@ func TestMajorityCrashConverges(t *testing.T) {
 }
 
 // restartHeavyConfig is a run that lives on the restart path: on file-backed
-// stores (so every replay decodes fresh, cold block objects) one node after
-// another crashes and comes back twenty seconds later, ten times over, while
-// the rest keep mining. Each call returns an independent config.
-func restartHeavyConfig(cacheOff bool) experiment.Config {
+// stores that evict bodies twelve blocks below the tip one node after another
+// crashes and comes back twenty seconds later, ten times over, while the rest
+// keep mining. Each replay takes the bodies the fleet still holds and decodes
+// fresh, cold objects from disk for the rest; tally counts both. Each call
+// returns an independent config.
+func restartHeavyConfig(cacheOff bool, tally *replayTally) experiment.Config {
 	const nodes = 5
 	cfg := experiment.DefaultConfig(experiment.BitcoinNG, nodes, 2424)
 	cfg.Params.MaxBlockSize = 20_000
@@ -112,6 +117,7 @@ func restartHeavyConfig(cacheOff bool) experiment.Config {
 	cfg.Params.MicroblockInterval = 5 * time.Second
 	cfg.TargetBlocks = 12
 	cfg.StoreURL = "file:"
+	cfg.CompactDepth = 12
 	cfg.DisableConnectCache = cacheOff
 	cfg.Invariants = invariant.Defaults(invariant.Options{
 		ForkBound: 6, ConvergenceDepth: 2, SettleGrace: time.Minute,
@@ -122,21 +128,55 @@ func restartHeavyConfig(cacheOff bool) experiment.Config {
 		at := time.Duration(60+30*round) * time.Second
 		steps = append(steps,
 			scenario.At(at, scenario.Crash(round%nodes)),
-			scenario.At(at+20*time.Second, scenario.Restart(round%nodes)))
+			scenario.At(at+20*time.Second, tally.restart(round%nodes)))
 	}
 	cfg.Scenario = scenario.New(steps...)
 	return cfg
 }
 
+// replayTally counts the blocks restarts replayed: resident ones, the fleet's
+// objects, already judged in this process, and decoded ones, cold from disk.
+type replayTally struct{ resident, decoded int }
+
+// restart restarts node with its chain index wrapped, for the replay only, in
+// one that tallies what the replay hands to Boot.
+func (c *replayTally) restart(node int) scenario.Step {
+	return scenario.Call("restart", func(rt scenario.Runtime) error {
+		nd := rt.(*harness.Fleet).Nodes()[node]
+		index := nd.Index
+		nd.Index = tallyIndex{index, c}
+		defer func() { nd.Index = index }()
+		return rt.Restart(node)
+	})
+}
+
+type tallyIndex struct {
+	store.ChainIndex
+	c *replayTally
+}
+
+func (x tallyIndex) Replay(fn func(b types.Block, receivedAt int64) error) error {
+	return x.ChainIndex.Replay(func(b types.Block, at int64) error {
+		if types.Stage1Cold(b) {
+			x.c.decoded++
+		} else {
+			x.c.resident++
+		}
+		return fn(b, at)
+	})
+}
+
 // TestRestartHeavyCacheOnOff is soundness test (f)'s new scenario: ten index
-// replays with the connect cache on — every replayed block vouched for by the
-// first life's entries — and off — every signature verified again — must tell
-// the same story byte for byte.
+// replays with the connect cache on — every decoded block vouched for by the
+// first life's entries — and off — every decoded block's signatures verified
+// again — must tell the same story byte for byte. Both replay resident bodies
+// as well as decoded ones.
 func TestRestartHeavyCacheOnOff(t *testing.T) {
 	var digests [2]string
 	for i, cacheOff := range []bool{false, true} {
 		before := validate.Shared().Stats().Vouched
-		res, err := experiment.Run(restartHeavyConfig(cacheOff))
+		var tally replayTally
+		res, err := experiment.Run(restartHeavyConfig(cacheOff, &tally))
 		if err != nil {
 			t.Fatalf("cacheOff=%v: %v", cacheOff, err)
 		}
@@ -149,6 +189,9 @@ func TestRestartHeavyCacheOnOff(t *testing.T) {
 		vouched := validate.Shared().Stats().Vouched - before
 		if cacheOff != (vouched == 0) {
 			t.Errorf("cacheOff=%v: %d transactions vouched for; the replays should adopt with the cache and only with it", cacheOff, vouched)
+		}
+		if tally.resident == 0 || tally.decoded == 0 {
+			t.Errorf("cacheOff=%v: restarts replayed %d resident and %d decoded blocks; want both kinds", cacheOff, tally.resident, tally.decoded)
 		}
 		digests[i] = Digest(res)
 	}

@@ -34,10 +34,12 @@ import (
 //     recorded arrival time, so the first-seen tie-break resolves as it did
 //     before. The index holds only blocks this node validated and persisted,
 //     parent before child: one that does not connect is corruption or a
-//     rules change, not recoverable skew. Replay trusts no record: every
-//     block passes CheckBlock and the connect stage again (AddBlock skips
-//     only the ed25519 checks the connect cache vouches this process made on
-//     the same bytes; see chain.State.AdoptStage1).
+//     rules change, not recoverable skew. The index hands over the body the
+//     fleet's shared header still holds and reads the disk only for bodies
+//     nobody holds. Replay trusts no block: every one passes CheckBlock and
+//     the connect stage again (AddBlock skips only the ed25519 checks of a
+//     warm, resident body and those the connect cache vouches this process
+//     made on a decoded one's bytes; see chain.State.AdoptStage1).
 //  5. Re-arm leadership off the recovered tip, since replay bypassed
 //     processBlock (core's tip-change hook ignores the AddResult).
 //

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/mining"
@@ -25,6 +27,7 @@ type replayFixture struct {
 	env    *simnet.NodeEnv
 	spec   protocol.Spec
 	index  store.ChainIndex
+	path   string // the index's file
 	blocks int
 	txs    uint64
 }
@@ -102,7 +105,9 @@ func newReplayFixture(tb testing.TB, blocks, spends int) *replayFixture {
 			SimulatedMining: true, ConnectCache: f.cache,
 		},
 	}
-	factory, err := store.NewFactory("file:" + tb.TempDir())
+	root := tb.TempDir()
+	fx.path = filepath.Join(root, "replay.blocks")
+	factory, err := store.NewFactory("file:" + root)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -124,13 +129,14 @@ func newReplayFixture(tb testing.TB, blocks, spends int) *replayFixture {
 	return fx
 }
 
-// boot replays the fixture's index into a fresh memory ledger on cache.
-func (fx *replayFixture) boot(tb testing.TB, cache *validate.Cache) (*chain.State, *utxo.Set) {
+// boot replays index into a fresh memory ledger on cache, naming blocks in
+// the table blocks.
+func (fx *replayFixture) boot(tb testing.TB, index store.ChainIndex, cache *validate.Cache, blocks *blockstore.Table) (*chain.State, *utxo.Set) {
 	tb.Helper()
 	spec := fx.spec
-	spec.ConnectCache = cache
+	spec.ConnectCache, spec.Blocks = cache, blocks
 	ledger := utxo.New()
-	client, err := Boot(fx.env, spec, ledger, fx.index, nil)
+	client, err := Boot(fx.env, spec, ledger, index, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -149,7 +155,7 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 	}
 	warm := fx.spec.ConnectCache
 	before := warm.Stats()
-	adopted, adoptedLedger := fx.boot(t, warm)
+	adopted, adoptedLedger := fx.boot(t, fx.index, warm, nil)
 	after := warm.Stats()
 	if got := after.Vouched - before.Vouched; got != fx.txs {
 		t.Errorf("adopted replay vouched for %d transactions, want all %d", got, fx.txs)
@@ -159,7 +165,7 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 	}
 
 	empty := validate.NewCache(0)
-	cold, coldLedger := fx.boot(t, empty)
+	cold, coldLedger := fx.boot(t, fx.index, empty, nil)
 	if s := empty.Stats(); s.Vouched != 0 || s.Hits != 0 || s.Misses != uint64(fx.blocks)+1 || s.Entries != fx.blocks+1 {
 		t.Errorf("cold replay: %+v; want nothing vouched, %d misses, all stored", s, fx.blocks+1)
 	}
@@ -195,24 +201,132 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 
 // BenchmarkBootReplay times harness.Boot over a 96-block file index, per
 // block: adopted is a restart inside the process that connected the chain
-// (the connect cache vouches for every block), cold a restart in a new
-// process (every signature verified, on the pool). The callback — decode
-// aside — is where a replay's time goes; store.index_replay_us_per_block in
-// benchmark/ times the index alone.
+// (the connect cache vouches for every decoded block), cold a restart in a
+// new process (every signature verified, on the pool), resident a restart
+// inside a fleet whose headers hold every body (nothing decoded). The
+// callback — decode aside — is where a replay's time goes;
+// store.index_replay_us_per_block in benchmark/ times the index alone.
 func BenchmarkBootReplay(b *testing.B) {
 	fx := newReplayFixture(b, 96, 2400)
-	for _, mode := range []string{"adopted", "cold"} {
+	for _, mode := range []string{"adopted", "cold", "resident"} {
 		b.Run(mode, func(b *testing.B) {
+			index, blocks := fx.index, (*blockstore.Table)(nil)
+			if mode == "resident" {
+				// A second handle on the file, over a table of its own that
+				// a first life's headers then fill.
+				blocks = blockstore.NewTable()
+				s, err := blockstore.Open(fx.path, blocks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				index = s
+				fx.boot(b, index, fx.spec.ConnectCache, blocks)
+				b.ResetTimer()
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cache := fx.spec.ConnectCache
 				if mode == "cold" {
 					cache = validate.NewCache(0)
 				}
-				fx.boot(b, cache)
+				fx.boot(b, index, cache, blocks)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*fx.blocks), "µs/block")
 			b.ReportMetric(float64(fx.txs)/float64(fx.blocks), "tx/block")
 		})
 	}
+}
+
+// TestRestartDecodesOnlyEvictedBodies: in a compacting file-backed fleet a
+// crashed node restarts. Its replay takes every body the fleet's headers
+// hold and decodes, from its own file, exactly the records whose header was
+// evicted; and it rebuilds what a replay decoding every record rebuilds: the
+// tip, the ledger and every arrival time.
+func TestRestartDecodesOnlyEvictedBodies(t *testing.T) {
+	dir := t.TempDir()
+	f := newTestFleet(t, 5, 99, "file:"+dir, nil)
+	f.Run(3 * time.Minute)
+	for _, nd := range f.Nodes() {
+		nd.Base().State.Compact(6)
+	}
+	if err := f.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	f.Run(time.Minute)
+
+	nd := f.Nodes()[1]
+	records := nd.Index.Hashes()
+	evicted := 0
+	for _, h := range records {
+		if n, _ := nd.Base().State.Store().Get(h); n.Resident() == nil {
+			evicted++
+		}
+	}
+	if evicted == 0 || evicted == len(records) {
+		t.Fatalf("%d of %d records evicted; the fixture must replay both kinds", evicted, len(records))
+	}
+	index := nd.Index
+	counted := &decodeCounter{ChainIndex: index}
+	nd.Index = counted
+	if err := f.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	nd.Index = index
+	if counted.decoded != evicted {
+		t.Errorf("replay decoded %d of %d records, want the %d whose header was evicted", counted.decoded, len(records), evicted)
+	}
+
+	ref, err := blockstore.Open(filepath.Join(dir, "n1.blocks"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	loop := sim.NewLoop(0)
+	env := simnet.NewNodeEnv(loop, simnet.New(loop, simnet.DefaultConfig(2, 99)), 0, 99)
+	ledger := utxo.New()
+	client, err := Boot(env, protocol.Spec{
+		Protocol: f.spec.Protocol, Params: f.spec.Params, Key: nd.Key, Genesis: f.spec.Genesis, SimulatedMining: true,
+	}, ledger, ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := nd.Base().State, client.Base().State
+	if got.Tip().Hash() != want.Tip().Hash() {
+		t.Fatalf("tip %s, a full decode replays to %s", got.Tip().Hash().Short(), want.Tip().Hash().Short())
+	}
+	for _, h := range records {
+		g, _ := got.Store().Get(h)
+		w, _ := want.Store().Get(h)
+		if got.Store().ReceivedAt(g) != want.Store().ReceivedAt(w) {
+			t.Fatalf("block %s: arrival times differ", h.Short())
+		}
+	}
+	n := 0
+	ledger.Range(func(op types.OutPoint, e utxo.Entry) bool {
+		n++
+		if g, ok := nd.UTXO.Lookup(op); !ok || g != e {
+			t.Fatalf("ledger entry %v: %+v, a full decode has %+v", op, g, e)
+		}
+		return true
+	})
+	if n != nd.UTXO.Len() {
+		t.Fatalf("ledgers hold %d and %d entries", nd.UTXO.Len(), n)
+	}
+}
+
+// decodeCounter counts the blocks its index's replay decoded: fresh objects
+// no node has judged yet (types.Stage1Cold).
+type decodeCounter struct {
+	store.ChainIndex
+	decoded int
+}
+
+func (c *decodeCounter) Replay(fn func(b types.Block, receivedAt int64) error) error {
+	return c.ChainIndex.Replay(func(b types.Block, at int64) error {
+		if types.Stage1Cold(b) {
+			c.decoded++
+		}
+		return fn(b, at)
+	})
 }

@@ -160,20 +160,21 @@ type Confirmation struct {
 // Confirmations walks a final main chain tip-to-genesis and collects every
 // stream transaction with the block timestamp that serialized it. The walk
 // reads only committed chain structure, so it is engine-independent and
-// byte-identical at any parallelism. A first pass counts the chain's
-// transactions, an upper bound on the result, so it is allocated once
-// instead of grown.
+// byte-identical at any parallelism. A first pass reads each body once,
+// keeping its transactions and counting them, an upper bound on the result,
+// so it is allocated once instead of grown; the timestamp is the header's.
 func Confirmations(tip *chain.Node) []Confirmation {
+	bodies := make([][]*types.Transaction, 0, tip.Height+1)
 	size := 0
 	for n := tip; n != nil; n = n.Parent {
-		size += len(n.Block().Transactions())
+		bodies = append(bodies, n.Block().Transactions())
+		size += len(bodies[len(bodies)-1])
 	}
 	out := make([]Confirmation, 0, size)
-	for n := tip; n != nil; n = n.Parent {
-		t := n.Block().Time()
-		for _, tx := range n.Block().Transactions() {
+	for i, n := 0, tip; n != nil; i, n = i+1, n.Parent {
+		for _, tx := range bodies[i] {
 			if idx, ok := TxIndex(tx); ok {
-				out = append(out, Confirmation{Index: idx, Time: t})
+				out = append(out, Confirmation{Index: idx, Time: n.Time()})
 			}
 		}
 	}

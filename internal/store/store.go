@@ -71,7 +71,9 @@ type ChainIndex interface {
 	// Hashes returns the stored block hashes in append order.
 	Hashes() []crypto.Hash
 	// Replay streams every stored block in append order with its recorded
-	// arrival time. Iteration stops at the first callback error.
+	// arrival time. A block whose body the fleet's header holds in memory is
+	// that object; only a body nobody holds is read back (decoded, on disk).
+	// Iteration stops at the first callback error.
 	Replay(fn func(b types.Block, receivedAt int64) error) error
 	// Sync flushes appended records to stable storage.
 	Sync() error
@@ -91,11 +93,12 @@ var (
 //	file:            file backends in a fresh temporary directory that
 //	                 Close removes — the chaos differential's throwaway mode
 //
-// Every store a factory hands out is independent, except that the mem: chain
-// indexes name their blocks in the factory's one block table (Blocks), which
-// archives each body once for all of them; Close closes the factory's bookkeeping only (per-store
-// Close is the owner's job), plus the temporary root when the factory created
-// one.
+// Every store a factory hands out is independent, except that its chain
+// indexes share the factory's one block table (Blocks): the mem: ones name
+// their blocks there, which archives each body once for all of them, and the
+// file ones replay the bodies its headers hold. Close closes the factory's
+// bookkeeping only (per-store Close is the owner's job), plus the temporary
+// root when the factory created one.
 type Factory struct {
 	dir       string // empty for mem:
 	ephemeral bool   // dir was created by NewFactory and is removed on Close
@@ -127,7 +130,7 @@ func NewFactory(url string) (*Factory, error) {
 	}
 }
 
-// Blocks returns the block table the factory's mem: chain indexes share. A
+// Blocks returns the block table the factory's chain indexes share. A
 // harness hands it to its nodes' chain states too (chain.WithBlockTable), so
 // a fleet names each block, builds its header and archives its body once.
 func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
@@ -137,13 +140,13 @@ func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
 // error always nil; both keep the signature NewChainIndex has.
 func (f *Factory) NewUTXO(name string) (UTXO, error) { return utxo.New(), nil }
 
-// NewChainIndex builds the named chain index: an in-memory archive over the
-// factory's block table, or the block file <dir>/<name>.blocks.
+// NewChainIndex builds the named chain index over the factory's block table:
+// an in-memory archive, or the block file <dir>/<name>.blocks.
 func (f *Factory) NewChainIndex(name string) (ChainIndex, error) {
 	if f.dir == "" {
 		return blockstore.NewMem(f.blocks), nil
 	}
-	s, err := blockstore.Open(filepath.Join(f.dir, name+".blocks"))
+	s, err := blockstore.Open(filepath.Join(f.dir, name+".blocks"), f.blocks)
 	if err != nil {
 		return nil, err // not a typed-nil *Store inside the interface
 	}
