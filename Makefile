@@ -55,7 +55,9 @@ race:
 # flush (nothing beyond its batches: the gossip re-arms its one flush timer);
 # on the leader's path, repeat assemblies in
 # the node's spend filter; in the blaster, a steady-state Tick and
-# ReleaseBehind; on the stage-1 hashing path, transaction and microblock
+# ReleaseBehind; in the load tracker, advancing over resident blocks (the
+# growth of its path, runs and bitset only, nothing per transaction, and
+# nothing for a reorg once grown); on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the chain-index
 # path, records (block and arrival time) written from a retained buffer that
 # a larger record grows once, to about its own size, and read back into one;
@@ -87,7 +89,7 @@ race:
 allocs:
 	$(GO) test -count=1 -run 'TestRefusalsDoNotAllocate|TestChurnDoesNotAllocate|TestRefillDoesNotAllocate|TestAdmissionBytesPerTransaction|TestSizeCountsWhatEncodeWrites|TestColdWireSizeDoesNotAllocate|TestSizeEqualsEncodedLength|TestRelayFlushAllocations|TestWalletWindowSharesOneBatch|TestCodecFramesAtCountedSize|TestSizeDoesNotAllocate|TestTipChangeReportDoesNotAllocate|TestFetchCycleDoesNotAllocate|TestSimulatedFetchCycleDoesNotAllocate|TestSharedAnnounceDoesNotAllocate' \
 		./internal/mempool ./internal/wire ./internal/types ./internal/node ./internal/p2p
-	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate' \
+	$(GO) test -count=1 -run 'TestSpendFilterReusesScratch|TestBlasterSteadyStateDoesNotAllocate|TestTrackerAdvanceAllocatesOnlyGrowth' \
 		./internal/bitcoin ./internal/load
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestWorkForTargetRepeatDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
@@ -188,17 +190,19 @@ soak:
 # malformed-message hardening units, the simulated and live transports, the
 # harness kernel's crash/restart pins (where the restart sequence lives), its
 # drop-only run that overflows the orphan stash and must repeat byte for byte,
-# their experiment-facade twin, the majority-crash differential, the committed
+# their experiment-facade twin (plus a compacting file-backed run whose
+# reference node crashes and restarts: its load report equals the full walk's
+# and reloads no evicted body), the majority-crash differential, the committed
 # chaos regression seeds with their golden digests (which include leader-crash
-# + lossy programs), and the cluster-level leader-crash / process-restart /
-# lossy / golden-fingerprint tests.
+# + lossy programs), and the cluster-level leader-crash / process-restart
+# (whose resume decodes each record once) / lossy / golden-fingerprint tests.
 faults:
 	$(GO) test -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' -count=1 ./internal/node
 	$(GO) test -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' -count=1 ./internal/p2p
 	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' -count=1 ./internal/harness
-	$(GO) test -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot' -count=1 ./internal/experiment
+	$(GO) test -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot|TestLoadReportReadsNoEvictedBody' -count=1 ./internal/experiment
 	$(GO) test -run 'TestMajorityCrashConverges|TestRegressionSeeds' -count=1 ./internal/chaos
-	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
+	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterResumeDecodesEachRecordOnce|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
 # unit suites (the factory's locators and chain index, and the blockstore's

@@ -288,7 +288,8 @@ type BlastConfig struct {
 // Confirmation feedback (closed-loop pacing, release floor) refreshes every
 // few slices from a load.Tracker following node 0's chain, so the
 // closed-loop window is enforced at that granularity — between refreshes the
-// driver errs on the conservative side.
+// driver errs on the conservative side. The report reads the same tracker,
+// advanced once more after the grace period.
 func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 	if c.stream == nil {
 		return nil, fmt.Errorf("bitcoinng: Blast needs ClusterConfig.StreamLoad")
@@ -344,8 +345,8 @@ func (c *Cluster) Blast(cfg BlastConfig) (*load.Report, error) {
 		c.Run(slice)
 	}
 	c.Run(grace)
-	confs := load.Confirmations(c.nodes[0].Chain().Tip())
-	return blaster.Report(c.Now()-start, confs), nil
+	tracker.Advance(c.nodes[0].Chain().Tip())
+	return blaster.Report(c.Now()-start, tracker.Confirmations()), nil
 }
 
 // Converged reports whether every node's tip lies on one chain: under

@@ -3,6 +3,8 @@ package bitcoinng
 import (
 	"testing"
 	"time"
+
+	"bitcoinng/internal/blockstore"
 )
 
 // faultParams is the small-scale NG configuration the fault tests share:
@@ -104,6 +106,41 @@ func TestClusterStateDirProcessRestart(t *testing.T) {
 	c2.Run(time.Minute)
 	if c2.Node(0).Height() <= h1 {
 		t.Error("rebuilt cluster did not extend the recovered chain")
+	}
+}
+
+// TestClusterResumeDecodesEachRecordOnce counts the decodes of
+// TestClusterStateDirProcessRestart's resume: each node's open scan decodes
+// its records once, and the boot replays decode each block once for the
+// fleet (later nodes take the first one's resident bodies). The resume clock
+// comes from the scans, so no record is decoded a second time for it.
+func TestClusterResumeDecodesEachRecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := New(4, WithSeed(12), WithParams(faultParams()), WithFunding(1000),
+		WithStore("file:"+dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Run(2 * time.Minute)
+	c2, err := New(4, WithSeed(12), WithParams(faultParams()), WithFunding(1000),
+		WithStore("file:"+dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, decoded := 0, 0
+	blocks := map[Hash]bool{}
+	for _, n := range c2.nodes {
+		records += n.n.Index.Len()
+		decoded += n.n.Index.(*blockstore.Store).Decoded()
+		for _, h := range n.n.Index.Hashes() {
+			blocks[h] = true
+		}
+	}
+	if records != 52 || len(blocks) != 13 {
+		t.Fatalf("resumed %d records of %d blocks; the pinned fixture has 52 of 13", records, len(blocks))
+	}
+	if want := records + len(blocks); decoded != want {
+		t.Errorf("resume decoded %d blocks, want %d: one per record in the scans and one per block in the replays", decoded, want)
 	}
 }
 

@@ -76,6 +76,9 @@ type Store struct {
 	blocks *Table        // the fleet's headers, whose resident bodies Replay takes
 	closed bool
 
+	latest  int64 // the latest block timestamp or arrival time stored
+	decoded int   // records the open scan and Get decoded
+
 	// syncFn stands in for f.Sync so failure-injection tests can make
 	// durability fail without a real bad disk.
 	syncFn func() error
@@ -172,11 +175,13 @@ func (s *Store) scan() error {
 		if err != nil {
 			break // checksum matched but content does not parse (bad kind?)
 		}
+		s.decoded++
 		h := b.Hash()
 		if _, dup := s.index[h]; !dup {
 			receivedAt := int64(binary.LittleEndian.Uint64(hdr[13:21]))
 			s.index[h] = recordRef{offset: off, receivedAt: receivedAt, kind: kind, length: length}
 			s.order = append(s.order, h)
+			s.latest = max(s.latest, b.Time(), receivedAt)
 		}
 		off += headerSize + int64(length)
 	}
@@ -271,6 +276,7 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 	}
 	s.index[h] = recordRef{offset: s.size, receivedAt: receivedAt, kind: b.Kind(), length: uint32(len(payload))}
 	s.order = append(s.order, h)
+	s.latest = max(s.latest, b.Time(), receivedAt)
 	s.size += int64(len(rec))
 	return nil
 }
@@ -290,7 +296,19 @@ func (s *Store) Get(h crypto.Hash) (types.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: read %s: %w", h.Short(), err)
 	}
+	s.decoded++
 	return decodeBlock(ref.kind, payload)
+}
+
+// Latest returns the latest block timestamp or arrival time stored; 0 when
+// empty. The open scan keeps it as it decodes, so reading it decodes nothing.
+func (s *Store) Latest() int64 { return s.latest }
+
+// Decoded returns how many records the open scan and Get have decoded.
+func (s *Store) Decoded() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.decoded
 }
 
 // read returns the payload of the record at offset, read into the store's one

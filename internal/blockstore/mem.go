@@ -25,6 +25,7 @@ type Mem struct {
 	held   slots.Bits
 	recs   slots.Chunked[memRecord] // in append order
 	n      int32
+	latest int64 // the latest block timestamp or arrival time appended
 }
 
 // memRecord is one stored block: its ordinal and arrival time.
@@ -71,6 +72,7 @@ func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	m.held.Add(o)
 	*m.recs.At(m.n) = memRecord{ord: o, at: receivedAt}
 	m.n++
+	m.latest = max(m.latest, b.Time(), receivedAt)
 	return nil
 }
 
@@ -107,6 +109,10 @@ func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
 	}
 	return nil
 }
+
+// Latest returns the latest block timestamp or arrival time stored; 0 when
+// empty.
+func (m *Mem) Latest() int64 { return m.latest }
 
 // Sync is a no-op: Mem is durable only against simulated crashes.
 func (m *Mem) Sync() error { return nil }

@@ -7,6 +7,7 @@ import (
 
 	"bitcoinng/internal/harness"
 	"bitcoinng/internal/invariant"
+	"bitcoinng/internal/load"
 	"bitcoinng/internal/scenario"
 )
 
@@ -95,4 +96,60 @@ func TestRunRefusesUsedStoreRoot(t *testing.T) {
 			t.Errorf("cacheOff=%v: fresh-root rerun diverged:\n%+v\n%+v", cacheOff, *first.Report, *again.Report)
 		}
 	}
+}
+
+// TestLoadReportReadsNoEvictedBody: on a compacting file-backed fleet whose
+// reference node crashes and restarts, the load report equals the full-walk
+// oracle's, and building it reloaded no body that compaction evicted: the
+// runner's tracker recorded each block while it was resident. The eviction
+// count is taken before the oracle runs, because the oracle reloads them.
+func TestLoadReportReadsNoEvictedBody(t *testing.T) {
+	cfg := DefaultConfig(BitcoinNG, 4, 23)
+	cfg.Params.MaxBlockSize = 20_000
+	cfg.Params.TargetBlockInterval = 30 * time.Second
+	cfg.Params.MicroblockInterval = 5 * time.Second
+	cfg.TargetBlocks = 30
+	cfg.Offered = 20
+	cfg.StoreURL = "file:" + t.TempDir()
+	cfg.CompactDepth = 8
+	cfg.InvariantInterval = 15 * time.Second
+	cfg.Scenario = scenario.New(
+		scenario.At(2*time.Minute, scenario.Crash(0)),
+		scenario.At(3*time.Minute, scenario.Restart(0)),
+	)
+	r, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }() // a teardown error is not what this test checks
+	res, err := r.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ScenarioErrors) > 0 {
+		t.Fatalf("scenario errors: %v", res.ScenarioErrors)
+	}
+	ref := r.referenceNode()
+	if ref.ID != 0 {
+		t.Fatalf("reference node is %d, want the restarted node 0", ref.ID)
+	}
+	tip := ref.Base().State.Tip()
+	evicted := 0
+	for n := tip; n != nil; n = n.Parent {
+		if n.Resident() == nil {
+			evicted++
+		}
+	}
+	if evicted == 0 {
+		t.Fatalf("no body of the reference chain (height %d) is evicted after the run", tip.Height)
+	}
+	want := load.BuildReport(load.Open, cfg.Offered, 0, res.SimTime,
+		res.Load.Offered, res.Load.Admitted, load.Confirmations(tip))
+	if *res.Load != *want {
+		t.Errorf("load report %+v, the full walk gives %+v", *res.Load, *want)
+	}
+	if res.Load.Confirmed == 0 {
+		t.Error("the run confirmed nothing")
+	}
+	t.Logf("%d of %d reference-chain bodies evicted; %d confirmed", evicted, tip.Height+1, res.Load.Confirmed)
 }

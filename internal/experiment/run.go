@@ -218,6 +218,7 @@ type runner struct {
 	bp       *metrics.Backpressure
 	storeBP  *metrics.Backpressure
 	payload  types.BlockKind // which kind counts toward TargetBlocks
+	tracker  load.Tracker    // the reference node's main chain, on paced runs
 }
 
 // Run executes one experiment.
@@ -226,6 +227,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Teardown runs only after every measurement (revenue ranges over the
+	// UTXO stores) has been extracted into the Result.
+	defer func() { _ = r.Close() }() // teardown: results are already extracted
 	return r.run()
 }
 
@@ -363,9 +367,6 @@ func miningShares(cfg Config) ([]float64, error) {
 }
 
 func (r *runner) run() (*Result, error) {
-	// Teardown runs only after every measurement (revenue ranges over the
-	// UTXO stores) has been extracted into the Result.
-	defer func() { _ = r.Close() }() // teardown: results are already extracted
 	//nglint:allow detflow WallTime reaches only the operator-facing stats block of FprintRunStats, never digests or reports that are diffed across runs
 	startWall := time.Now() //nglint:allow walltime measures real runtime for Result.WallTime (operator info); never feeds the simulation
 	var scenarioUntil time.Duration
@@ -440,7 +441,8 @@ func (r *runner) run() (*Result, error) {
 }
 
 // maintain runs at quiescent slice boundaries: it samples the backpressure
-// counters and advances the stream's release floor to the slowest view's
+// counters, advances a paced run's load tracker before maintainStores evicts
+// bodies, and advances the stream's release floor to the slowest view's
 // confirmed prefix minus a reorg slack, freeing confirmed transactions and
 // compacting view bitmaps so long runs hold only the in-flight window.
 func (r *runner) maintain() {
@@ -467,6 +469,9 @@ func (r *runner) maintain() {
 	r.bp.Record("pending-fetches", float64(fetches))
 	r.bp.Record("relay-queue", float64(relayQueue))
 	r.bp.Record("lookahead-occupancy", float64(stream.Occupancy()))
+	if r.cfg.Offered > 0 || r.cfg.ClosedLoopWindow > 0 {
+		r.tracker.Advance(r.referenceNode().Base().State.Tip())
+	}
 	r.maintainStores()
 
 	if floor := minPrefix - releaseSlack(r.cfg); floor > 0 {
@@ -515,13 +520,16 @@ func (r *runner) maintainStores() {
 }
 
 // loadReport summarizes offered vs confirmed throughput when a pacing
-// discipline was active, from the reference node's final main chain.
+// discipline was active, from the reference node's final main chain. It reads
+// the tracker, which maintain advanced at every boundary while the joining
+// bodies were resident, after one more Advance to the final tip (a change of
+// reference node after a crash is a reorg to its chain).
 func (r *runner) loadReport(end time.Duration) *load.Report {
 	if r.cfg.Offered <= 0 && r.cfg.ClosedLoopWindow <= 0 {
 		return nil
 	}
 	stream := r.workload.Stream()
-	confs := load.Confirmations(r.referenceNode().Base().State.Tip())
+	r.tracker.Advance(r.referenceNode().Base().State.Tip())
 	mode, offered := load.Closed, stream.Generated()
 	if r.cfg.Offered > 0 {
 		mode = load.Open
@@ -530,7 +538,7 @@ func (r *runner) loadReport(end time.Duration) *load.Report {
 		}
 	}
 	return load.BuildReport(mode, r.cfg.Offered, int64(r.cfg.ClosedLoopWindow),
-		end, offered, stream.Generated(), confs)
+		end, offered, stream.Generated(), r.tracker.Confirmations())
 }
 
 // revenue reads every node's reward-address balance in the view of the

@@ -183,12 +183,7 @@ func New(spec Spec) (*Fleet, error) {
 			return nil, f.abandon(fmt.Errorf("store %s already holds a %d-block chain for node %d; "+
 				"a measured run must start at genesis and t=0 — use a fresh root", spec.StoreURL, index.Len(), i))
 		}
-		if err := index.Replay(func(b types.Block, receivedAt int64) error {
-			clock = max(clock, b.Time(), receivedAt)
-			return nil
-		}); err != nil {
-			return nil, f.abandon(fmt.Errorf("node %d chain index scan: %w", i, err))
-		}
+		clock = max(clock, index.Latest())
 	}
 	f.eng, f.net = newEngine(spec.Net, spec.Shards, clock)
 	f.collector = metrics.NewCollector(spec.Genesis, 0)

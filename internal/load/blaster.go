@@ -163,6 +163,10 @@ type Confirmation struct {
 // byte-identical at any parallelism. A first pass reads each body once,
 // keeping its transactions and counting them, an upper bound on the result,
 // so it is allocated once instead of grown; the timestamp is the header's.
+//
+// This walk is the oracle. The reports read Tracker.Confirmations, which
+// records the same list as blocks join the chain: on a compacting store this
+// walk reloads, and keeps resident, every evicted body of the chain.
 func Confirmations(tip *chain.Node) []Confirmation {
 	bodies := make([][]*types.Transaction, 0, tip.Height+1)
 	size := 0

@@ -1,21 +1,32 @@
 package load
 
-import "bitcoinng/internal/chain"
+import (
+	"cmp"
+	"slices"
+
+	"bitcoinng/internal/chain"
+)
 
 // Tracker follows one node's main chain and keeps, incrementally, what a
-// pacing loop needs from Confirmations: how many stream transactions the
-// chain confirms and the first stream index it does not. Advance costs
-// O(blocks that joined or left the chain since the last call) instead of a
-// genesis-to-tip walk, which is what lets Cluster.Blast refresh its feedback
-// every few slices of an arbitrarily long run.
+// pacing loop and the end-of-run report need from Confirmations. Advance
+// costs O(blocks that joined or left the chain since the last call) instead
+// of a genesis-to-tip walk, which is what lets Cluster.Blast refresh its
+// feedback every few slices of an arbitrarily long run. A block's body is
+// read once, when it joins the path, for its runs of consecutive stream
+// indices; a block leaving the path unmarks from those runs. Advanced while
+// the joining bodies are resident (before compaction evicts them), the
+// tracker is the report and never reloads a body.
 //
 // The full walk stays the oracle: after Advance(tip), Count() equals
-// len(Confirmations(tip)) and Prefix() is the first gap in its sorted
-// indices. The zero value is ready to use; a Tracker is not safe for
-// concurrent use.
+// len(Confirmations(tip)), Prefix() is the first gap in its sorted indices
+// and Confirmations() is the same list. The zero value is ready to use; a
+// Tracker is not safe for concurrent use.
 type Tracker struct {
-	// path[h] is the main-chain block at height h as of the last Advance.
+	// path[h] is the main-chain block at height h as of the last Advance;
+	// its runs are runs[ends[h-1]:ends[h]].
 	path []*chain.Node
+	ends []int
+	runs []indexRun
 	// fresh is Advance's scratch list of blocks to connect, tip first.
 	fresh []*chain.Node
 
@@ -26,6 +37,9 @@ type Tracker struct {
 	count     int64
 	prefix    int64
 }
+
+// indexRun is the stream indices [lo, hi) one block carries consecutively.
+type indexRun struct{ lo, hi int64 }
 
 // Advance moves the tracker to tip: it walks back from tip only to the first
 // block already on the recorded path, unwinds the recorded blocks above that
@@ -43,25 +57,38 @@ func (t *Tracker) Advance(tip *chain.Node) {
 	if n != nil {
 		keep = int(n.Height) + 1
 	}
-	for h := len(t.path) - 1; h >= keep; h-- {
-		t.mark(t.path[h], false)
-		t.path[h] = nil
+	start := 0 // the unwound blocks' first run
+	if keep > 0 {
+		start = t.ends[keep-1]
 	}
-	t.path = t.path[:keep]
+	for _, r := range t.runs[start:] {
+		t.mark(r, false)
+	}
+	clear(t.path[keep:])
+	t.path, t.ends, t.runs = t.path[:keep], t.ends[:keep], t.runs[:start]
 	for i := len(t.fresh) - 1; i >= 0; i-- {
-		t.mark(t.fresh[i], true)
-		t.path = append(t.path, t.fresh[i])
+		var r indexRun // the open run
+		for _, tx := range t.fresh[i].Block().Transactions() {
+			if idx, ok := TxIndex(tx); ok && idx >= 0 {
+				if idx != r.hi {
+					t.mark(r, true)
+					r.lo = idx
+				}
+				r.hi = idx + 1
+			}
+		}
+		t.mark(r, true)
+		t.path, t.ends = append(t.path, t.fresh[i]), append(t.ends, len(t.runs))
 	}
 	clear(t.fresh)
 }
 
-// mark sets or clears the bit of every stream transaction n's block carries.
-func (t *Tracker) mark(n *chain.Node, on bool) {
-	for _, tx := range n.Block().Transactions() {
-		idx, ok := TxIndex(tx)
-		if !ok || idx < 0 {
-			continue
-		}
+// mark records a non-empty r and sets its bits, or clears them.
+func (t *Tracker) mark(r indexRun, on bool) {
+	if on && r.hi > r.lo {
+		t.runs = append(t.runs, r)
+	}
+	for idx := r.lo; idx < r.hi; idx++ {
 		w, mask := int(idx/64), uint64(1)<<(uint64(idx)%64)
 		for w >= len(t.confirmed) {
 			t.confirmed = append(t.confirmed, 0)
@@ -74,9 +101,7 @@ func (t *Tracker) mark(n *chain.Node, on bool) {
 			t.count++
 		} else {
 			t.count--
-			if idx < t.prefix {
-				t.prefix = idx
-			}
+			t.prefix = min(t.prefix, idx)
 		}
 	}
 }
@@ -91,4 +116,23 @@ func (t *Tracker) Prefix() int64 {
 		t.prefix++
 	}
 	return t.prefix
+}
+
+// Confirmations returns what Confirmations(tip) returns for the last
+// Advance's tip, read from the recorded runs without touching a body: every
+// stream transaction on the path with its block's header timestamp, sorted
+// by index.
+func (t *Tracker) Confirmations() []Confirmation {
+	out := make([]Confirmation, 0, t.count)
+	start := 0
+	for h, end := range t.ends {
+		for _, r := range t.runs[start:end] {
+			for idx := r.lo; idx < r.hi; idx++ {
+				out = append(out, Confirmation{Index: idx, Time: t.path[h].Time()})
+			}
+		}
+		start = end
+	}
+	slices.SortFunc(out, func(a, b Confirmation) int { return cmp.Compare(a.Index, b.Index) })
+	return out
 }

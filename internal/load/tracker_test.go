@@ -1,6 +1,8 @@
 package load
 
 import (
+	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,16 +26,35 @@ func stampedBlock(prev crypto.Hash, salt int64, indices []int64) *types.MicroBlo
 	return b
 }
 
+// countingBodies is an archive of every block the test inserted that counts
+// the bodies the tree reloads from it.
+type countingBodies struct {
+	blocks map[crypto.Hash]types.Block
+	gets   int
+}
+
+func (c *countingBodies) Contains(h crypto.Hash) bool { _, ok := c.blocks[h]; return ok }
+
+func (c *countingBodies) Get(h crypto.Hash) (types.Block, error) {
+	c.gets++
+	return c.blocks[h], nil
+}
+
 // TestTrackerMatchesFullWalk grows a random block tree — extensions of the
 // current tip, forks off old blocks, switches to other branches (which
 // unwind the blocks they prune from the path, sometimes onto a shorter
 // chain) — and after every step compares the tracker with the oracle, a
 // fresh Confirmations walk of the same tip: same count, same confirmed
-// prefix, same sorted index list, same recorded path.
+// prefix, same sorted index list, same confirmation list, same recorded
+// path. Between steps every body is evicted, and an Advance may reload only
+// the bodies of the blocks it applies: unwinding reads none.
 func TestTrackerMatchesFullWalk(t *testing.T) {
+	unwound := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		store := chain.NewStore(types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget}), nil)
+		bodies := &countingBodies{blocks: map[crypto.Hash]types.Block{}}
+		store.AttachBodySource(bodies)
 		nodes := []*chain.Node{store.Genesis()}
 		// onBranch[n] is the set of stream indices confirmed up to n, so a
 		// new block never re-confirms one on its own branch (a chain cannot).
@@ -60,7 +81,9 @@ func TestTrackerMatchesFullWalk(t *testing.T) {
 						add = append(add, i)
 					}
 				}
-				tip = store.Insert(stampedBlock(parent.Hash(), int64(step), add), 0)
+				b := stampedBlock(parent.Hash(), int64(step), add)
+				bodies.blocks[b.Hash()] = b
+				tip = store.Insert(b, 0)
 				nodes = append(nodes, tip)
 				onBranch[tip] = append(slices.Clone(have), add...)
 			}
@@ -68,8 +91,20 @@ func TestTrackerMatchesFullWalk(t *testing.T) {
 				continue // let several steps accumulate before the next Advance
 			}
 
+			applied := 0
+			for n := tip; n != nil && !(n.Height < uint64(len(tr.path)) && tr.path[n.Height] == n); n = n.Parent {
+				applied++
+			}
+			unwound += len(tr.path) + applied - int(tip.Height) - 1
+			bodies.gets = 0
 			tr.Advance(tip)
+			if bodies.gets > applied {
+				t.Fatalf("seed %d step %d: Advance applied %d blocks and reloaded %d bodies", seed, step, applied, bodies.gets)
+			}
 			want := Confirmations(tip)
+			if got := tr.Confirmations(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Confirmations() = %v, the full walk gives %v", seed, step, got, want)
+			}
 			if got := tr.Count(); got != int64(len(want)) {
 				t.Fatalf("seed %d step %d: Count = %d, full walk confirms %d", seed, step, got, len(want))
 			}
@@ -104,6 +139,72 @@ func TestTrackerMatchesFullWalk(t *testing.T) {
 					t.Fatalf("seed %d step %d: path[%d] is not the main-chain block", seed, step, n.Height)
 				}
 			}
+			store.EvictBodies(slices.MaxFunc(nodes, func(a, b *chain.Node) int { return cmp.Compare(a.Height, b.Height) }), 0)
 		}
+	}
+	if unwound == 0 {
+		t.Fatal("no Advance unwound a block; the reorg steps exercised nothing")
+	}
+}
+
+// residentChain inserts a chain of blocks on genesis, each carrying perBlock
+// consecutive stream indices, and returns its nodes from genesis up; every
+// body stays resident.
+func residentChain(blocks, perBlock int) []*chain.Node {
+	store := chain.NewStore(types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget}), nil)
+	nodes := []*chain.Node{store.Genesis()}
+	indices := make([]int64, perBlock)
+	for h := range blocks {
+		for i := range indices {
+			indices[i] = int64(h*perBlock + i)
+		}
+		nodes = append(nodes, store.Insert(stampedBlock(nodes[h].Hash(), int64(h), indices), 0))
+	}
+	return nodes
+}
+
+// TestTrackerAdvanceAllocatesOnlyGrowth pins what advancing over resident
+// blocks costs: a tracker following a chain block by block allocates only
+// the geometric growth of its path, its runs and its bitset, nothing per
+// block or per transaction, and once grown, a reorg away from and back to
+// the tip allocates nothing.
+func TestTrackerAdvanceAllocatesOnlyGrowth(t *testing.T) {
+	const blocks, perBlock = 256, 16
+	nodes := residentChain(blocks, perBlock)
+	follow := func() {
+		var tr Tracker
+		for _, n := range nodes {
+			tr.Advance(n)
+		}
+		if tr.Count() != blocks*perBlock {
+			t.Fatalf("tracker confirms %d, want %d", tr.Count(), blocks*perBlock)
+		}
+	}
+	// path, ends and runs double at most bits.Len(blocks)+1 times each, the
+	// bitset bits.Len(words)+1 times, and the scratch list once.
+	limit := float64(3*(bits.Len(blocks)+1) + bits.Len(blocks*perBlock/64) + 2)
+	if allocs := testing.AllocsPerRun(10, follow); allocs > limit {
+		t.Fatalf("following %d blocks of %d transactions allocated %v times, want at most %v (growth only)",
+			blocks, perBlock, allocs, limit)
+	}
+	var tr Tracker
+	tr.Advance(nodes[blocks])
+	reorg := func() {
+		tr.Advance(nodes[blocks/2])
+		tr.Advance(nodes[blocks])
+	}
+	if allocs := testing.AllocsPerRun(10, reorg); allocs != 0 {
+		t.Fatalf("unwinding and re-advancing %d resident blocks allocated %v times, want 0", blocks/2, allocs)
+	}
+}
+
+func BenchmarkTrackerAdvance(b *testing.B) {
+	const blocks, perBlock = 64, 64
+	nodes := residentChain(blocks, perBlock)
+	var tr Tracker
+	b.ReportAllocs()
+	for b.Loop() {
+		tr.Advance(nodes[0])
+		tr.Advance(nodes[blocks])
 	}
 }

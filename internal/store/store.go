@@ -75,6 +75,10 @@ type ChainIndex interface {
 	// that object; only a body nobody holds is read back (decoded, on disk).
 	// Iteration stops at the first callback error.
 	Replay(fn func(b types.Block, receivedAt int64) error) error
+	// Latest returns the latest time the stored records carry, the later of
+	// a block's timestamp and its arrival time; 0 when empty. A resumed
+	// fleet starts its clock there.
+	Latest() int64
 	// Sync flushes appended records to stable storage.
 	Sync() error
 	// Close releases resources.

@@ -247,7 +247,7 @@ func TestFileIndexReopenTimes(t *testing.T) {
 
 // TestFactoryBuildsWorkingStores exercises both factory paths end to end: an
 // empty working ledger, and a chain index that (under a file root) is the
-// root's one file and reopens with its records.
+// root's one file and reopens with its records and their latest time.
 func TestFactoryBuildsWorkingStores(t *testing.T) {
 	dir := t.TempDir()
 	for _, url := range []string{"mem:", "file:" + dir} {
@@ -285,16 +285,20 @@ func TestFactoryBuildsWorkingStores(t *testing.T) {
 				t.Fatalf("%s: reopening NewChainIndex: %v", url, err)
 			}
 		}
-		i := 0
+		i, latest := 0, int64(0)
 		err = ix.Replay(func(b types.Block, at int64) error {
 			if b.Hash() != blocks[i].Hash() || at != int64(1000+i) {
 				t.Fatalf("%s: Replay %d: hash/time mismatch (at=%d)", url, i, at)
 			}
 			i++
+			latest = max(latest, b.Time(), at)
 			return nil
 		})
 		if err != nil || i != len(blocks) {
 			t.Fatalf("%s: Replay: %v after %d blocks", url, err, i)
+		}
+		if got := ix.Latest(); got != latest {
+			t.Fatalf("%s: Latest = %d, the replay's latest time is %d", url, got, latest)
 		}
 		if err := ix.Close(); err != nil {
 			t.Fatalf("%s: index Close: %v", url, err)
