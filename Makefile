@@ -61,8 +61,10 @@ race:
 # sighashes, header hashes and the in-place Merkle fold; on the chain-index
 # path, records (block and arrival time) written from a retained buffer that
 # a larger record grows once, to about its own size, and read back into one;
-# in the ledger, a replayed create that links the leaf its delta logged
-# instead of allocating one; on the live path, a
+# in the ledger, a replayed create that links its delta's leaf instead of
+# allocating one, an undo that relinks the very leaves the block spent, and
+# the bytes a 75-transaction block's apply takes (its delta points at the
+# leaves it spent instead of copying them); on the live path, a
 # steady-state frame read and a send into a pooled frame; in the simulator, a
 # Send and its delivery (recycled deliveries, on one loop and across two
 # shards both ways) and a warm two-shard window; at the sharded engine's
@@ -93,7 +95,7 @@ allocs:
 		./internal/bitcoin ./internal/load
 	$(GO) test -count=1 -run 'TestDigestsDoNotAllocate|TestMerkleRootDoesNotAllocate|TestWorkForTargetRepeatDoesNotAllocate|TestEnvelopeReadFromReusesBuffer|TestSendReusesFrames' \
 		./internal/types ./internal/crypto ./internal/wire ./internal/p2p
-	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestArchivedAppendCostsOnlyItsEntries|TestReplayedCreateLinksLoggedLeaf' \
+	$(GO) test -count=1 -run 'TestAppendSizesRecordOnce|TestAppendRecordBytesAndAllocations|TestGetReadsIntoOneBuffer|TestMemLookupsDoNotAllocate|TestArchivedAppendCostsOnlyItsEntries|TestReplayedCreateLinksLoggedLeaf|TestApplyBlockBytesPerBlock' \
 		./internal/blockstore ./internal/utxo
 	$(GO) test -count=1 -run 'TestLookupsDoNotAllocate|TestSecondStoreInsertAllocatesOnlyItsNode|TestSecondStateAddBlockAllocatesOnlyItsNode' ./internal/chain
 	$(GO) test -count=1 -run 'TestRestartDecodesOnlyEvictedBodies' ./internal/harness

@@ -20,7 +20,7 @@ import (
 
 // probeLedger is a memory-backed ledger that records, per RedoBlock and
 // UndoBlock, how many heap objects the call allocated — none when the set
-// adopted the recorded state, some when it replayed the op log — and how
+// adopted the recorded state, some when it replayed the delta — and how
 // many blocks it was asked to compute.
 type probeLedger struct {
 	*utxo.Set
@@ -152,7 +152,7 @@ func sameLedger(t *testing.T, what string, got, want map[types.OutPoint]utxo.Ent
 
 // collectedCache returns a connect cache holding the whole chain, computed by
 // a state that is gone: every ledger its deltas recorded has been collected,
-// so a state over this cache crosses every block by replaying its op log.
+// so a state over this cache crosses every block by replaying its delta.
 func (c *fleetChain) collectedCache(t *testing.T) *validate.Cache {
 	t.Helper()
 	cache := validate.NewCache(0)

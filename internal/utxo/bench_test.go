@@ -2,6 +2,7 @@ package utxo
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"bitcoinng/internal/types"
@@ -13,7 +14,7 @@ import (
 // runs. Signatures are left out (the ledger never reads them) and IDs and
 // input addresses are computed up front, so a benchmark times ledger work
 // alone.
-func benchBlocks(b *testing.B, s *Set, funded, txsPerBlock int) func() []*types.Transaction {
+func benchBlocks(b testing.TB, s *Set, funded, txsPerBlock int) func() []*types.Transaction {
 	b.Helper()
 	key := testKey(b, 41)
 	addr := key.Public().Addr()
@@ -102,5 +103,39 @@ func BenchmarkApplyPrivate(b *testing.B) {
 			b.Fatal(err)
 		}
 		undo = append(undo, d)
+	}
+}
+
+// TestApplyBlockBytesPerBlock pins the bytes a set that shares with nobody
+// allocates to apply one of BenchmarkApplyPrivate's 75-transaction,
+// two-in-two-out blocks: the delta (its created slab and spent list), the
+// fees and the trie paths the block copies. A delta that copied every spent
+// entry took 93 360 B.
+func TestApplyBlockBytesPerBlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New()
+	next := benchBlocks(t, s, 8192, 75)
+	const n = 64
+	blocks := make([][]*types.Transaction, n)
+	for i := range blocks {
+		blocks[i] = next()
+	}
+	undo := make([]*Delta, 0, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, txs := range blocks {
+		d, _, err := s.ApplyBlock(txs, ctxAt(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		undo = append(undo, d)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(undo)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B per block", per)
+	if per > 72000 {
+		t.Errorf("applying a 75-transaction block allocates %d B, want at most 72000", per)
 	}
 }

@@ -96,15 +96,20 @@ func (s *Set) adopt(led *ledger, v Version, gets, puts, deletes uint32) {
 }
 
 func (s *Set) get(op types.OutPoint) (Entry, bool) {
-	s.stats.Gets++
-	if l := s.led.root.get(&op, pathOf(&op)); l != nil {
+	if l := s.getLeaf(op); l != nil {
 		return l.e, true
 	}
 	return Entry{}, false
 }
 
+// getLeaf returns the leaf stored under op, or nil, counting one Get.
+func (s *Set) getLeaf(op types.OutPoint) *leaf {
+	s.stats.Gets++
+	return s.led.root.get(&op, pathOf(&op))
+}
+
 // put links l into the table, replacing any entry under the same outpoint.
-// Leaves are immutable, so l may live in a delta's op log.
+// Leaves are immutable, so l may live in a delta's created slab.
 func (s *Set) put(l *leaf) {
 	s.stats.Puts++
 	led := s.mutable()

@@ -10,10 +10,10 @@ import (
 
 // TestPoisonRevokeOrderDeterministic pins the determinism bug nglint's
 // maporder analyzer found in applyPoison: revocations were appended to the
-// delta op log while ranging over the entries map, so two applications of
-// the same poison block could record differently-ordered (and thus
+// delta while ranging over the entries map, so two applications of the same
+// poison block could record differently-ordered (and thus
 // differently-replaying) deltas. The delta is shared across nodes by the
-// connect cache, so op order is consensus-adjacent state. Revocations must
+// connect cache, so revocation order is consensus-adjacent state. Revocations must
 // come out in ascending output-index order on every run.
 func TestPoisonRevokeOrderDeterministic(t *testing.T) {
 	params := types.DefaultParams()
@@ -48,18 +48,13 @@ func TestPoisonRevokeOrderDeterministic(t *testing.T) {
 			t.Fatalf("trial %d: poison rejected: %v", trial, err)
 		}
 
-		var got []types.OutPoint
-		for _, op := range undo.ops {
-			if op.kind == opRevoke {
-				got = append(got, op.op)
-			}
-		}
+		got := undo.revoked
 		if len(got) != nOutputs {
-			t.Fatalf("trial %d: %d revoke ops, want %d", trial, len(got), nOutputs)
+			t.Fatalf("trial %d: %d revocations, want %d", trial, len(got), nOutputs)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i-1].Index >= got[i].Index {
-				t.Fatalf("trial %d: revoke ops not in ascending index order at %d: %v then %v",
+				t.Fatalf("trial %d: revocations not in ascending index order at %d: %v then %v",
 					trial, i, got[i-1], got[i])
 			}
 		}

@@ -73,7 +73,7 @@ func (m *ledgerModel) apply(txs []*types.Transaction, ctx BlockContext) (*ledger
 		}
 		for i, out := range tx.Outputs {
 			op := types.OutPoint{TxID: txid, Index: uint32(i)}
-			if _, dup := w.entries[op]; dup {
+			if hasKey(w.entries, op) || hasKey(m.entries, op) {
 				return nil, false
 			}
 			w.entries[op] = Entry{
@@ -284,6 +284,15 @@ func FuzzLedgerTable(f *testing.F) {
 	// it stands on versions of its own and crosses the leader's deltas by
 	// replay, in both directions.
 	f.Add([]byte{6, 128, 0, 6, 1, 10, 0, 0, 9, 7, 7, 8, 8, 6, 130, 0, 7, 8, 6, 3, 5, 7})
+	// A delta replays in its own order, not the block's: creates, spends,
+	// revocations, poison marks. The peer crosses by replay a block whose
+	// second transaction spends its first one's output and a poison block,
+	// forward (the peer computed the block below itself) and back (it
+	// computed the block itself), once each, with a Reset between.
+	f.Add([]byte{
+		6, 128, 0, 16, 0, 10, 0, 0, 30, 10, 0, 2, 20, 6, 128, 0, 6, 0, 1, 7, 7, 7, 7, 8, 8, 8, 8, 9,
+		6, 128, 0, 16, 128, 10, 0, 6, 30, 10, 0, 8, 20, 7, 8, 6, 128, 9, 7, 8,
+	})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 96 {
@@ -366,9 +375,11 @@ func FuzzLedgerTable(f *testing.F) {
 						ctx.PoisonTargets[tx.ID()] = coinbases[int(sel>>2)%len(coinbases)]
 					default:
 						tx.Kind = types.TxRegular
+						// An output of an earlier transaction in this
+						// block makes an intra-block chain.
 						from := fuzzKey(next())
-						if sel&8 != 0 && len(created) > 0 {
-							from = created[int(next())%len(created)]
+						if pool := append(created[:len(created):len(created)], outs...); sel&8 != 0 && len(pool) > 0 {
+							from = pool[int(next())%len(pool)]
 						}
 						tx.Inputs = []types.TxInput{{Prev: from, PubKey: key.Public()}}
 						tx.Outputs = []types.TxOutput{{Value: types.Amount(next() % 64), To: addr}}

@@ -145,71 +145,48 @@ func (s *Set) Close() error { return nil }
 // Stats returns the set's cumulative operation counters.
 func (s *Set) Stats() Stats { return s.stats }
 
-// Delta op kinds.
-const (
-	opCreate uint8 = iota // entry added to the set
-	opSpend               // entry consumed (Entry holds the old value)
-	opRevoke              // entry flipped to Revoked
-	opPoison              // coinbase txid marked poisoned (Op.TxID holds it)
-)
-
-// deltaOp is one recorded mutation. Ops form an ordered log so a delta
-// replays forward correctly even when a block spends outputs it created
-// (intra-block chains), and reverses backward for reorganizations. The leaf
-// holds the new entry for opCreate and the old one for opSpend. It is the
-// very leaf the table links for that entry, so applying or replaying a
-// create, or undoing a spend, allocates no leaf.
-type deltaOp struct {
-	kind uint8
-	leaf
-}
-
-// Delta records one block's effect on the set as an ordered mutation log. It
-// serves two roles: the undo record for disconnecting the block during a
-// reorganization, and — because create ops carry the full entries — a redo
-// record that replays the block onto another set in the same pre-state
-// without re-validating anything (the connect cache in internal/validate
-// shares one Delta across every node that connects the block). The log and
-// the versions are immutable once ApplyBlock returns; Redo/Undo only read
-// them. Tables link the log's leaves directly, so a live entry keeps its
-// block's log alive until the entry is spent. That costs nothing while the
-// chain holds the delta as an undo record anyway; only the log of a block
-// whose undo record compaction dropped stays resident for its unspent
-// outputs.
+// Delta records one block's effect on the set: the undo record for
+// disconnecting the block in a reorganization, and a redo record that replays
+// it onto another set in the same pre-state without re-validating anything
+// (the connect cache in internal/validate shares one Delta across every node
+// that connects the block). It is immutable once ApplyBlock returns. created
+// holds the block's new leaves in one slab sized to its outputs, which tables
+// link directly; spent points at the leaves its inputs removed, which an undo
+// relinks. A live entry thus keeps its block's slab alive until it is spent,
+// and a delta the slabs it spent from: neither costs anything while the chain
+// holds those blocks' undo records (compaction drops them on file stores).
+// revoked and poisoned are a §4.5 poison's effects, in order.
 //
-// A delta also names the versions it maps between and references the frozen
-// ledgers on both sides, which is what lets Redo/Undo hand a set the recorded
-// state instead of replaying the log. The references are weak: a delta is
-// retained as an undo record for as long as its block stays connected, and
-// must not pin every superseded ledger of a node that shares with nobody. A
-// state some set still stands on is alive and adoptable; one nobody holds is
-// gone, the next set to cross the delta replays the log, and re-publishes
-// what it rebuilt.
+// A replay puts every create, deletes every spend, revokes, then poisons;
+// undo reverses each step. That is the block's effect whatever the order of
+// its transactions: an outpoint is created at most once (ErrDuplicateOutput
+// refuses one that is live or in the block's pre-state), so an intra-block
+// chain sees its create before its spend; a revoked entry cannot be spent
+// later in its block; the trie's shape, and Range order, are functions of its
+// contents alone; and Stats count the same Gets, Puts and Deletes either way.
+//
+// A delta also references the frozen ledgers on both sides, weakly: Redo/Undo
+// hand a set standing on one the other instead of replaying, yet a delta kept
+// as an undo record pins no superseded ledger of a node that shares with
+// nobody. A state nobody holds is gone; the next set to cross the delta
+// replays it and re-publishes what it rebuilt.
 type Delta struct {
-	ops []deltaOp
+	created  []leaf
+	spent    []*leaf
+	revoked  []types.OutPoint
+	poisoned []crypto.Hash
 
 	// pre and post are the versions before and after the block.
 	pre, post Version
-	// Op counts by kind, from which an adoption accounts the logical
-	// Gets/Puts/Deletes a replay would have made.
-	creates, spends, revokes uint32
 
 	mu            sync.Mutex // guards before and after (re-publication races across shards)
 	before, after weak.Pointer[ledger]
 }
 
-// record appends one mutation to the log and returns its leaf.
-func (d *Delta) record(kind uint8, op types.OutPoint, e Entry) *leaf {
-	d.ops = append(d.ops, deltaOp{kind: kind, leaf: leaf{op: op, e: e}})
-	switch kind {
-	case opCreate:
-		d.creates++
-	case opSpend:
-		d.spends++
-	case opRevoke:
-		d.revokes++
-	}
-	return &d.ops[len(d.ops)-1].leaf
+// counts returns the numbers of created, spent and revoked entries, from
+// which an adoption accounts the operations a replay would have counted.
+func (d *Delta) counts() (creates, spends, revokes uint32) {
+	return uint32(len(d.created)), uint32(len(d.spent)), uint32(len(d.revoked))
 }
 
 // recorded returns the frozen ledger *ref still references, if any set keeps
@@ -230,30 +207,32 @@ func (d *Delta) publish(ref *weak.Pointer[ledger], led *ledger) {
 }
 
 // checkSpend validates that input i of tx may spend from the set at the
-// given context and returns the entry.
-func (s *Set) checkSpend(tx *types.Transaction, i int, ctx *BlockContext) (Entry, error) {
+// given context and returns the entry's leaf.
+func (s *Set) checkSpend(tx *types.Transaction, i int, ctx *BlockContext) (*leaf, error) {
 	in := &tx.Inputs[i]
-	e, ok := s.get(in.Prev)
-	if !ok {
-		return Entry{}, fmt.Errorf("%w: %v", ErrMissingInput, in.Prev)
+	l := s.getLeaf(in.Prev)
+	if l == nil {
+		return nil, fmt.Errorf("%w: %v", ErrMissingInput, in.Prev)
 	}
+	e := &l.e
 	if e.Revoked {
-		return Entry{}, fmt.Errorf("%w: %v", ErrRevokedInput, in.Prev)
+		return nil, fmt.Errorf("%w: %v", ErrRevokedInput, in.Prev)
 	}
 	if tx.InputAddr(i) != e.To {
-		return Entry{}, fmt.Errorf("%w: %v", ErrWrongOwner, in.Prev)
+		return nil, fmt.Errorf("%w: %v", ErrWrongOwner, in.Prev)
 	}
 	if e.Coinbase && ctx.Height-e.Height < uint64(ctx.Params.CoinbaseMaturity) {
-		return Entry{}, fmt.Errorf("%w: %v at height %d, needs %d confirmations",
+		return nil, fmt.Errorf("%w: %v at height %d, needs %d confirmations",
 			ErrImmature, in.Prev, e.Height, ctx.Params.CoinbaseMaturity)
 	}
-	return e, nil
+	return l, nil
 }
 
-// applyTx validates and applies one transaction, appending to the delta log.
-// Signature validity is intrinsic (checked by CheckWellFormed before the
-// block reaches the state machine); applyTx checks the contextual rules.
-func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee types.Amount, err error) {
+// applyTx validates and applies one transaction of a block whose pre-state is
+// pre, adding its effects to the delta. Signature validity is intrinsic
+// (checked by CheckWellFormed before the block reaches the state machine);
+// applyTx checks the contextual rules.
+func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta, pre *ledger) (fee types.Amount, err error) {
 	txid := tx.ID()
 	switch tx.Kind {
 	case types.TxPoison:
@@ -266,13 +245,13 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 	default:
 		var inSum types.Amount
 		for i := range tx.Inputs {
-			e, err := s.checkSpend(tx, i, ctx)
+			l, err := s.checkSpend(tx, i, ctx)
 			if err != nil {
 				return 0, fmt.Errorf("tx %s input %d: %w", txid.Short(), i, err)
 			}
-			inSum += e.Value
-			d.record(opSpend, tx.Inputs[i].Prev, e)
-			s.del(tx.Inputs[i].Prev)
+			inSum += l.e.Value
+			d.spent = append(d.spent, l)
+			s.del(l.op)
 		}
 		outSum := tx.OutputSum()
 		if outSum > inSum {
@@ -286,15 +265,17 @@ func (s *Set) applyTx(tx *types.Transaction, ctx *BlockContext, d *Delta) (fee t
 	isCoinbase := tx.Kind == types.TxCoinbase && ctx.Height > 0
 	for i := range tx.Outputs {
 		op := types.OutPoint{TxID: txid, Index: uint32(i)}
-		if _, exists := s.get(op); exists {
+		// One the pre-state held and this block spent is a duplicate too.
+		if s.getLeaf(op) != nil || pre.root.get(&op, pathOf(&op)) != nil {
 			return 0, fmt.Errorf("%w: %v", ErrDuplicateOutput, op)
 		}
-		s.put(d.record(opCreate, op, Entry{
+		d.created = append(d.created, leaf{op: op, e: Entry{
 			Value:    tx.Outputs[i].Value,
 			To:       tx.Outputs[i].To,
 			Coinbase: isCoinbase,
 			Height:   ctx.Height,
-		}))
+		}})
+		s.put(&d.created[len(d.created)-1])
 	}
 	return fee, nil
 }
@@ -312,26 +293,25 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 		// "Only one poison transaction can be placed per cheater."
 		return fmt.Errorf("%w: coinbase %s", ErrAlreadyPoisoned, culpritCB.Short())
 	}
-	// Collect the revocable outputs first and sort them: the delta op log
-	// is ordered (undo replays it back to front), and fixing it to index
-	// order keeps the log, and anything derived from it, independent of how
-	// the table happens to iterate. A coinbase has a handful of outputs, so
-	// the full-set scan is acceptable (poison transactions are rare by
-	// construction).
-	var revoke []types.OutPoint
+	// Collect the revocable outputs first and sort them: fixing the delta's
+	// revocations to index order keeps them, and anything derived from them,
+	// independent of how the table happens to iterate. A coinbase has a
+	// handful of outputs, so the full-set scan is acceptable (poison
+	// transactions are rare by construction).
+	start := len(d.revoked)
 	s.Range(func(op types.OutPoint, e Entry) bool {
 		if op.TxID == culpritCB && !e.Revoked {
-			revoke = append(revoke, op)
+			d.revoked = append(d.revoked, op)
 		}
 		return true
 	})
+	revoke := d.revoked[start:]
 	sort.Slice(revoke, func(i, j int) bool { return revoke[i].Index < revoke[j].Index })
 	var revokedValue types.Amount
 	for _, op := range revoke {
 		e, _ := s.get(op)
 		e.Revoked = true
 		s.put(&leaf{op: op, e: e})
-		d.record(opRevoke, op, Entry{})
 		revokedValue += e.Value
 	}
 	reward := types.Amount(float64(revokedValue) * ctx.Params.PoisonRewardFrac)
@@ -339,7 +319,7 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 		return fmt.Errorf("%w: %d > %d", ErrExcessReward, tx.OutputSum(), reward)
 	}
 	s.setPoisoned(culpritCB, true)
-	d.record(opPoison, types.OutPoint{TxID: culpritCB}, Entry{})
+	d.poisoned = append(d.poisoned, culpritCB)
 	return nil
 }
 
@@ -350,24 +330,25 @@ func (s *Set) applyPoison(tx *types.Transaction, txid crypto.Hash, ctx *BlockCon
 // Later transactions may spend outputs created by earlier transactions in
 // the same block, matching Bitcoin semantics.
 func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []types.Amount, error) {
-	// One op per input and output: sized up front, a retained undo log
-	// carries no append slack. Poison transactions add a few and may move
-	// the log; leaves already linked then stay in the old array, which is
-	// just as immutable.
-	nOps := 0
+	// The created slab is sized to the block's outputs, so it never moves
+	// once the table links its leaves, and a retained undo record carries
+	// no append slack; the spent list likewise.
+	nIn, nOut := 0, 0
 	for _, tx := range txs {
-		nOps += len(tx.Inputs) + len(tx.Outputs)
+		nIn += len(tx.Inputs)
+		nOut += len(tx.Outputs)
 	}
-	d := &Delta{ops: make([]deltaOp, 0, nOps), pre: s.version}
+	d := &Delta{created: make([]leaf, 0, nOut), spent: make([]*leaf, 0, nIn), pre: s.version}
 	before := s.freeze()
 	fees := make([]types.Amount, len(txs))
 	for i, tx := range txs {
-		fee, err := s.applyTx(tx, &ctx, d)
+		fee, err := s.applyTx(tx, &ctx, d, before)
 		if err != nil {
 			// Stand on the untouched pre-state itself. The counters take
 			// the operations that reversing the applied part would make,
 			// as they always have.
-			s.adopt(before, d.pre, d.revokes, d.spends+d.revokes, d.creates)
+			creates, spends, revokes := d.counts()
+			s.adopt(before, d.pre, revokes, spends+revokes, creates)
 			return nil, nil, fmt.Errorf("block tx %d: %w", i, err)
 		}
 		fees[i] = fee
@@ -388,7 +369,7 @@ func (s *Set) ApplyBlock(txs []*types.Transaction, ctx BlockContext) (*Delta, []
 // version is a stronger pre-state check than any probe. A set on a
 // content-equal state that another computation of the same block labelled
 // differently, or arriving after the recorded state was collected, replays
-// the op log, where a missing spend target means the guarantee was broken
+// the delta, where a missing spend target means the guarantee was broken
 // and panics: serving a corrupted ledger is worse than crashing. A replay
 // labels its result with the delta's version, so the set is back on shared
 // state at the next block.
@@ -405,14 +386,15 @@ func (s *Set) UndoBlock(d *Delta, at BlockRef) {
 
 // cross moves the set over d, forward (redo) or backward (undo): by adopting
 // the recorded state when the set stands on the version the delta starts
-// from in that direction, by replaying the log otherwise.
+// from in that direction, by replaying the delta otherwise.
 func (s *Set) cross(d *Delta, forward bool) {
 	from, to, ref := d.pre, d.post, &d.after
 	// The logical operations of a replay: see redoOps and undoOps.
-	gets, puts, deletes := d.spends+d.revokes, d.creates+d.revokes, d.spends
+	creates, spends, revokes := d.counts()
+	gets, puts, deletes := spends+revokes, creates+revokes, spends
 	if !forward {
 		from, to, ref = d.post, d.pre, &d.before
-		gets, puts, deletes = d.revokes, d.spends+d.revokes, d.creates
+		gets, puts, deletes = revokes, spends+revokes, creates
 	}
 	if s.version == from {
 		if led := d.recorded(ref); led != nil {
@@ -428,48 +410,50 @@ func (s *Set) cross(d *Delta, forward bool) {
 	d.publish(ref, s.label(to))
 }
 
-// redoOps replays the op log in order.
+// redoOps replays the delta forward: creates, spends, revocations, poison
+// marks (see Delta for why that order is the block's).
 func (s *Set) redoOps(d *Delta) {
-	for i := range d.ops {
-		op := &d.ops[i]
-		switch op.kind {
-		case opCreate:
-			s.put(&op.leaf)
-		case opSpend:
-			if _, ok := s.get(op.op); !ok {
-				panic(fmt.Sprintf("utxo: redo spends missing entry %v", op.op))
-			}
-			s.del(op.op)
-		case opRevoke:
-			e, ok := s.get(op.op)
-			if !ok {
-				panic(fmt.Sprintf("utxo: redo revokes missing entry %v", op.op))
-			}
-			e.Revoked = true
-			s.put(&leaf{op: op.op, e: e})
-		case opPoison:
-			s.setPoisoned(op.op.TxID, true)
+	for i := range d.created {
+		s.put(&d.created[i])
+	}
+	for _, l := range d.spent {
+		if s.getLeaf(l.op) == nil {
+			panic(fmt.Sprintf("utxo: redo spends missing entry %v", l.op))
 		}
+		s.del(l.op)
+	}
+	for _, op := range d.revoked {
+		e, ok := s.get(op)
+		if !ok {
+			panic(fmt.Sprintf("utxo: redo revokes missing entry %v", op))
+		}
+		e.Revoked = true
+		s.put(&leaf{op: op, e: e})
+	}
+	for _, id := range d.poisoned {
+		s.setPoisoned(id, true)
 	}
 }
 
-// undoOps replays the op log back to front, inverted.
+// undoOps reverses redoOps step by step, back to front: it lifts the poison
+// marks and revocations, relinks the very leaves the block spent, and
+// removes what it created.
 func (s *Set) undoOps(d *Delta) {
-	for i := len(d.ops) - 1; i >= 0; i-- {
-		op := &d.ops[i]
-		switch op.kind {
-		case opCreate:
-			s.del(op.op)
-		case opSpend:
-			s.put(&op.leaf)
-		case opRevoke:
-			if e, ok := s.get(op.op); ok {
-				e.Revoked = false
-				s.put(&leaf{op: op.op, e: e})
-			}
-		case opPoison:
-			s.setPoisoned(op.op.TxID, false)
+	for i := len(d.poisoned) - 1; i >= 0; i-- {
+		s.setPoisoned(d.poisoned[i], false)
+	}
+	for i := len(d.revoked) - 1; i >= 0; i-- {
+		op := d.revoked[i]
+		if e, ok := s.get(op); ok {
+			e.Revoked = false
+			s.put(&leaf{op: op, e: e})
 		}
+	}
+	for i := len(d.spent) - 1; i >= 0; i-- {
+		s.put(d.spent[i])
+	}
+	for i := len(d.created) - 1; i >= 0; i-- {
+		s.del(d.created[i].op)
 	}
 }
 

@@ -164,7 +164,9 @@ func TestValueOverflowRejected(t *testing.T) {
 
 // TestDuplicateOutputRejected is the BIP30 inflation case: a coinbase whose
 // outputs are still unspent cannot be applied again, which would overwrite
-// them, and the refused block leaves the set as it was.
+// them, nor after a spend of them earlier in the same block, whose effect
+// would then depend on the order its delta is replayed in (creates before
+// spends); a refused block leaves the set as it was.
 func TestDuplicateOutputRejected(t *testing.T) {
 	s := New()
 	key := testKey(t, 10)
@@ -179,6 +181,15 @@ func TestDuplicateOutputRejected(t *testing.T) {
 	}
 	if after, ok := s.Lookup(op); s.Len() != 1 || !ok || after != before {
 		t.Errorf("refused block changed the set: %d entries, output %+v, was %+v", s.Len(), after, before)
+	}
+	led := s.led
+	spend := spendTx(key, op, 30, crypto.Address{1}, 20)
+	mature := ctxAt(1 + uint64(types.DefaultParams().CoinbaseMaturity))
+	if _, _, err := s.ApplyBlock([]*types.Transaction{spend, cb}, mature); !errors.Is(err, ErrDuplicateOutput) {
+		t.Errorf("spend then re-applied coinbase: err = %v, want ErrDuplicateOutput", err)
+	}
+	if s.led != led {
+		t.Error("refused block moved the set off its ledger")
 	}
 }
 

@@ -91,7 +91,7 @@ func TestRedoUndoAdopt(t *testing.T) {
 	}
 
 	follower := New()
-	// The twin takes the other way across: it replays every op log.
+	// The twin takes the other way across: it replays every delta.
 	twin := New()
 	for i, d := range deltas {
 		follower.RedoBlock(d, BlockRef{})
@@ -197,41 +197,45 @@ func TestFallbackReplaysAndRepublishes(t *testing.T) {
 }
 
 // TestReplayedCreateLinksLoggedLeaf: the table holds a created entry in the
-// very leaf the delta's op log carries, on the set that applied the block and
-// on a set that replays it, and a spend's undo restores the leaf its log
-// entry carries: crossing a block allocates no leaf of its own.
+// very leaf the delta's created slab carries, on the set that applied the
+// block and on a set that replays it, and undoing a block by replay relinks
+// the very leaves its inputs spent: crossing a block allocates no leaf of its
+// own.
 func TestReplayedCreateLinksLoggedLeaf(t *testing.T) {
 	leader, deltas := testChain(t, 4)
+	last := deltas[len(deltas)-1]
 	replayer := New()
-	for _, d := range deltas {
+	for _, d := range deltas[:len(deltas)-1] {
 		replayer.redoOps(d)
 	}
+	// The leaf each outpoint the last block spends is held in before it.
+	held := map[types.OutPoint]*leaf{}
+	for _, l := range last.spent {
+		held[l.op] = replayer.led.root.get(&l.op, pathOf(&l.op))
+	}
+	replayer.redoOps(last)
 	sameContents(t, "replayed chain", replayer, leader)
-	linked := func(s *Set, op *deltaOp) bool { return s.led.root.get(&op.op, pathOf(&op.op)) == &op.leaf }
+	linked := func(s *Set, l *leaf) bool { return s.led.root.get(&l.op, pathOf(&l.op)) == l }
 	creates := 0
 	for _, d := range deltas {
-		for i := range d.ops {
-			op := &d.ops[i]
-			if op.kind != opCreate {
-				continue
-			}
-			if _, live := leader.Lookup(op.op); !live {
+		for i := range d.created {
+			l := &d.created[i]
+			if _, live := leader.Lookup(l.op); !live {
 				continue
 			}
 			creates++
-			if !linked(leader, op) || !linked(replayer, op) {
-				t.Fatalf("created entry %v is not held in its logged leaf", op.op)
+			if !linked(leader, l) || !linked(replayer, l) {
+				t.Fatalf("created entry %v is not held in its delta's leaf", l.op)
 			}
 		}
 	}
-	if creates == 0 {
-		t.Fatal("no live created entry to check")
+	if creates == 0 || len(held) == 0 {
+		t.Fatalf("%d live created entries and %d spent ones to check", creates, len(held))
 	}
-	last := deltas[len(deltas)-1]
 	replayer.undoOps(last)
-	for i := range last.ops {
-		if op := &last.ops[i]; op.kind == opSpend && !linked(replayer, op) {
-			t.Fatalf("undone spend of %v is not held in its logged leaf", op.op)
+	for op, l := range held {
+		if l == nil || !linked(replayer, l) {
+			t.Fatalf("undone spend of %v is not held in the leaf it was held in before the block", op)
 		}
 	}
 }

@@ -116,11 +116,11 @@ type ConnectResult struct {
 	Err error
 }
 
-// DefaultCacheSize bounds the shared cache. An entry costs its delta's op log
-// — about a hundred bytes per transaction input and output, a few kilobytes
-// for a typical block — and nothing more: a delta references the ledger
-// states on either side of its block weakly, so the cache never keeps a
-// superseded ledger alive. That caps worst-case memory in the tens of
+// DefaultCacheSize bounds the shared cache. An entry costs its delta — about
+// a hundred bytes per transaction output and eight per input, a few
+// kilobytes for a typical block — and nothing more: a delta references the
+// ledger states on either side of its block weakly, so the cache never keeps
+// a superseded ledger alive. That caps worst-case memory in the tens of
 // megabytes while comfortably holding every block of a paper-scale run.
 const DefaultCacheSize = 16384
 
