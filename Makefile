@@ -17,8 +17,8 @@ fmt:
 
 # lint is the static determinism/protocol-safety gate: gofmt (any file
 # `gofmt -l` names fails it), go vet, then the project's own nglint suite —
-# the per-function analyzers (walltime, locksafe) plus the
-# interprocedural module analyzers (detflow, errflow) —
+# three module analyzers over one load of the module: the wall-clock site
+# rule (walltime) and the interprocedural ones (detflow, errflow) —
 # see DESIGN.md §9 — then staticcheck and govulncheck when installed (CI
 # installs both; locally they are optional extras since the sandbox has no
 # network). A finding, or an
@@ -120,7 +120,10 @@ race-soak:
 # pointer across shards) and the trie's model test, the simulator's delivery
 # recycling on four
 # lossy shards with a node crashing under traffic, two goroutines
-# interning overlapping hashes in one block table, four stores interning
+# interning overlapping hashes in one block table, one goroutine interning
+# while another probes the same table for resident bodies (a lock-order
+# inversion between its two locks deadlocks it, and its watchdog fails it in
+# seconds), four stores interning
 # one forked chain's shared headers at once and reloading their evicted
 # bodies, two goroutines
 # thrashing the fleet-wide work memo with alternating targets, and two
@@ -130,7 +133,7 @@ race-faults:
 	$(GO) test -race -count=1 -run 'TestRecyclingShardedMatchesSequential' ./internal/simnet
 	$(GO) test -race -count=1 -run 'TestStream|TestSignerExitsWithDemand' ./internal/load
 	$(GO) test -race -count=1 -run 'TestSharedDeltasAcrossGoroutines|FuzzLedgerTable' ./internal/utxo
-	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern' ./internal/blockstore
+	$(GO) test -race -count=1 -run 'TestTableConcurrentIntern|TestTableInternWhileResident' ./internal/blockstore
 	$(GO) test -race -count=1 -run 'TestStoresInternHeadersConcurrently' ./internal/chain
 	$(GO) test -race -count=1 -run 'TestWorkForTargetConcurrent' ./internal/crypto
 	$(GO) test -race -count=1 -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync|TestShardsShareBlockMessages' ./internal/node

@@ -1,9 +1,8 @@
 // Command nglint runs the determinism & protocol-safety analyzer suite
-// (internal/lint) over the whole module: the per-package analyzers
-// (walltime, locksafe), the whole-module analyzers (detflow
-// interprocedural nondeterminism taint and global math/rand draws, errflow
-// consensus error-drop tracking), plus verification of every
-// //nglint:allow annotation.
+// (internal/lint) over one load of the whole module: walltime (wall-clock
+// reads at the call), detflow (interprocedural nondeterminism taint and
+// global math/rand draws) and errflow (consensus error-drop tracking), plus
+// verification of every //nglint:allow annotation.
 //
 // Usage:
 //

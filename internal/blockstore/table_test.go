@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/types"
@@ -59,6 +60,48 @@ func TestTableConcurrentIntern(t *testing.T) {
 				t.Fatalf("hash %d: goroutine %d got ordinal %d, table holds %d", i, g, seen, o)
 			}
 		}
+	}
+}
+
+// TestTableInternWhileResident: one goroutine interns fresh hashes while
+// another asks resident for the same hashes in reverse, as a shard naming
+// new blocks races a store's replay. Intern takes a segment lock and then
+// the slot slice's; a probe that took them the other way round would
+// deadlock against it, and the watchdog turns that hang into a failure in
+// seconds. make race-faults runs it under -race.
+func TestTableInternWhileResident(t *testing.T) {
+	const n = 20000
+	hashes := make([]crypto.Hash, n)
+	for i := range hashes {
+		hashes[i] = crypto.HashBytes([]byte{byte(i), byte(i >> 8), byte(i >> 16), 'r'})
+	}
+	tab := NewTable()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, h := range hashes {
+			tab.Intern(h)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := n - 1; i >= 0; i-- {
+			if b := tab.resident(hashes[i]); b != nil {
+				t.Errorf("hash %d: resident body %v with no header shared", i, b)
+				return
+			}
+		}
+	}()
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Intern and resident deadlocked: the table's two locks were taken in opposite orders")
+	}
+	if tab.Len() != n {
+		t.Fatalf("Len = %d after interning %d distinct hashes", tab.Len(), n)
 	}
 }
 

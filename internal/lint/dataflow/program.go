@@ -1,7 +1,6 @@
 // Package dataflow is the summary-based interprocedural analysis engine
-// under the module-wide nglint analyzers (detflow, errflow). It
-// generalizes the shape locksafe pioneered — per-function facts propagated
-// to a fixpoint — across packages: a Program indexes every function
+// under the nglint analyzers detflow and errflow: per-function facts
+// propagated to a fixpoint across packages. A Program indexes every function
 // declaration in a load, resolves static call edges, and the taint engine
 // (taint.go) computes per-function summaries (result taints, pointer-param
 // mutations, param→result/param→param transfer, sink reachability with call

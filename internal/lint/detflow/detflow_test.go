@@ -53,12 +53,21 @@ func TestInZone(t *testing.T) {
 	}
 }
 
+// sandboxLoader is the one loader every sandbox in this test binary shares,
+// so the standard library and the module packages a copy imports are
+// type-checked once; sandboxes counts the copies loaded into it.
+var (
+	sandboxLoader *load.Loader
+	sandboxes     int
+)
+
 // sandbox copies the production files of internal/<pkg> into a temporary
 // directory, passing each through edit, optionally adds a file holding
-// extra, loads the copy under the non-module path pkg+"_sandbox" (which
-// tolerates the soft type errors surgery leaves behind, an unused import at
-// worst) and runs detflow on it, with the copy in the deterministic zone
-// when inZone is set. It logs and returns the findings.
+// extra, loads the copy under the non-module path <pkg>_sandbox<N>, its own
+// for each copy (a non-module path tolerates the soft type errors surgery
+// leaves behind, an unused import at worst), and runs detflow on it, with
+// the copy in the deterministic zone when inZone is set. It logs and
+// returns the findings.
 func sandbox(t *testing.T, pkg string, inZone bool, edit func([]byte) []byte, extra string) []string {
 	t.Helper()
 	root := linttest.ModuleRoot(t)
@@ -88,8 +97,12 @@ func sandbox(t *testing.T, pkg string, inZone bool, edit func([]byte) []byte, ex
 			t.Fatal(err)
 		}
 	}
-	path := pkg + "_sandbox"
-	l := load.New("bitcoinng", root)
+	if sandboxLoader == nil {
+		sandboxLoader = load.New("bitcoinng", root)
+	}
+	l := sandboxLoader
+	sandboxes++
+	path := fmt.Sprintf("%s_sandbox%d", pkg, sandboxes)
 	lp, err := l.LoadDir(path, dst)
 	if err != nil {
 		t.Fatalf("loading sandbox copy of %s: %v", pkg, err)

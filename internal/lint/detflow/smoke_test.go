@@ -17,17 +17,9 @@ import (
 func TestModuleSweep(t *testing.T) {
 	root := linttest.ModuleRoot(t)
 	l := load.New("bitcoinng", root)
-	paths, err := l.ModulePackages()
+	pkgs, err := l.LoadModule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var pkgs []*load.Package
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			t.Fatalf("loading %s: %v", p, err)
-		}
-		pkgs = append(pkgs, pkg)
 	}
 	prog := dataflow.NewProgram(l.Fset(), pkgs)
 	diags := detflow.Run(prog, detflow.InZone)

@@ -2,8 +2,10 @@
 // a stdlib-only analogue of golang.org/x/tools/go/analysis/analysistest.
 //
 // A fixture is a directory of Go files under the analyzer's testdata/src
-// tree forming one package. Expected diagnostics are annotated in the
-// fixture source with analysistest's comment convention:
+// tree forming one package. The fixture's directory path doubles as its
+// import path, so a fixture under testdata/src/bitcoinng/internal/sim/fx is
+// analyzed as a deterministic-zone package. Expected diagnostics are
+// annotated in the fixture source with analysistest's comment convention:
 //
 //	for k := range m { // want `append to "out"`
 //
@@ -46,43 +48,6 @@ func ModuleRoot(t *testing.T) string {
 		}
 		dir = parent
 	}
-}
-
-// Run loads testdata/src/<name> (relative to the calling test's directory),
-// applies the analyzer, and compares diagnostics against // want comments.
-// The fixture's directory path doubles as its import path, so a fixture
-// under testdata/src/bitcoinng/internal/sim/fx is analyzed as a
-// deterministic-zone package. It returns the raw diagnostics for extra
-// assertions.
-func Run(t *testing.T, a *analysis.Analyzer, name string) []analysis.Diagnostic {
-	t.Helper()
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(cwd, "testdata", "src", filepath.FromSlash(name))
-	l := load.New("bitcoinng", ModuleRoot(t))
-	pkg, err := l.LoadDir(name, dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer: a,
-		Fset:     l.Fset(),
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		PkgPath:  pkg.Path,
-		Info:     pkg.Info,
-		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-
-	CheckAll(t, l.Fset(), []*load.Package{pkg}, diags)
-	return diags
 }
 
 // LoadFixtures loads the named fixture packages (testdata/src/<name>,

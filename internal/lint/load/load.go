@@ -186,7 +186,8 @@ func (l *Loader) check(path, dir string, full bool) ([]*ast.File, *types.Package
 	// A full (analysis) load may re-check a path that was already imported
 	// types-only by an earlier target. Keep the first types.Package in the
 	// cache so importers stay stable; the fresh one is internally
-	// consistent with the new Info, which is all a per-package pass needs.
+	// consistent with the new Info, which is all an analyzer walking the
+	// package's files needs.
 	if _, ok := l.cache[path]; !ok {
 		l.cache[path] = tpkg
 	}
@@ -222,6 +223,23 @@ func (l *Loader) Load(path string) (*Package, error) {
 func (l *Loader) LoadDir(path, dir string) (*Package, error) {
 	_, _, pkg, err := l.check(path, dir, true)
 	return pkg, err
+}
+
+// LoadModule fully loads every package ModulePackages names, in that order.
+func (l *Loader) LoadModule() ([]*Package, error) {
+	paths, err := l.ModulePackages()
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(paths))
+	for _, p := range paths {
+		pkg, err := l.Load(p)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // ModulePackages returns the import paths of every package in the module,

@@ -1,6 +1,6 @@
 // Package nglint orchestrates the determinism & protocol-safety analyzer
-// suite: it loads module packages, runs every analyzer, and applies the
-// //nglint:allow annotation convention.
+// suite: it loads the module's packages once, runs every analyzer over the
+// whole load, and applies the //nglint:allow annotation convention.
 //
 // # Annotation convention
 //
@@ -30,22 +30,15 @@ import (
 	"bitcoinng/internal/lint/detflow"
 	"bitcoinng/internal/lint/errflow"
 	"bitcoinng/internal/lint/load"
-	"bitcoinng/internal/lint/locksafe"
 	"bitcoinng/internal/lint/walltime"
 )
 
-// Analyzers is the per-package suite, in reporting order.
-var Analyzers = []*analysis.Analyzer{
-	walltime.Analyzer,
-	locksafe.Analyzer,
-}
-
-// ModuleAnalyzers is the whole-module suite: interprocedural dataflow
-// checks that need every package in one pass. They run
-// after the per-package suite over the same load and share the //nglint:allow
-// convention — an allow on the reported line suppresses the finding no matter
-// which package the flow ends in.
+// ModuleAnalyzers is the suite, in reporting order. Each runs once over the
+// whole load, and they share the //nglint:allow convention — an allow on the
+// reported line suppresses the finding no matter which package an
+// interprocedural flow ends in.
 var ModuleAnalyzers = []*analysis.ModuleAnalyzer{
+	walltime.Analyzer,
 	detflow.Analyzer,
 	errflow.Analyzer,
 }
@@ -61,29 +54,20 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Run lints every package of the module rooted at moduleDir — the
-// per-package suite, then the module suite — and returns the findings
-// sorted by position.
+// Run lints every package of the module rooted at moduleDir and returns the
+// findings sorted by position.
 func Run(modulePath, moduleDir string) ([]Finding, error) {
 	l := load.New(modulePath, moduleDir)
-	paths, err := l.ModulePackages()
+	pkgs, err := l.LoadModule()
 	if err != nil {
 		return nil, err
-	}
-	var pkgs []*load.Package
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
 	}
 	return RunModule(l, pkgs)
 }
 
-// RunModule applies both suites to the loaded packages with allow filtering
-// across the whole set: a module analyzer's finding can land in any package,
-// so suppressions and staleness are resolved against every file at once.
+// RunModule applies the suite to the loaded packages with allow filtering
+// across the whole set: a finding can land in any package, so suppressions
+// and staleness are resolved against every file at once.
 func RunModule(l *load.Loader, pkgs []*load.Package) ([]Finding, error) {
 	type rawDiag struct {
 		analyzer string
@@ -92,22 +76,6 @@ func RunModule(l *load.Loader, pkgs []*load.Package) ([]Finding, error) {
 	var diags []rawDiag
 	var allows []*allow
 	for _, pkg := range pkgs {
-		for _, a := range Analyzers {
-			pass := &analysis.Pass{
-				Analyzer: a,
-				Fset:     l.Fset(),
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				PkgPath:  pkg.Path,
-				Info:     pkg.Info,
-				Report: func(d analysis.Diagnostic) {
-					diags = append(diags, rawDiag{analyzer: a.Name, d: d})
-				},
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
 		allows = append(allows, collectAllows(l.Fset(), pkg)...)
 	}
 	for _, a := range ModuleAnalyzers {
@@ -179,9 +147,6 @@ var allowRe = regexp.MustCompile(`^//nglint:allow\s+(\S+)[ \t]*(.*)$`)
 // the next line.
 func collectAllows(fset *token.FileSet, pkg *load.Package) []*allow {
 	known := map[string]bool{}
-	for _, a := range Analyzers {
-		known[a.Name] = true
-	}
 	for _, a := range ModuleAnalyzers {
 		known[a.Name] = true
 	}
@@ -255,9 +220,6 @@ func sortFindings(fs []Finding) {
 // Doc returns the -list text.
 func Doc() string {
 	var b strings.Builder
-	for _, a := range Analyzers {
-		fmt.Fprintf(&b, "%-11s %s\n", a.Name, a.Doc)
-	}
 	for _, a := range ModuleAnalyzers {
 		fmt.Fprintf(&b, "%-11s %s\n", a.Name, a.Doc)
 	}

@@ -35,7 +35,7 @@ var banned = map[string]bool{
 }
 
 // Analyzer is the walltime check.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &analysis.ModuleAnalyzer{
 	Name: "walltime",
 	Doc: "forbids wall-clock reads (time.Now/Since/Until/Sleep/Tick/After/" +
 		"AfterFunc/NewTicker/NewTimer) in production code; simulated time " +
@@ -45,33 +45,35 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func run(pass *analysis.Pass) error {
-	// Inside detflow's deterministic zone a wall-clock read is a determinism
-	// hazard; elsewhere (live harness, CLIs, examples) it is still flagged,
-	// as a site that must carry a justification, because the whole
-	// repository shares one annotation discipline.
-	det := detflow.InZone(pass.PkgPath)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+func run(pass *analysis.ModulePass) error {
+	for _, pkg := range pass.Pkgs {
+		// Inside detflow's deterministic zone a wall-clock read is a
+		// determinism hazard; elsewhere (live harness, CLIs, examples) it is
+		// still flagged, as a site that must carry a justification, because
+		// the whole repository shares one annotation discipline.
+		det := detflow.InZone(pkg.Path)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn, name, ok := astutil.PkgFuncCall(pkg.Info, call)
+				if !ok || fn != "time" || !banned[name] {
+					return true
+				}
+				if det {
+					pass.Reportf(call.Pos(),
+						"time.%s in deterministic package %s: simulation results must be a pure function of (config, seed); use the event loop's clock",
+						name, pkg.Path)
+				} else {
+					pass.Reportf(call.Pos(),
+						"time.%s reads the wall clock: annotate intentional live-harness sites with //nglint:allow walltime <reason>",
+						name)
+				}
 				return true
-			}
-			pkg, name, ok := astutil.PkgFuncCall(pass.Info, call)
-			if !ok || pkg != "time" || !banned[name] {
-				return true
-			}
-			if det {
-				pass.Reportf(call.Pos(),
-					"time.%s in deterministic package %s: simulation results must be a pure function of (config, seed); use the event loop's clock",
-					name, pass.PkgPath)
-			} else {
-				pass.Reportf(call.Pos(),
-					"time.%s reads the wall clock: annotate intentional live-harness sites with //nglint:allow walltime <reason>",
-					name)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }

@@ -7,10 +7,14 @@ import (
 	"bitcoinng/internal/lint/walltime"
 )
 
+// TestDeterministicZone checks that a wall-clock read under a
+// deterministic-zone import path gets the absolute message.
 func TestDeterministicZone(t *testing.T) {
-	linttest.Run(t, walltime.Analyzer, "bitcoinng/internal/sim/fx")
+	linttest.RunModule(t, walltime.Analyzer, "bitcoinng/internal/sim/fx")
 }
 
+// TestLiveZone checks that a wall-clock read outside the zone gets the
+// request for an annotation.
 func TestLiveZone(t *testing.T) {
-	linttest.Run(t, walltime.Analyzer, "live")
+	linttest.RunModule(t, walltime.Analyzer, "live")
 }
