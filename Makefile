@@ -59,8 +59,9 @@ race:
 # growth of its path, runs and bitset only, nothing per transaction, and
 # nothing for a reorg once grown); on the stage-1 hashing path, transaction and microblock
 # sighashes, header hashes and the in-place Merkle fold; on the chain-index
-# path, records (block and arrival time) written from a retained buffer that
-# a larger record grows once, to about its own size, and read back into one;
+# path, records (a block with its hash and times) written from a retained
+# buffer that a larger record grows once, to about its own size, and read
+# back into one;
 # in the ledger, a replayed create that links its delta's leaf instead of
 # allocating one, an undo that relinks the very leaves the block spent, and
 # the bytes a 75-transaction block's apply takes (its delta points at the
@@ -211,19 +212,22 @@ faults:
 
 # stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
 # unit suites (the factory's locators and chain index, and the blockstore's
-# Store/Mem contract, block-and-arrival-time record recovery, old-format
-# refusal and failure-injection durability), the durability/aliasing bugfix
-# pins (ledger Clone mutation isolation, reopened-index tie-break
-# equivalence), the
-# harness kernel's restart pins over both backends, the committed chaos
-# regression seeds —
-# each replayed under the mem vs file backend differential — and the
-# beyond-RAM bounded-memory soak over file backends.
+# Store/Mem contract, the recovery of records that name their block — relay
+# type, hash, timestamp and arrival time under one CRC before the block —,
+# the refusal of a record whose block is not the one it names and of both
+# earlier layouts, and failure-injection durability), the durability/aliasing
+# bugfix pins (ledger Clone mutation isolation, reopened-index tie-break
+# equivalence), the harness kernel's restart pins over both backends, the two
+# decode counts (a resumed cluster's open scans decode nothing and its boot
+# replays each block once; a restart decodes only the bodies the fleet
+# evicted), the committed chaos regression seeds — each replayed under the
+# mem vs file backend differential — and the beyond-RAM bounded-memory soak
+# over file backends.
 stores:
 	$(GO) test -count=1 ./internal/store ./internal/blockstore
 	$(GO) test -count=1 -run 'TestCloneMutationIsolation' ./internal/utxo
-	$(GO) test -count=1 -run 'TestRestartRecoversDurablePrefix|TestBootRejectsUsedStoreWithoutResume' ./internal/harness
-	$(GO) test -count=1 -run 'TestClusterRestartPreservesTieBreakInputs|TestClusterStateDirProcessRestart|TestClusterGoldenFingerprint' .
+	$(GO) test -count=1 -run 'TestRestartRecoversDurablePrefix|TestBootRejectsUsedStoreWithoutResume|TestRestartDecodesOnlyEvictedBodies' ./internal/harness
+	$(GO) test -count=1 -run 'TestClusterRestartPreservesTieBreakInputs|TestClusterStateDirProcessRestart|TestClusterResumeDecodesEachRecordOnce|TestClusterGoldenFingerprint' .
 	$(GO) test -count=1 -run 'TestRegressionSeeds' ./internal/chaos
 	$(GO) test -count=1 -run 'TestBeyondRAMRunBounded' -timeout 20m ./internal/experiment
 

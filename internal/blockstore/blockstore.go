@@ -2,29 +2,29 @@
 // order together with its local arrival time, on an append-only file (Store)
 // or in memory (Mem). The arrival time is consensus input — the first-seen
 // tie-break reads it — so a reopened index replays exactly the (block,
-// receivedAt) pairs its first life recorded, and both live in one record
-// under one checksum. A fleet's Mems share a Table, which names each block
-// and keeps its body once for all of them; a Mem keeps only its order and
-// arrival times. A Store replays from the same Table: a block whose fleet
-// header holds its body in memory is handed over as that object, and only a
-// body nobody holds is read from the file and decoded.
+// receivedAt) pairs its first life recorded. Both keep the same records, a
+// block's ordinal in the fleet's Table and its arrival time. A Mem's bodies
+// are the Table's, archived once for the fleet; a Store's are in its file,
+// read and decoded only for a block no fleet header holds in memory.
 //
-// The file is a sequence of length-prefixed, checksummed records; the
-// in-memory index is rebuilt by a single scan on open, and a torn final
-// record (crash during append) is detected and truncated away. Records are
-// written from one retained buffer and read back (Get, the scan) into
-// another, so neither direction allocates per record beyond the decoded block
-// itself, which owns its bytes (see wire.Reader.VarDecode for the rule that
-// makes reuse safe).
+// The file is a sequence of length-prefixed, checksummed records, each naming
+// its block; the in-memory index is rebuilt by a single scan on open, which
+// decodes nothing, and a torn final record (crash during append) is detected
+// and truncated away. Records are written from one retained buffer and read
+// back (Get, the scan) into another, so neither direction allocates per
+// record beyond the decoded block itself, which owns its bytes (see
+// wire.Reader.VarDecode for the rule that makes reuse safe).
 //
 // Layout per record:
 //
-//	magic      uint32  // record marker, catches misaligned scans
-//	kind       uint8   // types.BlockKind
-//	length     uint32  // payload bytes
-//	crc32      uint32  // IEEE checksum of receivedAt and the payload
-//	receivedAt int64   // local arrival time on the node's clock
-//	payload [length]byte  // wire-encoded block
+//	magic      uint32    // record marker, catches misaligned scans
+//	length     uint32    // payload bytes
+//	crc32      uint32    // IEEE checksum of every byte after it
+//	msgType    uint8     // the block's relay message type (types.BlockMsgType)
+//	hash       [32]byte  // the block's hash
+//	time       int64     // the block's timestamp
+//	receivedAt int64     // local arrival time on the node's clock
+//	payload [length]byte // wire-encoded block
 package blockstore
 
 import (
@@ -34,50 +34,53 @@ import (
 	"hash/crc32"
 	"os"
 	"slices"
-	"sync"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/slots"
 	"bitcoinng/internal/types"
 	"bitcoinng/internal/wire"
 )
 
 const (
-	recordMagic uint32 = 0x4e474254 // "TBGN" little-endian
-	// legacyMagic opened every record of the layout without receivedAt,
-	// whose arrival times lived in a separate sidecar file.
-	legacyMagic  uint32 = 0x4e474253 // "SBGN" little-endian
-	headerSize          = 4 + 1 + 4 + 4 + 8
+	recordMagic  uint32 = 0x4e474255 // "UBGN" little-endian
+	headerSize          = 4 + 4 + 4 + 1 + 32 + 8 + 8
 	maxBlockSize        = wire.MaxMessageSize
 )
+
+// oldMagics open the records of earlier layouts: "SBGN", whose arrival times
+// lived in a separate sidecar file, and "TBGN", whose records did not name
+// their block.
+var oldMagics = []uint32{0x4e474253, 0x4e474254}
 
 // Store errors.
 var (
 	ErrNotFound = errors.New("blockstore: block not found")
 	ErrClosed   = errors.New("blockstore: closed")
-	// ErrOldFormat refuses a file in the layout without arrival times: its
-	// records would scan as corruption and be truncated away.
-	ErrOldFormat = errors.New("blockstore: file is in the old record format without arrival times")
+	// ErrOldFormat refuses a file in an earlier record layout: its records
+	// would scan as corruption and be truncated away.
+	ErrOldFormat = errors.New("blockstore: file is in an earlier record format")
+	// ErrHashMismatch refuses a record whose checksummed payload does not
+	// decode to the block its header names.
+	ErrHashMismatch = errors.New("blockstore: record payload does not match its block hash")
 )
 
-// Store is an append-only block file with an in-memory offset index. Every
-// Append is fsynced before it returns, so a block the store accepted is on
-// stable storage and a crash can only lose blocks the caller was never told
-// were safe. The owning node serializes access, except that Get may be
-// called from any goroutine (a fleet's shared chain headers reload evicted
-// bodies through the archive that evicted them); mu guards it.
+// Store is Mem's records over an append-only block file, with each record's
+// location in the file by ordinal. Every Append is fsynced before it
+// returns, so a block the store accepted is on stable storage and a crash can
+// only lose blocks the caller was never told were safe. The owning node
+// serializes access, except that Get may be called from any goroutine (a
+// fleet's shared chain headers reload evicted bodies through the archive that
+// evicted them); mu guards it.
 type Store struct {
-	mu     sync.Mutex
+	records
 	f      *os.File
 	size   int64
-	index  map[crypto.Hash]recordRef
-	order  []crypto.Hash // append order, for replay
-	rec    wire.Writer   // Append's record buffer, reused across appends
-	buf    []byte        // the read buffer Get and the open scan reuse
-	blocks *Table        // the fleet's headers, whose resident bodies Replay takes
+	locs   slots.Chunked[location] // by ordinal
+	rec    wire.Writer             // Append's record buffer, reused across appends
+	buf    []byte                  // the read buffer Get and the open scan reuse
 	closed bool
 
-	latest  int64 // the latest block timestamp or arrival time stored
-	decoded int   // records the open scan and Get decoded
+	decoded int // records Get and Replay decoded
 
 	// syncFn stands in for f.Sync so failure-injection tests can make
 	// durability fail without a real bad disk.
@@ -88,28 +91,27 @@ type Store struct {
 	err error
 }
 
-type recordRef struct {
-	offset     int64
-	receivedAt int64
-	kind       types.BlockKind
-	length     uint32
+// location is where a held block's record lies in the file.
+type location struct {
+	off    int64
+	length uint32
+	typ    wire.MsgType
 }
 
 // Open opens (or creates) the store at path, scanning existing records to
-// rebuild the index, and replays against the fleet's headers in t (nil: a
-// private table, which holds none). A trailing partial record — a crash
-// mid-append — is truncated away. A file written in the old record format is
-// refused with ErrOldFormat and left untouched.
+// rebuild the index, and names its blocks in the fleet's table t (nil: a
+// private table), whose headers Replay takes resident bodies from. A trailing
+// partial record — a crash mid-append — is truncated away. A file written in
+// an earlier record format is refused with ErrOldFormat and left untouched.
 func Open(path string, t *Table) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open %s: %w", path, err)
 	}
-	s := &Store{
-		f:      f,
-		index:  make(map[crypto.Hash]recordRef),
-		blocks: t,
+	if t == nil {
+		t = NewTable()
 	}
+	s := &Store{records: records{blocks: t}, f: f}
 	s.syncFn = s.f.Sync
 	if err := s.scan(); err != nil {
 		f.Close()
@@ -128,15 +130,17 @@ func (s *Store) SetSyncHook(hook func() error) {
 	s.syncFn = hook
 }
 
-// scan rebuilds the index, recovering the longest valid record prefix: the
-// first sign of corruption — bad magic, absurd length, checksum mismatch,
-// undecodable payload, or a torn tail — stops the scan and everything from
-// that offset on is truncated away. Open therefore never fails on damaged
-// content, only on I/O errors; a crash or disk scribble costs the suffix, not
-// the store. (Records are append-ordered, so any prefix is a usable chain
-// history — exactly the durable-prefix contract the restart path asserts.)
-// The one exception is a file that opens with the old format's magic: it is
-// refused whole rather than truncated to nothing.
+// scan rebuilds the index from the record headers, recovering the longest
+// valid record prefix: the first sign of corruption — bad magic, absurd
+// length, checksum mismatch, or a torn tail — stops the scan and everything
+// from that offset on is truncated away. Each payload is read to check its
+// checksum but not decoded: the header names the block and carries both its
+// times. Open therefore never fails on damaged content, only on I/O errors; a
+// crash or disk scribble costs the suffix, not the store. (Records are
+// append-ordered, so any prefix is a usable chain history — exactly the
+// durable-prefix contract the restart path asserts.) The one exception is a
+// file that opens with an earlier layout's magic: it is refused whole rather
+// than truncated to nothing.
 func (s *Store) scan() error {
 	info, err := s.f.Stat()
 	if err != nil {
@@ -144,7 +148,7 @@ func (s *Store) scan() error {
 	}
 	total := info.Size()
 	hdr := make([]byte, headerSize)
-	if _, err := s.f.ReadAt(hdr[:4], 0); err == nil && binary.LittleEndian.Uint32(hdr) == legacyMagic {
+	if _, err := s.f.ReadAt(hdr[:4], 0); err == nil && slices.Contains(oldMagics, binary.LittleEndian.Uint32(hdr)) {
 		return fmt.Errorf("%w: %s", ErrOldFormat, s.f.Name())
 	}
 	var off int64
@@ -155,9 +159,7 @@ func (s *Store) scan() error {
 		if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
 			break // corruption: recover the prefix scanned so far
 		}
-		kind := types.BlockKind(hdr[4])
-		length := binary.LittleEndian.Uint32(hdr[5:9])
-		wantCRC := binary.LittleEndian.Uint32(hdr[9:13])
+		length := binary.LittleEndian.Uint32(hdr[4:8])
 		if length > maxBlockSize {
 			break // corrupt length field
 		}
@@ -168,20 +170,12 @@ func (s *Store) scan() error {
 		if err != nil {
 			return err
 		}
-		if crc32.Update(crc32.ChecksumIEEE(hdr[13:]), crc32.IEEETable, payload) != wantCRC {
-			break // corrupt arrival time or payload
+		if crc32.Update(crc32.ChecksumIEEE(hdr[12:]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
+			break // corrupt header fields or payload
 		}
-		b, err := decodeBlock(kind, payload)
-		if err != nil {
-			break // checksum matched but content does not parse (bad kind?)
-		}
-		s.decoded++
-		h := b.Hash()
-		if _, dup := s.index[h]; !dup {
-			receivedAt := int64(binary.LittleEndian.Uint64(hdr[13:21]))
-			s.index[h] = recordRef{offset: off, receivedAt: receivedAt, kind: kind, length: length}
-			s.order = append(s.order, h)
-			s.latest = max(s.latest, b.Time(), receivedAt)
+		if o := s.blocks.Intern(crypto.Hash(hdr[13:45])); !s.held.Has(o) {
+			*s.locs.At(o) = location{off: off, length: length, typ: wire.MsgType(hdr[12])}
+			s.add(o, int64(binary.LittleEndian.Uint64(hdr[53:61])), int64(binary.LittleEndian.Uint64(hdr[45:53])))
 		}
 		off += headerSize + int64(length)
 	}
@@ -192,39 +186,6 @@ func (s *Store) scan() error {
 	}
 	s.size = off
 	return nil
-}
-
-func decodeBlock(kind types.BlockKind, payload []byte) (types.Block, error) {
-	switch kind {
-	case types.KindPow:
-		b := new(types.PowBlock)
-		return b, wire.Decode(payload, b)
-	case types.KindKey:
-		b := new(types.KeyBlock)
-		return b, wire.Decode(payload, b)
-	case types.KindMicro:
-		b := new(types.MicroBlock)
-		return b, wire.Decode(payload, b)
-	default:
-		return nil, fmt.Errorf("unknown block kind %d", kind)
-	}
-}
-
-// Len returns the number of stored blocks.
-func (s *Store) Len() int { return len(s.index) }
-
-// Hashes returns the stored block hashes in append order. The caller owns
-// the returned slice.
-func (s *Store) Hashes() []crypto.Hash {
-	out := make([]crypto.Hash, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Contains reports whether the block is stored.
-func (s *Store) Contains(h crypto.Hash) bool {
-	_, ok := s.index[h]
-	return ok
 }
 
 // Append persists a block with its arrival time. Appending an already-stored
@@ -244,7 +205,8 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 		return s.err
 	}
 	h := b.Hash()
-	if _, dup := s.index[h]; dup {
+	o := s.blocks.Intern(h)
+	if s.held.Has(o) {
 		return nil
 	}
 	// Header and payload are built contiguously in the retained writer and
@@ -257,12 +219,14 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 	s.rec.Raw(hdr[:])
 	b.EncodeWire(&s.rec)
 	rec := s.rec.Bytes()
-	payload := rec[headerSize:]
+	typ := types.BlockMsgType(b)
 	binary.LittleEndian.PutUint32(rec[0:4], recordMagic)
-	rec[4] = byte(b.Kind())
-	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[13:21], uint64(receivedAt))
-	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(rec[13:]))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(rec)-headerSize))
+	rec[12] = byte(typ)
+	copy(rec[13:45], h[:])
+	binary.LittleEndian.PutUint64(rec[45:53], uint64(b.Time()))
+	binary.LittleEndian.PutUint64(rec[53:61], uint64(receivedAt))
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(rec[12:]))
 	if _, err := s.f.WriteAt(rec, s.size); err != nil {
 		return fmt.Errorf("blockstore: append record: %w", err)
 	}
@@ -274,37 +238,39 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 		s.err = fmt.Errorf("blockstore: append sync: %w", err)
 		return s.err
 	}
-	s.index[h] = recordRef{offset: s.size, receivedAt: receivedAt, kind: b.Kind(), length: uint32(len(payload))}
-	s.order = append(s.order, h)
-	s.latest = max(s.latest, b.Time(), receivedAt)
+	*s.locs.At(o) = location{off: s.size, length: uint32(len(rec) - headerSize), typ: typ}
+	s.add(o, receivedAt, b.Time())
 	s.size += int64(len(rec))
 	return nil
 }
 
-// Get loads a block by hash.
+// Get loads a block by hash, decoding its record. A payload that does not
+// decode to the block its record names is refused with ErrHashMismatch, so no
+// block is ever served under another's hash.
 func (s *Store) Get(h crypto.Hash) (types.Block, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	ref, ok := s.index[h]
+	o, ok := s.ordinal(h)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 	}
-	payload, err := s.read(ref.offset, ref.length)
+	loc := s.locs.At(o)
+	payload, err := s.read(loc.off, loc.length)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: read %s: %w", h.Short(), err)
 	}
 	s.decoded++
-	return decodeBlock(ref.kind, payload)
+	b, err := types.DecodeBlockMsg(loc.typ, payload)
+	if err != nil || b.Hash() != h {
+		return nil, fmt.Errorf("%w: %s", ErrHashMismatch, h.Short())
+	}
+	return b, nil
 }
 
-// Latest returns the latest block timestamp or arrival time stored; 0 when
-// empty. The open scan keeps it as it decodes, so reading it decodes nothing.
-func (s *Store) Latest() int64 { return s.latest }
-
-// Decoded returns how many records the open scan and Get have decoded.
+// Decoded returns how many records Get and Replay have decoded.
 func (s *Store) Decoded() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,25 +295,17 @@ func (s *Store) read(offset int64, length uint32) ([]byte, error) {
 // exactly what chain reconstruction needs. A block whose fleet header holds
 // its body is that body, the same bytes by the hash's commitment (a body
 // reaches a header only after CheckBlock folded its transactions to the
-// root); any other is read from its record and decoded. Iteration stops at
-// the first callback error.
+// root); any other is loaded by Get. Iteration stops at the first error.
 func (s *Store) Replay(fn func(b types.Block, receivedAt int64) error) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, h := range s.order {
-		b := s.blocks.resident(h)
-		if b == nil {
-			var err error
-			if b, err = s.Get(h); err != nil {
-				return err
-			}
+	return s.replay(func(o int32) (types.Block, error) {
+		if b := s.blocks.resident(o); b != nil {
+			return b, nil
 		}
-		if err := fn(b, s.index[h].receivedAt); err != nil {
-			return err
-		}
-	}
-	return nil
+		return s.Get(s.blocks.hash(o))
+	}, fn)
 }
 
 // Sync fsyncs the file. A failure is sticky: the durable prefix's true

@@ -201,17 +201,13 @@ func TestCorruptPayloadRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := makeChain(t, 3)
+	// Record boundaries, for corrupting the middle record below.
+	offsets := make([]int64, 0, 3)
 	for _, b := range blocks {
+		offsets = append(offsets, s.size)
 		if err := s.Append(b, b.Time()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Record boundaries, for corrupting the middle record below.
-	offsets := make([]int64, 0, 3)
-	var off int64
-	for _, b := range blocks {
-		offsets = append(offsets, off)
-		off += headerSize + int64(s.index[b.Hash()].length)
 	}
 	s.Close()
 
@@ -274,11 +270,13 @@ func TestClosedStoreErrors(t *testing.T) {
 }
 
 // TestAppendRecordBytesAndAllocations pins the append path's two promises:
-// the record on disk is magic, kind, length, CRC, arrival time and the
-// block's wire encoding, byte for byte what an independent encoder writes,
-// and a steady-state Append allocates nothing per record: the encoding goes
-// into the store's retained buffer, not a fresh payload and header. The fsync
-// is stubbed out; it allocates nothing and would only slow the loop.
+// the record on disk is magic, length, CRC, then the block's relay message
+// type, hash, timestamp and arrival time and its wire encoding, byte for byte
+// what an independent encoder writes, and a steady-state Append allocates
+// nothing per record: the encoding goes into the store's retained buffer, not
+// a fresh payload and header. The blocks are named in the store's table
+// first, as a node's chain names every block before it persists one. The
+// fsync is stubbed out; it allocates nothing and would only slow the loop.
 func TestAppendRecordBytesAndAllocations(t *testing.T) {
 	s := tempStore(t)
 	s.SetSyncHook(func() error { return nil })
@@ -289,11 +287,14 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 		if err := s.Append(b, receivedAt); err != nil {
 			t.Fatal(err)
 		}
-		body := binary.LittleEndian.AppendUint64(nil, uint64(receivedAt))
-		body = append(body, wire.Encode(b)...)
+		h := b.Hash()
+		body := append([]byte{byte(types.BlockMsgType(b))}, h[:]...)
+		body = binary.LittleEndian.AppendUint64(body, uint64(b.Time()))
+		body = binary.LittleEndian.AppendUint64(body, uint64(receivedAt))
+		payload := wire.Encode(b)
+		body = append(body, payload...)
 		want = binary.LittleEndian.AppendUint32(want, recordMagic)
-		want = append(want, byte(b.Kind()))
-		want = binary.LittleEndian.AppendUint32(want, uint32(len(body)-8))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
 		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
 		want = append(want, body...)
 	}
@@ -307,10 +308,11 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 
 	next := 100
 	for _, b := range blocks {
-		b.Hash() // cached before measuring, as for any block a node accepted
+		s.blocks.Intern(b.Hash()) // named, its hash cached, as for any block a node accepted
 	}
-	// The index map and the order slice grow now and then; per record that
-	// averages below one allocation, which AllocsPerRun reports as zero.
+	// The record chunks, the locations' chunk directory and the membership
+	// set grow now and then; per record that averages below one allocation,
+	// which AllocsPerRun reports as zero.
 	if avg := testing.AllocsPerRun(250, func() {
 		if err := s.Append(blocks[next], blocks[next].Time()); err != nil {
 			t.Fatal(err)
@@ -399,14 +401,15 @@ func TestGetReadsIntoOneBuffer(t *testing.T) {
 		}
 	}
 
-	refs := make([]recordRef, 0, len(blocks))
+	locs := make([]location, 0, len(blocks))
 	for _, b := range blocks {
-		refs = append(refs, s.index[b.Hash()])
+		o, _ := s.ordinal(b.Hash())
+		locs = append(locs, *s.locs.At(o))
 	}
 	next := 0
 	if avg := testing.AllocsPerRun(100, func() {
-		ref := refs[next%len(refs)]
-		if _, err := s.read(ref.offset, ref.length); err != nil {
+		loc := locs[next%len(locs)]
+		if _, err := s.read(loc.off, loc.length); err != nil {
 			t.Fatal(err)
 		}
 		next++

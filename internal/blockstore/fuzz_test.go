@@ -7,11 +7,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/types"
+	"bitcoinng/internal/wire"
 )
 
 // validStoreBytes builds the raw bytes of a healthy multi-record store, the
@@ -62,38 +64,58 @@ type stored struct {
 	receivedAt int64
 }
 
-// referencePrefix independently parses the longest valid record prefix of
-// data, returning the deduplicated (hash, receivedAt) pairs in order — the
-// oracle the fuzzed Open must agree with byte for byte.
-func referencePrefix(data []byte) []stored {
-	var out []stored
+// refRecord is one record of the reference parse: what its header names and
+// the payload it carries.
+type refRecord struct {
+	stored
+	typ     wire.MsgType
+	payload []byte
+}
+
+// honest reports whether the payload decodes to the block the header names.
+func (r refRecord) honest() bool {
+	b, err := types.DecodeBlockMsg(r.typ, r.payload)
+	return err == nil && b.Hash() == r.hash
+}
+
+// referencePrefix independently parses the headers of the longest valid
+// record prefix of data, returning the deduplicated records in order — the
+// oracle the fuzzed Open must agree with byte for byte. Like the scan, it
+// decodes no payload.
+func referencePrefix(data []byte) []refRecord {
+	var out []refRecord
 	seen := make(map[crypto.Hash]bool)
 	off := 0
 	for off+headerSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:off+4]) != recordMagic {
+		hdr := data[off : off+headerSize]
+		if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
 			break
 		}
-		kind := types.BlockKind(data[off+4])
-		length := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		wantCRC := binary.LittleEndian.Uint32(data[off+9 : off+13])
+		length := binary.LittleEndian.Uint32(hdr[4:8])
 		if length > maxBlockSize || off+headerSize+int(length) > len(data) {
 			break
 		}
-		if crc32.ChecksumIEEE(data[off+13:off+headerSize+int(length)]) != wantCRC {
+		end := off + headerSize + int(length)
+		if crc32.ChecksumIEEE(data[off+12:end]) != binary.LittleEndian.Uint32(hdr[8:12]) {
 			break
 		}
-		receivedAt := int64(binary.LittleEndian.Uint64(data[off+13 : off+21]))
-		b, err := decodeBlock(kind, data[off+headerSize:off+headerSize+int(length)])
-		if err != nil {
-			break
-		}
-		if h := b.Hash(); !seen[h] {
+		if h := crypto.Hash(hdr[13:45]); !seen[h] {
 			seen[h] = true
-			out = append(out, stored{h, receivedAt})
+			at := int64(binary.LittleEndian.Uint64(hdr[53:61]))
+			out = append(out, refRecord{stored{h, at}, wire.MsgType(hdr[12]), data[off+headerSize : end]})
 		}
-		off += headerSize + int(length)
+		off = end
 	}
 	return out
+}
+
+// forge rewrites the hash field of the record at off to h and recomputes its
+// checksum: a record that passes every check the scan makes but lies about
+// its block.
+func forge(raw []byte, off int, h crypto.Hash) {
+	end := off + headerSize + int(binary.LittleEndian.Uint32(raw[off+4:off+8]))
+	copy(raw[off+13:off+45], h[:])
+	binary.LittleEndian.PutUint32(raw[off+8:off+12], crc32.ChecksumIEEE(raw[off+12:end]))
 }
 
 // replayed lists what an index serves through Replay.
@@ -112,31 +134,39 @@ func replayed(t testing.TB, ix interface {
 }
 
 // FuzzBlockstoreReopen throws arbitrary mutations of a valid store file —
-// truncations, bit-flips, garbage — at Open. Reopening must never panic,
-// must recover exactly the longest valid record prefix with its arrival
-// times, and must leave the file re-appendable. The one input Open refuses is
-// a file that starts with the old format's magic, which it must leave
-// byte-for-byte untouched.
+// truncations, bit-flips, garbage, forged records — at Open. Reopening must
+// never panic, must recover exactly the longest valid record prefix with its
+// arrival times, and must leave the file re-appendable. Replay serves each
+// recovered block in order, and stops with ErrHashMismatch exactly at the
+// first record whose payload is not the block its header names. The one input
+// Open refuses is a file that starts with an earlier layout's magic, which it
+// must leave byte-for-byte untouched.
 func FuzzBlockstoreReopen(f *testing.F) {
 	raw := validStoreBytes(f)
+	second := headerSize + int(binary.LittleEndian.Uint32(raw[4:8])) // record 2's offset
 	f.Add(raw)
 	f.Add(raw[:len(raw)-5])             // torn tail
 	f.Add(raw[:headerSize/2])           // partial first header
 	f.Add([]byte{})                     // empty store
 	flip := append([]byte(nil), raw...) // payload bit-flip in record 2
-	flip[headerSize+int(binary.LittleEndian.Uint32(raw[5:9]))+headerSize+2] ^= 0x40
+	flip[second+headerSize+2] ^= 0x40
 	f.Add(flip)
 	magic := append([]byte(nil), raw...) // magic smashed mid-file
 	magic[len(raw)/2] ^= 0xff
 	f.Add(magic)
 	at := append([]byte(nil), raw...) // arrival-time bit-flip in record 2
-	at[headerSize+int(binary.LittleEndian.Uint32(raw[5:9]))+13] ^= 0x01
+	at[second+53] ^= 0x01
 	f.Add(at)
-	b, err := decodeBlock(types.BlockKind(raw[4]), raw[headerSize:headerSize+int(binary.LittleEndian.Uint32(raw[5:9]))])
+	forged := append([]byte(nil), raw...) // record 2 names another block
+	forge(forged, second, crypto.HashBytes([]byte("another block")))
+	f.Add(forged)
+	b, err := types.DecodeBlockMsg(wire.MsgType(raw[12]), raw[headerSize:second])
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacyRecord(b)) // the old format, refused untouched
+	for _, magic := range oldMagics {
+		f.Add(oldRecord(magic, b)) // an earlier layout, refused untouched
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "blocks.dat")
@@ -144,7 +174,7 @@ func FuzzBlockstoreReopen(f *testing.F) {
 			t.Fatal(err)
 		}
 		s, err := Open(path, nil)
-		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == legacyMagic {
+		if len(data) >= 4 && slices.Contains(oldMagics, binary.LittleEndian.Uint32(data)) {
 			if !errors.Is(err, ErrOldFormat) {
 				t.Fatalf("old-format file opened with err %v, want ErrOldFormat", err)
 			}
@@ -159,15 +189,34 @@ func FuzzBlockstoreReopen(f *testing.F) {
 		}
 		defer s.Close()
 		want := referencePrefix(data)
-		got := replayed(t, s)
-		if len(got) != len(want) {
-			t.Fatalf("recovered %d records, reference prefix has %d", len(got), len(want))
+		hs := s.Hashes()
+		if len(hs) != len(want) {
+			t.Fatalf("recovered %d records, reference prefix has %d", len(hs), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d: recovered %s at %d, want %s at %d",
+			if hs[i] != want[i].hash {
+				t.Fatalf("record %d: recovered %s, want %s", i, hs[i].Short(), want[i].hash.Short())
+			}
+		}
+		var got []stored
+		err = s.Replay(func(b types.Block, receivedAt int64) error {
+			got = append(got, stored{b.Hash(), receivedAt})
+			return nil
+		})
+		for i := range got {
+			if got[i] != want[i].stored {
+				t.Fatalf("record %d: replayed %s at %d, want %s at %d",
 					i, got[i].hash.Short(), got[i].receivedAt, want[i].hash.Short(), want[i].receivedAt)
 			}
+		}
+		switch {
+		case err == nil && len(got) != len(want):
+			t.Fatalf("replayed %d records, reference prefix has %d", len(got), len(want))
+		case err == nil:
+		case !errors.Is(err, ErrHashMismatch) || len(got) >= len(want):
+			t.Fatalf("replay stopped after %d of %d records: %v", len(got), len(want), err)
+		case want[len(got)].honest():
+			t.Fatalf("record %d refused, but its payload is the block it names: %v", len(got), err)
 		}
 		// The recovered store must accept appends (the restart path
 		// re-persists what corruption cost).

@@ -167,39 +167,97 @@ func TestIndexContract(t *testing.T) {
 	})
 }
 
-// legacyRecord encodes b in the record layout that kept arrival times in a
-// separate sidecar: magic, kind, length, CRC of the payload, payload.
-func legacyRecord(b types.Block) []byte {
+// oldRecord encodes b in an earlier record layout: magic, kind, length, CRC,
+// then under the CRC the payload in "SBGN", whose arrival times lived in a
+// separate sidecar, or the arrival time (the block's timestamp here) and the
+// payload in "TBGN", which did not name its block.
+func oldRecord(magic uint32, b types.Block) []byte {
 	payload := wire.Encode(b)
-	rec := binary.LittleEndian.AppendUint32(nil, legacyMagic)
+	body := payload
+	if magic == 0x4e474254 { // "TBGN"
+		body = binary.LittleEndian.AppendUint64(nil, uint64(b.Time()))
+		body = append(body, payload...)
+	}
+	rec := binary.LittleEndian.AppendUint32(nil, magic)
 	rec = append(rec, byte(b.Kind()))
 	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
+	return append(rec, body...)
 }
 
-// TestOldFormatRefused: a chain written before arrival times joined the
-// record must not scan as corruption — that would truncate an ngnode
-// -store file:<dir> chain to nothing. Open refuses it by name and leaves it as it was.
+// TestOldFormatRefused: a chain written in an earlier record layout must not
+// scan as corruption — that would truncate an ngnode -store file:<dir> chain
+// to nothing. Open refuses each by name and leaves it as it was.
 func TestOldFormatRefused(t *testing.T) {
 	blocks := makeChain(t, 2)
-	raw := append(legacyRecord(blocks[0]), legacyRecord(blocks[1])...)
-	path := filepath.Join(t.TempDir(), "old.blocks")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		magic uint32
+	}{{"SBGN", 0x4e474253}, {"TBGN", 0x4e474254}} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := append(oldRecord(tc.magic, blocks[0]), oldRecord(tc.magic, blocks[1])...)
+			path := filepath.Join(t.TempDir(), "old.blocks")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(path, nil); !errors.Is(err, ErrOldFormat) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("Open(%s) err = %v, want ErrOldFormat", tc.name, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, raw) {
+				t.Fatalf("refused file changed: %d bytes, was %d", len(after), len(raw))
+			}
+		})
 	}
-	if s, err := Open(path, nil); !errors.Is(err, ErrOldFormat) {
-		if err == nil {
-			s.Close()
-		}
-		t.Fatalf("Open(old format) err = %v, want ErrOldFormat", err)
-	}
-	after, err := os.ReadFile(path)
+}
+
+// TestRecordNamesItsBlock: a record whose hash field names another block, its
+// checksum recomputed, passes every check the open scan makes, so Open keeps
+// it under the hash it names. No body is ever served under a hash it does not
+// have: Get and a cold Replay refuse that record with ErrHashMismatch, Replay
+// after serving the records before it, and the honest records still load.
+func TestRecordNamesItsBlock(t *testing.T) {
+	blocks := makeChain(t, 4)
+	path, offsets := writeChain(t, blocks[:3])
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, raw) {
-		t.Fatalf("refused file changed: %d bytes, was %d", len(after), len(raw))
+	other := blocks[3].Hash()
+	forge(raw, int(offsets[1]), other)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 3 || !s.Contains(other) || s.Contains(blocks[1].Hash()) {
+		t.Fatalf("Open kept %d records (forged one named: %v); want 3, the forged one under the hash it names",
+			s.Len(), s.Contains(other))
+	}
+	if b, err := s.Get(other); !errors.Is(err, ErrHashMismatch) {
+		t.Fatalf("Get of the forged record = %v, %v; want ErrHashMismatch", b, err)
+	}
+	var got []stored
+	err = s.Replay(func(b types.Block, at int64) error {
+		got = append(got, stored{b.Hash(), at})
+		return nil
+	})
+	if !errors.Is(err, ErrHashMismatch) || len(got) != 1 || got[0] != (stored{blocks[0].Hash(), 1000}) {
+		t.Fatalf("Replay served %v and returned %v; want the first record, then ErrHashMismatch", got, err)
+	}
+	for _, b := range []types.Block{blocks[0], blocks[2]} {
+		if g, err := s.Get(b.Hash()); err != nil || g.Hash() != b.Hash() {
+			t.Fatalf("honest record %s: %v", b.Hash().Short(), err)
+		}
 	}
 }
 
@@ -235,7 +293,7 @@ func TestArrivalTimeFlipDropsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[offsets[2]+13] ^= 0x01
+	raw[offsets[2]+53] ^= 0x01
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +322,7 @@ func TestTornRecordLosesBlockAndTime(t *testing.T) {
 		name string
 		keep func(last int64) int64
 	}{
-		{"in time", func(last int64) int64 { return last + 15 }},
+		{"in time", func(last int64) int64 { return last + 55 }},
 		{"in block", func(last int64) int64 { return last + headerSize + 5 }},
 	} {
 		t.Run(cut.name, func(t *testing.T) {

@@ -1,38 +1,17 @@
 package blockstore
 
 import (
-	"sync"
-
 	"bitcoinng/internal/crypto"
-	"bitcoinng/internal/slots"
 	"bitcoinng/internal/types"
 )
 
-// Mem is the in-memory counterpart of Store: same append-order, same
-// idempotent Append keeping the first arrival time, no file. It backs the
-// chain index on the default simulation path, where "durable" means
+// Mem is the in-memory counterpart of Store: the same records, no file. It
+// backs the chain index on the default simulation path, where "durable" means
 // "survives the simulated crash" — the harness tears down a node's entire
 // in-memory client but keeps its Mem, exactly as a real disk survives a
-// process crash. Blocks are named, and their bodies archived once, in a
-// Table, which a fleet's Mems share with its chain stores. Per block a Mem
-// keeps a 16-byte record (ordinal, arrival time) in append order, in chunks
-// that never move, and a bit of its membership set. The owning node
-// serializes access, except that Get, as Store's, may be called from any
-// goroutine; mu guards it against Append.
-type Mem struct {
-	mu     sync.Mutex
-	blocks *Table
-	held   slots.Bits
-	recs   slots.Chunked[memRecord] // in append order
-	n      int32
-	latest int64 // the latest block timestamp or arrival time appended
-}
-
-// memRecord is one stored block: its ordinal and arrival time.
-type memRecord struct {
-	ord int32
-	at  int64
-}
+// process crash. Bodies are archived once in the Table, which a fleet's Mems
+// share with its chain stores.
+type Mem struct{ records }
 
 // NewMem builds an empty in-memory archive naming its blocks in t; a nil t
 // means a private table.
@@ -40,22 +19,7 @@ func NewMem(t *Table) *Mem {
 	if t == nil {
 		t = NewTable()
 	}
-	return &Mem{blocks: t}
-}
-
-// ordinal returns the ordinal of h if this Mem stores it.
-func (m *Mem) ordinal(h crypto.Hash) (int32, bool) {
-	o, ok := m.blocks.Lookup(h)
-	return o, ok && m.held.Has(o)
-}
-
-// Len returns the number of stored blocks.
-func (m *Mem) Len() int { return int(m.n) }
-
-// Contains reports whether the block is stored.
-func (m *Mem) Contains(h crypto.Hash) bool {
-	_, ok := m.ordinal(h)
-	return ok
+	return &Mem{records{blocks: t}}
 }
 
 // Append stores a block with its arrival time; duplicates are a no-op that
@@ -65,14 +29,10 @@ func (m *Mem) Append(b types.Block, receivedAt int64) error {
 	o := m.blocks.Intern(b.Hash())
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.held.Has(o) {
-		return nil
+	if !m.held.Has(o) {
+		m.blocks.archive(o, b)
+		m.add(o, receivedAt, b.Time())
 	}
-	m.blocks.archive(o, b)
-	m.held.Add(o)
-	*m.recs.At(m.n) = memRecord{ord: o, at: receivedAt}
-	m.n++
-	m.latest = max(m.latest, b.Time(), receivedAt)
 	return nil
 }
 
@@ -88,31 +48,11 @@ func (m *Mem) Get(h crypto.Hash) (types.Block, error) {
 	return m.blocks.body(o), nil
 }
 
-// Hashes returns the stored block hashes in append order. The caller owns
-// the returned slice.
-func (m *Mem) Hashes() []crypto.Hash {
-	out := make([]crypto.Hash, m.n)
-	for i := range m.n {
-		out[i] = m.blocks.body(m.recs.At(i).ord).Hash()
-	}
-	return out
-}
-
 // Replay streams every stored block in append order with its recorded
 // arrival time, stopping at the first callback error.
 func (m *Mem) Replay(fn func(b types.Block, receivedAt int64) error) error {
-	for i := range m.n {
-		r := m.recs.At(i)
-		if err := fn(m.blocks.body(r.ord), r.at); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.replay(func(o int32) (types.Block, error) { return m.blocks.body(o), nil }, fn)
 }
-
-// Latest returns the latest block timestamp or arrival time stored; 0 when
-// empty.
-func (m *Mem) Latest() int64 { return m.latest }
 
 // Sync is a no-op: Mem is durable only against simulated crashes.
 func (m *Mem) Sync() error { return nil }

@@ -15,9 +15,9 @@ const tableSegments = 16
 
 // Table names block hashes with dense int32 ordinals, 0, 1, 2, ... in the
 // order they are first interned, and keeps per ordinal what every holder of
-// the block shares: the body its Mems archive and the header its chain
-// stores build (Share). What differs, each holder keeps by ordinal itself
-// (package slots). A fleet shares one Table; nil means a private one.
+// the block shares: its hash, the body its Mems archive and the header its
+// chain stores build (Share). What differs, each holder keeps by ordinal
+// itself (package slots). A fleet shares one Table; nil means a private one.
 //
 // Ordinals follow interning order, which under a parallel run is the
 // scheduling order of the shards, so no result may depend on the order of
@@ -35,8 +35,10 @@ type tableSegment struct {
 	ord map[crypto.Hash]int32
 }
 
-// slot is what a Table keeps for one ordinal; each part is published once.
+// slot is what a Table keeps for one ordinal: the hash it names, set when it
+// is interned, and two parts each published once.
 type slot struct {
+	hash   crypto.Hash
 	block  atomic.Pointer[types.Block]
 	shared atomic.Pointer[Header]
 }
@@ -83,7 +85,7 @@ func (t *Table) Intern(h crypto.Hash) int32 {
 	if !ok {
 		t.mu.Lock()
 		o = int32(len(t.slots))
-		t.slots = append(t.slots, new(slot))
+		t.slots = append(t.slots, &slot{hash: h})
 		t.n.Store(o + 1)
 		t.mu.Unlock()
 		s.ord[h] = o
@@ -100,6 +102,9 @@ func (t *Table) slot(o int32) *slot {
 	defer t.mu.RUnlock()
 	return t.slots[o]
 }
+
+// hash returns the hash ordinal o names.
+func (t *Table) hash(o int32) crypto.Hash { return t.slot(o).hash }
 
 // body returns the body archived for ordinal o, nil if none was.
 func (t *Table) body(o int32) types.Block {
@@ -131,16 +136,11 @@ func (t *Table) Share(o int32, mk func() Header) Header {
 	return *s.shared.Load()
 }
 
-// resident returns the body the fleet's header for h holds in memory, nil if
-// no header of the table holds one; a nil table holds none.
-func (t *Table) resident(h crypto.Hash) types.Block {
-	if t == nil {
-		return nil
-	}
-	if o, ok := t.Lookup(h); ok {
-		if p := t.slot(o).shared.Load(); p != nil {
-			return (*p).Resident()
-		}
+// resident returns the body the fleet's header for ordinal o holds in
+// memory, nil if no header of the table holds one.
+func (t *Table) resident(o int32) types.Block {
+	if p := t.slot(o).shared.Load(); p != nil {
+		return (*p).Resident()
 	}
 	return nil
 }

@@ -64,11 +64,13 @@ func TestTableConcurrentIntern(t *testing.T) {
 }
 
 // TestTableInternWhileResident: one goroutine interns fresh hashes while
-// another asks resident for the same hashes in reverse, as a shard naming
-// new blocks races a store's replay. Intern takes a segment lock and then
-// the slot slice's; a probe that took them the other way round would
-// deadlock against it, and the watchdog turns that hang into a failure in
-// seconds. make race-faults runs it under -race.
+// another probes the same hashes in reverse through the read path of a
+// store's Get and Replay, Lookup and then resident of the ordinal, as a shard
+// naming new blocks races a store's replay. Intern holds a segment lock while
+// it takes the slot slice's; the probe releases the segment lock before it
+// takes the slot slice's. A probe that held the slot slice's lock while it
+// took a segment lock would deadlock against Intern, and the watchdog turns
+// that hang into a failure in seconds. make race-faults runs it under -race.
 func TestTableInternWhileResident(t *testing.T) {
 	const n = 20000
 	hashes := make([]crypto.Hash, n)
@@ -88,7 +90,11 @@ func TestTableInternWhileResident(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := n - 1; i >= 0; i-- {
-			if b := tab.resident(hashes[i]); b != nil {
+			o, ok := tab.Lookup(hashes[i])
+			if !ok {
+				continue
+			}
+			if b := tab.resident(o); b != nil {
 				t.Errorf("hash %d: resident body %v with no header shared", i, b)
 				return
 			}

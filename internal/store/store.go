@@ -2,12 +2,13 @@
 // (UTXO) storage and the chain index (block bodies + arrival times), selected
 // through one URL-style locator. A ledger is always an in-memory *utxo.Set,
 // whatever the locator: it is a function of the chain, and every boot
-// rebuilds it from the chain index. The chain index is a blockstore:
-// blockstore.Mem in memory, keeping a block's arrival time and the fleet's
-// one copy of its body, or blockstore.Store on disk, keeping both in one
-// record. A file root is what lets chain state
-// exceed process RAM: compaction evicts deep block bodies and undo records,
-// and the durable index serves them back.
+// rebuilds it from the chain index. The chain index is a blockstore, and
+// both kinds keep the same records, a block's name in the fleet's block table
+// and its arrival time: blockstore.Mem in memory, over the fleet's one copy
+// of each body, or blockstore.Store on disk, whose file record holds the
+// block, its hash and both its times under one checksum. A file root is what
+// lets chain state exceed process RAM: compaction evicts deep block bodies
+// and undo records, and the durable index serves them back.
 //
 // Both backends must behave identically at the consensus surface — the chaos
 // differential replays whole experiments across them and byte-compares the
@@ -72,12 +73,14 @@ type ChainIndex interface {
 	Hashes() []crypto.Hash
 	// Replay streams every stored block in append order with its recorded
 	// arrival time. A block whose body the fleet's header holds in memory is
-	// that object; only a body nobody holds is read back (decoded, on disk).
-	// Iteration stops at the first callback error.
+	// that object; only a body nobody holds is read back (decoded, on disk,
+	// and refused unless it is the block its record names). Iteration stops
+	// at the first error.
 	Replay(fn func(b types.Block, receivedAt int64) error) error
 	// Latest returns the latest time the stored records carry, the later of
-	// a block's timestamp and its arrival time; 0 when empty. A resumed
-	// fleet starts its clock there.
+	// a block's timestamp and its arrival time; 0 when empty. Both times are
+	// kept with each record (on disk, in its header), so it reads no body. A
+	// resumed fleet starts its clock there.
 	Latest() int64
 	// Sync flushes appended records to stable storage.
 	Sync() error
