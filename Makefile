@@ -194,7 +194,10 @@ soak:
 
 # faults runs the crash/recovery suite end to end: the sync protocol and
 # malformed-message hardening units, the simulated and live transports, the
-# harness kernel's crash/restart pins (where the restart sequence lives), its
+# chain index's crash-state enumerator (every crash of an 8-block append
+# script, under every failing sync, reopened from every file the crash model
+# allows) beside the harness kernel's crash/restart pins (where the restart
+# sequence lives), its
 # drop-only run that overflows the orphan stash and must repeat byte for byte,
 # their experiment-facade twin (plus a compacting file-backed run whose
 # reference node crashes and restarts: its load report equals the full walk's
@@ -205,17 +208,20 @@ soak:
 faults:
 	$(GO) test -run 'TestSync|TestMalformedMessagesDropped|TestFetchGiveUpHandsOffToSync' -count=1 ./internal/node
 	$(GO) test -run 'TestLiveMalformedFrameDropsPeer|TestCodecSyncRoundTrip' -count=1 ./internal/p2p
+	$(GO) test -run 'TestCrashStates|TestAppendSyncFailureUnwinds' -count=1 ./internal/blockstore
 	$(GO) test -run 'TestRestartRecoversDurablePrefix|TestCrashedNodeIsInert|TestBootRejectsUsedStoreWithoutResume|TestOrphanEvictionRunsRepeat' -count=1 ./internal/harness
 	$(GO) test -run 'TestCrashRestartReachesKernel|TestRunRefusesUsedStoreRoot|TestLoadReportReadsNoEvictedBody' -count=1 ./internal/experiment
 	$(GO) test -run 'TestMajorityCrashConverges|TestRegressionSeeds' -count=1 ./internal/chaos
 	$(GO) test -run 'TestClusterLeaderCrashRestartResync|TestClusterStateDirProcessRestart|TestClusterResumeDecodesEachRecordOnce|TestClusterLossyLinks|TestClusterGoldenFingerprint' -count=1 .
 
-# stores is the storage-engine gate (DESIGN.md §12): the pluggable-backend
-# unit suites (the factory's locators and chain index, and the blockstore's
+# stores is the storage-engine gate (DESIGN.md §12): the chain-index unit
+# suites (the factory's locators and chain index, and the blockstore's
 # Store/Mem contract, the recovery of records that name their block — relay
 # type, hash, timestamp and arrival time under one CRC before the block —,
 # the refusal of a record whose block is not the one it names and of both
-# earlier layouts, and failure-injection durability), the durability/aliasing
+# earlier layouts, the table of failing syncs, and crash-state enumeration
+# over a memory file that keeps synced bytes apart from pending writes),
+# the durability/aliasing
 # bugfix pins (ledger Clone mutation isolation, reopened-index tie-break
 # equivalence), the harness kernel's restart pins over both backends, the two
 # decode counts (a resumed cluster's open scans decode nothing and its boot

@@ -46,7 +46,7 @@ func main() {
 		micro       = flag.Duration("micro-interval", 2*time.Second, "microblock interval while leading")
 		status      = flag.Duration("status", 5*time.Second, "status print interval")
 		exponent    = flag.Uint("difficulty-exp", 0x20, "compact target exponent byte (lower = harder)")
-		storeURL    = flag.String("store", "", "storage locator for chain index and UTXO ledger (mem: | file:<dir>; empty: in-memory only)")
+		storeURL    = flag.String("store", "", "storage locator for the chain index (mem: | file:<dir>; empty: in-memory only)")
 		stratName   = flag.String("strategy", "", "mining strategy ("+strings.Join(strategy.Names(), " | ")+"); empty = honest")
 	)
 	flag.Parse()
@@ -80,18 +80,15 @@ func main() {
 	rt := p2p.New(p2p.Config{NodeID: *id, GenesisHash: genesis.Hash(), Seed: int64(*id)})
 	defer rt.Close()
 
-	// Storage backends come from one locator — the same factory the simulator
-	// harnesses use.
+	// The chain index comes from one locator — the same factory the simulator
+	// harnesses use. The ledger is not stored: the chain state builds its own
+	// in memory, and Boot re-derives it from the index.
 	factory, err := store.NewFactory(*storeURL)
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
 	defer factory.Close()
 
-	ledger, err := factory.NewUTXO("node")
-	if err != nil {
-		log.Fatalf("store: %v", err)
-	}
 	index, err := factory.NewChainIndex("node")
 	if err != nil {
 		log.Fatalf("chain index: %v", err)
@@ -105,7 +102,7 @@ func main() {
 	}()
 
 	// The same boot sequence the simulator harnesses restart nodes through:
-	// ledger reset, build via protocol.Build, stored blocks replayed under
+	// build via protocol.Build, stored blocks replayed under
 	// their recorded arrival times, and everything the chain accepts from
 	// here on appended to the index (gossip and self-mined paths alike).
 	client, err := harness.Boot(rt, protocol.Spec{
@@ -117,7 +114,7 @@ func main() {
 		// replay cached deltas instead of re-applying blocks.
 		ConnectCache: validate.Shared(),
 		Strategy:     strat,
-	}, ledger, index, nil)
+	}, index, nil)
 	if err != nil {
 		log.Fatalf("node: %v", err)
 	}

@@ -42,9 +42,6 @@ type Config struct {
 	// other nodes of a simulated fleet (chain.WithBlockTable); nil keeps a
 	// private one.
 	Blocks *blockstore.Table
-	// UTXO, when set, swaps the ledger storage backend (internal/store);
-	// nil keeps the in-memory set.
-	UTXO chain.UTXOStore
 }
 
 // Node is a Bitcoin protocol node.
@@ -65,7 +62,7 @@ func New(env node.Env, cfg Config) (*Node, error) {
 		choice = &chain.HeaviestChain{RandomTieBreak: cfg.Params.RandomTieBreak, Rand: env.Rand()}
 	}
 	st, err := chain.New(cfg.Genesis, cfg.Params, Rules{AllowSimulatedPoW: cfg.SimulatedMining}, choice,
-		chain.WithConnectCache(cfg.ConnectCache), chain.WithUTXOStore(cfg.UTXO), chain.WithBlockTable(cfg.Blocks))
+		chain.WithConnectCache(cfg.ConnectCache), chain.WithBlockTable(cfg.Blocks))
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 
@@ -73,7 +74,7 @@ var (
 // evicted them); mu guards it.
 type Store struct {
 	records
-	f      *os.File
+	f      file
 	size   int64
 	locs   slots.Chunked[location] // by ordinal
 	rec    wire.Writer             // Append's record buffer, reused across appends
@@ -82,13 +83,21 @@ type Store struct {
 
 	decoded int // records Get and Replay decoded
 
-	// syncFn stands in for f.Sync so failure-injection tests can make
-	// durability fail without a real bad disk.
-	syncFn func() error
 	// err is sticky: after a failed sync the durable prefix is unknown
 	// territory, so every later mutation and sync reports the original
 	// failure instead of pretending the store recovered.
 	err error
+}
+
+// file is what a Store needs of its block file: Open hands it an *os.File, the
+// crash tests a memory file that can lose or tear what was never synced.
+type file interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Stat() (os.FileInfo, error)
+	Close() error
 }
 
 // location is where a held block's record lies in the file.
@@ -108,26 +117,21 @@ func Open(path string, t *Table) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open %s: %w", path, err)
 	}
-	if t == nil {
-		t = NewTable()
-	}
-	s := &Store{records: records{blocks: t}, f: f}
-	s.syncFn = s.f.Sync
-	if err := s.scan(); err != nil {
+	s, err := open(f, t)
+	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("%w: %s", err, path)
 	}
 	return s, nil
 }
 
-// SetSyncHook replaces the fsync primitive, letting tests inject durability
-// failures. A nil hook restores the real fsync.
-func (s *Store) SetSyncHook(hook func() error) {
-	if hook == nil {
-		s.syncFn = s.f.Sync
-		return
+// open builds a store over f, scanning its records (see Open).
+func open(f file, t *Table) (*Store, error) {
+	if t == nil {
+		t = NewTable()
 	}
-	s.syncFn = hook
+	s := &Store{records: records{blocks: t}, f: f}
+	return s, s.scan()
 }
 
 // scan rebuilds the index from the record headers, recovering the longest
@@ -149,7 +153,7 @@ func (s *Store) scan() error {
 	total := info.Size()
 	hdr := make([]byte, headerSize)
 	if _, err := s.f.ReadAt(hdr[:4], 0); err == nil && slices.Contains(oldMagics, binary.LittleEndian.Uint32(hdr)) {
-		return fmt.Errorf("%w: %s", ErrOldFormat, s.f.Name())
+		return ErrOldFormat
 	}
 	var off int64
 	for off+headerSize <= total {
@@ -230,13 +234,12 @@ func (s *Store) Append(b types.Block, receivedAt int64) error {
 	if _, err := s.f.WriteAt(rec, s.size); err != nil {
 		return fmt.Errorf("blockstore: append record: %w", err)
 	}
-	if err := s.syncFn(); err != nil {
+	if err := s.sync("append sync"); err != nil {
 		// The record may or may not have reached the platter; cut it off so
 		// disk and index agree on the durable prefix, then refuse further
 		// work.
 		_ = s.f.Truncate(s.size)
-		s.err = fmt.Errorf("blockstore: append sync: %w", err)
-		return s.err
+		return err
 	}
 	*s.locs.At(o) = location{off: s.size, length: uint32(len(rec) - headerSize), typ: typ}
 	s.add(o, receivedAt, b.Time())
@@ -314,14 +317,18 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.err != nil {
-		return s.err
+	return s.sync("sync")
+}
+
+// sync fsyncs the file for op, unless a sticky failure is pending: it
+// returns that failure, or the new one, which becomes sticky.
+func (s *Store) sync(op string) error {
+	if s.err == nil {
+		if err := s.f.Sync(); err != nil {
+			s.err = fmt.Errorf("blockstore: %s: %w", op, err)
+		}
 	}
-	if err := s.syncFn(); err != nil {
-		s.err = fmt.Errorf("blockstore: sync: %w", err)
-		return s.err
-	}
-	return nil
+	return s.err
 }
 
 // Close syncs and closes the file, reporting a sticky failure if one is
@@ -333,13 +340,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.err != nil {
-		s.f.Close()
-		return s.err
-	}
-	if err := s.syncFn(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("blockstore: close sync: %w", err)
-	}
-	return s.f.Close()
+	return errors.Join(s.sync("close sync"), s.f.Close())
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -276,10 +275,11 @@ func TestClosedStoreErrors(t *testing.T) {
 // nothing per record: the encoding goes into the store's retained buffer, not
 // a fresh payload and header. The blocks are named in the store's table
 // first, as a node's chain names every block before it persists one. The
-// fsync is stubbed out; it allocates nothing and would only slow the loop.
+// file is a memory file: an fsync allocates nothing and would only slow the
+// loop.
 func TestAppendRecordBytesAndAllocations(t *testing.T) {
-	s := tempStore(t)
-	s.SetSyncHook(func() error { return nil })
+	m := newMemFile(nil)
+	s := memStore(t, m)
 	blocks := makeChain(t, 400)
 	var want []byte
 	for i, b := range blocks[:100] {
@@ -298,21 +298,17 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
 		want = append(want, body...)
 	}
-	got, err := os.ReadFile(s.f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("store file differs from the reference encoding (%d vs %d bytes)", len(got), len(want))
+	if !bytes.Equal(m.data, want) {
+		t.Fatalf("store file differs from the reference encoding (%d vs %d bytes)", len(m.data), len(want))
 	}
 
 	next := 100
 	for _, b := range blocks {
 		s.blocks.Intern(b.Hash()) // named, its hash cached, as for any block a node accepted
 	}
-	// The record chunks, the locations' chunk directory and the membership
-	// set grow now and then; per record that averages below one allocation,
-	// which AllocsPerRun reports as zero.
+	// The record chunks, the locations' chunk directory, the membership set
+	// and the memory file grow now and then; per record that averages below
+	// one allocation, which AllocsPerRun reports as zero.
 	if avg := testing.AllocsPerRun(250, func() {
 		if err := s.Append(blocks[next], blocks[next].Time()); err != nil {
 			t.Fatal(err)
@@ -329,8 +325,9 @@ func TestAppendRecordBytesAndAllocations(t *testing.T) {
 // of ever larger copies, about five times its size in all.
 func TestAppendSizesRecordOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a quiet TotalAlloc counter
-	s := tempStore(t)
-	s.SetSyncHook(func() error { return nil })
+	m := newMemFile(nil)
+	m.reserve(4 << 20) // the file's growth is not the store's
+	s := memStore(t, m)
 	// A small first record sets up what any first append does (the index,
 	// the checksum table).
 	if err := s.Append(makeChain(t, 1)[0], 0); err != nil {
@@ -372,8 +369,7 @@ func TestAppendSizesRecordOnce(t *testing.T) {
 // a block decoded from that buffer owns its bytes: once later reads have
 // overwritten the buffer it still re-encodes to exactly what was appended.
 func TestGetReadsIntoOneBuffer(t *testing.T) {
-	s := tempStore(t)
-	s.SetSyncHook(func() error { return nil })
+	s := memStore(t, newMemFile(nil))
 	blocks := makeChain(t, 12)
 	// Padding in a coinbase gives the records different lengths and puts a
 	// VarBytes field in every key block.
@@ -419,14 +415,13 @@ func TestGetReadsIntoOneBuffer(t *testing.T) {
 }
 
 // BenchmarkAppend times one record append — encoding, checksum and write —
-// with the fsync stubbed out through SetSyncHook; benchmark/'s
+// to a memory file, so without an fsync; benchmark/'s
 // store.index_append_us_per_block times appends with the fsync.
 func BenchmarkAppend(b *testing.B) {
 	blocks := makeChain(b, 512)
 	for _, blk := range blocks {
 		blk.Hash()
 	}
-	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var s *Store
@@ -436,11 +431,9 @@ func BenchmarkAppend(b *testing.B) {
 			if s != nil {
 				s.Close()
 			}
-			var err error
-			if s, err = Open(filepath.Join(dir, fmt.Sprint("bench", i, ".dat")), nil); err != nil {
-				b.Fatal(err)
-			}
-			s.SetSyncHook(func() error { return nil })
+			m := newMemFile(nil)
+			m.reserve(1 << 20) // the file's growth is not the store's
+			s = memStore(b, m)
 			b.StartTimer()
 		}
 		if err := s.Append(blocks[i%len(blocks)], int64(i)); err != nil {

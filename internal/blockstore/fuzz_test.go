@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -18,17 +16,10 @@ import (
 
 // validStoreBytes builds the raw bytes of a healthy multi-record store, the
 // seed material every fuzz mutation starts from.
-func validStoreBytes(t interface {
-	Helper()
-	Fatal(...any)
-	TempDir() string
-}) []byte {
+func validStoreBytes(t testing.TB) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "seed.dat")
-	s, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMemFile(nil)
+	s := memStore(t, m)
 	key, err := crypto.GenerateKey(sim.NewRand(1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -51,11 +42,7 @@ func validStoreBytes(t interface {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return m.data
 }
 
 // stored is one recovered record as the index serves it.
@@ -134,7 +121,8 @@ func replayed(t testing.TB, ix interface {
 }
 
 // FuzzBlockstoreReopen throws arbitrary mutations of a valid store file —
-// truncations, bit-flips, garbage, forged records — at Open. Reopening must
+// truncations, bit-flips, garbage, forged records — at a store opened over
+// them, in a memory file, so that no exec waits on a disk. Reopening must
 // never panic, must recover exactly the longest valid record prefix with its
 // arrival times, and must leave the file re-appendable. Replay serves each
 // recovered block in order, and stops with ErrHashMismatch exactly at the
@@ -169,16 +157,13 @@ func FuzzBlockstoreReopen(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "blocks.dat")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(path, nil)
+		m := newMemFile(bytes.Clone(data))
+		s, err := open(m, nil)
 		if len(data) >= 4 && slices.Contains(oldMagics, binary.LittleEndian.Uint32(data)) {
 			if !errors.Is(err, ErrOldFormat) {
 				t.Fatalf("old-format file opened with err %v, want ErrOldFormat", err)
 			}
-			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+			if !bytes.Equal(m.data, data) {
 				t.Fatal("refused old-format file was modified")
 			}
 			return

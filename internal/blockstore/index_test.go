@@ -46,7 +46,7 @@ func TestIndexContract(t *testing.T) {
 				if err := old.Close(); err != nil {
 					t.Fatal(err)
 				}
-				s, err := Open(old.(*Store).f.Name(), nil)
+				s, err := Open(old.(*Store).f.(*os.File).Name(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

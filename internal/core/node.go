@@ -44,9 +44,6 @@ type Config struct {
 	// other nodes of a simulated fleet (chain.WithBlockTable); nil keeps a
 	// private one.
 	Blocks *blockstore.Table
-	// UTXO, when set, swaps the ledger storage backend (internal/store);
-	// nil keeps the in-memory set.
-	UTXO chain.UTXOStore
 	// Strategy selects the node's mining strategy — which block its key
 	// blocks extend, whether produced blocks are published or withheld,
 	// and how its coinbase splits the epoch fees. nil runs honest.
@@ -81,7 +78,7 @@ func New(env node.Env, cfg Config) (*Node, error) {
 	}
 	st, err := chain.New(cfg.Genesis, cfg.Params, Rules{AllowSimulatedPoW: cfg.SimulatedMining},
 		&chain.HeaviestChain{RandomTieBreak: cfg.Params.RandomTieBreak, Rand: env.Rand()},
-		chain.WithConnectCache(cfg.ConnectCache), chain.WithUTXOStore(cfg.UTXO), chain.WithBlockTable(cfg.Blocks))
+		chain.WithConnectCache(cfg.ConnectCache), chain.WithBlockTable(cfg.Blocks))
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,10 @@ type Result struct {
 	// boundaries; deterministic at any Parallelism.
 	Backpressure []metrics.BackpressureStat
 	// StoreStats samples the fleet-aggregated ledger counters (logical
-	// entry ops) at the same maintenance boundaries. Unlike Backpressure
+	// entry ops) at the same maintenance boundaries. Each node counts its
+	// current incarnation only: a restart boots a fresh ledger whose
+	// counters start at zero, so the series drops a crashed life's
+	// operations instead of carrying them. Unlike Backpressure
 	// it rides OUTSIDE the determinism digest: the counters are identical
 	// across Parallelism but legitimately differ with the connect cache on
 	// vs off (a cache hit replays a delta instead of re-validating, a
@@ -492,21 +495,22 @@ func releaseSlack(cfg Config) int64 {
 }
 
 // maintainStores runs inside maintain, at the same quiescent boundaries: it
-// samples the fleet-aggregated ledger counters into the store backpressure
+// samples the fleet-aggregated ledger counters (each node's current
+// incarnation, down nodes' last one included) into the store backpressure
 // series, syncs each live node's chain index, and — when CompactDepth is set —
 // evicts its deep chain history so resident state stays bounded on long runs.
 func (r *runner) maintainStores() {
 	var agg utxo.Stats
 	for _, n := range r.Nodes() {
-		agg.Add(n.UTXO.Stats())
+		agg.Add(n.Base().State.UTXO().Stats())
 	}
 	r.storeBP.Record("store-gets", float64(agg.Gets))
 	r.storeBP.Record("store-puts", float64(agg.Puts))
 	r.storeBP.Record("store-deletes", float64(agg.Deletes))
 
 	for _, n := range r.Nodes() {
-		// A down node's stores are left alone, as the crash left them, until
-		// the next Restart resets its ledger and replays its index.
+		// A down node's index is left alone, as the crash left it, until the
+		// next Restart replays it into a fresh client.
 		if n.Down {
 			continue
 		}

@@ -22,14 +22,12 @@ import (
 // resume over a used store root, Fleet.Restart, and ngnode start-up all come
 // through here.
 //
-//  1. Reset the ledger: the chain index is the durable truth and step 4
-//     re-derives UTXO state from it, so whatever the ledger store held before
-//     is never trusted (the ledger lives in memory, whatever the store). Reset
-//     precedes Build because chain.New applies genesis into the store.
-//  2. Build the client through protocol.Build.
-//  3. Attach the index as persistence hook and as the body archive Compact
+//  1. Build the client through protocol.Build. Its chain state starts from a
+//     fresh in-memory ledger holding genesis: the chain index is the durable
+//     truth, and step 3 re-derives the ledger from it.
+//  2. Attach the index as persistence hook and as the body archive Compact
 //     evicts against; wire, if non-nil, finishes the node's wiring.
-//  4. Replay the index straight into the chain — no gossip, no re-persist, no
+//  3. Replay the index straight into the chain — no gossip, no re-persist, no
 //     metric events (those fired in the first life) — each block under its
 //     recorded arrival time, so the first-seen tie-break resolves as it did
 //     before. The index holds only blocks this node validated and persisted,
@@ -40,16 +38,12 @@ import (
 //     the connect stage again (AddBlock skips only the ed25519 checks of a
 //     warm, resident body and those the connect cache vouches this process
 //     made on a decoded one's bytes; see chain.State.AdoptStage1).
-//  5. Re-arm leadership off the recovered tip, since replay bypassed
+//  4. Re-arm leadership off the recovered tip, since replay bypassed
 //     processBlock (core's tip-change hook ignores the AddResult).
 //
 // The caller then routes the env's deliveries to client.HandleMessage. Errors
 // are left unprefixed for the caller to wrap.
-func Boot(env node.Env, spec protocol.Spec, ledger store.UTXO, index store.ChainIndex, wire func(*node.Base)) (protocol.Client, error) {
-	if err := ledger.Reset(); err != nil {
-		return nil, fmt.Errorf("reset ledger store: %w", err)
-	}
-	spec.UTXO = ledger
+func Boot(env node.Env, spec protocol.Spec, index store.ChainIndex, wire func(*node.Base)) (protocol.Client, error) {
 	client, err := protocol.Build(env, spec)
 	if err != nil {
 		return nil, err

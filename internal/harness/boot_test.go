@@ -129,18 +129,17 @@ func newReplayFixture(tb testing.TB, blocks, spends int) *replayFixture {
 	return fx
 }
 
-// boot replays index into a fresh memory ledger on cache, naming blocks in
-// the table blocks.
-func (fx *replayFixture) boot(tb testing.TB, index store.ChainIndex, cache *validate.Cache, blocks *blockstore.Table) (*chain.State, *utxo.Set) {
+// boot replays index into a fresh client on cache, naming blocks in the table
+// blocks, and returns its chain state, which holds the rebuilt ledger.
+func (fx *replayFixture) boot(tb testing.TB, index store.ChainIndex, cache *validate.Cache, blocks *blockstore.Table) *chain.State {
 	tb.Helper()
 	spec := fx.spec
 	spec.ConnectCache, spec.Blocks = cache, blocks
-	ledger := utxo.New()
-	client, err := Boot(fx.env, spec, ledger, index, nil)
+	client, err := Boot(fx.env, spec, index, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return client.Base().State, ledger
+	return client.Base().State
 }
 
 // TestBootReplayColdEqualsAdopted is soundness test (e): the same index
@@ -155,7 +154,7 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 	}
 	warm := fx.spec.ConnectCache
 	before := warm.Stats()
-	adopted, adoptedLedger := fx.boot(t, fx.index, warm, nil)
+	adopted := fx.boot(t, fx.index, warm, nil)
 	after := warm.Stats()
 	if got := after.Vouched - before.Vouched; got != fx.txs {
 		t.Errorf("adopted replay vouched for %d transactions, want all %d", got, fx.txs)
@@ -165,7 +164,7 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 	}
 
 	empty := validate.NewCache(0)
-	cold, coldLedger := fx.boot(t, fx.index, empty, nil)
+	cold := fx.boot(t, fx.index, empty, nil)
 	if s := empty.Stats(); s.Vouched != 0 || s.Hits != 0 || s.Misses != uint64(fx.blocks)+1 || s.Entries != fx.blocks+1 {
 		t.Errorf("cold replay: %+v; want nothing vouched, %d misses, all stored", s, fx.blocks+1)
 	}
@@ -185,9 +184,9 @@ func TestBootReplayColdEqualsAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[types.OutPoint]utxo.Entry{}
-	adoptedLedger.Range(func(op types.OutPoint, e utxo.Entry) bool { want[op] = e; return true })
+	adopted.UTXO().Range(func(op types.OutPoint, e utxo.Entry) bool { want[op] = e; return true })
 	n := 0
-	coldLedger.Range(func(op types.OutPoint, e utxo.Entry) bool {
+	cold.UTXO().Range(func(op types.OutPoint, e utxo.Entry) bool {
 		n++
 		if want[op] != e {
 			t.Fatalf("ledger entry %v: cold %+v, adopted %+v", op, e, want[op])
@@ -284,10 +283,9 @@ func TestRestartDecodesOnlyEvictedBodies(t *testing.T) {
 	defer ref.Close()
 	loop := sim.NewLoop(0)
 	env := simnet.NewNodeEnv(loop, simnet.New(loop, simnet.DefaultConfig(2, 99)), 0, 99)
-	ledger := utxo.New()
 	client, err := Boot(env, protocol.Spec{
 		Protocol: f.spec.Protocol, Params: f.spec.Params, Key: nd.Key, Genesis: f.spec.Genesis, SimulatedMining: true,
-	}, ledger, ref, nil)
+	}, ref, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,15 +301,15 @@ func TestRestartDecodesOnlyEvictedBodies(t *testing.T) {
 		}
 	}
 	n := 0
-	ledger.Range(func(op types.OutPoint, e utxo.Entry) bool {
+	want.UTXO().Range(func(op types.OutPoint, e utxo.Entry) bool {
 		n++
-		if g, ok := nd.UTXO.Lookup(op); !ok || g != e {
+		if g, ok := got.UTXO().Lookup(op); !ok || g != e {
 			t.Fatalf("ledger entry %v: %+v, a full decode has %+v", op, g, e)
 		}
 		return true
 	})
-	if n != nd.UTXO.Len() {
-		t.Fatalf("ledgers hold %d and %d entries", nd.UTXO.Len(), n)
+	if n != got.UTXO().Len() {
+		t.Fatalf("ledgers hold %d and %d entries", got.UTXO().Len(), n)
 	}
 }
 

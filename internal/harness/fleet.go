@@ -35,8 +35,8 @@ type Spec struct {
 	// runs on (≤ 1 is the sequential loop).
 	Net    simnet.Config
 	Shards int
-	// StoreURL is the internal/store locator for every node's chain index
-	// and UTXO ledger; StoreName labels node i's stores under that root.
+	// StoreURL is the internal/store locator for every node's chain index;
+	// StoreName labels node i's index under that root.
 	StoreURL  string
 	StoreName func(i int) string
 	// Resume lets a fleet come up over chain indexes that already hold
@@ -81,10 +81,9 @@ type Node struct {
 	Client protocol.Client
 	Miner  *mining.Miner
 	// Index is the crash-surviving chain index: persistence hook, invariant
-	// read surface, body archive, and replay source. UTXO is the matching
-	// ledger store, Reset and re-derived on every boot.
+	// read surface, body archive, and replay source. The ledger is the
+	// client's chain state's own, re-derived from it on every boot.
 	Index store.ChainIndex
-	UTXO  store.UTXO
 	Down  bool
 	// LastRestart is the virtual time of the latest Restart (0 = never).
 	LastRestart int64
@@ -199,11 +198,6 @@ func New(spec Spec) (*Fleet, error) {
 	for i, nd := range f.nodes {
 		loop := f.eng.loop(f.eng.shardOf(i))
 		nd.env = simnet.NewNodeEnv(loop, f.net, i, spec.Seed)
-		ledger, err := factory.NewUTXO(spec.StoreName(i))
-		if err != nil {
-			return nil, f.abandon(fmt.Errorf("node %d ledger store: %w", i, err))
-		}
-		nd.UTXO = ledger
 		if err := f.boot(nd); err != nil {
 			return nil, f.abandon(fmt.Errorf("node %d: %w", i, err))
 		}
@@ -247,7 +241,7 @@ func (f *Fleet) boot(nd *Node) error {
 		ConnectCache:       f.cache,
 		Blocks:             f.factory.Blocks(),
 		Strategy:           strat,
-	}, nd.UTXO, nd.Index, func(base *node.Base) {
+	}, nd.Index, func(base *node.Base) {
 		if f.spec.Wire != nil {
 			f.spec.Wire(nd.ID, base)
 		}

@@ -17,7 +17,6 @@ import (
 
 	"bitcoinng/internal/bitcoin"
 	"bitcoinng/internal/blockstore"
-	"bitcoinng/internal/chain"
 	"bitcoinng/internal/core"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/ghost"
@@ -84,10 +83,6 @@ type Spec struct {
 	// choices only — validation of received blocks is unaffected, so the
 	// connect cache stays shareable across strategies.
 	Strategy strategy.Strategy
-	// UTXO, when set, is the node's ledger storage backend (internal/store
-	// builds them from a locator); it must be empty or freshly Reset, since
-	// the chain applies genesis into it. nil keeps the in-memory set.
-	UTXO chain.UTXOStore
 }
 
 // Client is a running consensus protocol node: the surface every harness
@@ -125,7 +120,6 @@ func Build(env node.Env, spec Spec) (Client, error) {
 			SimulatedMining: spec.SimulatedMining,
 			ConnectCache:    spec.ConnectCache,
 			Blocks:          spec.Blocks,
-			UTXO:            spec.UTXO,
 		})
 		if err != nil {
 			return nil, err
@@ -142,7 +136,6 @@ func Build(env node.Env, spec Spec) (Client, error) {
 			ConnectCache:       spec.ConnectCache,
 			Blocks:             spec.Blocks,
 			Strategy:           spec.Strategy,
-			UTXO:               spec.UTXO,
 		})
 		if err != nil {
 			return nil, err

@@ -1,14 +1,14 @@
-// Package store is the pluggable persistence layer under a node: ledger
-// (UTXO) storage and the chain index (block bodies + arrival times), selected
-// through one URL-style locator. A ledger is always an in-memory *utxo.Set,
-// whatever the locator: it is a function of the chain, and every boot
-// rebuilds it from the chain index. The chain index is a blockstore, and
-// both kinds keep the same records, a block's name in the fleet's block table
-// and its arrival time: blockstore.Mem in memory, over the fleet's one copy
-// of each body, or blockstore.Store on disk, whose file record holds the
-// block, its hash and both its times under one checksum. A file root is what
-// lets chain state exceed process RAM: compaction evicts deep block bodies
-// and undo records, and the durable index serves them back.
+// Package store is the persistence layer under a node: its chain index (block
+// bodies + arrival times), selected through one URL-style locator. The ledger
+// is not stored: it is a function of the chain, each chain state builds its
+// own in memory, and every boot rebuilds it from the chain index. The chain
+// index is a blockstore, and both kinds keep the same records, a block's name
+// in the fleet's block table and its arrival time: blockstore.Mem in memory,
+// over the fleet's one copy of each body, or blockstore.Store on disk, whose
+// file record holds the block, its hash and both its times under one
+// checksum. A file root is what lets chain state exceed process RAM:
+// compaction evicts deep block bodies and undo records, and the durable index
+// serves them back.
 //
 // Both backends must behave identically at the consensus surface — the chaos
 // differential replays whole experiments across them and byte-compares the
@@ -27,10 +27,10 @@ import (
 	"bitcoinng/internal/utxo"
 )
 
-// UTXO is the full lifecycle surface of a ledger store: the chain.UTXOStore
-// contract (stated structurally here to keep this package below the chain
-// layer) plus the lifecycle the harnesses drive. *utxo.Set is its one
-// implementation.
+// UTXO is a ledger with a store's lifecycle: the chain.UTXOStore contract
+// (stated structurally here to keep this package below the chain layer) plus
+// Reset, Sync and Close. *utxo.Set is its one implementation. No node keeps
+// one: it and NewUTXO stay for benchmark/'s ledger layer units.
 type UTXO interface {
 	Lookup(op types.OutPoint) (utxo.Entry, bool)
 	Len() int
@@ -42,8 +42,7 @@ type UTXO interface {
 	UndoBlock(d *utxo.Delta, at utxo.BlockRef)
 	Stats() utxo.Stats
 
-	// Reset drops all state; the restart path resets before replaying the
-	// durable chain prefix so a half-synced store never double-applies.
+	// Reset drops all state.
 	Reset() error
 	// Sync and Close are no-ops on the in-memory set.
 	Sync() error
@@ -142,9 +141,9 @@ func NewFactory(url string) (*Factory, error) {
 // a fleet names each block, builds its header and archives its body once.
 func (f *Factory) Blocks() *blockstore.Table { return f.blocks }
 
-// NewUTXO builds a ledger store: an empty in-memory set under every locator,
-// so it neither reads nor writes the file root. The name is unused and the
-// error always nil; both keep the signature NewChainIndex has.
+// NewUTXO builds an empty in-memory ledger under every locator, so it neither
+// reads nor writes the file root. The name is unused and the error always
+// nil; both keep the signature NewChainIndex has. Only benchmark/ calls it.
 func (f *Factory) NewUTXO(name string) (UTXO, error) { return utxo.New(), nil }
 
 // NewChainIndex builds the named chain index over the factory's block table:

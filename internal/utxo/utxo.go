@@ -127,8 +127,9 @@ func (s *Set) BalanceOf(addr crypto.Address) types.Amount {
 func (s *Set) Clone() *Set { return &Set{led: s.freeze(), version: s.version} }
 
 // Reset drops all entries and poison marks, returning the set to the shared
-// empty version. The restart path resets before replaying the durable chain
-// prefix so a half-synced node can never double-apply.
+// empty version. Its counters keep counting. No node resets its ledger (each
+// boot builds a fresh one); it is kept, with Sync and Close, for callers
+// that drive a store's whole lifecycle.
 func (s *Set) Reset() error {
 	s.led, s.edit, s.version = &ledger{root: emptyRoot}, nil, emptyVersion
 	return nil
