@@ -22,12 +22,9 @@ fmt:
 # see DESIGN.md §9 — then staticcheck and govulncheck when installed (CI
 # installs both; locally they are optional extras since the sandbox has no
 # network). A finding, or an
-# unjustified //nglint:allow, fails the build. NGLINT_FLAGS threads extra
-# flags through (CI passes -cache to skip the type-check when sources are
-# unchanged).
-NGLINT_FLAGS ?=
+# unjustified //nglint:allow, fails the build.
 lint: fmt vet
-	$(GO) run ./cmd/nglint $(NGLINT_FLAGS) ./...
+	$(GO) run ./cmd/nglint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "== staticcheck"; staticcheck ./...; \
 	else \

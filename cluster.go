@@ -194,9 +194,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Wire: func(_ int, base *node.Base) {
 			base.RelayTxs = cfg.RelayTxs
 			if l := cfg.MempoolLimits; l.MaxTxs > 0 || l.MaxBytes > 0 {
-				if mp, ok := base.Pool.(interface{ SetLimits(mempool.Limits) }); ok {
-					mp.SetLimits(l)
-				}
+				pool := node.NewPool(base.State)
+				pool.SetLimits(l)
+				base.Pool = pool
 			}
 		},
 	})

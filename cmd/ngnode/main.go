@@ -105,16 +105,15 @@ func main() {
 	// build via protocol.Build, stored blocks replayed under
 	// their recorded arrival times, and everything the chain accepts from
 	// here on appended to the index (gossip and self-mined paths alike).
-	client, err := harness.Boot(rt, protocol.Spec{
-		Protocol: protocol.BitcoinNG,
-		Params:   params,
-		Key:      key,
-		Genesis:  genesis,
+	client, err := harness.Boot(rt, protocol.Spec{Protocol: protocol.BitcoinNG, Config: node.Config{
+		Params:  params,
+		Key:     key,
+		Genesis: genesis,
 		// One live process usually hosts one node, but reorgs still
 		// replay cached deltas instead of re-applying blocks.
 		ConnectCache: validate.Shared(),
 		Strategy:     strat,
-	}, index, nil)
+	}}, index, nil)
 	if err != nil {
 		log.Fatalf("node: %v", err)
 	}

@@ -38,7 +38,7 @@ func main() {
 		}
 		rt := p2p.New(p2p.Config{NodeID: i + 1, GenesisHash: genesis.Hash(), Seed: int64(i)})
 		defer rt.Close()
-		ng, err := core.New(rt, core.Config{
+		ng, err := core.New(rt, node.Config{
 			Params:  params,
 			Key:     key,
 			Genesis: genesis,

@@ -7,6 +7,7 @@ import (
 
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/types"
@@ -51,13 +52,13 @@ func newCluster(t *testing.T, n int, seed int64, params types.Params) *cluster {
 	c := &cluster{loop: loop, net: network, keys: keys, genesis: genesis, params: params}
 	for i := 0; i < n; i++ {
 		env := simnet.NewNodeEnv(loop, network, i, seed)
-		bn, err := New(env, Config{
+		bn, err := New(env, node.Config{
 			Params:          params,
 			Key:             keys[i],
 			Genesis:         genesis,
 			SimulatedMining: true,
 			ConnectCache:    validate.Shared(),
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,12 +280,12 @@ func TestLiveRejectsSimulatedPoW(t *testing.T) {
 	key, _ := crypto.GenerateKey(sim.NewRand(10, 1))
 	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
 	env := simnet.NewNodeEnv(loop, network, 0, 10)
-	live, err := New(env, Config{
+	live, err := New(env, node.Config{
 		Params:          testParams(),
 		Key:             key,
 		Genesis:         genesis,
 		SimulatedMining: false,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +317,11 @@ func TestLiveMiningRoundTrip(t *testing.T) {
 	key, _ := crypto.GenerateKey(sim.NewRand(11, 1))
 	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
 	env := simnet.NewNodeEnv(loop, network, 0, 11)
-	live, err := New(env, Config{
+	live, err := New(env, node.Config{
 		Params:  testParams(),
 		Key:     key,
 		Genesis: genesis,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

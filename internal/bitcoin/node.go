@@ -3,12 +3,10 @@ package bitcoin
 import (
 	"fmt"
 
-	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
-	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
+	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
-	"bitcoinng/internal/validate"
 )
 
 // coinbaseReserve is the block-size headroom kept for the header and
@@ -16,61 +14,31 @@ import (
 // coinbase ≈ 60 B).
 const coinbaseReserve = 160
 
-// Config configures a Bitcoin node.
-type Config struct {
-	// Params are the consensus parameters (block size cap, subsidy,
-	// maturity, retarget schedule, tie-break rule).
-	Params types.Params
-	// Key receives this node's coinbase rewards.
-	Key *crypto.PrivateKey
-	// Genesis is the shared genesis block.
-	Genesis *types.PowBlock
-	// Recorder receives metric events; nil discards them.
-	Recorder node.Recorder
-	// SimulatedMining marks blocks as scheduler-generated and accepts such
-	// blocks from peers (the experiments' regtest mode). Live nodes leave
-	// it false and grind real nonces.
-	SimulatedMining bool
-	// ForkChoice overrides the fork-choice rule; nil selects the heaviest
-	// chain. internal/ghost substitutes the heaviest-subtree rule (§9).
-	ForkChoice chain.ForkChoice
-	// ConnectCache, when set, shares memoized connect verdicts (UTXO
-	// deltas, fees) with every other node whose rules fingerprint matches;
-	// nil validates everything locally.
-	ConnectCache *validate.Cache
-	// Blocks, when set, names the node's blocks in a table shared with the
-	// other nodes of a simulated fleet (chain.WithBlockTable); nil keeps a
-	// private one.
-	Blocks *blockstore.Table
-}
-
 // Node is a Bitcoin protocol node.
 type Node struct {
 	*node.Base
-	cfg    Config
+	cfg    node.Config
 	filter SpendFilter
 }
 
-// New builds a Bitcoin node on env. It produces a block each time MineBlock
-// is called: by the harness's miner for this node, or directly by a test.
-func New(env node.Env, cfg Config) (*Node, error) {
-	if cfg.Key == nil {
-		return nil, fmt.Errorf("bitcoin: config needs a key")
+// New builds a Bitcoin node on env under the fork-choice rule choice (nil
+// selects the heaviest chain; internal/ghost passes the heaviest-subtree
+// rule, §9). It produces a block each time MineBlock is called: by the
+// harness's miner for this node, or directly by a test. Censorship and
+// mining strategies are Bitcoin-NG behaviours, so New refuses a config that
+// asks for either; an honest strategy asks for nothing.
+func New(env node.Env, cfg node.Config, choice chain.ForkChoice) (*Node, error) {
+	if cfg.CensorTransactions {
+		return nil, fmt.Errorf("bitcoin: client cannot censor transactions")
 	}
-	choice := cfg.ForkChoice
-	if choice == nil {
-		choice = &chain.HeaviestChain{RandomTieBreak: cfg.Params.RandomTieBreak, Rand: env.Rand()}
+	if cfg.Strategy != nil && cfg.Strategy.Name() != strategy.HonestName {
+		return nil, fmt.Errorf("bitcoin: client cannot run mining strategy %q", cfg.Strategy.Name())
 	}
-	st, err := chain.New(cfg.Genesis, cfg.Params, Rules{AllowSimulatedPoW: cfg.SimulatedMining}, choice,
-		chain.WithConnectCache(cfg.ConnectCache), chain.WithBlockTable(cfg.Blocks))
+	base, err := node.New(env, cfg, Rules{AllowSimulatedPoW: cfg.SimulatedMining}, choice)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		Base: node.NewBase(env, st, cfg.Recorder),
-		cfg:  cfg,
-	}
-	return n, nil
+	return &Node{Base: base, cfg: cfg}, nil
 }
 
 // MineBlock assembles a block on the current tip and submits it, returning

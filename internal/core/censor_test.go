@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/types"
@@ -24,7 +25,7 @@ func TestCensoringLeaderInfluenceEnds(t *testing.T) {
 	genesis, fundedKey, fundedOuts := fundedGenesis(t, 31, 20)
 	for i := range nodes {
 		env := simnet.NewNodeEnv(loop, network, i, 31)
-		n, err := New(env, Config{
+		n, err := New(env, node.Config{
 			Params:             params,
 			Key:                keys[i],
 			Genesis:            genesis,

@@ -7,6 +7,7 @@ import (
 
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/types"
@@ -56,7 +57,7 @@ func newNGCluster(t *testing.T, n int, seed int64, params types.Params) *ngClust
 	c := &ngCluster{loop: loop, net: network, keys: keys, genesis: genesis, params: params}
 	for i := 0; i < n; i++ {
 		env := simnet.NewNodeEnv(loop, network, i, seed)
-		ng, err := New(env, Config{
+		ng, err := New(env, node.Config{
 			Params:          params,
 			Key:             keys[i],
 			Genesis:         genesis,

@@ -1,63 +1,28 @@
 package core
 
 import (
-	"fmt"
-
 	"bitcoinng/internal/bitcoin"
-	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/node"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
-	"bitcoinng/internal/validate"
 )
 
 // microReserve is the microblock-size headroom for the signed header
 // (microblocks carry no coinbase).
 const microReserve = 128
 
-// Config configures a Bitcoin-NG node.
-type Config struct {
-	// Params are the consensus parameters; MicroblockInterval sets the
-	// leader's issue rate and TargetBlockInterval the key-block rate.
-	Params types.Params
-	// Key signs this node's microblocks when it leads and receives its
-	// rewards. Its public key is embedded in the node's key blocks (§4.1).
-	Key *crypto.PrivateKey
-	// Genesis is the shared genesis block.
-	Genesis *types.PowBlock
-	// Recorder receives metric events; nil discards them.
-	Recorder node.Recorder
-	// SimulatedMining marks key blocks as scheduler-generated and accepts
-	// such blocks from peers; live nodes grind real nonces.
-	SimulatedMining bool
-	// CensorTransactions makes this node, while leading, publish empty
-	// microblocks — the §5.2 "Censorship Resistance" DoS behaviour whose
-	// influence ends with the next honest key block.
-	CensorTransactions bool
-	// ConnectCache, when set, shares memoized connect verdicts (UTXO
-	// deltas, epoch fees) with every other node whose rules fingerprint
-	// matches; nil validates everything locally.
-	ConnectCache *validate.Cache
-	// Blocks, when set, names the node's blocks in a table shared with the
-	// other nodes of a simulated fleet (chain.WithBlockTable); nil keeps a
-	// private one.
-	Blocks *blockstore.Table
-	// Strategy selects the node's mining strategy — which block its key
-	// blocks extend, whether produced blocks are published or withheld,
-	// and how its coinbase splits the epoch fees. nil runs honest.
-	// Strategies bend production choices only; validation of received
-	// blocks is unaffected.
-	Strategy strategy.Strategy
-}
+// Config is node.Config under the name the benchmark module still builds
+// it by (benchmark/livesync.go); every other caller uses node.Config.
+type Config = node.Config
 
 // Node is a Bitcoin-NG protocol node. Beyond the shared Base it tracks
 // leadership: when the main chain's latest key block is its own, it issues
 // signed microblocks at the configured rate until deposed (§4.2).
 type Node struct {
 	*node.Base
-	cfg    Config
+	cfg    node.Config
 	strat  strategy.Strategy
 	filter bitcoin.SpendFilter
 
@@ -72,13 +37,8 @@ type Node struct {
 }
 
 // New builds a Bitcoin-NG node on env.
-func New(env node.Env, cfg Config) (*Node, error) {
-	if cfg.Key == nil {
-		return nil, fmt.Errorf("core: config needs a key")
-	}
-	st, err := chain.New(cfg.Genesis, cfg.Params, Rules{AllowSimulatedPoW: cfg.SimulatedMining},
-		&chain.HeaviestChain{RandomTieBreak: cfg.Params.RandomTieBreak, Rand: env.Rand()},
-		chain.WithConnectCache(cfg.ConnectCache), chain.WithBlockTable(cfg.Blocks))
+func New(env node.Env, cfg node.Config) (*Node, error) {
+	base, err := node.New(env, cfg, Rules{AllowSimulatedPoW: cfg.SimulatedMining}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +47,7 @@ func New(env node.Env, cfg Config) (*Node, error) {
 		strat = strategy.Honest{}
 	}
 	n := &Node{
-		Base:  node.NewBase(env, st, cfg.Recorder),
+		Base:  base,
 		cfg:   cfg,
 		strat: strat,
 		fraud: make(map[crypto.Hash]*fraudRecord),

@@ -113,7 +113,7 @@ func TestAddResultLivesThroughEveryHook(t *testing.T) {
 	genesis := types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget})
 	mk := func(id int) (*Node, *handEnv) {
 		env := &handEnv{id: id, rng: rand.New(rand.NewSource(int64(id)))}
-		n, err := New(env, Config{Params: params, Key: keys[id], Genesis: genesis, SimulatedMining: true})
+		n, err := New(env, node.Config{Params: params, Key: keys[id], Genesis: genesis, SimulatedMining: true})
 		if err != nil {
 			t.Fatal(err)
 		}

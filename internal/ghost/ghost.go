@@ -18,10 +18,9 @@ type Node = bitcoin.Node
 // New builds a GHOST node: identical to a Bitcoin node except that fork
 // choice descends into the child with the heaviest subtree instead of
 // following cumulative chain weight.
-func New(env node.Env, cfg bitcoin.Config) (*Node, error) {
-	cfg.ForkChoice = &chain.GHOST{
+func New(env node.Env, cfg node.Config) (*Node, error) {
+	return bitcoin.New(env, cfg, &chain.GHOST{
 		RandomTieBreak: cfg.Params.RandomTieBreak,
 		Rand:           env.Rand(),
-	}
-	return bitcoin.New(env, cfg)
+	})
 }

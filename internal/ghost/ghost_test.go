@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"bitcoinng/internal/bitcoin"
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/types"
@@ -26,7 +26,7 @@ func TestGhostClusterConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		env := simnet.NewNodeEnv(loop, network, i, 1)
-		n, err := New(env, bitcoin.Config{
+		n, err := New(env, node.Config{
 			Params:          params,
 			Key:             key,
 			Genesis:         genesis,

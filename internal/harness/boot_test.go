@@ -10,6 +10,7 @@ import (
 	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/mining"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/protocol"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
@@ -100,10 +101,10 @@ func newReplayFixture(tb testing.TB, blocks, spends int) *replayFixture {
 	fx := &replayFixture{
 		env:    simnet.NewNodeEnv(loop, simnet.New(loop, simnet.DefaultConfig(2, seed)), 0, seed),
 		blocks: blocks,
-		spec: protocol.Spec{
-			Protocol: protocol.BitcoinNG, Params: params, Key: keys[0], Genesis: genesis,
+		spec: protocol.Spec{Protocol: protocol.BitcoinNG, Config: node.Config{
+			Params: params, Key: keys[0], Genesis: genesis,
 			SimulatedMining: true, ConnectCache: f.cache,
-		},
+		}},
 	}
 	root := tb.TempDir()
 	fx.path = filepath.Join(root, "replay.blocks")
@@ -283,9 +284,9 @@ func TestRestartDecodesOnlyEvictedBodies(t *testing.T) {
 	defer ref.Close()
 	loop := sim.NewLoop(0)
 	env := simnet.NewNodeEnv(loop, simnet.New(loop, simnet.DefaultConfig(2, 99)), 0, 99)
-	client, err := Boot(env, protocol.Spec{
-		Protocol: f.spec.Protocol, Params: f.spec.Params, Key: nd.Key, Genesis: f.spec.Genesis, SimulatedMining: true,
-	}, ref, nil)
+	client, err := Boot(env, protocol.Spec{Protocol: f.spec.Protocol, Config: node.Config{
+		Params: f.spec.Params, Key: nd.Key, Genesis: f.spec.Genesis, SimulatedMining: true,
+	}}, ref, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,14 +201,6 @@ func New(spec Spec) (*Fleet, error) {
 		if err := f.boot(nd); err != nil {
 			return nil, f.abandon(fmt.Errorf("node %d: %w", i, err))
 		}
-		if nd.Client.NG() == nil {
-			if name := spec.Strategies[i]; name != "" && name != strategy.HonestName {
-				return nil, f.abandon(fmt.Errorf("node %d (%s): client cannot run mining strategy %q", i, spec.Protocol, name))
-			}
-			if censors[i] {
-				return nil, f.abandon(fmt.Errorf("node %d (%s): client cannot censor transactions", i, spec.Protocol))
-			}
-		}
 		// The closure reads the record, so a Restart's replacement client
 		// takes over mining without touching the miner (whose stream must
 		// keep drawing from where it was). Finds while the node is down are
@@ -230,8 +222,7 @@ func (f *Fleet) boot(nd *Node) error {
 	if err != nil {
 		return err
 	}
-	client, err := Boot(nd.env, protocol.Spec{
-		Protocol:           f.spec.Protocol,
+	client, err := Boot(nd.env, protocol.Spec{Protocol: f.spec.Protocol, Config: node.Config{
 		Params:             f.spec.Params,
 		Key:                nd.Key,
 		Genesis:            f.spec.Genesis,
@@ -241,7 +232,7 @@ func (f *Fleet) boot(nd *Node) error {
 		ConnectCache:       f.cache,
 		Blocks:             f.factory.Blocks(),
 		Strategy:           strat,
-	}, nd.Index, func(base *node.Base) {
+	}}, nd.Index, func(base *node.Base) {
 		if f.spec.Wire != nil {
 			f.spec.Wire(nd.ID, base)
 		}

@@ -13,10 +13,11 @@
 // though it passed validation; the violation-injection tests rely on exactly
 // that.
 //
-// Both harnesses (the experiment runner and the interactive cluster) build a
-// Snapshot at quiescent points and feed it to an Engine; violations carry the
-// virtual time and node of first observation, so reports stay byte-identical
-// across the sequential and sharded execution engines.
+// harness.Fleet, under both the experiment runner and the interactive
+// cluster, builds a Snapshot at quiescent points and feeds it to an Engine;
+// violations carry the virtual time and node of first observation, so
+// reports stay byte-identical across the sequential and sharded execution
+// engines.
 package invariant
 
 import (

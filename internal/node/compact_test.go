@@ -48,7 +48,7 @@ func newCompactHarness(t *testing.T, n, txs int) (*harness, *core.Node, []*types
 			}
 		}
 		env := &fakeEnv{h: h, id: i, peers: peers, rng: rand.New(rand.NewSource(int64(i)))}
-		ng, err := core.New(env, core.Config{Params: params, Key: key, Genesis: genesis, SimulatedMining: true})
+		ng, err := core.New(env, node.Config{Params: params, Key: key, Genesis: genesis, SimulatedMining: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bitcoinng/internal/chain"
 	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/mempool"
 	"bitcoinng/internal/types"
@@ -34,44 +35,41 @@ type TxPool interface {
 	Len() int
 }
 
+// NewPool builds the fee-resolving mempool a node keeps over st. It
+// resolves input values against the confirmed UTXO set so the pool can
+// fee-prioritize and make bounded admission decisions; unresolvable inputs
+// (unconfirmed parents outside the pool) degrade the rate to zero rather
+// than failing admission. Wiring that bounds a node's pool installs one of
+// these, with its limits set, as the node's Pool.
+func NewPool(st *chain.State) *mempool.Pool {
+	p := mempool.New()
+	p.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
+		e, ok := st.UTXO().Lookup(op)
+		return e.Value, ok
+	})
+	return p
+}
+
 // ownPool stands in as the pool a node keeps unless its wiring hands it
-// another (an experiment's workload view): its first use builds a
-// fee-resolving mempool.Pool and, while it is still the node's Pool, puts
+// another (an experiment's workload view, a bounded pool): its first use
+// builds the NewPool mempool and, while it is still the node's Pool, puts
 // the mempool there, so a node whose pool is replaced never builds one and
 // every later call goes to the mempool directly. It lives inside Base, so
 // an unused one costs no allocation of its own.
 type ownPool struct {
-	base   *Base
-	p      *mempool.Pool
-	limits mempool.Limits
+	base *Base
+	p    *mempool.Pool
 }
 
-// pool builds the mempool on first use. It resolves input values against
-// the confirmed UTXO set so the pool can fee-prioritize and make bounded
-// admission decisions; unresolvable inputs (unconfirmed parents outside the
-// pool) degrade the rate to zero rather than failing admission.
+// pool builds the mempool on first use.
 func (o *ownPool) pool() *mempool.Pool {
 	if o.p == nil {
-		st := o.base.State
-		o.p = mempool.New()
-		o.p.SetLimits(o.limits)
-		o.p.SetFeeResolver(func(op types.OutPoint) (types.Amount, bool) {
-			e, ok := st.UTXO().Lookup(op)
-			return e.Value, ok
-		})
+		o.p = NewPool(o.base.State)
 	}
 	if o.base.Pool == TxPool(o) {
 		o.base.Pool = o.p
 	}
 	return o.p
-}
-
-// SetLimits bounds the pool, as mempool.Pool.SetLimits does.
-func (o *ownPool) SetLimits(l mempool.Limits) {
-	o.limits = l
-	if o.p != nil {
-		o.p.SetLimits(l)
-	}
 }
 
 func (o *ownPool) Add(tx *types.Transaction) error { return o.pool().Add(tx) }

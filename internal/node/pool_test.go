@@ -102,28 +102,18 @@ func TestOneRemoveConfirmedPerTipChange(t *testing.T) {
 }
 
 // TestOwnPoolIsBuiltOnlyWhereUsed: a node's own mempool is built by the
-// first call that needs it, with the limits its wiring set, and then serves
-// as the node's Pool directly; a node whose wiring replaces the pool, as an
-// experiment's workload view does, never builds one.
+// first call that needs it and then serves as the node's Pool directly; a
+// node whose wiring replaces the pool, as an experiment's workload view or a
+// Cluster's bounded pool does, never builds one, and a bounded NewPool keeps
+// the limits its wiring set.
 func TestOwnPoolIsBuiltOnlyWhereUsed(t *testing.T) {
-	h, genesis, key := newHarness(t, 2)
-	used, replaced := h.bases[0], h.bases[1]
-	if used.OwnPoolBuilt() || replaced.OwnPoolBuilt() {
+	h, genesis, key := newHarness(t, 3)
+	used, replaced, bounded := h.bases[0], h.bases[1], h.bases[2]
+	if used.OwnPoolBuilt() || replaced.OwnPoolBuilt() || bounded.OwnPoolBuilt() {
 		t.Fatal("a pool was built before any use")
-	}
-	limited, ok := used.Pool.(interface{ SetLimits(mempool.Limits) })
-	if !ok {
-		t.Fatal("the node's own pool takes no limits")
-	}
-	limited.SetLimits(mempool.Limits{MaxTxs: 1})
-	if used.OwnPoolBuilt() {
-		t.Fatal("setting limits built the pool")
 	}
 	if err := used.SubmitTx(relayTx(t, key, 1)); err != nil {
 		t.Fatal(err)
-	}
-	if err := used.SubmitTx(relayTx(t, key, 2)); !errors.Is(err, mempool.ErrPoolFull) {
-		t.Fatalf("second transaction over a one-transaction limit: %v, want ErrPoolFull", err)
 	}
 	if _, ok := used.Pool.(*mempool.Pool); !ok || !used.OwnPoolBuilt() {
 		t.Fatalf("after first use the node's Pool is %T, want the built *mempool.Pool", used.Pool)
@@ -136,5 +126,18 @@ func TestOwnPoolIsBuiltOnlyWhereUsed(t *testing.T) {
 	}
 	if replaced.OwnPoolBuilt() {
 		t.Fatal("a node whose pool was replaced built its own")
+	}
+
+	pool := node.NewPool(bounded.State)
+	pool.SetLimits(mempool.Limits{MaxTxs: 1})
+	bounded.Pool = pool
+	if err := bounded.SubmitTx(relayTx(t, key, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bounded.SubmitTx(relayTx(t, key, 2)); !errors.Is(err, mempool.ErrPoolFull) {
+		t.Fatalf("second transaction over a one-transaction limit: %v, want ErrPoolFull", err)
+	}
+	if bounded.OwnPoolBuilt() {
+		t.Fatal("a node given a bounded pool built its own")
 	}
 }

@@ -42,7 +42,7 @@ func startLiveNG(t *testing.T, id int, genesis *types.PowBlock) (*liveNG, string
 		t.Fatal(err)
 	}
 	rt := New(Config{NodeID: id, GenesisHash: genesis.Hash(), Seed: int64(id)})
-	n, err := core.New(rt, core.Config{
+	n, err := core.New(rt, node.Config{
 		Params:          liveParams(),
 		Key:             key,
 		Genesis:         genesis,
@@ -241,12 +241,12 @@ func TestLiveRealProofOfWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := New(Config{NodeID: id, GenesisHash: genesis.Hash(), Seed: int64(id)})
-		n, err := bitcoin.New(rt, bitcoin.Config{
+		n, err := bitcoin.New(rt, node.Config{
 			Params:  params,
 			Key:     key,
 			Genesis: genesis,
 			// SimulatedMining false: peers demand real proofs of work.
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,12 @@
-// Package protocol builds the consensus clients: every way of running a
-// node — interactive clusters (the root package), measured experiments
-// (internal/experiment), and live binaries (cmd/ngnode) — assembles its
-// clients through one Build call over the three protocols the paper
-// compares: Bitcoin and Bitcoin-NG (§7–8), with GHOST as the §9 baseline.
+// Package protocol builds the consensus clients of the three protocols the
+// paper compares: Bitcoin and Bitcoin-NG (§7–8), with GHOST as the §9
+// baseline. Every way of running a node — the Fleet under the root
+// package's Cluster and the experiment runner (internal/harness), and the
+// live binary (cmd/ngnode) — boots its clients through harness.Boot, which
+// calls Build. Build takes one node.Config for every protocol and picks the
+// constructor, and with it the fork choice; a constructor refuses an input
+// its client cannot honour (Bitcoin and GHOST refuse censorship and
+// non-honest mining strategies), so nothing is silently dropped.
 //
 // A client satisfies Client: the universal surface the harnesses drive.
 // Everything beyond it — leadership, microblocks, equivocation, fraud
@@ -16,14 +20,10 @@ import (
 	"strings"
 
 	"bitcoinng/internal/bitcoin"
-	"bitcoinng/internal/blockstore"
 	"bitcoinng/internal/core"
-	"bitcoinng/internal/crypto"
 	"bitcoinng/internal/ghost"
 	"bitcoinng/internal/node"
-	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
-	"bitcoinng/internal/validate"
 )
 
 // Protocol names a consensus client implementation.
@@ -44,45 +44,10 @@ const (
 // of the known ones; every harness surfaces this one error for a bad name.
 var ErrUnknownProtocol = errors.New("protocol: unknown protocol")
 
-// Spec carries everything a client constructor needs. One Spec vocabulary
-// serves every protocol. CensorTransactions and Strategy are Bitcoin-NG's
-// alone: Bitcoin and GHOST clients do not read them, and the simulator
-// harnesses refuse a fleet that sets them on such a client.
+// Spec names the client Build constructs and the config it is built from.
 type Spec struct {
-	// Protocol selects the client Build constructs.
 	Protocol Protocol
-	// Params are the consensus parameters under test.
-	Params types.Params
-	// Key signs the node's blocks (microblocks while leading, under NG)
-	// and receives its rewards.
-	Key *crypto.PrivateKey
-	// Genesis is the shared genesis block.
-	Genesis *types.PowBlock
-	// Recorder receives metric events; nil discards them.
-	Recorder node.Recorder
-	// SimulatedMining marks blocks as scheduler-generated and accepts such
-	// blocks from peers; live nodes leave it false and grind real nonces.
-	SimulatedMining bool
-	// CensorTransactions makes an NG node publish empty microblocks while
-	// leading (§5.2 "Censorship Resistance").
-	CensorTransactions bool
-	// ConnectCache shares memoized connect-stage verdicts (UTXO deltas,
-	// fees) between every node whose validation rules fingerprint matches
-	// — the harnesses pass validate.Shared() so the 2nd..Nth node
-	// connecting a block replays the first node's work. nil validates
-	// everything locally.
-	ConnectCache *validate.Cache
-	// Blocks names every block once for a whole simulated fleet: the
-	// harness passes its store factory's table, so each node's block tree
-	// keeps one slot per block instead of a map of its own. nil keeps a
-	// private table (live nodes).
-	Blocks *blockstore.Table
-	// Strategy is the node's mining strategy (internal/strategy): which
-	// block its key blocks extend, publish-vs-withhold decisions, and the
-	// coinbase fee split. nil runs honest. Strategies bend production
-	// choices only — validation of received blocks is unaffected, so the
-	// connect cache stays shareable across strategies.
-	Strategy strategy.Strategy
+	node.Config
 }
 
 // Client is a running consensus protocol node: the surface every harness
@@ -103,47 +68,33 @@ type Client interface {
 	NG() *core.Node
 }
 
-// Build constructs a client of spec.Protocol on env. An unknown name returns
-// an error wrapping ErrUnknownProtocol that lists the known ones.
+// Build constructs a client of spec.Protocol on env from spec.Config,
+// unchanged. An unknown name returns an error wrapping ErrUnknownProtocol
+// that lists the known ones.
 func Build(env node.Env, spec Spec) (Client, error) {
+	var (
+		n   *bitcoin.Node
+		err error
+	)
 	switch spec.Protocol {
-	case Bitcoin, GHOST:
-		newNode := bitcoin.New
-		if spec.Protocol == GHOST {
-			newNode = ghost.New
-		}
-		n, err := newNode(env, bitcoin.Config{
-			Params:          spec.Params,
-			Key:             spec.Key,
-			Genesis:         spec.Genesis,
-			Recorder:        spec.Recorder,
-			SimulatedMining: spec.SimulatedMining,
-			ConnectCache:    spec.ConnectCache,
-			Blocks:          spec.Blocks,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return bitcoinClient{n}, nil
+	case Bitcoin:
+		n, err = bitcoin.New(env, spec.Config, nil)
+	case GHOST:
+		n, err = ghost.New(env, spec.Config)
 	case BitcoinNG:
-		n, err := core.New(env, core.Config{
-			Params:             spec.Params,
-			Key:                spec.Key,
-			Genesis:            spec.Genesis,
-			Recorder:           spec.Recorder,
-			SimulatedMining:    spec.SimulatedMining,
-			CensorTransactions: spec.CensorTransactions,
-			ConnectCache:       spec.ConnectCache,
-			Blocks:             spec.Blocks,
-			Strategy:           spec.Strategy,
-		})
+		ng, err := core.New(env, spec.Config)
 		if err != nil {
 			return nil, err
 		}
-		return ngClient{n}, nil
+		return ngClient{ng}, nil
+	default:
+		return nil, fmt.Errorf("%w %q (known: %s)",
+			ErrUnknownProtocol, spec.Protocol, strings.Join(Names(), ", "))
 	}
-	return nil, fmt.Errorf("%w %q (known: %s)",
-		ErrUnknownProtocol, spec.Protocol, strings.Join(Names(), ", "))
+	if err != nil {
+		return nil, err
+	}
+	return bitcoinClient{n}, nil
 }
 
 // Payload returns the block kind that carries the protocol's transaction

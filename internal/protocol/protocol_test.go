@@ -6,28 +6,36 @@ import (
 	"testing"
 
 	"bitcoinng/internal/crypto"
+	"bitcoinng/internal/node"
 	"bitcoinng/internal/sim"
 	"bitcoinng/internal/simnet"
 	"bitcoinng/internal/strategy"
 	"bitcoinng/internal/types"
 )
 
-// TestNamesMatchTheSwitches keeps each Names list and the switch it
-// describes from drifting apart: every listed name builds, every unknown
-// one is refused with an error that lists the known names.
-func TestNamesMatchTheSwitches(t *testing.T) {
+// newEnv returns an env no test runs and a config every protocol builds from.
+func newEnv(t *testing.T) (node.Env, node.Config) {
+	t.Helper()
 	key, err := crypto.GenerateKey(sim.NewRand(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	loop := sim.NewLoop(0)
 	env := simnet.NewNodeEnv(loop, simnet.New(loop, simnet.DefaultConfig(2, 1)), 0, 1)
-	spec := Spec{
+	return env, node.Config{
 		Params:          types.DefaultParams(),
 		Key:             key,
 		Genesis:         types.GenesisBlock(types.GenesisSpec{Target: crypto.EasiestTarget}),
 		SimulatedMining: true,
 	}
+}
+
+// TestNamesMatchTheSwitches keeps each Names list and the switch it
+// describes from drifting apart: every listed name builds, every unknown
+// one is refused with an error that lists the known names.
+func TestNamesMatchTheSwitches(t *testing.T) {
+	env, cfg := newEnv(t)
+	spec := Spec{Config: cfg}
 
 	want := map[Protocol]struct {
 		payload types.BlockKind
@@ -61,7 +69,7 @@ func TestNamesMatchTheSwitches(t *testing.T) {
 		}
 	}
 	spec.Protocol = "no-such-protocol"
-	_, err = Build(env, spec)
+	_, err := Build(env, spec)
 	if !errors.Is(err, ErrUnknownProtocol) {
 		t.Errorf("Build(unknown) error = %v, want ErrUnknownProtocol", err)
 	}
@@ -92,6 +100,44 @@ func TestNamesMatchTheSwitches(t *testing.T) {
 	for _, name := range strategies {
 		if err != nil && !strings.Contains(err.Error(), name) {
 			t.Errorf("strategy.New(unknown) error %q does not list %q", err, name)
+		}
+	}
+}
+
+// TestBuildRefusesWhatAClientCannotHonour: Build hands the config to the
+// protocol's constructor unchanged, and the constructor refuses an input its
+// client cannot honour instead of dropping it. Every client needs a key.
+// Censorship and mining strategies are Bitcoin-NG's, so Bitcoin and GHOST
+// refuse both, but accept the honest strategy a fleet passes every node it
+// assigns none.
+func TestBuildRefusesWhatAClientCannotHonour(t *testing.T) {
+	env, cfg := newEnv(t)
+	inputs := []struct {
+		name string
+		set  func(*node.Config)
+		want string // the refusal's text; "" when Bitcoin and GHOST accept
+		ng   bool   // Bitcoin-NG refuses it too
+	}{
+		{"no key", func(c *node.Config) { c.Key = nil }, "config needs a key", true},
+		{"censor", func(c *node.Config) { c.CensorTransactions = true }, "client cannot censor transactions", false},
+		{"selfish", func(c *node.Config) { c.Strategy = strategy.NewSelfish() }, "client cannot run mining strategy", false},
+		{"honest", func(c *node.Config) { c.Strategy = strategy.Honest{} }, "", false},
+	}
+	for _, p := range []Protocol{Bitcoin, GHOST, BitcoinNG} {
+		for _, in := range inputs {
+			spec := Spec{Protocol: p, Config: cfg}
+			in.set(&spec.Config)
+			want := in.want
+			if p == BitcoinNG && !in.ng {
+				want = ""
+			}
+			_, err := Build(env, spec)
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("%s with %s: %v, want it built", p, in.name, err)
+			case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+				t.Errorf("%s with %s: error = %v, want %q", p, in.name, err, want)
+			}
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 	"bitcoinng/internal/types"
 )
 
-// Runtime is the harness surface steps act on. The root package's Cluster
-// and the experiment runner both implement it; steps stay harness-agnostic.
+// Runtime is the harness surface steps act on. harness.Fleet is its one
+// implementation, under both the root package's Cluster and the experiment
+// runner; steps stay harness-agnostic.
 type Runtime interface {
 	// Size returns the number of nodes.
 	Size() int
